@@ -19,7 +19,7 @@
 //!   every one of the `⌈log₂ N⌉` routing levels as its own external
 //!   block-pair pass — no composition of the small-stride levels inside the
 //!   private cache — so it costs `Θ((N/B) log N)` I/Os, versus
-//!   `odo-core::compact`'s `O((N/B)(1 + log(N/M)))`.
+//!   `odo-core::compact`'s `O((N/B)(1 + log_{M/B}(N/M)))`.
 //! * [`naive_select_kth`] — sort-then-index selection (paper §4's strawman):
 //!   full-depth bitonic sort of a working copy, then a streaming pass that
 //!   latches the `k`-th cell and one more that recovers the original element

@@ -943,7 +943,13 @@ mod tests {
     #[test]
     fn a_poisoned_mutex_is_recovered_not_cascaded() {
         crate::retry::install_quiet_abort_hook();
-        let mut store = temp_prefetching(2);
+        // No background workers: a worker taking the lock would repair the
+        // poison before the setup assert below could observe it.
+        let cfg = PrefetchConfig {
+            workers: 0,
+            ..PrefetchConfig::default()
+        };
+        let mut store = PrefetchingStore::with_config(FileStore::temp(2).expect("temp file"), cfg);
         let h = store
             .inner_mut()
             .alloc_array_from_elements(&(0..8).map(e).collect::<Vec<_>>());

@@ -22,7 +22,7 @@
 //! (Lemma 5: such labels never collide). Run naively, every level is a full
 //! pass over the array — `Θ((N/B) log N)` I/Os, which is what the `baseline`
 //! crate does. Three I/O optimizations collapse this to
-//! `O((N/B)(1 + log(N/M)))`:
+//! `O((N/B)(1 + log_{M/B}(N/M)))`:
 //!
 //! 1. **Oblivious prefix-rank label pass.** One streaming sweep reads each
 //!    data block, carries the running rank in a private-cache register, and
@@ -36,17 +36,21 @@
 //!    carried in cache into the adjacent window (they travel less than `W`
 //!    cells, so one window of carry suffices). When the whole array fits in
 //!    cache this sweep is the entire algorithm — one read and one write pass.
-//! 3. **Block-pair stride batching.** Each remaining level has stride
-//!    `2^i ≥ W ≥ B`, so every wire pair `(j, j − 2^i)` connects equal slot
-//!    offsets of the block pair `(β, β + 2^i/B)`. All `B` wires of a pair are
-//!    fused into two read-modify-write round trips (labels, then data) via
-//!    [`BlockStore::modify_pair`] — `8` I/Os per block pair, `O(N/B)` per
-//!    level, never one round trip per element.
+//! 3. **Fused column sweeps.** The remaining `⌈log₂ N⌉ − log₂ W` levels have
+//!    strides `2^i ≥ W ≥ B` and run in groups of `g = max(1, log₂(W/B))`.
+//!    Levels `[i₀, i₀ + g)` with `2^i₀ = k·B` move an item only by whole
+//!    multiples of `k` blocks: they keep its slot offset and its block column
+//!    `β mod k`. Over the virtual array of blocks `c, c + k, c + 2k, …` the
+//!    group is exactly the head-window sweep, with the move
+//!    `(d & mask)/k ≤ W` (`mask` covering label bits `[i₀, i₀ + g)`) — one
+//!    read pass plus one write pass over data and labels per group. The head
+//!    window is the special case `i₀ = 0, k = 1`.
 //!
-//! With `⌈log₂ N⌉ − log₂ W ≤ log₂(N/M) + 3` external levels the total is
-//! `O((N/B)(1 + log(N/M)))` I/Os, matching the paper's compaction bound; the
-//! `odo-bench` harness checks the explicit-constant form
-//! `32·⌈N/B⌉·(1 + ⌈log₂⌈N/M⌉⌉)` at every grid point and `BENCH_compact.json`
+//! The total is `⌈N/B⌉·(2 + 4 + 4·⌈(⌈log₂ N⌉ − log₂ W)/g⌉)` I/Os; with
+//! `W = Θ(M)` that is `O((N/B)(1 + log_{M/B}(N/M)))`, which is the paper's
+//! `O(N/B)` whenever `N/M` is polynomial in `M/B`. The `odo-bench` harness
+//! checks the explicit-constant form `16·⌈N/B⌉·(1 + ⌈log_β⌈N/M⌉⌉)`,
+//! `β = max(2, M/(8B))`, at every grid point and `BENCH_compact.json`
 //! records the measurements.
 //!
 //! The reverse direction ([`expand`]) routes a compact prefix back out to a
@@ -56,21 +60,21 @@
 //! # Obliviousness
 //!
 //! Every block address touched is a fixed function of `(N, B, M)`: the label
-//! sweep visits blocks `0..⌈N/B⌉` in order, the window sweep visits each
-//! window's blocks in a fixed order, and each external level visits its
-//! block pairs in a fixed order with unconditional writes (a pair is
-//! rewritten even if nothing moved). Which cells are occupied, where items
+//! sweep visits blocks `0..⌈N/B⌉` in order, and every sweep visits its
+//! columns and windows in a fixed order with unconditional writes (a window
+//! is rewritten even if nothing moved). Which cells are occupied, where items
 //! route, and the expansion targets influence only block *contents* — never
 //! addresses. The `compact_oblivious` integration test asserts byte-identical
 //! traces across dozens of occupancy patterns at fixed shape.
 //!
 //! # Restrictions
 //!
-//! Compaction requires `M ≥ 8B` (the window sweep holds two spans plus two
-//! directions of carried items; the external levels hold a label block pair
-//! plus a data block pair), and the external path (arrays larger than the
-//! cache) additionally requires a power-of-two block size `B`. Arrays that
-//! fit in cache accept any `B ≥ 1`.
+//! Compaction requires `M ≥ 8B`: a sweep holds a data and a label window
+//! plus carried items in both directions (`6W ≤ M`), and a window must be at
+//! least one block (`W ≥ B`). The external path (arrays larger than the
+//! cache) additionally requires a power-of-two block size `B`, so that the
+//! strides `≥ W` are whole multiples of a block. Arrays that fit in cache
+//! accept any `B ≥ 1`.
 
 use crate::error::OdoError;
 use extmem::element::Cell;
@@ -79,6 +83,7 @@ use extmem::{
     RetryStats,
 };
 use obliv_net::butterfly;
+use std::ops::Range;
 
 /// Which way items travel through the butterfly: `Left` compacts occupied
 /// cells toward index 0, `Right` expands a compact prefix toward its targets.
@@ -95,12 +100,17 @@ pub struct CompactReport {
     pub io: IoStats,
     /// Total butterfly levels for this array length (`⌈log₂ N⌉`).
     pub levels: usize,
-    /// Levels executed inside the private cache by the window sweep.
+    /// Levels executed inside the private cache by the head-window sweep
+    /// (strides `< W`).
     pub in_cache_levels: usize,
-    /// Levels executed as external block-pair passes.
+    /// Levels with stride `≥ W`, run outside the head window.
     pub external_levels: usize,
-    /// The sliding-window size `W` in elements (a power of two `≤ M/6`), or
-    /// the array length when the whole array fit in cache.
+    /// Column sweeps that ran the external levels: `⌈external_levels / g⌉`
+    /// with `g = max(1, log₂(W/B))` levels fused per sweep.
+    pub external_passes: usize,
+    /// The sliding-window size `W` in elements (a power of two `≤ M/6`)
+    /// used by the head window and every column sweep, or the array length
+    /// when the whole array fit in cache.
     pub window_elems: usize,
     /// Number of occupied cells (the compacted prefix length). For
     /// [`expand`] this is the number of routed items, `targets.len()`.
@@ -110,8 +120,8 @@ pub struct CompactReport {
 /// Stable tight compaction of array `h` on `store`: occupied cells move to
 /// the front of the array, preserving their relative order; empty cells fill
 /// the tail. Uses at most `cache_elems` words of private memory and
-/// `O((N/B)(1 + log(N/M)))` I/Os whose addresses depend only on the shape
-/// `(N, B, M)` — see the module documentation.
+/// `O((N/B)(1 + log_{M/B}(N/M)))` I/Os whose addresses depend only on the
+/// shape `(N, B, M)` — see the module documentation.
 ///
 /// # Panics
 /// Panics if `cache_elems < 8·B`, or if the array does not fit in cache and
@@ -262,6 +272,7 @@ fn run<S: BlockStore>(
             levels: lv,
             in_cache_levels: lv,
             external_levels: 0,
+            external_passes: 0,
             window_elems: n.max(1),
             occupied,
         });
@@ -279,42 +290,32 @@ fn run<S: BlockStore>(
     let dist = store.alloc_array(n);
     let occupied = write_labels(store, h, &dist, &mut budget, targets)?;
 
-    // Phases 2 and 3 — the window sweep composes every level with stride
-    // < W into a single move by (d mod W); the levels with stride 2^i ≥ W
-    // (each ≥ B) run as external block-pair passes. Compaction executes the
-    // circuit forward (small strides first, then external levels ascending);
-    // expansion is the same circuit run backwards in time (external levels
-    // descending first, then the window sweep) — the forward order collides
-    // on legitimate expansion labels, see `obliv_net::butterfly::expand`.
+    // Phases 2 and 3 — the head window composes every level with stride
+    // < W into one sweep; the external levels (strides ≥ W ≥ B) run in
+    // groups of g as one sweep per block column. Compaction executes the
+    // circuit forward (head window first, then the groups ascending);
+    // expansion is the same circuit run backwards in time (groups
+    // descending, then the head window) — the forward order collides on
+    // legitimate expansion labels, see `obliv_net::butterfly::expand`.
     let w = window_elems(cache_elems);
-    let t = (w.trailing_zeros() as usize).min(lv);
-    let mut external = 0;
-    match dir {
-        Direction::Left => {
-            if t > 0 {
-                window_pass(store, h, &dist, &mut budget, w, dir)?;
-            }
-            for i in t..lv {
-                external_level(store, h, &dist, &mut budget, 1usize << i, dir)?;
-                external += 1;
-            }
-        }
-        Direction::Right => {
-            for i in (t..lv).rev() {
-                external_level(store, h, &dist, &mut budget, 1usize << i, dir)?;
-                external += 1;
-            }
-            if t > 0 {
-                window_pass(store, h, &dist, &mut budget, w, dir)?;
-            }
-        }
+    let t = w.trailing_zeros() as usize; // n > M ≥ 6W, so t < lv
+    let g = ((w / b).trailing_zeros() as usize).max(1);
+    let mut groups = vec![(0, t)];
+    groups.extend((t..lv).step_by(g).map(|i0| (i0, g.min(lv - i0))));
+    groups.retain(|&(_, len)| len > 0);
+    if dir == Direction::Right {
+        groups.reverse();
+    }
+    for &group in &groups {
+        sweep(store, h, &dist, &mut budget, w, group, dir)?;
     }
 
     Ok(CompactReport {
         io: store.io_stats() - start,
         levels: lv,
-        in_cache_levels: t.min(lv),
-        external_levels: external,
+        in_cache_levels: t,
+        external_levels: lv - t,
+        external_passes: (lv - t).div_ceil(g),
         window_elems: w,
         occupied,
     })
@@ -430,39 +431,115 @@ fn write_labels<S: BlockStore>(
     Ok(rank)
 }
 
-/// Phase 2: the sliding-window sweep. Executes every level with stride
-/// `< W` at once: each item moves by `δ = d mod W` toward `dir`, items whose
-/// composed hop leaves the window are carried in cache into the adjacent
-/// window (they travel `< W` cells, so carry depth is exactly one window).
-/// Windows are visited away from the travel direction — rightmost first when
-/// compacting left, leftmost first when expanding right — so the carry is
-/// always deposited into the *next* window processed. One read pass plus one
-/// write pass over both arrays, block order fixed by the shape.
-fn window_pass<S: BlockStore>(
+/// The blocks `c, c + k, c + 2k, …` of an array, seen as one virtual array
+/// of `blocks` blocks. Virtual cell `x` is slot `x mod B` of block
+/// `c + ⌊x/B⌋·k`, so a move by `δ` virtual cells is a move by `δ·k` real
+/// cells that keeps the slot offset and the column.
+#[derive(Clone, Copy)]
+struct Column {
+    c: usize,
+    k: usize,
+    b: usize,
+    blocks: usize,
+}
+
+impl Column {
+    fn block(&self, v: usize) -> usize {
+        self.c + v * self.k
+    }
+
+    fn cell(&self, x: usize) -> usize {
+        self.block(x / self.b) * self.b + x % self.b
+    }
+
+    fn hint<S: BlockStore>(&self, store: &mut S, arrays: [&ArrayHandle; 2], vs: Range<usize>) {
+        let blocks: Vec<usize> = vs.map(|v| self.block(v)).collect();
+        for h in arrays {
+            store.hint_blocks(h, &blocks);
+        }
+    }
+
+    /// Reads virtual blocks `vs` in ascending order, one read I/O per block
+    /// (slots past the array end read as dummies).
+    fn load<S: BlockStore>(&self, store: &mut S, h: &ArrayHandle, vs: Range<usize>) -> Vec<Cell> {
+        let mut cells = Vec::with_capacity(vs.len() * self.b);
+        for v in vs {
+            let blk = store.load_block(h, self.block(v));
+            cells.extend_from_slice(blk.slots());
+            store.recycle(blk);
+        }
+        cells
+    }
+
+    /// Writes `cells` back as whole blocks from virtual block `v_lo` on, in
+    /// ascending order, one write I/O per block.
+    fn store<S: BlockStore>(&self, store: &mut S, h: &ArrayHandle, v_lo: usize, cells: &[Cell]) {
+        for (i, chunk) in cells.chunks(self.b).enumerate() {
+            store.store_block(h, self.block(v_lo + i), Block::from_cells(chunk));
+        }
+    }
+}
+
+/// Phases 2 and 3: runs the butterfly levels `[i0, i0 + len)` as one
+/// sliding-window sweep per block column. With `k = max(1, 2^i0 / B)`, the
+/// group moves an item by `d & mask` cells (`mask` covers label bits
+/// `[i0, i0 + len)`), a whole multiple of `k` blocks, so it never leaves its
+/// column: over the column's virtual array it moves by `δ = (d & mask)/k ≤ W`
+/// cells. Windows of `W` virtual cells are visited away from the travel
+/// direction — rightmost first when compacting left, leftmost first when
+/// expanding right — and items whose move leaves the window are carried in
+/// cache into the next window processed (one window of carry suffices).
+/// Each label becomes `d − (d & mask)`. The head window is the group
+/// `i0 = 0` (`k = 1`, `mask = W − 1`); Lemma 5 makes the state after every
+/// group collision-free, so a collision means the labels were invalid.
+///
+/// One read pass plus one write pass over both arrays, `4·⌈N/B⌉` I/Os in a
+/// block order fixed by the shape. While a window is worked on, the next
+/// window's blocks are hinted, so read-ahead keeps one window of lead.
+fn sweep<S: BlockStore>(
     store: &mut S,
     data: &ArrayHandle,
     dist: &ArrayHandle,
     budget: &mut CacheBudget,
     w: usize,
+    (i0, len): (usize, usize),
     dir: Direction,
 ) -> Result<(), OdoError> {
-    let n = data.len();
-    let regions = n.div_ceil(w);
-    // Items in flight between windows: (global target, item, remaining dist).
+    let (n, b, nb) = (data.len(), data.block_elems(), data.n_blocks());
+    let k = ((1usize << i0) / b).max(1); // 2^i0 < N, so k < ⌈N/B⌉
+    let mask = ((1u64 << len) - 1) << i0;
+    let wb = w / b;
+    let mut windows: Vec<(Column, Range<usize>)> = Vec::new();
+    for c in 0..k {
+        let col = Column {
+            c,
+            k,
+            b,
+            blocks: (nb - c).div_ceil(k),
+        };
+        let starts = (0..col.blocks).step_by(wb);
+        let window = |v: usize| (col, v..(v + wb).min(col.blocks));
+        match dir {
+            Direction::Left => windows.extend(starts.rev().map(window)),
+            Direction::Right => windows.extend(starts.map(window)),
+        }
+    }
+    if let Some((col, vs)) = windows.first() {
+        col.hint(store, [data, dist], vs.clone());
+    }
+    // Items in flight between windows: (virtual target, item, new label).
     let mut carry: Vec<(usize, Element, u64)> = Vec::new();
-    let order: Box<dyn Iterator<Item = usize>> = match dir {
-        Direction::Left => Box::new((0..regions).rev()),
-        Direction::Right => Box::new(0..regions),
-    };
-    for g in order {
-        let lo = g * w;
-        let hi = ((g + 1) * w).min(n);
-        let len = hi - lo;
-        // Working set: the two spans plus up to a window's worth of carried
-        // items in each direction (2 slots per in-flight item).
+    for (idx, (col, vs)) in windows.iter().enumerate() {
+        if let Some((next, nvs)) = windows.get(idx + 1) {
+            next.hint(store, [data, dist], nvs.clone());
+        }
+        let lo = vs.start * b;
+        let len = vs.len() * b;
+        // Working set: the two windows plus up to a window's worth of
+        // carried items in each direction (2 slots per in-flight item).
         budget.acquire(2 * len + 4 * w);
-        let mut cells = store.load_span(data, lo, hi);
-        let mut dists = store.load_span(dist, lo, hi);
+        let mut cells = col.load(store, data, vs.clone());
+        let mut dists = col.load(store, dist, vs.clone());
         let scan: Box<dyn Iterator<Item = usize>> = match dir {
             Direction::Left => Box::new(0..len),
             Direction::Right => Box::new((0..len).rev()),
@@ -473,183 +550,70 @@ fn window_pass<S: BlockStore>(
                 let d = dists[r]
                     .ok_or(OdoError::CorruptedRouting {
                         reason: "occupied cells carry a distance label",
-                        cell: lo + r,
+                        cell: col.cell(lo + r),
                     })?
                     .key;
-                let delta = (d as usize) % w;
+                let delta = ((d & mask) / k as u64) as usize;
                 if delta == 0 {
                     continue;
                 }
                 let target = match dir {
-                    Direction::Left => {
-                        (lo + r)
-                            .checked_sub(delta)
-                            .ok_or(OdoError::CorruptedRouting {
-                                reason: "a distance label may not route an item before cell 0",
-                                cell: lo + r,
-                            })?
-                    }
-                    Direction::Right => lo + r + delta,
+                    Direction::Left => (lo + r).checked_sub(delta),
+                    Direction::Right => Some(lo + r + delta),
                 };
-                let nd = d - delta as u64;
+                // Past either end of the column means past the array.
+                let Some(target) = target.filter(|&x| col.cell(x) < n) else {
+                    return Err(OdoError::CorruptedRouting {
+                        reason: "no item may be routed out of the array",
+                        cell: col.cell(lo + r),
+                    });
+                };
+                let nd = d - (d & mask);
                 cells[r] = None;
                 dists[r] = None;
-                if (lo..hi).contains(&target) {
+                if (lo..lo + len).contains(&target) {
                     // The target slot was already scanned (the scan runs
                     // opposite to the travel direction), so its final
-                    // occupant — if any — is already in place: a collision
-                    // here means the labels were invalid (Lemma 5).
-                    place(&mut cells, &mut dists, target - lo, lo, item, nd)?;
+                    // occupant — if any — is already in place.
+                    place(&mut cells, &mut dists, col, lo, (target, item, nd))?;
                 } else {
                     outgoing.push((target, item, nd));
                 }
             }
         }
-        for (target, item, nd) in carry.drain(..) {
+        for mv in carry.drain(..) {
             debug_assert!(
-                (lo..hi).contains(&target),
+                (lo..lo + len).contains(&mv.0),
                 "carried items travel exactly one window"
             );
-            place(&mut cells, &mut dists, target - lo, lo, item, nd)?;
+            place(&mut cells, &mut dists, col, lo, mv)?;
         }
         carry = outgoing;
-        store.store_span(data, lo, &cells);
-        store.store_span(dist, lo, &dists);
+        col.store(store, data, vs.start, &cells);
+        col.store(store, dist, vs.start, &dists);
         budget.release(2 * len + 4 * w);
-    }
-    if let Some(&(target, _, _)) = carry.first() {
-        return Err(OdoError::CorruptedRouting {
-            reason: "no item may be routed out of the array",
-            cell: target,
-        });
     }
     Ok(())
 }
 
+/// Drops a moved item `(virtual target, item, new label)` into the window
+/// starting at virtual cell `lo`.
 fn place(
     cells: &mut [Cell],
     dists: &mut [Cell],
-    idx: usize,
-    base: usize,
-    item: Element,
-    nd: u64,
+    col: &Column,
+    lo: usize,
+    (target, item, nd): (usize, Element, u64),
 ) -> Result<(), OdoError> {
+    let idx = target - lo;
     if cells[idx].is_some() {
         return Err(OdoError::CorruptedRouting {
             reason: "butterfly routing collision: two items at one cell (invalid distance labels)",
-            cell: base + idx,
+            cell: col.cell(target),
         });
     }
     cells[idx] = Some(item);
     dists[idx] = Some(Element::new(nd, 0));
-    Ok(())
-}
-
-/// Phase 3: one external level of stride `s` (`B | s`). Every wire pair
-/// `(j, j ± s)` connects equal slot offsets of the block pair
-/// `(β, β + s/B)`, so the level is a sweep of fused read-modify-write round
-/// trips: the label pair decides which offsets hop (bit `s` of the remaining
-/// distance), then the data pair applies the same moves. Pairs are visited
-/// so a block's incoming items arrive only after its outgoing items left —
-/// ascending `β` when items travel left, descending when they travel right.
-/// Both pairs are rewritten unconditionally: the trace never reveals whether
-/// anything moved.
-fn external_level<S: BlockStore>(
-    store: &mut S,
-    data: &ArrayHandle,
-    dist: &ArrayHandle,
-    budget: &mut CacheBudget,
-    s: usize,
-    dir: Direction,
-) -> Result<(), OdoError> {
-    let b = data.block_elems();
-    let nb = data.n_blocks();
-    debug_assert!(s.is_multiple_of(b), "external strides are block-aligned");
-    let k = s / b;
-    if k >= nb {
-        return Ok(()); // no wire of this stride fits the array (shape-determined)
-    }
-    let betas: Vec<usize> = match dir {
-        Direction::Left => (0..nb - k).collect(),
-        Direction::Right => (0..nb - k).rev().collect(),
-    };
-    // Stay one block pair ahead of the sweep. Hinting the whole level up
-    // front would prefetch blocks the current pair is about to rewrite;
-    // one-pair lookahead keeps the read-ahead useful without churn.
-    if let Some(&first) = betas.first() {
-        store.hint_blocks(dist, &[first, first + k]);
-    }
-    for (idx, &beta) in betas.iter().enumerate() {
-        if let Some(&nxt) = betas.get(idx + 1) {
-            store.hint_blocks(dist, &[nxt, nxt + k]);
-            store.hint_blocks(data, &[nxt, nxt + k]);
-        }
-        // Offsets hopping across this pair; B bits of private scratch. The
-        // collision check runs inside the `modify_pair` closure, so a
-        // conflict is recorded here and surfaced after the round trip.
-        let mut mask = vec![false; b];
-        let mut collision: Option<usize> = None;
-        budget.with(2 * b, |_| {
-            store.modify_pair(dist, beta, beta + k, |lo_blk, hi_blk| {
-                for (r, hop) in mask.iter_mut().enumerate() {
-                    let (src, dst) = match dir {
-                        Direction::Left => (hi_blk.get(r), lo_blk.get(r)),
-                        Direction::Right => (lo_blk.get(r), hi_blk.get(r)),
-                    };
-                    if let Some(d_el) = src {
-                        if d_el.key & s as u64 != 0 {
-                            if dst.is_some() {
-                                let dst_beta = match dir {
-                                    Direction::Left => beta,
-                                    Direction::Right => beta + k,
-                                };
-                                collision.get_or_insert(dst_beta * b + r);
-                                continue;
-                            }
-                            *hop = true;
-                            let nd = Some(Element::new(d_el.key - s as u64, 0));
-                            match dir {
-                                Direction::Left => {
-                                    lo_blk.set(r, nd);
-                                    hi_blk.set(r, None);
-                                }
-                                Direction::Right => {
-                                    hi_blk.set(r, nd);
-                                    lo_blk.set(r, None);
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        });
-        if let Some(cell) = collision {
-            return Err(OdoError::CorruptedRouting {
-                reason: "butterfly routing collision at an external level",
-                cell,
-            });
-        }
-        budget.with(2 * b, |_| {
-            store.modify_pair(data, beta, beta + k, |lo_blk, hi_blk| {
-                for (r, hop) in mask.iter().enumerate() {
-                    if *hop {
-                        match dir {
-                            Direction::Left => {
-                                debug_assert!(lo_blk.get(r).is_none());
-                                lo_blk.set(r, hi_blk.get(r));
-                                hi_blk.set(r, None);
-                            }
-                            Direction::Right => {
-                                debug_assert!(hi_blk.get(r).is_none());
-                                hi_blk.set(r, lo_blk.get(r));
-                                lo_blk.set(r, None);
-                            }
-                        }
-                    }
-                }
-            });
-        });
-    }
     Ok(())
 }
 
@@ -697,6 +661,10 @@ mod tests {
             (1024, 16, 128),
             (100, 4, 32),  // n not a power of two
             (1000, 8, 64), // n not a power of two, external
+            (65, 8, 64),   // n just above M, top group wider than the array
+            (700, 8, 88),  // M = 11B: W = B, one level per column sweep
+            (1500, 8, 96), // M = 12B, n mod B = 4
+            (9000, 8, 1024),
         ] {
             for (salt, num) in [(1u64, 1u64), (2, 2), (3, 5)] {
                 let cells = occupancy(n, salt, num, 6);
@@ -760,7 +728,12 @@ mod tests {
 
     #[test]
     fn expand_is_inverse_of_compact() {
-        for (n, b, m) in [(256usize, 8usize, 64usize), (100, 4, 32), (64, 4, 256)] {
+        for (n, b, m) in [
+            (256usize, 8usize, 64usize),
+            (100, 4, 32),
+            (64, 4, 256),
+            (700, 8, 88),
+        ] {
             let cells = occupancy(n, 9, 1, 3);
             let targets: Vec<usize> = cells
                 .iter()
@@ -838,13 +811,14 @@ mod tests {
     #[test]
     fn report_structure_matches_the_level_split() {
         // N = 1024, B = 8, M = 64: W = 8 -> 3 in-cache levels, levels = 10,
-        // external = 7.
+        // external = 7, one level per sweep (W = B).
         let cells = occupancy(1024, 2, 1, 2);
         let (_, report) = run_compact(&cells, 8, 64);
         assert_eq!(report.levels, 10);
         assert_eq!(report.window_elems, 8);
         assert_eq!(report.in_cache_levels, 3);
         assert_eq!(report.external_levels, 7);
+        assert_eq!(report.external_passes, 7);
     }
 
     #[test]
@@ -935,5 +909,13 @@ mod tests {
         let c = run_compact(&vec![None; 512], 8, 64).1;
         assert_eq!(a.io, b.io);
         assert_eq!(a.io, c.io);
+        // ⌈N/B⌉·(2 + 4 + 4·passes): W = 8 = B, so the 6 external levels
+        // take one sweep each.
+        assert_eq!(a.io.total(), 64 * (6 + 4 * 6));
+        // M = 2^10: W = 128, so the 6 external levels of N = 4097 run
+        // fused four at a time (W/B = 16) in 2 sweeps.
+        let d = run_compact(&occupancy(4097, 1, 1, 2), 8, 1 << 10).1;
+        assert_eq!(d.io.total(), 513 * (6 + 4 * 2));
+        assert_eq!((d.external_levels, d.external_passes), (6, 2));
     }
 }

@@ -10,12 +10,15 @@
 //!   [`external_oblivious_sort`], the paper's Lemma 2 deterministic external
 //!   oblivious sort.
 //! * [`compact`] — the paper's §3 tight order-preserving compaction (and its
-//!   reverse, expansion) executed I/O-efficiently over any [`BlockStore`] in
-//!   `O((N/B)(1 + log(N/M)))` I/Os.
+//!   reverse, expansion) executed I/O-efficiently over any [`BlockStore`]:
+//!   the butterfly levels run as a head-window sweep plus cache-sized
+//!   column sweeps that fuse `log₂(W/B)` external levels each, in
+//!   `O((N/B)(1 + log_{M/B}(N/M)))` I/Os.
 //! * [`select`] — the paper's §4 data-oblivious selection and quantiles:
 //!   [`select::select_kth`] prunes candidates with weighted splitters and §3
 //!   compaction, then finishes with the external sort, in
-//!   `O((N/B)(1 + log(N/M)))` I/Os whose trace hides the data *and* the rank.
+//!   `O((N/B)(1 + log_{M/B}(N/M)))` I/Os whose trace hides the data *and*
+//!   the rank.
 //! * [`sorter`] — the [`OblivSorter`] strategy layer: every embedded sort
 //!   (the façades, selection's sample/finishing sorts, the quantile pass)
 //!   can swap the deterministic Lemma 2 engine for the randomized bucket

@@ -56,11 +56,13 @@
 //! # I/O count
 //!
 //! Every round costs three streaming passes plus one compaction over `r_t`
-//! slots, and `Σ r_t` is geometric from `N`, so the total is dominated by
-//! `O((N/B)(1 + log(N/M)))` — one log factor, the paper's selection advantage
-//! over sorting. The `odo-bench` harness checks the explicit-constant form
-//! `64·⌈N/B⌉·(1 + ⌈log₂⌈N/M⌉⌉)` at every grid point and records the
-//! measurements in `BENCH_select.json`.
+//! slots — `O((r_t/B)(1 + log_{M/B}(r_t/M)))` I/Os, since compaction runs its
+//! external butterfly levels fused into cache-sized column sweeps — and
+//! `Σ r_t` is geometric from `N`, so the total is dominated by
+//! `O((N/B)(1 + log_{M/B}(N/M)))` — one log factor, the paper's selection
+//! advantage over sorting. The `odo-bench` harness checks the
+//! explicit-constant form `64·⌈N/B⌉·(1 + ⌈log₂⌈N/M⌉⌉)` at every grid point
+//! and records the measurements in `BENCH_select.json`.
 //!
 //! # Obliviousness
 //!

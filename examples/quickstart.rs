@@ -85,13 +85,14 @@ fn main() {
         "compacted {survivors}/{n} occupied cells to a prefix (order preserved) on the encrypted store"
     );
     println!(
-        "I/Os: {} reads + {} writes = {} total — {} levels in cache (window {}), {} external block-pair levels",
+        "I/Os: {} reads + {} writes = {} total — {} levels in cache (window {}), {} external levels in {} column sweeps",
         report.io.reads,
         report.io.writes,
         report.io.total(),
         report.in_cache_levels,
         report.window_elems,
-        report.external_levels
+        report.external_levels,
+        report.external_passes
     );
 
     // The network also runs in reverse: route the prefix back to the
