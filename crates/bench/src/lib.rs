@@ -140,7 +140,9 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
 pub struct SortTimings {
     /// The Lemma 2 engine over each backend.
     pub lemma2: BackendNanos,
-    /// The bucket engine over each backend.
+    /// The bucket engine over each backend. Its `extmem_ns` and Lemma 2's
+    /// are interleaved min-of-5 untraced runs, the pair behind the
+    /// in-memory wall-clock headline gate.
     pub bucket: BackendNanos,
     /// The bucket engine over `PrefetchingStore<FileStore>` — the headline
     /// wall-clock comparison: shape-derived read-ahead against the plain
@@ -336,8 +338,7 @@ pub fn run_sort_point(point: GridPoint, run_naive: bool, backends: bool) -> Sort
 
     let mut mem = ExtMem::with_trace(b);
     let h = mem.alloc_array_from_elements(&input);
-    let (report, lemma2_extmem_ns) =
-        timed(|| external_oblivious_sort(&mut mem, &h, m, SortOrder::Ascending));
+    let report = external_oblivious_sort(&mut mem, &h, m, SortOrder::Ascending);
     assert_eq!(
         mem.snapshot_elements(&h),
         expected,
@@ -402,10 +403,8 @@ pub fn run_sort_point(point: GridPoint, run_naive: bool, backends: bool) -> Sort
     let bcfg = BucketSortConfig::seeded(BUCKET_SORT_SEED);
     let mut bmem = ExtMem::with_trace(b);
     let bh = bmem.alloc_array_from_elements(&input);
-    let (bucket_report, bucket_extmem_ns) = timed(|| {
-        bucket_oblivious_sort(&mut bmem, &bh, m, SortOrder::Ascending, &bcfg)
-            .unwrap_or_else(|e| panic!("bucket sort failed at N={n} B={b} M={m}: {e}"))
-    });
+    let bucket_report = bucket_oblivious_sort(&mut bmem, &bh, m, SortOrder::Ascending, &bcfg)
+        .unwrap_or_else(|e| panic!("bucket sort failed at N={n} B={b} M={m}: {e}"));
     assert_eq!(
         bmem.snapshot_elements(&bh),
         expected,
@@ -442,9 +441,15 @@ pub fn run_sort_point(point: GridPoint, run_naive: bool, backends: bool) -> Sort
     // run's *logical* trace — recorded in foreground request order — must
     // still match the simulator's byte for byte: read-ahead is a latency
     // optimization, never a visible access-pattern change.
-    let (bucket_file_ns, bucket_prefetch_ns, bucket_encfile_ns, encrypted_prefetch_ns) = if backends
-    {
-        // Min-of-N on the two wall-clock-gated runs, with the repetitions
+    let (
+        lemma2_extmem_ns,
+        bucket_extmem_ns,
+        bucket_file_ns,
+        bucket_prefetch_ns,
+        bucket_encfile_ns,
+        encrypted_prefetch_ns,
+    ) = if backends {
+        // Min-of-N on the wall-clock-gated runs, with the repetitions
         // INTERLEAVED (plain, prefetch, plain, prefetch, ...) so both
         // backends sample the same noise windows — VM clock drift across a
         // bench run is larger than the margin under test, so back-to-back
@@ -453,11 +458,38 @@ pub fn run_sort_point(point: GridPoint, run_naive: bool, backends: bool) -> Sort
         // same seed, asserted below), so the minimum is the cleanest
         // estimate of each backend's intrinsic cost.
         const WALL_CLOCK_REPS: usize = 5;
+        let mut lemma2_extmem_ns = u64::MAX;
+        let mut bucket_extmem_ns = u64::MAX;
         let mut file_ns = u64::MAX;
         let mut prefetch_ns = u64::MAX;
         let mut encfile_ns = u64::MAX;
         let mut enc_prefetch_ns = u64::MAX;
         for _ in 0..WALL_CLOCK_REPS {
+            // The in-memory pair: both engines over untraced `ExtMem`,
+            // where no store layer hides the client's in-cache work.
+            let mut lmem = ExtMem::new(b);
+            let lh = lmem.alloc_array_from_elements(&input);
+            let (_, ns) =
+                timed(|| external_oblivious_sort(&mut lmem, &lh, m, SortOrder::Ascending));
+            lemma2_extmem_ns = lemma2_extmem_ns.min(ns);
+            assert_eq!(
+                lmem.snapshot_elements(&lh),
+                expected,
+                "Lemma 2 rerun mis-sorted"
+            );
+            let mut kmem = ExtMem::new(b);
+            let kh = kmem.alloc_array_from_elements(&input);
+            let (_, ns) = timed(|| {
+                bucket_oblivious_sort(&mut kmem, &kh, m, SortOrder::Ascending, &bcfg)
+                    .unwrap_or_else(|e| panic!("bucket sort rerun failed: {e}"))
+            });
+            bucket_extmem_ns = bucket_extmem_ns.min(ns);
+            assert_eq!(
+                kmem.snapshot_elements(&kh),
+                expected,
+                "bucket rerun mis-sorted"
+            );
+
             let mut fs = FileStore::temp(b).expect("tempdir-backed block file");
             let fh = fs.alloc_array_from_elements(&input);
             fs.enable_trace();
@@ -612,9 +644,16 @@ pub fn run_sort_point(point: GridPoint, run_naive: bool, backends: bool) -> Sort
                  same-shape inputs at N={n} B={b} M={m}"
             );
         }
-        (file_ns, prefetch_ns, encfile_ns, enc_prefetch_ns)
+        (
+            lemma2_extmem_ns,
+            bucket_extmem_ns,
+            file_ns,
+            prefetch_ns,
+            encfile_ns,
+            enc_prefetch_ns,
+        )
     } else {
-        (0, 0, bucket_encfile_ns, 0)
+        (0, 0, 0, 0, bucket_encfile_ns, 0)
     };
 
     let (naive, naive_levels) = if run_naive {

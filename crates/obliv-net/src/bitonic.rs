@@ -8,8 +8,8 @@
 //! and sub-problems that fit in the private cache can be finished there for
 //! free (as far as the adversary is concerned).
 //!
-//! The in-memory functions here require power-of-two lengths (callers pad
-//! with sentinels); [`crate::batcher`] handles arbitrary lengths.
+//! The in-memory functions here require power-of-two lengths; callers pad
+//! with sentinels, as the external sort does with dummies.
 
 use crate::compare::compare_exchange_dir_by;
 use crate::network::{Comparator, Network};
@@ -18,8 +18,7 @@ use std::cmp::Ordering;
 /// Sorts a power-of-two-length slice ascending.
 ///
 /// # Panics
-/// Panics if `v.len()` is not a power of two (use
-/// [`crate::batcher::odd_even_merge_sort`] for arbitrary lengths).
+/// Panics if `v.len()` is not a power of two (pad with sentinels first).
 pub fn bitonic_sort_pow2<T: Ord>(v: &mut [T]) {
     bitonic_sort_pow2_by(v, true, &|a: &T, b: &T| a.cmp(b));
 }

@@ -16,18 +16,25 @@
 //!    a superlevel loads a group of `2^γ` buckets into the private cache,
 //!    routes all `γ` levels CPU-side, and writes the group back — so the
 //!    whole butterfly costs `⌈L/γ⌉ ≈ log_{M/B}(N/B)` passes over the bucket
-//!    array instead of `L` passes.
+//!    array instead of `L` passes. In cache the chained nodes need not run
+//!    one by one: a counting pass per level over the tags finds the first
+//!    bucket the chain would overflow, and one stable scatter by tag does
+//!    the routing, since chained MergeSplit leaves every bucket in (source
+//!    bucket, position) order.
 //! 3. **Dummy removal + run formation.** The last superlevel keeps each
-//!    routed group in cache, removes the bucket padding with a tight
-//!    order-preserving compaction (the §3 operation, executed in cache where
-//!    the network degenerates to a stable pack), sorts the survivors, and
-//!    emits them as a sorted block-aligned run.
+//!    group in cache, with the bucket padding dropped as its blocks load
+//!    (the §3 tight compaction degenerates to a stable pack in cache), checks
+//!    its routing levels for overflow, sorts the survivors with a plain
+//!    `sort_unstable_by`, and emits them as a sorted block-aligned run.
+//!    Work inside the private cache is invisible to the server, so no
+//!    sorting network is needed there.
 //! 4. **`M/B`-way merge.** The runs are merged with a classic multi-way
-//!    merge of fan-in `≈ M/B`. Because step 2 delivered a uniformly random
-//!    permutation of the items, the merge's data-dependent read order leaks
-//!    nothing about the *input* — this is exactly the random-shuffle argument
-//!    of the bucket-sort paper (and of oblivious shuffle-then-sort designs
-//!    generally).
+//!    merge of fan-in `≈ M/B`, picking each output from a binary heap of run
+//!    heads keyed by `(head, run index)`. Because step 2 delivered a
+//!    uniformly random permutation of the items, the merge's data-dependent
+//!    read order leaks nothing about the *input* — this is exactly the
+//!    random-shuffle argument of the bucket-sort paper (and of oblivious
+//!    shuffle-then-sort designs generally).
 //!
 //! # Fresh tags per superlevel
 //!
@@ -87,7 +94,6 @@ use extmem::{
     RetryStats, StoreError,
 };
 
-use crate::batcher::odd_even_merge_sort_by;
 use crate::external_sort::SortOrder;
 
 /// Default minimum bucket capacity: `exp(−128/6) ≈ 5·10⁻¹⁰` per-bucket
@@ -267,7 +273,9 @@ pub type MergeSplitOutput<T> = (Vec<(T, u32)>, Vec<(T, u32)>);
 ///
 /// Executed inside the private cache, so the node itself produces no I/O;
 /// the obliviousness of the network comes from the fixed schedule of bucket
-/// loads and stores around it.
+/// loads and stores around it. This is the specification of one node: the
+/// sort routes a whole cache-resident group at once with counts and a
+/// scatter, and its tests check that against chained calls of this function.
 pub fn merge_split<T>(
     a: Vec<(T, u32)>,
     b: Vec<(T, u32)>,
@@ -388,7 +396,7 @@ where
         let cells = store.load_span(h, 0, n);
         let mut reals: Vec<Cell> = cells.iter().filter(|c| c.is_some()).copied().collect();
         let occupied = reals.len();
-        odd_even_merge_sort_by(&mut reals, cmp);
+        reals.sort_unstable_by(cmp);
         reals.resize(n, None);
         store.store_span(h, 0, &reals);
         budget.release(whole);
@@ -479,20 +487,21 @@ where
     let b = layout.b;
     let mut budget = CacheBudget::new(cache_elems);
     let scratch = store.alloc_array(layout.buckets * layout.z);
+    let mut group = Group::default();
 
     // Phase 1+2a: distribute into half-full buckets and route the first
     // superlevel, fused (the input chunk read doubles as the bucket load).
     let mut occupied = 0usize;
     let grp0 = 1usize << layout.width(0);
     for gidx in 0..layout.buckets / grp0 {
-        occupied += distribute_group(store, h, &scratch, layout, gidx, &mut budget)?;
+        occupied += distribute_group(store, h, &scratch, layout, gidx, &mut budget, &mut group)?;
     }
 
     // Phase 2b: the middle superlevels, each a full pass over the buckets.
     for s in 1..layout.superlevels - 1 {
         let grp = 1usize << layout.width(s);
         for gidx in 0..layout.buckets / grp {
-            route_group(store, &scratch, layout, s, gidx, &mut budget)?;
+            route_group(store, &scratch, layout, s, gidx, &mut budget, &mut group)?;
         }
     }
 
@@ -514,6 +523,7 @@ where
             gidx,
             cursor_block,
             &mut budget,
+            &mut group,
             ecmp,
         )?;
         cursor_block = meta.first_block + meta.reals.div_ceil(b);
@@ -729,8 +739,104 @@ impl GroupCharge {
     }
 }
 
-/// A bucket resident in cache: `(item, fresh γ-bit tag)` pairs, reals only.
-type TaggedBucket = Vec<(Element, u32)>;
+/// One group of `2^width` member buckets resident in cache, held flat: the
+/// occupants in member order, their fresh `width`-bit tags alongside, and
+/// how many each member holds. The buffers are reused from group to group.
+#[derive(Default)]
+struct Group {
+    items: Vec<Element>,
+    tags: Vec<u32>,
+    /// Occupants per member bucket; after [`Group::route`], per routed
+    /// bucket.
+    sizes: Vec<usize>,
+    /// Per-bucket counts of the level being checked, then the scatter's
+    /// cursors.
+    counts: Vec<usize>,
+    /// The routed buckets, back to back in bucket order.
+    routed: Vec<Element>,
+}
+
+impl Group {
+    fn reset(&mut self, width: usize) {
+        self.items.clear();
+        self.tags.clear();
+        self.sizes.clear();
+        self.sizes.resize(1 << width, 0);
+    }
+
+    fn push(&mut self, member: usize, item: Element, tag: u32) {
+        self.items.push(item);
+        self.tags.push(tag);
+        self.sizes[member] += 1;
+    }
+
+    /// Replays the `width(s)` MergeSplit levels on counts alone and fails
+    /// with the first overflow a chained [`merge_split`] would hit. After
+    /// local level `t`, an item of member `m` with tag `τ` sits in the
+    /// bucket whose bits above `t` are `m`'s and whose bits up to `t` are
+    /// `τ`'s. Buckets are checked in `merge_split` order — level, pair, then
+    /// the bit-clear side before the bit-set side.
+    fn check_levels(
+        &mut self,
+        layout: &Layout,
+        s: usize,
+        base: usize,
+    ) -> Result<(), BucketSortError> {
+        let grp = self.sizes.len();
+        let stride = layout.stride(s);
+        for t in 0..grp.trailing_zeros() as usize {
+            let low = (2usize << t) - 1;
+            self.counts.clear();
+            self.counts.resize(grp, 0);
+            let mut start = 0;
+            for (m, &size) in self.sizes.iter().enumerate() {
+                for &tag in &self.tags[start..start + size] {
+                    self.counts[(m & !low) | (tag as usize & low)] += 1;
+                }
+                start += size;
+            }
+            let bit = 1usize << t;
+            for j in (0..grp).filter(|j| j & bit == 0) {
+                for side in [j, j | bit] {
+                    if self.counts[side] > layout.z {
+                        return Err(BucketSortError::Overflow {
+                            superlevel: s,
+                            level: t,
+                            bucket: base + side * stride,
+                            size: self.counts[side],
+                            capacity: layout.z,
+                        });
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Routes the group: checks every level for overflow, then moves each
+    /// item to the bucket named by its tag. Chained MergeSplit keeps every
+    /// bucket in (source member, position) order, so the whole network is
+    /// one stable partition by tag — a single scatter.
+    fn route(&mut self, layout: &Layout, s: usize, base: usize) -> Result<(), BucketSortError> {
+        self.check_levels(layout, s, base)?;
+        // The last level's counts are the routed bucket sizes; the member
+        // sizes' buffer becomes the scatter cursors.
+        std::mem::swap(&mut self.sizes, &mut self.counts);
+        let mut at = 0;
+        for (cursor, &size) in self.counts.iter_mut().zip(&self.sizes) {
+            *cursor = at;
+            at += size;
+        }
+        self.routed.clear();
+        self.routed.resize(self.items.len(), Element::default());
+        for (&item, &tag) in self.items.iter().zip(&self.tags) {
+            let cursor = &mut self.counts[tag as usize];
+            self.routed[*cursor] = item;
+            *cursor += 1;
+        }
+        Ok(())
+    }
+}
 
 /// Superlevel 0, fused with distribution: stream the group's input chunks
 /// block by block, tag the occupied cells, route `width(0)` levels in cache,
@@ -742,6 +848,7 @@ fn distribute_group<S: BlockStore>(
     layout: &Layout,
     gidx: usize,
     budget: &mut CacheBudget,
+    group: &mut Group,
 ) -> Result<usize, BucketSortError> {
     let b = layout.b;
     let grp = 1usize << layout.width(0);
@@ -749,7 +856,7 @@ fn distribute_group<S: BlockStore>(
     let salt = layout.salt(0);
     let mask = (grp - 1) as u64;
 
-    let mut buckets: Vec<TaggedBucket> = (0..grp).map(|_| Vec::new()).collect();
+    group.reset(layout.width(0));
     let mut charge = GroupCharge::new();
 
     let pos_lo = base * layout.chunk;
@@ -766,7 +873,7 @@ fn distribute_group<S: BlockStore>(
             for pos in pos_lo.max(bi * b)..pos_hi.min((bi + 1) * b) {
                 if let Some(item) = blk.get(pos - bi * b) {
                     let tag = (hash64(pos as u64, salt) & mask) as u32;
-                    buckets[pos / layout.chunk - base].push((item, tag));
+                    group.push(pos / layout.chunk - base, item, tag);
                     pushed += 1;
                 }
             }
@@ -774,19 +881,10 @@ fn distribute_group<S: BlockStore>(
             budget.release(b);
         }
     }
-    let occupied = buckets.iter().map(Vec::len).sum();
+    let occupied = group.items.len();
 
-    route_buckets(&mut buckets, layout, 0, base)?;
-    write_group(
-        store,
-        scratch,
-        &mut buckets,
-        layout,
-        0,
-        base,
-        budget,
-        &mut charge,
-    )?;
+    group.route(layout, 0, base)?;
+    write_group(store, scratch, group, layout, 0, base, budget, &mut charge)?;
     charge.finish(budget);
     Ok(occupied)
 }
@@ -800,29 +898,22 @@ fn route_group<S: BlockStore>(
     s: usize,
     gidx: usize,
     budget: &mut CacheBudget,
+    group: &mut Group,
 ) -> Result<(), BucketSortError> {
     let base = layout.group_base(s, gidx);
     let mut charge = GroupCharge::new();
-    let mut buckets = load_group(store, scratch, layout, s, base, budget, &mut charge)?;
-    route_buckets(&mut buckets, layout, s, base)?;
-    write_group(
-        store,
-        scratch,
-        &mut buckets,
-        layout,
-        s,
-        base,
-        budget,
-        &mut charge,
-    )?;
+    load_group(store, scratch, layout, s, base, budget, &mut charge, group)?;
+    group.route(layout, s, base)?;
+    write_group(store, scratch, group, layout, s, base, budget, &mut charge)?;
     charge.finish(budget);
     Ok(())
 }
 
 /// The last superlevel's group, fused with dummy removal and run emission:
-/// route, tightly compact the group's occupants (the §3 operation, executed
-/// in cache), sort them, and append them to `run_scratch` as one
-/// block-aligned run starting at `first_block`.
+/// check the routing levels for overflow, sort the group's occupants, and
+/// append them to `run_scratch` as one block-aligned run starting at
+/// `first_block`. Sorting makes the routed order moot, so the scatter is
+/// skipped; the load already dropped the bucket padding.
 #[allow(clippy::too_many_arguments)]
 fn finish_group<S, F>(
     store: &mut S,
@@ -833,6 +924,7 @@ fn finish_group<S, F>(
     gidx: usize,
     first_block: usize,
     budget: &mut CacheBudget,
+    group: &mut Group,
     ecmp: &F,
 ) -> Result<RunMeta, BucketSortError>
 where
@@ -842,29 +934,16 @@ where
     let b = layout.b;
     let base = layout.group_base(s, gidx);
     let mut charge = GroupCharge::new();
-    let mut buckets = load_group(store, scratch, layout, s, base, budget, &mut charge)?;
-    route_buckets(&mut buckets, layout, s, base)?;
-
-    // Dummy removal: tight order-preserving compaction of the group. In
-    // cache the §3 butterfly degenerates to a stable pack of the occupied
-    // cells — the items move, the charge is unchanged.
-    let mut reals: Vec<Element> = Vec::with_capacity(buckets.iter().map(Vec::len).sum());
-    for bucket in buckets.iter_mut() {
-        for (item, _tag) in bucket.drain(..) {
-            reals.push(item);
-        }
-    }
-    odd_even_merge_sort_by(&mut reals, ecmp);
+    load_group(store, scratch, layout, s, base, budget, &mut charge, group)?;
+    group.check_levels(layout, s, base)?;
+    let reals = &mut group.items;
+    reals.sort_unstable_by(ecmp);
 
     budget.try_acquire(b).map_err(BucketSortError::Store)?;
-    let mut it = reals.iter().copied();
-    for t in 0..reals.len().div_ceil(b) {
+    for (t, chunk) in reals.chunks(b).enumerate() {
         let mut blk = Block::empty(b);
-        for slot in 0..b {
-            match it.next() {
-                Some(item) => blk.set(slot, Some(item)),
-                None => break,
-            }
+        for (slot, &item) in chunk.iter().enumerate() {
+            blk.set(slot, Some(item));
         }
         store.store_block(run_scratch, first_block + t, blk);
     }
@@ -879,8 +958,10 @@ where
     Ok(meta)
 }
 
-/// Loads a group's member buckets from `scratch`, tagging each occupied cell
-/// with a fresh `width(s)`-bit tag drawn from its current global slot.
+/// Loads a group's member buckets from `scratch` into `group`, tagging each
+/// occupied cell with a fresh `width(s)`-bit tag drawn from its current
+/// global slot.
+#[allow(clippy::too_many_arguments)]
 fn load_group<S: BlockStore>(
     store: &mut S,
     scratch: &ArrayHandle,
@@ -889,7 +970,8 @@ fn load_group<S: BlockStore>(
     base: usize,
     budget: &mut CacheBudget,
     charge: &mut GroupCharge,
-) -> Result<Vec<TaggedBucket>, BucketSortError> {
+    group: &mut Group,
+) -> Result<(), BucketSortError> {
     let b = layout.b;
     let z = layout.z;
     let grp = 1usize << layout.width(s);
@@ -906,11 +988,10 @@ fn load_group<S: BlockStore>(
     }
     store.hint_blocks(scratch, &schedule);
 
-    let mut buckets = Vec::with_capacity(grp);
+    group.reset(layout.width(s));
     for m in 0..grp {
         let bucket_id = base + m * stride;
         let first_block = bucket_id * z / b;
-        let mut v: TaggedBucket = Vec::new();
         for t in 0..z / b {
             budget.try_acquire(b).map_err(BucketSortError::Store)?;
             let blk = store.load_block(scratch, first_block + t);
@@ -919,60 +1000,24 @@ fn load_group<S: BlockStore>(
                 if let Some(item) = cell {
                     let gslot = (bucket_id * z + t * b + slot) as u64;
                     let tag = (hash64(gslot, salt) & mask) as u32;
-                    v.push((*item, tag));
+                    group.push(m, *item, tag);
                     pushed += 1;
                 }
             }
             charge.add(budget, pushed)?;
             budget.release(b);
         }
-        buckets.push(v);
-    }
-    Ok(buckets)
-}
-
-/// Routes `width(s)` MergeSplit levels over a group held in cache. Local
-/// level `t` pairs buckets differing in bit `t` and splits on tag bit `t`,
-/// so after all levels item `x` sits in the member bucket named by its tag.
-fn route_buckets(
-    buckets: &mut [TaggedBucket],
-    layout: &Layout,
-    s: usize,
-    base: usize,
-) -> Result<(), BucketSortError> {
-    let stride = layout.stride(s);
-    let g = buckets.len().trailing_zeros() as usize;
-    for t in 0..g {
-        let bit = 1usize << t;
-        for j in 0..buckets.len() {
-            if j & bit != 0 {
-                continue;
-            }
-            let k = j | bit;
-            let a = std::mem::take(&mut buckets[j]);
-            let c = std::mem::take(&mut buckets[k]);
-            let (lo, hi) =
-                merge_split(a, c, t as u32, layout.z).map_err(|e| BucketSortError::Overflow {
-                    superlevel: s,
-                    level: t,
-                    bucket: base + if e.side == 0 { j } else { k } * stride,
-                    size: e.size,
-                    capacity: e.capacity,
-                })?;
-            buckets[j] = lo;
-            buckets[k] = hi;
-        }
     }
     Ok(())
 }
 
-/// Writes a group's buckets back to `scratch`, each dummy-padded to `Z`,
-/// draining the cache charge bucket by bucket.
+/// Writes a routed group's buckets back to `scratch`, each dummy-padded to
+/// `Z`, draining the cache charge bucket by bucket.
 #[allow(clippy::too_many_arguments)]
 fn write_group<S: BlockStore>(
     store: &mut S,
     scratch: &ArrayHandle,
-    buckets: &mut [TaggedBucket],
+    group: &Group,
     layout: &Layout,
     s: usize,
     base: usize,
@@ -982,27 +1027,55 @@ fn write_group<S: BlockStore>(
     let b = layout.b;
     let z = layout.z;
     let stride = layout.stride(s);
-    for (m, bucket) in buckets.iter_mut().enumerate() {
-        let bucket_id = base + m * stride;
-        let first_block = bucket_id * z / b;
-        let len = bucket.len();
+    let mut start = 0;
+    for (m, &len) in group.sizes.iter().enumerate() {
+        let bucket = &group.routed[start..start + len];
+        start += len;
+        let first_block = (base + m * stride) * z / b;
         budget.try_acquire(b).map_err(BucketSortError::Store)?;
-        let mut it = bucket.drain(..);
+        let mut it = bucket.iter().copied();
         for t in 0..z / b {
             let mut blk = Block::empty(b);
             for slot in 0..b {
                 match it.next() {
-                    Some((item, _tag)) => blk.set(slot, Some(item)),
+                    Some(item) => blk.set(slot, Some(item)),
                     None => break,
                 }
             }
             store.store_block(scratch, first_block + t, blk);
         }
-        drop(it);
         budget.release(b);
         charge.drop_items(budget, len);
     }
     Ok(())
+}
+
+/// Restores the min-heap property below `i` in a heap of `(head, run)`
+/// pairs ordered by `ecmp`, ties broken by the lower run index.
+fn sift_down<F>(heap: &mut [(Element, usize)], mut i: usize, ecmp: &F)
+where
+    F: Fn(&Element, &Element) -> Ordering,
+{
+    let before = |x: &(Element, usize), y: &(Element, usize)| {
+        ecmp(&x.0, &y.0).then(x.1.cmp(&y.1)) == Ordering::Less
+    };
+    loop {
+        let left = 2 * i + 1;
+        if left >= heap.len() {
+            return;
+        }
+        let right = left + 1;
+        let child = if right < heap.len() && before(&heap[right], &heap[left]) {
+            right
+        } else {
+            left
+        };
+        if !before(&heap[child], &heap[i]) {
+            return;
+        }
+        heap.swap(i, child);
+        i = child;
+    }
 }
 
 /// Merges sorted runs from `src` into one run on `dst` starting at
@@ -1063,32 +1136,28 @@ where
         })
         .collect();
     store.hint_blocks(src, &heads);
-    for c in cursors.iter_mut() {
+    let head = |c: &Cursor| {
+        c.buf
+            .get(c.slot)
+            .expect("merge run invariant: the first `reals` cells of a run are occupied")
+    };
+    let mut heap: Vec<(Element, usize)> = Vec::with_capacity(cursors.len());
+    for (i, c) in cursors.iter_mut().enumerate() {
         if c.remaining > 0 {
             c.buf = store.load_block(src, c.block);
+            heap.push((head(c), i));
         }
+    }
+    for i in (0..heap.len() / 2).rev() {
+        sift_down(&mut heap, i, ecmp);
     }
 
     let mut out = Block::empty(b);
     let mut out_slot = 0usize;
     let mut out_block = dst_first_block;
     let mut written = 0usize;
-    loop {
-        let mut best: Option<(usize, Element)> = None;
-        for (i, c) in cursors.iter().enumerate() {
-            if c.remaining == 0 {
-                continue;
-            }
-            let head = c
-                .buf
-                .get(c.slot)
-                .expect("merge run invariant: the first `reals` cells of a run are occupied");
-            // Strict `<` keeps the earliest run on ties: deterministic.
-            if best.is_none() || ecmp(&head, &best.as_ref().unwrap().1) == Ordering::Less {
-                best = Some((i, head));
-            }
-        }
-        let Some((i, item)) = best else { break };
+    // The heap's top is the earliest run holding a minimal head.
+    while let Some(&(item, i)) = heap.first() {
         out.set(out_slot, Some(item));
         out_slot += 1;
         if out_slot == b {
@@ -1112,6 +1181,12 @@ where
                 store.hint_blocks(src, &[c.block + MERGE_LOOKAHEAD - 1]);
             }
         }
+        if c.remaining > 0 {
+            heap[0].0 = head(c);
+        } else {
+            heap.swap_remove(0);
+        }
+        sift_down(&mut heap, 0, ecmp);
     }
 
     match pad_to {
@@ -1417,6 +1492,369 @@ mod tests {
             rep.io.total(),
             lemma2.io.total()
         );
+    }
+
+    /// Folds a sort's server-visible trace and its output into one hash.
+    fn trace_and_output_hash(
+        cells: &[Cell],
+        b: usize,
+        cache: usize,
+        order: SortOrder,
+        cfg: &BucketSortConfig,
+    ) -> (u64, BucketSortReport) {
+        let mut mem = ExtMem::with_trace(b);
+        let h = mem.alloc_array_from_cells(cells);
+        let rep = bucket_oblivious_sort(&mut mem, &h, cache, order, cfg).expect("sort failed");
+        let mut acc = 0u64;
+        for ev in mem.take_trace().expect("trace was enabled") {
+            let op = matches!(ev.op, extmem::AccessOp::Write) as u64;
+            acc = hash64(acc ^ ((ev.addr as u64) << 1 | op), 0x7ace);
+        }
+        for cell in mem.snapshot_cells(&h) {
+            let word = cell.map_or(u64::MAX, |e| hash64(e.key, e.payload));
+            acc = hash64(acc ^ word, 0x0c7);
+        }
+        (acc, rep)
+    }
+
+    /// The router's specification: `width` levels of chained [`merge_split`]
+    /// nodes — level `t` pairs members differing in bit `t`.
+    fn chained_merge_split(
+        mut buckets: Vec<Vec<(Element, u32)>>,
+        layout: &Layout,
+        s: usize,
+        base: usize,
+    ) -> Result<Vec<Vec<(Element, u32)>>, BucketSortError> {
+        let stride = layout.stride(s);
+        for t in 0..buckets.len().trailing_zeros() as usize {
+            let bit = 1usize << t;
+            for j in (0..buckets.len()).filter(|j| j & bit == 0) {
+                let k = j | bit;
+                let a = std::mem::take(&mut buckets[j]);
+                let c = std::mem::take(&mut buckets[k]);
+                let (lo, hi) = merge_split(a, c, t as u32, layout.z).map_err(|e| {
+                    BucketSortError::Overflow {
+                        superlevel: s,
+                        level: t,
+                        bucket: base + if e.side == 0 { j } else { k } * stride,
+                        size: e.size,
+                        capacity: e.capacity,
+                    }
+                })?;
+                buckets[j] = lo;
+                buckets[k] = hi;
+            }
+        }
+        Ok(buckets)
+    }
+
+    #[test]
+    fn counting_router_matches_chained_merge_split() {
+        let mut overflows = 0;
+        for g in 1..=6usize {
+            // Superlevel 1 of a two-superlevel butterfly, so member buckets
+            // sit `2^g` apart and the overflow's bucket id is global.
+            // Members over `z` (the last case) can overflow both sides of a
+            // pair at once, which pins the lo-before-hi order.
+            for (z, skew, max_len) in [
+                (64usize, 0u64, 32usize),
+                (16, 0, 16),
+                (16, 3, 16),
+                (8, 1, 8),
+                (8, 0, 16),
+            ] {
+                let layout = Layout {
+                    b: 1,
+                    z,
+                    buckets: 1 << (2 * g),
+                    levels: 2 * g,
+                    gamma: g,
+                    superlevels: 2,
+                    chunk: 0,
+                    n: 0,
+                    seed: 0,
+                };
+                let grp = 1usize << g;
+                for gidx in [0, grp - 1, grp / 2 + 1] {
+                    let base = layout.group_base(1, gidx);
+                    let salt = hash64((g * 1000 + z) as u64 + skew, gidx as u64);
+                    let mut group = Group::default();
+                    group.reset(g);
+                    let mut spec = vec![Vec::new(); grp];
+                    for (m, bucket) in spec.iter_mut().enumerate() {
+                        let len = hash64(m as u64, salt) as usize % (max_len + 1);
+                        for i in 0..len {
+                            let h = hash64((m * max_len + i) as u64, salt);
+                            // Skewed groups pile tags onto the low buckets.
+                            let tag = ((h & (grp as u64 - 1)) >> ((h >> 32) % (skew + 1))) as u32;
+                            let item = Element::new(h % 5, (m * max_len + i) as u64);
+                            group.push(m, item, tag);
+                            bucket.push((item, tag));
+                        }
+                    }
+                    let want = chained_merge_split(spec, &layout, 1, base);
+                    let got = group.route(&layout, 1, base).map(|()| {
+                        let mut start = 0;
+                        group
+                            .sizes
+                            .iter()
+                            .map(|&len| {
+                                start += len;
+                                group.routed[start - len..start].to_vec()
+                            })
+                            .collect::<Vec<_>>()
+                    });
+                    let want = want.map(|buckets| {
+                        buckets
+                            .into_iter()
+                            .map(|b| b.into_iter().map(|(item, _)| item).collect::<Vec<_>>())
+                            .collect::<Vec<_>>()
+                    });
+                    assert_eq!(
+                        got, want,
+                        "g={g} z={z} skew={skew} len<={max_len} gidx={gidx}"
+                    );
+                    overflows += usize::from(got.is_err());
+                }
+            }
+        }
+        assert!(
+            (10..80).contains(&overflows),
+            "both routed and overflowing groups must be covered, got {overflows} overflows"
+        );
+    }
+
+    type ElemCmp<'a> = &'a dyn Fn(&Element, &Element) -> Ordering;
+
+    /// Lays `data` out as block-aligned runs on a fresh traced store, with
+    /// an empty `dst_blocks`-block destination after them.
+    fn stage_runs(
+        data: &[Vec<Element>],
+        b: usize,
+        dst_blocks: usize,
+    ) -> (ExtMem, ArrayHandle, Vec<RunMeta>, ArrayHandle) {
+        let mut mem = ExtMem::new(b);
+        let mut cells = Vec::new();
+        let mut runs = Vec::new();
+        for run in data {
+            runs.push(RunMeta {
+                first_block: cells.len() / b,
+                reals: run.len(),
+            });
+            cells.extend(run.iter().map(|&x| Some(x)));
+            cells.resize(cells.len().next_multiple_of(b), None);
+        }
+        let src = mem.alloc_array_from_cells(&cells);
+        let dst = mem.alloc_array(dst_blocks * b);
+        mem.enable_trace();
+        (mem, src, runs, dst)
+    }
+
+    /// The merge's specification: every output picks the minimal head by a
+    /// scan over all cursors, strict `<` so the earliest run wins ties.
+    /// Loads and stores happen where [`merge_runs`] makes them.
+    fn scan_merge(
+        mem: &mut ExtMem,
+        src: &ArrayHandle,
+        runs: &[RunMeta],
+        dst: &ArrayHandle,
+        dst_first_block: usize,
+        pad_to: Option<usize>,
+        ecmp: ElemCmp,
+    ) -> usize {
+        let b = mem.block_elems();
+        // (block, slot, remaining, buffer) per run.
+        let mut cur: Vec<(usize, usize, usize, Block)> = runs
+            .iter()
+            .map(|r| (r.first_block, 0, r.reals, Block::empty(b)))
+            .collect();
+        for c in cur.iter_mut().filter(|c| c.2 > 0) {
+            c.3 = mem.load_block(src, c.0);
+        }
+        let (mut out, mut out_slot, mut out_block) = (Block::empty(b), 0, dst_first_block);
+        let mut written = 0;
+        loop {
+            let mut best: Option<(usize, Element)> = None;
+            for (i, c) in cur.iter().enumerate().filter(|(_, c)| c.2 > 0) {
+                let head = c.3.get(c.1).unwrap();
+                if best.is_none_or(|(_, x)| ecmp(&head, &x) == Ordering::Less) {
+                    best = Some((i, head));
+                }
+            }
+            let Some((i, item)) = best else { break };
+            out.set(out_slot, Some(item));
+            out_slot += 1;
+            written += 1;
+            if out_slot == b {
+                mem.store_block(dst, out_block, out);
+                (out, out_slot, out_block) = (Block::empty(b), 0, out_block + 1);
+            }
+            let c = &mut cur[i];
+            c.1 += 1;
+            c.2 -= 1;
+            if c.1 == b && c.2 > 0 {
+                c.0 += 1;
+                c.3 = mem.load_block(src, c.0);
+                c.1 = 0;
+            }
+        }
+        match pad_to {
+            Some(n) => {
+                while out_block < dst_first_block + n.div_ceil(b) {
+                    mem.store_block(dst, out_block, out);
+                    (out, out_block) = (Block::empty(b), out_block + 1);
+                }
+            }
+            None if out_slot > 0 => mem.store_block(dst, out_block, out),
+            None => {}
+        }
+        written
+    }
+
+    #[test]
+    fn heap_merge_matches_the_linear_scan() {
+        let b = 4;
+        let cache = b + 10 * (b + 2);
+        let fan = ((cache - b) / (b + 2)).max(2);
+        assert_eq!(fan, 10);
+        let by_key = |x: &Element, y: &Element| x.key.cmp(&y.key);
+        let total = |x: &Element, y: &Element| x.cmp(y);
+        let sorted_run = |len: usize, salt: u64, range: u64| {
+            let mut run: Vec<Element> = (0..len)
+                .map(|i| Element::new(hash64(i as u64, salt) % range, salt * 100 + i as u64))
+                .collect();
+            run.sort_by_key(|e| e.key);
+            run
+        };
+        let cases: Vec<(&str, Vec<Vec<Element>>, ElemCmp)> = vec![
+            (
+                "equal keys across runs",
+                (0..5).map(|r| sorted_run(3 + 4 * r, r as u64, 4)).collect(),
+                &by_key,
+            ),
+            (
+                "identical elements",
+                (0..4).map(|r| vec![e(9); 2 + 3 * r]).collect(),
+                &total,
+            ),
+            (
+                "empty runs",
+                (0..6)
+                    .map(|r| sorted_run(if r % 2 == 0 { 0 } else { 9 }, r as u64, 50))
+                    .collect(),
+                &by_key,
+            ),
+            ("single run", vec![sorted_run(13, 1, 7)], &by_key),
+            (
+                "fan-in = fan",
+                (0..fan)
+                    .map(|r| sorted_run(1 + 2 * r, r as u64, 6))
+                    .collect(),
+                &by_key,
+            ),
+        ];
+        for (label, data, ecmp) in cases {
+            let n: usize = data.iter().map(Vec::len).sum();
+            for (dst_first_block, pad_to) in [(0, None), (2, None), (0, Some(n + 5))] {
+                let dst_blocks = dst_first_block + n.div_ceil(b) + 2;
+                let (mut mem, src, runs, dst) = stage_runs(&data, b, dst_blocks);
+                let mut budget = CacheBudget::new(cache);
+                let written = merge_runs(
+                    &mut mem,
+                    &src,
+                    &runs,
+                    &dst,
+                    dst_first_block,
+                    pad_to,
+                    &mut budget,
+                    &ecmp,
+                )
+                .unwrap();
+                assert_eq!(budget.in_use(), 0, "{label}: charge released");
+                let got = (written, mem.snapshot_cells(&dst), mem.take_trace());
+
+                let (mut mem, src, runs, dst) = stage_runs(&data, b, dst_blocks);
+                let written =
+                    scan_merge(&mut mem, &src, &runs, &dst, dst_first_block, pad_to, ecmp);
+                let want = (written, mem.snapshot_cells(&dst), mem.take_trace());
+                assert_eq!(
+                    got, want,
+                    "{label}: dst block {dst_first_block}, pad {pad_to:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn golden_traces_and_outputs_are_pinned() {
+        // Hashes recorded on the merge-split router, Batcher run formation
+        // and linear-scan merge. The in-cache steps may change how they
+        // compute, never which blocks they touch or what they emit.
+        let dummies = |mut cells: Vec<Cell>, salt: u64| {
+            for (i, cell) in cells.iter_mut().enumerate() {
+                if hash64(i as u64, salt).is_multiple_of(3) {
+                    *cell = None;
+                }
+            }
+            cells
+        };
+        let identical: Vec<Cell> = (0..2048).map(|i| Some(e(i % 4))).collect();
+        let freak: Vec<Cell> = (0..1024)
+            .map(|i| Some(Element::keyed(hash64(i as u64, 3), i)))
+            .collect();
+        let cases = [
+            (
+                "dummies",
+                dummies(keyed_input(4096, 13, 97), 99),
+                8,
+                512,
+                SortOrder::Ascending,
+                BucketSortConfig::seeded(42),
+            ),
+            (
+                "heavy duplicates",
+                keyed_input(3000, 3000, 10),
+                8,
+                320,
+                SortOrder::Ascending,
+                BucketSortConfig::seeded(5),
+            ),
+            (
+                "identical elements, two merge passes",
+                identical,
+                8,
+                128,
+                SortOrder::Descending,
+                BucketSortConfig::with_bucket_capacity(6, 16),
+            ),
+            (
+                "freak skew re-roll",
+                freak,
+                16,
+                128,
+                SortOrder::Ascending,
+                BucketSortConfig::seeded(1),
+            ),
+            (
+                "in cache",
+                keyed_input(96, 7, 50),
+                8,
+                256,
+                SortOrder::Ascending,
+                BucketSortConfig::default(),
+            ),
+        ];
+        let golden: [u64; 5] = [
+            0x404a90ae2a5870ae,
+            0x48426efb5f405d3f,
+            0xd68d5cb70d4f44d4,
+            0x8308ddf3cf7968ad,
+            0x9e5a856fcac25eb2,
+        ];
+        for ((label, cells, b, cache, order, cfg), want) in cases.iter().zip(golden) {
+            let (got, rep) = trace_and_output_hash(cells, *b, *cache, *order, cfg);
+            assert_eq!(got, want, "{label}: trace/output hash moved ({rep:?})");
+        }
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //!   access pattern).
 //! * [`network`] — explicit comparator-network representation plus
 //!   zero-one-principle exhaustive checking used by the test-suite.
-//! * [`batcher`] — Batcher's odd-even mergesort for in-memory slices of any
-//!   length, the workhorse in-cache oblivious sort.
 //! * [`bitonic`] — Batcher's bitonic sorter for power-of-two slices; its
-//!   stride structure is what the external-memory sort exploits.
+//!   stride structure is what the external-memory sort exploits, and it
+//!   finishes the Lemma 2 sort's in-cache sub-problems.
 //! * [`shellsort`] — Goodrich's randomized Shellsort (SODA 2010), cited as
-//!   related work in the paper; provided as a practical randomized
-//!   alternative and exercised by the benches.
+//!   related work in the paper. No engine or bench runs it; only its own
+//!   tests do.
 //! * [`butterfly`] — the butterfly-like routing network of the paper's
 //!   Section 3 (Figure 1), in its in-memory circuit form, plus an ASCII
 //!   renderer that regenerates Figure 1.
@@ -36,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batcher;
 pub mod bitonic;
 pub mod bucket_sort;
 pub mod butterfly;
@@ -45,7 +43,6 @@ pub mod external_sort;
 pub mod network;
 pub mod shellsort;
 
-pub use batcher::odd_even_merge_sort;
 pub use bitonic::{bitonic_merge_pow2_by, bitonic_network, bitonic_sort_pow2};
 pub use bucket_sort::{
     bucket_oblivious_sort, bucket_oblivious_sort_by, merge_split, try_bucket_oblivious_sort,

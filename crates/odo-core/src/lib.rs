@@ -59,9 +59,8 @@ pub use extmem::{
 };
 pub use obliv_net::{
     bitonic_sort_pow2, bucket_oblivious_sort, external_oblivious_sort, external_oblivious_sort_by,
-    odd_even_merge_sort, randomized_shellsort, try_bucket_oblivious_sort,
-    try_external_oblivious_sort, BucketSortConfig, BucketSortError, BucketSortReport, Comparator,
-    Network, SortOrder, SortReport,
+    randomized_shellsort, try_bucket_oblivious_sort, try_external_oblivious_sort, BucketSortConfig,
+    BucketSortError, BucketSortReport, Comparator, Network, SortOrder, SortReport,
 };
 pub use select::{
     quantiles, quantiles_with, select_kth, select_kth_with, try_select_kth, SelectReport,
