@@ -1,75 +1,63 @@
 //! # odo-bench — the I/O-count benchmark harness
 //!
-//! Runs the workspace's algorithms on an [`ExtMem`] simulator across a grid
-//! of `(N, B, M)` model parameters, reads back the exact I/O counters, and
-//! checks them against the paper's stated bounds. Results are emitted as
-//! `BENCH_sort.json` so every PR's perf trajectory is recorded from PR 1
-//! onwards.
+//! Runs the workspace's algorithms across a grid of `(N, B, M)` model
+//! parameters, reads back the exact block I/O counts, and checks them against
+//! the paper's stated bounds. Five families — `sort`, `compact`, `select`,
+//! `faults` and `oram` — each write a `BENCH_<family>.json` document, so every
+//! change's I/O and wall-clock trajectory is on record.
 //!
-//! For the external oblivious sort the bound checked is Lemma 2's
+//! Every family goes through the one runner in [`runner`]:
 //!
-//! ```text
-//! total I/Os  ≤  C · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉²)
-//! ```
+//! * a [`Workload`] (the Lemma 2 sort, the bucket sort, compaction, selection
+//!   or an ORAM request replay) runs through [`checked_run`] over `ExtMem`,
+//!   `FileStore`, `Encrypted(…)` and `Prefetching(…)` stacks — timed, its
+//!   output asserted, and its I/O count and access trace asserted
+//!   byte-identical to the `ExtMem` reference run;
+//! * a [`Family`] lists only its grid, its JSON fields, its table columns and
+//!   its gates; [`run_family`] measures the grid and renders the table and
+//!   the document through one JSON writer and one table printer.
 //!
-//! with the explicit constant `C =` [`BOUND_CONSTANT`]. Alongside the
-//! optimized sorter the harness runs the `baseline` crate's full-depth
-//! bitonic sort, so the speedup delivered by in-cache finishing and stride
-//! batching is measured, not assumed.
+//! The gates, by family:
 //!
-//! Every sort point also runs the randomized **bucket oblivious sort**
-//! head-to-head (plaintext *and* encrypted, with byte-identical traces
-//! asserted), checked against the optimal-form bound
-//!
-//! ```text
-//! total I/Os  ≤  C_k · ⌈N/B⌉ · max(1, ⌈log_{M/B}(N/B)⌉)
-//! ```
-//!
-//! with `C_k =` [`BUCKET_BOUND_CONSTANT`] — the `log_{M/B}` gate, not the
-//! squared binary log. At every grid point with `N/M ≥ 4` the bench further
-//! gates that the bucket sort's I/Os are strictly below the Lemma 2 sort's.
-//!
-//! For the §3 external butterfly compaction (`odo-core::compact`) the bound
-//! checked is
-//!
-//! ```text
-//! total I/Os  ≤  C_c · ⌈N/B⌉ · (1 + ⌈log_β(⌈N/M⌉)⌉),   β = max(2, M/(8B))
-//! ```
-//!
-//! with `C_c =` [`COMPACT_BOUND_CONSTANT`] — note the *single* log factor,
-//! the paper's compaction advantage over sorting, and its base growing with
-//! the cache: the external levels run fused, `log₂(W/B)` per column sweep.
-//! The compaction results are emitted as `BENCH_compact.json`; each point
-//! also runs the identical algorithm over an [`extmem::EncryptedStore`] and
-//! asserts the re-encryption layer adds **zero** I/Os.
-//!
-//! For the §4 selection (`odo-core::select`) the bound checked is the same
-//! single-log form with `C_s =` [`SELECT_BOUND_CONSTANT`] — selection is
-//! iterated prune-and-compact, so it inherits compaction's advantage over
-//! sorting. Alongside the bound, each `BENCH_select.json` point runs the
-//! naive sort-then-index baseline and replays the identical selection over an
-//! [`extmem::EncryptedStore`], asserting not just equal I/O counts but a
-//! **byte-identical access trace** (and, separately, that the trace is
-//! independent of the requested rank `k`).
-//!
-//! The hierarchical ORAM (`odo-oram`) is gated as a *composed* bound: one
-//! probe read per level per access plus, for every flush, a per-rebuild
-//! bound assembled pass by pass from the pipeline's structure and the
-//! sort/compaction bounds above ([`oram_io_bound`]). Level `j` is rebuilt
-//! every `2^(j+1)` flushes at `O(sort(cap_j))` I/Os, so the composed total
-//! telescopes to the paper's `O(log² n)` amortized block I/Os per access.
-//! Each `BENCH_oram.json` point reports the measured amortized I/Os and the
-//! wall clock of the identical access sequence over `ExtMem`, `FileStore`
-//! and `EncryptedStore<FileStore>`, with every file-backed trace asserted
-//! byte-identical to the simulator's.
+//! * **sort** — Lemma 2's `C · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉²)` with
+//!   `C =` [`BOUND_CONSTANT`], against the `baseline` crate's full-depth
+//!   bitonic sort. The randomized bucket oblivious sort runs head-to-head,
+//!   gated by `C_k · ⌈N/B⌉ · max(1, ⌈log_{M/B}(N/B)⌉)` with
+//!   `C_k =` [`BUCKET_BOUND_CONSTANT`], and must beat Lemma 2's I/Os wherever
+//!   `N/M ≥ 4`. At the headline point the bucket sort over `ExtMem` must also
+//!   beat Lemma 2 on the wall clock, and the prefetching stacks the plain
+//!   ones (interleaved min-of-5).
+//! * **compact** — the §3 butterfly compaction's single-log bound
+//!   `C_c · ⌈N/B⌉ · (1 + ⌈log_β(⌈N/M⌉)⌉)`, `β = max(2, M/(8B))`,
+//!   `C_c =` [`COMPACT_BOUND_CONSTANT`]: the external levels run fused,
+//!   `log₂(W/B)` per column sweep, so the base grows with the cache.
+//! * **select** — the §4 selection's single-log bound with
+//!   `C_s =` [`SELECT_BOUND_CONSTANT`] (prune-and-compact inherits
+//!   compaction's advantage over sorting), against naive sort-then-index.
+//! * **faults** — the untrusted-server model: authentication overhead,
+//!   retries of transient faults, and tampering surfacing as a typed error.
+//! * **oram** — a composed bound ([`oram_io_bound`]): one probe per level per
+//!   access plus, per flush, a rebuild bound assembled pass by pass from the
+//!   sort and compaction bounds above. Level `j` is rebuilt every `2^(j+1)`
+//!   flushes at `O(sort(cap_j))` I/Os, so the total telescopes to the paper's
+//!   `O(log² n)` amortized block I/Os per access.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod runner;
+
+pub use runner::{
+    checked_run, family_json, render_table, run_family, write_json, Check, Column, Family,
+    FamilyFn, Field, Json, Outcome, Run, Stack, Verdict, Workload,
+};
+use runner::{dash, encrypted_file, encrypted_run, fmt_ms, temp_file, timed, yes_no};
+
 use baseline::{naive_external_bitonic_sort, naive_external_butterfly_compact, naive_select_kth};
 use extmem::element::Cell;
 use extmem::{
-    Element, EncryptedStore, ExtMem, FaultSpec, FaultStats, FileStore, IoStats, PrefetchingStore,
+    ArrayHandle, AuthenticatedStore, BackingStore, BlockStore, Element, EncryptedStore, ExtMem,
+    FaultSpec, FaultStats, FaultyStore, IoStats, PrefetchingStore, RetryPolicy, StoreError,
 };
 use obliv_net::bucket_sort::{bucket_oblivious_sort, BucketSortConfig, BucketSortReport};
 use obliv_net::external_sort::{external_oblivious_sort, SortOrder, SortReport};
@@ -77,8 +65,7 @@ use odo_core::compact::{compact, CompactReport};
 use odo_core::select::{select_kth, SelectReport};
 use odo_core::SortEngine;
 use oram::{LevelGeometry, Oram, OramConfig};
-use std::fmt::Write as _;
-use std::time::Instant;
+use std::fmt::{self, Debug};
 
 /// The explicit constant `C` of the checked sort I/O bound.
 pub const BOUND_CONSTANT: u64 = 4;
@@ -97,6 +84,18 @@ pub const COMPACT_BOUND_CONSTANT: u64 = 16;
 /// The explicit constant `C_s` of the checked selection I/O bound.
 pub const SELECT_BOUND_CONSTANT: u64 = 64;
 
+/// The I/O model line of the sort, compaction, selection and ORAM documents.
+const IO_MODEL: &str = "1 I/O per block read or write, ExtMem::stats";
+
+/// Every family, in run order: the subcommand name and its entry point.
+pub const FAMILIES: [(&str, FamilyFn); 5] = [
+    (SortBench::NAME, run_family::<SortBench>),
+    (CompactBench::NAME, run_family::<CompactBench>),
+    (SelectBench::NAME, run_family::<SelectBench>),
+    (FaultBench::NAME, run_family::<FaultBench>),
+    (OramBench::NAME, run_family::<OramBench>),
+];
+
 /// One `(N, B, M)` parameter point of the benchmark grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GridPoint {
@@ -107,6 +106,19 @@ pub struct GridPoint {
     /// Private cache size `M` in elements.
     pub m: usize,
 }
+
+impl fmt::Display for GridPoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "N={} B={} M={}", self.n, self.b, self.m)
+    }
+}
+
+/// The headline point `(2^18, 64, 2^13)` of the full grid.
+pub const HEADLINE: GridPoint = GridPoint {
+    n: 1 << 18,
+    b: 64,
+    m: 1 << 13,
+};
 
 /// Wall-clock nanoseconds of one primitive run over each storage backend.
 ///
@@ -125,14 +137,435 @@ pub struct BackendNanos {
     pub encrypted_file_ns: u64,
 }
 
-/// Runs `f` once and returns its result plus the elapsed wall-clock
-/// nanoseconds (saturated into `u64`, which holds ~584 years).
-fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let start = Instant::now();
-    let out = f();
-    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    (out, ns)
+impl BackendNanos {
+    fn json(&self) -> Json {
+        Json::Obj(vec![
+            ("extmem", self.extmem_ns.into()),
+            ("file", self.file_ns.into()),
+            ("encrypted_file", self.encrypted_file_ns.into()),
+        ])
+    }
 }
+
+/// `⌈log2(⌈N/M⌉)⌉`, the shared "external levels" factor of every bound
+/// checked by this harness (0 when the array fits in cache).
+fn ceil_log2_ratio(n: usize, m: usize) -> u64 {
+    let ratio = n.div_ceil(m);
+    if ratio <= 1 {
+        0
+    } else {
+        u64::from(usize::BITS - (ratio - 1).leading_zeros())
+    }
+}
+
+/// The Lemma 2 bound with the explicit constant [`BOUND_CONSTANT`]:
+/// `C · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉²)`.
+pub fn sort_io_bound(n: usize, b: usize, m: usize) -> u64 {
+    let lg = ceil_log2_ratio(n, m);
+    BOUND_CONSTANT * n.div_ceil(b) as u64 * (1 + lg * lg)
+}
+
+/// `⌈log_{M/B}(N/B)⌉` computed exactly in integers: the smallest `t ≥ 1`
+/// with `(M/B)^t ≥ ⌈N/B⌉`, the base clamped to `≥ 2` so the bound is
+/// well-defined even at degenerate cache sizes.
+fn ceil_log_base_ratio(n: usize, b: usize, m: usize) -> u64 {
+    let nb = n.div_ceil(b) as u64;
+    let base = (m / b).max(2) as u64;
+    let mut t = 1u64;
+    let mut pow = base;
+    while pow < nb {
+        pow = pow.saturating_mul(base);
+        t += 1;
+    }
+    t
+}
+
+/// The bucket-sort bound with the explicit constant
+/// [`BUCKET_BOUND_CONSTANT`]: `C_k · ⌈N/B⌉ · max(1, ⌈log_{M/B}(N/B)⌉)` —
+/// the `log_{M/B}` gate of the optimal external sorting bound.
+pub fn bucket_sort_io_bound(n: usize, b: usize, m: usize) -> u64 {
+    BUCKET_BOUND_CONSTANT * n.div_ceil(b) as u64 * ceil_log_base_ratio(n, b, m)
+}
+
+/// The compaction bound `C_c · ⌈N/B⌉ · (1 + ⌈log_β(⌈N/M⌉)⌉)` with base
+/// `β = max(2, M/(8B))` — one log factor, not two, and one whose base grows
+/// with the cache. The measured count is
+/// `⌈N/B⌉·(6 + 4·⌈(⌈log₂N⌉ − log₂W)/g⌉)` with `g = max(1, log₂(W/B))` and
+/// `M/12 < W ≤ M/6`, which stays within `13·⌈N/B⌉·(1 + ⌈log_β(⌈N/M⌉)⌉)`.
+pub fn compact_io_bound(n: usize, b: usize, m: usize) -> u64 {
+    let ratio = n.div_ceil(m) as u64;
+    let base = (m / (8 * b)).max(2) as u64;
+    let (mut lg, mut pow) = (0u64, 1u64);
+    while pow < ratio {
+        pow = pow.saturating_mul(base);
+        lg += 1;
+    }
+    COMPACT_BOUND_CONSTANT * n.div_ceil(b) as u64 * (1 + lg)
+}
+
+/// The selection bound `C_s · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉)` — the single-log
+/// form selection inherits from prune-and-compact.
+pub fn select_io_bound(n: usize, b: usize, m: usize) -> u64 {
+    SELECT_BOUND_CONSTANT * n.div_ceil(b) as u64 * (1 + ceil_log2_ratio(n, m))
+}
+
+/// Deterministic pseudo-random input used by every benchmark run, so results
+/// are reproducible across machines and PRs.
+pub fn bench_input(n: usize, salt: u64) -> Vec<Element> {
+    (0..n)
+        .map(|i| Element::keyed(extmem::util::hash64(i as u64, salt), i))
+        .collect()
+}
+
+/// Deterministic pseudo-random occupancy (roughly half the cells occupied)
+/// used by every compaction benchmark run.
+pub fn bench_occupancy(n: usize, salt: u64) -> Vec<Cell> {
+    (0..n)
+        .map(|i| {
+            if extmem::util::hash64(i as u64, salt).is_multiple_of(2) {
+                Some(Element::keyed(i as u64, i))
+            } else {
+                None
+            }
+        })
+        .collect()
+}
+
+/// The elements as fully occupied cells.
+fn occupied(input: &[Element]) -> Vec<Cell> {
+    input.iter().copied().map(Some).collect()
+}
+
+/// The default grid: `B = 64`, `N ∈ {2^14, 2^16, 2^18}`,
+/// `M ∈ {2^10, 2^13}` — the 3×2 grid the acceptance criteria call for,
+/// including the headline point `(2^18, 64, 2^13)`.
+pub fn default_grid() -> Vec<GridPoint> {
+    let mut grid = Vec::new();
+    for &n in &[1usize << 14, 1 << 16, 1 << 18] {
+        for &m in &[1usize << 10, 1 << 13] {
+            grid.push(GridPoint { n, b: 64, m });
+        }
+    }
+    grid
+}
+
+/// A small smoke grid (`N = 2^12`) cheap enough to run in CI on every push:
+/// exercises the JSON writer and the bound gates without the full-size
+/// simulation.
+pub fn smoke_grid() -> Vec<GridPoint> {
+    vec![
+        GridPoint {
+            n: 1 << 12,
+            b: 64,
+            m: 1 << 9,
+        },
+        GridPoint {
+            n: 1 << 12,
+            b: 64,
+            m: 1 << 10,
+        },
+    ]
+}
+
+/// The grid for the sort, compaction and selection families.
+fn primitive_grid(smoke: bool) -> Vec<GridPoint> {
+    if smoke {
+        smoke_grid()
+    } else {
+        default_grid()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Workloads
+// ---------------------------------------------------------------------------
+
+/// An algorithm over one array of the store, driven by [`ArrayJob`].
+pub(crate) trait ArrayAlgorithm {
+    /// The algorithm's structural report.
+    type Report;
+    /// What a run is checked by.
+    type Output: PartialEq + Debug;
+    /// Runs on array `h` with cache budget `m`.
+    fn run<S: BlockStore>(&self, store: &mut S, h: &ArrayHandle, m: usize) -> Self::Report;
+    /// Reads the result back after the run.
+    fn output<S: BlockStore>(store: &mut S, h: &ArrayHandle, report: &Self::Report)
+        -> Self::Output;
+}
+
+/// The elements of array `h` in slot order.
+fn elements<S: BlockStore>(store: &mut S, h: &ArrayHandle) -> Vec<Element> {
+    store
+        .load_span(h, 0, h.len())
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+/// The Lemma 2 deterministic external bitonic sort, ascending.
+pub(crate) struct Lemma2;
+
+impl ArrayAlgorithm for Lemma2 {
+    type Report = SortReport;
+    type Output = Vec<Element>;
+    fn run<S: BlockStore>(&self, store: &mut S, h: &ArrayHandle, m: usize) -> SortReport {
+        external_oblivious_sort(store, h, m, SortOrder::Ascending)
+    }
+    fn output<S: BlockStore>(store: &mut S, h: &ArrayHandle, _: &SortReport) -> Vec<Element> {
+        elements(store, h)
+    }
+}
+
+/// The randomized bucket oblivious sort with this configuration, ascending.
+impl ArrayAlgorithm for BucketSortConfig {
+    type Report = BucketSortReport;
+    type Output = Vec<Element>;
+    fn run<S: BlockStore>(&self, store: &mut S, h: &ArrayHandle, m: usize) -> BucketSortReport {
+        bucket_oblivious_sort(store, h, m, SortOrder::Ascending, self)
+            .unwrap_or_else(|e| panic!("bucket sort failed: {e}"))
+    }
+    fn output<S: BlockStore>(store: &mut S, h: &ArrayHandle, _: &BucketSortReport) -> Vec<Element> {
+        elements(store, h)
+    }
+}
+
+/// The §3 external butterfly compaction.
+pub(crate) struct Compaction;
+
+impl ArrayAlgorithm for Compaction {
+    type Report = CompactReport;
+    type Output = Vec<Cell>;
+    fn run<S: BlockStore>(&self, store: &mut S, h: &ArrayHandle, m: usize) -> CompactReport {
+        compact(store, h, m)
+    }
+    fn output<S: BlockStore>(store: &mut S, h: &ArrayHandle, _: &CompactReport) -> Vec<Cell> {
+        store.load_span(h, 0, h.len())
+    }
+}
+
+/// The §4 selection of rank `k`.
+pub(crate) struct Selection {
+    k: usize,
+}
+
+impl ArrayAlgorithm for Selection {
+    type Report = (Element, SelectReport);
+    type Output = Element;
+    fn run<S: BlockStore>(&self, store: &mut S, h: &ArrayHandle, m: usize) -> Self::Report {
+        select_kth(store, h, m, self.k)
+    }
+    fn output<S: BlockStore>(_: &mut S, _: &ArrayHandle, report: &Self::Report) -> Element {
+        report.0
+    }
+}
+
+/// One array algorithm over a fixed input, with the output it must produce.
+pub(crate) struct ArrayJob<A: ArrayAlgorithm> {
+    cells: Vec<Cell>,
+    m: usize,
+    algorithm: A,
+    expected: A::Output,
+}
+
+impl<A: ArrayAlgorithm> Workload for ArrayJob<A> {
+    type Input = ArrayHandle;
+    type Report = A::Report;
+    type Output = A::Output;
+
+    fn setup<S: BlockStore>(&self, store: &mut S) -> ArrayHandle {
+        let h = store.alloc_array(self.cells.len());
+        store.store_span(&h, 0, &self.cells);
+        h
+    }
+
+    fn run<S: BlockStore>(&self, store: &mut S, h: &mut ArrayHandle) -> A::Report {
+        self.algorithm.run(store, h, self.m)
+    }
+
+    fn output<S: BlockStore>(&self, store: &mut S, h: &ArrayHandle, r: &A::Report) -> A::Output {
+        A::output(store, h, r)
+    }
+
+    fn expected(&self) -> &A::Output {
+        &self.expected
+    }
+}
+
+/// Sorting `input` ascending with `engine` and cache budget `m`.
+pub(crate) fn sort_job<A: ArrayAlgorithm<Output = Vec<Element>>>(
+    input: &[Element],
+    m: usize,
+    engine: A,
+) -> ArrayJob<A> {
+    let mut expected = input.to_vec();
+    expected.sort_unstable();
+    let cells = occupied(input);
+    ArrayJob {
+        cells,
+        m,
+        algorithm: engine,
+        expected,
+    }
+}
+
+/// Compacting `cells` with cache budget `m`.
+pub(crate) fn compact_job(cells: Vec<Cell>, m: usize) -> ArrayJob<Compaction> {
+    let mut expected: Vec<Cell> = cells.iter().filter(|c| c.is_some()).copied().collect();
+    expected.resize(cells.len(), None);
+    ArrayJob {
+        cells,
+        m,
+        algorithm: Compaction,
+        expected,
+    }
+}
+
+/// Selecting rank `k` of `input` with cache budget `m`.
+pub(crate) fn select_job(input: &[Element], m: usize, k: usize) -> ArrayJob<Selection> {
+    let mut ranked: Vec<(u64, usize)> = input.iter().enumerate().map(|(j, e)| (e.key, j)).collect();
+    ranked.sort_unstable();
+    ArrayJob {
+        cells: occupied(input),
+        m,
+        algorithm: Selection { k },
+        expected: input[ranked[k].1],
+    }
+}
+
+/// A fixed mixed read/write request sequence replayed against a fresh ORAM.
+pub(crate) struct OramJob {
+    n: usize,
+    cfg: OramConfig,
+    reqs: Vec<(u64, Option<u64>)>,
+    expected: Vec<u64>,
+}
+
+impl OramJob {
+    /// The grid point's sequence: hash-spread addresses, one write in three,
+    /// its read results taken from a client-side mirror.
+    fn new(point: OramGridPoint) -> Self {
+        let OramGridPoint {
+            n,
+            m,
+            period,
+            accesses,
+            ..
+        } = point;
+        let reqs: Vec<(u64, Option<u64>)> = (0..accesses as u64)
+            .map(|k| {
+                let addr = extmem::util::hash64(k, 0x0AC7) % n as u64;
+                // Values shifted under 63 bits: the EncryptedStore contract.
+                let write = k
+                    .is_multiple_of(3)
+                    .then(|| extmem::util::hash64(k, 0x7A1) >> 1);
+                (addr, write)
+            })
+            .collect();
+        let mut mirror = std::collections::HashMap::new();
+        let mut expected = Vec::new();
+        for &(addr, write) in &reqs {
+            match write {
+                Some(v) => {
+                    mirror.insert(addr, v);
+                }
+                None => expected.push(mirror.get(&addr).copied().unwrap_or(0)),
+            }
+        }
+        OramJob {
+            n,
+            cfg: OramConfig::new(period, m, ORAM_BENCH_SEED),
+            reqs,
+            expected,
+        }
+    }
+}
+
+impl Workload for OramJob {
+    type Input = Oram;
+    type Report = Vec<u64>;
+    type Output = Vec<u64>;
+
+    fn setup<S: BlockStore>(&self, store: &mut S) -> Oram {
+        Oram::new(store, self.n as u64, &self.cfg)
+    }
+
+    fn run<S: BlockStore>(&self, store: &mut S, oram: &mut Oram) -> Vec<u64> {
+        let mut out = Vec::with_capacity(self.reqs.len());
+        for &(addr, write) in &self.reqs {
+            match write {
+                Some(v) => oram.write(store, addr, v),
+                None => out.push(oram.read(store, addr)),
+            }
+        }
+        out
+    }
+
+    fn output<S: BlockStore>(&self, _: &mut S, _: &Oram, reads: &Vec<u64>) -> Vec<u64> {
+        reads.clone()
+    }
+
+    fn expected(&self) -> &Vec<u64> {
+        &self.expected
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Row fields shared by the sort, compaction and selection documents
+// ---------------------------------------------------------------------------
+
+/// `n`, `b`, `m`.
+fn point_fields(p: GridPoint) -> Vec<Field> {
+    vec![("n", p.n.into()), ("b", p.b.into()), ("m", p.m.into())]
+}
+
+/// The optimized run's reads, writes and total, and the encrypted total.
+fn io_fields(optimized: IoStats, encrypted: IoStats) -> [Field; 4] {
+    [
+        ("optimized_reads", optimized.reads.into()),
+        ("optimized_writes", optimized.writes.into()),
+        ("optimized_total", optimized.total().into()),
+        ("encrypted_total", encrypted.total().into()),
+    ]
+}
+
+/// `elapsed_ns` per backend, or `null` when the wall-clock sweep did not
+/// run. A timing is only recorded after the file-backed trace was asserted
+/// byte-identical to `ExtMem`, so `file_trace_identical` rides along.
+fn elapsed_fields(elapsed: Option<&BackendNanos>) -> Vec<Field> {
+    match elapsed {
+        Some(t) => vec![
+            ("elapsed_ns", t.json()),
+            ("file_trace_identical", true.into()),
+        ],
+        None => vec![("elapsed_ns", Json::Null)],
+    }
+}
+
+/// The naive baseline's total, levels and speedup, or `naive_total: null`.
+fn naive_fields(naive: Option<IoStats>, levels: Option<usize>, speedup: Option<f64>) -> Vec<Field> {
+    match (naive, levels, speedup) {
+        (Some(naive), Some(levels), Some(speedup)) => vec![
+            ("naive_total", naive.total().into()),
+            ("naive_levels", levels.into()),
+            ("speedup_vs_naive", Json::Float(speedup, 2)),
+        ],
+        _ => vec![("naive_total", Json::Null)],
+    }
+}
+
+/// Naive-over-optimized I/O ratio, if the naive baseline was run.
+fn speedup(naive: Option<IoStats>, optimized: IoStats) -> Option<f64> {
+    naive.map(|n| n.total() as f64 / optimized.total().max(1) as f64)
+}
+
+/// A speedup table cell.
+fn fmt_speedup(speedup: Option<f64>) -> String {
+    dash(speedup.map(|x| format!("{x:.2}x")))
+}
+
+// ---------------------------------------------------------------------------
+// The external oblivious sort (`BENCH_sort.json`)
+// ---------------------------------------------------------------------------
 
 /// Wall-clock timings of one sort grid point (filled only when
 /// [`run_sort_point`] is asked to exercise the file-backed backends).
@@ -200,8 +633,7 @@ impl SortBenchResult {
     /// Naive-over-optimized I/O ratio (the headline speedup), if the naive
     /// baseline was run.
     pub fn speedup(&self) -> Option<f64> {
-        self.naive
-            .map(|n| n.total() as f64 / self.optimized.total().max(1) as f64)
+        speedup(self.naive, self.optimized)
     }
 
     /// Lemma-2-over-bucket I/O ratio — how many times fewer I/Os the
@@ -218,572 +650,379 @@ impl SortBenchResult {
     }
 }
 
-/// `⌈log2(⌈N/M⌉)⌉`, the shared "external levels" factor of every bound
-/// checked by this harness (0 when the array fits in cache).
-fn ceil_log2_ratio(n: usize, m: usize) -> u64 {
-    let ratio = n.div_ceil(m);
-    if ratio <= 1 {
-        0
-    } else {
-        u64::from(usize::BITS - (ratio - 1).leading_zeros())
-    }
-}
-
-/// The Lemma 2 bound with the explicit constant [`BOUND_CONSTANT`]:
-/// `C · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉²)`.
-pub fn sort_io_bound(n: usize, b: usize, m: usize) -> u64 {
-    let lg = ceil_log2_ratio(n, m);
-    BOUND_CONSTANT * n.div_ceil(b) as u64 * (1 + lg * lg)
-}
-
-/// `⌈log_{M/B}(N/B)⌉` computed exactly in integers: the smallest `t ≥ 1`
-/// with `(M/B)^t ≥ ⌈N/B⌉`, the base clamped to `≥ 2` so the bound is
-/// well-defined even at degenerate cache sizes.
-fn ceil_log_base_ratio(n: usize, b: usize, m: usize) -> u64 {
-    let nb = n.div_ceil(b) as u64;
-    let base = (m / b).max(2) as u64;
-    let mut t = 1u64;
-    let mut pow = base;
-    while pow < nb {
-        pow = pow.saturating_mul(base);
-        t += 1;
-    }
-    t
-}
-
-/// The bucket-sort bound with the explicit constant
-/// [`BUCKET_BOUND_CONSTANT`]: `C_k · ⌈N/B⌉ · max(1, ⌈log_{M/B}(N/B)⌉)` —
-/// the `log_{M/B}` gate of the optimal external sorting bound.
-pub fn bucket_sort_io_bound(n: usize, b: usize, m: usize) -> u64 {
-    BUCKET_BOUND_CONSTANT * n.div_ceil(b) as u64 * ceil_log_base_ratio(n, b, m)
-}
-
-/// Deterministic pseudo-random input used by every benchmark run, so results
-/// are reproducible across machines and PRs.
-pub fn bench_input(n: usize, salt: u64) -> Vec<Element> {
-    (0..n)
-        .map(|i| Element::keyed(extmem::util::hash64(i as u64, salt), i))
-        .collect()
-}
-
-/// One timed run of the Lemma 2 sort over a re-encrypting store with any
-/// backing (`ExtMem` or `FileStore`): asserts the output is sorted and
-/// returns the layer's I/O count and the elapsed time.
-fn run_encrypted_sort<S: extmem::BackingStore>(
-    mut enc: EncryptedStore<S>,
-    cells: &[Cell],
-    m: usize,
-    expected: &[Element],
-) -> (IoStats, u64) {
-    let eh = enc.alloc_array_from_cells(cells);
-    let (ereport, ns) = timed(|| external_oblivious_sort(&mut enc, &eh, m, SortOrder::Ascending));
-    assert_eq!(
-        enc.snapshot_cells(&eh)
-            .into_iter()
-            .flatten()
-            .collect::<Vec<_>>(),
-        expected,
-        "encrypted sort failed"
-    );
-    (ereport.io, ns)
-}
-
-/// One timed run of the bucket sort over a re-encrypting store with any
-/// backing: asserts the output is sorted and returns the I/O count, the
-/// access trace and the elapsed time.
-fn run_encrypted_bucket_sort<S: extmem::BackingStore>(
-    mut enc: EncryptedStore<S>,
-    cells: &[Cell],
-    m: usize,
-    expected: &[Element],
-    bcfg: &BucketSortConfig,
-) -> (IoStats, extmem::AccessTrace, u64) {
-    let beh = enc.alloc_array_from_cells(cells);
-    enc.enable_trace();
-    let (bereport, ns) = timed(|| {
-        bucket_oblivious_sort(&mut enc, &beh, m, SortOrder::Ascending, bcfg)
-            .unwrap_or_else(|e| panic!("encrypted bucket sort failed: {e}"))
-    });
-    assert_eq!(
-        enc.snapshot_cells(&beh)
-            .into_iter()
-            .flatten()
-            .collect::<Vec<_>>(),
-        expected,
-        "encrypted bucket sort mis-sorted"
-    );
-    let betrace = enc.take_trace().expect("tracing was enabled");
-    (bereport.io, betrace, ns)
-}
-
-/// Measures one grid point. Runs the optimized sorter always, the naive
-/// baseline when `run_naive` is set (it costs `Θ((N/B) log² N)` simulated
-/// I/Os, which is cheap to simulate but noisy to read), and — when
-/// `backends` is set — the wall-clock backend sweep: both engines over
-/// `FileStore` and `Encrypted(FileStore)` plus the bucket engine over
+/// Measures one grid point. Runs both engines over traced `ExtMem` (the
+/// references) and over the re-encrypting store, the naive baseline when
+/// `run_naive` is set (it costs `Θ((N/B) log² N)` simulated I/Os, which is
+/// cheap to simulate but noisy to read), and — when `backends` is set — the
+/// wall-clock backend sweep: both engines over `FileStore` and
+/// `Encrypted(FileStore)` plus the bucket engine over
 /// `PrefetchingStore<FileStore>` and `Prefetching(Encrypted(FileStore))`
 /// (decrypt-ahead workers against the batched-keystream span path), every
-/// file-backed trace asserted byte-identical to the `ExtMem` reference. The
-/// full `Prefetching(Auth(Encrypted(FileStore)))` stack also runs once on
-/// two same-shape inputs and must produce identical logical traces and I/O
-/// counts — the MAC arrays shift the address layout, so data-independence
-/// rather than ExtMem byte-parity is the assertable property there. Panics
-/// if any sorter fails to actually sort — a benchmark of a wrong algorithm
-/// is meaningless.
+/// trace asserted byte-identical to the `ExtMem` reference, and the full
+/// stack checked by [`assert_full_stack_is_data_independent`]. Panics if
+/// any run fails to sort.
 pub fn run_sort_point(point: GridPoint, run_naive: bool, backends: bool) -> SortBenchResult {
     let GridPoint { n, b, m } = point;
     let input = bench_input(n, 0xB0B);
-    let mut expected = input.clone();
-    expected.sort_unstable();
-
-    let mut mem = ExtMem::with_trace(b);
-    let h = mem.alloc_array_from_elements(&input);
-    let report = external_oblivious_sort(&mut mem, &h, m, SortOrder::Ascending);
-    assert_eq!(
-        mem.snapshot_elements(&h),
-        expected,
-        "optimized sort failed at N={n} B={b} M={m}"
-    );
-    let optimized = report.io;
-    let l2trace = mem.take_trace().expect("tracing was enabled");
-
-    // The same sort over the re-encrypting store: every block is decrypted on
-    // read and re-encrypted (fresh nonce) on write, yet the I/O count is
-    // identical — the trait-generic sort closes the ROADMAP's
-    // sort-over-EncryptedStore item. In the backend sweep the ciphertext
-    // lives in a real file, so the timing covers cipher + file system work.
-    let ecells: Vec<Cell> = input.iter().copied().map(Some).collect();
-    let (encrypted_io, lemma2_encfile_ns) = if backends {
-        let fs = FileStore::temp(b).expect("tempdir-backed block file");
-        run_encrypted_sort(
-            EncryptedStore::with_backing(fs, 0x50F7),
-            &ecells,
-            m,
-            &expected,
-        )
-    } else {
-        run_encrypted_sort(EncryptedStore::new(b, 0x50F7), &ecells, m, &expected)
-    };
-    assert_eq!(
-        encrypted_io, optimized,
-        "the encryption layer must add zero I/Os to the sort at N={n} B={b} M={m}"
+    let lemma2 = sort_job(&input, m, Lemma2);
+    let bucket = sort_job(&input, m, BucketSortConfig::seeded(BUCKET_SORT_SEED));
+    let (l2_at, bk_at) = (
+        format!("Lemma 2 sort at {point}"),
+        format!("bucket sort at {point}"),
     );
 
-    // The plain file-backed Lemma 2 sort: real reads and writes, and the
-    // server-visible trace must match the simulator's byte for byte.
-    let lemma2_file_ns = if backends {
-        let mut fs = FileStore::temp(b).expect("tempdir-backed block file");
-        let fh = fs.alloc_array_from_elements(&input);
-        fs.enable_trace();
-        let (frep, ns) = timed(|| external_oblivious_sort(&mut fs, &fh, m, SortOrder::Ascending));
-        assert_eq!(
-            fs.snapshot_elements(&fh),
-            expected,
-            "file-backed sort failed at N={n} B={b} M={m}"
-        );
-        assert_eq!(
-            frep.io, optimized,
-            "the file store must count the same I/Os at N={n} B={b} M={m}"
-        );
-        let ftrace = fs.take_trace().expect("tracing was enabled");
-        assert_eq!(
-            ftrace, l2trace,
-            "FileStore sort trace must be byte-identical to ExtMem at N={n} B={b} M={m}"
-        );
-        ns
-    } else {
-        0
-    };
+    let l2 = checked_run(&lemma2, ExtMem::new(b), Check::Reference, &l2_at);
+    let bk = checked_run(&bucket, ExtMem::new(b), Check::Reference, &bk_at);
+    // The same sorts over the re-encrypting store: every block is decrypted
+    // on read and re-encrypted (fresh nonce) on write, yet the I/O count and
+    // the trace are identical. Both bucket runs use the same fixed seed, so
+    // the encryption layer may not perturb the access pattern in any way. In
+    // the backend sweep the ciphertext lives in a real file.
+    let l2_enc = encrypted_run(&lemma2, b, 0x50F7, backends, &l2, &l2_at);
+    let bk_enc = encrypted_run(&bucket, b, 0x50F8, backends, &bk, &bk_at);
 
-    // The randomized bucket oblivious sort head-to-head, plaintext and
-    // encrypted, with the access traces captured. Both runs use the same
-    // fixed seed, so beyond equal outputs and equal I/O counts the two
-    // traces must be *byte-identical* — the encryption layer may not perturb
-    // the server-visible access pattern in any way.
-    let bcfg = BucketSortConfig::seeded(BUCKET_SORT_SEED);
-    let mut bmem = ExtMem::with_trace(b);
-    let bh = bmem.alloc_array_from_elements(&input);
-    let bucket_report = bucket_oblivious_sort(&mut bmem, &bh, m, SortOrder::Ascending, &bcfg)
-        .unwrap_or_else(|e| panic!("bucket sort failed at N={n} B={b} M={m}: {e}"));
-    assert_eq!(
-        bmem.snapshot_elements(&bh),
-        expected,
-        "bucket sort mis-sorted at N={n} B={b} M={m}"
-    );
-    let bucket = bucket_report.io;
-    let btrace = bmem.take_trace().expect("tracing was enabled");
-
-    let (bucket_encrypted_io, betrace, bucket_encfile_ns) = if backends {
-        let fs = FileStore::temp(b).expect("tempdir-backed block file");
-        run_encrypted_bucket_sort(
-            EncryptedStore::with_backing(fs, 0x50F8),
-            &ecells,
-            m,
-            &expected,
-            &bcfg,
-        )
-    } else {
-        run_encrypted_bucket_sort(EncryptedStore::new(b, 0x50F8), &ecells, m, &expected, &bcfg)
-    };
-    assert_eq!(
-        bucket_encrypted_io, bucket,
-        "the encryption layer must add zero I/Os to the bucket sort at N={n} B={b} M={m}"
-    );
-    assert_eq!(
-        btrace, betrace,
-        "plaintext and encrypted bucket-sort traces must be byte-identical"
-    );
-
-    // The headline wall-clock pair: the bucket sort over the plain file
-    // store (synchronous loads) versus the same sort over
-    // `PrefetchingStore<FileStore>`, whose shape-derived hints let a worker
-    // pool overlap reads with the oblivious routing work. The prefetching
-    // run's *logical* trace — recorded in foreground request order — must
-    // still match the simulator's byte for byte: read-ahead is a latency
-    // optimization, never a visible access-pattern change.
-    let (
-        lemma2_extmem_ns,
-        bucket_extmem_ns,
-        bucket_file_ns,
-        bucket_prefetch_ns,
-        bucket_encfile_ns,
-        encrypted_prefetch_ns,
-    ) = if backends {
+    let timings = backends.then(|| {
+        let l2_file = checked_run(&lemma2, temp_file(b), Check::Parity(&l2), &l2_at);
         // Min-of-N on the wall-clock-gated runs, with the repetitions
         // INTERLEAVED (plain, prefetch, plain, prefetch, ...) so both
         // backends sample the same noise windows — VM clock drift across a
         // bench run is larger than the margin under test, so back-to-back
         // batches would compare different weather, not different backends.
         // The logical work is identical across repetitions (same input,
-        // same seed, asserted below), so the minimum is the cleanest
-        // estimate of each backend's intrinsic cost.
+        // same seed, asserted), so the minimum is the cleanest estimate of
+        // each backend's intrinsic cost.
         const WALL_CLOCK_REPS: usize = 5;
-        let mut lemma2_extmem_ns = u64::MAX;
-        let mut bucket_extmem_ns = u64::MAX;
-        let mut file_ns = u64::MAX;
-        let mut prefetch_ns = u64::MAX;
-        let mut encfile_ns = u64::MAX;
-        let mut enc_prefetch_ns = u64::MAX;
+        let parity = Check::Parity(&bk);
+        let mut min_ns = [u64::MAX; 6];
         for _ in 0..WALL_CLOCK_REPS {
-            // The in-memory pair: both engines over untraced `ExtMem`,
-            // where no store layer hides the client's in-cache work.
-            let mut lmem = ExtMem::new(b);
-            let lh = lmem.alloc_array_from_elements(&input);
-            let (_, ns) =
-                timed(|| external_oblivious_sort(&mut lmem, &lh, m, SortOrder::Ascending));
-            lemma2_extmem_ns = lemma2_extmem_ns.min(ns);
-            assert_eq!(
-                lmem.snapshot_elements(&lh),
-                expected,
-                "Lemma 2 rerun mis-sorted"
-            );
-            let mut kmem = ExtMem::new(b);
-            let kh = kmem.alloc_array_from_elements(&input);
-            let (_, ns) = timed(|| {
-                bucket_oblivious_sort(&mut kmem, &kh, m, SortOrder::Ascending, &bcfg)
-                    .unwrap_or_else(|e| panic!("bucket sort rerun failed: {e}"))
-            });
-            bucket_extmem_ns = bucket_extmem_ns.min(ns);
-            assert_eq!(
-                kmem.snapshot_elements(&kh),
-                expected,
-                "bucket rerun mis-sorted"
-            );
-
-            let mut fs = FileStore::temp(b).expect("tempdir-backed block file");
-            let fh = fs.alloc_array_from_elements(&input);
-            fs.enable_trace();
-            let (frep, ns) = timed(|| {
-                bucket_oblivious_sort(&mut fs, &fh, m, SortOrder::Ascending, &bcfg)
-                    .unwrap_or_else(|e| panic!("file-backed bucket sort failed: {e}"))
-            });
-            file_ns = file_ns.min(ns);
-            assert_eq!(
-                fs.snapshot_elements(&fh),
-                expected,
-                "file-backed bucket sort mis-sorted at N={n} B={b} M={m}"
-            );
-            assert_eq!(frep.io, bucket, "file-backed bucket I/Os diverged");
-            let ftrace = fs.take_trace().expect("tracing was enabled");
-            assert_eq!(
-                ftrace, btrace,
-                "FileStore bucket trace must be byte-identical to ExtMem at N={n} B={b} M={m}"
-            );
-
-            let mut pfs = FileStore::temp(b).expect("tempdir-backed block file");
-            let ph = pfs.alloc_array_from_elements(&input);
-            let mut ps = PrefetchingStore::new(pfs);
-            ps.enable_trace();
-            let (prep, ns) = timed(|| {
-                let rep = bucket_oblivious_sort(&mut ps, &ph, m, SortOrder::Ascending, &bcfg)
-                    .unwrap_or_else(|e| panic!("prefetching bucket sort failed: {e}"));
-                // Durability is part of the measured cost: flush the
-                // write-behind buffer inside the timed region.
-                ps.flush_writes()
-                    .unwrap_or_else(|e| panic!("write-behind flush failed: {e}"));
-                rep
-            });
-            prefetch_ns = prefetch_ns.min(ns);
-            assert_eq!(
-                ps.inner().snapshot_elements(&ph),
-                expected,
-                "prefetching bucket sort mis-sorted at N={n} B={b} M={m}"
-            );
-            assert_eq!(prep.io, bucket, "prefetching bucket I/Os diverged");
-            let ptrace = ps.take_trace().expect("tracing was enabled");
-            assert_eq!(
-                ptrace, btrace,
-                "PrefetchingStore bucket trace must be byte-identical to ExtMem at N={n} B={b} M={m}"
-            );
-
-            // The encrypted pair, interleaved the same way: the plain
-            // `Encrypted(FileStore)` (synchronous decrypt-on-load) against
-            // `Prefetching(Encrypted(FileStore))` — decrypt-ahead workers,
-            // batched keystream, write-behind spans re-encrypted off the
-            // foreground thread.
-            let (eio, etrace, ns) = run_encrypted_bucket_sort(
-                EncryptedStore::with_backing(
-                    FileStore::temp(b).expect("tempdir-backed block file"),
-                    0x50F8,
-                ),
-                &ecells,
-                m,
-                &expected,
-                &bcfg,
-            );
-            encfile_ns = encfile_ns.min(ns);
-            assert_eq!(eio, bucket, "encrypted bucket I/Os diverged");
-            assert_eq!(etrace, btrace, "encrypted bucket trace diverged");
-
-            let mut penc = EncryptedStore::with_backing(
-                FileStore::temp(b).expect("tempdir-backed block file"),
-                0x50F8,
-            );
-            let peh = penc.alloc_array_from_cells(&ecells);
-            let mut pes = PrefetchingStore::new(penc);
-            pes.enable_trace();
-            let (perep, ns) = timed(|| {
-                let rep = bucket_oblivious_sort(&mut pes, &peh, m, SortOrder::Ascending, &bcfg)
-                    .unwrap_or_else(|e| panic!("encrypted prefetching bucket sort failed: {e}"));
-                pes.flush_writes()
-                    .unwrap_or_else(|e| panic!("write-behind flush failed: {e}"));
-                rep
-            });
-            enc_prefetch_ns = enc_prefetch_ns.min(ns);
-            assert_eq!(
-                pes.inner()
-                    .snapshot_cells(&peh)
-                    .into_iter()
-                    .flatten()
-                    .collect::<Vec<_>>(),
-                expected,
-                "encrypted prefetching bucket sort mis-sorted at N={n} B={b} M={m}"
-            );
-            assert_eq!(
-                perep.io, bucket,
-                "encrypted prefetching bucket I/Os diverged"
-            );
-            let petrace = pes.take_trace().expect("tracing was enabled");
-            assert_eq!(
-                petrace, btrace,
-                "Prefetching(Encrypted(FileStore)) bucket trace must be byte-identical to ExtMem \
-                 at N={n} B={b} M={m}"
-            );
+            let reps = [
+                // The in-memory pair: both engines over untraced `ExtMem`,
+                // where no store layer hides the client's in-cache work.
+                checked_run(&lemma2, ExtMem::new(b), Check::Untraced, &l2_at).ns,
+                checked_run(&bucket, ExtMem::new(b), Check::Untraced, &bk_at).ns,
+                // The plain file store's synchronous loads against
+                // shape-derived read-ahead: a worker pool overlapping reads
+                // with the oblivious routing work, recorded in foreground
+                // request order so the logical trace still matches.
+                checked_run(&bucket, temp_file(b), parity, &bk_at).ns,
+                checked_run(&bucket, PrefetchingStore::new(temp_file(b)), parity, &bk_at).ns,
+                // The encrypted pair, interleaved the same way: synchronous
+                // decrypt-on-load against decrypt-ahead workers, batched
+                // keystream and write-behind spans re-encrypted off the
+                // foreground thread.
+                checked_run(&bucket, encrypted_file(b, 0x50F8), parity, &bk_at).ns,
+                {
+                    let store = PrefetchingStore::new(encrypted_file(b, 0x50F8));
+                    checked_run(&bucket, store, parity, &bk_at).ns
+                },
+            ];
+            for (min, ns) in min_ns.iter_mut().zip(reps) {
+                *min = ns.min(*min);
+            }
         }
-
-        // Full-stack obliviousness: a sort through
-        // `Prefetching(Auth(Encrypted(FileStore)))` — spans MACed as a
-        // batch on write, verified ahead on worker threads. The auth layer
-        // interleaves MAC arrays into the address space, so its layout (and
-        // hence its trace) cannot be compared to ExtMem's; instead the
-        // logical trace is asserted *data-independent*: two different
-        // same-shape inputs must produce byte-identical traces and I/Os.
-        // The Lemma 2 engine is the right probe here — its trace is a
-        // function of shape alone, while the bucket engine's is a
-        // deterministic function of (shape, seed, data).
-        {
-            use extmem::{AuthenticatedStore, BlockStore};
-            let run_full_stack = |cells: &[Cell]| {
-                let enc = EncryptedStore::with_backing(
-                    FileStore::temp(b).expect("tempdir-backed block file"),
-                    0x50F8,
-                );
-                let mut auth = AuthenticatedStore::new(enc, 0x4D4143);
-                let ah = BlockStore::alloc_array(&mut auth, cells.len());
-                auth.try_store_span(&ah, 0, cells)
-                    .unwrap_or_else(|e| panic!("full-stack populate failed: {e}"));
-                let mut ps = PrefetchingStore::new(auth);
-                ps.enable_trace();
-                let rep = external_oblivious_sort(&mut ps, &ah, m, SortOrder::Ascending);
-                ps.flush_writes()
-                    .unwrap_or_else(|e| panic!("write-behind flush failed: {e}"));
-                let trace = ps.take_trace().expect("tracing was enabled");
-                let mut sorted = Vec::with_capacity(cells.len());
-                for i in 0..ah.n_blocks() {
-                    let blk = ps.load_block(&ah, i);
-                    sorted.extend(blk.slots().iter().flatten().copied());
-                    ps.recycle(blk);
-                }
-                (rep.io, trace, sorted)
-            };
-            let (io_a, trace_a, sorted_a) = run_full_stack(&ecells);
-            assert_eq!(
-                sorted_a, expected,
-                "full-stack sort mis-sorted at N={n} B={b} M={m}"
-            );
-            let other_input = bench_input(n, 0xB0C);
-            let other_cells: Vec<Cell> = other_input.iter().copied().map(Some).collect();
-            let (io_b, trace_b, _) = run_full_stack(&other_cells);
-            assert_eq!(
-                io_a, io_b,
-                "full-stack I/O counts must be input-independent at N={n} B={b} M={m}"
-            );
-            assert_eq!(
-                trace_a, trace_b,
-                "Prefetching(Auth(Encrypted(FileStore))) traces must be byte-identical across \
-                 same-shape inputs at N={n} B={b} M={m}"
-            );
+        assert_full_stack_is_data_independent(point);
+        let [l2_mem, bk_mem, bk_file, bk_prefetch, bk_enc_file, bk_enc_prefetch] = min_ns;
+        SortTimings {
+            lemma2: BackendNanos {
+                extmem_ns: l2_mem,
+                file_ns: l2_file.ns,
+                encrypted_file_ns: l2_enc.ns,
+            },
+            bucket: BackendNanos {
+                extmem_ns: bk_mem,
+                file_ns: bk_file,
+                encrypted_file_ns: bk_enc_file,
+            },
+            bucket_prefetch_ns: bk_prefetch,
+            encrypted_prefetch_ns: bk_enc_prefetch,
         }
-        (
-            lemma2_extmem_ns,
-            bucket_extmem_ns,
-            file_ns,
-            prefetch_ns,
-            encfile_ns,
-            enc_prefetch_ns,
-        )
-    } else {
-        (0, 0, 0, 0, bucket_encfile_ns, 0)
-    };
+    });
 
-    let (naive, naive_levels) = if run_naive {
-        let mut mem = ExtMem::new(b);
-        let h = mem.alloc_array_from_elements(&input);
-        let nrep = naive_external_bitonic_sort(&mut mem, &h, m, SortOrder::Ascending);
-        assert_eq!(
-            mem.snapshot_elements(&h),
-            expected,
-            "naive sort failed at N={n} B={b} M={m}"
-        );
-        (Some(nrep.io), Some(nrep.levels))
-    } else {
-        (None, None)
-    };
+    let (naive, naive_levels) = run_naive
+        .then(|| {
+            let mut mem = ExtMem::new(b);
+            let h = mem.alloc_array_from_elements(&input);
+            let rep = naive_external_bitonic_sort(&mut mem, &h, m, SortOrder::Ascending);
+            let what = format!("naive sort failed at {point}");
+            assert_eq!(mem.snapshot_elements(&h), lemma2.expected, "{what}");
+            (rep.io, rep.levels)
+        })
+        .unzip();
 
     let bound_total = sort_io_bound(n, b, m);
     let bucket_bound_total = bucket_sort_io_bound(n, b, m);
-    let timings = backends.then_some(SortTimings {
-        lemma2: BackendNanos {
-            extmem_ns: lemma2_extmem_ns,
-            file_ns: lemma2_file_ns,
-            encrypted_file_ns: lemma2_encfile_ns,
-        },
-        bucket: BackendNanos {
-            extmem_ns: bucket_extmem_ns,
-            file_ns: bucket_file_ns,
-            encrypted_file_ns: bucket_encfile_ns,
-        },
-        bucket_prefetch_ns,
-        encrypted_prefetch_ns,
-    });
     SortBenchResult {
         point,
-        optimized,
-        report,
-        encrypted: encrypted_io,
-        bucket,
-        bucket_report,
-        bucket_encrypted: bucket_encrypted_io,
+        optimized: l2.io,
+        report: l2.report,
+        encrypted: l2_enc.io,
+        bucket: bk.io,
+        bucket_report: bk.report,
+        bucket_encrypted: bk_enc.io,
         bucket_bound_total,
-        bucket_within_bound: bucket.total() <= bucket_bound_total,
+        bucket_within_bound: bk.io.total() <= bucket_bound_total,
         naive,
         naive_levels,
         bound_total,
-        within_bound: optimized.total() <= bound_total,
+        within_bound: l2.io.total() <= bound_total,
         timings,
     }
 }
 
-/// The default grid: `B = 64`, `N ∈ {2^14, 2^16, 2^18}`,
-/// `M ∈ {2^10, 2^13}` — the 3×2 grid the acceptance criteria call for,
-/// including the headline point `(2^18, 64, 2^13)`.
-pub fn default_grid() -> Vec<GridPoint> {
-    let mut grid = Vec::new();
-    for &n in &[1usize << 14, 1 << 16, 1 << 18] {
-        for &m in &[1usize << 10, 1 << 13] {
-            grid.push(GridPoint { n, b: 64, m });
+/// Full-stack obliviousness: a Lemma 2 sort through
+/// `Prefetching(Auth(Encrypted(FileStore)))` — spans MACed as a batch on
+/// write, verified ahead on worker threads. The auth layer interleaves MAC
+/// arrays into the address space, so its layout (and hence its trace)
+/// cannot be compared to ExtMem's; instead the logical trace is asserted
+/// *data-independent*: two different same-shape inputs must produce
+/// byte-identical traces and I/Os. The Lemma 2 engine is the right probe
+/// here — its trace is a function of shape alone, while the bucket engine's
+/// is a deterministic function of (shape, seed, data).
+pub fn assert_full_stack_is_data_independent(point: GridPoint) {
+    let GridPoint { n, b, m } = point;
+    let stack =
+        || PrefetchingStore::new(AuthenticatedStore::new(encrypted_file(b, 0x50F8), 0x4D4143));
+    let what = format!("Lemma 2 sort at {point}");
+    let first = sort_job(&bench_input(n, 0xB0B), m, Lemma2);
+    let first = checked_run(&first, stack(), Check::Reference, &what);
+    let other = sort_job(&bench_input(n, 0xB0C), m, Lemma2);
+    checked_run(
+        &other,
+        stack(),
+        Check::Parity(&first),
+        &format!("{what}, second input"),
+    );
+}
+
+/// The sort family: both engines, the naive baseline and the backend sweep
+/// at every grid point.
+pub struct SortBench;
+
+impl Family for SortBench {
+    type Point = GridPoint;
+    type Result = SortBenchResult;
+    const NAME: &'static str = "sort";
+    const RUNS: &'static str = "(optimized + encrypted + naive + timed file backends)";
+    const COLUMNS: &'static [Column<SortBenchResult>] = &[
+        ("N", 8, |r| r.point.n.to_string()),
+        ("B", 4, |r| r.point.b.to_string()),
+        ("M", 6, |r| r.point.m.to_string()),
+        ("opt I/Os", 12, |r| r.optimized.total().to_string()),
+        ("bkt I/Os", 12, |r| r.bucket.total().to_string()),
+        ("naive I/Os", 12, |r| dash(r.naive.map(|x| x.total()))),
+        ("bkt bound", 12, |r| r.bucket_bound_total.to_string()),
+        ("bkt/L2", 8, |r| {
+            format!("{:.2}x", r.bucket_speedup_vs_lemma2())
+        }),
+        ("speedup", 8, |r| fmt_speedup(r.speedup())),
+        ("file ms", 8, |r| {
+            fmt_ms(r.timings.map(|t| t.bucket.file_ns))
+        }),
+        ("pf ms", 8, |r| {
+            fmt_ms(r.timings.map(|t| t.bucket_prefetch_ns))
+        }),
+        ("ok", 6, |r| {
+            yes_no(
+                r.within_bound
+                    && r.bucket_within_bound
+                    && (!r.bucket_gate_applies() || r.bucket.total() < r.optimized.total()),
+            )
+        }),
+    ];
+
+    fn grid(smoke: bool) -> Vec<GridPoint> {
+        primitive_grid(smoke)
+    }
+
+    fn run(point: GridPoint) -> Vec<SortBenchResult> {
+        vec![run_sort_point(point, true, true)]
+    }
+
+    fn header() -> Vec<Field> {
+        vec![
+            ("benchmark", "external_oblivious_sort".into()),
+            ("io_model", IO_MODEL.into()),
+            (
+                "bound",
+                "C * ceil(N/B) * (1 + ceil(log2(ceil(N/M)))^2)".into(),
+            ),
+            ("bound_constant", BOUND_CONSTANT.into()),
+            (
+                "bucket_bound",
+                "C_k * ceil(N/B) * max(1, ceil(log_{M/B}(N/B)))".into(),
+            ),
+            ("bucket_bound_constant", BUCKET_BOUND_CONSTANT.into()),
+            ("bucket_seed", BUCKET_SORT_SEED.into()),
+        ]
+    }
+
+    fn row(r: &SortBenchResult) -> Vec<Field> {
+        let mut f = point_fields(r.point);
+        f.extend(io_fields(r.optimized, r.encrypted));
+        match &r.timings {
+            Some(t) => f.extend([
+                ("lemma2_elapsed_ns", t.lemma2.json()),
+                ("bucket_elapsed_ns", t.bucket.json()),
+                ("bucket_prefetch_ns", t.bucket_prefetch_ns.into()),
+                ("encrypted_prefetch_ns", t.encrypted_prefetch_ns.into()),
+                ("file_trace_identical", true.into()),
+            ]),
+            None => f.extend(
+                [
+                    "lemma2_elapsed_ns",
+                    "bucket_elapsed_ns",
+                    "bucket_prefetch_ns",
+                    "encrypted_prefetch_ns",
+                ]
+                .map(|k| (k, Json::Null)),
+            ),
         }
+        let (rep, bkt) = (&r.report, &r.bucket_report);
+        f.extend([
+            ("region_elems", rep.region_elems.into()),
+            ("external_levels", rep.external_levels.into()),
+            ("finish_passes", rep.finish_passes.into()),
+            ("bucket_reads", r.bucket.reads.into()),
+            ("bucket_writes", r.bucket.writes.into()),
+            ("bucket_total", r.bucket.total().into()),
+            ("bucket_encrypted_total", r.bucket_encrypted.total().into()),
+            ("bucket_z", bkt.z.into()),
+            ("bucket_levels", bkt.levels.into()),
+            ("bucket_superlevels", bkt.superlevels.into()),
+            ("bucket_merge_passes", bkt.merge_passes.into()),
+            ("bucket_bound_total", r.bucket_bound_total.into()),
+            ("bucket_within_bound", r.bucket_within_bound.into()),
+            (
+                "bucket_speedup_vs_lemma2",
+                Json::Float(r.bucket_speedup_vs_lemma2(), 2),
+            ),
+            ("bucket_gate_applies", r.bucket_gate_applies().into()),
+            ("bound_total", r.bound_total.into()),
+        ]);
+        f.extend(naive_fields(r.naive, r.naive_levels, r.speedup()));
+        f.push(("within_bound", r.within_bound.into()));
+        f
     }
-    grid
-}
 
-/// A small smoke grid (`N = 2^12`) cheap enough to run in CI on every push:
-/// exercises the JSON emitters and the bound gates without the full-size
-/// simulation.
-pub fn smoke_grid() -> Vec<GridPoint> {
-    vec![
-        GridPoint {
-            n: 1 << 12,
-            b: 64,
-            m: 1 << 9,
-        },
-        GridPoint {
-            n: 1 << 12,
-            b: 64,
-            m: 1 << 10,
-        },
-    ]
-}
-
-/// The compaction bound `C_c · ⌈N/B⌉ · (1 + ⌈log_β(⌈N/M⌉)⌉)` with base
-/// `β = max(2, M/(8B))` — one log factor, not two, and one whose base grows
-/// with the cache. The measured count is
-/// `⌈N/B⌉·(6 + 4·⌈(⌈log₂N⌉ − log₂W)/g⌉)` with `g = max(1, log₂(W/B))` and
-/// `M/12 < W ≤ M/6`, which stays within `13·⌈N/B⌉·(1 + ⌈log_β(⌈N/M⌉)⌉)`.
-pub fn compact_io_bound(n: usize, b: usize, m: usize) -> u64 {
-    let ratio = n.div_ceil(m) as u64;
-    let base = (m / (8 * b)).max(2) as u64;
-    let (mut lg, mut pow) = (0u64, 1u64);
-    while pow < ratio {
-        pow = pow.saturating_mul(base);
-        lg += 1;
-    }
-    COMPACT_BOUND_CONSTANT * n.div_ceil(b) as u64 * (1 + lg)
-}
-
-/// Deterministic pseudo-random occupancy (roughly half the cells occupied)
-/// used by every compaction benchmark run.
-pub fn bench_occupancy(n: usize, salt: u64) -> Vec<Cell> {
-    (0..n)
-        .map(|i| {
-            if extmem::util::hash64(i as u64, salt).is_multiple_of(2) {
-                Some(Element::keyed(i as u64, i))
-            } else {
-                None
+    /// Every point within both bounds, the bucket sort below Lemma 2 where
+    /// `N/M ≥ 4`, and at the headline point: the naive speedup, the bucket
+    /// I/O win, and the three wall-clock pairs (in each, the first side must
+    /// beat the second).
+    fn gates(results: &[SortBenchResult]) -> Vec<Verdict> {
+        let mut v = Vec::new();
+        for r in results {
+            let (p, opt, bkt) = (r.point, r.optimized.total(), r.bucket.total());
+            let bound = r.bound_total;
+            v.extend(Verdict::unless(
+                r.within_bound,
+                format!("SORT BOUND VIOLATION at {p}: {opt} > {bound}"),
+            ));
+            let bound = r.bucket_bound_total;
+            v.extend(Verdict::unless(
+                r.bucket_within_bound,
+                format!("BUCKET BOUND VIOLATION at {p}: {bkt} > {bound}"),
+            ));
+            v.extend(Verdict::unless(
+                !r.bucket_gate_applies() || bkt < opt,
+                format!("BUCKET REGRESSION at {p} (N/M >= 4): bucket {bkt} >= Lemma 2 {opt}"),
+            ));
+        }
+        let Some(r) = results.iter().find(|r| r.point == HEADLINE) else {
+            return v;
+        };
+        let (opt, bkt) = (r.optimized.total(), r.bucket.total());
+        let (naive, speedup) = (r.naive.map_or(0, |n| n.total()), r.speedup().unwrap_or(0.0));
+        v.push(Verdict::Headline(format!(
+            "sort headline (N=2^18, B=64, M=2^13): {opt} I/Os vs naive {naive} — {speedup:.2}x"
+        )));
+        v.extend(Verdict::unless(
+            speedup >= 3.0,
+            format!("SORT HEADLINE REGRESSION: speedup {speedup:.2}x < 3x"),
+        ));
+        v.push(Verdict::Headline(format!(
+            "bucket headline (N=2^18, B=64, M=2^13): {bkt} I/Os vs Lemma 2 {opt} — {:.2}x fewer, \
+             bound {}",
+            r.bucket_speedup_vs_lemma2(),
+            r.bucket_bound_total
+        )));
+        v.extend(Verdict::unless(
+            bkt < opt,
+            format!("BUCKET HEADLINE REGRESSION: bucket {bkt} >= Lemma 2 {opt}"),
+        ));
+        // The wall-clock headlines, only gated on the full grid — timing
+        // on the N=2^12 smoke grid is all fixed costs.
+        let Some(t) = &r.timings else { return v };
+        let ms = |ns: u64| ns as f64 / 1e6;
+        for (what, fast, fast_ns, slow, slow_ns) in [
+            // In memory, the bucket engine's I/O advantage must survive its
+            // in-cache client work.
+            (
+                "ExtMem",
+                "bucket",
+                t.bucket.extmem_ns,
+                "Lemma 2",
+                t.lemma2.extmem_ns,
+            ),
+            // Shape-derived read-ahead must beat the plain file store's
+            // synchronous loads on the bucket sort.
+            (
+                "bucket",
+                "PrefetchingStore<FileStore>",
+                t.bucket_prefetch_ns,
+                "FileStore",
+                t.bucket.file_ns,
+            ),
+            // Decrypt-ahead workers plus the batched keystream span path
+            // must beat synchronous decrypt-on-load over the same encrypted
+            // file.
+            (
+                "bucket",
+                "Prefetching(Encrypted(FileStore))",
+                t.encrypted_prefetch_ns,
+                "Encrypted(FileStore)",
+                t.bucket.encrypted_file_ns,
+            ),
+        ] {
+            let (fast_ms, slow_ms) = (ms(fast_ns), ms(slow_ns));
+            v.push(Verdict::Headline(format!(
+                "wall-clock headline (N=2^18, B=64, M=2^13, {what}): \
+                 {slow} {slow_ms:.1} ms vs {fast} {fast_ms:.1} ms — {:.2}x",
+                slow_ms / fast_ms.max(1e-9)
+            )));
+            if fast_ns >= slow_ns {
+                v.push(Verdict::WallClock(format!(
+                    "WALL-CLOCK HEADLINE REGRESSION ({what}): {fast} {fast_ms:.1} ms >= \
+                     {slow} {slow_ms:.1} ms"
+                )));
             }
-        })
-        .collect()
+        }
+        v
+    }
 }
 
-/// Measured result of one compaction grid point.
+// ---------------------------------------------------------------------------
+// §3 compaction (`BENCH_compact.json`) and §4 selection (`BENCH_select.json`)
+// ---------------------------------------------------------------------------
+
+/// Measured result of one compaction or selection grid point.
 #[derive(Clone, Debug)]
-pub struct CompactBenchResult {
+pub struct PointResult<R> {
     /// The parameters measured.
     pub point: GridPoint,
-    /// I/O statistics of the optimized external butterfly compaction.
+    /// I/O statistics of the optimized run.
     pub optimized: IoStats,
-    /// Structural report of the optimized compaction.
-    pub report: CompactReport,
+    /// Structural report of the optimized run.
+    pub report: R,
     /// I/Os of the identical run over the re-encrypting store (always equal
-    /// to `optimized` — the encryption layer costs zero extra I/Os).
+    /// to `optimized`, with a byte-identical trace asserted).
     pub encrypted: IoStats,
-    /// I/O statistics of the naive full-depth baseline, if it was run.
+    /// I/O statistics of the naive baseline, if it was run.
     pub naive: Option<IoStats>,
     /// Levels the naive baseline executed, if it was run.
     pub naive_levels: Option<usize>,
-    /// The bound `C_c · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉)`.
+    /// The family's single-log bound at this point.
     pub bound_total: u64,
-    /// Whether the optimized compaction satisfies the bound.
+    /// Whether the optimized run satisfies the bound.
     pub within_bound: bool,
     /// Wall-clock timings over `ExtMem`, `FileStore` and
     /// `Encrypted(FileStore)` — `None` when run I/O-count-only. The
@@ -791,661 +1030,277 @@ pub struct CompactBenchResult {
     pub elapsed: Option<BackendNanos>,
 }
 
-impl CompactBenchResult {
+/// Measured result of one compaction grid point.
+pub type CompactBenchResult = PointResult<CompactReport>;
+
+/// Measured result of one selection grid point (`k = N/2`).
+pub type SelectBenchResult = PointResult<SelectReport>;
+
+impl<R> PointResult<R> {
     /// Naive-over-optimized I/O ratio, if the naive baseline was run.
     pub fn speedup(&self) -> Option<f64> {
-        self.naive
-            .map(|n| n.total() as f64 / self.optimized.total().max(1) as f64)
+        speedup(self.naive, self.optimized)
+    }
+
+    /// The compaction and selection table.
+    const COLUMNS: [Column<Self>; 10] = [
+        ("N", 8, |r| r.point.n.to_string()),
+        ("B", 4, |r| r.point.b.to_string()),
+        ("M", 6, |r| r.point.m.to_string()),
+        ("opt I/Os", 12, |r| r.optimized.total().to_string()),
+        ("naive I/Os", 12, |r| dash(r.naive.map(|x| x.total()))),
+        ("bound", 12, |r| r.bound_total.to_string()),
+        ("speedup", 8, |r| fmt_speedup(r.speedup())),
+        ("file ms", 8, |r| fmt_ms(r.elapsed.map(|t| t.file_ns))),
+        ("encf ms", 8, |r| {
+            fmt_ms(r.elapsed.map(|t| t.encrypted_file_ns))
+        }),
+        ("ok", 6, |r| yes_no(r.within_bound)),
+    ];
+}
+
+/// Measures one point of `job` (compaction or selection): the reference run
+/// over traced `ExtMem`, the identical run over the re-encrypting store
+/// (file-backed in the backend sweep), and — when `backends` is set — a
+/// plain `FileStore` run, every trace byte-identical to the reference.
+/// `report` extracts the structural report from the reference run's; the
+/// caller fills in the naive baseline.
+fn measure_point<W: Workload, R>(
+    point: GridPoint,
+    job: &W,
+    what: &str,
+    key: u64,
+    backends: bool,
+    bound_total: u64,
+    report: impl FnOnce(W::Report) -> R,
+) -> PointResult<R> {
+    let (b, what) = (point.b, format!("{what} at {point}"));
+    let mem = checked_run(job, ExtMem::new(b), Check::Reference, &what);
+    let enc = encrypted_run(job, b, key, backends, &mem, &what);
+    let elapsed = backends.then(|| BackendNanos {
+        extmem_ns: mem.ns,
+        file_ns: checked_run(job, temp_file(b), Check::Parity(&mem), &what).ns,
+        encrypted_file_ns: enc.ns,
+    });
+    PointResult {
+        point,
+        optimized: mem.io,
+        report: report(mem.report),
+        encrypted: enc.io,
+        naive: None,
+        naive_levels: None,
+        bound_total,
+        within_bound: mem.io.total() <= bound_total,
+        elapsed,
     }
 }
 
-/// One timed run of the butterfly compaction over a re-encrypting store with
-/// any backing: asserts the compacted output and returns the I/O count and
-/// the elapsed time.
-fn run_encrypted_compact<S: extmem::BackingStore>(
-    mut enc: EncryptedStore<S>,
-    cells: &[Cell],
-    m: usize,
-    expected: &[Cell],
-) -> (IoStats, u64) {
-    let eh = enc.alloc_array_from_cells(cells);
-    let (ereport, ns) = timed(|| compact(&mut enc, &eh, m));
-    assert_eq!(
-        enc.snapshot_cells(&eh),
-        expected,
-        "encrypted compaction failed"
-    );
-    (ereport.io, ns)
-}
-
-/// Measures one compaction grid point: the optimized butterfly compaction on
-/// a plain arena, the identical run over an [`EncryptedStore`] (asserting
-/// equal I/O counts and equal output), optionally the naive full-depth
-/// baseline, and — when `backends` is set — timed runs over `FileStore`
-/// (trace asserted byte-identical to `ExtMem`) and `Encrypted(FileStore)`.
-/// Panics if any of them mis-compacts — a benchmark of a wrong algorithm is
-/// meaningless.
+/// Measures one compaction grid point: the optimized butterfly compaction
+/// over `ExtMem`, the re-encrypting store and (when `backends` is set)
+/// `FileStore`, plus the naive full-depth baseline when `run_naive` is set.
+/// Panics if any run mis-compacts.
 pub fn run_compact_point(point: GridPoint, run_naive: bool, backends: bool) -> CompactBenchResult {
     let GridPoint { n, b, m } = point;
-    let cells = bench_occupancy(n, 0xC0);
-    let mut expected: Vec<Cell> = cells.iter().filter(|c| c.is_some()).copied().collect();
-    expected.resize(n, None);
-
-    let mut mem = ExtMem::with_trace(b);
-    let h = mem.alloc_array_from_cells(&cells);
-    let (report, extmem_ns) = timed(|| compact(&mut mem, &h, m));
-    assert_eq!(
-        mem.snapshot_cells(&h),
-        expected,
-        "optimized compaction failed at N={n} B={b} M={m}"
-    );
-    let optimized = report.io;
-    let trace = mem.take_trace().expect("tracing was enabled");
-
-    // The same algorithm over the re-encrypting store: every block is
-    // decrypted on read and re-encrypted (fresh nonce) on write, yet the I/O
-    // count and the address trace are identical. In the backend sweep the
-    // ciphertext lives in a real file.
-    let (encrypted_io, encrypted_file_ns) = if backends {
-        let fs = FileStore::temp(b).expect("tempdir-backed block file");
-        run_encrypted_compact(
-            EncryptedStore::with_backing(fs, 0x0D0_5EC),
-            &cells,
-            m,
-            &expected,
-        )
-    } else {
-        run_encrypted_compact(EncryptedStore::new(b, 0x0D0_5EC), &cells, m, &expected)
-    };
-    assert_eq!(
-        encrypted_io, optimized,
-        "the encryption layer must add zero I/Os"
-    );
-
-    // The plain file-backed run, its trace checked against the simulator's.
-    let file_ns = if backends {
-        let mut fs = FileStore::temp(b).expect("tempdir-backed block file");
-        let fh = fs.alloc_array_from_cells(&cells);
-        fs.enable_trace();
-        let (frep, ns) = timed(|| compact(&mut fs, &fh, m));
-        assert_eq!(
-            fs.snapshot_cells(&fh),
-            expected,
-            "file-backed compaction failed at N={n} B={b} M={m}"
-        );
-        assert_eq!(frep.io, optimized, "file-backed compaction I/Os diverged");
-        let ftrace = fs.take_trace().expect("tracing was enabled");
-        assert_eq!(
-            ftrace, trace,
-            "FileStore compaction trace must be byte-identical to ExtMem at N={n} B={b} M={m}"
-        );
-        ns
-    } else {
-        0
-    };
-
-    let (naive, naive_levels) = if run_naive {
+    let job = compact_job(bench_occupancy(n, 0xC0), m);
+    let naive = run_naive.then(|| {
         let mut mem = ExtMem::new(b);
-        let h = mem.alloc_array_from_cells(&cells);
-        let nrep = naive_external_butterfly_compact(&mut mem, &h, m);
+        let h = mem.alloc_array_from_cells(&job.cells);
+        let rep = naive_external_butterfly_compact(&mut mem, &h, m);
         assert_eq!(
             mem.snapshot_cells(&h),
-            expected,
-            "naive compaction failed at N={n} B={b} M={m}"
+            job.expected,
+            "naive compaction failed at {point}"
         );
-        (Some(nrep.io), Some(nrep.levels))
-    } else {
-        (None, None)
-    };
-
-    let bound_total = compact_io_bound(n, b, m);
-    CompactBenchResult {
-        point,
-        optimized,
-        report,
-        encrypted: encrypted_io,
-        naive,
-        naive_levels,
-        bound_total,
-        within_bound: optimized.total() <= bound_total,
-        elapsed: backends.then_some(BackendNanos {
-            extmem_ns,
-            file_ns,
-            encrypted_file_ns,
-        }),
-    }
+        (rep.io, rep.levels)
+    });
+    let bound = compact_io_bound(n, b, m);
+    let mut r = measure_point(point, &job, "compaction", 0x0D0_5EC, backends, bound, |r| r);
+    (r.naive, r.naive_levels) = naive.unzip();
+    r
 }
 
-/// The selection bound `C_s · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉)` — the single-log
-/// form selection inherits from prune-and-compact.
-pub fn select_io_bound(n: usize, b: usize, m: usize) -> u64 {
-    SELECT_BOUND_CONSTANT * n.div_ceil(b) as u64 * (1 + ceil_log2_ratio(n, m))
-}
-
-/// Measured result of one selection grid point.
-#[derive(Clone, Debug)]
-pub struct SelectBenchResult {
-    /// The parameters measured.
-    pub point: GridPoint,
-    /// The rank selected (the median, `k = N/2`).
-    pub k: usize,
-    /// I/O statistics of the optimized external selection.
-    pub optimized: IoStats,
-    /// Structural report of the optimized selection.
-    pub report: SelectReport,
-    /// I/Os of the identical run over the re-encrypting store (always equal
-    /// to `optimized` — the encryption layer costs zero extra I/Os, and
-    /// [`run_select_point`] asserts the traces are byte-identical too).
-    pub encrypted: IoStats,
-    /// I/O statistics of the naive sort-then-index baseline, if it was run.
-    pub naive: Option<IoStats>,
-    /// Levels the naive baseline's full-depth sort executed, if it was run.
-    pub naive_levels: Option<usize>,
-    /// The bound `C_s · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉)`.
-    pub bound_total: u64,
-    /// Whether the optimized selection satisfies the bound.
-    pub within_bound: bool,
-    /// Wall-clock timings over `ExtMem`, `FileStore` and
-    /// `Encrypted(FileStore)` — `None` when run I/O-count-only. The
-    /// file-backed trace is asserted byte-identical to `ExtMem` first.
-    pub elapsed: Option<BackendNanos>,
-}
-
-impl SelectBenchResult {
-    /// Naive-over-optimized I/O ratio, if the naive baseline was run.
-    pub fn speedup(&self) -> Option<f64> {
-        self.naive
-            .map(|n| n.total() as f64 / self.optimized.total().max(1) as f64)
-    }
-}
-
-/// Measures one selection grid point at `k = N/2` (the median): the optimized
-/// selection on a plain arena with its trace captured, the identical run over
-/// an [`EncryptedStore`] (asserting an equal result, equal I/O counts **and a
-/// byte-identical access trace**), and optionally the naive sort-then-index
-/// baseline. When `backends` is set the encrypted run is file-backed and a
-/// plain `FileStore` run is added, both timed, the file trace asserted
-/// byte-identical to `ExtMem`. Panics if any of them mis-selects — a
-/// benchmark of a wrong algorithm is meaningless.
+/// Measures one selection grid point at `k = N/2` (the median): the
+/// optimized selection over `ExtMem`, the re-encrypting store (a
+/// byte-identical trace asserted) and (when `backends` is set) `FileStore`,
+/// plus the naive sort-then-index baseline when `run_naive` is set. Panics
+/// if any run mis-selects.
 pub fn run_select_point(point: GridPoint, run_naive: bool, backends: bool) -> SelectBenchResult {
     let GridPoint { n, b, m } = point;
     let input = bench_input(n, 0x5E1);
-    let k = n / 2;
-    let mut reference: Vec<(u64, usize)> =
-        input.iter().enumerate().map(|(j, e)| (e.key, j)).collect();
-    reference.sort_unstable();
-    let expected = input[reference[k].1];
-
-    let mut mem = ExtMem::with_trace(b);
-    let h = mem.alloc_array_from_elements(&input);
-    let ((got, report), extmem_ns) = timed(|| select_kth(&mut mem, &h, m, k));
-    let trace = mem.take_trace().expect("trace was enabled");
-    assert_eq!(
-        got, expected,
-        "optimized selection failed at N={n} B={b} M={m}"
-    );
-    let optimized = report.io;
-
-    // The same selection over the re-encrypting store: equal answer, equal
-    // I/O count, and the adversary's view — the address trace — is identical
-    // byte for byte. In the backend sweep the ciphertext lives in a real
-    // file.
-    let ecells: Vec<Cell> = input.iter().copied().map(Some).collect();
-    let (egot, encrypted_io, etrace, encrypted_file_ns) = if backends {
-        let fs = FileStore::temp(b).expect("tempdir-backed block file");
-        let mut enc = EncryptedStore::with_backing(fs, 0x5EC_5E1);
-        let eh = enc.alloc_array_from_cells(&ecells);
-        enc.enable_trace();
-        let ((egot, ereport), ns) = timed(|| select_kth(&mut enc, &eh, m, k));
-        let etrace = enc.take_trace().expect("trace was enabled");
-        (egot, ereport.io, etrace, ns)
-    } else {
-        let mut enc = EncryptedStore::new(b, 0x5EC_5E1);
-        let eh = enc.alloc_array_from_cells(&ecells);
-        enc.enable_trace();
-        let ((egot, ereport), ns) = timed(|| select_kth(&mut enc, &eh, m, k));
-        let etrace = enc.take_trace().expect("trace was enabled");
-        (egot, ereport.io, etrace, ns)
-    };
-    assert_eq!(
-        egot, expected,
-        "encrypted selection failed at N={n} B={b} M={m}"
-    );
-    assert_eq!(
-        encrypted_io, optimized,
-        "the encryption layer must add zero I/Os to selection"
-    );
-    assert_eq!(
-        trace, etrace,
-        "plaintext and encrypted selection traces must be byte-identical at N={n} B={b} M={m}"
-    );
-
-    // The plain file-backed run, its trace checked against the simulator's.
-    let file_ns = if backends {
-        let mut fs = FileStore::temp(b).expect("tempdir-backed block file");
-        let fh = fs.alloc_array_from_elements(&input);
-        fs.enable_trace();
-        let ((fgot, frep), ns) = timed(|| select_kth(&mut fs, &fh, m, k));
-        assert_eq!(
-            fgot, expected,
-            "file-backed selection failed at N={n} B={b} M={m}"
-        );
-        assert_eq!(frep.io, optimized, "file-backed selection I/Os diverged");
-        let ftrace = fs.take_trace().expect("tracing was enabled");
-        assert_eq!(
-            ftrace, trace,
-            "FileStore selection trace must be byte-identical to ExtMem at N={n} B={b} M={m}"
-        );
-        ns
-    } else {
-        0
-    };
-
-    let (naive, naive_levels) = if run_naive {
+    let job = select_job(&input, m, n / 2);
+    let naive = run_naive.then(|| {
         let mut mem = ExtMem::new(b);
         let h = mem.alloc_array_from_elements(&input);
-        let (ngot, nrep) = naive_select_kth(&mut mem, &h, m, k);
-        assert_eq!(
-            ngot, expected,
-            "naive selection failed at N={n} B={b} M={m}"
-        );
-        (Some(nrep.io), Some(nrep.levels))
-    } else {
-        (None, None)
-    };
-
-    let bound_total = select_io_bound(n, b, m);
-    SelectBenchResult {
+        let (got, rep) = naive_select_kth(&mut mem, &h, m, job.algorithm.k);
+        assert_eq!(got, job.expected, "naive selection failed at {point}");
+        (rep.io, rep.levels)
+    });
+    let bound = select_io_bound(n, b, m);
+    let mut r = measure_point(
         point,
-        k,
-        optimized,
-        report,
-        encrypted: encrypted_io,
-        naive,
-        naive_levels,
-        bound_total,
-        within_bound: optimized.total() <= bound_total,
-        elapsed: backends.then_some(BackendNanos {
-            extmem_ns,
-            file_ns,
-            encrypted_file_ns,
-        }),
-    }
-}
-
-/// Emits one point's `"elapsed_ns"` JSON line: a per-backend object when the
-/// wall-clock sweep ran, `null` otherwise. When timings are present the
-/// emitting `run_*_point` has already asserted the file-backed trace is
-/// byte-identical to `ExtMem`, so a `"file_trace_identical": true` line
-/// rides along.
-fn emit_elapsed(s: &mut String, elapsed: Option<&BackendNanos>) {
-    match elapsed {
-        Some(t) => {
-            let _ = writeln!(
-                s,
-                "      \"elapsed_ns\": {{\"extmem\": {}, \"file\": {}, \"encrypted_file\": {}}},",
-                t.extmem_ns, t.file_ns, t.encrypted_file_ns
-            );
-            s.push_str("      \"file_trace_identical\": true,\n");
-        }
-        None => s.push_str("      \"elapsed_ns\": null,\n"),
-    }
-}
-
-/// Renders the selection results as the `BENCH_select.json` document
-/// (hand-rolled JSON; the workspace deliberately has no external
-/// dependencies).
-pub fn select_to_json(results: &[SelectBenchResult]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"external_oblivious_selection\",\n");
-    s.push_str("  \"io_model\": \"1 I/O per block read or write, ExtMem::stats\",\n");
-    s.push_str("  \"bound\": \"C * ceil(N/B) * (1 + ceil(log2(ceil(N/M))))\",\n");
-    let _ = writeln!(s, "  \"bound_constant\": {SELECT_BOUND_CONSTANT},");
-    s.push_str("  \"points\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let GridPoint { n, b, m } = r.point;
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"n\": {n},");
-        let _ = writeln!(s, "      \"b\": {b},");
-        let _ = writeln!(s, "      \"m\": {m},");
-        let _ = writeln!(s, "      \"k\": {},", r.k);
-        let _ = writeln!(s, "      \"optimized_reads\": {},", r.optimized.reads);
-        let _ = writeln!(s, "      \"optimized_writes\": {},", r.optimized.writes);
-        let _ = writeln!(s, "      \"optimized_total\": {},", r.optimized.total());
-        let _ = writeln!(s, "      \"encrypted_total\": {},", r.encrypted.total());
-        // run_select_point asserts the byte-identical plaintext/encrypted
-        // trace before a result is ever constructed.
-        s.push_str("      \"encrypted_trace_identical\": true,\n");
-        emit_elapsed(&mut s, r.elapsed.as_ref());
-        let _ = writeln!(s, "      \"rounds\": {},", r.report.rounds);
-        let _ = writeln!(s, "      \"chunk_elems\": {},", r.report.chunk_elems);
-        let _ = writeln!(s, "      \"final_window\": {},", r.report.final_window);
-        let _ = writeln!(s, "      \"bound_total\": {},", r.bound_total);
-        match (r.naive, r.naive_levels, r.speedup()) {
-            (Some(naive), Some(levels), Some(speedup)) => {
-                let _ = writeln!(s, "      \"naive_total\": {},", naive.total());
-                let _ = writeln!(s, "      \"naive_levels\": {levels},");
-                let _ = writeln!(s, "      \"speedup_vs_naive\": {speedup:.2},");
-            }
-            _ => {
-                s.push_str("      \"naive_total\": null,\n");
-            }
-        }
-        let _ = writeln!(s, "      \"within_bound\": {}", r.within_bound);
-        s.push_str("    }");
-        s.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Renders a human-readable table of the selection results.
-pub fn select_to_table(results: &[SelectBenchResult]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:>8} {:>4} {:>6} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>6}",
-        "N", "B", "M", "opt I/Os", "naive I/Os", "bound", "speedup", "file ms", "encf ms", "ok"
+        &job,
+        "selection",
+        0x5EC_5E1,
+        backends,
+        bound,
+        |(_, r)| r,
     );
+    (r.naive, r.naive_levels) = naive.unzip();
+    r
+}
+
+/// The gates both single-log families share: every point within its bound
+/// and beating the `baseline`, and the headline figure (gated at
+/// `min_speedup` when given).
+fn single_log_gates<R>(
+    results: &[PointResult<R>],
+    tag: &str,
+    baseline: &str,
+    headline: &str,
+    min_speedup: Option<f64>,
+) -> Vec<Verdict> {
+    let mut v = Vec::new();
     for r in results {
-        let GridPoint { n, b, m } = r.point;
-        let naive = r
-            .naive
-            .map(|x| x.total().to_string())
-            .unwrap_or_else(|| "-".into());
-        let speedup = r
-            .speedup()
-            .map(|x| format!("{x:.2}x"))
-            .unwrap_or_else(|| "-".into());
-        let _ = writeln!(
-            s,
-            "{:>8} {:>4} {:>6} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>6}",
-            n,
-            b,
-            m,
-            r.optimized.total(),
-            naive,
-            r.bound_total,
-            speedup,
-            fmt_ms(r.elapsed.as_ref().map(|t| t.file_ns)),
-            fmt_ms(r.elapsed.as_ref().map(|t| t.encrypted_file_ns)),
-            if r.within_bound { "yes" } else { "NO" }
-        );
+        let (p, opt, bound) = (r.point, r.optimized.total(), r.bound_total);
+        let naive = r.naive.map(|n| n.total());
+        v.extend(Verdict::unless(
+            r.within_bound,
+            format!("{tag} BOUND VIOLATION at {p}: {opt} > {bound}"),
+        ));
+        v.extend(Verdict::unless(
+            !r.speedup().is_some_and(|s| s <= 1.0),
+            format!("{tag} REGRESSION at {p}: {baseline} is not beaten ({naive:?} vs {opt})"),
+        ));
     }
-    s
-}
-
-/// Renders the results as the `BENCH_sort.json` document (hand-rolled JSON;
-/// the workspace deliberately has no external dependencies).
-pub fn to_json(results: &[SortBenchResult]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"external_oblivious_sort\",\n");
-    s.push_str("  \"io_model\": \"1 I/O per block read or write, ExtMem::stats\",\n");
-    s.push_str("  \"bound\": \"C * ceil(N/B) * (1 + ceil(log2(ceil(N/M)))^2)\",\n");
-    let _ = writeln!(s, "  \"bound_constant\": {BOUND_CONSTANT},");
-    s.push_str("  \"bucket_bound\": \"C_k * ceil(N/B) * max(1, ceil(log_{M/B}(N/B)))\",\n");
-    let _ = writeln!(s, "  \"bucket_bound_constant\": {BUCKET_BOUND_CONSTANT},");
-    let _ = writeln!(s, "  \"bucket_seed\": {BUCKET_SORT_SEED},");
-    s.push_str("  \"points\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let GridPoint { n, b, m } = r.point;
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"n\": {n},");
-        let _ = writeln!(s, "      \"b\": {b},");
-        let _ = writeln!(s, "      \"m\": {m},");
-        let _ = writeln!(s, "      \"optimized_reads\": {},", r.optimized.reads);
-        let _ = writeln!(s, "      \"optimized_writes\": {},", r.optimized.writes);
-        let _ = writeln!(s, "      \"optimized_total\": {},", r.optimized.total());
-        let _ = writeln!(s, "      \"encrypted_total\": {},", r.encrypted.total());
-        match &r.timings {
-            Some(t) => {
-                let _ = writeln!(
-                    s,
-                    "      \"lemma2_elapsed_ns\": {{\"extmem\": {}, \"file\": {}, \"encrypted_file\": {}}},",
-                    t.lemma2.extmem_ns, t.lemma2.file_ns, t.lemma2.encrypted_file_ns
-                );
-                let _ = writeln!(
-                    s,
-                    "      \"bucket_elapsed_ns\": {{\"extmem\": {}, \"file\": {}, \"encrypted_file\": {}}},",
-                    t.bucket.extmem_ns, t.bucket.file_ns, t.bucket.encrypted_file_ns
-                );
-                let _ = writeln!(s, "      \"bucket_prefetch_ns\": {},", t.bucket_prefetch_ns);
-                let _ = writeln!(
-                    s,
-                    "      \"encrypted_prefetch_ns\": {},",
-                    t.encrypted_prefetch_ns
-                );
-                // run_sort_point asserts every file-backed trace is
-                // byte-identical to the ExtMem reference before a timing is
-                // ever recorded.
-                s.push_str("      \"file_trace_identical\": true,\n");
-            }
-            None => {
-                s.push_str("      \"lemma2_elapsed_ns\": null,\n");
-                s.push_str("      \"bucket_elapsed_ns\": null,\n");
-                s.push_str("      \"bucket_prefetch_ns\": null,\n");
-                s.push_str("      \"encrypted_prefetch_ns\": null,\n");
-            }
+    if let Some(r) = results.iter().find(|r| r.point == HEADLINE) {
+        let (opt, naive) = (r.optimized.total(), r.naive.map_or(0, |n| n.total()));
+        let speedup = r.speedup().unwrap_or(0.0);
+        v.push(Verdict::Headline(format!(
+            "{headline}: {opt} I/Os vs naive {naive} — {speedup:.2}x"
+        )));
+        if let Some(min) = min_speedup {
+            v.extend(Verdict::unless(
+                speedup >= min,
+                format!("{tag} HEADLINE REGRESSION: speedup {speedup:.2}x < {min}x"),
+            ));
         }
-        let _ = writeln!(s, "      \"region_elems\": {},", r.report.region_elems);
-        let _ = writeln!(
-            s,
-            "      \"external_levels\": {},",
-            r.report.external_levels
-        );
-        let _ = writeln!(s, "      \"finish_passes\": {},", r.report.finish_passes);
-        let _ = writeln!(s, "      \"bucket_reads\": {},", r.bucket.reads);
-        let _ = writeln!(s, "      \"bucket_writes\": {},", r.bucket.writes);
-        let _ = writeln!(s, "      \"bucket_total\": {},", r.bucket.total());
-        let _ = writeln!(
-            s,
-            "      \"bucket_encrypted_total\": {},",
-            r.bucket_encrypted.total()
-        );
-        let _ = writeln!(s, "      \"bucket_z\": {},", r.bucket_report.z);
-        let _ = writeln!(s, "      \"bucket_levels\": {},", r.bucket_report.levels);
-        let _ = writeln!(
-            s,
-            "      \"bucket_superlevels\": {},",
-            r.bucket_report.superlevels
-        );
-        let _ = writeln!(
-            s,
-            "      \"bucket_merge_passes\": {},",
-            r.bucket_report.merge_passes
-        );
-        let _ = writeln!(s, "      \"bucket_bound_total\": {},", r.bucket_bound_total);
-        let _ = writeln!(
-            s,
-            "      \"bucket_within_bound\": {},",
-            r.bucket_within_bound
-        );
-        let _ = writeln!(
-            s,
-            "      \"bucket_speedup_vs_lemma2\": {:.2},",
-            r.bucket_speedup_vs_lemma2()
-        );
-        let _ = writeln!(
-            s,
-            "      \"bucket_gate_applies\": {},",
-            r.bucket_gate_applies()
-        );
-        let _ = writeln!(s, "      \"bound_total\": {},", r.bound_total);
-        match (r.naive, r.naive_levels, r.speedup()) {
-            (Some(naive), Some(levels), Some(speedup)) => {
-                let _ = writeln!(s, "      \"naive_total\": {},", naive.total());
-                let _ = writeln!(s, "      \"naive_levels\": {levels},");
-                let _ = writeln!(s, "      \"speedup_vs_naive\": {speedup:.2},");
-            }
-            _ => {
-                s.push_str("      \"naive_total\": null,\n");
-            }
-        }
-        let _ = writeln!(s, "      \"within_bound\": {}", r.within_bound);
-        s.push_str("    }");
-        s.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }
-    s.push_str("  ]\n}\n");
-    s
+    v
 }
 
-/// Renders the compaction results as the `BENCH_compact.json` document
-/// (hand-rolled JSON; the workspace deliberately has no external
-/// dependencies).
-pub fn compact_to_json(results: &[CompactBenchResult]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"external_butterfly_compaction\",\n");
-    s.push_str("  \"io_model\": \"1 I/O per block read or write, ExtMem::stats\",\n");
-    s.push_str(
-        "  \"bound\": \"C * ceil(N/B) * (1 + ceil(log_base(ceil(N/M)))), base = max(2, M/(8B))\",\n",
-    );
-    let _ = writeln!(s, "  \"bound_constant\": {COMPACT_BOUND_CONSTANT},");
-    s.push_str("  \"points\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let GridPoint { n, b, m } = r.point;
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"n\": {n},");
-        let _ = writeln!(s, "      \"b\": {b},");
-        let _ = writeln!(s, "      \"m\": {m},");
-        let _ = writeln!(s, "      \"optimized_reads\": {},", r.optimized.reads);
-        let _ = writeln!(s, "      \"optimized_writes\": {},", r.optimized.writes);
-        let _ = writeln!(s, "      \"optimized_total\": {},", r.optimized.total());
-        let _ = writeln!(s, "      \"encrypted_total\": {},", r.encrypted.total());
-        emit_elapsed(&mut s, r.elapsed.as_ref());
-        let _ = writeln!(s, "      \"window_elems\": {},", r.report.window_elems);
-        let _ = writeln!(
-            s,
-            "      \"in_cache_levels\": {},",
-            r.report.in_cache_levels
-        );
-        let _ = writeln!(
-            s,
-            "      \"external_levels\": {},",
-            r.report.external_levels
-        );
-        let _ = writeln!(
-            s,
-            "      \"external_passes\": {},",
-            r.report.external_passes
-        );
-        let _ = writeln!(s, "      \"occupied\": {},", r.report.occupied);
-        let _ = writeln!(s, "      \"bound_total\": {},", r.bound_total);
-        match (r.naive, r.naive_levels, r.speedup()) {
-            (Some(naive), Some(levels), Some(speedup)) => {
-                let _ = writeln!(s, "      \"naive_total\": {},", naive.total());
-                let _ = writeln!(s, "      \"naive_levels\": {levels},");
-                let _ = writeln!(s, "      \"speedup_vs_naive\": {speedup:.2},");
-            }
-            _ => {
-                s.push_str("      \"naive_total\": null,\n");
-            }
-        }
-        let _ = writeln!(s, "      \"within_bound\": {}", r.within_bound);
-        s.push_str("    }");
-        s.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
+/// The §3 compaction family.
+pub struct CompactBench;
 
-/// Renders a human-readable table of the compaction results.
-pub fn compact_to_table(results: &[CompactBenchResult]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:>8} {:>4} {:>6} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>6}",
-        "N", "B", "M", "opt I/Os", "naive I/Os", "bound", "speedup", "file ms", "encf ms", "ok"
-    );
-    for r in results {
-        let GridPoint { n, b, m } = r.point;
-        let naive = r
-            .naive
-            .map(|x| x.total().to_string())
-            .unwrap_or_else(|| "-".into());
-        let speedup = r
-            .speedup()
-            .map(|x| format!("{x:.2}x"))
-            .unwrap_or_else(|| "-".into());
-        let _ = writeln!(
-            s,
-            "{:>8} {:>4} {:>6} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>6}",
-            n,
-            b,
-            m,
-            r.optimized.total(),
-            naive,
-            r.bound_total,
-            speedup,
-            fmt_ms(r.elapsed.as_ref().map(|t| t.file_ns)),
-            fmt_ms(r.elapsed.as_ref().map(|t| t.encrypted_file_ns)),
-            if r.within_bound { "yes" } else { "NO" }
-        );
-    }
-    s
-}
+impl Family for CompactBench {
+    type Point = GridPoint;
+    type Result = CompactBenchResult;
+    const NAME: &'static str = "compact";
+    const RUNS: &'static str = "(optimized + encrypted + naive + timed file backends)";
+    const COLUMNS: &'static [Column<CompactBenchResult>] = &CompactBenchResult::COLUMNS;
 
-/// Formats nanoseconds as milliseconds with one decimal, `"-"` for a timing
-/// that was not measured.
-fn fmt_ms(ns: Option<u64>) -> String {
-    match ns {
-        Some(ns) => format!("{:.1}", ns as f64 / 1e6),
-        None => "-".into(),
+    fn grid(smoke: bool) -> Vec<GridPoint> {
+        primitive_grid(smoke)
+    }
+
+    fn run(point: GridPoint) -> Vec<CompactBenchResult> {
+        vec![run_compact_point(point, true, true)]
+    }
+
+    fn header() -> Vec<Field> {
+        vec![
+            ("benchmark", "external_butterfly_compaction".into()),
+            ("io_model", IO_MODEL.into()),
+            (
+                "bound",
+                "C * ceil(N/B) * (1 + ceil(log_base(ceil(N/M)))), base = max(2, M/(8B))".into(),
+            ),
+            ("bound_constant", COMPACT_BOUND_CONSTANT.into()),
+        ]
+    }
+
+    fn row(r: &CompactBenchResult) -> Vec<Field> {
+        let mut f = point_fields(r.point);
+        f.extend(io_fields(r.optimized, r.encrypted));
+        f.extend(elapsed_fields(r.elapsed.as_ref()));
+        f.extend([
+            ("window_elems", r.report.window_elems.into()),
+            ("in_cache_levels", r.report.in_cache_levels.into()),
+            ("external_levels", r.report.external_levels.into()),
+            ("external_passes", r.report.external_passes.into()),
+            ("occupied", r.report.occupied.into()),
+            ("bound_total", r.bound_total.into()),
+        ]);
+        f.extend(naive_fields(r.naive, r.naive_levels, r.speedup()));
+        f.push(("within_bound", r.within_bound.into()));
+        f
+    }
+
+    fn gates(results: &[CompactBenchResult]) -> Vec<Verdict> {
+        let headline = "compact headline (N=2^18, B=64, M=2^13)";
+        single_log_gates(results, "COMPACT", "naive", headline, None)
     }
 }
 
-/// Renders a human-readable table of the results for terminal output.
-pub fn to_table(results: &[SortBenchResult]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:>8} {:>4} {:>6} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>8} {:>6}",
-        "N",
-        "B",
-        "M",
-        "opt I/Os",
-        "bkt I/Os",
-        "naive I/Os",
-        "bkt bound",
-        "bkt/L2",
-        "speedup",
-        "file ms",
-        "pf ms",
-        "ok"
-    );
-    for r in results {
-        let GridPoint { n, b, m } = r.point;
-        let naive = r
-            .naive
-            .map(|x| x.total().to_string())
-            .unwrap_or_else(|| "-".into());
-        let speedup = r
-            .speedup()
-            .map(|x| format!("{x:.2}x"))
-            .unwrap_or_else(|| "-".into());
-        let ok = r.within_bound
-            && r.bucket_within_bound
-            && (!r.bucket_gate_applies() || r.bucket.total() < r.optimized.total());
-        let _ = writeln!(
-            s,
-            "{:>8} {:>4} {:>6} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8} {:>8} {:>6}",
-            n,
-            b,
-            m,
-            r.optimized.total(),
-            r.bucket.total(),
-            naive,
-            r.bucket_bound_total,
-            format!("{:.2}x", r.bucket_speedup_vs_lemma2()),
-            speedup,
-            fmt_ms(r.timings.as_ref().map(|t| t.bucket.file_ns)),
-            fmt_ms(r.timings.as_ref().map(|t| t.bucket_prefetch_ns)),
-            if ok { "yes" } else { "NO" }
-        );
+/// The §4 selection family.
+pub struct SelectBench;
+
+impl Family for SelectBench {
+    type Point = GridPoint;
+    type Result = SelectBenchResult;
+    const NAME: &'static str = "select";
+    const RUNS: &'static str =
+        "k=N/2 (optimized + encrypted-trace parity + naive + timed file backends)";
+    const COLUMNS: &'static [Column<SelectBenchResult>] = &SelectBenchResult::COLUMNS;
+
+    fn grid(smoke: bool) -> Vec<GridPoint> {
+        primitive_grid(smoke)
     }
-    s
+
+    fn run(point: GridPoint) -> Vec<SelectBenchResult> {
+        vec![run_select_point(point, true, true)]
+    }
+
+    fn header() -> Vec<Field> {
+        vec![
+            ("benchmark", "external_oblivious_selection".into()),
+            ("io_model", IO_MODEL.into()),
+            (
+                "bound",
+                "C * ceil(N/B) * (1 + ceil(log2(ceil(N/M))))".into(),
+            ),
+            ("bound_constant", SELECT_BOUND_CONSTANT.into()),
+        ]
+    }
+
+    fn row(r: &SelectBenchResult) -> Vec<Field> {
+        let mut f = point_fields(r.point);
+        f.push(("k", (r.point.n / 2).into()));
+        f.extend(io_fields(r.optimized, r.encrypted));
+        // The run asserts the byte-identical plaintext/encrypted trace
+        // before a result is ever constructed.
+        f.push(("encrypted_trace_identical", true.into()));
+        f.extend(elapsed_fields(r.elapsed.as_ref()));
+        f.extend([
+            ("rounds", r.report.rounds.into()),
+            ("chunk_elems", r.report.chunk_elems.into()),
+            ("final_window", r.report.final_window.into()),
+            ("bound_total", r.bound_total.into()),
+        ]);
+        f.extend(naive_fields(r.naive, r.naive_levels, r.speedup()));
+        f.push(("within_bound", r.within_bound.into()));
+        f
+    }
+
+    fn gates(results: &[SelectBenchResult]) -> Vec<Verdict> {
+        let headline = "select headline (N=2^18, B=64, M=2^13, k=N/2)";
+        single_log_gates(
+            results,
+            "SELECT",
+            "naive sort-then-index",
+            headline,
+            Some(2.0),
+        )
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1613,138 +1468,100 @@ pub fn run_fault_point(
     backend: FaultBackend,
 ) -> FaultBenchResult {
     match backend {
-        FaultBackend::ExtMem => run_fault_point_on(
-            point,
-            scenario,
-            EncryptedStore::new(point.b, 0xFA17_0001),
-            backend,
-        ),
+        FaultBackend::ExtMem => {
+            let enc = EncryptedStore::new(point.b, 0xFA17_0001);
+            run_fault_point_on(point, scenario, enc, backend)
+        }
         FaultBackend::File => {
-            let fs = FileStore::temp(point.b).expect("tempdir-backed block file");
-            run_fault_point_on(
-                point,
-                scenario,
-                EncryptedStore::with_backing(fs, 0xFA17_0001),
-                backend,
-            )
+            let enc = EncryptedStore::with_backing(temp_file(point.b), 0xFA17_0001);
+            run_fault_point_on(point, scenario, enc, backend)
         }
     }
 }
 
-fn run_fault_point_on<S: extmem::BackingStore>(
+fn run_fault_point_on<S: BackingStore>(
     point: GridPoint,
     scenario: FaultScenario,
     enc: EncryptedStore<S>,
     backend: FaultBackend,
 ) -> FaultBenchResult {
-    use extmem::{AuthenticatedStore, BlockStore, FaultyStore, RetryPolicy};
-    use odo_core::try_sort;
+    let faulty = FaultyStore::new(enc, 0xFA17_0002, FaultSpec::none());
+    if scenario.authenticated {
+        let auth = AuthenticatedStore::new(faulty, 0xFA17_0003);
+        fault_window(
+            point,
+            scenario,
+            backend,
+            auth,
+            |s| s.inner_mut(),
+            |s| s.flush_macs(),
+        )
+    } else {
+        fault_window(point, scenario, backend, faulty, |s| s, |_| Ok(()))
+    }
+}
 
-    let GridPoint { n, b: _, m } = point;
+/// Runs `scenario` over `store`, whose `FaultyStore` layer `faulty` reaches
+/// (its inner store is the bottom-level server whose I/Os are counted);
+/// `flush` lands the client's buffered MACs.
+fn fault_window<S: BlockStore, B: BackingStore>(
+    point: GridPoint,
+    scenario: FaultScenario,
+    backend: FaultBackend,
+    mut store: S,
+    faulty: impl Fn(&mut S) -> &mut FaultyStore<EncryptedStore<B>>,
+    flush: impl Fn(&mut S) -> Result<(), StoreError>,
+) -> FaultBenchResult {
+    let GridPoint { n, m, .. } = point;
     let input = bench_input(n, 0xFA17);
     let mut expected = input.clone();
     expected.sort_unstable();
-    let cells: Vec<Cell> = input.iter().copied().map(Some).collect();
+    let h = BlockStore::alloc_array(&mut store, n);
+    store
+        .try_store_span(&h, 0, &occupied(&input))
+        .expect("fault-free populate");
+    flush(&mut store).expect("fault-free flush");
+
+    let before = faulty(&mut store).inner().io_stats();
+    faulty(&mut store).set_spec(scenario.spec);
+    let faults_before = faulty(&mut store).fault_stats();
     let policy = RetryPolicy::default();
+    let (run, elapsed_ns) =
+        timed(|| odo_core::try_sort(&mut store, &h, m, SortOrder::Ascending, policy));
+    faulty(&mut store).set_spec(FaultSpec::none());
+    let faults = faulty(&mut store).fault_stats();
+    let _ = flush(&mut store);
+    let after = faulty(&mut store).inner().io_stats();
 
-    let faulty = FaultyStore::new(enc, 0xFA17_0002, FaultSpec::none());
-
-    let check = |got: Result<Vec<Cell>, extmem::StoreError>| match got {
-        Ok(out) => {
-            let flat: Vec<Element> = out.into_iter().flatten().collect();
-            (None, Some(flat == expected))
-        }
-        Err(e) => (Some(e.to_string()), None),
+    let (retries, backoff_units, run_error) = match run {
+        Ok((_, retry)) => (retry.retries, retry.backoff_units, None),
+        Err(e) => (0, 0, Some(e.to_string())),
     };
-
-    if scenario.authenticated {
-        let mut auth = AuthenticatedStore::new(faulty, 0xFA17_0003);
-        let h = BlockStore::alloc_array(&mut auth, n);
-        auth.try_store_span(&h, 0, &cells)
-            .expect("fault-free populate");
-        auth.flush_macs().expect("fault-free flush");
-
-        let before = auth.inner().inner().io_stats();
-        auth.inner_mut().set_spec(scenario.spec);
-        let faults_before = auth.inner().fault_stats();
-        let (run, elapsed_ns) = timed(|| try_sort(&mut auth, &h, m, SortOrder::Ascending, policy));
-        auth.inner_mut().set_spec(FaultSpec::none());
-        let faults = auth.inner().fault_stats();
-        let _ = auth.flush_macs();
-        let after = auth.inner().inner().io_stats();
-
-        let (retries, backoff_units, run_error) = match run {
-            Ok((_, retry)) => (retry.retries, retry.backoff_units, None),
-            Err(e) => (0, 0, Some(e.to_string())),
-        };
-        let (readback_error, output_correct) = if run_error.is_some() {
-            (None, None)
-        } else {
-            check(auth.try_load_span(&h, 0, n))
-        };
-        FaultBenchResult {
-            point,
-            scenario,
-            backend: backend.name(),
-            elapsed_ns,
-            sort_io: IoStats {
-                reads: after.reads - before.reads,
-                writes: after.writes - before.writes,
-            },
-            retries,
-            backoff_units,
-            faults: FaultStats {
-                transient_reads: faults.transient_reads - faults_before.transient_reads,
-                corrupt_reads: faults.corrupt_reads - faults_before.corrupt_reads,
-                stale_reads: faults.stale_reads - faults_before.stale_reads,
-                dropped_writes: faults.dropped_writes - faults_before.dropped_writes,
-            },
-            run_error,
-            readback_error,
-            output_correct,
-            overhead_vs_plain: None,
-        }
-    } else {
-        let mut faulty = faulty;
-        let h = BlockStore::alloc_array(&mut faulty, n);
-        faulty
-            .try_store_span(&h, 0, &cells)
-            .expect("fault-free populate");
-
-        let before = faulty.inner().io_stats();
-        faulty.set_spec(scenario.spec);
-        let (run, elapsed_ns) =
-            timed(|| try_sort(&mut faulty, &h, m, SortOrder::Ascending, policy));
-        faulty.set_spec(FaultSpec::none());
-        let faults = faulty.fault_stats();
-        let after = faulty.inner().io_stats();
-
-        let (retries, backoff_units, run_error) = match run {
-            Ok((_, retry)) => (retry.retries, retry.backoff_units, None),
-            Err(e) => (0, 0, Some(e.to_string())),
-        };
-        let (readback_error, output_correct) = if run_error.is_some() {
-            (None, None)
-        } else {
-            check(faulty.try_load_span(&h, 0, n))
-        };
-        FaultBenchResult {
-            point,
-            scenario,
-            backend: backend.name(),
-            elapsed_ns,
-            sort_io: IoStats {
-                reads: after.reads - before.reads,
-                writes: after.writes - before.writes,
-            },
-            retries,
-            backoff_units,
-            faults,
-            run_error,
-            readback_error,
-            output_correct,
-            overhead_vs_plain: None,
-        }
+    let (readback_error, output_correct) = match &run_error {
+        Some(_) => (None, None),
+        None => match store.try_load_span(&h, 0, n) {
+            Ok(out) => (None, Some(out.into_iter().flatten().eq(expected))),
+            Err(e) => (Some(e.to_string()), None),
+        },
+    };
+    FaultBenchResult {
+        point,
+        scenario,
+        backend: backend.name(),
+        elapsed_ns,
+        sort_io: after - before,
+        retries,
+        backoff_units,
+        faults: FaultStats {
+            transient_reads: faults.transient_reads - faults_before.transient_reads,
+            corrupt_reads: faults.corrupt_reads - faults_before.corrupt_reads,
+            stale_reads: faults.stale_reads - faults_before.stale_reads,
+            dropped_writes: faults.dropped_writes - faults_before.dropped_writes,
+        },
+        run_error,
+        readback_error,
+        output_correct,
+        overhead_vs_plain: None,
     }
 }
 
@@ -1779,14 +1596,15 @@ pub fn run_fault_grid(point: GridPoint) -> Vec<FaultBenchResult> {
 }
 
 /// Checks the fault-model acceptance gates over one grid point's results.
-/// Returns every violated gate as a message; an empty vector means the point
-/// passes.
-pub fn check_fault_gates(results: &[FaultBenchResult]) -> Vec<String> {
+/// Returns every violated gate as a `Verdict::Violation`; an empty vector means
+/// the point passes.
+pub fn check_fault_gates(results: &[FaultBenchResult]) -> Vec<Verdict> {
     let mut violations = Vec::new();
     let mut push = |cond: bool, msg: String| {
-        if !cond {
-            violations.push(msg);
-        }
+        violations.extend(Verdict::unless(
+            cond,
+            format!("FAULT GATE VIOLATION: {msg}"),
+        ));
     };
     for r in results {
         let GridPoint { n, b, m } = r.point;
@@ -1863,104 +1681,127 @@ pub fn check_fault_gates(results: &[FaultBenchResult]) -> Vec<String> {
     violations
 }
 
-/// Renders the fault results as the `BENCH_faults.json` document
-/// (hand-rolled JSON; the workspace deliberately has no external
-/// dependencies).
-pub fn faults_to_json(results: &[FaultBenchResult]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"untrusted_server_faults\",\n");
-    s.push_str(
-        "  \"io_model\": \"1 I/O per bottom-level block read or write; sort window incl. MAC traffic\",\n",
-    );
-    s.push_str("  \"workload\": \"external_oblivious_sort\",\n");
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let GridPoint { n, b, m } = r.point;
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"scenario\": \"{}\",", r.scenario.name);
-        let _ = writeln!(s, "      \"backend\": \"{}\",", r.backend);
-        let _ = writeln!(s, "      \"n\": {n},");
-        let _ = writeln!(s, "      \"b\": {b},");
-        let _ = writeln!(s, "      \"m\": {m},");
-        let _ = writeln!(s, "      \"authenticated\": {},", r.scenario.authenticated);
-        let _ = writeln!(
-            s,
-            "      \"fault_ppm\": {{\"transient\": {}, \"corrupt\": {}, \"stale\": {}, \"drop\": {}}},",
-            r.scenario.spec.transient_read_ppm,
-            r.scenario.spec.corrupt_read_ppm,
-            r.scenario.spec.stale_read_ppm,
-            r.scenario.spec.drop_write_ppm
-        );
-        let _ = writeln!(s, "      \"sort_reads\": {},", r.sort_io.reads);
-        let _ = writeln!(s, "      \"sort_writes\": {},", r.sort_io.writes);
-        let _ = writeln!(s, "      \"sort_total\": {},", r.sort_io.total());
-        let _ = writeln!(s, "      \"elapsed_ns\": {},", r.elapsed_ns);
-        match r.overhead_vs_plain {
-            Some(o) => {
-                let _ = writeln!(s, "      \"overhead_vs_plain\": {o:.4},");
-            }
-            None => s.push_str("      \"overhead_vs_plain\": null,\n"),
+/// The untrusted-server fault family: every scenario over both backends.
+pub struct FaultBench;
+
+impl Family for FaultBench {
+    type Point = GridPoint;
+    type Result = FaultBenchResult;
+    const NAME: &'static str = "faults";
+    const RUNS: &'static str =
+        "(auth overhead + tamper detection + retries, extmem + file backends)";
+    const LIST_KEY: &'static str = "rows";
+    const COLUMNS: &'static [Column<FaultBenchResult>] = &[
+        ("scenario", 22, |r| r.scenario.name.into()),
+        ("backend", 8, |r| r.backend.into()),
+        ("N", 8, |r| r.point.n.to_string()),
+        ("sort I/Os", 12, |r| r.sort_io.total().to_string()),
+        ("overhead", 9, |r| {
+            dash(r.overhead_vs_plain.map(|o| format!("{:+.1}%", o * 100.0)))
+        }),
+        ("retries", 8, |r| r.retries.to_string()),
+        ("faults", 8, |r| r.faults.total().to_string()),
+        ("ms", 8, |r| fmt_ms(Some(r.elapsed_ns))),
+        ("outcome", 12, |r| r.outcome().into()),
+    ];
+
+    fn grid(smoke: bool) -> Vec<GridPoint> {
+        if smoke {
+            vec![GridPoint {
+                n: 1 << 12,
+                b: 64,
+                m: 1 << 9,
+            }]
+        } else {
+            vec![
+                GridPoint {
+                    n: 1 << 14,
+                    b: 64,
+                    m: 1 << 10,
+                },
+                HEADLINE,
+            ]
         }
-        let _ = writeln!(s, "      \"retries\": {},", r.retries);
-        let _ = writeln!(s, "      \"backoff_units\": {},", r.backoff_units);
-        let _ = writeln!(
-            s,
-            "      \"faults_injected\": {{\"transient\": {}, \"corrupt\": {}, \"stale\": {}, \"drop\": {}}},",
-            r.faults.transient_reads,
-            r.faults.corrupt_reads,
-            r.faults.stale_reads,
-            r.faults.dropped_writes
-        );
-        match &r.run_error {
-            Some(e) => {
-                let _ = writeln!(s, "      \"run_error\": \"{}\",", e.replace('"', "'"));
-            }
-            None => s.push_str("      \"run_error\": null,\n"),
-        }
-        match &r.readback_error {
-            Some(e) => {
-                let _ = writeln!(s, "      \"readback_error\": \"{}\",", e.replace('"', "'"));
-            }
-            None => s.push_str("      \"readback_error\": null,\n"),
-        }
-        let _ = writeln!(s, "      \"outcome\": \"{}\"", r.outcome());
-        s.push_str("    }");
-        s.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }
-    s.push_str("  ]\n}\n");
-    s
+
+    fn run(point: GridPoint) -> Vec<FaultBenchResult> {
+        run_fault_grid(point)
+    }
+
+    fn header() -> Vec<Field> {
+        vec![
+            ("benchmark", "untrusted_server_faults".into()),
+            (
+                "io_model",
+                "1 I/O per bottom-level block read or write; sort window incl. MAC traffic".into(),
+            ),
+            ("workload", "external_oblivious_sort".into()),
+        ]
+    }
+
+    fn row(r: &FaultBenchResult) -> Vec<Field> {
+        let spec = &r.scenario.spec;
+        let mut f = vec![
+            ("scenario", r.scenario.name.into()),
+            ("backend", r.backend.into()),
+        ];
+        f.extend(point_fields(r.point));
+        f.extend([
+            ("authenticated", r.scenario.authenticated.into()),
+            (
+                "fault_ppm",
+                Json::Obj(vec![
+                    ("transient", spec.transient_read_ppm.into()),
+                    ("corrupt", spec.corrupt_read_ppm.into()),
+                    ("stale", spec.stale_read_ppm.into()),
+                    ("drop", spec.drop_write_ppm.into()),
+                ]),
+            ),
+            ("sort_reads", r.sort_io.reads.into()),
+            ("sort_writes", r.sort_io.writes.into()),
+            ("sort_total", r.sort_io.total().into()),
+            ("elapsed_ns", r.elapsed_ns.into()),
+            (
+                "overhead_vs_plain",
+                r.overhead_vs_plain
+                    .map_or(Json::Null, |o| Json::Float(o, 4)),
+            ),
+            ("retries", r.retries.into()),
+            ("backoff_units", r.backoff_units.into()),
+            (
+                "faults_injected",
+                Json::Obj(vec![
+                    ("transient", r.faults.transient_reads.into()),
+                    ("corrupt", r.faults.corrupt_reads.into()),
+                    ("stale", r.faults.stale_reads.into()),
+                    ("drop", r.faults.dropped_writes.into()),
+                ]),
+            ),
+            ("run_error", r.run_error.clone().into()),
+            ("readback_error", r.readback_error.clone().into()),
+            ("outcome", r.outcome().into()),
+        ]);
+        f
+    }
+
+    fn gates(results: &[FaultBenchResult]) -> Vec<Verdict> {
+        let mut v = check_fault_gates(results);
+        if let Some(r) = results
+            .iter()
+            .find(|r| r.point == HEADLINE && r.scenario.name == "auth_no_faults")
+        {
+            v.push(Verdict::Headline(format!(
+                "faults headline (N=2^18, B=64, M=2^13): authentication costs {:+.1}% bottom-level I/Os",
+                r.overhead_vs_plain.unwrap_or(f64::NAN) * 100.0
+            )));
+        }
+        v
+    }
 }
 
-/// Renders a human-readable table of the fault results.
-pub fn faults_to_table(results: &[FaultBenchResult]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:>22} {:>8} {:>8} {:>12} {:>9} {:>8} {:>8} {:>8} {:>12}",
-        "scenario", "backend", "N", "sort I/Os", "overhead", "retries", "faults", "ms", "outcome"
-    );
-    for r in results {
-        let overhead = r
-            .overhead_vs_plain
-            .map(|o| format!("{:+.1}%", o * 100.0))
-            .unwrap_or_else(|| "-".into());
-        let _ = writeln!(
-            s,
-            "{:>22} {:>8} {:>8} {:>12} {:>9} {:>8} {:>8} {:>8} {:>12}",
-            r.scenario.name,
-            r.backend,
-            r.point.n,
-            r.sort_io.total(),
-            overhead,
-            r.retries,
-            r.faults.total(),
-            fmt_ms(Some(r.elapsed_ns)),
-            r.outcome()
-        );
-    }
-    s
-}
+// ---------------------------------------------------------------------------
+// The hierarchical ORAM (`BENCH_oram.json`)
+// ---------------------------------------------------------------------------
 
 /// One parameter point of the ORAM benchmark grid: the `(N, B, M)` model
 /// plus the ORAM's own two knobs — the flush period `P` and the length of
@@ -2093,148 +1934,72 @@ impl OramBenchResult {
     }
 }
 
-/// Drives one ORAM through a request sequence, returning the read results
-/// in order.
-fn run_oram_requests<S: extmem::BlockStore>(
-    store: &mut S,
-    oram: &mut Oram,
-    reqs: &[(u64, Option<u64>)],
-) -> Vec<u64> {
-    let mut out = Vec::with_capacity(reqs.len());
-    for &(addr, write) in reqs {
-        match write {
-            Some(v) => oram.write(store, addr, v),
-            None => out.push(oram.read(store, addr)),
-        }
+impl fmt::Display for OramGridPoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let OramGridPoint {
+            n,
+            b,
+            m,
+            period,
+            accesses,
+        } = self;
+        write!(f, "n={n} B={b} M={m} P={period} over {accesses} accesses")
     }
-    out
 }
 
 /// Measures one ORAM grid point: a deterministic mixed read/write sequence
 /// (hash-spread addresses, one write in three) over `ExtMem`, checked
 /// against a client-side mirror and gated by [`oram_io_bound`]. When
-/// `backends` is set the identical sequence replays over `FileStore`,
-/// `EncryptedStore<FileStore>` and `Prefetching(Encrypted(FileStore))`
-/// (decrypt-ahead workers, write-behind flushed on the clock), each timed,
-/// each trace asserted byte-identical to the simulator's — same seed, same
-/// salts, same schedule, on disk and under encryption.
+/// `backends` is set the identical sequence replays
+/// over `FileStore`, `EncryptedStore<FileStore>` and
+/// `Prefetching(Encrypted(FileStore))` (decrypt-ahead workers, write-behind
+/// flushed on the clock), each timed, each trace asserted byte-identical to
+/// the simulator's — same seed, same salts, same schedule, on disk and
+/// under encryption.
 pub fn run_oram_point(point: OramGridPoint, backends: bool) -> OramBenchResult {
-    use extmem::BlockStore;
     let OramGridPoint {
-        n,
         b,
         m,
         period,
         accesses,
+        ..
     } = point;
-    let cfg = OramConfig::new(period, m, ORAM_BENCH_SEED);
-    let reqs: Vec<(u64, Option<u64>)> = (0..accesses as u64)
-        .map(|k| {
-            let addr = extmem::util::hash64(k, 0x0AC7) % n as u64;
-            if k.is_multiple_of(3) {
-                // Values shifted under 63 bits: the EncryptedStore contract.
-                (addr, Some(extmem::util::hash64(k, 0x7A1) >> 1))
-            } else {
-                (addr, None)
-            }
-        })
-        .collect();
-    let mut mirror = std::collections::HashMap::new();
-    let mut expected = Vec::new();
-    for &(addr, write) in &reqs {
-        match write {
-            Some(v) => {
-                mirror.insert(addr, v);
-            }
-            None => expected.push(mirror.get(&addr).copied().unwrap_or(0)),
-        }
-    }
-
-    let mut mem = ExtMem::new(b);
-    let mut oram = Oram::new(&mut mem, n as u64, &cfg);
-    let geo = oram.geometry();
-    let levels = oram.level_count();
-    let client_blocks = oram.client_slots() / b;
-    mem.enable_trace();
-    let before = mem.io_stats();
-    let (out, extmem_ns) = timed(|| run_oram_requests(&mut mem, &mut oram, &reqs));
-    let io = mem.io_stats() - before;
-    assert_eq!(
-        out, expected,
-        "ORAM read results diverged from the mirror at n={n} B={b} M={m} P={period}"
-    );
-    let mem_trace = mem.take_trace().expect("tracing was enabled");
+    let job = OramJob::new(point);
+    let what = format!("ORAM at {point}");
+    let mem = checked_run(&job, ExtMem::new(b), Check::Reference, &what);
+    let oram = &mem.input;
     let bound_total = oram_io_bound(
-        &geo,
-        client_blocks,
+        &oram.geometry(),
+        oram.client_slots() / b,
         b,
         m,
         period as u64,
         accesses as u64,
-        cfg.sorter.engine(),
+        job.cfg.sorter.engine(),
     );
-
-    let timings = backends.then(|| {
-        let mut fs = FileStore::temp(b).expect("tempdir-backed block file");
-        let mut foram = Oram::new(&mut fs, n as u64, &cfg);
-        fs.enable_trace();
-        let (fout, file_ns) = timed(|| run_oram_requests(&mut fs, &mut foram, &reqs));
-        assert_eq!(fout, expected, "file-backed ORAM results diverged at n={n}");
-        let ftrace = fs.take_trace().expect("tracing was enabled");
-        assert_eq!(
-            ftrace, mem_trace,
-            "FileStore ORAM trace must be byte-identical to ExtMem at n={n} B={b} M={m} P={period}"
-        );
-
-        let inner = FileStore::temp(b).expect("tempdir-backed block file");
-        let mut enc = EncryptedStore::with_backing(inner, 0x04A7_0002);
-        let mut eoram = Oram::new(&mut enc, n as u64, &cfg);
-        enc.enable_trace();
-        let (eout, encrypted_file_ns) = timed(|| run_oram_requests(&mut enc, &mut eoram, &reqs));
-        assert_eq!(eout, expected, "encrypted ORAM results diverged at n={n}");
-        let etrace = enc.take_trace().expect("tracing was enabled");
-        assert_eq!(
-            etrace, mem_trace,
-            "EncryptedStore<FileStore> ORAM trace must be byte-identical to ExtMem at n={n} B={b} M={m} P={period}"
-        );
-        BackendNanos {
-            extmem_ns,
-            file_ns,
-            encrypted_file_ns,
-        }
-    });
-
-    let encrypted_prefetch_ns = backends.then(|| {
-        let inner = FileStore::temp(b).expect("tempdir-backed block file");
-        let enc = EncryptedStore::with_backing(inner, 0x04A7_0002);
-        let mut ps = PrefetchingStore::new(enc);
-        let mut poram = Oram::new(&mut ps, n as u64, &cfg);
-        ps.enable_trace();
-        // The flush belongs inside the timed region: write-behind only
-        // counts as a win if the encrypt-and-land cost is paid on the clock.
-        let (pout, ns) = timed(|| {
-            let out = run_oram_requests(&mut ps, &mut poram, &reqs);
-            ps.flush_writes()
-                .unwrap_or_else(|e| panic!("write-behind flush failed: {e}"));
-            out
-        });
-        assert_eq!(pout, expected, "prefetched ORAM results diverged at n={n}");
-        let ptrace = ps.take_trace().expect("tracing was enabled");
-        assert_eq!(
-            ptrace, mem_trace,
-            "Prefetching(Encrypted(FileStore)) ORAM logical trace must be \
-             byte-identical to ExtMem at n={n} B={b} M={m} P={period}"
-        );
-        ns
-    });
-
+    let (timings, encrypted_prefetch_ns) = if backends {
+        let parity = Check::Parity(&mem);
+        let key = 0x04A7_0002;
+        let file = checked_run(&job, temp_file(b), parity, &what);
+        let enc = checked_run(&job, encrypted_file(b, key), parity, &what);
+        let store = PrefetchingStore::new(encrypted_file(b, key));
+        let prefetch = checked_run(&job, store, parity, &what);
+        let timings = BackendNanos {
+            extmem_ns: mem.ns,
+            file_ns: file.ns,
+            encrypted_file_ns: enc.ns,
+        };
+        (Some(timings), Some(prefetch.ns))
+    } else {
+        (None, None)
+    };
     OramBenchResult {
         point,
-        levels,
+        levels: oram.level_count(),
         flushes: oram.flushes(),
-        io,
+        io: mem.io,
         bound_total,
-        within_bound: io.total() <= bound_total,
+        within_bound: mem.io.total() <= bound_total,
         stash_len: oram.stash_len(),
         timings,
         encrypted_prefetch_ns,
@@ -2293,108 +2058,117 @@ pub fn oram_smoke_grid() -> Vec<OramGridPoint> {
     ]
 }
 
-/// Renders the ORAM results as the `BENCH_oram.json` document (hand-rolled
-/// JSON; the workspace deliberately has no external dependencies).
-pub fn oram_to_json(results: &[OramBenchResult]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"hierarchical_oram\",\n");
-    s.push_str("  \"io_model\": \"1 I/O per block read or write, ExtMem::stats\",\n");
-    s.push_str(
-        "  \"bound\": \"probes + per-flush rebuild bounds composed from the sort/compact bounds (O(log^2 n) amortized per access)\",\n",
-    );
-    s.push_str("  \"points\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let OramGridPoint {
-            n,
-            b,
-            m,
-            period,
-            accesses,
-        } = r.point;
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"n\": {n},");
-        let _ = writeln!(s, "      \"b\": {b},");
-        let _ = writeln!(s, "      \"m\": {m},");
-        let _ = writeln!(s, "      \"period\": {period},");
-        let _ = writeln!(s, "      \"accesses\": {accesses},");
-        let _ = writeln!(s, "      \"levels\": {},", r.levels);
-        let _ = writeln!(s, "      \"flushes\": {},", r.flushes);
-        let _ = writeln!(s, "      \"reads\": {},", r.io.reads);
-        let _ = writeln!(s, "      \"writes\": {},", r.io.writes);
-        let _ = writeln!(s, "      \"total_ios\": {},", r.io.total());
-        let _ = writeln!(
-            s,
-            "      \"amortized_ios_per_access\": {:.2},",
-            r.amortized_ios()
-        );
-        let _ = writeln!(s, "      \"bound_total\": {},", r.bound_total);
-        let _ = writeln!(
-            s,
-            "      \"bound_amortized_per_access\": {:.2},",
-            r.bound_amortized()
-        );
-        let _ = writeln!(s, "      \"stash_len\": {},", r.stash_len);
-        emit_elapsed(&mut s, r.timings.as_ref());
-        match r.encrypted_prefetch_ns {
-            Some(ns) => {
-                let _ = writeln!(s, "      \"encrypted_prefetch_ns\": {ns},");
-            }
-            None => s.push_str("      \"encrypted_prefetch_ns\": null,\n"),
-        }
-        let _ = writeln!(s, "      \"within_bound\": {}", r.within_bound);
-        s.push_str("    }");
-        s.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
+/// The hierarchical ORAM family.
+pub struct OramBench;
 
-/// Renders a human-readable table of the ORAM results.
-pub fn oram_to_table(results: &[OramBenchResult]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:>8} {:>4} {:>6} {:>4} {:>8} {:>6} {:>10} {:>9} {:>9} {:>8} {:>8} {:>6}",
-        "n",
-        "B",
-        "M",
-        "P",
-        "accesses",
-        "levels",
-        "I/Os",
-        "amort",
-        "bound/ac",
-        "file ms",
-        "enc ms",
-        "ok"
-    );
-    for r in results {
-        let OramGridPoint {
-            n,
-            b,
-            m,
-            period,
-            accesses,
-        } = r.point;
-        let _ = writeln!(
-            s,
-            "{:>8} {:>4} {:>6} {:>4} {:>8} {:>6} {:>10} {:>9.1} {:>9.1} {:>8} {:>8} {:>6}",
-            n,
-            b,
-            m,
-            period,
-            accesses,
-            r.levels,
-            r.io.total(),
-            r.amortized_ios(),
-            r.bound_amortized(),
-            fmt_ms(r.timings.map(|t| t.file_ns)),
-            fmt_ms(r.timings.map(|t| t.encrypted_file_ns)),
-            if r.within_bound { "yes" } else { "NO" }
-        );
+impl Family for OramBench {
+    type Point = OramGridPoint;
+    type Result = OramBenchResult;
+    const NAME: &'static str = "oram";
+    const RUNS: &'static str = "(extmem + timed file + encrypted-file backends, trace parity)";
+    const COLUMNS: &'static [Column<OramBenchResult>] = &[
+        ("n", 8, |r| r.point.n.to_string()),
+        ("B", 4, |r| r.point.b.to_string()),
+        ("M", 6, |r| r.point.m.to_string()),
+        ("P", 4, |r| r.point.period.to_string()),
+        ("accesses", 8, |r| r.point.accesses.to_string()),
+        ("levels", 6, |r| r.levels.to_string()),
+        ("I/Os", 10, |r| r.io.total().to_string()),
+        ("amort", 9, |r| format!("{:.1}", r.amortized_ios())),
+        ("bound/ac", 9, |r| format!("{:.1}", r.bound_amortized())),
+        ("file ms", 8, |r| fmt_ms(r.timings.map(|t| t.file_ns))),
+        ("enc ms", 8, |r| {
+            fmt_ms(r.timings.map(|t| t.encrypted_file_ns))
+        }),
+        ("ok", 6, |r| yes_no(r.within_bound)),
+    ];
+
+    fn grid(smoke: bool) -> Vec<OramGridPoint> {
+        if smoke {
+            oram_smoke_grid()
+        } else {
+            oram_default_grid()
+        }
     }
-    s
+
+    fn run(point: OramGridPoint) -> Vec<OramBenchResult> {
+        vec![run_oram_point(point, true)]
+    }
+
+    fn header() -> Vec<Field> {
+        vec![
+            ("benchmark", "hierarchical_oram".into()),
+            ("io_model", IO_MODEL.into()),
+            (
+                "bound",
+                "probes + per-flush rebuild bounds composed from the sort/compact bounds \
+                 (O(log^2 n) amortized per access)"
+                    .into(),
+            ),
+        ]
+    }
+
+    fn row(r: &OramBenchResult) -> Vec<Field> {
+        let p = r.point;
+        let mut f = vec![
+            ("n", p.n.into()),
+            ("b", p.b.into()),
+            ("m", p.m.into()),
+            ("period", p.period.into()),
+            ("accesses", p.accesses.into()),
+            ("levels", r.levels.into()),
+            ("flushes", r.flushes.into()),
+            ("reads", r.io.reads.into()),
+            ("writes", r.io.writes.into()),
+            ("total_ios", r.io.total().into()),
+            (
+                "amortized_ios_per_access",
+                Json::Float(r.amortized_ios(), 2),
+            ),
+            ("bound_total", r.bound_total.into()),
+            (
+                "bound_amortized_per_access",
+                Json::Float(r.bound_amortized(), 2),
+            ),
+            ("stash_len", r.stash_len.into()),
+        ];
+        f.extend(elapsed_fields(r.timings.as_ref()));
+        f.push(("encrypted_prefetch_ns", r.encrypted_prefetch_ns.into()));
+        f.push(("within_bound", r.within_bound.into()));
+        f
+    }
+
+    fn gates(results: &[OramBenchResult]) -> Vec<Verdict> {
+        let mut v: Vec<Verdict> = results
+            .iter()
+            .filter(|r| !r.within_bound)
+            .map(|r| {
+                let OramGridPoint {
+                    n, b, m, period, ..
+                } = r.point;
+                Verdict::Violation(format!(
+                    "ORAM BOUND VIOLATION at n={n} B={b} M={m} P={period}: {} > {}",
+                    r.io.total(),
+                    r.bound_total
+                ))
+            })
+            .collect();
+        if let Some(r) = results.last() {
+            let p = r.point;
+            v.push(Verdict::Headline(format!(
+                "oram headline (n={}, B={}, M={}, P={}): {:.1} amortized I/Os per access \
+                 over {} levels, bound {:.1}",
+                p.n,
+                p.b,
+                p.m,
+                p.period,
+                r.amortized_ios(),
+                r.levels,
+                r.bound_amortized()
+            )));
+        }
+        v
+    }
 }
 
 #[cfg(test)]
@@ -2459,7 +2233,7 @@ mod tests {
         .into_iter()
         .map(|p| run_sort_point(p, true, true))
         .collect();
-        let json = to_json(&results);
+        let json = family_json::<SortBench>(&results);
         assert_eq!(json.matches("\"optimized_total\"").count(), 2);
         assert!(json.contains("\"bound_constant\": 4"));
         assert!(json.contains("\"encrypted_total\""));
@@ -2540,7 +2314,7 @@ mod tests {
         .into_iter()
         .map(|p| run_compact_point(p, true, true))
         .collect();
-        let json = compact_to_json(&results);
+        let json = family_json::<CompactBench>(&results);
         assert_eq!(json.matches("\"optimized_total\"").count(), 2);
         assert!(json.contains("\"bound_constant\": 16"));
         assert!(json.contains("\"encrypted_total\""));
@@ -2565,78 +2339,20 @@ mod tests {
         let test_sized = default_grid().into_iter().filter(|p| p.n <= 1 << 16);
         for point in smoke_grid().into_iter().chain(test_sized) {
             let s = run_sort_point(point, false, false);
-            assert!(
-                s.within_bound,
-                "sort exceeded its I/O bound at N={} B={} M={}: {} > {}",
-                point.n,
-                point.b,
-                point.m,
-                s.optimized.total(),
-                s.bound_total
-            );
-            assert_eq!(
-                s.encrypted, s.optimized,
-                "re-encryption added I/Os to the sort at N={} B={} M={}",
-                point.n, point.b, point.m
-            );
-            assert!(
-                s.bucket_within_bound,
-                "bucket sort exceeded its I/O bound at N={} B={} M={}: {} > {}",
-                point.n,
-                point.b,
-                point.m,
-                s.bucket.total(),
-                s.bucket_bound_total
-            );
-            assert_eq!(
-                s.bucket_encrypted, s.bucket,
-                "re-encryption added I/Os to the bucket sort at N={} B={} M={}",
-                point.n, point.b, point.m
-            );
-            if s.bucket_gate_applies() {
-                assert!(
-                    s.bucket.total() < s.optimized.total(),
-                    "bucket sort did not beat Lemma 2 at N={} B={} M={}: {} >= {}",
-                    point.n,
-                    point.b,
-                    point.m,
-                    s.bucket.total(),
-                    s.optimized.total()
-                );
-            }
             let c = run_compact_point(point, false, false);
-            assert!(
-                c.within_bound,
-                "compaction exceeded its I/O bound at N={} B={} M={}: {} > {}",
-                point.n,
-                point.b,
-                point.m,
-                c.optimized.total(),
-                c.bound_total
-            );
-            assert_eq!(
-                c.encrypted, c.optimized,
-                "re-encryption added I/Os at N={} B={} M={}",
-                point.n, point.b, point.m
-            );
             let sel = run_select_point(point, false, false);
-            assert!(
-                sel.within_bound,
-                "selection exceeded its I/O bound at N={} B={} M={}: {} > {}",
-                point.n,
-                point.b,
-                point.m,
-                sel.optimized.total(),
-                sel.bound_total
-            );
-            // run_select_point itself asserts the byte-identical
-            // plaintext/encrypted trace; re-check the I/O equality here for a
-            // readable failure.
-            assert_eq!(
-                sel.encrypted, sel.optimized,
-                "re-encryption added I/Os to selection at N={} B={} M={}",
-                point.n, point.b, point.m
-            );
+            // Re-encryption adds no I/Os (the runs themselves assert the
+            // byte-identical traces).
+            assert_eq!(s.encrypted, s.optimized, "sort at {point}");
+            assert_eq!(s.bucket_encrypted, s.bucket, "bucket sort at {point}");
+            assert_eq!(c.encrypted, c.optimized, "compaction at {point}");
+            assert_eq!(sel.encrypted, sel.optimized, "selection at {point}");
+            // The families' own gates: every bound, and the bucket sort
+            // below Lemma 2 wherever `N/M >= 4`.
+            let mut violations = SortBench::gates(&[s]);
+            violations.extend(CompactBench::gates(&[c]));
+            violations.extend(SelectBench::gates(&[sel]));
+            assert!(violations.is_empty(), "{violations:#?}");
         }
     }
 
@@ -2672,7 +2388,7 @@ mod tests {
         .into_iter()
         .map(|p| run_select_point(p, true, true))
         .collect();
-        let json = select_to_json(&results);
+        let json = family_json::<SelectBench>(&results);
         assert_eq!(json.matches("\"optimized_total\"").count(), 2);
         assert!(json.contains("\"bound_constant\": 64"));
         assert!(json.contains("\"encrypted_trace_identical\": true"));
@@ -2760,8 +2476,8 @@ mod tests {
             b: 64,
             m: 1 << 9,
         };
-        let a = faults_to_json(&run_fault_grid(point));
-        let b = faults_to_json(&run_fault_grid(point));
+        let a = family_json::<FaultBench>(&run_fault_grid(point));
+        let b = family_json::<FaultBench>(&run_fault_grid(point));
         assert_eq!(
             strip_timing(&a),
             strip_timing(&b),
@@ -2839,7 +2555,7 @@ mod tests {
             },
             true,
         )];
-        let json = oram_to_json(&results);
+        let json = family_json::<OramBench>(&results);
         assert!(json.contains("\"benchmark\": \"hierarchical_oram\""));
         assert!(json.contains("\"amortized_ios_per_access\""));
         assert!(json.contains("\"bound_amortized_per_access\""));

@@ -90,8 +90,9 @@ pub enum StoreError {
     },
     /// A store was constructed or configured with arguments that don't
     /// describe a usable stack — e.g. wrapping a non-empty backend in
-    /// [`EncryptedStore::try_with_backing`]. Purely client-side: no I/O was
-    /// performed and the offending store was never built. The workspace
+    /// [`EncryptedStore::try_with_backing`] — or a fallible span or pair op
+    /// was handed a span outside its array or a repeated block. Purely
+    /// client-side: no I/O was performed. The workspace
     /// error type maps this to `OdoError::InvalidArgument`, whose `Display`
     /// prints `reason` verbatim (it doubles as the panic message of the
     /// infallible constructors).

@@ -23,6 +23,12 @@ use crate::element::Cell;
 use crate::error::StoreError;
 use crate::mem::{AccessTrace, ArrayHandle, ExtMem, IoStats};
 
+/// The typed refusal of a fallible span op whose span is not inside its
+/// array.
+const SPAN_OUT_OF_RANGE: StoreError = StoreError::InvalidArgument {
+    reason: "span out of range",
+};
+
 /// A server that stores arrays of blocks and charges one I/O per block read
 /// or write. The access *order* of the provided methods is fixed and
 /// documented, which is what the obliviousness arguments rely on.
@@ -79,6 +85,8 @@ pub trait BlockStore {
     /// Fallible fused read-modify-write of the distinct block pair `(i, j)`,
     /// in the same fixed order as [`BlockStore::modify_pair`]: read `i`, read
     /// `j`, write `i`, write `j` (4 I/Os). Stops at the first failing I/O.
+    /// `i == j` is refused with [`StoreError::InvalidArgument`] before any
+    /// I/O.
     fn try_modify_pair(
         &mut self,
         h: &ArrayHandle,
@@ -86,7 +94,11 @@ pub trait BlockStore {
         j: usize,
         f: impl FnOnce(&mut Block, &mut Block),
     ) -> Result<(), StoreError> {
-        assert_ne!(i, j, "block pair must be two distinct blocks");
+        if i == j {
+            return Err(StoreError::InvalidArgument {
+                reason: "block pair must be two distinct blocks",
+            });
+        }
         let mut a = self.try_load_block(h, i)?;
         let mut b = self.try_load_block(h, j)?;
         f(&mut a, &mut b);
@@ -95,17 +107,18 @@ pub trait BlockStore {
     }
 
     /// Fallible variant of [`BlockStore::load_span`]: same blocks, same
-    /// ascending order, stops at the first failing read.
+    /// ascending order, stops at the first failing read. A span outside
+    /// the array is refused with [`StoreError::InvalidArgument`] before any
+    /// I/O.
     fn try_load_span(
         &mut self,
         h: &ArrayHandle,
         elem_lo: usize,
         elem_hi: usize,
     ) -> Result<Vec<Cell>, StoreError> {
-        assert!(
-            elem_lo <= elem_hi && elem_hi <= h.len(),
-            "span out of range"
-        );
+        if elem_lo > elem_hi || elem_hi > h.len() {
+            return Err(SPAN_OUT_OF_RANGE);
+        }
         if elem_lo == elem_hi {
             return Ok(Vec::new());
         }
@@ -128,15 +141,18 @@ pub trait BlockStore {
     }
 
     /// Fallible variant of [`BlockStore::store_span`]: same blocks, same
-    /// ascending order, stops at the first failing I/O.
+    /// ascending order, stops at the first failing I/O. A span outside the
+    /// array is refused with [`StoreError::InvalidArgument`] before any I/O.
     fn try_store_span(
         &mut self,
         h: &ArrayHandle,
         elem_lo: usize,
         cells: &[Cell],
     ) -> Result<(), StoreError> {
-        let elem_hi = elem_lo + cells.len();
-        assert!(elem_hi <= h.len(), "span out of range");
+        let elem_hi = match elem_lo.checked_add(cells.len()) {
+            Some(hi) if hi <= h.len() => hi,
+            _ => return Err(SPAN_OUT_OF_RANGE),
+        };
         if cells.is_empty() {
             return Ok(());
         }
@@ -363,6 +379,63 @@ mod tests {
         let after = mem.try_load_span(&h, 0, 12).unwrap();
         assert_eq!(after[0], Some(e(8)));
         assert_eq!(after[8], Some(e(0)));
+    }
+
+    /// Runs `op` against a populated 12-slot array and asserts it is refused
+    /// with a typed `InvalidArgument` before the store is touched.
+    fn assert_refused<S: BlockStore>(
+        store: &mut S,
+        op: impl Fn(&mut S, &ArrayHandle, &[Cell]) -> Result<(), StoreError>,
+    ) {
+        let h = store.alloc_array(12);
+        let cells: Vec<Cell> = (0..12).map(|k| Some(e(k))).collect();
+        store.try_store_span(&h, 0, &cells).unwrap();
+        let before = store.io_stats();
+        match op(store, &h, &cells) {
+            Err(StoreError::InvalidArgument { .. }) => {}
+            other => panic!("expected InvalidArgument, got {other:?}"),
+        }
+        assert_eq!(store.io_stats(), before, "a refused op must not do I/O");
+        assert_eq!(store.try_load_span(&h, 0, 12).unwrap(), cells);
+    }
+
+    /// The authenticated, encrypted stack the refusals are also checked on.
+    fn secure_stack() -> crate::AuthenticatedStore<crate::EncryptedStore> {
+        crate::AuthenticatedStore::new(crate::EncryptedStore::new(4, 0x51), 0x4D)
+    }
+
+    #[test]
+    fn try_modify_pair_refuses_a_repeated_block() {
+        assert_refused(&mut ExtMem::new(4), |s, h, _| {
+            s.try_modify_pair(h, 1, 1, |_, _| {})
+        });
+        assert_refused(&mut secure_stack(), |s, h, _| {
+            s.try_modify_pair(h, 1, 1, |_, _| {})
+        });
+    }
+
+    #[test]
+    fn try_load_span_refuses_a_span_outside_the_array() {
+        for (lo, hi) in [(0, 13), (5, 4)] {
+            assert_refused(&mut ExtMem::new(4), |s, h, _| {
+                s.try_load_span(h, lo, hi).map(drop)
+            });
+            assert_refused(&mut secure_stack(), |s, h, _| {
+                s.try_load_span(h, lo, hi).map(drop)
+            });
+        }
+    }
+
+    #[test]
+    fn try_store_span_refuses_a_span_outside_the_array() {
+        for lo in [8, usize::MAX] {
+            assert_refused(&mut ExtMem::new(4), |s, h, c| {
+                s.try_store_span(h, lo, &c[..5])
+            });
+            assert_refused(&mut secure_stack(), |s, h, c| {
+                s.try_store_span(h, lo, &c[..5])
+            });
+        }
     }
 
     #[test]

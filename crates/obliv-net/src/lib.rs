@@ -11,9 +11,6 @@
 //! * [`bitonic`] — Batcher's bitonic sorter for power-of-two slices; its
 //!   stride structure is what the external-memory sort exploits, and it
 //!   finishes the Lemma 2 sort's in-cache sub-problems.
-//! * [`shellsort`] — Goodrich's randomized Shellsort (SODA 2010), cited as
-//!   related work in the paper. No engine or bench runs it; only its own
-//!   tests do.
 //! * [`butterfly`] — the butterfly-like routing network of the paper's
 //!   Section 3 (Figure 1), in its in-memory circuit form, plus an ASCII
 //!   renderer that regenerates Figure 1.
@@ -41,7 +38,6 @@ pub mod butterfly;
 pub mod compare;
 pub mod external_sort;
 pub mod network;
-pub mod shellsort;
 
 pub use bitonic::{bitonic_merge_pow2_by, bitonic_network, bitonic_sort_pow2};
 pub use bucket_sort::{
@@ -53,7 +49,6 @@ pub use external_sort::{
     SortReport,
 };
 pub use network::{Comparator, Network};
-pub use shellsort::randomized_shellsort;
 
 /// Announces the strictly sequential block-read schedule `[lo, hi)` of
 /// array `h` in one [`hint_blocks`](extmem::BlockStore::hint_blocks) call,

@@ -149,13 +149,3 @@ fn external_sort_matches_std_sort_on_random_inputs() {
         }
     }
 }
-
-#[test]
-fn shellsort_schedule_is_oblivious_for_fixed_seed() {
-    // The randomized Shellsort's comparator schedule depends only on
-    // (length, seed) — the fixed-coins form of the paper's definition of
-    // data-obliviousness for randomized algorithms.
-    let s1 = obliv_net::shellsort::comparison_schedule(256, 77);
-    let s2 = obliv_net::shellsort::comparison_schedule(256, 77);
-    assert_eq!(s1, s2);
-}

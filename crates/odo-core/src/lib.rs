@@ -59,8 +59,8 @@ pub use extmem::{
 };
 pub use obliv_net::{
     bitonic_sort_pow2, bucket_oblivious_sort, external_oblivious_sort, external_oblivious_sort_by,
-    randomized_shellsort, try_bucket_oblivious_sort, try_external_oblivious_sort, BucketSortConfig,
-    BucketSortError, BucketSortReport, Comparator, Network, SortOrder, SortReport,
+    try_bucket_oblivious_sort, try_external_oblivious_sort, BucketSortConfig, BucketSortError,
+    BucketSortReport, Comparator, Network, SortOrder, SortReport,
 };
 pub use select::{
     quantiles, quantiles_with, select_kth, select_kth_with, try_select_kth, SelectReport,
