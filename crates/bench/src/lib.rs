@@ -582,10 +582,10 @@ pub struct SortTimings {
     /// file store's synchronous loads (`bucket.file_ns`).
     pub bucket_prefetch_ns: u64,
     /// The bucket engine over `Prefetching(Encrypted(FileStore))` — the
-    /// span-pipeline comparison: decrypt-ahead workers and batched-keystream
-    /// span writes against the plain encrypted store's synchronous
-    /// decrypt-on-load (`bucket.encrypted_file_ns`), interleaved min-of-N
-    /// like the plaintext pair.
+    /// span-pipeline comparison: coalesced decrypting span reads and
+    /// batched-keystream span writes against the plain encrypted store's
+    /// synchronous decrypt-on-load (`bucket.encrypted_file_ns`), interleaved
+    /// min-of-N like the plaintext pair.
     pub encrypted_prefetch_ns: u64,
 }
 
@@ -657,7 +657,7 @@ impl SortBenchResult {
 /// wall-clock backend sweep: both engines over `FileStore` and
 /// `Encrypted(FileStore)` plus the bucket engine over
 /// `PrefetchingStore<FileStore>` and `Prefetching(Encrypted(FileStore))`
-/// (decrypt-ahead workers against the batched-keystream span path), every
+/// (coalesced decrypting span reads and batched-keystream span writes), every
 /// trace asserted byte-identical to the `ExtMem` reference, and the full
 /// stack checked by [`assert_full_stack_is_data_independent`]. Panics if
 /// any run fails to sort.
@@ -701,15 +701,14 @@ pub fn run_sort_point(point: GridPoint, run_naive: bool, backends: bool) -> Sort
                 checked_run(&lemma2, ExtMem::new(b), Check::Untraced, &l2_at).ns,
                 checked_run(&bucket, ExtMem::new(b), Check::Untraced, &bk_at).ns,
                 // The plain file store's synchronous loads against
-                // shape-derived read-ahead: a worker pool overlapping reads
-                // with the oblivious routing work, recorded in foreground
-                // request order so the logical trace still matches.
+                // shape-derived read-ahead: hinted runs coalesced into span
+                // reads, recorded in request order so the logical trace
+                // still matches.
                 checked_run(&bucket, temp_file(b), parity, &bk_at).ns,
                 checked_run(&bucket, PrefetchingStore::new(temp_file(b)), parity, &bk_at).ns,
                 // The encrypted pair, interleaved the same way: synchronous
-                // decrypt-on-load against decrypt-ahead workers, batched
-                // keystream and write-behind spans re-encrypted off the
-                // foreground thread.
+                // decrypt-on-load against coalesced decrypting span reads,
+                // batched keystream and write-behind spans.
                 checked_run(&bucket, encrypted_file(b, 0x50F8), parity, &bk_at).ns,
                 {
                     let store = PrefetchingStore::new(encrypted_file(b, 0x50F8));
@@ -771,7 +770,7 @@ pub fn run_sort_point(point: GridPoint, run_naive: bool, backends: bool) -> Sort
 
 /// Full-stack obliviousness: a Lemma 2 sort through
 /// `Prefetching(Auth(Encrypted(FileStore)))` — spans MACed as a batch on
-/// write, verified ahead on worker threads. The auth layer interleaves MAC
+/// write, verified span by span when read. The auth layer interleaves MAC
 /// arrays into the address space, so its layout (and hence its trace)
 /// cannot be compared to ExtMem's; instead the logical trace is asserted
 /// *data-independent*: two different same-shape inputs must produce
@@ -972,9 +971,9 @@ impl Family for SortBench {
                 "FileStore",
                 t.bucket.file_ns,
             ),
-            // Decrypt-ahead workers plus the batched keystream span path
-            // must beat synchronous decrypt-on-load over the same encrypted
-            // file.
+            // Coalesced decrypting span reads plus the batched keystream
+            // span path must beat synchronous decrypt-on-load over the same
+            // encrypted file.
             (
                 "bucket",
                 "Prefetching(Encrypted(FileStore))",
@@ -1915,7 +1914,7 @@ pub struct OramBenchResult {
     /// file-backed run's trace is asserted byte-identical to `ExtMem`'s.
     pub timings: Option<BackendNanos>,
     /// Wall clock of the identical sequence over
-    /// `Prefetching(Encrypted(FileStore))` — decrypt-ahead workers plus
+    /// `Prefetching(Encrypted(FileStore))` — coalesced span reads plus
     /// write-behind span encryption, flushed inside the timed region. Its
     /// logical trace is asserted byte-identical to `ExtMem`'s. `None` when
     /// run I/O-count-only.
@@ -1952,7 +1951,7 @@ impl fmt::Display for OramGridPoint {
 /// against a client-side mirror and gated by [`oram_io_bound`]. When
 /// `backends` is set the identical sequence replays
 /// over `FileStore`, `EncryptedStore<FileStore>` and
-/// `Prefetching(Encrypted(FileStore))` (decrypt-ahead workers, write-behind
+/// `Prefetching(Encrypted(FileStore))` (coalesced span reads, write-behind
 /// flushed on the clock), each timed, each trace asserted byte-identical to
 /// the simulator's — same seed, same salts, same schedule, on disk and
 /// under encryption.

@@ -15,10 +15,10 @@
 //!
 //! The arena is shared: [`ExtMem`](crate::mem::ExtMem) and
 //! [`FileStore`](crate::file::FileStore) each own one behind an [`Arc`], and
-//! the [`PrefetchingStore`](crate::prefetch::PrefetchingStore) worker threads
-//! clone that `Arc` so blocks decoded on background threads draw from — and
-//! return to — the same pool as the foreground. All methods take `&self`;
-//! the internal mutex is held only for a push/pop, never across I/O.
+//! the readers a [`PrefetchingStore`](crate::prefetch::PrefetchingStore)
+//! steals through clone that `Arc`, so blocks they decode draw from — and
+//! return to — the same pool as the store. All methods take `&self`; the
+//! internal mutex is held only for a push/pop, never across I/O.
 //!
 //! # Lifetime rules
 //!

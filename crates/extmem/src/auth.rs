@@ -34,13 +34,11 @@
 //! **The span path.** [`Prefetchable::store_run`] MACs a whole run with the
 //! batched kernel ([`mac_run`]: interleaved absorb chains, bit-identical to
 //! the scalar path per block) before one span write of the data;
-//! [`AuthenticatedReader`] verifies spans *on the prefetch worker threads*
-//! — the verify-ahead half of the pipeline — sharing the foreground's
-//! version table and MAC cache behind a mutex, so dirty (unflushed) MAC
-//! entries are always visible to the workers. A reader verification racing
-//! a foreground write may verify against the pre- or post-write state; the
-//! prefetch invalidation protocol drops such results, so nothing stale is
-//! ever served.
+//! [`AuthenticatedReader`] verifies the spans the prefetch adapter steals,
+//! sharing the foreground's version table and MAC cache, so dirty
+//! (unflushed) MAC entries are always visible to it. Steals run on the
+//! caller's thread between foreground writes, so a span is verified against
+//! the versions its blocks were last written under.
 //!
 //! The MAC is a toy keyed `splitmix64` chain, deliberately matching the toy
 //! cipher in [`crypto`](crate::crypto) — see `DESIGN.md` for the
@@ -224,7 +222,7 @@ struct MacCacheEntry {
 }
 
 /// The verification state shared between the foreground store and its
-/// background readers: version table, MAC-array map, and the MAC cache.
+/// readers: version table, MAC-array map, and the MAC cache.
 /// The cache *must* live here — a dirty (unflushed) MAC entry is the only
 /// authentic one, and a reader verifying against the stale server copy
 /// would reject honest data.
@@ -371,10 +369,10 @@ impl<S: BlockStore> AuthenticatedStore<S> {
     }
 
     /// I/Os spent on MAC-array traffic (a subset of the inner store's
-    /// totals) — the authentication overhead. Foreground traffic only:
-    /// MAC blocks fetched by background [`AuthenticatedReader`]s for
-    /// verify-ahead are not counted here (they surface in the prefetch
-    /// adapter's physical counters instead).
+    /// totals) — the authentication overhead. Store traffic only: MAC
+    /// blocks an [`AuthenticatedReader`] fetches to verify a stolen span are
+    /// not counted here (they surface in the inner store's physical counters
+    /// instead).
     pub fn mac_io(&self) -> IoStats {
         self.mac_io
     }
@@ -551,14 +549,11 @@ impl<S: BlockStore> BlockStore for AuthenticatedStore<S> {
     }
 }
 
-/// Background reader over an authenticated store: fetches data through the
-/// wrapped store's reader and **verifies on the worker thread** (the
-/// verify-ahead half of the span pipeline), sharing the foreground's version
-/// table and MAC cache. MAC blocks not in the shared cache are fetched
+/// Reader over an authenticated store: fetches data through the wrapped
+/// store's reader and verifies it against the foreground's version table and
+/// MAC cache, which it shares. MAC blocks not in the shared cache are fetched
 /// through the reader's own inner reader and *not* inserted into the cache
-/// (background threads hold no budget); a verification racing a foreground
-/// write may resolve against either side of the write — the prefetch
-/// invalidation protocol drops such results before they are served.
+/// (readers hold no budget).
 #[derive(Debug)]
 pub struct AuthenticatedReader<R: PrefetchRead> {
     inner: R,
@@ -575,7 +570,7 @@ impl<R: PrefetchRead> PrefetchRead for AuthenticatedReader<R> {
             let sh = lock_shared(&self.shared);
             let Some((astart, mh)) = sh.owning_array(addr) else {
                 // An address outside every array this client allocated can
-                // never verify; workers must not panic, so classify it the
+                // never verify; a reader must not panic, so classify it the
                 // way any unverifiable block is classified.
                 return Err(StoreError::Corrupted { addr });
             };
@@ -1006,7 +1001,7 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            let blk = res.unwrap_or_else(|e| panic!("block {i} failed verify-ahead: {e}"));
+            let blk = res.unwrap_or_else(|e| panic!("block {i} failed span verification: {e}"));
             assert_eq!(blk, auth.try_load_block(&h, i).unwrap());
         }
         // Single fetches agree too, and unwritten arrays verify as dummies.

@@ -50,9 +50,7 @@
 //! every [`EncryptedReader`] own exactly one such scratch each, reused
 //! across calls, so steady-state en/decryption performs no allocation. The
 //! scratch holds *keystream*, not plaintext, and is overwritten in full by
-//! the next call — nothing needs zeroizing between blocks. Never share one
-//! scratch across threads: parallel span encryption gives each worker its
-//! own (see [`Prefetchable::store_run`] on this type).
+//! the next call — nothing needs zeroizing between blocks.
 
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -76,11 +74,6 @@ const LANE1: u64 = 1u64 << 40;
 
 /// Unroll width of the batched keystream kernel.
 const KS_LANES: usize = 8;
-
-/// Runs at least this many blocks are worth encrypting on scoped worker
-/// threads inside [`Prefetchable::store_run`]; shorter runs stay on the
-/// calling thread (thread spawn would cost more than the keystream).
-const PAR_ENCRYPT_MIN_BLOCKS: usize = 64;
 
 /// Scalar reference keystream word for `(addr, nonce, slot, lane)` — the
 /// oracle the batched kernel is tested against, and the exact function the
@@ -159,9 +152,8 @@ fn encrypt_block_with(key: u64, addr: usize, nonce: u64, blk: &Block, ks: &mut V
 }
 
 /// Decrypts a ciphertext block using the batched kernel. A missing
-/// ciphertext slot (only possible when a background reader races the very
-/// first write of a block) decrypts as zero words — the garbage result is
-/// dropped by the prefetch invalidation protocol, never served.
+/// ciphertext slot decrypts as zero words; the occupancy bit then reads as
+/// a dummy.
 fn decrypt_block_with(key: u64, addr: usize, nonce: u64, blk: &Block, ks: &mut Vec<u64>) -> Block {
     fill_keystream(key, addr, nonce, blk.len(), ks);
     let mut out = Block::empty(blk.len());
@@ -205,8 +197,7 @@ pub struct EncryptedStore<S: BackingStore = ExtMem> {
     write_counter: u64,
     /// Nonce of the latest write for each global block; `u64::MAX` means the
     /// block was never written and decrypts to the all-dummy block. Shared
-    /// (read-only) with every [`EncryptedReader`] this store hands out, so
-    /// background workers can decrypt ahead of the foreground.
+    /// (read-only) with every [`EncryptedReader`] this store hands out.
     nonces: Arc<RwLock<Vec<u64>>>,
     /// Reusable keystream scratch of the batched kernel (see module docs).
     ks: Vec<u64>,
@@ -458,12 +449,11 @@ impl<S: BackingStore> BlockStore for EncryptedStore<S> {
     }
 }
 
-/// Background reader over an encrypted store: fetches ciphertext through the
-/// backend's own reader and decrypts it *on the worker thread* (the
-/// decrypt-ahead half of the span pipeline), sharing the store's nonce table
-/// read-only. A fetch racing a foreground write may decrypt under a
-/// mismatched nonce; the prefetch invalidation protocol guarantees such a
-/// result is dropped, never served.
+/// Reader over an encrypted store: fetches ciphertext through the backend's
+/// own reader and decrypts it under the store's nonce table, shared
+/// read-only. It serves the prefetch adapter's span steals, which run on
+/// the caller's thread between foreground writes, so every nonce it reads
+/// is the one the block was last written under.
 #[derive(Debug)]
 pub struct EncryptedReader<R: PrefetchRead> {
     inner: R,
@@ -527,14 +517,13 @@ impl<S: BackingStore + Prefetchable> Prefetchable for EncryptedStore<S> {
         self.mem.supports_store_runs()
     }
 
-    /// Encrypts the whole run — in parallel on scoped threads once the run
-    /// is long enough to amortize them (the encrypt-behind half of the span
-    /// pipeline; bit-identical either way, since each block's ciphertext is
-    /// a pure function of `(key, addr, nonce, plaintext)`) — then hands the
+    /// Encrypts the whole run with the batched kernel, then hands the
     /// backend one span write. Nonces are assigned monotonically per block
-    /// exactly as `block_at_a_time` writes would, and committed only after
-    /// the backend acknowledges the span, so a cleanly failed span leaves
-    /// every nonce at its pre-call value. (A *partially torn* span is
+    /// exactly as `block_at_a_time` writes would, so the ciphertext is
+    /// bit-identical to theirs (each block's ciphertext is a pure function
+    /// of `(key, addr, nonce, plaintext)`), and committed only after the
+    /// backend acknowledges the span, so a cleanly failed span leaves every
+    /// nonce at its pre-call value. (A *partially torn* span is
     /// indistinguishable from any other torn server write: stale-nonce
     /// ciphertext that decrypts to garbage, caught by the authentication
     /// layer, exactly like a torn block-at-a-time write sequence.)
@@ -554,51 +543,14 @@ impl<S: BackingStore + Prefetchable> Prefetchable for EncryptedStore<S> {
         }
         self.ensure_nonces();
         let base = self.write_counter;
-        let key = self.key;
         let n = blks.len();
-        let par = n >= PAR_ENCRYPT_MIN_BLOCKS
-            && std::thread::available_parallelism().map_or(1, |p| p.get()) > 1;
-        let cts: Vec<Block> = if par {
-            let workers = std::thread::available_parallelism()
-                .map_or(1, |p| p.get())
-                .min(4);
-            let chunk = n.div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = blks
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(c, part)| {
-                        scope.spawn(move || {
-                            let mut ks = Vec::new();
-                            part.iter()
-                                .enumerate()
-                                .map(|(j, blk)| {
-                                    let k = c * chunk + j;
-                                    encrypt_block_with(
-                                        key,
-                                        start + k,
-                                        base + 1 + k as u64,
-                                        blk,
-                                        &mut ks,
-                                    )
-                                })
-                                .collect::<Vec<Block>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("encrypt worker panicked"))
-                    .collect()
+        let cts: Vec<Block> = blks
+            .iter()
+            .enumerate()
+            .map(|(k, blk)| {
+                encrypt_block_with(self.key, start + k, base + 1 + k as u64, blk, &mut self.ks)
             })
-        } else {
-            blks.iter()
-                .enumerate()
-                .map(|(k, blk)| {
-                    encrypt_block_with(key, start + k, base + 1 + k as u64, blk, &mut self.ks)
-                })
-                .collect()
-        };
+            .collect();
         for blk in blks {
             self.mem.recycle(blk);
         }
@@ -782,53 +734,31 @@ mod tests {
     #[test]
     fn store_run_produces_byte_identical_ciphertext_to_block_writes() {
         // Same key, same plaintexts, same nonce sequence: the span path must
-        // leave the exact bytes on the backend that N block writes would.
-        let cells: Vec<Cell> = (0..256).map(|i| Some(e(i))).collect();
-        let b = 4;
-        let n_blocks = cells.len() / b;
+        // leave the exact bytes on the backend that N block writes would —
+        // for a full 64-block write-behind flush and for a longer, odd run.
+        for (b, n_blocks) in [(4usize, 64usize), (8, 71)] {
+            let cells: Vec<Cell> = (0..(n_blocks * b) as u64).map(|i| Some(e(i))).collect();
 
-        let mut one = EncryptedStore::with_backing(FileStore::temp(b).unwrap(), 0x50F7);
-        let h1 = BlockStore::alloc_array(&mut one, cells.len());
-        for (i, chunk) in cells.chunks(b).enumerate() {
-            one.write_block(&h1, i, &Block::from_cells(chunk));
-        }
+            let mut one = EncryptedStore::with_backing(FileStore::temp(b).unwrap(), 0x50F7);
+            let h1 = BlockStore::alloc_array(&mut one, cells.len());
+            for (i, chunk) in cells.chunks(b).enumerate() {
+                one.write_block(&h1, i, &Block::from_cells(chunk));
+            }
 
-        let mut run = EncryptedStore::with_backing(FileStore::temp(b).unwrap(), 0x50F7);
-        let h2 = BlockStore::alloc_array(&mut run, cells.len());
-        let blks: Vec<Block> = cells.chunks(b).map(Block::from_cells).collect();
-        run.store_run(h2.global_block(0), blks).unwrap();
+            let mut run = EncryptedStore::with_backing(FileStore::temp(b).unwrap(), 0x50F7);
+            let h2 = BlockStore::alloc_array(&mut run, cells.len());
+            let blks: Vec<Block> = cells.chunks(b).map(Block::from_cells).collect();
+            run.store_run(h2.global_block(0), blks).unwrap();
 
-        for i in 0..n_blocks {
-            assert_eq!(
-                one.raw_ciphertext(&h1, i),
-                run.raw_ciphertext(&h2, i),
-                "ciphertext of block {i} diverged between the span and block paths"
-            );
-        }
-        assert_eq!(run.snapshot_cells(&h2), cells);
-    }
-
-    #[test]
-    fn long_runs_take_the_parallel_encrypt_path_and_stay_identical() {
-        // PAR_ENCRYPT_MIN_BLOCKS or more blocks: the scoped-thread encrypt
-        // must produce the same bytes as the sequential path.
-        let b = 8;
-        let n = PAR_ENCRYPT_MIN_BLOCKS + 7;
-        let cells: Vec<Cell> = (0..(n * b) as u64).map(|i| Some(e(i))).collect();
-        let blks: Vec<Block> = cells.chunks(b).map(Block::from_cells).collect();
-
-        let mut seq = EncryptedStore::with_backing(FileStore::temp(b).unwrap(), 0xBEE);
-        let hs = BlockStore::alloc_array(&mut seq, cells.len());
-        for (i, blk) in blks.iter().enumerate() {
-            seq.write_block(&hs, i, blk);
-        }
-
-        let mut par = EncryptedStore::with_backing(FileStore::temp(b).unwrap(), 0xBEE);
-        let hp = BlockStore::alloc_array(&mut par, cells.len());
-        par.store_run(hp.global_block(0), blks).unwrap();
-
-        for i in 0..n {
-            assert_eq!(seq.raw_ciphertext(&hs, i), par.raw_ciphertext(&hp, i));
+            for i in 0..n_blocks {
+                assert_eq!(
+                    one.raw_ciphertext(&h1, i),
+                    run.raw_ciphertext(&h2, i),
+                    "{n_blocks}-block run: ciphertext of block {i} diverged between the span \
+                     and block paths"
+                );
+            }
+            assert_eq!(run.snapshot_cells(&h2), cells);
         }
     }
 

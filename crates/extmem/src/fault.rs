@@ -37,13 +37,13 @@
 //! **The span path.** [`Prefetchable::store_run`] decomposes a run into one
 //! fault decision per block, consuming op indices in address order — the
 //! exact schedule the block-at-a-time path consumes, so a decomposed run
-//! injects bit-identical faults (asserted by a test). Background
-//! [`FaultyReader`]s instead key their faults on the *address* (a
-//! "persistently bad sector" model): worker threads race, so an op counter
-//! would make the schedule depend on the interleaving, which is exactly the
-//! nondeterminism this module exists to exclude. Reader faults cover the
-//! transient and corrupt lanes only (stale/drop need the foreground's
-//! version history) and are not recorded in the store's fault log.
+//! injects bit-identical faults (asserted by a test). [`FaultyReader`]s
+//! instead key their faults on the *address* (a "persistently bad sector"
+//! model): a reader shares no op counter with its store, and an address
+//! keyed schedule does not depend on how reader and store calls interleave.
+//! Reader faults cover the transient and corrupt lanes only (stale/drop need
+//! the foreground's version history) and are not recorded in the store's
+//! fault log.
 
 use std::collections::HashMap;
 
@@ -66,7 +66,7 @@ const LANE_CORRUPT: u64 = 0x434F_5252_5550_5421; // "CORRUPT!"
 const LANE_STALE: u64 = 0x5354_414C_4552_4550; // "STALEREP"
 const LANE_DROP: u64 = 0x4452_4F50_5752_4954; // "DROPWRIT"
 const LANE_MUTATE: u64 = 0x4D55_5441_5445_2121; // slot/bit choice for corruption
-const LANE_FETCH: u64 = 0x4645_5443_4852_4541; // "FETCHREA": background-reader faults
+const LANE_FETCH: u64 = 0x4645_5443_4852_4541; // "FETCHREA": reader faults
 
 /// Per-lane fault rates in parts per million of operations.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -350,11 +350,10 @@ impl<S: BlockStore> BlockStore for FaultyStore<S> {
     }
 }
 
-/// Background reader over a faulty store, modelling *persistently bad
-/// sectors*: whether an address misbehaves is
-/// `hash64(addr, seed ⊕ LANE_FETCH)` — a function of the address and seed
-/// only, so the schedule is deterministic no matter how worker threads
-/// interleave. Covers the transient and corrupt lanes; stale replays and
+/// Reader over a faulty store, modelling *persistently bad sectors*:
+/// whether an address misbehaves is `hash64(addr, seed ⊕ LANE_FETCH)` — a
+/// function of the address and seed only, so the schedule is deterministic
+/// no matter how reader and store calls interleave. Covers the transient and corrupt lanes; stale replays and
 /// dropped writes need the foreground's version history and only exist
 /// there. Reader-injected faults are not recorded in the foreground fault
 /// log (readers share no state with the store).

@@ -477,7 +477,7 @@ impl BackingStore for FileStore {
     }
 }
 
-/// Background reader over the same file: positioned reads share the
+/// Reader over the same file: positioned reads share the
 /// [`Arc<File>`] (no seek cursor is involved), and decoded blocks draw from
 /// the same shared [`BlockArena`] as the foreground.
 #[derive(Debug)]

@@ -203,10 +203,10 @@ impl<S: BlockStore> BlockStore for RetryingStore<'_, S> {
     }
 }
 
-/// Background reader over a retrying store: transient fetch failures are
-/// re-issued up to the policy's retry cap, exactly like the foreground —
-/// the retry count is a function of the (seeded) fault schedule only, never
-/// of the data, so worker-side retries keep traces data-independent.
+/// Reader over a retrying store: transient fetch failures are re-issued up
+/// to the policy's retry cap, exactly like the foreground — the retry count
+/// is a function of the (seeded) fault schedule only, never of the data, so
+/// reader retries keep traces data-independent.
 /// Reader retries are not counted in the foreground [`RetryStats`] (readers
 /// share no state with the store); fatal errors are returned as values, not
 /// unwound — the prefetch protocol parks them for the foreground to surface.

@@ -1,14 +1,13 @@
 //! Seeded-interleaving stress battery for the *encrypted* span pipeline:
-//! decrypt-ahead workers ([`EncryptedReader`] under [`PrefetchingStore`]),
-//! verify-ahead workers ([`AuthenticatedReader`] in the full
+//! span steals that decrypt ([`EncryptedReader`] under [`PrefetchingStore`])
+//! and verify ([`AuthenticatedReader`] in the full
 //! `Prefetching(Auth(Encrypted(FileStore)))` stack), and run-straddling
 //! span rewrites through every layer.
 //!
-//! Mirrors the PR 6 prefetch battery (`prefetch_stress.rs`): `loom` is not
-//! available, so interleavings are shaken out with many seeded operation
-//! sequences against pool geometries chosen to maximize contention, with
-//! every load checked against an in-memory mirror immediately and the full
-//! state checked at the end.
+//! Mirrors the prefetch battery (`prefetch_stress.rs`): many seeded
+//! sequences of hints, loads and stores against adapter geometries chosen to
+//! stress its bookkeeping, with every load checked against an in-memory
+//! mirror immediately and the full state checked at the end.
 
 use extmem::element::Cell;
 use extmem::prefetch::Prefetchable;
@@ -28,11 +27,11 @@ fn fresh_mirror(seed: u64) -> Vec<Cell> {
 }
 
 /// One seeded session over `Prefetching(Encrypted(FileStore))`: a
-/// pseudo-random interleaving of hints, loads and stores. Workers decrypt
-/// on their own threads with their own scratch buffers; every load is
-/// checked against the plaintext mirror immediately, so a stale nonce, a
-/// torn scratch buffer, or a slot served across an invalidation shows up as
-/// a failed assertion, not silent garbage.
+/// pseudo-random interleaving of hints, loads and stores. Steals decrypt
+/// through the reader's own scratch buffer; every load is checked against
+/// the plaintext mirror immediately, so a stale nonce, a torn scratch
+/// buffer, or a slot served across an invalidation shows up as a failed
+/// assertion, not silent garbage.
 fn encrypted_session(seed: u64, cfg: PrefetchConfig, ops: usize) {
     let mut enc = EncryptedStore::with_backing(FileStore::temp(B).expect("temp store"), seed | 1);
     let mut mirror = fresh_mirror(seed);
@@ -85,9 +84,9 @@ fn encrypted_session(seed: u64, cfg: PrefetchConfig, ops: usize) {
 }
 
 /// Same battery over the full stack: spans are encrypted behind, MACed as a
-/// batch, decrypted *and verified* ahead on worker threads — any block a
-/// worker verified against a stale version table or an unflushed MAC entry
-/// it failed to see would panic the load.
+/// batch, and decrypted *and verified* when stolen — any block a steal
+/// verified against a stale version table or an unflushed MAC entry it
+/// failed to see would panic the load.
 fn authenticated_session(seed: u64, cfg: PrefetchConfig, ops: usize) {
     let enc = EncryptedStore::with_backing(FileStore::temp(B).expect("temp store"), seed | 1);
     let mut auth = AuthenticatedStore::new(enc, seed ^ 0x4D41_4343);
@@ -140,51 +139,33 @@ fn authenticated_session(seed: u64, cfg: PrefetchConfig, ops: usize) {
     ps.inner_mut().flush_macs().expect("flush_macs");
 }
 
-#[test]
-fn encrypted_interleavings_with_a_starved_pool() {
-    let cfg = PrefetchConfig {
-        workers: 1,
-        max_ready: 1,
-        write_buffer: 2,
-    };
-    for seed in 0..6u64 {
-        encrypted_session(seed, cfg, 600);
+/// The two adapter geometries each session runs under, as
+/// `(max_ready, write_buffer)`: a one-slot ready set with a two-block write
+/// buffer, and a wider one.
+const GEOMETRIES: [(usize, usize); 2] = [(1, 2), (16, 8)];
+
+fn cfg((max_ready, write_buffer): (usize, usize)) -> PrefetchConfig {
+    PrefetchConfig {
+        max_ready,
+        write_buffer,
     }
 }
 
 #[test]
-fn encrypted_interleavings_with_racing_workers() {
-    let cfg = PrefetchConfig {
-        workers: 4,
-        max_ready: 16,
-        write_buffer: 8,
-    };
-    for seed in 100..106u64 {
-        encrypted_session(seed, cfg, 600);
+fn encrypted_interleavings_with_a_starved_pool() {
+    for (seeds, geometry) in [0..6u64, 100..106].into_iter().zip(GEOMETRIES) {
+        for seed in seeds {
+            encrypted_session(seed, cfg(geometry), 600);
+        }
     }
 }
 
 #[test]
 fn authenticated_interleavings_with_a_starved_pool() {
-    let cfg = PrefetchConfig {
-        workers: 1,
-        max_ready: 1,
-        write_buffer: 2,
-    };
-    for seed in 200..205u64 {
-        authenticated_session(seed, cfg, 500);
-    }
-}
-
-#[test]
-fn authenticated_interleavings_with_racing_workers() {
-    let cfg = PrefetchConfig {
-        workers: 4,
-        max_ready: 16,
-        write_buffer: 8,
-    };
-    for seed in 300..305u64 {
-        authenticated_session(seed, cfg, 500);
+    for (seeds, geometry) in [200..205u64, 300..305].into_iter().zip(GEOMETRIES) {
+        for seed in seeds {
+            authenticated_session(seed, cfg(geometry), 500);
+        }
     }
 }
 

@@ -1,9 +1,9 @@
-//! Seeded-interleaving stress battery for the prefetch pool and the shared
-//! block arena. `loom` is not available in this workspace, so the harness
-//! shakes interleavings the pedestrian way: many seeded operation sequences
-//! against pool geometries chosen to maximize contention (one starved
-//! worker, several racing workers, a one-slot ready set), with correctness
-//! checked against an in-memory mirror after every load and at the end.
+//! Seeded-interleaving stress battery for the prefetch adapter and the
+//! shared block arena: many seeded sequences of hints, loads and stores
+//! against adapter geometries chosen to stress its bookkeeping (a one-slot
+//! ready set with a two-block write buffer, and a wider one), with
+//! correctness checked against an in-memory mirror after every load and at
+//! the end.
 
 use std::sync::Arc;
 
@@ -55,7 +55,7 @@ fn stress_session(seed: u64, cfg: PrefetchConfig, ops: usize) {
                 }
                 ps.recycle(blk);
             }
-            // Store fresh content — must invalidate any in-flight prefetch.
+            // Store fresh content — must invalidate any parked prefetch.
             _ => {
                 let mut blk = Block::empty(B);
                 for t in 0..B {
@@ -86,32 +86,21 @@ fn stress_session(seed: u64, cfg: PrefetchConfig, ops: usize) {
 
 #[test]
 fn seeded_interleavings_with_a_starved_pool() {
-    let cfg = PrefetchConfig {
-        workers: 1,
-        max_ready: 1,
-        write_buffer: 2,
-    };
-    for seed in 0..8u64 {
-        stress_session(seed, cfg, 600);
-    }
-}
-
-#[test]
-fn seeded_interleavings_with_racing_workers() {
-    let cfg = PrefetchConfig {
-        workers: 4,
-        max_ready: 16,
-        write_buffer: 8,
-    };
-    for seed in 100..108u64 {
-        stress_session(seed, cfg, 600);
+    for (seeds, (max_ready, write_buffer)) in [(0..8u64, (1, 2)), (100..108, (16, 8))] {
+        let cfg = PrefetchConfig {
+            max_ready,
+            write_buffer,
+        };
+        for seed in seeds {
+            stress_session(seed, cfg, 600);
+        }
     }
 }
 
 #[test]
 fn hint_storms_then_immediate_overwrites_stay_consistent() {
     // The nastiest schedule for staleness: hint *everything*, then overwrite
-    // blocks while workers race to fetch them, then read it all back.
+    // blocks before any of them is read, then read it all back.
     let (mut ps, h, mut mirror) = mk_store();
     for round in 0..20u64 {
         let all: Vec<usize> = (0..BLOCKS).collect();
@@ -174,7 +163,7 @@ fn arena_survives_contended_take_put_across_threads() {
 
 #[test]
 fn arena_is_shared_between_store_and_prefetch_readers() {
-    // The store and its background readers draw from one arena: after a
+    // The store and its steal reader draw from one arena: after a
     // prefetch-heavy workload the arena must show real reuse, bounding
     // allocation churn.
     let (mut ps, h, _) = mk_store();

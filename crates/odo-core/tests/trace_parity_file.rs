@@ -192,10 +192,9 @@ fn prefetching_file_store_traces_are_byte_identical_to_extmem() {
 
 #[test]
 fn prefetch_parity_holds_with_a_starved_pool() {
-    // A single worker and a tiny ready-set maximize steals and waits; the
+    // A tiny ready-set and write buffer maximize steals and flushes; the
     // logical trace must not notice.
     let cfg = PrefetchConfig {
-        workers: 1,
         max_ready: 2,
         write_buffer: 2,
     };

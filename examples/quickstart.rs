@@ -215,8 +215,8 @@ fn main() {
     // preallocated file, one pread/pwrite per block. Stacking
     // `EncryptedStore` on top re-encrypts every block write, and wrapping
     // the pair in `PrefetchingStore` turns the sort's shape-derived block
-    // hints into coalesced, decrypt-ahead read spans on worker threads and
-    // batched (keystream-kernel) write-behind spans — a latency optimization
+    // hints into coalesced, decrypting span reads and batched
+    // (keystream-kernel) write-behind spans — a latency optimization
     // only; the logical access pattern the server observes is unchanged.
     let ecells: Vec<Cell> = items.iter().map(|e| Some(*e)).collect();
     let mut efile =
@@ -255,10 +255,10 @@ fn main() {
         .into_iter()
         .flatten()
         .collect();
-    assert_eq!(psorted, sorted, "decrypt-ahead agrees");
+    assert_eq!(psorted, sorted, "span prefetch agrees");
     assert_eq!(freport.io, preport.io, "read-ahead never changes the I/Os");
     println!(
-        "encrypted file-backed bucket sort: {} I/Os in {:.1} ms plain, {:.1} ms with decrypt-ahead ({:?})",
+        "encrypted file-backed bucket sort: {} I/Os in {:.1} ms plain, {:.1} ms with span prefetch ({:?})",
         freport.io.total(),
         plain.as_secs_f64() * 1e3,
         prefetched.as_secs_f64() * 1e3,
