@@ -734,32 +734,44 @@ mod tests {
     #[test]
     fn store_run_produces_byte_identical_ciphertext_to_block_writes() {
         // Same key, same plaintexts, same nonce sequence: the span path must
-        // leave the exact bytes on the backend that N block writes would —
-        // for a full 64-block write-behind flush and for a longer, odd run.
-        for (b, n_blocks) in [(4usize, 64usize), (8, 71)] {
-            let cells: Vec<Cell> = (0..(n_blocks * b) as u64).map(|i| Some(e(i))).collect();
+        // leave the exact bytes on the backend that N block writes would.
+        assert_run_matches_block_writes(4, 64);
+    }
 
-            let mut one = EncryptedStore::with_backing(FileStore::temp(b).unwrap(), 0x50F7);
-            let h1 = BlockStore::alloc_array(&mut one, cells.len());
-            for (i, chunk) in cells.chunks(b).enumerate() {
-                one.write_block(&h1, i, &Block::from_cells(chunk));
-            }
+    #[test]
+    fn long_runs_take_the_parallel_encrypt_path_and_stay_identical() {
+        // A run longer than a full 64-block write-behind flush, of odd
+        // length. Runs this long once took a separate scoped-thread encrypt
+        // path; every run is now encrypted serially, and must still match.
+        assert_run_matches_block_writes(8, 71);
+    }
 
-            let mut run = EncryptedStore::with_backing(FileStore::temp(b).unwrap(), 0x50F7);
-            let h2 = BlockStore::alloc_array(&mut run, cells.len());
-            let blks: Vec<Block> = cells.chunks(b).map(Block::from_cells).collect();
-            run.store_run(h2.global_block(0), blks).unwrap();
+    /// Writes `n_blocks` blocks of `b` cells once block by block and once as
+    /// one `store_run`, under the same key, and asserts the backend holds the
+    /// same ciphertext for every block.
+    fn assert_run_matches_block_writes(b: usize, n_blocks: usize) {
+        let cells: Vec<Cell> = (0..(n_blocks * b) as u64).map(|i| Some(e(i))).collect();
 
-            for i in 0..n_blocks {
-                assert_eq!(
-                    one.raw_ciphertext(&h1, i),
-                    run.raw_ciphertext(&h2, i),
-                    "{n_blocks}-block run: ciphertext of block {i} diverged between the span \
-                     and block paths"
-                );
-            }
-            assert_eq!(run.snapshot_cells(&h2), cells);
+        let mut one = EncryptedStore::with_backing(FileStore::temp(b).unwrap(), 0x50F7);
+        let h1 = BlockStore::alloc_array(&mut one, cells.len());
+        for (i, chunk) in cells.chunks(b).enumerate() {
+            one.write_block(&h1, i, &Block::from_cells(chunk));
         }
+
+        let mut run = EncryptedStore::with_backing(FileStore::temp(b).unwrap(), 0x50F7);
+        let h2 = BlockStore::alloc_array(&mut run, cells.len());
+        let blks: Vec<Block> = cells.chunks(b).map(Block::from_cells).collect();
+        run.store_run(h2.global_block(0), blks).unwrap();
+
+        for i in 0..n_blocks {
+            assert_eq!(
+                one.raw_ciphertext(&h1, i),
+                run.raw_ciphertext(&h2, i),
+                "{n_blocks}-block run: ciphertext of block {i} diverged between the span and \
+                 block paths"
+            );
+        }
+        assert_eq!(run.snapshot_cells(&h2), cells);
     }
 
     #[test]
