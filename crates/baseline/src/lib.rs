@@ -23,8 +23,8 @@
 //! * [`naive_select_kth`] — sort-then-index selection (paper §4's strawman):
 //!   full-depth bitonic sort of a working copy, then a streaming pass that
 //!   latches the `k`-th cell and one more that recovers the original element
-//!   — `Θ((N/B) log² N)` I/Os, versus `odo-core::select`'s iterated
-//!   prune-and-compact `O((N/B)(1 + log(N/M)))`. Same contract as the
+//!   — `Θ((N/B) log² N)` I/Os, versus `odo-core::select`'s filtering rounds,
+//!   `O((N/B)(1 + log(N/M)))`. Same contract as the
 //!   optimized algorithm: rank by key, ties broken by original position,
 //!   trace independent of data and of `k`, input left unmodified.
 

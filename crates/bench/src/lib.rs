@@ -31,9 +31,12 @@
 //!   `C_c · ⌈N/B⌉ · (1 + ⌈log_β(⌈N/M⌉)⌉)`, `β = max(2, M/(8B))`,
 //!   `C_c =` [`COMPACT_BOUND_CONSTANT`]: the external levels run fused,
 //!   `log₂(W/B)` per column sweep, so the base grows with the cache.
-//! * **select** — the §4 selection's single-log bound with
+//! * **select** — [`select_io_bound`]: one filtering round is gated at
+//!   `C_f · ⌈N/B⌉` (`C_f =` [`FILTER_BOUND_CONSTANT`]) plus the Lemma 2
+//!   bound on its samples, prune rounds at the single-log bound with
 //!   `C_s =` [`SELECT_BOUND_CONSTANT`] (prune-and-compact inherits
-//!   compaction's advantage over sorting), against naive sort-then-index.
+//!   compaction's advantage over sorting), against naive sort-then-index;
+//!   the headline must beat it 50×.
 //! * **faults** — the untrusted-server model: authentication overhead,
 //!   retries of transient faults, and tampering surfacing as a typed error.
 //! * **oram** — a composed bound ([`oram_io_bound`]): one probe per level per
@@ -81,8 +84,14 @@ pub const BUCKET_SORT_SEED: u64 = 0x0B0C_4E75;
 /// The explicit constant `C_c` of the checked compaction I/O bound.
 pub const COMPACT_BOUND_CONSTANT: u64 = 16;
 
-/// The explicit constant `C_s` of the checked selection I/O bound.
-pub const SELECT_BOUND_CONSTANT: u64 = 64;
+/// The explicit constant `C_s` of the checked selection I/O bound when
+/// prune rounds run.
+pub const SELECT_BOUND_CONSTANT: u64 = 32;
+
+/// The explicit constant `C_f` of the checked selection I/O bound when one
+/// filtering round runs: two streaming passes over the array, the sample
+/// array's writes and scan, and slack for the partial blocks of odd `N`.
+pub const FILTER_BOUND_CONSTANT: u64 = 4;
 
 /// The I/O model line of the sort, compaction, selection and ORAM documents.
 const IO_MODEL: &str = "1 I/O per block read or write, ExtMem::stats";
@@ -203,10 +212,18 @@ pub fn compact_io_bound(n: usize, b: usize, m: usize) -> u64 {
     COMPACT_BOUND_CONSTANT * n.div_ceil(b) as u64 * (1 + lg)
 }
 
-/// The selection bound `C_s · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉)` — the single-log
-/// form selection inherits from prune-and-compact.
-pub fn select_io_bound(n: usize, b: usize, m: usize) -> u64 {
-    SELECT_BOUND_CONSTANT * n.div_ceil(b) as u64 * (1 + ceil_log2_ratio(n, m))
+/// The selection bound for the schedule `report` ran, itself a function of
+/// the shape alone. One filtering round (`rounds == 1`) costs
+/// `C_f · ⌈N/B⌉` plus the Lemma 2 bound on its `⌈N/g⌉·s` samples; prune
+/// rounds keep the single-log form `C_s · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉)`
+/// selection inherits from prune-and-compact.
+pub fn select_io_bound(n: usize, b: usize, m: usize, report: &SelectReport) -> u64 {
+    if report.rounds == 1 {
+        let samples = n.div_ceil(report.chunk_elems) * report.samples_per_chunk;
+        FILTER_BOUND_CONSTANT * n.div_ceil(b) as u64 + sort_io_bound(samples, b, m)
+    } else {
+        SELECT_BOUND_CONSTANT * n.div_ceil(b) as u64 * (1 + ceil_log2_ratio(n, m))
+    }
 }
 
 /// Deterministic pseudo-random input used by every benchmark run, so results
@@ -266,6 +283,14 @@ pub fn smoke_grid() -> Vec<GridPoint> {
         },
     ]
 }
+
+/// The selection family's extra smoke point: no filter fits the input, so
+/// selection prunes before it filters.
+const SELECT_MULTI_ROUND_SMOKE: GridPoint = GridPoint {
+    n: 1 << 12,
+    b: 16,
+    m: 1 << 7,
+};
 
 /// The grid for the sort, compaction and selection families.
 fn primitive_grid(smoke: bool) -> Vec<GridPoint> {
@@ -1062,15 +1087,16 @@ impl<R> PointResult<R> {
 /// over traced `ExtMem`, the identical run over the re-encrypting store
 /// (file-backed in the backend sweep), and — when `backends` is set — a
 /// plain `FileStore` run, every trace byte-identical to the reference.
-/// `report` extracts the structural report from the reference run's; the
-/// caller fills in the naive baseline.
+/// `report` extracts the structural report from the reference run's and
+/// `bound` the family's bound from that; the caller fills in the naive
+/// baseline.
 fn measure_point<W: Workload, R>(
     point: GridPoint,
     job: &W,
     what: &str,
     key: u64,
     backends: bool,
-    bound_total: u64,
+    bound: impl FnOnce(&R) -> u64,
     report: impl FnOnce(W::Report) -> R,
 ) -> PointResult<R> {
     let (b, what) = (point.b, format!("{what} at {point}"));
@@ -1081,10 +1107,12 @@ fn measure_point<W: Workload, R>(
         file_ns: checked_run(job, temp_file(b), Check::Parity(&mem), &what).ns,
         encrypted_file_ns: enc.ns,
     });
+    let report = report(mem.report);
+    let bound_total = bound(&report);
     PointResult {
         point,
         optimized: mem.io,
-        report: report(mem.report),
+        report,
         encrypted: enc.io,
         naive: None,
         naive_levels: None,
@@ -1113,7 +1141,15 @@ pub fn run_compact_point(point: GridPoint, run_naive: bool, backends: bool) -> C
         (rep.io, rep.levels)
     });
     let bound = compact_io_bound(n, b, m);
-    let mut r = measure_point(point, &job, "compaction", 0x0D0_5EC, backends, bound, |r| r);
+    let mut r = measure_point(
+        point,
+        &job,
+        "compaction",
+        0x0D0_5EC,
+        backends,
+        |_| bound,
+        |r| r,
+    );
     (r.naive, r.naive_levels) = naive.unzip();
     r
 }
@@ -1134,14 +1170,13 @@ pub fn run_select_point(point: GridPoint, run_naive: bool, backends: bool) -> Se
         assert_eq!(got, job.expected, "naive selection failed at {point}");
         (rep.io, rep.levels)
     });
-    let bound = select_io_bound(n, b, m);
     let mut r = measure_point(
         point,
         &job,
         "selection",
         0x5EC_5E1,
         backends,
-        bound,
+        |r| select_io_bound(n, b, m, r),
         |(_, r)| r,
     );
     (r.naive, r.naive_levels) = naive.unzip();
@@ -1251,8 +1286,15 @@ impl Family for SelectBench {
         "k=N/2 (optimized + encrypted-trace parity + naive + timed file backends)";
     const COLUMNS: &'static [Column<SelectBenchResult>] = &SelectBenchResult::COLUMNS;
 
+    /// The smoke grid's two points filter in one round; the extra point
+    /// `(2^12, 16, 2^7)` admits no filter over the input, so the multi-round
+    /// path is gated too.
     fn grid(smoke: bool) -> Vec<GridPoint> {
-        primitive_grid(smoke)
+        let mut grid = primitive_grid(smoke);
+        if smoke {
+            grid.push(SELECT_MULTI_ROUND_SMOKE);
+        }
+        grid
     }
 
     fn run(point: GridPoint) -> Vec<SelectBenchResult> {
@@ -1265,9 +1307,12 @@ impl Family for SelectBench {
             ("io_model", IO_MODEL.into()),
             (
                 "bound",
-                "C * ceil(N/B) * (1 + ceil(log2(ceil(N/M))))".into(),
+                "rounds = 1: C_f * ceil(N/B) + sort_bound(ceil(N/g) * s); \
+                 otherwise: C * ceil(N/B) * (1 + ceil(log2(ceil(N/M))))"
+                    .into(),
             ),
             ("bound_constant", SELECT_BOUND_CONSTANT.into()),
+            ("filter_bound_constant", FILTER_BOUND_CONSTANT.into()),
         ]
     }
 
@@ -1282,6 +1327,7 @@ impl Family for SelectBench {
         f.extend([
             ("rounds", r.report.rounds.into()),
             ("chunk_elems", r.report.chunk_elems.into()),
+            ("samples_per_chunk", r.report.samples_per_chunk.into()),
             ("final_window", r.report.final_window.into()),
             ("bound_total", r.bound_total.into()),
         ]);
@@ -1297,7 +1343,7 @@ impl Family for SelectBench {
             "SELECT",
             "naive sort-then-index",
             headline,
-            Some(2.0),
+            Some(50.0),
         )
     }
 }
@@ -2389,7 +2435,9 @@ mod tests {
         .collect();
         let json = family_json::<SelectBench>(&results);
         assert_eq!(json.matches("\"optimized_total\"").count(), 2);
-        assert!(json.contains("\"bound_constant\": 64"));
+        assert!(json.contains("\"bound_constant\": 32"));
+        assert!(json.contains("\"filter_bound_constant\": 4"));
+        assert_eq!(json.matches("\"samples_per_chunk\"").count(), 2);
         assert!(json.contains("\"encrypted_trace_identical\": true"));
         assert!(json.contains("\"speedup_vs_naive\""));
         assert!(json.contains("\"within_bound\": true"));

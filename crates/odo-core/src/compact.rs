@@ -217,7 +217,7 @@ pub fn try_expand<S: BlockStore>(
 /// self-inconsistent routing state returns [`OdoError::CorruptedRouting`];
 /// the infallible façades panic with the error's `Display`, which preserves
 /// the historical assert messages.
-fn run<S: BlockStore>(
+pub(crate) fn run<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
     cache_elems: usize,

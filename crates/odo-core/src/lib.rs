@@ -15,12 +15,14 @@
 //!   column sweeps that fuse `log₂(W/B)` external levels each, in
 //!   `O((N/B)(1 + log_{M/B}(N/M)))` I/Os.
 //! * [`select`] — the paper's §4 data-oblivious selection and quantiles:
-//!   [`select::select_kth`] prunes candidates with weighted splitters and §3
-//!   compaction, then finishes with the external sort, in
-//!   `O((N/B)(1 + log_{M/B}(N/M)))` I/Os whose trace hides the data *and*
-//!   the rank.
+//!   [`select::select_kth`] brackets the target between weighted splitters
+//!   and keeps the candidates between them in the private cache — two
+//!   streaming passes and one small sample sort while `N` is below about
+//!   `M²/32`, §3 compaction rounds to shrink the window first beyond that —
+//!   in `O((N/B)(1 + log_{M/B}(N/M)))` I/Os whose trace hides the data
+//!   *and* the rank.
 //! * [`sorter`] — the [`OblivSorter`] strategy layer: every embedded sort
-//!   (the façades, selection's sample/finishing sorts, the quantile pass)
+//!   (the façades, selection's sample sorts, the quantile pass)
 //!   can swap the deterministic Lemma 2 engine for the randomized bucket
 //!   oblivious sort ([`obliv_net::bucket_sort`]), trading the squared log
 //!   for `O((N/B)·log_{M/B}(N/B))` I/Os once `N ≫ M`.
@@ -64,7 +66,6 @@ pub use obliv_net::{
 };
 pub use select::{
     quantiles, quantiles_with, select_kth, select_kth_with, try_select_kth, SelectReport,
-    SAMPLES_PER_CHUNK,
 };
 pub use sorter::{OblivSorter, SortEngine, SorterReport};
 

@@ -1,6 +1,7 @@
 //! I/O-efficient external-memory **data-oblivious selection** — the paper's
 //! Section 4 k-th order statistic, executed over an outsourced block store in
-//! `O((N/B)(1 + log(N/M)))` I/Os.
+//! `O((N/B)(1 + log(N/M)))` I/Os, and in two streaming passes plus one small
+//! sample sort whenever the survivors of one filtering round fit in cache.
 //!
 //! # Problem
 //!
@@ -15,71 +16,84 @@
 //!
 //! # Algorithm
 //!
-//! Selection composes the two primitives the workspace already ships, in
-//! exactly the layering the paper describes: candidate pruning via §3
-//! order-preserving compaction ([`crate::compact::compact`]) and a final
-//! in-cache finish via the Lemma 2 external sort
-//! ([`obliv_net::external_oblivious_sort_by`]). One streaming pass first
-//! replaces each occupied cell by a *working item* `(key, original index)` —
-//! a strict total order even under heavy key duplication, which is what makes
-//! the pruning window provably shrink. Then, while the candidate window of
-//! `r` slots exceeds the cache:
+//! Every candidate is compared as a *working item* `(key, original index)`
+//! — a strict total order even under heavy key duplication, which is what
+//! makes the rank bounds below prune duplicates apart. Working items of the
+//! input are formed on the fly as its blocks are read; the input is never
+//! written. A *filtering round* over a window of `r` candidates runs:
 //!
-//! 1. **Weighted splitter extraction.** The window is cut into `C = ⌈r/g⌉`
-//!    chunks of `g = Θ(M)` slots. Each chunk is pulled into the cache, sorted
-//!    CPU-side (free), and its `s` evenly spaced order statistics — local
-//!    ranks `(i+1)·g/s − 1` — are appended to a sample array of `C·s` cells.
-//!    Each sample carries implicit weight `g/s`. One read pass plus `O(r·s/g)`
-//!    sample writes.
+//! 1. **Weighted splitter extraction.** One streaming pass cuts the window
+//!    into `C = ⌈r/g⌉` chunks of `g = M/2` slots (rounded down to a power of
+//!    two). Each chunk is pulled into the cache, sorted CPU-side (free), and
+//!    its `s` evenly spaced order statistics — local ranks `(i+1)·g/s − 1` —
+//!    are appended to a sample array of `C·s` cells. Each sample carries
+//!    implicit weight `g/s`. On the first round this pass also counts the
+//!    occupied cells.
 //! 2. **Oblivious approximate-quantile reduction.** The sample array is
-//!    sorted with the external oblivious sort, and one streaming pass
+//!    sorted with the selected [`OblivSorter`], and one streaming pass
 //!    captures — in private registers, never by rank-addressed reads — the
 //!    two splitters `lo = σ(q_lo)` and `hi = σ(q_hi)` with
 //!    `q_lo = ⌊k′·s/g⌋ − C` and `q_hi = ⌈(k′+1)·s/g⌉` (clamped to ±∞). The
-//!    classic weighted-sample rank bounds
-//!    `q·(g/s) ≤ rank(σ(q)) ≤ (q + C)·(g/s)` guarantee `lo ≤ target < hi`.
-//! 3. **Mark-and-compact pruning.** One read-modify-write pass blanks every
-//!    candidate outside `[lo, hi)` (counting, in a private register, those
-//!    pruned *below*, which shifts the residual rank `k′`); §3 compaction then
-//!    routes the survivors to a prefix. The same rank bounds cap the survivor
-//!    count by the shape-only quantity `r′ = (2C + 4)·(g/s)` — with `s = 8`
-//!    samples per chunk, `r′ < ⅝·r`, so the window shrinks geometrically —
-//!    and the prefix of `r′` slots is copied into the next round's window.
+//!    weighted-sample rank bounds `q·(g/s) ≤ rank(σ(q)) ≤ (q + C)·(g/s)`
+//!    guarantee `lo ≤ target < hi` and cap the candidates in `[lo, hi)` by
+//!    the shape-only count `r′ = (2C + 4)·(g/s)`.
+//! 3. **Filter.** One more streaming pass counts the candidates below `lo` in
+//!    a register (they shift the residual rank `k′`) and keeps those in
+//!    `[lo, hi)` in a private buffer of `r′` survivors, charged to the cache
+//!    budget beside one block. The `k′`-th survivor is selected in cache.
 //!
-//! When the window fits in cache, it is sorted with the external oblivious
-//! sort and a final streaming pass captures the `k′`-th cell in a register.
-//! One last pass over the *untouched* input array recovers the full original
-//! element from the winning index — again by streaming every block, so the
-//! winning position stays hidden. (Unlike the in-place sort and compaction,
-//! selection never modifies the input array.)
+//! The round count is a function of the shape. `s` is the smallest power of
+//! two, at most `g/4`, whose survivor buffer fits the cache: `2·r′ + B ≤ M`
+//! on the input (a survivor keeps its original element beside its working
+//! item), `r′ + B ≤ M` on a scratch window. A window that fits the buffer
+//! whole is filtered with no samples at all (`s = 0`). For `N` up to about
+//! `M²/32` the first round over the input is already the filter, and the
+//! answer comes out of it directly.
+//!
+//! Past that no `s` fits, and *prune rounds* shrink the window first. A prune
+//! round extracts `s = 8` splitters per chunk exactly as above, but its third
+//! pass writes the candidates in `[lo, hi)` as working items into a fresh
+//! scratch array (dummies elsewhere), and §3 compaction
+//! ([`crate::compact::compact`]) routes them to a prefix of at most
+//! `r′ < ⅝·r` slots, which is the next round's window. Once the window admits
+//! the filter, the filter finishes, and one last streaming pass over the
+//! untouched input recovers the full original element from the winning
+//! index — every block is read, so the winning position stays hidden.
 //!
 //! # I/O count
 //!
-//! Every round costs three streaming passes plus one compaction over `r_t`
-//! slots — `O((r_t/B)(1 + log_{M/B}(r_t/M)))` I/Os, since compaction runs its
-//! external butterfly levels fused into cache-sized column sweeps — and
-//! `Σ r_t` is geometric from `N`, so the total is dominated by
+//! One filtering round over the input costs `2⌈N/B⌉` reads, `2⌈C·s/B⌉`
+//! sample writes and reads, and one sort of at most about `N/4` samples —
+//! at the headline `N = 2^18, B = 64, M = 2^13` that is `s = 256` and 10,240
+//! I/Os, under a third of the bucket sort. Every prune round costs a sampling
+//! pass, a sample sort, a pass that writes the next window, and one
+//! compaction over `r_t` slots —
+//! `O((r_t/B)(1 + log_{M/B}(r_t/M)))` I/Os, since compaction fuses its
+//! external butterfly levels into cache-sized column sweeps — and `Σ r_t`
+//! is geometric from `N`, so the total stays
 //! `O((N/B)(1 + log_{M/B}(N/M)))` — one log factor, the paper's selection
-//! advantage over sorting. The `odo-bench` harness checks the
-//! explicit-constant form `64·⌈N/B⌉·(1 + ⌈log₂⌈N/M⌉⌉)` at every grid point
-//! and records the measurements in `BENCH_select.json`.
+//! advantage over sorting. The `odo-bench` harness checks both forms at
+//! every grid point and records the measurements in `BENCH_select.json`.
 //!
 //! # Obliviousness
 //!
-//! Window sizes `r_t`, chunk counts, sample-array lengths, the round count
-//! and every block address are fixed functions of `(N, B, M)`. The rank `k`,
-//! the splitters, the pruned-below counters and the winning index live only
-//! in private registers and steer block *contents*, never addresses. The
-//! `select_oblivious` integration test asserts byte-identical traces across
-//! dozens of datasets, across every `k` at a fixed shape, and across the
-//! plaintext/encrypted backends.
+//! Window sizes, chunk counts, samples per chunk, sample-array lengths, the
+//! round count and every block address are fixed functions of `(N, B, M)`.
+//! The rank `k`, the splitters, the pruned-below counters, the survivor
+//! buffer and the winning index live only in the private cache and steer
+//! block *contents*, never addresses. The `select_oblivious` integration
+//! test asserts byte-identical traces across dozens of datasets, across
+//! every `k` at a fixed shape, and across the plaintext/encrypted backends,
+//! on both the one-round and the multi-round path.
 //!
 //! # Restrictions
 //!
 //! Arrays larger than the cache require `M ≥ 8B` and a power-of-two `B`
-//! (inherited from §3 compaction) plus `M ≥ 4·s = 32` so that every chunk
-//! holds at least two full sample strides; in-cache arrays accept any
-//! `B ≥ 1`.
+//! (inherited from §3 compaction) plus `M ≥ 32` so that every chunk holds at
+//! least two prune-round sample strides; in-cache arrays accept any `B ≥ 1`.
+//! [`try_select_kth`] reports a violation, and a rank `k` outside the
+//! occupied cells, as [`OdoError::InvalidArgument`]; the infallible entry
+//! points panic with the same message.
 
 use crate::error::OdoError;
 use crate::sorter::OblivSorter;
@@ -89,28 +103,30 @@ use extmem::{
     RetryStats,
 };
 
-/// Number of weighted samples each chunk contributes per pruning round.
-///
-/// Larger values shrink the candidate window faster per round but lengthen
-/// the sample array; `8` keeps the guaranteed shrink factor at `8/5` per
-/// round (and ~4 in the early rounds, where `r ≫ M`).
-pub const SAMPLES_PER_CHUNK: usize = 8;
+/// Weighted samples each chunk contributes to a prune round: the window
+/// shrinks to `r′ = (2C + 4)·(g/8) < ⅝·r` (about `r/4` while `r ≫ M`).
+const PRUNE_SAMPLES: usize = 8;
 
 /// What an external selection did, alongside its I/O cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SelectReport {
     /// I/Os charged to this selection (reads + writes deltas).
     pub io: IoStats,
-    /// Pruning rounds executed (0 when the array fit in cache). A fixed
-    /// function of the shape `(N, B, M)`, never of the data or of `k`.
+    /// Filtering rounds executed: the prune rounds plus the final filter, so
+    /// 1 when the first round over the input already filters and 0 when the
+    /// array fit in cache. A fixed function of the shape `(N, B, M)`, never
+    /// of the data or of `k`.
     pub rounds: usize,
     /// The chunk size `g` in elements (a power of two `≤ M/2`), or the array
     /// length when the whole array fit in cache.
     pub chunk_elems: usize,
-    /// Weighted samples taken per chunk (`s`); 0 on the in-cache path.
+    /// Weighted samples per chunk (`s`) taken by the final filtering round:
+    /// 0 when its window fit the survivor buffer whole, and on the in-cache
+    /// path.
     pub samples_per_chunk: usize,
-    /// Size of the final candidate window handed to the finishing sort (the
-    /// array length itself on the in-cache path).
+    /// Candidate slots the final filtering round read: `N` when the first
+    /// round filters, the last prune round's output bound otherwise, and the
+    /// array length on the in-cache path.
     pub final_window: usize,
     /// The rank `k` that was requested.
     pub rank: usize,
@@ -130,8 +146,9 @@ pub struct SelectReport {
 /// # Panics
 /// Panics if `k` is not smaller than the number of occupied cells, and — when
 /// the array does not fit in cache — if `cache_elems < max(8·B, 32)` or `B`
-/// is not a power of two (the §3 compaction requirements plus two full sample
-/// strides per chunk).
+/// is not a power of two (the §3 compaction requirements plus two full
+/// prune-round sample strides per chunk). [`try_select_kth`] returns these as
+/// [`OdoError::InvalidArgument`] instead.
 pub fn select_kth<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
@@ -142,12 +159,11 @@ pub fn select_kth<S: BlockStore>(
 }
 
 /// [`select_kth`] with an explicit [`OblivSorter`] strategy: the sample sort
-/// of every pruning round and the finishing sort of the final window run on
-/// the selected engine. `&OblivSorter::Bitonic` reproduces [`select_kth`]
-/// exactly; `OblivSorter::bucket(seed)` swaps in the randomized
-/// `O((N/B)·log_{M/B}(N/B))` engine (note its trace then depends on the seed
-/// and the random bin assignment — see `DESIGN.md` on when that is
-/// acceptable).
+/// of every round runs on the selected engine. `&OblivSorter::Bitonic`
+/// reproduces [`select_kth`] exactly; `OblivSorter::bucket(seed)` swaps in
+/// the randomized `O((N/B)·log_{M/B}(N/B))` engine (note its trace then
+/// depends on the seed and the random bin assignment — see `DESIGN.md` on
+/// when that is acceptable).
 ///
 /// # Panics
 /// Same conditions as [`select_kth`], plus — on the bucket engine — a bucket
@@ -160,28 +176,105 @@ pub fn select_kth_with<S: BlockStore>(
     k: usize,
     sorter: &OblivSorter,
 ) -> (Element, SelectReport) {
+    run(store, h, cache_elems, k, sorter).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible variant of [`select_kth`] for untrusted/unreliable servers:
+/// transient faults are retried per `policy` (the retry schedule depends
+/// only on the server's fault schedule, never on the data or the rank), and
+/// the first permanent [`StoreError`](extmem::StoreError) — a corrupted
+/// block, a rollback, exhausted retries — aborts the pass and is returned
+/// as a typed [`OdoError`] instead of panicking or selecting from tampered
+/// data. A rank `k` at or past the occupied count, a cache below
+/// `max(8·B, 32)` or a non-power-of-two `B` on the external path return
+/// [`OdoError::InvalidArgument`]. The rank check fires after the first
+/// streaming pass over the input, where the occupied count is first known,
+/// so the trace up to the error is the same for every `k`.
+///
+/// The input array is left unmodified even on `Err` (selection works on
+/// internal scratch copies); the store remains usable.
+pub fn try_select_kth<S: BlockStore>(
+    store: &mut S,
+    h: &ArrayHandle,
+    cache_elems: usize,
+    k: usize,
+    policy: RetryPolicy,
+) -> Result<(Element, SelectReport, RetryStats), OdoError> {
+    let (inner, retries) = run_fallible(store, policy, |s| {
+        run(s, h, cache_elems, k, &OblivSorter::Bitonic)
+    })
+    .map_err(OdoError::from)?;
+    let (elem, report) = inner?;
+    Ok((elem, report, retries))
+}
+
+const RANK_OUT_OF_RANGE: OdoError = OdoError::InvalidArgument {
+    reason: "rank k out of range: k must be smaller than the number of occupied cells",
+};
+
+/// A filtering round's candidates: the first `len` slots of `h`.
+#[derive(Clone, Copy)]
+struct Window {
+    h: ArrayHandle,
+    len: usize,
+    /// Whether `h` is the caller's input, whose occupied cell `j` stands for
+    /// the working item `(key, j)`; a scratch window holds working items.
+    input: bool,
+}
+
+impl Window {
+    /// The working item of occupied slot `j`.
+    fn item(&self, j: usize, e: Element) -> Element {
+        if self.input {
+            Element::new(e.key, j as u64)
+        } else {
+            e
+        }
+    }
+
+    /// Private words one filter survivor takes: an input survivor keeps its
+    /// original element beside its working item.
+    fn survivor_words(&self) -> usize {
+        if self.input {
+            2
+        } else {
+            1
+        }
+    }
+
+    /// Blocks of `h` the window spans.
+    fn blocks(&self) -> usize {
+        self.len.div_ceil(self.h.block_elems())
+    }
+}
+
+/// The shared driver of [`select_kth_with`] and [`try_select_kth`]: every
+/// argument failure is an [`OdoError::InvalidArgument`].
+fn run<S: BlockStore>(
+    store: &mut S,
+    h: &ArrayHandle,
+    cache_elems: usize,
+    k: usize,
+    sorter: &OblivSorter,
+) -> Result<(Element, SelectReport), OdoError> {
     let start = store.io_stats();
     let n = h.len();
     let mut budget = CacheBudget::new(cache_elems);
 
     // Whole array fits in the private cache: one read pass, select CPU-side.
     if n <= cache_elems {
-        let (winner, idx) = budget.with(n.max(1), |_| {
+        let live = budget.with(n.max(1), |_| {
             let cells = store.load_span(h, 0, n);
             let mut live: Vec<(usize, Element)> = cells
                 .iter()
                 .enumerate()
                 .filter_map(|(j, c)| c.map(|e| (j, e)))
                 .collect();
-            assert!(
-                k < live.len(),
-                "rank k out of range: k={k} >= {} occupied",
-                live.len()
-            );
             live.sort_by_key(|&(j, e)| (e.key, j));
-            (live[k].1, live[k].0)
+            live
         });
-        return (
+        let &(idx, winner) = live.get(k).ok_or(RANK_OUT_OF_RANGE)?;
+        return Ok((
             winner,
             SelectReport {
                 io: store.io_stats() - start,
@@ -193,183 +286,259 @@ pub fn select_kth_with<S: BlockStore>(
                 index: idx,
                 in_cache: true,
             },
-        );
+        ));
     }
 
     let b = h.block_elems();
-    let s = SAMPLES_PER_CHUNK;
-    assert!(
-        cache_elems >= 8 * b,
-        "external selection needs a private cache of at least eight blocks (M >= 8B)"
-    );
-    assert!(
-        cache_elems >= 4 * s,
-        "external selection needs a private cache of at least {} elements",
-        4 * s
-    );
-    assert!(
-        b.is_power_of_two(),
-        "external selection requires a power-of-two block size"
-    );
+    let invalid = |reason| Err(OdoError::InvalidArgument { reason });
+    if cache_elems < 8 * b {
+        return invalid(
+            "external selection needs a private cache of at least eight blocks (M >= 8B)",
+        );
+    }
+    if cache_elems < 4 * PRUNE_SAMPLES {
+        return invalid("external selection needs a private cache of at least 32 elements");
+    }
+    if !b.is_power_of_two() {
+        return invalid("external selection requires a power-of-two block size");
+    }
     // Chunk size: the largest power of two with 2g ≤ M, so a chunk (plus its
-    // samples) always fits in cache. g ≥ 2s by the cache floor above.
+    // samples) always fits in cache. g ≥ 2·PRUNE_SAMPLES by the floors above.
     let g = largest_pow2_at_most(cache_elems / 2);
-    debug_assert!(g >= 2 * s);
-
-    let (mut cur, live) = build_working_copy(store, h, &mut budget);
-    assert!(k < live, "rank k out of range: k={k} >= {live} occupied");
 
     // `kp` is the residual rank of the target inside the current window;
     // it shrinks as candidates are pruned below the window. Private state.
     let mut kp = k;
-    let mut r = n;
+    let mut win = Window {
+        h: *h,
+        len: n,
+        input: true,
+    };
     let mut rounds = 0usize;
-
-    while r > cache_elems {
+    loop {
         rounds += 1;
-        let c = r.div_ceil(g);
-        let s_len = c * s;
+        let plan = filter_samples(&win, g, cache_elems);
+        let s = plan.unwrap_or(PRUNE_SAMPLES);
+        let c = win.len.div_ceil(g);
+        let (lo, hi) = if s == 0 {
+            (None, None)
+        } else {
+            let (samples, live) = sample_chunks(store, &win, g, s, &mut budget);
+            if win.input && k >= live {
+                return Err(RANK_OUT_OF_RANGE);
+            }
+            sorter.sort_by(store, &samples, cache_elems, &cell_cmp_none_last);
+            let s_len = c * s;
+            let q_lo = (kp * s / g).checked_sub(c).filter(|&q| q < s_len);
+            let q_hi = Some((kp + 1).div_ceil(g / s)).filter(|&q| q < s_len);
+            let (lo, hi) = scan_splitters(store, &samples, &mut budget, q_lo, q_hi);
+            // lo = None means −∞ (no lower pruning); hi = None means +∞ (a
+            // clamped or dummy splitter — every candidate is below it).
+            debug_assert!(
+                q_lo.is_none() || lo.is_some(),
+                "a lo splitter is never a dummy"
+            );
+            (lo, hi)
+        };
+        let bound = survivor_bound(win.len, g, s);
 
-        // 1. Weighted splitter extraction: sort each chunk in cache, emit its
-        // s evenly spaced order statistics. Short tail chunks are implicitly
-        // padded with dummies (+∞), which the rank bounds absorb.
-        let samples = store.alloc_array(s_len);
-        for ci in 0..c {
-            let lo_e = ci * g;
-            let hi_e = ((ci + 1) * g).min(r);
-            budget.with(hi_e - lo_e + s, |_| {
-                let mut cells = store.load_span(&cur, lo_e, hi_e);
-                cells.sort_by(cell_cmp_none_last);
-                let picks: Vec<Cell> = (0..s)
-                    .map(|i| cells.get((i + 1) * (g / s) - 1).copied().flatten())
-                    .collect();
-                store.store_span(&samples, ci * s, &picks);
-            });
+        if plan.is_some() {
+            let (below, mut kept) = filter(store, &win, lo, hi, bound, &mut budget);
+            kp -= below;
+            assert!(kp < kept.len(), "the bracket always contains the target");
+            let (winner, elem) = *kept.select_nth_unstable_by_key(kp, |&(w, _)| w).1;
+            let idx = winner.payload as usize;
+            let elem = if win.input {
+                elem
+            } else {
+                recover(store, h, idx, &mut budget)
+            };
+            debug_assert_eq!(elem.key, winner.key);
+            return Ok((
+                elem,
+                SelectReport {
+                    io: store.io_stats() - start,
+                    rounds,
+                    chunk_elems: g,
+                    samples_per_chunk: s,
+                    final_window: win.len,
+                    rank: k,
+                    index: idx,
+                    in_cache: false,
+                },
+            ));
         }
 
-        // 2. Oblivious approximate-quantile reduction: sort the samples, then
-        // stream them once, latching the two bracket splitters in registers —
-        // never reading a rank-dependent address.
-        sorter.sort_by(store, &samples, cache_elems, &cell_cmp_none_last);
-        let q_lo = (kp * s / g).checked_sub(c).filter(|&q| q < s_len);
-        let q_hi = Some((kp + 1).div_ceil(g / s)).filter(|&q| q < s_len);
-        let (lo, hi) = scan_splitters(store, &samples, &mut budget, q_lo, q_hi);
-        // lo = None means −∞ (no lower pruning); hi = None means +∞ (a
-        // clamped or dummy splitter — every candidate is below it).
-        debug_assert!(
-            q_lo.is_none() || lo.is_some(),
-            "a lo splitter is never a dummy"
-        );
-
-        // 3. Mark-and-compact pruning: blank candidates outside [lo, hi),
-        // counting those pruned below in a private register, then route the
-        // survivors to a prefix with §3 compaction and shrink the window to
-        // the shape-determined bound r'.
+        // Prune round: write the candidates in [lo, hi) into a fresh scratch
+        // array, counting those below in a private register, route them to a
+        // prefix with §3 compaction, and shrink the window to the
+        // shape-determined bound r′.
+        assert!(bound < win.len, "the window shrinks every round");
+        let wrk = store.alloc_array(win.len);
         let mut below = 0usize;
-        hint_sweep(store, &cur);
-        for beta in 0..cur.n_blocks() {
+        hint_prefix(store, &win.h, win.blocks());
+        for beta in 0..win.blocks() {
             budget.with(2 * b, |_| {
-                let mut blk = store.load_block(&cur, beta);
+                let blk = store.load_block(&win.h, beta);
+                let mut out = Block::empty(b);
                 for t in 0..b {
+                    let j = beta * b + t;
+                    if j >= win.len {
+                        break;
+                    }
                     if let Some(e) = blk.get(t) {
-                        if lo.is_some_and(|l| e < l) {
+                        let w = win.item(j, e);
+                        if lo.is_some_and(|l| w < l) {
                             below += 1;
-                            blk.set(t, None);
-                        } else if hi.is_some_and(|hh| e >= hh) {
-                            blk.set(t, None);
+                        } else if hi.is_none_or(|hh| w < hh) {
+                            out.set(t, Some(w));
                         }
                     }
                 }
-                store.store_block(&cur, beta, blk);
+                store.store_block(&wrk, beta, out);
             });
         }
         kp -= below;
-        let survivors = crate::compact::compact(store, &cur, cache_elems).occupied;
+        let survivors = crate::compact::run(store, &wrk, cache_elems, None)?.occupied;
         assert!(kp < survivors, "the bracket always contains the target");
-
-        let r_next = (2 * c + 4) * (g / s);
-        assert!(r_next < r, "the window shrinks every round");
         assert!(
-            survivors <= r_next,
-            "weighted-sample rank bounds cap the survivors: {survivors} > {r_next}"
+            survivors <= bound,
+            "weighted-sample rank bounds cap the survivors: {survivors} > {bound}"
         );
-        let next = store.alloc_array(r_next);
-        let prefix: Vec<usize> = (0..next.n_blocks()).collect();
-        store.hint_blocks(&cur, &prefix);
-        for beta in 0..next.n_blocks() {
-            budget.with(b, |_| {
-                let blk = store.load_block(&cur, beta);
-                store.store_block(&next, beta, blk);
-            });
-        }
-        cur = next;
-        r = r_next;
+        win = Window {
+            h: wrk,
+            len: bound,
+            input: false,
+        };
     }
+}
 
-    // Finish: sort the final window with the selected engine (it now fits in
-    // cache: one read plus one write pass), then stream it to latch the
-    // kp-th cell — the working item (key, original index) of the target.
-    sorter.sort_by(store, &cur, cache_elems, &cell_cmp_none_last);
-    let winner = budget.with(r, |_| {
-        let cells = store.load_span(&cur, 0, r);
-        cells[kp].expect("the target survived every pruning round")
-    });
-    let idx = winner.payload as usize;
+/// Samples per chunk with which one filtering round over `win` keeps its
+/// survivors in cache: `Some(0)` when the whole window fits the survivor
+/// buffer, else the smallest power of two `s ≤ g/4` whose survivor bound
+/// `r′ = (2C + 4)·(g/s)` fits beside one block. `None` means a prune round
+/// must shrink the window first. The `g/4` cap keeps the sample array at
+/// about a quarter of the window: past it the sample sort can cost more than
+/// a prune round plus a cheaper filter. A function of the shape alone.
+fn filter_samples(win: &Window, g: usize, cache_elems: usize) -> Option<usize> {
+    let fits = |s: usize| {
+        survivor_bound(win.len, g, s) * win.survivor_words() + win.h.block_elems() <= cache_elems
+    };
+    let powers = std::iter::successors(Some(1usize), |&s| Some(2 * s));
+    std::iter::once(0)
+        .chain(powers.take_while(|&s| s <= g / 4))
+        .find(|&s| fits(s))
+}
 
-    // Recovery: one streaming pass over the untouched input resurrects the
-    // full original element at the winning index — every block is read, the
-    // match is latched CPU-side, so the index never shapes the trace.
+/// The weighted-sample bound `r′ = (2C + 4)·(g/s)` on the candidates a
+/// round with `s` samples per chunk keeps of a window of `len` slots; with
+/// no samples, the whole window.
+fn survivor_bound(len: usize, g: usize, s: usize) -> usize {
+    g.checked_div(s)
+        .map_or(len, |w| (2 * len.div_ceil(g) + 4) * w)
+}
+
+/// Step 1 of a filtering round: cuts `win` into chunks of `g` slots, sorts
+/// each chunk's working items in cache and writes its `s` evenly spaced
+/// order statistics (dummies where a chunk runs short) to a fresh sample
+/// array of `C·s` cells. Returns the sample array and the number of occupied
+/// slots read.
+fn sample_chunks<S: BlockStore>(
+    store: &mut S,
+    win: &Window,
+    g: usize,
+    s: usize,
+    budget: &mut CacheBudget,
+) -> (ArrayHandle, usize) {
+    let c = win.len.div_ceil(g);
+    let samples = store.alloc_array(c * s);
+    let mut live = 0usize;
+    for ci in 0..c {
+        let lo_e = ci * g;
+        let hi_e = ((ci + 1) * g).min(win.len);
+        budget.with(hi_e - lo_e + s, |_| {
+            let cells = store.load_span(&win.h, lo_e, hi_e);
+            let mut items: Vec<Element> = cells
+                .iter()
+                .enumerate()
+                .filter_map(|(t, cell)| cell.map(|e| win.item(lo_e + t, e)))
+                .collect();
+            live += items.len();
+            items.sort_unstable();
+            let picks: Vec<Cell> = (0..s)
+                .map(|i| items.get((i + 1) * (g / s) - 1).copied())
+                .collect();
+            store.store_span(&samples, ci * s, &picks);
+        });
+    }
+    (samples, live)
+}
+
+/// Step 3 of the final round: streams `win` once, counting the working items
+/// below `lo` and keeping those in `[lo, hi)` — at most `bound` of them,
+/// each paired with the element it was read as — in a private buffer charged
+/// to `budget` for the whole pass.
+fn filter<S: BlockStore>(
+    store: &mut S,
+    win: &Window,
+    lo: Cell,
+    hi: Cell,
+    bound: usize,
+    budget: &mut CacheBudget,
+) -> (usize, Vec<(Element, Element)>) {
+    let b = win.h.block_elems();
+    budget.with(bound * win.survivor_words() + b, |_| {
+        let mut below = 0usize;
+        let mut kept = Vec::with_capacity(bound);
+        hint_prefix(store, &win.h, win.blocks());
+        for beta in 0..win.blocks() {
+            let blk = store.load_block(&win.h, beta);
+            for t in 0..b {
+                let j = beta * b + t;
+                if j >= win.len {
+                    break;
+                }
+                if let Some(e) = blk.get(t) {
+                    let w = win.item(j, e);
+                    if lo.is_some_and(|l| w < l) {
+                        below += 1;
+                    } else if hi.is_none_or(|hh| w < hh) {
+                        assert!(
+                            kept.len() < bound,
+                            "weighted-sample rank bounds cap the survivors at {bound}"
+                        );
+                        kept.push((w, e));
+                    }
+                }
+            }
+        }
+        (below, kept)
+    })
+}
+
+/// Recovery: one streaming pass over the untouched input resurrects the
+/// full original element at index `idx` — every block is read, the match is
+/// latched CPU-side, so the index never shapes the trace.
+fn recover<S: BlockStore>(
+    store: &mut S,
+    h: &ArrayHandle,
+    idx: usize,
+    budget: &mut CacheBudget,
+) -> Element {
+    let b = h.block_elems();
     let mut found: Cell = None;
-    hint_sweep(store, h);
+    hint_prefix(store, h, h.n_blocks());
     for beta in 0..h.n_blocks() {
         budget.with(b, |_| {
             let blk = store.load_block(h, beta);
             for t in 0..b {
-                let j = beta * b + t;
-                if j < n && j == idx {
+                if beta * b + t == idx {
                     found = blk.get(t);
                 }
             }
         });
     }
-    let elem = found.expect("the selected index holds an occupied cell");
-    debug_assert_eq!(elem.key, winner.key);
-
-    (
-        elem,
-        SelectReport {
-            io: store.io_stats() - start,
-            rounds,
-            chunk_elems: g,
-            samples_per_chunk: s,
-            final_window: r,
-            rank: k,
-            index: idx,
-            in_cache: false,
-        },
-    )
-}
-
-/// Fallible variant of [`select_kth`] for untrusted/unreliable servers:
-/// transient faults are retried per `policy` (the retry schedule depends
-/// only on the server's fault schedule, never on the data or the rank), and
-/// the first permanent [`StoreError`](extmem::StoreError) — a corrupted
-/// block, a rollback, exhausted retries — aborts the pass and is returned
-/// as a typed [`OdoError`] instead of panicking or selecting from tampered
-/// data.
-///
-/// The input array is left unmodified even on `Err` (selection works on
-/// internal scratch copies); the store remains usable.
-pub fn try_select_kth<S: BlockStore>(
-    store: &mut S,
-    h: &ArrayHandle,
-    cache_elems: usize,
-    k: usize,
-    policy: RetryPolicy,
-) -> Result<(Element, SelectReport, RetryStats), OdoError> {
-    run_fallible(store, policy, |s| select_kth(s, h, cache_elems, k))
-        .map(|((elem, report), retry)| (elem, report, retry))
-        .map_err(OdoError::from)
+    found.expect("the selected index holds an occupied cell")
 }
 
 /// Computes the elements at every rank in `ranks` (each 0-based among the
@@ -427,7 +596,7 @@ pub fn quantiles_with<S: BlockStore>(
 
     // Stream the sorted copy, latching each requested rank in a register.
     let mut picks: Vec<Cell> = vec![None; ranks.len()];
-    hint_sweep(store, &wrk);
+    hint_prefix(store, &wrk, wrk.n_blocks());
     for beta in 0..wrk.n_blocks() {
         budget.with(b + 2 * ranks.len(), |_| {
             let blk = store.load_block(&wrk, beta);
@@ -445,7 +614,7 @@ pub fn quantiles_with<S: BlockStore>(
     // Recovery pass over the untouched input: resurrect every winner's full
     // element by its original index, all in one stream.
     let mut out: Vec<Cell> = vec![None; ranks.len()];
-    hint_sweep(store, h);
+    hint_prefix(store, h, h.n_blocks());
     for beta in 0..h.n_blocks() {
         budget.with(b + 2 * ranks.len(), |_| {
             let blk = store.load_block(h, beta);
@@ -466,11 +635,11 @@ pub fn quantiles_with<S: BlockStore>(
     (elems, store.io_stats() - start)
 }
 
-/// Advertises a full forward block sweep over `h` to the store. Every
-/// streaming pass in this module reads blocks `0..n_blocks` in order, a
-/// schedule fixed by the array shape alone, so hinting it leaks nothing.
-fn hint_sweep<S: BlockStore>(store: &mut S, h: &ArrayHandle) {
-    let schedule: Vec<usize> = (0..h.n_blocks()).collect();
+/// Advertises a forward sweep over the first `blocks` blocks of `h` to the
+/// store. Every streaming pass in this module reads a prefix of an array in
+/// order, a schedule fixed by the shape alone, so hinting it leaks nothing.
+fn hint_prefix<S: BlockStore>(store: &mut S, h: &ArrayHandle, blocks: usize) {
+    let schedule: Vec<usize> = (0..blocks).collect();
     store.hint_blocks(h, &schedule);
 }
 
@@ -490,7 +659,7 @@ fn build_working_copy<S: BlockStore>(
     let n = h.len();
     let wrk = store.alloc_array(n);
     let mut live = 0usize;
-    hint_sweep(store, h);
+    hint_prefix(store, h, h.n_blocks());
     for beta in 0..h.n_blocks() {
         budget.with(2 * b, |_| {
             let blk = store.load_block(h, beta);
@@ -535,7 +704,7 @@ fn scan_splitters<S: BlockStore>(
     let len = samples.len();
     let mut lo: Cell = None;
     let mut hi: Cell = None;
-    hint_sweep(store, samples);
+    hint_prefix(store, samples, samples.n_blocks());
     for beta in 0..samples.n_blocks() {
         budget.with(b, |_| {
             let blk = store.load_block(samples, beta);
@@ -708,6 +877,121 @@ mod tests {
             .map(|i| Some(Element::keyed(i as u64, i)))
             .collect();
         run_select(&cells, 64, 256, 5);
+    }
+
+    /// `try_select_kth` at `(N, B, M)` on `cells`, with the store's trace.
+    fn try_select(
+        cells: &[Cell],
+        b: usize,
+        m: usize,
+        k: usize,
+    ) -> (
+        Result<(Element, SelectReport, RetryStats), OdoError>,
+        extmem::AccessTrace,
+    ) {
+        let mut mem = ExtMem::new(b);
+        let h = mem.alloc_array_from_cells(cells);
+        mem.enable_trace();
+        let r = try_select_kth(&mut mem, &h, m, k, RetryPolicy::default());
+        (r, mem.take_trace().unwrap())
+    }
+
+    fn invalid_reason(r: Result<(Element, SelectReport, RetryStats), OdoError>) -> &'static str {
+        match r {
+            Err(OdoError::InvalidArgument { reason }) => reason,
+            other => panic!("expected InvalidArgument, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn try_select_reports_an_out_of_range_rank_as_invalid_argument() {
+        // In cache, on the one-round filter path and on the multi-round
+        // path; every third cell is a dummy, so k counts occupied cells.
+        let mut cells: Vec<Cell> = keyed_input(4096, 4, 99).into_iter().map(Some).collect();
+        for c in cells.iter_mut().step_by(3) {
+            *c = None;
+        }
+        for (n, b, m) in [
+            (512usize, 8usize, 1024usize),
+            (4096, 16, 1024),
+            (4096, 16, 128),
+        ] {
+            let cells = &cells[..n];
+            let live_n = cells.iter().flatten().count();
+            let (r, trace) = try_select(cells, b, m, live_n);
+            assert!(
+                invalid_reason(r).contains("rank k out of range"),
+                "N={n} M={m}"
+            );
+            // The error fires where the occupied count is first known: the
+            // trace up to it is the same for every out-of-range k.
+            let (r, far) = try_select(cells, b, m, live_n + 1000);
+            assert!(r.is_err());
+            extmem::trace::assert_oblivious(&trace, &far, "out-of-range ranks");
+        }
+    }
+
+    #[test]
+    fn try_select_reports_a_small_cache_as_invalid_argument() {
+        let cells: Vec<Cell> = (0..4096)
+            .map(|i| Some(Element::keyed(i as u64, i)))
+            .collect();
+        let (r, trace) = try_select(&cells, 64, 256, 5);
+        assert!(invalid_reason(r).contains("eight blocks"));
+        assert!(trace.is_empty(), "shape validation precedes every I/O");
+        let (r, _) = try_select(&cells, 2, 16, 5);
+        assert!(invalid_reason(r).contains("at least 32 elements"));
+    }
+
+    #[test]
+    fn try_select_reports_a_non_power_of_two_block_as_invalid_argument() {
+        let cells: Vec<Cell> = (0..1200)
+            .map(|i| Some(Element::keyed(i as u64, i)))
+            .collect();
+        let (r, trace) = try_select(&cells, 12, 256, 5);
+        assert!(invalid_reason(r).contains("power-of-two block size"));
+        assert!(trace.is_empty());
+        // In cache any block size works.
+        let (r, _) = try_select(&cells[..200], 12, 256, 5);
+        assert_eq!(r.unwrap().0, Element::keyed(5, 5));
+    }
+
+    #[test]
+    fn the_filter_plan_is_cheap_and_bounded_by_the_cache() {
+        let plan = |n: usize, b: usize, m: usize, input: bool| {
+            let mut mem = ExtMem::new(b);
+            let win = Window {
+                h: mem.alloc_array(n),
+                len: n,
+                input,
+            };
+            filter_samples(&win, largest_pow2_at_most(m / 2), m)
+        };
+        // The headline filters in one round over the input.
+        assert_eq!(plan(1 << 18, 64, 1 << 13, true), Some(256));
+        // No s ≤ g/4 fits: prune first.
+        assert_eq!(plan(1 << 18, 64, 1 << 10, true), None);
+        assert_eq!(plan(1 << 14, 8, 128, true), None);
+        // A scratch window that fits the buffer whole needs no samples; the
+        // same length as input, whose survivors take two words, does.
+        assert_eq!(plan(100, 8, 128, false), Some(0));
+        assert_eq!(plan(100, 8, 128, true), Some(16));
+        // Either side of the cutover at B = 16, M = 1024 (g = 512): 61
+        // chunks fit with s = 128 = g/4, 62 would need s = 256.
+        assert_eq!(plan(61 * 512, 16, 1024, true), Some(128));
+        assert_eq!(plan(61 * 512 + 1, 16, 1024, true), None);
+        // Whatever s is chosen, 2·r′ + B fits the cache.
+        for (n, b, m) in [
+            (4096usize, 16usize, 1024usize),
+            (1 << 16, 64, 8192),
+            (5000, 8, 512),
+        ] {
+            let g = largest_pow2_at_most(m / 2);
+            if let Some(s) = plan(n, b, m, true) {
+                assert!(s <= g / 4);
+                assert!(2 * (2 * n.div_ceil(g) + 4) * (g / s) + b <= m);
+            }
+        }
     }
 
     #[test]

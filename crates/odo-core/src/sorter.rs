@@ -15,7 +15,7 @@
 //!   engine of choice once `N ≫ M`, where the squared log dominates.
 //!
 //! Callers that embed a sort — [`crate::select::select_kth_with`]'s sample
-//! and finishing sorts, [`crate::sort_outsourced_with`] — take the strategy
+//! sorts, [`crate::sort_outsourced_with`] — take the strategy
 //! as a parameter; the un-suffixed entry points keep the deterministic
 //! default. See the repo-root `DESIGN.md` for when to pick which.
 

@@ -119,7 +119,7 @@ fn non_power_of_two_lengths() {
 
 #[test]
 fn pure_in_cache_path() {
-    // N ≤ M: one read pass, no pruning rounds, no writes.
+    // N ≤ M: one read pass, no filtering rounds, no writes.
     for (n, b, m) in [(64usize, 8usize, 64usize), (200, 8, 256), (1, 4, 32)] {
         let cells = full(n, 2, 10);
         let mut mem = ExtMem::new(b);
@@ -196,5 +196,91 @@ fn quantiles_and_select_kth_agree() {
         let h2 = mem2.alloc_array_from_cells(&cells);
         let (sel, _) = select_kth(&mut mem2, &h2, 64, rk);
         assert_eq!(qs[i], sel, "rank {rk}");
+    }
+}
+
+#[test]
+fn filter_path_matches_the_oracle_on_extreme_inputs() {
+    // N = 4096, B = 16, M = 1024: one filtering round, g = 512, s = 32.
+    let (n, b, m) = (4096usize, 16usize, 1024usize);
+    let inputs: [(&str, Vec<Cell>); 5] = [
+        ("random", full(n, 3, 1 << 20)),
+        (
+            "all-equal keys",
+            (0..n)
+                .map(|i| Some(Element::new(5, i as u64 * 7)))
+                .collect(),
+        ),
+        (
+            "sorted",
+            (0..n).map(|i| Some(Element::keyed(i as u64, i))).collect(),
+        ),
+        (
+            "reverse-sorted",
+            (0..n)
+                .map(|i| Some(Element::keyed((n - i) as u64, i)))
+                .collect(),
+        ),
+        (
+            "one occupied chunk",
+            (0..n)
+                .map(|i| (i / 512 == 5).then(|| Element::keyed(i as u64 % 11, i)))
+                .collect(),
+        ),
+    ];
+    for (what, cells) in &inputs {
+        let live = cells.iter().flatten().count();
+        for k in [
+            0,
+            1,
+            31,
+            32,
+            live / 3,
+            live / 2,
+            live - 33,
+            live - 2,
+            live - 1,
+        ] {
+            check(cells, b, m, k, &format!("{what} k={k}"));
+        }
+    }
+}
+
+#[test]
+fn multi_round_path_matches_the_oracle() {
+    // N = 2^14, B = 8, M = 128: no filter fits the input, three prune
+    // rounds shrink the window first.
+    let n = 1 << 14;
+    for (salt, key_range) in [(1u64, 3u64), (2, 1 << 30)] {
+        let cells = full(n, salt, key_range);
+        for k in [0, n / 3, n - 1] {
+            check(&cells, 8, 128, k, &format!("range={key_range} k={k}"));
+        }
+    }
+}
+
+#[test]
+fn the_filter_never_costs_more_than_pruning_to_the_cache() {
+    // Reference totals of the prune-only schedule: s = 8 every round while
+    // the window exceeds M, a working-copy pass before the first round, a
+    // window copy after each, and a sort + scan + recovery finish. The
+    // filter, on either side of its cutover, must never cost more.
+    for (n, b, m, prune_only) in [
+        (4096usize, 16usize, 1024usize, 7096u64),
+        (61 * 512, 16, 1024, 60110),
+        (61 * 512 + 1, 16, 1024, 60288),
+        (4096, 16, 128, 15244),
+        (512, 8, 64, 3101),
+        (1000, 16, 128, 2980),
+    ] {
+        let cells = full(n, 6, 1 << 20);
+        let mut mem = ExtMem::new(b);
+        let h = mem.alloc_array_from_cells(&cells);
+        let (_, report) = select_kth(&mut mem, &h, m, n / 2);
+        assert!(
+            report.io.total() <= prune_only,
+            "N={n} B={b} M={m}: {} I/Os > {prune_only}",
+            report.io.total()
+        );
     }
 }

@@ -103,11 +103,12 @@ fn main() {
     println!("expansion (the network in reverse) restored the original layout");
 
     // --- §4 selection: the median, without the server learning it ---
-    // select_kth prunes candidates with weighted splitters + §3 compaction
-    // and finishes with the Lemma 2 sort: O((N/B)(1 + log(N/M))) I/Os — one
-    // log factor, cheaper than sorting — and the trace hides the data AND
-    // the requested rank k. Runs over the same encrypted store; the input
-    // array is left untouched.
+    // select_kth brackets the median between weighted splitters drawn from
+    // cache-sized chunks and keeps the candidates between them in the
+    // private cache: at this shape one filtering round — two streaming
+    // passes around one small sample sort, cheaper than sorting — and the
+    // trace hides the data AND the requested rank k. Runs over the same
+    // encrypted store; the input array is left untouched.
     let survivors_arr: Vec<Cell> = cells.iter().flatten().map(|e| Some(*e)).collect();
     let sel_handle = store.alloc_array_from_cells(&survivors_arr);
     let k = survivors / 2;
@@ -117,12 +118,12 @@ fn main() {
         median.key
     );
     println!(
-        "I/Os: {} reads + {} writes = {} total — {} pruning rounds, final window {} elems",
+        "I/Os: {} reads + {} writes = {} total — {} filtering round(s), {} samples per chunk",
         report.io.reads,
         report.io.writes,
         report.io.total(),
         report.rounds,
-        report.final_window
+        report.samples_per_chunk
     );
     println!("the server saw the SAME trace it would for any dataset and any rank k of this shape");
 
