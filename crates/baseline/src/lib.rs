@@ -207,8 +207,9 @@ pub fn naive_external_butterfly_compact(
         };
     }
 
-    // Distance-label pass (identical to the optimized algorithm's): occupied
-    // cell j gets label j - rank(j) in a parallel scratch array.
+    // Distance-label pass: occupied cell j gets label j - rank(j) in a
+    // parallel scratch array (the optimized algorithm computes the same
+    // labels in cache, inside its first sweep).
     let dist = mem.alloc_array(n);
     let mut rank = 0usize;
     for beta in 0..h.n_blocks() {

@@ -24,57 +24,62 @@
 //! crate does. Three I/O optimizations collapse this to
 //! `O((N/B)(1 + log_{M/B}(N/M)))`:
 //!
-//! 1. **Oblivious prefix-rank label pass.** One streaming sweep reads each
-//!    data block, carries the running rank in a private-cache register, and
-//!    writes the distance label of every occupied cell to a parallel scratch
-//!    array — `2·⌈N/B⌉` I/Os, addresses a fixed function of the shape.
-//! 2. **In-cache head window.** All levels with stride `2^i < W` (where
+//! 1. **In-cache head window.** All levels with stride `2^i < W` (where
 //!    `W = Θ(M)` is the largest power-of-two window fitting the private
 //!    cache) compose into a single move by `d mod W` cells. A sliding-window
-//!    sweep executes *all* of them in one read pass plus one write pass over
-//!    data and labels: items whose composed hop crosses a window boundary are
-//!    carried in cache into the adjacent window (they travel less than `W`
-//!    cells, so one window of carry suffices). When the whole array fits in
-//!    cache this sweep is the entire algorithm — one read and one write pass.
-//! 3. **Fused column sweeps.** The remaining `⌈log₂ N⌉ − log₂ W` levels have
-//!    strides `2^i ≥ W ≥ B` and run in groups of `g = max(1, log₂(W/B))`.
+//!    sweep executes *all* of them at once. Windows are visited in ascending
+//!    order, and the window visited last stays in cache until the current
+//!    one is done: every move is shorter than `W`, so it lands in the
+//!    current window or the held one. When the whole array fits in cache
+//!    this sweep is the entire algorithm — one read and one write pass.
+//! 2. **Fused column sweeps.** The remaining `⌈log₂ N⌉ − log₂ W` levels have
+//!    strides `2^i ≥ W ≥ B` and run in groups of `g = log₂(W/B)`.
 //!    Levels `[i₀, i₀ + g)` with `2^i₀ = k·B` move an item only by whole
 //!    multiples of `k` blocks: they keep its slot offset and its block column
 //!    `β mod k`. Over the virtual array of blocks `c, c + k, c + 2k, …` the
 //!    group is exactly the head-window sweep, with the move
-//!    `(d & mask)/k ≤ W` (`mask` covering label bits `[i₀, i₀ + g)`) — one
-//!    read pass plus one write pass over data and labels per group. The head
-//!    window is the special case `i₀ = 0, k = 1`.
+//!    `(d & mask)/k < W` (`mask` covering label bits `[i₀, i₀ + g)`). The
+//!    head window is the special case `i₀ = 0, k = 1`.
+//! 3. **Labels only between sweeps.** The first sweep reads only the data
+//!    and computes each label in cache: `j − ρ(j)` from a running rank in a
+//!    private register, which the ascending head window visits in order.
+//!    Every sweep but the last writes the remaining label of each item to a
+//!    parallel scratch array for the next one; the last sweep writes only
+//!    data, and a label it leaves non-zero means the labels were corrupt.
 //!
-//! The total is `⌈N/B⌉·(2 + 4 + 4·⌈(⌈log₂ N⌉ − log₂ W)/g⌉)` I/Os; with
-//! `W = Θ(M)` that is `O((N/B)(1 + log_{M/B}(N/M)))`, which is the paper's
-//! `O(N/B)` whenever `N/M` is polynomial in `M/B`. The `odo-bench` harness
-//! checks the explicit-constant form `16·⌈N/B⌉·(1 + ⌈log_β⌈N/M⌉⌉)`,
-//! `β = max(2, M/(8B))`, at every grid point and `BENCH_compact.json`
-//! records the measurements.
+//! A middle sweep is one read pass plus one write pass over data and
+//! labels; the first and the last each skip one label pass. With `S` sweeps
+//! (the head window plus `⌈(⌈log₂ N⌉ − log₂ W)/g⌉` column sweeps) the total
+//! is `⌈N/B⌉·(4·S − 2)` I/Os; with `W = Θ(M)` that is
+//! `O((N/B)(1 + log_{M/B}(N/M)))`, which is the paper's `O(N/B)` whenever
+//! `N/M` is polynomial in `M/B`. The `odo-bench` harness checks the
+//! explicit-constant form `8·⌈N/B⌉·(1 + ⌈log_β⌈N/M⌉⌉)`, `β = max(2, M/(8B))`,
+//! at every grid point and `BENCH_compact.json` records the measurements.
 //!
 //! The reverse direction ([`expand`]) routes a compact prefix back out to a
 //! strictly increasing target set — the paper's observation that the network
-//! can be used "in reverse" — with the same passes mirrored.
+//! can be used "in reverse" — with the same sweeps mirrored: the groups run
+//! in descending order, windows are visited right to left, and the first
+//! sweep takes item `j`'s label `targets[j] − j` straight from the targets.
 //!
 //! # Obliviousness
 //!
-//! Every block address touched is a fixed function of `(N, B, M)`: the label
-//! sweep visits blocks `0..⌈N/B⌉` in order, and every sweep visits its
-//! columns and windows in a fixed order with unconditional writes (a window
-//! is rewritten even if nothing moved). Which cells are occupied, where items
-//! route, and the expansion targets influence only block *contents* — never
-//! addresses. The `compact_oblivious` integration test asserts byte-identical
-//! traces across dozens of occupancy patterns at fixed shape.
+//! Every block address touched is a fixed function of `(N, B, M)`: every
+//! sweep visits its columns and windows in a fixed order with unconditional
+//! writes (a window is rewritten even if nothing moved). Which cells are
+//! occupied, where items route, and the expansion targets influence only
+//! block *contents* — never addresses. The `compact_oblivious` integration
+//! test asserts byte-identical traces across dozens of occupancy patterns at
+//! fixed shape.
 //!
 //! # Restrictions
 //!
-//! Compaction requires `M ≥ 8B`: a sweep holds a data and a label window
-//! plus carried items in both directions (`6W ≤ M`), and a window must be at
-//! least one block (`W ≥ B`). The external path (arrays larger than the
-//! cache) additionally requires a power-of-two block size `B`, so that the
-//! strides `≥ W` are whole multiples of a block. Arrays that fit in cache
-//! accept any `B ≥ 1`.
+//! Compaction requires `M ≥ 8B`: a sweep holds the data and labels of two
+//! windows (`4W ≤ M`), and a window must be at least two blocks (`W ≥ 2B`,
+//! so that each column sweep runs at least one level). The external path
+//! (arrays larger than the cache) additionally requires a power-of-two
+//! block size `B`, so that the strides `≥ W` are whole multiples of a
+//! block. Arrays that fit in cache accept any `B ≥ 1`.
 
 use crate::error::OdoError;
 use extmem::element::Cell;
@@ -106,9 +111,9 @@ pub struct CompactReport {
     /// Levels with stride `≥ W`, run outside the head window.
     pub external_levels: usize,
     /// Column sweeps that ran the external levels: `⌈external_levels / g⌉`
-    /// with `g = max(1, log₂(W/B))` levels fused per sweep.
+    /// with `g = log₂(W/B)` levels fused per sweep.
     pub external_passes: usize,
-    /// The sliding-window size `W` in elements (a power of two `≤ M/6`)
+    /// The sliding-window size `W` in elements (a power of two `≤ M/4`)
     /// used by the head window and every column sweep, or the array length
     /// when the whole array fit in cache.
     pub window_elems: usize,
@@ -154,18 +159,6 @@ pub fn try_compact<S: BlockStore>(
     let (inner, retries) =
         run_fallible(store, policy, |s| run(s, h, cache_elems, None)).map_err(OdoError::from)?;
     Ok((inner?, retries))
-}
-
-/// Alias of [`compact`] emphasizing the §3 guarantee: compaction through the
-/// butterfly network with stable distance labels is always
-/// *order-preserving* — the occupied cells appear in the prefix in their
-/// original relative order. The two entry points are interchangeable.
-pub fn compact_order_preserving<S: BlockStore>(
-    store: &mut S,
-    h: &ArrayHandle,
-    cache_elems: usize,
-) -> CompactReport {
-    compact(store, h, cache_elems)
 }
 
 /// The reverse operation: array `h` holds `targets.len()` occupied cells as a
@@ -284,30 +277,38 @@ pub(crate) fn run<S: BlockStore>(
         });
     }
 
-    // Phase 1 — oblivious prefix-rank label pass into a parallel scratch
-    // array: occupied cell j gets distance label j - rank(j) (or, expanding,
-    // targets[j] - j), empty cells get a dummy.
-    let dist = store.alloc_array(n);
-    let occupied = write_labels(store, h, &dist, &mut budget, targets)?;
-
-    // Phases 2 and 3 — the head window composes every level with stride
-    // < W into one sweep; the external levels (strides ≥ W ≥ B) run in
-    // groups of g as one sweep per block column. Compaction executes the
-    // circuit forward (head window first, then the groups ascending);
-    // expansion is the same circuit run backwards in time (groups
-    // descending, then the head window) — the forward order collides on
-    // legitimate expansion labels, see `obliv_net::butterfly::expand`.
+    // The head window composes every level with stride < W into one
+    // sweep; the external levels (strides ≥ W ≥ 2B) run in groups of g as
+    // one sweep per block column. Compaction executes the circuit forward
+    // (head window first, then the groups ascending); expansion is the same
+    // circuit run backwards in time (groups descending, then the head
+    // window) — the forward order collides on legitimate expansion labels,
+    // see `obliv_net::butterfly::expand`.
     let w = window_elems(cache_elems);
-    let t = w.trailing_zeros() as usize; // n > M ≥ 6W, so t < lv
-    let g = ((w / b).trailing_zeros() as usize).max(1);
+    let t = w.trailing_zeros() as usize; // n > M ≥ 4W, so t < lv
+    let g = (w / b).trailing_zeros() as usize; // W ≥ 2B, so g ≥ 1
     let mut groups = vec![(0, t)];
     groups.extend((t..lv).step_by(g).map(|i0| (i0, g.min(lv - i0))));
-    groups.retain(|&(_, len)| len > 0);
     if dir == Direction::Right {
         groups.reverse();
     }
-    for &group in &groups {
-        sweep(store, h, &dist, &mut budget, w, group, dir)?;
+    // The first sweep computes the labels in cache, every sweep but the
+    // last leaves the remaining labels in `dist` for the next one.
+    let dist = store.alloc_array(n);
+    let mut occupied = 0;
+    for (s, &levels) in groups.iter().enumerate() {
+        let labels = match (s, targets) {
+            (0, None) => Labels::Rank,
+            (0, Some(ts)) => Labels::Targets(ts),
+            _ => Labels::Stored,
+        };
+        let pass = Sweep {
+            levels,
+            dir,
+            labels,
+            keep_labels: s + 1 < groups.len(),
+        };
+        occupied = sweep(store, h, &dist, &mut budget, w, pass)?;
     }
 
     Ok(CompactReport {
@@ -321,13 +322,12 @@ pub(crate) fn run<S: BlockStore>(
     })
 }
 
-/// Largest power-of-two window `W` such that the sweep's worst-case working
-/// set — data span + label span (`2W`) plus incoming and outgoing carried
-/// items (`2W` each) — of `6·W` slots fits in the cache. `≥ B` whenever `B`
-/// is a power of two and `M ≥ 8B` (in fact `M ≥ 6B` suffices).
+/// Largest power-of-two window `W` such that a sweep's working set — the
+/// data and labels of the current and the held window — of `4·W` slots fits
+/// in the cache. `≥ 2B` whenever `B` is a power of two and `M ≥ 8B`.
 fn window_elems(cache_elems: usize) -> usize {
     let mut w = 1;
-    while 6 * (w * 2) <= cache_elems {
+    while 4 * (w * 2) <= cache_elems {
         w *= 2;
     }
     w
@@ -370,67 +370,6 @@ fn route_to_targets_in_place(cells: &mut [Cell], targets: &[usize]) -> Result<us
     Ok(r)
 }
 
-/// Phase 1: streams the data array block by block, writing the distance
-/// label of each occupied cell to the parallel `dist` array. For compaction
-/// the label of occupied cell `j` is `j − rank(j)` (an oblivious prefix-rank
-/// computed in a private register); for expansion it is `targets[j] − j`.
-/// Returns the occupied count. Exactly `⌈N/B⌉` reads + `⌈N/B⌉` writes, in a
-/// fixed interleaved order.
-fn write_labels<S: BlockStore>(
-    store: &mut S,
-    data: &ArrayHandle,
-    dist: &ArrayHandle,
-    budget: &mut CacheBudget,
-    targets: Option<&[usize]>,
-) -> Result<usize, OdoError> {
-    let b = data.block_elems();
-    let n = data.len();
-    let mut rank = 0usize;
-    // One fixed forward sweep over the data blocks: advertise it all.
-    let schedule: Vec<usize> = (0..data.n_blocks()).collect();
-    store.hint_blocks(data, &schedule);
-    for beta in 0..data.n_blocks() {
-        budget.with(2 * b, |_| -> Result<(), OdoError> {
-            let blk = store.load_block(data, beta);
-            let mut lab = Block::empty(b);
-            for r in 0..b {
-                let j = beta * b + r;
-                if j >= n {
-                    break;
-                }
-                match targets {
-                    None => {
-                        if blk.get(r).is_some() {
-                            lab.set(r, Some(Element::new((j - rank) as u64, 0)));
-                            rank += 1;
-                        }
-                    }
-                    Some(t) => {
-                        if j < t.len() {
-                            if blk.get(r).is_none() {
-                                return Err(OdoError::InvalidArgument {
-                                    reason:
-                                        "expand expects an occupied prefix of length targets.len()",
-                                });
-                            }
-                            // Strictly increasing targets imply t[j] >= j.
-                            lab.set(r, Some(Element::new((t[j] - j) as u64, 0)));
-                            rank += 1;
-                        } else if blk.get(r).is_some() {
-                            return Err(OdoError::InvalidArgument {
-                                reason: "expand expects dummies after the occupied prefix",
-                            });
-                        }
-                    }
-                }
-            }
-            store.store_block(dist, beta, lab);
-            Ok(())
-        })?;
-    }
-    Ok(rank)
-}
-
 /// The blocks `c, c + k, c + 2k, …` of an array, seen as one virtual array
 /// of `blocks` blocks. Virtual cell `x` is slot `x mod B` of block
 /// `c + ⌊x/B⌋·k`, so a move by `δ` virtual cells is a move by `δ·k` real
@@ -452,7 +391,7 @@ impl Column {
         self.block(x / self.b) * self.b + x % self.b
     }
 
-    fn hint<S: BlockStore>(&self, store: &mut S, arrays: [&ArrayHandle; 2], vs: Range<usize>) {
+    fn hint<S: BlockStore>(&self, store: &mut S, arrays: &[&ArrayHandle], vs: Range<usize>) {
         let blocks: Vec<usize> = vs.map(|v| self.block(v)).collect();
         for h in arrays {
             store.hint_blocks(h, &blocks);
@@ -480,32 +419,143 @@ impl Column {
     }
 }
 
-/// Phases 2 and 3: runs the butterfly levels `[i0, i0 + len)` as one
-/// sliding-window sweep per block column. With `k = max(1, 2^i0 / B)`, the
-/// group moves an item by `d & mask` cells (`mask` covers label bits
-/// `[i0, i0 + len)`), a whole multiple of `k` blocks, so it never leaves its
-/// column: over the column's virtual array it moves by `δ = (d & mask)/k ≤ W`
-/// cells. Windows of `W` virtual cells are visited away from the travel
-/// direction — rightmost first when compacting left, leftmost first when
-/// expanding right — and items whose move leaves the window are carried in
-/// cache into the next window processed (one window of carry suffices).
-/// Each label becomes `d − (d & mask)`. The head window is the group
-/// `i0 = 0` (`k = 1`, `mask = W − 1`); Lemma 5 makes the state after every
-/// group collision-free, so a collision means the labels were invalid.
+/// Where a sweep takes each item's distance label from.
+#[derive(Clone, Copy)]
+enum Labels<'a> {
+    /// The first sweep of a compaction: occupied cell `j` gets `j − rank(j)`
+    /// from a running rank, which needs the cells in ascending order — the
+    /// head window, visited left to right.
+    Rank,
+    /// The first sweep of an expansion: prefix item `j` gets
+    /// `targets[j] − j`, and exactly the prefix `0..targets.len()` must be
+    /// occupied.
+    Targets(&'a [usize]),
+    /// Every later sweep: the label array the previous sweep wrote.
+    Stored,
+}
+
+/// One sweep over the array: the butterfly levels `levels = (i0, len)`.
+struct Sweep<'a> {
+    levels: (usize, usize),
+    dir: Direction,
+    labels: Labels<'a>,
+    /// Whether the remaining labels go back to the label array for a later
+    /// sweep. The last sweep writes only data.
+    keep_labels: bool,
+}
+
+/// Virtual blocks `vs` of a column, held in the private cache with the
+/// labels of their cells.
+struct Window {
+    col: Column,
+    vs: Range<usize>,
+    cells: Vec<Cell>,
+    dists: Vec<Cell>,
+}
+
+impl Window {
+    /// The virtual cells the window covers.
+    fn span(&self) -> Range<usize> {
+        let lo = self.vs.start * self.col.b;
+        lo..lo + self.cells.len()
+    }
+
+    /// Drops a moved item with its new label at virtual cell `x`.
+    fn place(&mut self, x: usize, item: Element, nd: u64) -> Result<(), OdoError> {
+        debug_assert!(self.span().contains(&x), "moves are shorter than W");
+        let idx = x - self.span().start;
+        if self.cells[idx].is_some() {
+            return Err(OdoError::CorruptedRouting {
+                reason:
+                    "butterfly routing collision: two items at one cell (invalid distance labels)",
+                cell: self.col.cell(x),
+            });
+        }
+        self.cells[idx] = Some(item);
+        self.dists[idx] = Some(Element::new(nd, 0));
+        Ok(())
+    }
+
+    /// Writes the window back — the labels too unless this is the last
+    /// sweep — and returns its slots to the budget.
+    fn flush<S: BlockStore>(
+        self,
+        store: &mut S,
+        [data, dist]: [&ArrayHandle; 2],
+        keep_labels: bool,
+        budget: &mut CacheBudget,
+    ) {
+        self.col.store(store, data, self.vs.start, &self.cells);
+        if keep_labels {
+            self.col.store(store, dist, self.vs.start, &self.dists);
+        }
+        budget.release(2 * self.cells.len());
+    }
+}
+
+/// The labels of a freshly loaded expansion window starting at virtual cell
+/// `lo`, checking that exactly the prefix `0..targets.len()` of the `n`
+/// cells is occupied. Slots past the array end get no label.
+fn target_labels(
+    cells: &[Cell],
+    col: &Column,
+    lo: usize,
+    n: usize,
+    targets: &[usize],
+) -> Result<Vec<Cell>, OdoError> {
+    let mut dists = Vec::with_capacity(cells.len());
+    for (r, c) in cells.iter().enumerate() {
+        let j = col.cell(lo + r);
+        dists.push(match (j < targets.len(), c) {
+            // Strictly increasing targets imply targets[j] >= j.
+            (true, Some(_)) => Some(Element::new((targets[j] - j) as u64, 0)),
+            (true, None) => {
+                return Err(OdoError::InvalidArgument {
+                    reason: "expand expects an occupied prefix of length targets.len()",
+                })
+            }
+            (false, Some(_)) if j < n => {
+                return Err(OdoError::InvalidArgument {
+                    reason: "expand expects dummies after the occupied prefix",
+                })
+            }
+            (false, _) => None,
+        });
+    }
+    Ok(dists)
+}
+
+/// Runs the butterfly levels `[i0, i0 + len)` as one sliding-window sweep
+/// per block column and returns the number of items it saw. With
+/// `k = max(1, 2^i0 / B)`, the group moves an item by `d & mask` cells
+/// (`mask` covers label bits `[i0, i0 + len)`), a whole multiple of `k`
+/// blocks, so it never leaves its column: over the column's virtual array
+/// it moves by `δ = (d & mask)/k < W` cells. Windows of `W` virtual cells
+/// are visited against the travel direction — leftmost first when
+/// compacting left, rightmost first when expanding right — and each is
+/// scanned in the same order, so a move always lands on a cell already
+/// scanned: in the current window, or in the window visited before it,
+/// which stays in cache until the current one is done. Each label becomes
+/// `d − (d & mask)`; the last sweep requires that to be zero. The head
+/// window is the group `i0 = 0` (`k = 1`, `mask = W − 1`); Lemma 5 makes
+/// the state after every group collision-free, so a collision means the
+/// labels were invalid.
 ///
-/// One read pass plus one write pass over both arrays, `4·⌈N/B⌉` I/Os in a
-/// block order fixed by the shape. While a window is worked on, the next
-/// window's blocks are hinted, so read-ahead keeps one window of lead.
+/// One read pass and one write pass over the data, plus one over the labels
+/// for each of: a label array to read (every sweep but the first) and
+/// labels to keep (every sweep but the last) — in a block order fixed by
+/// the shape. While a window is worked on, the next window's blocks are
+/// hinted, so read-ahead keeps one window of lead.
 fn sweep<S: BlockStore>(
     store: &mut S,
     data: &ArrayHandle,
     dist: &ArrayHandle,
     budget: &mut CacheBudget,
     w: usize,
-    (i0, len): (usize, usize),
-    dir: Direction,
-) -> Result<(), OdoError> {
+    pass: Sweep,
+) -> Result<usize, OdoError> {
     let (n, b, nb) = (data.len(), data.block_elems(), data.n_blocks());
+    let (i0, len) = pass.levels;
     let k = ((1usize << i0) / b).max(1); // 2^i0 < N, so k < ⌈N/B⌉
     let mask = ((1u64 << len) - 1) << i0;
     let wb = w / b;
@@ -519,102 +569,111 @@ fn sweep<S: BlockStore>(
         };
         let starts = (0..col.blocks).step_by(wb);
         let window = |v: usize| (col, v..(v + wb).min(col.blocks));
-        match dir {
-            Direction::Left => windows.extend(starts.rev().map(window)),
-            Direction::Right => windows.extend(starts.map(window)),
+        match pass.dir {
+            Direction::Left => windows.extend(starts.map(window)),
+            Direction::Right => windows.extend(starts.rev().map(window)),
         }
     }
+    let reads: &[&ArrayHandle] = match pass.labels {
+        Labels::Stored => &[data, dist],
+        Labels::Rank | Labels::Targets(_) => &[data],
+    };
     if let Some((col, vs)) = windows.first() {
-        col.hint(store, [data, dist], vs.clone());
+        col.hint(store, reads, vs.clone());
     }
-    // Items in flight between windows: (virtual target, item, new label).
-    let mut carry: Vec<(usize, Element, u64)> = Vec::new();
+    let (mut rank, mut occupied) = (0usize, 0usize);
+    let mut held: Option<Window> = None;
     for (idx, (col, vs)) in windows.iter().enumerate() {
         if let Some((next, nvs)) = windows.get(idx + 1) {
-            next.hint(store, [data, dist], nvs.clone());
+            next.hint(store, reads, nvs.clone());
+        }
+        // Windows of different columns never exchange items.
+        if let Some(prev) = held.take_if(|h| h.col.c != col.c) {
+            prev.flush(store, [data, dist], pass.keep_labels, budget);
         }
         let lo = vs.start * b;
-        let len = vs.len() * b;
-        // Working set: the two windows plus up to a window's worth of
-        // carried items in each direction (2 slots per in-flight item).
-        budget.acquire(2 * len + 4 * w);
-        let mut cells = col.load(store, data, vs.clone());
-        let mut dists = col.load(store, dist, vs.clone());
-        let scan: Box<dyn Iterator<Item = usize>> = match dir {
-            Direction::Left => Box::new(0..len),
-            Direction::Right => Box::new((0..len).rev()),
+        budget.acquire(2 * vs.len() * b);
+        let cells = col.load(store, data, vs.clone());
+        let dists = match pass.labels {
+            Labels::Stored => col.load(store, dist, vs.clone()),
+            Labels::Rank => (lo..)
+                .zip(&cells)
+                .map(|(x, c)| {
+                    let j = col.cell(x);
+                    let label = c
+                        .filter(|_| j < n)
+                        .map(|_| Element::new((j - rank) as u64, 0));
+                    rank += usize::from(label.is_some());
+                    label
+                })
+                .collect(),
+            Labels::Targets(t) => target_labels(&cells, col, lo, n, t)?,
         };
-        let mut outgoing: Vec<(usize, Element, u64)> = Vec::new();
-        for r in scan {
-            if let Some(item) = cells[r] {
-                let d = dists[r]
-                    .ok_or(OdoError::CorruptedRouting {
-                        reason: "occupied cells carry a distance label",
-                        cell: col.cell(lo + r),
-                    })?
-                    .key;
-                let delta = ((d & mask) / k as u64) as usize;
-                if delta == 0 {
-                    continue;
-                }
-                let target = match dir {
-                    Direction::Left => (lo + r).checked_sub(delta),
-                    Direction::Right => Some(lo + r + delta),
-                };
-                // Past either end of the column means past the array.
-                let Some(target) = target.filter(|&x| col.cell(x) < n) else {
-                    return Err(OdoError::CorruptedRouting {
-                        reason: "no item may be routed out of the array",
-                        cell: col.cell(lo + r),
-                    });
-                };
-                let nd = d - (d & mask);
-                cells[r] = None;
-                dists[r] = None;
-                if (lo..lo + len).contains(&target) {
-                    // The target slot was already scanned (the scan runs
-                    // opposite to the travel direction), so its final
-                    // occupant — if any — is already in place.
-                    place(&mut cells, &mut dists, col, lo, (target, item, nd))?;
-                } else {
-                    outgoing.push((target, item, nd));
-                }
+        let mut cur = Window {
+            col: *col,
+            vs: vs.clone(),
+            cells,
+            dists,
+        };
+        let span = cur.span();
+        for i in 0..span.len() {
+            let r = match pass.dir {
+                Direction::Left => i,
+                Direction::Right => span.len() - 1 - i,
+            };
+            let x = lo + r;
+            let Some(item) = cur.cells[r] else {
+                continue;
+            };
+            occupied += 1;
+            let d = cur.dists[r]
+                .ok_or(OdoError::CorruptedRouting {
+                    reason: "occupied cells carry a distance label",
+                    cell: col.cell(x),
+                })?
+                .key;
+            let nd = d - (d & mask);
+            if nd != 0 && !pass.keep_labels {
+                return Err(OdoError::CorruptedRouting {
+                    reason: "a distance label outlives the last butterfly level",
+                    cell: col.cell(x),
+                });
             }
+            let delta = ((d & mask) / k as u64) as usize;
+            if delta == 0 {
+                continue;
+            }
+            let target = match pass.dir {
+                Direction::Left => x.checked_sub(delta),
+                Direction::Right => Some(x + delta),
+            };
+            // Past either end of the column means past the array.
+            let Some(target) = target.filter(|&y| col.cell(y) < n) else {
+                return Err(OdoError::CorruptedRouting {
+                    reason: "no item may be routed out of the array",
+                    cell: col.cell(x),
+                });
+            };
+            cur.cells[r] = None;
+            cur.dists[r] = None;
+            // A move shorter than W that leaves the current window without
+            // leaving the column lands in the window visited before it.
+            let dest = if span.contains(&target) {
+                &mut cur
+            } else {
+                held.as_mut()
+                    .expect("a target outside the current window lies in the held one")
+            };
+            dest.place(target, item, nd)?;
         }
-        for mv in carry.drain(..) {
-            debug_assert!(
-                (lo..lo + len).contains(&mv.0),
-                "carried items travel exactly one window"
-            );
-            place(&mut cells, &mut dists, col, lo, mv)?;
+        if let Some(prev) = held.replace(cur) {
+            prev.flush(store, [data, dist], pass.keep_labels, budget);
         }
-        carry = outgoing;
-        col.store(store, data, vs.start, &cells);
-        col.store(store, dist, vs.start, &dists);
-        budget.release(2 * len + 4 * w);
     }
-    Ok(())
-}
-
-/// Drops a moved item `(virtual target, item, new label)` into the window
-/// starting at virtual cell `lo`.
-fn place(
-    cells: &mut [Cell],
-    dists: &mut [Cell],
-    col: &Column,
-    lo: usize,
-    (target, item, nd): (usize, Element, u64),
-) -> Result<(), OdoError> {
-    let idx = target - lo;
-    if cells[idx].is_some() {
-        return Err(OdoError::CorruptedRouting {
-            reason: "butterfly routing collision: two items at one cell (invalid distance labels)",
-            cell: col.cell(target),
-        });
+    if let Some(last) = held {
+        last.flush(store, [data, dist], pass.keep_labels, budget);
     }
-    cells[idx] = Some(item);
-    dists[idx] = Some(Element::new(nd, 0));
-    Ok(())
+    Ok(occupied)
 }
 
 #[cfg(test)]
@@ -662,7 +721,7 @@ mod tests {
             (100, 4, 32),  // n not a power of two
             (1000, 8, 64), // n not a power of two, external
             (65, 8, 64),   // n just above M, top group wider than the array
-            (700, 8, 88),  // M = 11B: W = B, one level per column sweep
+            (700, 8, 88),  // M = 11B: W = 2B, one level per column sweep
             (1500, 8, 96), // M = 12B, n mod B = 4
             (9000, 8, 1024),
         ] {
@@ -810,15 +869,15 @@ mod tests {
 
     #[test]
     fn report_structure_matches_the_level_split() {
-        // N = 1024, B = 8, M = 64: W = 8 -> 3 in-cache levels, levels = 10,
-        // external = 7, one level per sweep (W = B).
+        // N = 1024, B = 8, M = 64: W = 16 -> 4 in-cache levels, levels = 10,
+        // external = 6, one level per sweep (W = 2B).
         let cells = occupancy(1024, 2, 1, 2);
         let (_, report) = run_compact(&cells, 8, 64);
         assert_eq!(report.levels, 10);
-        assert_eq!(report.window_elems, 8);
-        assert_eq!(report.in_cache_levels, 3);
-        assert_eq!(report.external_levels, 7);
-        assert_eq!(report.external_passes, 7);
+        assert_eq!(report.window_elems, 16);
+        assert_eq!(report.in_cache_levels, 4);
+        assert_eq!(report.external_levels, 6);
+        assert_eq!(report.external_passes, 6);
     }
 
     #[test]
@@ -870,7 +929,8 @@ mod tests {
             .to_string()
             .contains("dummies after the occupied prefix"));
 
-        // The same two mismatches through the external label pass.
+        // The same two mismatches through the external path, where the first
+        // sweep computes the labels.
         let mut cells: Vec<Cell> = vec![None; 512];
         cells[0] = Some(e(0));
         cells[300] = Some(e(1));
@@ -909,13 +969,71 @@ mod tests {
         let c = run_compact(&vec![None; 512], 8, 64).1;
         assert_eq!(a.io, b.io);
         assert_eq!(a.io, c.io);
-        // ⌈N/B⌉·(2 + 4 + 4·passes): W = 8 = B, so the 6 external levels
-        // take one sweep each.
-        assert_eq!(a.io.total(), 64 * (6 + 4 * 6));
-        // M = 2^10: W = 128, so the 6 external levels of N = 4097 run
-        // fused four at a time (W/B = 16) in 2 sweeps.
+        // ⌈N/B⌉·(4·S − 2) for S sweeps: W = 16 = 2B, so the head window
+        // and the 5 external levels, one sweep each, make S = 6.
+        assert_eq!(a.io.total(), 64 * (4 * 6 - 2));
+        // M = 2^10: W = 256, so the 5 external levels of N = 4097 run
+        // fused five at a time (W/B = 32) in one sweep: S = 2.
         let d = run_compact(&occupancy(4097, 1, 1, 2), 8, 1 << 10).1;
-        assert_eq!(d.io.total(), 513 * (6 + 4 * 2));
-        assert_eq!((d.external_levels, d.external_passes), (6, 2));
+        assert_eq!(d.io.total(), 513 * (4 * 2 - 2));
+        assert_eq!((d.external_levels, d.external_passes), (5, 1));
+    }
+
+    #[test]
+    fn last_sweep_rejects_a_label_above_the_top_level() {
+        // N = 64, B = 4, M = 32: W = 8, levels = 6, and the last compaction
+        // sweep runs the top level 5 alone. Every label is spent except one,
+        // which has bit 6 set: no level may consume it.
+        let cells: Vec<Cell> = (0..64u64).map(|i| (i % 3 == 0).then(|| e(i))).collect();
+        let last_sweep = |bad: Option<usize>| {
+            let labels: Vec<Cell> = cells
+                .iter()
+                .enumerate()
+                .map(|(j, c)| c.map(|_| e(if Some(j) == bad { 1 << 6 } else { 0 })))
+                .collect();
+            let mut mem = ExtMem::new(4);
+            let h = mem.alloc_array_from_cells(&cells);
+            let dist = mem.alloc_array_from_cells(&labels);
+            let pass = Sweep {
+                levels: (5, 1),
+                dir: Direction::Left,
+                labels: Labels::Stored,
+                keep_labels: false,
+            };
+            let got = sweep(&mut mem, &h, &dist, &mut CacheBudget::new(32), 8, pass);
+            (got, mem.snapshot_cells(&h))
+        };
+        let (ok, data) = last_sweep(None);
+        assert_eq!(ok.unwrap(), 22);
+        assert_eq!(data, cells, "spent labels leave every item in place");
+        let (err, _) = last_sweep(Some(33));
+        assert!(matches!(
+            err,
+            Err(OdoError::CorruptedRouting { cell: 33, .. })
+        ));
+        assert!(err.unwrap_err().to_string().contains("outlives the last"));
+    }
+
+    #[test]
+    fn an_item_past_the_array_end_is_corrupted_routing() {
+        // N = 100, B = 8: the last block holds 4 cells and 4 slots past the
+        // end. A store that fills one of those slots gets no label for it,
+        // in either direction, and the first sweep refuses to route it.
+        let mut mem = ExtMem::new(8);
+        let h = mem.alloc_array_from_cells(&occupancy(100, 4, 1, 2));
+        let mut last = mem.load_block(&h, 12);
+        last.set(6, Some(e(99)));
+        mem.store_block(&h, 12, last);
+        let err = run(&mut mem, &h, 64, None).unwrap_err();
+        assert!(matches!(err, OdoError::CorruptedRouting { cell: 102, .. }));
+
+        let mut mem = ExtMem::new(8);
+        let mut cells: Vec<Cell> = vec![None; 104];
+        cells[0] = Some(e(0));
+        cells[102] = Some(e(1));
+        let h = mem.alloc_array_from_cells(&cells[..100]);
+        mem.store_block(&h, 12, Block::from_cells(&cells[96..]));
+        let err = run(&mut mem, &h, 64, Some(&[50])).unwrap_err();
+        assert!(matches!(err, OdoError::CorruptedRouting { cell: 102, .. }));
     }
 }

@@ -12,8 +12,10 @@
 //! * [`compact`] — the paper's §3 tight order-preserving compaction (and its
 //!   reverse, expansion) executed I/O-efficiently over any [`BlockStore`]:
 //!   the butterfly levels run as a head-window sweep plus cache-sized
-//!   column sweeps that fuse `log₂(W/B)` external levels each, in
-//!   `O((N/B)(1 + log_{M/B}(N/M)))` I/Os.
+//!   column sweeps that fuse `log₂(W/B)` external levels each. The first
+//!   sweep computes the distance labels in cache and the last one drops
+//!   them, so `S` sweeps cost `⌈N/B⌉·(4·S − 2)` I/Os —
+//!   `O((N/B)(1 + log_{M/B}(N/M)))`.
 //! * [`select`] — the paper's §4 data-oblivious selection and quantiles:
 //!   [`select::select_kth`] brackets the target between weighted splitters
 //!   and keeps the candidates between them in the private cache — two
@@ -50,7 +52,7 @@ pub mod error;
 pub mod select;
 pub mod sorter;
 
-pub use compact::{compact_order_preserving, expand, try_compact, try_expand, CompactReport};
+pub use compact::{expand, try_compact, try_expand, CompactReport};
 pub use error::OdoError;
 pub use extmem::{
     AccessEvent, AccessOp, AccessTrace, ArenaStats, ArrayHandle, AuthClientState,
@@ -71,9 +73,7 @@ pub use sorter::{OblivSorter, SortEngine, SorterReport};
 
 /// Everything a typical caller needs, importable with one `use`.
 pub mod prelude {
-    pub use crate::compact::{
-        compact, compact_order_preserving, expand, try_compact, try_expand, CompactReport,
-    };
+    pub use crate::compact::{compact, expand, try_compact, try_expand, CompactReport};
     pub use crate::error::OdoError;
     pub use crate::select::{
         quantiles, quantiles_with, select_kth, select_kth_with, try_select_kth, SelectReport,

@@ -33,8 +33,9 @@ fn compact_trace(cells: &[Cell], b: usize, m: usize) -> AccessTrace {
 }
 
 /// A seeded, std-only sweep of external shapes `(N, B, M)`. Every block
-/// size meets every cache `M ∈ {8B, 11B, 12B, 64B, 128B}` (`11B` leaves the
-/// window at one block, so each column sweep runs a single level), once
+/// size meets every cache `M ∈ {8B, 11B, 12B, 64B, 128B}` (`8B` and `11B`
+/// leave the window at two blocks, so each column sweep runs a single
+/// level), once
 /// with `N` just above `M` — where the top level groups hold strides of
 /// more blocks than the array has — and once with `N` a random multiple of
 /// `M` plus a random remainder, usually not a multiple of `B`.
@@ -52,18 +53,19 @@ fn shape_sweep(seed: u64) -> Vec<(usize, usize, usize)> {
 }
 
 /// The I/O count of an external compaction or expansion, from the shape
-/// alone: `⌈N/B⌉·(2 + 4 + 4·⌈(⌈log₂N⌉ − log₂W)/g⌉)` — a label pass, the
-/// head window, and one column sweep per `g = max(1, log₂(W/B))` external
-/// levels, with `W` the largest power of two such that `6W ≤ M`.
+/// alone: `⌈N/B⌉·(4·S − 2)` for `S = 1 + ⌈(⌈log₂N⌉ − log₂W)/g⌉` sweeps —
+/// the head window and one column sweep per `g = log₂(W/B)` external
+/// levels, with `W` the largest power of two such that `4W ≤ M`. Every
+/// sweep reads and writes the data; the labels pass between sweeps only.
 fn external_ios(n: usize, b: usize, m: usize) -> u64 {
     let lv = (usize::BITS - (n - 1).leading_zeros()) as usize;
     let mut w = 1usize;
-    while 12 * w <= m {
+    while 8 * w <= m {
         w *= 2;
     }
-    let g = ((w / b).trailing_zeros() as usize).max(1);
-    let passes = (lv - w.trailing_zeros() as usize).div_ceil(g);
-    n.div_ceil(b) as u64 * (6 + 4 * passes as u64)
+    let g = (w / b).trailing_zeros() as usize;
+    let sweeps = 1 + (lv - w.trailing_zeros() as usize).div_ceil(g);
+    n.div_ceil(b) as u64 * (4 * sweeps as u64 - 2)
 }
 
 /// Compacts `cells`, then expands the prefix back to the occupied
@@ -100,7 +102,7 @@ fn round_trip(cells: &[Cell], b: usize, m: usize) -> [(AccessTrace, CompactRepor
 fn compact_trace_is_identical_across_20_random_occupancies() {
     // The acceptance criterion: ≥ 20 random inputs/occupancies at a fixed
     // (N, B, M) produce byte-identical traces. N > M so the external path
-    // (label pass + window sweep + block-pair levels) is exercised.
+    // (head-window sweep + column sweeps) is exercised.
     for (n, b, m) in [(512usize, 8usize, 64usize), (300, 16, 128)] {
         let reference = compact_trace(&occupancy(n, 0, 1, 2), b, m);
         assert!(!reference.is_empty());

@@ -4,7 +4,7 @@
 //! `Vec`-retain reference — stability, tightness and order preservation
 //! included — and expansion must invert compaction.
 
-use odo_core::compact::{compact, compact_order_preserving, expand};
+use odo_core::compact::{compact, expand};
 use odo_core::extmem::element::Cell;
 use odo_core::extmem::{Element, EncryptedStore, ExtMem};
 use odo_core::obliv_net::butterfly;
@@ -95,19 +95,6 @@ fn stability_keeps_equal_keys_in_position_order() {
     let mut sorted = payloads.clone();
     sorted.sort_unstable();
     assert_eq!(payloads, sorted, "compaction reordered equal-keyed items");
-}
-
-#[test]
-fn order_preserving_alias_is_the_same_operation() {
-    let cells = occupancy(300, 3, 1, 2);
-    let mut a = ExtMem::new(8);
-    let ha = a.alloc_array_from_cells(&cells);
-    let ra = compact(&mut a, &ha, 64);
-    let mut b = ExtMem::new(8);
-    let hb = b.alloc_array_from_cells(&cells);
-    let rb = compact_order_preserving(&mut b, &hb, 64);
-    assert_eq!(a.snapshot_cells(&ha), b.snapshot_cells(&hb));
-    assert_eq!(ra, rb);
 }
 
 #[test]

@@ -52,8 +52,9 @@ use extmem::{
     run_fallible, AccessEvent, AccessTrace, ArrayHandle, Block, BlockStore, Cell, Element,
     RetryPolicy, RetryStats,
 };
+use odo_core::compact::compact;
 use odo_core::obliv_net::hint_block_range;
-use odo_core::{compact_order_preserving, OblivSorter, OdoError};
+use odo_core::{OblivSorter, OdoError};
 
 /// Low bits of a packed rebuild key carrying the copy's age class
 /// (0 = cache, 1 = stash, `i+2` = level `i`); the suppression pass keeps the
@@ -536,7 +537,7 @@ impl Oram {
         // Pass 7 — order-preserving compaction. Exactly B kept cells per
         // bucket, in bucket order, so the compacted prefix position of a
         // cell is bucket·B + rank: the prefix IS the new table image.
-        let report = compact_order_preserving(store, &scratch, m);
+        let report = compact(store, &scratch, m);
         debug_assert_eq!(
             report.occupied, cap,
             "every bucket must keep exactly B cells"
