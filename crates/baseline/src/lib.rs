@@ -14,8 +14,9 @@
 //!   `Θ((N/B) log² N)` I/Os, versus the optimized sorter's
 //!   `O((N/B)(1 + log²(N/M)))`.
 //! * [`naive_external_butterfly_compact`] — the full-depth external butterfly
-//!   compaction (paper §3). It computes the distance labels with the same
-//!   streaming rank pass the optimized algorithm uses, but then executes
+//!   compaction (paper §3). It computes the distance labels with a
+//!   streaming rank pass (the running rank the optimized head window
+//!   counts), stores them in a scratch array, and then executes
 //!   every one of the `⌈log₂ N⌉` routing levels as its own external
 //!   block-pair pass — no composition of the small-stride levels inside the
 //!   private cache — so it costs `Θ((N/B) log N)` I/Os, versus
@@ -208,8 +209,8 @@ pub fn naive_external_butterfly_compact(
     }
 
     // Distance-label pass: occupied cell j gets label j - rank(j) in a
-    // parallel scratch array (the optimized algorithm computes the same
-    // labels in cache, inside its first sweep).
+    // parallel scratch array (the optimized algorithm keeps no labels: each
+    // of its sweeps recomputes them from ranks in cache).
     let dist = mem.alloc_array(n);
     let mut rank = 0usize;
     for beta in 0..h.n_blocks() {

@@ -158,11 +158,9 @@ where
     S: BlockStore,
     F: Fn(&Cell, &Cell) -> Ordering,
 {
-    let b = h.block_elems();
-    assert!(
-        cache_elems >= 2 * b,
-        "external sort needs a private cache of at least two blocks (M >= 2B)"
-    );
+    if let Err(reason) = check_cache(h.block_elems(), cache_elems) {
+        panic!("{reason}");
+    }
     let start = store.io_stats();
     let n = h.len();
     if n <= 1 {
@@ -197,6 +195,17 @@ where
     };
     report.io = store.io_stats() - start;
     report
+}
+
+/// The sort's one cache requirement, `M ≥ 2B` (the paper's minimal
+/// regime). The error is the message the infallible sorts panic with, so a
+/// fallible caller can check it before it runs the sort.
+pub fn check_cache(block_elems: usize, cache_elems: usize) -> Result<(), &'static str> {
+    if cache_elems >= 2 * block_elems {
+        Ok(())
+    } else {
+        Err("external sort needs a private cache of at least two blocks (M >= 2B)")
+    }
 }
 
 /// Core sorter for an array of exactly `p` (a power of two ≥ 2) slots.

@@ -25,48 +25,74 @@
 //! `O((N/B)(1 + log_{M/B}(N/M)))`:
 //!
 //! 1. **In-cache head window.** All levels with stride `2^i < W` (where
-//!    `W = Θ(M)` is the largest power-of-two window fitting the private
-//!    cache) compose into a single move by `d mod W` cells. A sliding-window
-//!    sweep executes *all* of them at once. Windows are visited in ascending
-//!    order, and the window visited last stays in cache until the current
-//!    one is done: every move is shorter than `W`, so it lands in the
-//!    current window or the held one. When the whole array fits in cache
-//!    this sweep is the entire algorithm — one read and one write pass.
+//!    `W = Θ(M)` is a power-of-two window, see below) compose into a single
+//!    move by `d mod W < W` cells. One sweep executes *all* of them: it
+//!    streams the array through a ring of `W/B + 1` blocks in the private
+//!    cache, scanning each block in the travel direction, so a move from the
+//!    block being scanned lands in it or in one of the `W/B` blocks before
+//!    it. The oldest block is written back as the next one is loaded. When
+//!    the whole array fits in cache this sweep is the entire algorithm — one
+//!    read and one write pass.
 //! 2. **Fused column sweeps.** The remaining `⌈log₂ N⌉ − log₂ W` levels have
-//!    strides `2^i ≥ W ≥ B` and run in groups of `g = log₂(W/B)`.
-//!    Levels `[i₀, i₀ + g)` with `2^i₀ = k·B` move an item only by whole
-//!    multiples of `k` blocks: they keep its slot offset and its block column
+//!    strides `2^i ≥ W` and run in groups of `g = log₂(W/B)`. Levels
+//!    `[i₀, i₀ + g)` with `2^i₀ = k·B` move an item only by whole multiples
+//!    of `k` blocks: they keep its slot offset and its block column
 //!    `β mod k`. Over the virtual array of blocks `c, c + k, c + 2k, …` the
 //!    group is exactly the head-window sweep, with the move
 //!    `(d & mask)/k < W` (`mask` covering label bits `[i₀, i₀ + g)`). The
 //!    head window is the special case `i₀ = 0, k = 1`.
-//! 3. **Labels only between sweeps.** The first sweep reads only the data
-//!    and computes each label in cache: `j − ρ(j)` from a running rank in a
-//!    private register, which the ascending head window visits in order.
-//!    Every sweep but the last writes the remaining label of each item to a
-//!    parallel scratch array for the next one; the last sweep writes only
-//!    data, and a label it leaves non-zero means the labels were corrupt.
+//! 3. **Ranks instead of labels.** Compaction keeps item order, so once the
+//!    levels below `i₀` have run, the item of rank `ρ` at position `p` has
+//!    the remaining label `p − ρ`. No label array exists: each sweep
+//!    recomputes every rank as it loads the block. The head window visits
+//!    the cells in order and counts ranks in a register. A column sweep of
+//!    stride `k` visits the rows of `k` blocks once per column, and takes
+//!    each row's rank base from a table of per-row item counts that the
+//!    sweep before it filled as it wrote blocks back: its first column turns
+//!    the counts into prefix sums, and every column adds its block's items
+//!    for the next. The largest table, for stride `W/B`, has `⌈N/W⌉`
+//!    entries. (Expansion takes its ranks from the targets; see below.)
 //!
-//! A middle sweep is one read pass plus one write pass over data and
-//! labels; the first and the last each skip one label pass. With `S` sweeps
-//! (the head window plus `⌈(⌈log₂ N⌉ − log₂ W)/g⌉` column sweeps) the total
-//! is `⌈N/B⌉·(4·S − 2)` I/Os; with `W = Θ(M)` that is
-//! `O((N/B)(1 + log_{M/B}(N/M)))`, which is the paper's `O(N/B)` whenever
-//! `N/M` is polynomial in `M/B`. The `odo-bench` harness checks the
-//! explicit-constant form `8·⌈N/B⌉·(1 + ⌈log_β⌈N/M⌉⌉)`, `β = max(2, M/(8B))`,
-//! at every grid point and `BENCH_compact.json` records the measurements.
+//! `W` is the largest power of two for which the ring (`W + B` slots) and
+//! two row tables fit in `M`. Where the tables do not fit beside the ring
+//! (about `N > M²/4`), a table lives in a server array instead, streamed
+//! through a one-block buffer. Each column then reads and rewrites the
+//! table blocks it touches once, in a fixed order: `2⌈N/B⌉/B + O(k)` I/Os
+//! for a sweep that reads a table, and a factor `B/W` of that for the
+//! sweep that fills it.
+//!
+//! Every sweep is one read pass and one write pass over the data. With `S`
+//! sweeps (the head window plus `⌈(⌈log₂ N⌉ − log₂ W)/g⌉` column sweeps) the
+//! total is `2·S·⌈N/B⌉` I/Os, plus the streamed tables' I/Os; with
+//! `W = Θ(M)` that is `O((N/B)(1 + log_{M/B}(N/M)))`, which is the paper's
+//! `O(N/B)` whenever `N/M` is polynomial in `M/B`. At `N = 2^18`, `B = 64`,
+//! `M = 2^13` the window is `M/2`, `S = 2`, and compaction costs `16,384`
+//! I/Os. The `odo-bench` harness checks the explicit-constant form
+//! `C_c·⌈N/B⌉·(1 + ⌈log_β⌈N/M⌉⌉)`, `β = max(2, M/(8B))`, at every grid
+//! point and `BENCH_compact.json` records the measurements.
 //!
 //! The reverse direction ([`expand`]) routes a compact prefix back out to a
 //! strictly increasing target set — the paper's observation that the network
 //! can be used "in reverse" — with the same sweeps mirrored: the groups run
-//! in descending order, windows are visited right to left, and the first
-//! sweep takes item `j`'s label `targets[j] − j` straight from the targets.
+//! in descending order and every column is visited right to left. The item
+//! of rank `ρ` at `p` has the label `targets[ρ] − p`. Expansion needs no
+//! row table: where each item sits after each level follows from the
+//! targets alone, so a block's rank base is a binary search over them. On
+//! the first sweep that position is the rank itself, and the sweep checks
+//! that exactly the prefix `0..targets.len()` is occupied.
+//!
+//! A rank that disagrees with its position, label bits an earlier level
+//! should have spent, bits left after the last level, a routing collision
+//! and an item count that changes between sweeps all mean the server
+//! changed the array between or during sweeps; they surface as
+//! [`OdoError::CorruptedRouting`].
 //!
 //! # Obliviousness
 //!
 //! Every block address touched is a fixed function of `(N, B, M)`: every
-//! sweep visits its columns and windows in a fixed order with unconditional
-//! writes (a window is rewritten even if nothing moved). Which cells are
+//! sweep visits its columns and blocks in a fixed order with unconditional
+//! writes (a block is rewritten even if nothing moved), and a streamed row
+//! table is read and written in a fixed order too. Which cells are
 //! occupied, where items route, and the expansion targets influence only
 //! block *contents* — never addresses. The `compact_oblivious` integration
 //! test asserts byte-identical traces across dozens of occupancy patterns at
@@ -74,12 +100,12 @@
 //!
 //! # Restrictions
 //!
-//! Compaction requires `M ≥ 8B`: a sweep holds the data and labels of two
-//! windows (`4W ≤ M`), and a window must be at least two blocks (`W ≥ 2B`,
-//! so that each column sweep runs at least one level). The external path
-//! (arrays larger than the cache) additionally requires a power-of-two
-//! block size `B`, so that the strides `≥ W` are whole multiples of a
-//! block. Arrays that fit in cache accept any `B ≥ 1`.
+//! Compaction requires `M ≥ 8B`: a sweep holds a ring of `W + B` slots and
+//! two row tables or two one-block table buffers, which leaves a window of
+//! at least four blocks (`W ≥ 4B`), so every column sweep runs at least two
+//! levels. The external path (arrays larger than the cache) additionally
+//! requires a power-of-two block size `B`, so that the strides `≥ W` are
+//! whole multiples of a block. Arrays that fit in cache accept any `B ≥ 1`.
 
 use crate::error::OdoError;
 use extmem::element::Cell;
@@ -88,15 +114,6 @@ use extmem::{
     RetryStats,
 };
 use obliv_net::butterfly;
-use std::ops::Range;
-
-/// Which way items travel through the butterfly: `Left` compacts occupied
-/// cells toward index 0, `Right` expands a compact prefix toward its targets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Direction {
-    Left,
-    Right,
-}
 
 /// What an external compaction (or expansion) did, alongside its I/O cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,9 +130,10 @@ pub struct CompactReport {
     /// Column sweeps that ran the external levels: `⌈external_levels / g⌉`
     /// with `g = log₂(W/B)` levels fused per sweep.
     pub external_passes: usize,
-    /// The sliding-window size `W` in elements (a power of two `≤ M/4`)
-    /// used by the head window and every column sweep, or the array length
-    /// when the whole array fit in cache.
+    /// The window size `W` in elements (a power of two below `M` whose
+    /// ring of `W + B` slots leaves room for the row tables) used by the
+    /// head window and every column sweep, or the array length when the
+    /// whole array fit in cache.
     pub window_elems: usize,
     /// Number of occupied cells (the compacted prefix length). For
     /// [`expand`] this is the number of routed items, `targets.len()`.
@@ -241,11 +259,6 @@ pub(crate) fn run<S: BlockStore>(
     let start = store.io_stats();
     let n = h.len();
     let lv = butterfly::levels(n);
-    let dir = if targets.is_some() {
-        Direction::Right
-    } else {
-        Direction::Left
-    };
     let mut budget = CacheBudget::new(cache_elems);
 
     // Whole array fits in the private cache: one read pass, route CPU-side,
@@ -278,37 +291,51 @@ pub(crate) fn run<S: BlockStore>(
     }
 
     // The head window composes every level with stride < W into one
-    // sweep; the external levels (strides ≥ W ≥ 2B) run in groups of g as
+    // sweep; the external levels (strides ≥ W) run in groups of g as
     // one sweep per block column. Compaction executes the circuit forward
     // (head window first, then the groups ascending); expansion is the same
     // circuit run backwards in time (groups descending, then the head
     // window) — the forward order collides on legitimate expansion labels,
     // see `obliv_net::butterfly::expand`.
-    let w = window_elems(cache_elems);
-    let t = w.trailing_zeros() as usize; // n > M ≥ 4W, so t < lv
-    let g = (w / b).trailing_zeros() as usize; // W ≥ 2B, so g ≥ 1
+    let nb = h.n_blocks();
+    let w = window_elems(nb, b, cache_elems);
+    let t = w.trailing_zeros() as usize; // n > M > W, so t < lv
+    let g = (w / b).trailing_zeros() as usize; // W ≥ 4B, so g ≥ 2
     let mut groups = vec![(0, t)];
     groups.extend((t..lv).step_by(g).map(|i0| (i0, g.min(lv - i0))));
-    if dir == Direction::Right {
+    if targets.is_some() {
         groups.reverse();
     }
-    // The first sweep computes the labels in cache, every sweep but the
-    // last leaves the remaining labels in `dist` for the next one.
-    let dist = store.alloc_array(n);
-    let mut occupied = 0;
+    // Each of the two row tables a compaction sweep may hold gets half the
+    // cache the ring leaves; a larger one streams from the server.
+    let room = (cache_elems - w - b) / 2;
+    let mut table = None;
+    let mut total = targets.map(<[usize]>::len);
     for (s, &levels) in groups.iter().enumerate() {
-        let labels = match (s, targets) {
-            (0, None) => Labels::Rank,
-            (0, Some(ts)) => Labels::Targets(ts),
-            _ => Labels::Stored,
+        let last = s + 1 == groups.len();
+        let (ranks, next) = match targets {
+            // The head window counts ranks; every later sweep reads the
+            // table the sweep before it filled.
+            None => (
+                table.take().map_or(Ranks::Running, Ranks::Rows),
+                (!last).then(|| {
+                    let stride = (1 << groups[s + 1].0) / b;
+                    RowTable::new(store, &mut budget, stride, nb, room)
+                }),
+            ),
+            Some(_) => (Ranks::Targets { first: s == 0 }, None),
         };
         let pass = Sweep {
             levels,
-            dir,
-            labels,
-            keep_labels: s + 1 < groups.len(),
+            targets,
+            total,
+            ranks,
+            next,
+            last,
         };
-        occupied = sweep(store, h, &dist, &mut budget, w, pass)?;
+        let (seen, filled) = sweep(store, h, &mut budget, w, pass)?;
+        total = Some(seen);
+        table = filled;
     }
 
     Ok(CompactReport {
@@ -318,16 +345,18 @@ pub(crate) fn run<S: BlockStore>(
         external_levels: lv - t,
         external_passes: (lv - t).div_ceil(g),
         window_elems: w,
-        occupied,
+        occupied: total.unwrap_or(0),
     })
 }
 
-/// Largest power-of-two window `W` such that a sweep's working set — the
-/// data and labels of the current and the held window — of `4·W` slots fits
-/// in the cache. `≥ 2B` whenever `B` is a power of two and `M ≥ 8B`.
-fn window_elems(cache_elems: usize) -> usize {
-    let mut w = 1;
-    while 4 * (w * 2) <= cache_elems {
+/// The window `W`: the largest power of two whose ring of `W + B` slots
+/// leaves room for two row tables — the largest, for stride `W/B`, has
+/// `⌈⌈N/B⌉·B/W⌉` entries — or, where those do not fit, for two one-block
+/// table buffers. `4B ≤ W < M` whenever `M ≥ 8B`.
+fn window_elems(nb: usize, b: usize, cache_elems: usize) -> usize {
+    let fits = |w: usize| w + b + 2 * nb.div_ceil(w / b).min(b) <= cache_elems;
+    let mut w = 4 * b;
+    while fits(2 * w) {
         w *= 2;
     }
     w
@@ -373,7 +402,8 @@ fn route_to_targets_in_place(cells: &mut [Cell], targets: &[usize]) -> Result<us
 /// The blocks `c, c + k, c + 2k, …` of an array, seen as one virtual array
 /// of `blocks` blocks. Virtual cell `x` is slot `x mod B` of block
 /// `c + ⌊x/B⌋·k`, so a move by `δ` virtual cells is a move by `δ·k` real
-/// cells that keeps the slot offset and the column.
+/// cells that keeps the slot offset and the column. Virtual block `v` lies
+/// in row `v` of the stride-`k` row table.
 #[derive(Clone, Copy)]
 struct Column {
     c: usize,
@@ -390,176 +420,197 @@ impl Column {
     fn cell(&self, x: usize) -> usize {
         self.block(x / self.b) * self.b + x % self.b
     }
+}
 
-    fn hint<S: BlockStore>(&self, store: &mut S, arrays: &[&ArrayHandle], vs: Range<usize>) {
-        let blocks: Vec<usize> = vs.map(|v| self.block(v)).collect();
-        for h in arrays {
-            store.hint_blocks(h, &blocks);
+/// Item counts per row of `stride` blocks: entry `r` covers blocks
+/// `[r·stride, (r+1)·stride)`. The sweep before a column sweep of that
+/// stride adds every block it writes back to its row; the column sweep's
+/// first column turns the counts into rank bases (the items in earlier
+/// rows), and every column adds its block's items for the next.
+///
+/// The table lives in the private cache when it fits, else in a server
+/// array streamed through a one-block buffer. A sweep touches the entries
+/// of each column in a monotone order fixed by the shape, so every table
+/// block it needs is read and written back once per column.
+struct RowTable {
+    stride: usize,
+    home: Home,
+}
+
+enum Home {
+    Cache(Vec<u64>),
+    Server {
+        array: ArrayHandle,
+        /// The table block held in `buf`, if any.
+        at: Option<usize>,
+        buf: Vec<u64>,
+    },
+}
+
+impl RowTable {
+    /// An all-zero table for `⌈nb/stride⌉` rows, in the cache if it has at
+    /// most `room` entries.
+    fn new<S: BlockStore>(
+        store: &mut S,
+        budget: &mut CacheBudget,
+        stride: usize,
+        nb: usize,
+        room: usize,
+    ) -> Self {
+        let rows = nb.div_ceil(stride);
+        let home = if rows <= room {
+            Home::Cache(vec![0; rows])
+        } else {
+            // A fresh array reads as dummies, which count as zero.
+            Home::Server {
+                array: store.alloc_array(rows),
+                at: None,
+                buf: Vec::new(),
+            }
+        };
+        let table = RowTable { stride, home };
+        budget.acquire(table.words());
+        table
+    }
+
+    /// The private-cache words the table holds.
+    fn words(&self) -> usize {
+        match &self.home {
+            Home::Cache(rows) => rows.len(),
+            Home::Server { array, .. } => array.block_elems(),
         }
     }
 
-    /// Reads virtual blocks `vs` in ascending order, one read I/O per block
-    /// (slots past the array end read as dummies).
-    fn load<S: BlockStore>(&self, store: &mut S, h: &ArrayHandle, vs: Range<usize>) -> Vec<Cell> {
-        let mut cells = Vec::with_capacity(vs.len() * self.b);
-        for v in vs {
-            let blk = store.load_block(h, self.block(v));
-            cells.extend_from_slice(blk.slots());
-            store.recycle(blk);
+    fn entry<S: BlockStore>(&mut self, store: &mut S, r: usize) -> &mut u64 {
+        match &mut self.home {
+            Home::Cache(rows) => &mut rows[r],
+            Home::Server { array, at, buf } => {
+                let b = array.block_elems();
+                if *at != Some(r / b) {
+                    write_back(store, array, at, buf);
+                    let blk = store.load_block(array, r / b);
+                    buf.clear();
+                    buf.extend(blk.slots().iter().map(|c| c.map_or(0, |e| e.key)));
+                    store.recycle(blk);
+                    *at = Some(r / b);
+                }
+                &mut buf[r % b]
+            }
         }
-        cells
     }
 
-    /// Writes `cells` back as whole blocks from virtual block `v_lo` on, in
-    /// ascending order, one write I/O per block.
-    fn store<S: BlockStore>(&self, store: &mut S, h: &ArrayHandle, v_lo: usize, cells: &[Cell]) {
-        for (i, chunk) in cells.chunks(self.b).enumerate() {
-            store.store_block(h, self.block(v_lo + i), Block::from_cells(chunk));
+    /// Writes the buffered table block back; called at the end of a column.
+    fn end_column<S: BlockStore>(&mut self, store: &mut S) {
+        if let Home::Server { array, at, buf } = &mut self.home {
+            write_back(store, array, at, buf);
         }
     }
 }
 
-/// Where a sweep takes each item's distance label from.
-#[derive(Clone, Copy)]
-enum Labels<'a> {
-    /// The first sweep of a compaction: occupied cell `j` gets `j − rank(j)`
-    /// from a running rank, which needs the cells in ascending order — the
-    /// head window, visited left to right.
-    Rank,
-    /// The first sweep of an expansion: prefix item `j` gets
-    /// `targets[j] − j`, and exactly the prefix `0..targets.len()` must be
-    /// occupied.
-    Targets(&'a [usize]),
-    /// Every later sweep: the label array the previous sweep wrote.
-    Stored,
+fn write_back<S: BlockStore>(
+    store: &mut S,
+    array: &ArrayHandle,
+    at: &mut Option<usize>,
+    buf: &[u64],
+) {
+    if let Some(i) = at.take() {
+        let cells = buf.iter().map(|&x| Some(Element::new(x, 0))).collect();
+        store.store_block(array, i, Block::from_buffer(cells));
+    }
+}
+
+/// Where a sweep takes each item's rank from.
+enum Ranks {
+    /// The head window of a compaction visits its one column in order and
+    /// counts ranks up.
+    Running,
+    /// Every later compaction sweep: rank bases from the row table the
+    /// sweep before it filled.
+    Rows(RowTable),
+    /// Every expansion sweep. Expansion routes by the targets alone: once
+    /// the levels `≥ i` have run, item `ρ` sits at
+    /// `targets[ρ] − ((targets[ρ] − ρ) mod 2^i)`, which increases with
+    /// `ρ`, so a block's rank base is a binary search over the targets. On
+    /// the `first` sweep that position is `ρ` itself, and the sweep checks
+    /// that exactly the prefix `0..targets.len()` is occupied.
+    Targets { first: bool },
 }
 
 /// One sweep over the array: the butterfly levels `levels = (i0, len)`.
 struct Sweep<'a> {
     levels: (usize, usize),
-    dir: Direction,
-    labels: Labels<'a>,
-    /// Whether the remaining labels go back to the label array for a later
-    /// sweep. The last sweep writes only data.
-    keep_labels: bool,
+    /// `None` compacts leftward: the item of rank `ρ` at position `p` has
+    /// the label `p − ρ`. `Some` expands rightward: its label is
+    /// `targets[ρ] − p`.
+    targets: Option<&'a [usize]>,
+    /// The items the previous sweep saw; `None` for the first sweep of a
+    /// compaction.
+    total: Option<usize>,
+    ranks: Ranks,
+    /// The table the next sweep reads, filled as blocks are written back.
+    next: Option<RowTable>,
+    /// No later sweep runs, so every label must be spent.
+    last: bool,
 }
 
-/// Virtual blocks `vs` of a column, held in the private cache with the
-/// labels of their cells.
-struct Window {
-    col: Column,
-    vs: Range<usize>,
-    cells: Vec<Cell>,
-    dists: Vec<Cell>,
+fn corrupt(reason: &'static str, cell: usize) -> OdoError {
+    OdoError::CorruptedRouting { reason, cell }
 }
 
-impl Window {
-    /// The virtual cells the window covers.
-    fn span(&self) -> Range<usize> {
-        let lo = self.vs.start * self.col.b;
-        lo..lo + self.cells.len()
-    }
-
-    /// Drops a moved item with its new label at virtual cell `x`.
-    fn place(&mut self, x: usize, item: Element, nd: u64) -> Result<(), OdoError> {
-        debug_assert!(self.span().contains(&x), "moves are shorter than W");
-        let idx = x - self.span().start;
-        if self.cells[idx].is_some() {
-            return Err(OdoError::CorruptedRouting {
-                reason:
-                    "butterfly routing collision: two items at one cell (invalid distance labels)",
-                cell: self.col.cell(x),
-            });
-        }
-        self.cells[idx] = Some(item);
-        self.dists[idx] = Some(Element::new(nd, 0));
-        Ok(())
-    }
-
-    /// Writes the window back — the labels too unless this is the last
-    /// sweep — and returns its slots to the budget.
-    fn flush<S: BlockStore>(
-        self,
-        store: &mut S,
-        [data, dist]: [&ArrayHandle; 2],
-        keep_labels: bool,
-        budget: &mut CacheBudget,
-    ) {
-        self.col.store(store, data, self.vs.start, &self.cells);
-        if keep_labels {
-            self.col.store(store, dist, self.vs.start, &self.dists);
-        }
-        budget.release(2 * self.cells.len());
-    }
-}
-
-/// The labels of a freshly loaded expansion window starting at virtual cell
-/// `lo`, checking that exactly the prefix `0..targets.len()` of the `n`
-/// cells is occupied. Slots past the array end get no label.
-fn target_labels(
-    cells: &[Cell],
-    col: &Column,
-    lo: usize,
-    n: usize,
-    targets: &[usize],
-) -> Result<Vec<Cell>, OdoError> {
-    let mut dists = Vec::with_capacity(cells.len());
-    for (r, c) in cells.iter().enumerate() {
-        let j = col.cell(lo + r);
-        dists.push(match (j < targets.len(), c) {
-            // Strictly increasing targets imply targets[j] >= j.
-            (true, Some(_)) => Some(Element::new((targets[j] - j) as u64, 0)),
-            (true, None) => {
-                return Err(OdoError::InvalidArgument {
-                    reason: "expand expects an occupied prefix of length targets.len()",
-                })
-            }
-            (false, Some(_)) if j < n => {
-                return Err(OdoError::InvalidArgument {
-                    reason: "expand expects dummies after the occupied prefix",
-                })
-            }
-            (false, _) => None,
-        });
-    }
-    Ok(dists)
-}
-
-/// Runs the butterfly levels `[i0, i0 + len)` as one sliding-window sweep
-/// per block column and returns the number of items it saw. With
-/// `k = max(1, 2^i0 / B)`, the group moves an item by `d & mask` cells
-/// (`mask` covers label bits `[i0, i0 + len)`), a whole multiple of `k`
-/// blocks, so it never leaves its column: over the column's virtual array
-/// it moves by `δ = (d & mask)/k < W` cells. Windows of `W` virtual cells
-/// are visited against the travel direction — leftmost first when
-/// compacting left, rightmost first when expanding right — and each is
-/// scanned in the same order, so a move always lands on a cell already
-/// scanned: in the current window, or in the window visited before it,
-/// which stays in cache until the current one is done. Each label becomes
-/// `d − (d & mask)`; the last sweep requires that to be zero. The head
-/// window is the group `i0 = 0` (`k = 1`, `mask = W − 1`); Lemma 5 makes
-/// the state after every group collision-free, so a collision means the
-/// labels were invalid.
+/// Runs the butterfly levels `[i0, i0 + len)` as one sweep per block column
+/// and returns the number of items it saw, with the row table it filled
+/// for the next sweep. With `k = max(1, 2^i0 / B)`, the group moves an item
+/// by `d & mask` cells (`mask` covers label bits `[i0, i0 + len)`), a whole
+/// multiple of `k` blocks, so it never leaves its column: over the column's
+/// virtual array it moves by `δ = (d & mask)/k < W` cells.
 ///
-/// One read pass and one write pass over the data, plus one over the labels
-/// for each of: a label array to read (every sweep but the first) and
-/// labels to keep (every sweep but the last) — in a block order fixed by
-/// the shape. While a window is worked on, the next window's blocks are
-/// hinted, so read-ahead keeps one window of lead.
+/// Each column streams through a ring of `W/B + 1` blocks, visited against
+/// the travel direction — leftmost first when compacting left, rightmost
+/// first when expanding right — and each block is scanned in the same
+/// order, so a move lands on a cell already scanned, in the block being
+/// scanned or in one of the `W/B` before it. The block `W/B + 1` behind is
+/// out of reach and is written back before the next one is loaded. The
+/// head window is the group `i0 = 0` (`k = 1`, `mask = W − 1`); Lemma 5
+/// makes the state after every group collision-free, so a collision means
+/// the array was tampered with.
+///
+/// Every item's label is recomputed from its rank (see [`Ranks`]). Its
+/// bits that an earlier sweep ran must be clear, and in the last sweep so
+/// must the bits a later one would run. One read pass and one write pass
+/// over the data, in a block order fixed by the shape; a streamed row table
+/// adds its own fixed-order reads and writes.
 fn sweep<S: BlockStore>(
     store: &mut S,
     data: &ArrayHandle,
-    dist: &ArrayHandle,
     budget: &mut CacheBudget,
     w: usize,
-    pass: Sweep,
-) -> Result<usize, OdoError> {
+    mut pass: Sweep,
+) -> Result<(usize, Option<RowTable>), OdoError> {
     let (n, b, nb) = (data.len(), data.block_elems(), data.n_blocks());
     let (i0, len) = pass.levels;
+    let expanding = pass.targets.is_some();
     let k = ((1usize << i0) / b).max(1); // 2^i0 < N, so k < ⌈N/B⌉
-    let mask = ((1u64 << len) - 1) << i0;
-    let wb = w / b;
-    let mut windows: Vec<(Column, Range<usize>)> = Vec::new();
+    let low = |i: usize| (1u64 << i) - 1;
+    let mask = low(i0 + len) & !low(i0);
+    let (spent, pending) = if expanding {
+        (!low(i0 + len), low(i0))
+    } else {
+        (low(i0), !low(i0 + len))
+    };
+    let targets = pass.targets.unwrap_or(&[]);
+    let check_prefix = matches!(pass.ranks, Ranks::Targets { first: true });
+    // The rank base of the next `count` items of a compaction, given the
+    // `run` items before them.
+    let advance = |run: &mut usize, count: usize| {
+        let base = *run;
+        *run = run.saturating_add(count);
+        base
+    };
+
+    let slots = w / b + 1;
+    budget.acquire(slots * b);
+    let mut ring: Vec<Option<Block>> = vec![None; slots];
+    let mut seen = 0usize;
     for c in 0..k {
         let col = Column {
             c,
@@ -567,113 +618,163 @@ fn sweep<S: BlockStore>(
             b,
             blocks: (nb - c).div_ceil(k),
         };
-        let starts = (0..col.blocks).step_by(wb);
-        let window = |v: usize| (col, v..(v + wb).min(col.blocks));
-        match pass.dir {
-            Direction::Left => windows.extend(starts.map(window)),
-            Direction::Right => windows.extend(starts.rev().map(window)),
-        }
-    }
-    let reads: &[&ArrayHandle] = match pass.labels {
-        Labels::Stored => &[data, dist],
-        Labels::Rank | Labels::Targets(_) => &[data],
-    };
-    if let Some((col, vs)) = windows.first() {
-        col.hint(store, reads, vs.clone());
-    }
-    let (mut rank, mut occupied) = (0usize, 0usize);
-    let mut held: Option<Window> = None;
-    for (idx, (col, vs)) in windows.iter().enumerate() {
-        if let Some((next, nvs)) = windows.get(idx + 1) {
-            next.hint(store, reads, nvs.clone());
-        }
-        // Windows of different columns never exchange items.
-        if let Some(prev) = held.take_if(|h| h.col.c != col.c) {
-            prev.flush(store, [data, dist], pass.keep_labels, budget);
-        }
-        let lo = vs.start * b;
-        budget.acquire(2 * vs.len() * b);
-        let cells = col.load(store, data, vs.clone());
-        let dists = match pass.labels {
-            Labels::Stored => col.load(store, dist, vs.clone()),
-            Labels::Rank => (lo..)
-                .zip(&cells)
-                .map(|(x, c)| {
-                    let j = col.cell(x);
-                    let label = c
-                        .filter(|_| j < n)
-                        .map(|_| Element::new((j - rank) as u64, 0));
-                    rank += usize::from(label.is_some());
-                    label
-                })
-                .collect(),
-            Labels::Targets(t) => target_labels(&cells, col, lo, n, t)?,
-        };
-        let mut cur = Window {
-            col: *col,
-            vs: vs.clone(),
-            cells,
-            dists,
-        };
-        let span = cur.span();
-        for i in 0..span.len() {
-            let r = match pass.dir {
-                Direction::Left => i,
-                Direction::Right => span.len() - 1 - i,
-            };
-            let x = lo + r;
-            let Some(item) = cur.cells[r] else {
-                continue;
-            };
-            occupied += 1;
-            let d = cur.dists[r]
-                .ok_or(OdoError::CorruptedRouting {
-                    reason: "occupied cells carry a distance label",
-                    cell: col.cell(x),
-                })?
-                .key;
-            let nd = d - (d & mask);
-            if nd != 0 && !pass.keep_labels {
-                return Err(OdoError::CorruptedRouting {
-                    reason: "a distance label outlives the last butterfly level",
-                    cell: col.cell(x),
-                });
+        let at = |i: usize| if expanding { col.blocks - 1 - i } else { i };
+        let schedule: Vec<usize> = (0..col.blocks).map(|i| col.block(at(i))).collect();
+        store.hint_blocks(data, &schedule);
+        let mut run = 0usize;
+        for i in 0..col.blocks {
+            let v = at(i);
+            if i >= slots {
+                flush(store, data, &col, at(i - slots), &mut ring, &mut pass.next);
             }
-            let delta = ((d & mask) / k as u64) as usize;
-            if delta == 0 {
-                continue;
+            let mut blk = store.load_block(data, col.block(v));
+            let occ = blk.occupancy();
+            seen += occ;
+            let p0 = col.block(v) * b;
+            let base = match &mut pass.ranks {
+                Ranks::Running => advance(&mut run, occ),
+                Ranks::Rows(table) => {
+                    let entry = table.entry(store, v);
+                    let base = if c == 0 {
+                        advance(&mut run, *entry as usize)
+                    } else {
+                        *entry as usize
+                    };
+                    *entry = base.saturating_add(occ) as u64;
+                    base
+                }
+                Ranks::Targets { .. } => expansion_rank(targets, i0 + len, p0),
+            };
+            let mut passed = 0;
+            for j in 0..b {
+                let s = if expanding { b - 1 - j } else { j };
+                let (x, p) = (v * b + s, p0 + s);
+                let cell = blk.get(s);
+                if check_prefix && p < n && (p < targets.len()) != cell.is_some() {
+                    return Err(OdoError::InvalidArgument {
+                        reason: if p < targets.len() {
+                            "expand expects an occupied prefix of length targets.len()"
+                        } else {
+                            "expand expects dummies after the occupied prefix"
+                        },
+                    });
+                }
+                let Some(item) = cell else {
+                    continue;
+                };
+                if p >= n {
+                    return Err(corrupt("an item sits past the array end", p));
+                }
+                let rank = if expanding {
+                    base.saturating_add(occ - 1 - passed)
+                } else {
+                    base.saturating_add(passed)
+                };
+                passed += 1;
+                let d = match pass.targets {
+                    None => p.checked_sub(rank),
+                    Some(ts) => ts.get(rank).and_then(|&t| t.checked_sub(p)),
+                }
+                .ok_or(corrupt("a rank that disagrees with the item's position", p))?
+                    as u64;
+                if d & spent != 0 {
+                    return Err(corrupt(
+                        "a distance with bits an earlier butterfly level should have spent",
+                        p,
+                    ));
+                }
+                if pass.last && d & pending != 0 {
+                    return Err(corrupt(
+                        "a distance left over after the last butterfly level",
+                        p,
+                    ));
+                }
+                let delta = ((d & mask) / k as u64) as usize;
+                if delta == 0 {
+                    continue;
+                }
+                let target = if expanding {
+                    Some(x + delta)
+                } else {
+                    x.checked_sub(delta)
+                };
+                // Past either end of the column means past the array.
+                let Some(y) = target.filter(|&y| col.cell(y) < n) else {
+                    return Err(corrupt("no item may be routed out of the array", p));
+                };
+                blk.set(s, None);
+                let dest = if y / b == v {
+                    &mut blk
+                } else {
+                    ring[(y / b) % slots]
+                        .as_mut()
+                        .expect("a move shorter than W lands in the ring")
+                };
+                if dest.get(y % b).is_some() {
+                    return Err(corrupt(
+                        "butterfly routing collision: two items at one cell (invalid distance labels)",
+                        col.cell(y),
+                    ));
+                }
+                dest.set(y % b, Some(item));
             }
-            let target = match pass.dir {
-                Direction::Left => x.checked_sub(delta),
-                Direction::Right => Some(x + delta),
-            };
-            // Past either end of the column means past the array.
-            let Some(target) = target.filter(|&y| col.cell(y) < n) else {
-                return Err(OdoError::CorruptedRouting {
-                    reason: "no item may be routed out of the array",
-                    cell: col.cell(x),
-                });
-            };
-            cur.cells[r] = None;
-            cur.dists[r] = None;
-            // A move shorter than W that leaves the current window without
-            // leaving the column lands in the window visited before it.
-            let dest = if span.contains(&target) {
-                &mut cur
-            } else {
-                held.as_mut()
-                    .expect("a target outside the current window lies in the held one")
-            };
-            dest.place(target, item, nd)?;
+            ring[v % slots] = Some(blk);
         }
-        if let Some(prev) = held.replace(cur) {
-            prev.flush(store, [data, dist], pass.keep_labels, budget);
+        for i in col.blocks.saturating_sub(slots)..col.blocks {
+            flush(store, data, &col, at(i), &mut ring, &mut pass.next);
+        }
+        if let Ranks::Rows(table) = &mut pass.ranks {
+            table.end_column(store);
+        }
+        if let Some(table) = &mut pass.next {
+            table.end_column(store);
         }
     }
-    if let Some(last) = held {
-        last.flush(store, [data, dist], pass.keep_labels, budget);
+    budget.release(slots * b);
+    if let Ranks::Rows(table) = &pass.ranks {
+        budget.release(table.words());
     }
-    Ok(occupied)
+    if pass.total.is_some_and(|t| t != seen) {
+        return Err(corrupt("the item count changed between sweeps", 0));
+    }
+    Ok((seen, pass.next))
+}
+
+/// The rank of the first expansion item at or after position `p` once the
+/// levels `≥ i` have run (see [`Ranks::Targets`]).
+fn expansion_rank(targets: &[usize], i: usize, p: usize) -> usize {
+    let (mut lo, mut hi) = (0, targets.len());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        let d = targets[mid] - mid;
+        if targets[mid] - (d & ((1 << i) - 1)) < p {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Writes virtual block `v` of `col` back from the ring, adding its items to
+/// the next sweep's row table.
+fn flush<S: BlockStore>(
+    store: &mut S,
+    data: &ArrayHandle,
+    col: &Column,
+    v: usize,
+    ring: &mut [Option<Block>],
+    next: &mut Option<RowTable>,
+) {
+    let slots = ring.len();
+    let blk = ring[v % slots]
+        .take()
+        .expect("every ring block is loaded before it is written back");
+    let block = col.block(v);
+    if let Some(table) = next {
+        *table.entry(store, block / table.stride) += blk.occupancy() as u64;
+    }
+    store.store_block(data, block, blk);
 }
 
 #[cfg(test)]
@@ -721,8 +822,9 @@ mod tests {
             (100, 4, 32),  // n not a power of two
             (1000, 8, 64), // n not a power of two, external
             (65, 8, 64),   // n just above M, top group wider than the array
-            (700, 8, 88),  // M = 11B: W = 2B, one level per column sweep
+            (700, 8, 88),  // M = 11B: W = 8B, tables in the cache
             (1500, 8, 96), // M = 12B, n mod B = 4
+            (4000, 4, 32), // M = 8B: W = 4B, the stride-4 table streams
             (9000, 8, 1024),
         ] {
             for (salt, num) in [(1u64, 1u64), (2, 2), (3, 5)] {
@@ -869,15 +971,15 @@ mod tests {
 
     #[test]
     fn report_structure_matches_the_level_split() {
-        // N = 1024, B = 8, M = 64: W = 16 -> 4 in-cache levels, levels = 10,
-        // external = 6, one level per sweep (W = 2B).
+        // N = 1024, B = 8, M = 64: W = 32 -> 5 in-cache levels, levels = 10,
+        // external = 5, two levels per sweep (W = 4B).
         let cells = occupancy(1024, 2, 1, 2);
         let (_, report) = run_compact(&cells, 8, 64);
         assert_eq!(report.levels, 10);
-        assert_eq!(report.window_elems, 16);
-        assert_eq!(report.in_cache_levels, 4);
-        assert_eq!(report.external_levels, 6);
-        assert_eq!(report.external_passes, 6);
+        assert_eq!(report.window_elems, 32);
+        assert_eq!(report.in_cache_levels, 5);
+        assert_eq!(report.external_levels, 5);
+        assert_eq!(report.external_passes, 3);
     }
 
     #[test]
@@ -969,49 +1071,162 @@ mod tests {
         let c = run_compact(&vec![None; 512], 8, 64).1;
         assert_eq!(a.io, b.io);
         assert_eq!(a.io, c.io);
-        // ⌈N/B⌉·(4·S − 2) for S sweeps: W = 16 = 2B, so the head window
-        // and the 5 external levels, one sweep each, make S = 6.
-        assert_eq!(a.io.total(), 64 * (4 * 6 - 2));
-        // M = 2^10: W = 256, so the 5 external levels of N = 4097 run
-        // fused five at a time (W/B = 32) in one sweep: S = 2.
+        // W = 32 = 4B: the head window and the 4 external levels, two per
+        // sweep, make S = 3 sweeps of 2·⌈N/B⌉ I/Os. The stride-4 row table
+        // (16 rows, two blocks) streams: the head window reads and writes
+        // both blocks once, and each of the 4 columns of the next sweep
+        // does too.
+        assert_eq!(a.io.total(), 64 * 2 * 3 + 2 * 2 + 4 * 2 * 2);
+        // M = 2^10: W = 512, so the 4 external levels of N = 4097 run in
+        // one sweep (W/B = 64) and the 9-row table stays in cache: S = 2.
         let d = run_compact(&occupancy(4097, 1, 1, 2), 8, 1 << 10).1;
-        assert_eq!(d.io.total(), 513 * (4 * 2 - 2));
-        assert_eq!((d.external_levels, d.external_passes), (5, 1));
+        assert_eq!(d.io.total(), 513 * 2 * 2);
+        assert_eq!((d.external_levels, d.external_passes), (4, 1));
+    }
+
+    /// `N = 64, B = 4, M = 32`: `W = 16`, levels = 6, so a compaction is
+    /// the head window (levels 0..4) and one column sweep of stride 4
+    /// (levels 4 and 5). Every third cell is occupied: item `m` sits at
+    /// `3m` and travels `2m`, so after the head window the 22 items sit at
+    /// `0..8`, `24..32` and `48..54`, and the rows of 16 cells hold
+    /// `[8, 8, 0, 6]` items.
+    fn every_third() -> Vec<Cell> {
+        (0..64u64).map(|i| (i % 3 == 0).then(|| e(i))).collect()
+    }
+
+    /// The head window of that compaction, filling the stride-4 table.
+    fn head_sweep(mem: &mut ExtMem, h: &ArrayHandle) -> (usize, RowTable) {
+        let mut budget = CacheBudget::new(32);
+        let next = Some(RowTable::new(mem, &mut budget, 4, 16, 8));
+        let pass = Sweep {
+            levels: (0, 4),
+            targets: None,
+            total: None,
+            ranks: Ranks::Running,
+            next,
+            last: false,
+        };
+        let (seen, table) = sweep(mem, h, &mut budget, 16, pass).unwrap();
+        (seen, table.unwrap())
+    }
+
+    fn column_sweep(
+        mem: &mut ExtMem,
+        h: &ArrayHandle,
+        total: usize,
+        table: RowTable,
+    ) -> Result<usize, OdoError> {
+        let mut budget = CacheBudget::new(32);
+        budget.acquire(table.words());
+        let pass = Sweep {
+            levels: (4, 2),
+            targets: None,
+            total: Some(total),
+            ranks: Ranks::Rows(table),
+            next: None,
+            last: true,
+        };
+        sweep(mem, h, &mut budget, 16, pass).map(|(seen, _)| seen)
     }
 
     #[test]
-    fn last_sweep_rejects_a_label_above_the_top_level() {
-        // N = 64, B = 4, M = 32: W = 8, levels = 6, and the last compaction
-        // sweep runs the top level 5 alone. Every label is spent except one,
-        // which has bit 6 set: no level may consume it.
-        let cells: Vec<Cell> = (0..64u64).map(|i| (i % 3 == 0).then(|| e(i))).collect();
-        let last_sweep = |bad: Option<usize>| {
-            let labels: Vec<Cell> = cells
-                .iter()
-                .enumerate()
-                .map(|(j, c)| c.map(|_| e(if Some(j) == bad { 1 << 6 } else { 0 })))
-                .collect();
-            let mut mem = ExtMem::new(4);
-            let h = mem.alloc_array_from_cells(&cells);
-            let dist = mem.alloc_array_from_cells(&labels);
-            let pass = Sweep {
-                levels: (5, 1),
-                dir: Direction::Left,
-                labels: Labels::Stored,
-                keep_labels: false,
-            };
-            let got = sweep(&mut mem, &h, &dist, &mut CacheBudget::new(32), 8, pass);
-            (got, mem.snapshot_cells(&h))
+    fn the_head_window_fills_the_row_table_the_column_sweep_reads() {
+        let cells = every_third();
+        let mut mem = ExtMem::new(4);
+        let h = mem.alloc_array_from_cells(&cells);
+        let (seen, mut table) = head_sweep(&mut mem, &h);
+        assert_eq!(seen, 22);
+        let rows: Vec<u64> = (0..4).map(|r| *table.entry(&mut mem, r)).collect();
+        assert_eq!(rows, [8, 8, 0, 6]);
+        assert_eq!(column_sweep(&mut mem, &h, seen, table).unwrap(), 22);
+        assert_eq!(mem.snapshot_cells(&h), reference_compact(&cells));
+    }
+
+    #[test]
+    fn a_row_table_that_overcounts_is_a_rank_disagreeing_with_the_position() {
+        let mut mem = ExtMem::new(4);
+        let h = mem.alloc_array_from_cells(&every_third());
+        let (seen, mut table) = head_sweep(&mut mem, &h);
+        // Row 0 claims 40 more items: the first item of row 3 (cell 48)
+        // gets rank 56.
+        *table.entry(&mut mem, 0) += 40;
+        let err = column_sweep(&mut mem, &h, seen, table).unwrap_err();
+        assert!(matches!(err, OdoError::CorruptedRouting { cell: 48, .. }));
+        assert!(err
+            .to_string()
+            .contains("disagrees with the item's position"));
+    }
+
+    #[test]
+    fn an_item_dropped_between_sweeps_is_corrupted_routing() {
+        // Dropping cell 2 shifts the ranks after it: the item at cell 3
+        // gets rank 2 and an odd distance, a bit the head window should
+        // have spent.
+        let mut mem = ExtMem::new(4);
+        let h = mem.alloc_array_from_cells(&every_third());
+        let (seen, table) = head_sweep(&mut mem, &h);
+        let mut first = mem.load_block(&h, 0);
+        first.set(2, None);
+        mem.store_block(&h, 0, first);
+        let err = column_sweep(&mut mem, &h, seen, table).unwrap_err();
+        assert!(matches!(err, OdoError::CorruptedRouting { cell: 3, .. }));
+        assert!(err.to_string().contains("should have spent"));
+
+        // Dropping the last item leaves every rank intact; the count
+        // still disagrees with the one the head window saw.
+        let mut mem = ExtMem::new(4);
+        let h = mem.alloc_array_from_cells(&every_third());
+        let (seen, table) = head_sweep(&mut mem, &h);
+        let mut last = mem.load_block(&h, 13);
+        last.set(1, None);
+        mem.store_block(&h, 13, last);
+        let err = column_sweep(&mut mem, &h, seen, table).unwrap_err();
+        assert!(err.to_string().contains("item count changed"));
+    }
+
+    #[test]
+    fn a_distance_left_over_after_the_last_level_is_corrupted_routing() {
+        // A head window that is told no sweep follows: item 8 (cell 24)
+        // travels 16 cells, a bit no level it runs can spend.
+        let mut mem = ExtMem::new(4);
+        let h = mem.alloc_array_from_cells(&every_third());
+        let mut budget = CacheBudget::new(32);
+        let pass = Sweep {
+            levels: (0, 4),
+            targets: None,
+            total: None,
+            ranks: Ranks::Running,
+            next: None,
+            last: true,
         };
-        let (ok, data) = last_sweep(None);
-        assert_eq!(ok.unwrap(), 22);
-        assert_eq!(data, cells, "spent labels leave every item in place");
-        let (err, _) = last_sweep(Some(33));
-        assert!(matches!(
-            err,
-            Err(OdoError::CorruptedRouting { cell: 33, .. })
-        ));
-        assert!(err.unwrap_err().to_string().contains("outlives the last"));
+        let err = sweep(&mut mem, &h, &mut budget, 16, pass)
+            .map(|(seen, _)| seen)
+            .unwrap_err();
+        assert!(matches!(err, OdoError::CorruptedRouting { cell: 24, .. }));
+        assert!(err.to_string().contains("left over after the last"));
+    }
+
+    #[test]
+    fn no_label_array_is_allocated() {
+        // N = 4097, B = 8, M = 2^10: the 9-row table stays in the cache, so
+        // neither direction allocates on the server.
+        let cells = occupancy(4097, 6, 1, 2);
+        let targets: Vec<usize> = (0..cells.len()).filter(|&j| cells[j].is_some()).collect();
+        let mut mem = ExtMem::new(8);
+        let h = mem.alloc_array_from_cells(&cells);
+        let before = mem.allocated_blocks();
+        compact(&mut mem, &h, 1 << 10);
+        expand(&mut mem, &h, &targets, 1 << 10);
+        assert_eq!(mem.allocated_blocks(), before);
+        assert_eq!(mem.snapshot_cells(&h), cells);
+        // N = 512, B = 8, M = 64: the 16-row stride-4 table outgrows the 12
+        // entries left per table, and two server blocks hold it.
+        let mut mem = ExtMem::new(8);
+        let h = mem.alloc_array_from_cells(&cells[..512]);
+        let before = mem.allocated_blocks();
+        compact(&mut mem, &h, 64);
+        assert_eq!(mem.allocated_blocks(), before + 2);
+        assert_eq!(mem.snapshot_cells(&h), reference_compact(&cells[..512]));
     }
 
     #[test]

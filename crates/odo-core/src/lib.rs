@@ -12,9 +12,9 @@
 //! * [`compact`] — the paper's §3 tight order-preserving compaction (and its
 //!   reverse, expansion) executed I/O-efficiently over any [`BlockStore`]:
 //!   the butterfly levels run as a head-window sweep plus cache-sized
-//!   column sweeps that fuse `log₂(W/B)` external levels each. The first
-//!   sweep computes the distance labels in cache and the last one drops
-//!   them, so `S` sweeps cost `⌈N/B⌉·(4·S − 2)` I/Os —
+//!   column sweeps that fuse `log₂(W/B)` external levels each. No label
+//!   array exists: every sweep recomputes each item's rank from per-row
+//!   counts, so `S` sweeps cost `2·S·⌈N/B⌉` I/Os —
 //!   `O((N/B)(1 + log_{M/B}(N/M)))`.
 //! * [`select`] — the paper's §4 data-oblivious selection and quantiles:
 //!   [`select::select_kth`] brackets the target between weighted splitters
@@ -103,6 +103,7 @@ pub fn try_sort<S: BlockStore>(
     order: SortOrder,
     policy: RetryPolicy,
 ) -> Result<(SortReport, RetryStats), OdoError> {
+    sorter::check_sort_cache(h, cache_elems)?;
     try_external_oblivious_sort(store, h, cache_elems, order, policy).map_err(OdoError::from)
 }
 

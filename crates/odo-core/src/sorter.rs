@@ -161,6 +161,7 @@ impl OblivSorter {
     ) -> Result<(SorterReport, RetryStats), OdoError> {
         match self {
             OblivSorter::Bitonic => {
+                check_sort_cache(h, cache_elems)?;
                 let (r, retries) =
                     obliv_net::try_external_oblivious_sort(store, h, cache_elems, order, policy)
                         .map_err(OdoError::from)?;
@@ -186,6 +187,15 @@ impl OblivSorter {
             }
         }
     }
+}
+
+/// The Lemma 2 sort's cache requirement (`M ≥ 2B`) as a typed
+/// [`OdoError::InvalidArgument`]. Checked before the sort runs: inside
+/// the retry bridge the sort's own check is a panic that unwinds through
+/// it.
+pub(crate) fn check_sort_cache(h: &ArrayHandle, cache_elems: usize) -> Result<(), OdoError> {
+    obliv_net::external_sort::check_cache(h.block_elems(), cache_elems)
+        .map_err(|reason| OdoError::InvalidArgument { reason })
 }
 
 #[cfg(test)]
@@ -259,5 +269,40 @@ mod tests {
             let got = mem.snapshot_elements(&h);
             assert!(got.windows(2).all(|w| w[0] <= w[1]));
         }
+    }
+
+    #[test]
+    fn a_cache_below_two_blocks_is_a_typed_error_for_every_engine() {
+        // M = B: the Lemma 2 sort's own check would panic inside the retry
+        // bridge; the bucket engine needs M >= 8B on its external path.
+        for sorter in [OblivSorter::Bitonic, OblivSorter::bucket(3)] {
+            let mut mem = ExtMem::new(8);
+            let h = mem.alloc_array_from_elements(&scrambled(64));
+            let err = sorter
+                .try_sort(
+                    &mut mem,
+                    &h,
+                    8,
+                    SortOrder::Ascending,
+                    RetryPolicy::default(),
+                )
+                .unwrap_err();
+            assert!(
+                matches!(err, OdoError::InvalidArgument { .. }),
+                "{:?}: {err:?}",
+                sorter.engine()
+            );
+        }
+        let mut mem = ExtMem::new(8);
+        let h = mem.alloc_array_from_elements(&scrambled(64));
+        let err = crate::try_sort(
+            &mut mem,
+            &h,
+            8,
+            SortOrder::Ascending,
+            RetryPolicy::default(),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("at least two blocks"));
     }
 }

@@ -33,12 +33,13 @@ fn compact_trace(cells: &[Cell], b: usize, m: usize) -> AccessTrace {
 }
 
 /// A seeded, std-only sweep of external shapes `(N, B, M)`. Every block
-/// size meets every cache `M ∈ {8B, 11B, 12B, 64B, 128B}` (`8B` and `11B`
-/// leave the window at two blocks, so each column sweep runs a single
-/// level), once
+/// size meets every cache `M ∈ {8B, 11B, 12B, 64B, 128B}` (`8B` leaves the
+/// window at four blocks, so each column sweep runs two levels), once
 /// with `N` just above `M` — where the top level groups hold strides of
 /// more blocks than the array has — and once with `N` a random multiple of
-/// `M` plus a random remainder, usually not a multiple of `B`.
+/// `M` plus a random remainder, usually not a multiple of `B`. One more
+/// shape at `B = 64`, `M = 8B`, `N ≈ 2^15` has a row table too large for
+/// the cache, so it streams from the server.
 fn shape_sweep(seed: u64) -> Vec<(usize, usize, usize)> {
     let mut shapes = Vec::new();
     for b in [2usize, 4, 8, 16] {
@@ -49,23 +50,54 @@ fn shape_sweep(seed: u64) -> Vec<(usize, usize, usize)> {
             shapes.push((m * (2 + (r >> 8) % 15) + (r >> 16) % b, b, m));
         }
     }
+    shapes.push(((1 << 15) + hash64(64, seed) as usize % 64, 64, 512));
     shapes
 }
 
 /// The I/O count of an external compaction or expansion, from the shape
-/// alone: `⌈N/B⌉·(4·S − 2)` for `S = 1 + ⌈(⌈log₂N⌉ − log₂W)/g⌉` sweeps —
-/// the head window and one column sweep per `g = log₂(W/B)` external
-/// levels, with `W` the largest power of two such that `4W ≤ M`. Every
-/// sweep reads and writes the data; the labels pass between sweeps only.
-fn external_ios(n: usize, b: usize, m: usize) -> u64 {
+/// alone. `W` is the largest power of two such that `W + B` plus two row
+/// tables of up to `min(⌈⌈N/B⌉·B/W⌉, B)` words fit in `M`; there are
+/// `S = 1 + ⌈(⌈log₂N⌉ − log₂W)/g⌉` sweeps — the head window and one column
+/// sweep per `g = log₂(W/B)` external levels, of strides `(W/B)^j` — and
+/// each reads and writes the data once. Expansion takes its ranks from the
+/// targets and costs exactly that. Compaction reads them from row tables:
+/// one of stride `K` that does not fit in half the cache the ring leaves
+/// streams from the server, and each column of the sweep that reads it (of
+/// stride `K`) and of the sweep that fills it (of stride `K·B/W`) reads and
+/// writes the table blocks holding the rows of its blocks once.
+fn external_ios(n: usize, b: usize, m: usize, expanding: bool) -> u64 {
+    let nb = n.div_ceil(b);
     let lv = (usize::BITS - (n - 1).leading_zeros()) as usize;
-    let mut w = 1usize;
-    while 8 * w <= m {
+    let fits = |w: usize| w + b + 2 * nb.div_ceil(w / b).min(b) <= m;
+    let mut w = 4 * b;
+    while fits(2 * w) {
         w *= 2;
     }
-    let g = (w / b).trailing_zeros() as usize;
-    let sweeps = 1 + (lv - w.trailing_zeros() as usize).div_ceil(g);
-    n.div_ceil(b) as u64 * (4 * sweeps as u64 - 2)
+    let q = w / b;
+    let columns = (lv - w.trailing_zeros() as usize).div_ceil(q.trailing_zeros() as usize);
+    let mut ios = 2 * nb * (1 + columns);
+    if expanding {
+        return ios as u64;
+    }
+    let room = (m - w - b) / 2;
+    // Table blocks column c of a sweep of stride k touches in a table of
+    // the given stride.
+    let touched = |c: usize, k: usize, stride: usize| {
+        let rows = ((nb - c).div_ceil(k) - 1) * k / stride;
+        rows / b + 1
+    };
+    for j in 1..=columns {
+        let stride = q.pow(j as u32);
+        if nb.div_ceil(stride) > room {
+            ios += (0..stride)
+                .map(|c| 2 * touched(c, stride, stride))
+                .sum::<usize>();
+            ios += (0..stride / q)
+                .map(|c| 2 * touched(c, stride / q, stride))
+                .sum::<usize>();
+        }
+    }
+    ios as u64
 }
 
 /// Compacts `cells`, then expands the prefix back to the occupied
@@ -123,13 +155,13 @@ fn compact_trace_is_identical_across_20_random_occupancies() {
     for (n, b, m) in shape_sweep(0x5EED) {
         let sparse = round_trip(&occupancy(n, 1, 1, 6), b, m);
         let dense = round_trip(&occupancy(n, 2, 5, 6), b, m);
-        for ((ts, rs), (td, rd)) in sparse.iter().zip(&dense) {
+        for (((ts, rs), (td, rd)), expanding) in sparse.iter().zip(&dense).zip([false, true]) {
             let context = format!(
                 "N={n} B={b} M={m} occupied {} vs {}",
                 rs.occupied, rd.occupied
             );
             assert_oblivious(ts, td, &context);
-            assert_eq!(rs.io.total(), external_ios(n, b, m), "{context}");
+            assert_eq!(rs.io.total(), external_ios(n, b, m, expanding), "{context}");
             assert_eq!(TraceSummary::of(ts).len as u64, rs.io.total(), "{context}");
         }
     }

@@ -18,6 +18,12 @@ use odo_core::ArrayHandle;
 type Stack = AuthenticatedStore<FaultyStore<EncryptedStore>>;
 
 const N: usize = 1024;
+/// Compaction and selection (whose prune rounds compact) run on a larger
+/// array: at `N` compaction needs so few I/Os (768 at this `M`) that the
+/// tamper lanes would miss about half the seeds. At `4N` compaction's
+/// stride-8 row table also outgrows the cache and streams from the server,
+/// so the battery tampers with that table too.
+const LARGE_N: usize = 4 * N;
 const B: usize = 8;
 const M: usize = 128;
 
@@ -45,7 +51,7 @@ fn sort_input(seed: u64) -> Vec<Cell> {
 }
 
 fn compact_input(seed: u64) -> Vec<Cell> {
-    (0..N)
+    (0..LARGE_N)
         .map(|i| {
             (!hash64(i as u64, seed ^ 0xC0).is_multiple_of(3))
                 .then(|| Element::new(i as u64, i as u64))
@@ -55,7 +61,7 @@ fn compact_input(seed: u64) -> Vec<Cell> {
 
 fn select_input(seed: u64) -> Vec<Cell> {
     // Duplicate-heavy keys; payload = original position (the tie-breaker).
-    (0..N)
+    (0..LARGE_N)
         .map(|i| Some(Element::new(hash64(i as u64, seed ^ 0x5E) % 97, i as u64)))
         .collect()
 }
@@ -89,7 +95,7 @@ fn run_case(prim: Prim, seed: u64, spec: FaultSpec) -> (u64, Outcome) {
     let h = populate(&mut auth, &input);
     auth.inner_mut().set_spec(spec);
     let policy = RetryPolicy::default();
-    let k = N / 3;
+    let k = input.len() / 3;
 
     // Run the primitive; erase the per-primitive payload down to
     // "selected element, if any" + the error.
@@ -104,7 +110,7 @@ fn run_case(prim: Prim, seed: u64, spec: FaultSpec) -> (u64, Outcome) {
     // caught by authentication rather than served.
     auth.inner_mut().set_spec(FaultSpec::none());
     let tampering = auth.inner().fault_stats().tampering();
-    let readback = auth.try_load_span(&h, 0, N);
+    let readback = auth.try_load_span(&h, 0, input.len());
 
     let outcome = match (run_result, readback) {
         (Err(e), _) => {
