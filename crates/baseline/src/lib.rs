@@ -33,7 +33,7 @@
 #![warn(missing_docs)]
 
 use extmem::element::Cell;
-use extmem::{ArrayHandle, Block, BlockCache, Element, ExtMem, IoStats};
+use extmem::{ArrayHandle, Block, BlockCache, Element, ExtMem, IoStats, StoreError};
 use obliv_net::butterfly;
 use obliv_net::compare::exchange_dir_by;
 use obliv_net::external_sort::SortOrder;
@@ -133,21 +133,8 @@ where
     while k <= p {
         let mut s = k / 2;
         while s >= 1 {
-            // One full external pass per level, at element granularity
-            // through the block cache. Unconditional writes keep every
-            // touched block dirty and the trace shape-determined.
             let mut cache = BlockCache::new(mem, *a, m_blocks);
-            for i in 0..p {
-                if i & s == 0 {
-                    let l = i | s;
-                    let asc = i & k == 0;
-                    let (u, v) = (cache.read(i), cache.read(l));
-                    let (lo, hi) = exchange_dir_by(u, v, asc, cmp);
-                    cache.write(i, lo);
-                    cache.write(l, hi);
-                }
-            }
-            cache.flush();
+            level_pass(&mut cache, p, s, k, cmp).expect("ExtMem block I/O cannot fail");
             levels += 1;
             s /= 2;
         }
@@ -158,6 +145,32 @@ where
         levels,
         padded: false,
     }
+}
+
+/// One full external pass for level `(k, s)`, at element granularity
+/// through the block cache. Unconditional writes keep every touched block
+/// dirty and the trace shape-determined.
+fn level_pass<F>(
+    cache: &mut BlockCache<'_>,
+    p: usize,
+    s: usize,
+    k: usize,
+    cmp: &F,
+) -> Result<(), StoreError>
+where
+    F: Fn(&Cell, &Cell) -> Ordering,
+{
+    for i in 0..p {
+        if i & s == 0 {
+            let l = i | s;
+            let asc = i & k == 0;
+            let (u, v) = (cache.read(i)?, cache.read(l)?);
+            let (lo, hi) = exchange_dir_by(u, v, asc, cmp);
+            cache.write(i, lo)?;
+            cache.write(l, hi)?;
+        }
+    }
+    cache.flush()
 }
 
 /// What the naive compaction did, alongside its I/O cost.

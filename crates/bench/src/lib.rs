@@ -2460,7 +2460,6 @@ mod tests {
 
     #[test]
     fn fault_gates_pass_at_the_smoke_point() {
-        extmem::install_quiet_abort_hook();
         let results = run_fault_scenarios(
             GridPoint {
                 n: 1 << 12,
@@ -2482,7 +2481,6 @@ mod tests {
     /// I/O counts must not care whether blocks live in memory or on disk.
     #[test]
     fn fault_gates_pass_over_the_file_backend() {
-        extmem::install_quiet_abort_hook();
         let point = GridPoint {
             n: 1 << 12,
             b: 64,
@@ -2529,7 +2527,6 @@ mod tests {
     /// column is stripped.
     #[test]
     fn faults_json_is_deterministic_across_runs() {
-        extmem::install_quiet_abort_hook();
         let point = GridPoint {
             n: 1 << 12,
             b: 64,

@@ -34,10 +34,6 @@ fn artifact_path(smoke: bool, family: &str) -> String {
 }
 
 fn main() {
-    // Tampered runs abort via a typed panic payload that `try_sort` catches
-    // and converts to `Err`; keep the default hook from spamming stderr with
-    // those intentional, fully-handled unwinds.
-    extmem::install_quiet_abort_hook();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let wall_clock_gate = !args.iter().any(|a| a == "--no-wall-clock-gate");

@@ -7,7 +7,11 @@
 //! block I/Os exactly as the model prescribes: it holds at most `capacity`
 //! blocks of one array in the client's private memory, loads a block on first
 //! touch, and writes a block back when it is evicted (only if dirty) or when
-//! the cache is flushed.
+//! the cache is flushed. Every block I/O goes through the fallible half of
+//! [`BlockStore`], so a failed read or write comes back as a [`StoreError`]
+//! at the call that issued it. Nothing is written on drop: the pass calls
+//! [`BlockCache::flush`] itself, and a pass that stopped at an error leaves
+//! the resident blocks unwritten.
 //!
 //! The eviction policy is least-recently-used. Because every algorithm in
 //! this workspace touches elements through monotone cursors (or through
@@ -18,6 +22,7 @@
 
 use crate::block::Block;
 use crate::element::Cell;
+use crate::error::StoreError;
 use crate::mem::{ArrayHandle, ExtMem};
 use crate::store::BlockStore;
 
@@ -59,10 +64,10 @@ impl<'a, S: BlockStore> BlockCache<'a, S> {
         self.resident[slot].3 = self.tick;
     }
 
-    fn load(&mut self, block_idx: usize) -> usize {
+    fn load(&mut self, block_idx: usize) -> Result<usize, StoreError> {
         if let Some(pos) = self.resident.iter().position(|(b, ..)| *b == block_idx) {
             self.touch(pos);
-            return pos;
+            return Ok(pos);
         }
         if self.resident.len() == self.capacity {
             // Evict the least recently used block.
@@ -74,59 +79,56 @@ impl<'a, S: BlockStore> BlockCache<'a, S> {
                 .map(|(i, _)| i)
                 .expect("cache is non-empty");
             let (bi, blk, dirty, _) = self.resident.swap_remove(victim);
-            if dirty {
-                self.mem.store_block(&self.handle, bi, blk);
-            } else {
-                // Clean victims skip the write-back; return the buffer to the
-                // store's arena instead of dropping it.
-                self.mem.recycle(blk);
-            }
+            self.write_back(bi, blk, dirty)?;
         }
-        let blk = self.mem.load_block(&self.handle, block_idx);
+        let blk = self.mem.try_load_block(&self.handle, block_idx)?;
         self.resident.push((block_idx, blk, false, 0));
         let pos = self.resident.len() - 1;
         self.touch(pos);
-        pos
+        Ok(pos)
+    }
+
+    /// Writes a dirty block back; a clean one skips the write and returns
+    /// its buffer to the store's arena.
+    fn write_back(&mut self, bi: usize, blk: Block, dirty: bool) -> Result<(), StoreError> {
+        if dirty {
+            self.mem.try_store_block(&self.handle, bi, blk)
+        } else {
+            self.mem.recycle(blk);
+            Ok(())
+        }
     }
 
     /// Reads the cell at element index `idx`.
-    pub fn read(&mut self, idx: usize) -> Cell {
+    pub fn read(&mut self, idx: usize) -> Result<Cell, StoreError> {
         assert!(idx < self.handle.len(), "element index out of range");
         let b = self.handle.block_elems();
-        let pos = self.load(idx / b);
-        self.resident[pos].1.get(idx % b)
+        let pos = self.load(idx / b)?;
+        Ok(self.resident[pos].1.get(idx % b))
     }
 
     /// Writes the cell at element index `idx`.
-    pub fn write(&mut self, idx: usize, cell: Cell) {
+    pub fn write(&mut self, idx: usize, cell: Cell) -> Result<(), StoreError> {
         assert!(idx < self.handle.len(), "element index out of range");
         let b = self.handle.block_elems();
-        let pos = self.load(idx / b);
+        let pos = self.load(idx / b)?;
         self.resident[pos].1.set(idx % b, cell);
         self.resident[pos].2 = true;
+        Ok(())
     }
 
-    /// Writes every dirty resident block back and empties the cache.
-    pub fn flush(&mut self) {
-        let resident = std::mem::take(&mut self.resident);
-        for (bi, blk, dirty, _) in resident {
-            if dirty {
-                self.mem.store_block(&self.handle, bi, blk);
-            } else {
-                self.mem.recycle(blk);
-            }
+    /// Writes every dirty resident block back and empties the cache,
+    /// stopping at the first failed write.
+    pub fn flush(&mut self) -> Result<(), StoreError> {
+        for (bi, blk, dirty, _) in std::mem::take(&mut self.resident) {
+            self.write_back(bi, blk, dirty)?;
         }
+        Ok(())
     }
 
     /// Number of blocks currently resident.
     pub fn resident_blocks(&self) -> usize {
         self.resident.len()
-    }
-}
-
-impl<S: BlockStore> Drop for BlockCache<'_, S> {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -145,10 +147,11 @@ mod tests {
         let h = mem.alloc_array_from_elements(&(0..16).map(e).collect::<Vec<_>>());
         {
             let mut cache = BlockCache::new(&mut mem, h, 2);
-            assert_eq!(cache.read(5), Some(e(5)));
-            cache.write(5, Some(e(99)));
-            assert_eq!(cache.read(5), Some(e(99)));
-        } // drop flushes
+            assert_eq!(cache.read(5).unwrap(), Some(e(5)));
+            cache.write(5, Some(e(99))).unwrap();
+            assert_eq!(cache.read(5).unwrap(), Some(e(99)));
+            cache.flush().unwrap();
+        }
         assert_eq!(mem.snapshot_cells(&h)[5], Some(e(99)));
     }
 
@@ -159,7 +162,7 @@ mod tests {
         {
             let mut cache = BlockCache::new(&mut mem, h, 1);
             for i in 0..32 {
-                let _ = cache.read(i);
+                cache.read(i).unwrap();
             }
         }
         // 8 blocks, read once each, nothing dirty.
@@ -175,11 +178,12 @@ mod tests {
             let mut cache = BlockCache::new(&mut mem, h, 2);
             // Compare-exchange style pass: pairs (i, i + 16).
             for i in 0..16 {
-                let a = cache.read(i);
-                let b = cache.read(i + 16);
-                cache.write(i, b);
-                cache.write(i + 16, a);
+                let a = cache.read(i).unwrap();
+                let b = cache.read(i + 16).unwrap();
+                cache.write(i, b).unwrap();
+                cache.write(i + 16, a).unwrap();
             }
+            cache.flush().unwrap();
         }
         // Each of the 8 blocks is loaded once and written once.
         assert_eq!(mem.stats().reads, 8);
@@ -195,8 +199,9 @@ mod tests {
         let h = mem.alloc_array_from_elements(&(0..8).map(e).collect::<Vec<_>>());
         {
             let mut cache = BlockCache::new(&mut mem, h, 1);
-            let _ = cache.read(0);
-            let _ = cache.read(4); // evicts block 0 (clean)
+            cache.read(0).unwrap();
+            cache.read(4).unwrap(); // evicts block 0 (clean)
+            cache.flush().unwrap();
         }
         assert_eq!(mem.stats().writes, 0);
     }
@@ -207,9 +212,10 @@ mod tests {
         let h = mem.alloc_array(8);
         {
             let mut cache = BlockCache::new(&mut mem, h, 2);
-            cache.write(0, Some(e(1))); // block 0 dirty
-            cache.write(2, Some(e(2))); // block 1 dirty
-            cache.write(4, Some(e(3))); // evicts block 0 -> write-back
+            cache.write(0, Some(e(1))).unwrap(); // block 0 dirty
+            cache.write(2, Some(e(2))).unwrap(); // block 1 dirty
+            cache.write(4, Some(e(3))).unwrap(); // evicts block 0 -> write-back
+            cache.flush().unwrap();
         }
         let cells = mem.snapshot_cells(&h);
         assert_eq!(cells[0], Some(e(1)));
@@ -223,8 +229,22 @@ mod tests {
         let h = mem.alloc_array(20);
         let mut cache = BlockCache::new(&mut mem, h, 3);
         for i in 0..20 {
-            cache.write(i, Some(e(i as u64)));
+            cache.write(i, Some(e(i as u64))).unwrap();
             assert!(cache.resident_blocks() <= 3);
         }
+    }
+
+    #[test]
+    fn dropping_the_cache_writes_nothing_back() {
+        // Only an explicit flush writes: a pass that stopped at an error
+        // must not issue I/O after it.
+        let mut mem = ExtMem::new(2);
+        let h = mem.alloc_array(8);
+        {
+            let mut cache = BlockCache::new(&mut mem, h, 2);
+            cache.write(0, Some(e(1))).unwrap();
+        }
+        assert_eq!(mem.stats().writes, 0);
+        assert_eq!(mem.snapshot_cells(&h)[0], None);
     }
 }

@@ -62,10 +62,24 @@ use crate::store::{BackingStore, BlockStore};
 pub const CELL_BYTES: usize = 24;
 
 /// Typed panic payload of an injected crash (see
-/// [`FileStore::crash_after_writes`]), so tests can `catch_unwind` and
+/// [`FileStore::crash_after_writes`]), so tests can catch the unwind and
 /// positively identify the simulated power-cut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectedCrash;
+
+/// Replaces the panic hook with one that stays silent for [`InjectedCrash`]
+/// unwinds (deliberate simulated power-cuts, caught by the crash-consistency
+/// tests), deferring to the previous hook for everything else. Call once at
+/// binary start-up; tests don't need it because the harness captures panic
+/// output.
+pub fn install_quiet_abort_hook() {
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if info.payload().downcast_ref::<InjectedCrash>().is_none() {
+            previous(info);
+        }
+    }));
+}
 
 /// Byte offset of global block `addr` with `bytes` bytes per block,
 /// computed with both operands widened to `u64` *before* the multiply.

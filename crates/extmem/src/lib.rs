@@ -39,16 +39,16 @@
 //! model (see the repo-root `DESIGN.md`) extends the substrate accordingly:
 //!
 //! * [`StoreError`](error::StoreError) — the typed failure vocabulary, and
-//!   the `try_*` fallible operations every [`BlockStore`] carries.
+//!   the `try_*` fallible operations every [`BlockStore`] carries. The
+//!   algorithms call only these and propagate the first error with `?`.
 //! * [`FaultyStore`](fault::FaultyStore) — a seeded, deterministic fault
 //!   injector: transient read failures, ciphertext corruption, stale
 //!   replays, dropped writes, at configurable per-op rates.
 //! * [`AuthenticatedStore`](auth::AuthenticatedStore) — per-block MACs plus
 //!   a client-side version table: corruption and rollback surface as
 //!   `Err(Corrupted | Stale)`, never as wrong data.
-//! * [`RetryingStore`](retry::RetryingStore) / [`run_fallible`](retry::run_fallible)
-//!   — bounded retry with backoff for transient faults, and the bridge that
-//!   runs the infallible oblivious algorithms over a fallible server.
+//! * [`RetryingStore`](retry::RetryingStore) — bounded retry with backoff
+//!   for transient faults; every other error passes through as a value.
 //!
 //! ## Cost model
 //!
@@ -90,10 +90,8 @@ pub use crypto::{EncryptedReader, EncryptedStore};
 pub use element::{Cell, Element};
 pub use error::StoreError;
 pub use fault::{FaultKind, FaultSpec, FaultStats, FaultyReader, FaultyStore};
-pub use file::{FileReader, FileStore, InjectedCrash};
+pub use file::{install_quiet_abort_hook, FileReader, FileStore, InjectedCrash};
 pub use mem::{AccessEvent, AccessOp, AccessTrace, ArrayHandle, ExtMem, IoStats};
 pub use prefetch::{PrefetchConfig, PrefetchRead, PrefetchStats, Prefetchable, PrefetchingStore};
-pub use retry::{
-    install_quiet_abort_hook, run_fallible, RetryPolicy, RetryStats, RetryingReader, RetryingStore,
-};
+pub use retry::{RetryPolicy, RetryStats, RetryingStore};
 pub use store::{BackingStore, BlockStore};

@@ -1,11 +1,8 @@
-//! Bounded retry with backoff over a fallible store, and the bridge that
-//! lets the infallible algorithms run fallibly.
+//! Bounded retry with backoff over a fallible store.
 //!
-//! The sort/compaction/selection passes are written against the infallible
-//! [`BlockStore`] operations — their obliviousness proofs are about a fixed
-//! sequence of block addresses, and threading `Result` through every
-//! comparator exchange would buy nothing. [`RetryingStore`] adapts a fallible
-//! server back to that infallible interface:
+//! Every pass is written against the fallible `try_*` half of
+//! [`BlockStore`] and propagates the first [`StoreError`] with `?`.
+//! [`RetryingStore`] sits between a pass and an unreliable server:
 //!
 //! * **Transient** failures are retried up to [`RetryPolicy::max_retries`]
 //!   times with capped exponential backoff. In the I/O model "backoff" is
@@ -15,26 +12,21 @@
 //!   schedule), never on the data — retried addresses are re-issued
 //!   verbatim, so traces stay data-independent (the fault battery asserts
 //!   this byte for byte).
-//! * **Permanent** failures (corruption, rollback, exhausted retries) abort
-//!   the enclosing pass immediately by unwinding with a typed
-//!   [`StoreAbort`] payload. [`run_fallible`] catches exactly that payload
-//!   and returns it as `Err(StoreError)`; any other panic (a genuine logic
-//!   error) is propagated unchanged. Aborting at the first fatal error is
-//!   the only sound option: tampered data could otherwise flow into the
-//!   algorithm's internal invariants and either trip an assertion or —
-//!   worse — produce a silently wrong answer.
+//! * **Permanent** failures (corruption, rollback, exhausted retries) are
+//!   returned as values. The pass stops at the first one: tampered data
+//!   could otherwise flow into the algorithm's internal invariants and
+//!   either trip an assertion or — worse — produce a silently wrong answer.
 //!
-//! After an aborted pass the *contents* of the arrays touched by the
+//! Each `try_*` façade builds one `RetryingStore` over the caller's store,
+//! runs its pass, and returns the pass's report with the retry counters.
+//! After a failed pass the *contents* of the arrays touched by the
 //! algorithm are unspecified (the pass stopped mid-routing); the store
 //! itself remains usable and its I/O accounting reflects every operation
 //! actually issued.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-
 use crate::block::Block;
 use crate::error::StoreError;
 use crate::mem::{ArrayHandle, IoStats};
-use crate::prefetch::{PrefetchRead, Prefetchable};
 use crate::store::BlockStore;
 
 /// How many times to retry transient faults, and how the (model) backoff
@@ -90,21 +82,11 @@ pub struct RetryStats {
     pub retries: u64,
     /// Total backoff charged across all retries, in abstract time units.
     pub backoff_units: u64,
-    /// Fatal errors swallowed because the thread was already unwinding
-    /// (e.g. a cache flush racing an abort); always 0 on a clean run.
-    pub suppressed_errors: u64,
 }
 
-/// The typed unwind payload [`RetryingStore`] aborts with on a fatal
-/// [`StoreError`]. Only [`run_fallible`] should catch this; it is public so
-/// the catch works across crate boundaries.
-#[derive(Debug)]
-pub struct StoreAbort(pub StoreError);
-
-/// Adapts a fallible [`BlockStore`] back to the infallible interface the
-/// oblivious algorithms are written against: transient faults are retried
-/// per the [`RetryPolicy`], fatal faults abort the pass (see the module
-/// docs). Use via [`run_fallible`].
+/// Retries the transient faults of a fallible [`BlockStore`] per the
+/// [`RetryPolicy`] and returns every other error as a value (see the module
+/// docs).
 #[derive(Debug)]
 pub struct RetryingStore<'a, S: BlockStore> {
     inner: &'a mut S,
@@ -127,21 +109,24 @@ impl<'a, S: BlockStore> RetryingStore<'a, S> {
         self.stats
     }
 
-    /// Handles a fatal error: aborts the pass by unwinding with
-    /// [`StoreAbort`] — unless the thread is already unwinding (a write-back
-    /// racing an abort), in which case the error is counted and swallowed to
-    /// avoid a double panic.
-    fn fatal(&mut self, err: StoreError) -> bool {
-        if std::thread::panicking() {
-            self.stats.suppressed_errors += 1;
-            return false;
+    /// Runs `op` against the inner store, re-issuing it verbatim after each
+    /// transient failure until it succeeds, fails permanently, or the
+    /// policy's retries run out.
+    fn retry<T>(
+        &mut self,
+        mut op: impl FnMut(&mut S) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
+        let mut attempt = 0u32;
+        loop {
+            match op(self.inner) {
+                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
+                    attempt += 1;
+                    self.stats.retries += 1;
+                    self.stats.backoff_units += self.policy.backoff_for(attempt);
+                }
+                other => return other,
+            }
         }
-        std::panic::panic_any(StoreAbort(err));
-    }
-
-    fn note_retry(&mut self, attempt: u32) {
-        self.stats.retries += 1;
-        self.stats.backoff_units += self.policy.backoff_for(attempt);
     }
 }
 
@@ -155,39 +140,12 @@ impl<S: BlockStore> BlockStore for RetryingStore<'_, S> {
     }
 
     fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        let mut attempt = 0u32;
-        loop {
-            match self.inner.try_load_block(h, i) {
-                Ok(blk) => return blk,
-                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
-                    attempt += 1;
-                    self.note_retry(attempt);
-                }
-                Err(e) => {
-                    self.fatal(e);
-                    // Unwinding-suppressed fatal read: serve dummies; the
-                    // pass is already aborting, nothing consumes them.
-                    return Block::empty(self.inner.block_elems());
-                }
-            }
-        }
+        self.try_load_block(h, i).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-        let mut attempt = 0u32;
-        loop {
-            match self.inner.try_store_block(h, i, blk.clone()) {
-                Ok(()) => return,
-                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
-                    attempt += 1;
-                    self.note_retry(attempt);
-                }
-                Err(e) => {
-                    self.fatal(e);
-                    return;
-                }
-            }
-        }
+        self.try_store_block(h, i, blk)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn io_stats(&self) -> IoStats {
@@ -201,151 +159,16 @@ impl<S: BlockStore> BlockStore for RetryingStore<'_, S> {
     fn recycle(&mut self, blk: Block) {
         self.inner.recycle(blk);
     }
-}
 
-/// Reader over a retrying store: transient fetch failures are re-issued up
-/// to the policy's retry cap, exactly like the foreground — the retry count
-/// is a function of the (seeded) fault schedule only, never of the data, so
-/// reader retries keep traces data-independent.
-/// Reader retries are not counted in the foreground [`RetryStats`] (readers
-/// share no state with the store); fatal errors are returned as values, not
-/// unwound — the prefetch protocol parks them for the foreground to surface.
-#[derive(Debug)]
-pub struct RetryingReader<R: PrefetchRead> {
-    inner: R,
-    policy: RetryPolicy,
-}
-
-impl<R: PrefetchRead> RetryingReader<R> {
-    fn retry(
-        &mut self,
-        addr: usize,
-        first: Result<Block, StoreError>,
-    ) -> Result<Block, StoreError> {
-        let mut res = first;
-        let mut attempt = 0u32;
-        loop {
-            match res {
-                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
-                    attempt += 1;
-                    res = self.inner.fetch(addr);
-                }
-                other => return other,
-            }
-        }
-    }
-}
-
-impl<R: PrefetchRead> PrefetchRead for RetryingReader<R> {
-    fn fetch(&mut self, addr: usize) -> Result<Block, StoreError> {
-        let first = self.inner.fetch(addr);
-        self.retry(addr, first)
+    fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
+        self.retry(|s| s.try_load_block(h, i))
     }
 
-    fn fetch_run(&mut self, start: usize, count: usize) -> Vec<Result<Block, StoreError>> {
-        // One span fetch, then per-block retries of whatever came back
-        // transient — the run shape stays data-independent because which
-        // entries are transient is decided by the server, not the data.
-        self.inner
-            .fetch_run(start, count)
-            .into_iter()
-            .enumerate()
-            .map(|(k, res)| self.retry(start + k, res))
-            .collect()
+    /// Each attempt writes a clone of `blk`, so a retry re-issues the same
+    /// contents.
+    fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
+        self.retry(|s| s.try_store_block(h, i, blk.clone()))
     }
-}
-
-impl<S: BlockStore + Prefetchable> Prefetchable for RetryingStore<'_, S> {
-    type Reader = RetryingReader<S::Reader>;
-
-    fn reader(&self) -> Self::Reader {
-        RetryingReader {
-            inner: self.inner.reader(),
-            policy: self.policy,
-        }
-    }
-
-    fn supports_store_runs(&self) -> bool {
-        self.inner.supports_store_runs()
-    }
-
-    /// Retries the *whole run* on a transient failure — runs are re-issued
-    /// verbatim (same addresses, same contents), so the retry schedule stays
-    /// data-independent. Unlike the infallible foreground ops this returns
-    /// fatal errors as values rather than unwinding: the span path is driven
-    /// by the prefetch adapter's write-behind flush, which handles `Result`s.
-    fn store_run(&mut self, start: usize, mut blks: Vec<Block>) -> Result<(), StoreError> {
-        let mut attempt = 0u32;
-        loop {
-            let last = attempt >= self.policy.max_retries;
-            let batch = if last {
-                std::mem::take(&mut blks)
-            } else {
-                blks.clone()
-            };
-            match self.inner.store_run(start, batch) {
-                Ok(()) => {
-                    // The clones were consumed; recycle the originals kept
-                    // around for potential retries.
-                    for blk in blks {
-                        self.inner.recycle(blk);
-                    }
-                    return Ok(());
-                }
-                Err(e) if e.is_transient() && !last => {
-                    attempt += 1;
-                    self.note_retry(attempt);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-/// Runs `f` — any algorithm written against the infallible [`BlockStore`]
-/// interface — over a fallible store, retrying transients per `policy` and
-/// converting the first fatal [`StoreError`] into an `Err` instead of a
-/// panic.
-///
-/// On `Err`, the contents of the arrays the algorithm touched are
-/// unspecified (the pass aborted mid-routing); the store itself remains
-/// usable. Panics that are not store aborts (logic errors, bad arguments)
-/// propagate unchanged.
-pub fn run_fallible<S: BlockStore, R>(
-    store: &mut S,
-    policy: RetryPolicy,
-    f: impl FnOnce(&mut RetryingStore<'_, S>) -> R,
-) -> Result<(R, RetryStats), StoreError> {
-    let mut retrying = RetryingStore::new(store, policy);
-    let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut retrying)));
-    let stats = retrying.stats();
-    match outcome {
-        Ok(r) => Ok((r, stats)),
-        Err(payload) => match payload.downcast::<StoreAbort>() {
-            Ok(abort) => Err(abort.0),
-            Err(other) => resume_unwind(other),
-        },
-    }
-}
-
-/// Replaces the panic hook with one that stays silent for [`StoreAbort`]
-/// unwinds (they are control flow, caught by [`run_fallible`]) and for
-/// [`InjectedCrash`](crate::file::InjectedCrash) unwinds (deliberate
-/// simulated power-cuts, caught by the crash-consistency tests), deferring
-/// to the previous hook for everything else. Call once at binary start-up;
-/// tests don't need it because the harness captures panic output.
-pub fn install_quiet_abort_hook() {
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let payload = info.payload();
-        if payload.downcast_ref::<StoreAbort>().is_none()
-            && payload
-                .downcast_ref::<crate::file::InjectedCrash>()
-                .is_none()
-        {
-            previous(info);
-        }
-    }));
 }
 
 #[cfg(test)]
@@ -353,8 +176,7 @@ mod tests {
     use super::*;
     use crate::element::{Cell, Element};
     use crate::mem::ExtMem;
-    use std::collections::{HashMap, VecDeque};
-    use std::sync::{Arc, Mutex};
+    use std::collections::VecDeque;
 
     /// A scripted flaky store: pops one error per fallible op from a queue;
     /// an empty queue means success.
@@ -362,12 +184,6 @@ mod tests {
         mem: ExtMem,
         read_errs: VecDeque<Option<StoreError>>,
         write_errs: VecDeque<Option<StoreError>>,
-        /// One scripted outcome per `store_run` attempt.
-        run_errs: VecDeque<Option<StoreError>>,
-        /// Blocks landed via `store_run`, visible to scripted readers.
-        spans: Arc<Mutex<HashMap<usize, Block>>>,
-        /// One scripted outcome per reader fetch.
-        fetch_errs: Arc<Mutex<VecDeque<Option<StoreError>>>>,
     }
 
     impl Scripted {
@@ -376,55 +192,7 @@ mod tests {
                 mem: ExtMem::new(b),
                 read_errs: VecDeque::new(),
                 write_errs: VecDeque::new(),
-                run_errs: VecDeque::new(),
-                spans: Arc::new(Mutex::new(HashMap::new())),
-                fetch_errs: Arc::new(Mutex::new(VecDeque::new())),
             }
-        }
-    }
-
-    struct ScriptedReader {
-        spans: Arc<Mutex<HashMap<usize, Block>>>,
-        fetch_errs: Arc<Mutex<VecDeque<Option<StoreError>>>>,
-        b: usize,
-    }
-
-    impl PrefetchRead for ScriptedReader {
-        fn fetch(&mut self, addr: usize) -> Result<Block, StoreError> {
-            if let Some(e) = self.fetch_errs.lock().unwrap().pop_front().flatten() {
-                return Err(e);
-            }
-            Ok(self
-                .spans
-                .lock()
-                .unwrap()
-                .get(&addr)
-                .cloned()
-                .unwrap_or_else(|| Block::empty(self.b)))
-        }
-    }
-
-    impl Prefetchable for Scripted {
-        type Reader = ScriptedReader;
-        fn reader(&self) -> ScriptedReader {
-            ScriptedReader {
-                spans: Arc::clone(&self.spans),
-                fetch_errs: Arc::clone(&self.fetch_errs),
-                b: self.mem.block_elems(),
-            }
-        }
-        fn supports_store_runs(&self) -> bool {
-            true
-        }
-        fn store_run(&mut self, start: usize, blks: Vec<Block>) -> Result<(), StoreError> {
-            if let Some(e) = self.run_errs.pop_front().flatten() {
-                return Err(e);
-            }
-            let mut spans = self.spans.lock().unwrap();
-            for (k, blk) in blks.into_iter().enumerate() {
-                spans.insert(start + k, blk);
-            }
-            Ok(())
         }
     }
 
@@ -481,13 +249,12 @@ mod tests {
             .push_back(Some(StoreError::Transient { addr: 0 }));
         s.read_errs
             .push_back(Some(StoreError::Transient { addr: 0 }));
-        let (got, stats) =
-            run_fallible(&mut s, RetryPolicy::default(), |rs| rs.load_span(&h, 0, 4)).unwrap();
-        assert_eq!(got, cells(4));
+        let mut rs = RetryingStore::new(&mut s, RetryPolicy::default());
+        assert_eq!(rs.try_load_span(&h, 0, 4).unwrap(), cells(4));
+        let stats = rs.stats();
         assert_eq!(stats.retries, 2);
         // Exponential backoff: 1 + 2 units.
         assert_eq!(stats.backoff_units, 3);
-        assert_eq!(stats.suppressed_errors, 0);
         // Each attempt was a real server access (charged).
         assert_eq!(s.io_stats().reads, 3);
     }
@@ -504,7 +271,9 @@ mod tests {
             max_retries: 3,
             ..RetryPolicy::default()
         };
-        let err = run_fallible(&mut s, policy, |rs| rs.load_block(&h, 0)).unwrap_err();
+        let err = RetryingStore::new(&mut s, policy)
+            .try_load_block(&h, 0)
+            .unwrap_err();
         assert_eq!(err, StoreError::Transient { addr: 7 });
         // 1 initial attempt + 3 retries, all charged.
         assert_eq!(s.io_stats().reads, 4);
@@ -513,16 +282,14 @@ mod tests {
     #[test]
     fn fatal_errors_abort_immediately_without_retries() {
         let mut s = Scripted::new(4);
-        let h = BlockStore::alloc_array(&mut s, 4);
+        let h = BlockStore::alloc_array(&mut s, 8);
         s.read_errs
             .push_back(Some(StoreError::Corrupted { addr: 2 }));
-        let err = run_fallible(&mut s, RetryPolicy::default(), |rs| {
-            rs.load_block(&h, 0);
-            unreachable!("the pass must abort at the corrupted read");
-        })
-        .unwrap_err();
+        let mut rs = RetryingStore::new(&mut s, RetryPolicy::default());
+        let err = rs.try_load_span(&h, 0, 8).unwrap_err();
         assert_eq!(err, StoreError::Corrupted { addr: 2 });
-        assert_eq!(s.io_stats().reads, 1, "no retry of a fatal error");
+        assert_eq!(rs.stats(), RetryStats::default());
+        assert_eq!(s.io_stats().reads, 1, "no retry, and the span stops");
     }
 
     #[test]
@@ -531,21 +298,52 @@ mod tests {
         let h = BlockStore::alloc_array(&mut s, 4);
         s.write_errs
             .push_back(Some(StoreError::Transient { addr: 0 }));
-        let ((), stats) = run_fallible(&mut s, RetryPolicy::default(), |rs| {
-            rs.store_span(&h, 0, &cells(4));
-        })
-        .unwrap();
-        assert_eq!(stats.retries, 1);
+        let mut rs = RetryingStore::new(&mut s, RetryPolicy::default());
+        rs.try_store_span(&h, 0, &cells(4)).unwrap();
+        assert_eq!(rs.stats().retries, 1);
         assert_eq!(s.load_span(&h, 0, 4), cells(4));
+    }
+
+    #[test]
+    fn fatal_span_write_errors_are_typed_values_not_unwinds() {
+        let mut s = Scripted::new(4);
+        let h = BlockStore::alloc_array(&mut s, 8);
+        s.write_errs
+            .extend([None, Some(StoreError::Corrupted { addr: 1 })]);
+        let mut rs = RetryingStore::new(&mut s, RetryPolicy::default());
+        let err = rs.try_store_span(&h, 0, &cells(8)).unwrap_err();
+        assert_eq!(err, StoreError::Corrupted { addr: 1 });
+        assert_eq!(rs.stats().retries, 0, "fatal errors are never retried");
+        // The first block landed; the span stopped at the second.
+        assert_eq!(s.load_span(&h, 0, 8)[..4], cells(4)[..]);
     }
 
     #[test]
     #[should_panic(expected = "a genuine logic error")]
     fn non_abort_panics_propagate_unchanged() {
-        let mut s = Scripted::new(4);
-        let _ = run_fallible(&mut s, RetryPolicy::default(), |_| {
-            panic!("a genuine logic error");
-        });
+        // The retry layer handles errors, not panics: a panic inside the
+        // wrapped store reaches the caller as it was raised.
+        struct Panicky(ExtMem);
+        impl BlockStore for Panicky {
+            fn block_elems(&self) -> usize {
+                self.0.block_elems()
+            }
+            fn alloc_array(&mut self, len: usize) -> ArrayHandle {
+                self.0.alloc_array(len)
+            }
+            fn load_block(&mut self, _: &ArrayHandle, _: usize) -> Block {
+                panic!("a genuine logic error");
+            }
+            fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
+                self.0.write_block(h, i, blk);
+            }
+            fn io_stats(&self) -> IoStats {
+                self.0.stats()
+            }
+        }
+        let mut s = Panicky(ExtMem::new(4));
+        let h = BlockStore::alloc_array(&mut s, 4);
+        let _ = RetryingStore::new(&mut s, RetryPolicy::default()).try_load_block(&h, 0);
     }
 
     #[test]
@@ -560,77 +358,14 @@ mod tests {
     }
 
     #[test]
-    fn span_writes_are_retried_whole_and_reissued_verbatim() {
-        let mut s = Scripted::new(4);
-        let h = BlockStore::alloc_array(&mut s, 8);
-        let start = h.global_block(0);
-        // Two transient failures, then the run lands.
-        s.run_errs
-            .push_back(Some(StoreError::Transient { addr: start }));
-        s.run_errs
-            .push_back(Some(StoreError::Transient { addr: start }));
-        let blks: Vec<Block> = cells(8).chunks(4).map(Block::from_cells).collect();
-        let mut rs = RetryingStore::new(&mut s, RetryPolicy::default());
-        rs.store_run(start, blks.clone()).unwrap();
-        assert_eq!(rs.stats().retries, 2);
-        // The whole run was re-issued verbatim: every block landed intact.
-        let mut reader = rs.reader();
-        for (k, blk) in blks.iter().enumerate() {
-            assert_eq!(&reader.fetch(start + k).unwrap(), blk);
-        }
-    }
-
-    #[test]
-    fn fatal_span_write_errors_are_typed_values_not_unwinds() {
-        // Unlike the infallible foreground ops, the span path must hand the
-        // error back to the write-behind flusher instead of panicking.
-        let mut s = Scripted::new(4);
-        let h = BlockStore::alloc_array(&mut s, 4);
-        let start = h.global_block(0);
-        s.run_errs
-            .push_back(Some(StoreError::Corrupted { addr: start }));
-        let blks: Vec<Block> = cells(4).chunks(4).map(Block::from_cells).collect();
-        let mut rs = RetryingStore::new(&mut s, RetryPolicy::default());
-        let err = rs.store_run(start, blks).unwrap_err();
-        assert_eq!(err, StoreError::Corrupted { addr: start });
-        assert_eq!(rs.stats().retries, 0, "fatal errors are never retried");
-    }
-
-    #[test]
-    fn reader_retries_transient_fetches_up_to_the_policy_cap() {
-        let mut s = Scripted::new(4);
-        let h = BlockStore::alloc_array(&mut s, 4);
-        let start = h.global_block(0);
-        let blks: Vec<Block> = cells(4).chunks(4).map(Block::from_cells).collect();
-        let mut rs = RetryingStore::new(&mut s, RetryPolicy::default());
-        rs.store_run(start, blks.clone()).unwrap();
-        // Two transients, then the fetch succeeds.
-        rs.inner.fetch_errs.lock().unwrap().extend([
-            Some(StoreError::Transient { addr: start }),
-            Some(StoreError::Transient { addr: start }),
-        ]);
-        let mut reader = rs.reader();
-        assert_eq!(reader.fetch(start).unwrap(), blks[0]);
-        // A no-retries policy surfaces the first transient instead.
-        let strict = RetryingStore::new(rs.inner, RetryPolicy::no_retries());
-        strict
-            .inner
-            .fetch_errs
-            .lock()
-            .unwrap()
-            .push_back(Some(StoreError::Transient { addr: start }));
-        let mut reader = strict.reader();
-        assert!(reader.fetch(start).unwrap_err().is_transient());
-    }
-
-    #[test]
     fn no_retries_policy_fails_on_first_transient() {
         let mut s = Scripted::new(4);
         let h = BlockStore::alloc_array(&mut s, 4);
         s.read_errs
             .push_back(Some(StoreError::Transient { addr: 0 }));
-        let err =
-            run_fallible(&mut s, RetryPolicy::no_retries(), |rs| rs.load_block(&h, 0)).unwrap_err();
+        let err = RetryingStore::new(&mut s, RetryPolicy::no_retries())
+            .try_load_block(&h, 0)
+            .unwrap_err();
         assert!(err.is_transient());
     }
 }

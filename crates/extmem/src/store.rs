@@ -12,11 +12,14 @@
 //! outsourced store, with an identical address trace and identical I/O count
 //! (the encryption layer adds zero I/Os; the bench harness verifies this).
 //!
-//! The provided combinators ([`BlockStore::modify_pair`],
-//! [`BlockStore::load_span`], [`BlockStore::store_span`]) mirror the span/pair
-//! fast paths [`ExtMem`] grew for the external sort, but are expressed purely
-//! in terms of [`BlockStore::load_block`] / [`BlockStore::store_block`], so
-//! every implementor gets them — and their fixed access order — for free.
+//! The provided combinators ([`BlockStore::try_modify_pair`],
+//! [`BlockStore::try_load_span`], [`BlockStore::try_store_span`]) mirror the
+//! span/pair fast paths [`ExtMem`] grew for the external sort, but are
+//! expressed purely in terms of [`BlockStore::try_load_block`] /
+//! [`BlockStore::try_store_block`], so every implementor gets them — and
+//! their fixed access order — for free. The passes call only this fallible
+//! half; the infallible `modify_pair`, `load_span` and `store_span` are
+//! one-line wrappers that panic with the error's message.
 
 use crate::block::Block;
 use crate::element::Cell;
@@ -82,11 +85,11 @@ pub trait BlockStore {
         Ok(())
     }
 
-    /// Fallible fused read-modify-write of the distinct block pair `(i, j)`,
-    /// in the same fixed order as [`BlockStore::modify_pair`]: read `i`, read
-    /// `j`, write `i`, write `j` (4 I/Os). Stops at the first failing I/O.
-    /// `i == j` is refused with [`StoreError::InvalidArgument`] before any
-    /// I/O.
+    /// Fused read-modify-write of the distinct block pair `(i, j)` in the
+    /// fixed order: read `i`, read `j`, write `i`, write `j` (4 I/Os). Writes
+    /// are unconditional, so the trace never depends on whether the data
+    /// changed. Stops at the first failing I/O. `i == j` is refused with
+    /// [`StoreError::InvalidArgument`] before any I/O.
     fn try_modify_pair(
         &mut self,
         h: &ArrayHandle,
@@ -106,10 +109,10 @@ pub trait BlockStore {
         self.try_store_block(h, j, b)
     }
 
-    /// Fallible variant of [`BlockStore::load_span`]: same blocks, same
-    /// ascending order, stops at the first failing read. A span outside
-    /// the array is refused with [`StoreError::InvalidArgument`] before any
-    /// I/O.
+    /// Reads the element span `[elem_lo, elem_hi)` into a flat cell vector,
+    /// one read I/O per spanned block, blocks in ascending order; stops at
+    /// the first failing read. A span outside the array is refused with
+    /// [`StoreError::InvalidArgument`] before any I/O.
     fn try_load_span(
         &mut self,
         h: &ArrayHandle,
@@ -140,9 +143,11 @@ pub trait BlockStore {
         Ok(out)
     }
 
-    /// Fallible variant of [`BlockStore::store_span`]: same blocks, same
-    /// ascending order, stops at the first failing I/O. A span outside the
-    /// array is refused with [`StoreError::InvalidArgument`] before any I/O.
+    /// Writes `cells` back to the element span starting at `elem_lo`, one
+    /// write I/O per spanned block (plus one read I/O for each boundary block
+    /// the span only partially covers), blocks in ascending order; stops at
+    /// the first failing I/O. A span outside the array is refused with
+    /// [`StoreError::InvalidArgument`] before any I/O.
     fn try_store_span(
         &mut self,
         h: &ArrayHandle,
@@ -176,12 +181,7 @@ pub trait BlockStore {
         Ok(())
     }
 
-    /// Fused read-modify-write of the distinct block pair `(i, j)` in the
-    /// fixed order: read `i`, read `j`, write `i`, write `j` (4 I/Os).
-    ///
-    /// Writes are unconditional — even an identity modification performs both
-    /// writes — so the server-visible trace never depends on whether the data
-    /// changed.
+    /// [`BlockStore::try_modify_pair`], panicking where it fails.
     fn modify_pair(
         &mut self,
         h: &ArrayHandle,
@@ -189,68 +189,20 @@ pub trait BlockStore {
         j: usize,
         f: impl FnOnce(&mut Block, &mut Block),
     ) {
-        assert_ne!(i, j, "block pair must be two distinct blocks");
-        let mut a = self.load_block(h, i);
-        let mut b = self.load_block(h, j);
-        f(&mut a, &mut b);
-        self.store_block(h, i, a);
-        self.store_block(h, j, b);
+        self.try_modify_pair(h, i, j, f)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Reads the element span `[elem_lo, elem_hi)` into a flat cell vector,
-    /// one read I/O per spanned block, blocks in ascending order.
+    /// [`BlockStore::try_load_span`], panicking where it fails.
     fn load_span(&mut self, h: &ArrayHandle, elem_lo: usize, elem_hi: usize) -> Vec<Cell> {
-        assert!(
-            elem_lo <= elem_hi && elem_hi <= h.len(),
-            "span out of range"
-        );
-        if elem_lo == elem_hi {
-            return Vec::new();
-        }
-        let b = self.block_elems();
-        let blk_lo = elem_lo / b;
-        let blk_hi = (elem_hi - 1) / b;
-        if blk_hi > blk_lo {
-            let schedule: Vec<usize> = (blk_lo..=blk_hi).collect();
-            self.hint_blocks(h, &schedule);
-        }
-        let mut out = Vec::with_capacity(elem_hi - elem_lo);
-        for bi in blk_lo..=blk_hi {
-            let blk = self.load_block(h, bi);
-            let lo = elem_lo.max(bi * b) - bi * b;
-            let hi = elem_hi.min((bi + 1) * b) - bi * b;
-            out.extend_from_slice(&blk.slots()[lo..hi]);
-            self.recycle(blk);
-        }
-        out
+        self.try_load_span(h, elem_lo, elem_hi)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Writes `cells` back to the element span starting at `elem_lo`, one
-    /// write I/O per spanned block (plus one read I/O for each boundary block
-    /// the span only partially covers), blocks in ascending order.
+    /// [`BlockStore::try_store_span`], panicking where it fails.
     fn store_span(&mut self, h: &ArrayHandle, elem_lo: usize, cells: &[Cell]) {
-        let elem_hi = elem_lo + cells.len();
-        assert!(elem_hi <= h.len(), "span out of range");
-        if cells.is_empty() {
-            return;
-        }
-        let b = self.block_elems();
-        let blk_lo = elem_lo / b;
-        let blk_hi = (elem_hi - 1) / b;
-        for bi in blk_lo..=blk_hi {
-            let lo = elem_lo.max(bi * b);
-            let hi = elem_hi.min((bi + 1) * b);
-            let full = lo == bi * b && hi == (bi + 1) * b;
-            let mut blk = if full {
-                Block::empty(b)
-            } else {
-                self.load_block(h, bi)
-            };
-            for (slot, cell) in (lo - bi * b..hi - bi * b).zip(&cells[lo - elem_lo..hi - elem_lo]) {
-                blk.set(slot, *cell);
-            }
-            self.store_block(h, bi, blk);
-        }
+        self.try_store_span(h, elem_lo, cells)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

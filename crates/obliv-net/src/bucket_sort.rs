@@ -90,8 +90,8 @@ use std::fmt;
 use extmem::element::{cell_cmp_none_last, cell_cmp_none_last_desc, Cell};
 use extmem::util::{hash64, ilog2_floor, next_pow2};
 use extmem::{
-    run_fallible, ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, RetryPolicy,
-    RetryStats, StoreError,
+    ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, RetryPolicy, RetryStats,
+    RetryingStore, StoreError,
 };
 
 use crate::external_sort::SortOrder;
@@ -261,6 +261,30 @@ impl From<StoreError> for BucketSortError {
     }
 }
 
+/// Why one routing attempt failed.
+#[derive(Debug)]
+enum AttemptError {
+    /// A tail event of the random assignment — a bucket overflow, or the
+    /// sort's own cache budget running out on a freakishly skewed group.
+    /// Every [`BucketSortError`] raised inside an attempt is one; the sort
+    /// re-rolls the seed.
+    Tail(BucketSortError),
+    /// A block I/O failed; the sort gives up.
+    Store(StoreError),
+}
+
+impl From<BucketSortError> for AttemptError {
+    fn from(e: BucketSortError) -> Self {
+        AttemptError::Tail(e)
+    }
+}
+
+impl From<StoreError> for AttemptError {
+    fn from(e: StoreError) -> Self {
+        AttemptError::Store(e)
+    }
+}
+
 /// The two output buckets of a [`merge_split`] node: `(bit-clear side,
 /// bit-set side)`, each a bucket of `(item, tag)` pairs.
 pub type MergeSplitOutput<T> = (Vec<(T, u32)>, Vec<(T, u32)>);
@@ -335,10 +359,10 @@ pub fn bucket_oblivious_sort<S: BlockStore>(
     }
 }
 
-/// Fallible variant of [`bucket_oblivious_sort`] for untrusted/unreliable
-/// servers: transient faults are retried per `policy`, tampering and
-/// exhausted retries surface as [`BucketSortError::Store`], and routing
-/// overflow keeps its typed shape.
+/// [`bucket_oblivious_sort`] for untrusted/unreliable servers: transient
+/// faults are retried per `policy`; tampering and exhausted retries surface
+/// as [`BucketSortError::Store`], and routing overflow keeps its typed
+/// shape.
 pub fn try_bucket_oblivious_sort<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
@@ -347,10 +371,9 @@ pub fn try_bucket_oblivious_sort<S: BlockStore>(
     cfg: &BucketSortConfig,
     policy: RetryPolicy,
 ) -> Result<(BucketSortReport, RetryStats), BucketSortError> {
-    let (inner, retries) = run_fallible(store, policy, |s| {
-        bucket_oblivious_sort(s, h, cache_elems, order, cfg)
-    })?;
-    Ok((inner?, retries))
+    let mut rs = RetryingStore::new(store, policy);
+    let report = bucket_oblivious_sort(&mut rs, h, cache_elems, order, cfg)?;
+    Ok((report, rs.stats()))
 }
 
 /// Sorts array `h` with a custom total order on occupied cells.
@@ -377,7 +400,7 @@ where
     if n <= 1 {
         return Ok(BucketSortReport {
             occupied: if n == 1 {
-                usize::from(store.load_span(h, 0, n)[0].is_some())
+                usize::from(store.try_load_span(h, 0, n)?[0].is_some())
             } else {
                 0
             },
@@ -393,12 +416,12 @@ where
     if whole <= cache_elems {
         let mut budget = CacheBudget::new(cache_elems);
         budget.try_acquire(whole).map_err(BucketSortError::Store)?;
-        let cells = store.load_span(h, 0, n);
+        let cells = store.try_load_span(h, 0, n)?;
         let mut reals: Vec<Cell> = cells.iter().filter(|c| c.is_some()).copied().collect();
         let occupied = reals.len();
         reals.sort_unstable_by(cmp);
         reals.resize(n, None);
-        store.store_span(h, 0, &reals);
+        store.try_store_span(h, 0, &reals)?;
         budget.release(whole);
         return Ok(BucketSortReport {
             io: store.io_stats() - start,
@@ -446,18 +469,10 @@ where
                     in_cache: false,
                 });
             }
-            // Tail events of the random assignment: re-roll the seed. Every
-            // other error (tampering, invalid shapes, …) propagates.
-            Err(e)
-                if matches!(
-                    e,
-                    BucketSortError::Overflow { .. }
-                        | BucketSortError::Store(StoreError::BudgetExceeded { .. })
-                ) =>
-            {
-                last_tail_error = Some(e);
-            }
-            Err(e) => return Err(e),
+            // Tail events of the random assignment: re-roll the seed. A
+            // failed block I/O propagates.
+            Err(AttemptError::Tail(e)) => last_tail_error = Some(e),
+            Err(AttemptError::Store(e)) => return Err(BucketSortError::Store(e)),
         }
     }
     Err(last_tail_error.expect("at least one routing attempt ran"))
@@ -478,7 +493,7 @@ fn run_external<S, F>(
     cache_elems: usize,
     layout: &Layout,
     ecmp: &F,
-) -> Result<(usize, usize, usize), BucketSortError>
+) -> Result<(usize, usize, usize), AttemptError>
 where
     S: BlockStore,
     F: Fn(&Element, &Element) -> Ordering,
@@ -849,7 +864,7 @@ fn distribute_group<S: BlockStore>(
     gidx: usize,
     budget: &mut CacheBudget,
     group: &mut Group,
-) -> Result<usize, BucketSortError> {
+) -> Result<usize, AttemptError> {
     let b = layout.b;
     let grp = 1usize << layout.width(0);
     let base = layout.group_base(0, gidx);
@@ -868,7 +883,7 @@ fn distribute_group<S: BlockStore>(
         store.hint_blocks(input, &schedule);
         for bi in pos_lo / b..=(pos_hi - 1) / b {
             budget.try_acquire(b).map_err(BucketSortError::Store)?;
-            let blk = store.load_block(input, bi);
+            let blk = store.try_load_block(input, bi)?;
             let mut pushed = 0usize;
             for pos in pos_lo.max(bi * b)..pos_hi.min((bi + 1) * b) {
                 if let Some(item) = blk.get(pos - bi * b) {
@@ -899,7 +914,7 @@ fn route_group<S: BlockStore>(
     gidx: usize,
     budget: &mut CacheBudget,
     group: &mut Group,
-) -> Result<(), BucketSortError> {
+) -> Result<(), AttemptError> {
     let base = layout.group_base(s, gidx);
     let mut charge = GroupCharge::new();
     load_group(store, scratch, layout, s, base, budget, &mut charge, group)?;
@@ -926,7 +941,7 @@ fn finish_group<S, F>(
     budget: &mut CacheBudget,
     group: &mut Group,
     ecmp: &F,
-) -> Result<RunMeta, BucketSortError>
+) -> Result<RunMeta, AttemptError>
 where
     S: BlockStore,
     F: Fn(&Element, &Element) -> Ordering,
@@ -945,7 +960,7 @@ where
         for (slot, &item) in chunk.iter().enumerate() {
             blk.set(slot, Some(item));
         }
-        store.store_block(run_scratch, first_block + t, blk);
+        store.try_store_block(run_scratch, first_block + t, blk)?;
     }
     budget.release(b);
 
@@ -971,7 +986,7 @@ fn load_group<S: BlockStore>(
     budget: &mut CacheBudget,
     charge: &mut GroupCharge,
     group: &mut Group,
-) -> Result<(), BucketSortError> {
+) -> Result<(), AttemptError> {
     let b = layout.b;
     let z = layout.z;
     let grp = 1usize << layout.width(s);
@@ -994,7 +1009,7 @@ fn load_group<S: BlockStore>(
         let first_block = bucket_id * z / b;
         for t in 0..z / b {
             budget.try_acquire(b).map_err(BucketSortError::Store)?;
-            let blk = store.load_block(scratch, first_block + t);
+            let blk = store.try_load_block(scratch, first_block + t)?;
             let mut pushed = 0usize;
             for (slot, cell) in blk.slots().iter().enumerate() {
                 if let Some(item) = cell {
@@ -1023,7 +1038,7 @@ fn write_group<S: BlockStore>(
     base: usize,
     budget: &mut CacheBudget,
     charge: &mut GroupCharge,
-) -> Result<(), BucketSortError> {
+) -> Result<(), AttemptError> {
     let b = layout.b;
     let z = layout.z;
     let stride = layout.stride(s);
@@ -1042,7 +1057,7 @@ fn write_group<S: BlockStore>(
                     None => break,
                 }
             }
-            store.store_block(scratch, first_block + t, blk);
+            store.try_store_block(scratch, first_block + t, blk)?;
         }
         budget.release(b);
         charge.drop_items(budget, len);
@@ -1094,7 +1109,7 @@ fn merge_runs<S, F>(
     pad_to: Option<usize>,
     budget: &mut CacheBudget,
     ecmp: &F,
-) -> Result<usize, BucketSortError>
+) -> Result<usize, AttemptError>
 where
     S: BlockStore,
     F: Fn(&Element, &Element) -> Ordering,
@@ -1144,7 +1159,7 @@ where
     let mut heap: Vec<(Element, usize)> = Vec::with_capacity(cursors.len());
     for (i, c) in cursors.iter_mut().enumerate() {
         if c.remaining > 0 {
-            c.buf = store.load_block(src, c.block);
+            c.buf = store.try_load_block(src, c.block)?;
             heap.push((head(c), i));
         }
     }
@@ -1161,7 +1176,7 @@ where
         out.set(out_slot, Some(item));
         out_slot += 1;
         if out_slot == b {
-            store.store_block(dst, out_block, out);
+            store.try_store_block(dst, out_block, out)?;
             out = Block::empty(b);
             out_slot = 0;
             out_block += 1;
@@ -1172,7 +1187,7 @@ where
         c.remaining -= 1;
         if c.slot == b && c.remaining > 0 {
             c.block += 1;
-            c.buf = store.load_block(src, c.block);
+            c.buf = store.try_load_block(src, c.block)?;
             c.slot = 0;
             // Slide the window: the initial hints covered the first
             // MERGE_LOOKAHEAD blocks of the run, so each advance exposes
@@ -1195,14 +1210,14 @@ where
             // past `written` stay dummies.
             let total_blocks = dst_first_block + n.div_ceil(b);
             while out_block < total_blocks {
-                store.store_block(dst, out_block, out);
+                store.try_store_block(dst, out_block, out)?;
                 out = Block::empty(b);
                 out_block += 1;
             }
         }
         None => {
             if out_slot > 0 {
-                store.store_block(dst, out_block, out);
+                store.try_store_block(dst, out_block, out)?;
             }
         }
     }

@@ -29,7 +29,7 @@
 //!    (`B | s`) touches each block in exactly one block pair `(β, β + s/B)`.
 //!    All `B` element compare-exchanges that touch that pair are fused into
 //!    a single read-modify-write round trip via
-//!    [`BlockStore::modify_pair`]: 2 reads + 2 writes per pair, i.e.
+//!    [`BlockStore::try_modify_pair`]: 2 reads + 2 writes per pair, i.e.
 //!    `2·(N/B)` I/Os for the whole level — never one round trip per element.
 //!    Non-aligned strides (only possible when `B` is not a power of two)
 //!    fall back to an LRU [`BlockCache`] sweep with the same `2·(N/B)`
@@ -62,8 +62,8 @@ use crate::bitonic::{bitonic_merge_pow2_by, bitonic_sort_pow2_by};
 use crate::compare::exchange_dir_by;
 use extmem::element::{cell_cmp_none_last, cell_cmp_none_last_desc, Cell};
 use extmem::{
-    run_fallible, ArrayHandle, BlockCache, BlockStore, CacheBudget, IoStats, RetryPolicy,
-    RetryStats, StoreError,
+    ArrayHandle, BlockCache, BlockStore, CacheBudget, IoStats, RetryPolicy, RetryStats,
+    RetryingStore, StoreError,
 };
 use std::cmp::Ordering;
 
@@ -103,7 +103,9 @@ pub struct SortReport {
 /// harness asserts the zero-extra-I/O property at every grid point).
 ///
 /// # Panics
-/// Panics if `cache_elems < 2·B` (the paper's minimal `M ≥ 2B` regime).
+/// Panics if `cache_elems < 2·B` (the paper's minimal `M ≥ 2B` regime), or
+/// with the error's message if a block I/O fails; [`try_external_oblivious_sort`]
+/// returns both as a [`StoreError`] instead.
 pub fn external_oblivious_sort<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
@@ -124,8 +126,9 @@ pub fn external_oblivious_sort<S: BlockStore>(
 /// servers: transient faults are retried per `policy` (the retry schedule
 /// depends only on the server's fault schedule, never on the data, so traces
 /// stay data-independent), and the first permanent [`StoreError`] — a
-/// corrupted block, a rollback, exhausted retries — aborts the pass and is
-/// returned instead of panicking or producing wrong output.
+/// corrupted block, a rollback, exhausted retries — stops the pass and is
+/// returned instead of panicking or producing wrong output. A cache below
+/// two blocks is [`StoreError::InvalidArgument`].
 ///
 /// On `Err` the contents of `h` (and of the scratch array, for non-power-of-
 /// two lengths) are unspecified; the store itself remains usable and its I/O
@@ -137,9 +140,16 @@ pub fn try_external_oblivious_sort<S: BlockStore>(
     order: SortOrder,
     policy: RetryPolicy,
 ) -> Result<(SortReport, RetryStats), StoreError> {
-    run_fallible(store, policy, |s| {
-        external_oblivious_sort(s, h, cache_elems, order)
-    })
+    let mut rs = RetryingStore::new(store, policy);
+    let report = match order {
+        SortOrder::Ascending => {
+            try_external_oblivious_sort_by(&mut rs, h, cache_elems, &cell_cmp_none_last)
+        }
+        SortOrder::Descending => {
+            try_external_oblivious_sort_by(&mut rs, h, cache_elems, &cell_cmp_none_last_desc)
+        }
+    }?;
+    Ok((report, rs.stats()))
 }
 
 /// Sorts array `h` with a custom total order on cells.
@@ -148,6 +158,10 @@ pub fn try_external_oblivious_sort<S: BlockStore>(
 /// whose extra slots are dummies; `cmp` must therefore order every dummy
 /// (`None`) cell after every occupied cell, or elements may be truncated on
 /// copy-back. Power-of-two lengths accept any total order.
+///
+/// # Panics
+/// Where [`try_external_oblivious_sort_by`] fails: `cache_elems < 2·B`, or
+/// a store error.
 pub fn external_oblivious_sort_by<S, F>(
     store: &mut S,
     h: &ArrayHandle,
@@ -158,58 +172,72 @@ where
     S: BlockStore,
     F: Fn(&Cell, &Cell) -> Ordering,
 {
-    if let Err(reason) = check_cache(h.block_elems(), cache_elems) {
-        panic!("{reason}");
+    try_external_oblivious_sort_by(store, h, cache_elems, cmp).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`external_oblivious_sort_by`] over `store` as given, returning its first
+/// error: `cache_elems < 2·B` (the paper's minimal `M ≥ 2B` regime) as
+/// [`StoreError::InvalidArgument`] before any I/O, else the first failed
+/// block I/O. Transient errors are not retried here; wrap the store in a
+/// [`RetryingStore`] for that, as [`try_external_oblivious_sort`] does.
+pub fn try_external_oblivious_sort_by<S, F>(
+    store: &mut S,
+    h: &ArrayHandle,
+    cache_elems: usize,
+    cmp: &F,
+) -> Result<SortReport, StoreError>
+where
+    S: BlockStore,
+    F: Fn(&Cell, &Cell) -> Ordering,
+{
+    if cache_elems < 2 * h.block_elems() {
+        return Err(StoreError::InvalidArgument {
+            reason: "external sort needs a private cache of at least two blocks (M >= 2B)",
+        });
     }
     let start = store.io_stats();
     let n = h.len();
     if n <= 1 {
-        return SortReport {
+        return Ok(SortReport {
             io: store.io_stats() - start,
             region_elems: n.max(1),
             presort_regions: 0,
             external_levels: 0,
             finish_passes: 0,
             padded: false,
-        };
+        });
     }
     let p = n.next_power_of_two();
     let mut report = if p == n {
-        sort_pow2(store, h, cache_elems, cmp)
+        sort_pow2(store, h, cache_elems, cmp)?
     } else {
         // Pad into a fresh power-of-two scratch array (its tail slots are
         // dummies), sort, and stream the first ⌈n/B⌉ blocks back. The extra
         // cost is O(N/B) and the whole detour is shape-determined.
         let scratch = store.alloc_array(p);
         for i in 0..h.n_blocks() {
-            let blk = store.load_block(h, i);
-            store.store_block(&scratch, i, blk);
+            let blk = store.try_load_block(h, i)?;
+            store.try_store_block(&scratch, i, blk)?;
         }
-        let mut r = sort_pow2(store, &scratch, cache_elems, cmp);
+        let mut r = sort_pow2(store, &scratch, cache_elems, cmp)?;
         for i in 0..h.n_blocks() {
-            let blk = store.load_block(&scratch, i);
-            store.store_block(h, i, blk);
+            let blk = store.try_load_block(&scratch, i)?;
+            store.try_store_block(h, i, blk)?;
         }
         r.padded = true;
         r
     };
     report.io = store.io_stats() - start;
-    report
-}
-
-/// The sort's one cache requirement, `M ≥ 2B` (the paper's minimal
-/// regime). The error is the message the infallible sorts panic with, so a
-/// fallible caller can check it before it runs the sort.
-pub fn check_cache(block_elems: usize, cache_elems: usize) -> Result<(), &'static str> {
-    if cache_elems >= 2 * block_elems {
-        Ok(())
-    } else {
-        Err("external sort needs a private cache of at least two blocks (M >= 2B)")
-    }
+    Ok(report)
 }
 
 /// Core sorter for an array of exactly `p` (a power of two ≥ 2) slots.
-fn sort_pow2<S, F>(store: &mut S, a: &ArrayHandle, cache_elems: usize, cmp: &F) -> SortReport
+fn sort_pow2<S, F>(
+    store: &mut S,
+    a: &ArrayHandle,
+    cache_elems: usize,
+    cmp: &F,
+) -> Result<SortReport, StoreError>
 where
     S: BlockStore,
     F: Fn(&Cell, &Cell) -> Ordering,
@@ -234,7 +262,7 @@ where
     for g in 0..p / f0 {
         in_cache_pass(store, a, &mut budget, g * f0, f0, |cells| {
             bitonic_sort_pow2_by(cells, g % 2 == 0, cmp);
-        });
+        })?;
     }
 
     // Phase 2 — merge stages k = 2·f0 … p. External strided levels first,
@@ -244,7 +272,7 @@ where
     while k <= p {
         let mut s = k / 2;
         while s >= f0 {
-            external_level(store, a, &mut budget, cache_elems, s, k, cmp);
+            external_level(store, a, &mut budget, cache_elems, s, k, cmp)?;
             report.external_levels += 1;
             s /= 2;
         }
@@ -253,12 +281,12 @@ where
             let asc = lo & k == 0;
             in_cache_pass(store, a, &mut budget, lo, f0, |cells| {
                 bitonic_merge_pow2_by(cells, asc, cmp);
-            });
+            })?;
         }
         report.finish_passes += 1;
         k *= 2;
     }
-    report
+    Ok(report)
 }
 
 /// One external compare-exchange level: stride `s`, stage `k`.
@@ -270,7 +298,8 @@ fn external_level<S, F>(
     s: usize,
     k: usize,
     cmp: &F,
-) where
+) -> Result<(), StoreError>
+where
     S: BlockStore,
     F: Fn(&Cell, &Cell) -> Ordering,
 {
@@ -300,16 +329,17 @@ fn external_level<S, F>(
                 let partner = beta + s / b;
                 let asc = base & k == 0;
                 budget.with(2 * b, |_| {
-                    store.modify_pair(a, beta, partner, |x, y| {
+                    store.try_modify_pair(a, beta, partner, |x, y| {
                         for j in 0..b {
                             let (lo, hi) = exchange_dir_by(x.get(j), y.get(j), asc, cmp);
                             x.set(j, lo);
                             y.set(j, hi);
                         }
-                    });
-                });
+                    })
+                })?;
             }
         }
+        Ok(())
     } else {
         // General path: an LRU block-cache sweep over the data-independent
         // pair sequence. Cells are written unconditionally so every touched
@@ -326,13 +356,14 @@ fn external_level<S, F>(
                 if i & s == 0 {
                     let l = i | s;
                     let asc = i & k == 0;
-                    let (u, v) = (cache.read(i), cache.read(l));
+                    let (u, v) = (cache.read(i)?, cache.read(l)?);
                     let (lo, hi) = exchange_dir_by(u, v, asc, cmp);
-                    cache.write(i, lo);
-                    cache.write(l, hi);
+                    cache.write(i, lo)?;
+                    cache.write(l, hi)?;
                 }
             }
-        });
+            cache.flush()
+        })
     }
 }
 
@@ -345,13 +376,13 @@ fn in_cache_pass<S: BlockStore>(
     lo: usize,
     f: usize,
     work: impl FnOnce(&mut [Cell]),
-) {
+) -> Result<(), StoreError> {
     let b = a.block_elems();
     budget.with(span_blocks(f, b) * b, |_| {
-        let mut cells = store.load_span(a, lo, lo + f);
+        let mut cells = store.try_load_span(a, lo, lo + f)?;
         work(&mut cells);
-        store.store_span(a, lo, &cells);
-    });
+        store.try_store_span(a, lo, &cells)
+    })
 }
 
 /// Largest power-of-two region size `F ≤ p` whose worst-case block span is

@@ -45,8 +45,8 @@ pub use bucket_sort::{
     BucketSortConfig, BucketSortError, BucketSortReport, MergeSplitOverflow,
 };
 pub use external_sort::{
-    external_oblivious_sort, external_oblivious_sort_by, try_external_oblivious_sort, SortOrder,
-    SortReport,
+    external_oblivious_sort, external_oblivious_sort_by, try_external_oblivious_sort,
+    try_external_oblivious_sort_by, SortOrder, SortReport,
 };
 pub use network::{Comparator, Network};
 

@@ -185,7 +185,6 @@ fn populate(auth: &mut Stack, cells: &[Cell]) -> extmem::ArrayHandle {
 
 #[test]
 fn transient_faults_on_the_full_stack_retry_to_the_sorted_result() {
-    extmem::install_quiet_abort_hook();
     let cells: Vec<Cell> = (0..1024)
         .map(|i| Some(Element::keyed(hash64(i as u64, 0xFA) >> 16, i as usize)))
         .collect();
@@ -219,7 +218,6 @@ fn transient_faults_on_the_full_stack_retry_to_the_sorted_result() {
 
 #[test]
 fn a_corrupting_server_surfaces_as_a_typed_error() {
-    extmem::install_quiet_abort_hook();
     let cells: Vec<Cell> = (0..1024)
         .map(|i| Some(Element::keyed(hash64(i as u64, 0xC0), i as usize)))
         .collect();

@@ -110,8 +110,8 @@
 use crate::error::OdoError;
 use extmem::element::Cell;
 use extmem::{
-    run_fallible, ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, RetryPolicy,
-    RetryStats,
+    ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, RetryPolicy, RetryStats,
+    RetryingStore, StoreError,
 };
 use obliv_net::butterfly;
 
@@ -147,9 +147,10 @@ pub struct CompactReport {
 /// shape `(N, B, M)` — see the module documentation.
 ///
 /// # Panics
-/// Panics if `cache_elems < 8·B`, or if the array does not fit in cache and
-/// `B` is not a power of two. The fallible path ([`try_compact`]) reports
-/// the same conditions as [`OdoError::InvalidArgument`] instead.
+/// Panics if `cache_elems < 8·B`, if the array does not fit in cache and
+/// `B` is not a power of two, or with the error's message if a block I/O
+/// fails. The fallible path ([`try_compact`]) returns the same conditions
+/// as an [`OdoError`] instead.
 pub fn compact<S: BlockStore>(store: &mut S, h: &ArrayHandle, cache_elems: usize) -> CompactReport {
     run(store, h, cache_elems, None).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -157,10 +158,10 @@ pub fn compact<S: BlockStore>(store: &mut S, h: &ArrayHandle, cache_elems: usize
 /// Fallible variant of [`compact`] for untrusted/unreliable servers:
 /// transient faults are retried per `policy` (the retry schedule depends
 /// only on the server's fault schedule, never on the data), and the first
-/// permanent [`StoreError`](extmem::StoreError) — a corrupted block, a
-/// rollback, exhausted retries — aborts the pass and is returned as a typed
-/// [`OdoError`] instead of panicking or compacting tampered data. Argument
-/// validation (cache too small, non-power-of-two blocks) also returns
+/// permanent [`StoreError`] — a corrupted block, a rollback, exhausted
+/// retries — stops the pass and is returned as a typed [`OdoError`]
+/// instead of panicking or compacting tampered data. Argument validation
+/// (cache too small, non-power-of-two blocks) also returns
 /// [`OdoError::InvalidArgument`] here, where the infallible [`compact`]
 /// panics; routing state that disagrees with itself — the symptom of a
 /// corrupted but unauthenticated store — surfaces as
@@ -174,9 +175,9 @@ pub fn try_compact<S: BlockStore>(
     cache_elems: usize,
     policy: RetryPolicy,
 ) -> Result<(CompactReport, RetryStats), OdoError> {
-    let (inner, retries) =
-        run_fallible(store, policy, |s| run(s, h, cache_elems, None)).map_err(OdoError::from)?;
-    Ok((inner?, retries))
+    let mut rs = RetryingStore::new(store, policy);
+    let report = run(&mut rs, h, cache_elems, None)?;
+    Ok((report, rs.stats()))
 }
 
 /// The reverse operation: array `h` holds `targets.len()` occupied cells as a
@@ -190,9 +191,10 @@ pub fn try_compact<S: BlockStore>(
 ///
 /// # Panics
 /// Panics on malformed targets, on a prefix/occupancy mismatch, if
-/// `cache_elems < 8·B`, or if the array does not fit in cache and `B` is not
-/// a power of two. The fallible path ([`try_expand`]) reports the same
-/// conditions as [`OdoError::InvalidArgument`] instead.
+/// `cache_elems < 8·B`, if the array does not fit in cache and `B` is not
+/// a power of two, or with the error's message if a block I/O fails. The
+/// fallible path ([`try_expand`]) returns the same conditions as an
+/// [`OdoError`] instead.
 pub fn expand<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
@@ -218,16 +220,17 @@ pub fn try_expand<S: BlockStore>(
     cache_elems: usize,
     policy: RetryPolicy,
 ) -> Result<(CompactReport, RetryStats), OdoError> {
-    let (inner, retries) = run_fallible(store, policy, |s| run(s, h, cache_elems, Some(targets)))
-        .map_err(OdoError::from)?;
-    Ok((inner?, retries))
+    let mut rs = RetryingStore::new(store, policy);
+    let report = run(&mut rs, h, cache_elems, Some(targets))?;
+    Ok((report, rs.stats()))
 }
 
 /// Shared driver: `targets == None` compacts leftward, `Some` expands
-/// rightward. All validation returns [`OdoError::InvalidArgument`] and every
-/// self-inconsistent routing state returns [`OdoError::CorruptedRouting`];
-/// the infallible façades panic with the error's `Display`, which preserves
-/// the historical assert messages.
+/// rightward. All validation returns [`OdoError::InvalidArgument`], every
+/// self-inconsistent routing state returns [`OdoError::CorruptedRouting`]
+/// and the first failed block I/O returns [`OdoError::Store`]; the
+/// infallible façades panic with the error's `Display`, which preserves the
+/// historical assert messages.
 pub(crate) fn run<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
@@ -265,12 +268,12 @@ pub(crate) fn run<S: BlockStore>(
     // one write pass — the fully collapsed form of the window sweep.
     if n <= cache_elems {
         let occupied = budget.with(n.max(1), |_| -> Result<usize, OdoError> {
-            let mut cells = store.load_span(h, 0, n);
+            let mut cells = store.try_load_span(h, 0, n)?;
             let occupied = match targets {
                 None => pack_prefix_in_place(&mut cells),
                 Some(t) => route_to_targets_in_place(&mut cells, t)?,
             };
-            store.store_span(h, 0, &cells);
+            store.try_store_span(h, 0, &cells)?;
             Ok(occupied)
         })?;
         return Ok(CompactReport {
@@ -481,14 +484,14 @@ impl RowTable {
         }
     }
 
-    fn entry<S: BlockStore>(&mut self, store: &mut S, r: usize) -> &mut u64 {
-        match &mut self.home {
+    fn entry<S: BlockStore>(&mut self, store: &mut S, r: usize) -> Result<&mut u64, StoreError> {
+        Ok(match &mut self.home {
             Home::Cache(rows) => &mut rows[r],
             Home::Server { array, at, buf } => {
                 let b = array.block_elems();
                 if *at != Some(r / b) {
-                    write_back(store, array, at, buf);
-                    let blk = store.load_block(array, r / b);
+                    write_back(store, array, at, buf)?;
+                    let blk = store.try_load_block(array, r / b)?;
                     buf.clear();
                     buf.extend(blk.slots().iter().map(|c| c.map_or(0, |e| e.key)));
                     store.recycle(blk);
@@ -496,13 +499,14 @@ impl RowTable {
                 }
                 &mut buf[r % b]
             }
-        }
+        })
     }
 
     /// Writes the buffered table block back; called at the end of a column.
-    fn end_column<S: BlockStore>(&mut self, store: &mut S) {
-        if let Home::Server { array, at, buf } = &mut self.home {
-            write_back(store, array, at, buf);
+    fn end_column<S: BlockStore>(&mut self, store: &mut S) -> Result<(), StoreError> {
+        match &mut self.home {
+            Home::Server { array, at, buf } => write_back(store, array, at, buf),
+            Home::Cache(_) => Ok(()),
         }
     }
 }
@@ -512,10 +516,13 @@ fn write_back<S: BlockStore>(
     array: &ArrayHandle,
     at: &mut Option<usize>,
     buf: &[u64],
-) {
-    if let Some(i) = at.take() {
-        let cells = buf.iter().map(|&x| Some(Element::new(x, 0))).collect();
-        store.store_block(array, i, Block::from_buffer(cells));
+) -> Result<(), StoreError> {
+    match at.take() {
+        Some(i) => {
+            let cells = buf.iter().map(|&x| Some(Element::new(x, 0))).collect();
+            store.try_store_block(array, i, Block::from_buffer(cells))
+        }
+        None => Ok(()),
     }
 }
 
@@ -625,16 +632,16 @@ fn sweep<S: BlockStore>(
         for i in 0..col.blocks {
             let v = at(i);
             if i >= slots {
-                flush(store, data, &col, at(i - slots), &mut ring, &mut pass.next);
+                flush(store, data, &col, at(i - slots), &mut ring, &mut pass.next)?;
             }
-            let mut blk = store.load_block(data, col.block(v));
+            let mut blk = store.try_load_block(data, col.block(v))?;
             let occ = blk.occupancy();
             seen += occ;
             let p0 = col.block(v) * b;
             let base = match &mut pass.ranks {
                 Ranks::Running => advance(&mut run, occ),
                 Ranks::Rows(table) => {
-                    let entry = table.entry(store, v);
+                    let entry = table.entry(store, v)?;
                     let base = if c == 0 {
                         advance(&mut run, *entry as usize)
                     } else {
@@ -721,13 +728,13 @@ fn sweep<S: BlockStore>(
             ring[v % slots] = Some(blk);
         }
         for i in col.blocks.saturating_sub(slots)..col.blocks {
-            flush(store, data, &col, at(i), &mut ring, &mut pass.next);
+            flush(store, data, &col, at(i), &mut ring, &mut pass.next)?;
         }
         if let Ranks::Rows(table) = &mut pass.ranks {
-            table.end_column(store);
+            table.end_column(store)?;
         }
         if let Some(table) = &mut pass.next {
-            table.end_column(store);
+            table.end_column(store)?;
         }
     }
     budget.release(slots * b);
@@ -765,16 +772,16 @@ fn flush<S: BlockStore>(
     v: usize,
     ring: &mut [Option<Block>],
     next: &mut Option<RowTable>,
-) {
+) -> Result<(), StoreError> {
     let slots = ring.len();
     let blk = ring[v % slots]
         .take()
         .expect("every ring block is loaded before it is written back");
     let block = col.block(v);
     if let Some(table) = next {
-        *table.entry(store, block / table.stride) += blk.occupancy() as u64;
+        *table.entry(store, block / table.stride)? += blk.occupancy() as u64;
     }
-    store.store_block(data, block, blk);
+    store.try_store_block(data, block, blk)
 }
 
 #[cfg(test)]
@@ -1136,7 +1143,7 @@ mod tests {
         let h = mem.alloc_array_from_cells(&cells);
         let (seen, mut table) = head_sweep(&mut mem, &h);
         assert_eq!(seen, 22);
-        let rows: Vec<u64> = (0..4).map(|r| *table.entry(&mut mem, r)).collect();
+        let rows: Vec<u64> = (0..4).map(|r| *table.entry(&mut mem, r).unwrap()).collect();
         assert_eq!(rows, [8, 8, 0, 6]);
         assert_eq!(column_sweep(&mut mem, &h, seen, table).unwrap(), 22);
         assert_eq!(mem.snapshot_cells(&h), reference_compact(&cells));
@@ -1149,7 +1156,7 @@ mod tests {
         let (seen, mut table) = head_sweep(&mut mem, &h);
         // Row 0 claims 40 more items: the first item of row 3 (cell 48)
         // gets rank 56.
-        *table.entry(&mut mem, 0) += 40;
+        *table.entry(&mut mem, 0).unwrap() += 40;
         let err = column_sweep(&mut mem, &h, seen, table).unwrap_err();
         assert!(matches!(err, OdoError::CorruptedRouting { cell: 48, .. }));
         assert!(err

@@ -1,12 +1,14 @@
 //! The workspace-level error type for the fallible (`try_`) primitives.
 //!
-//! The three `try_` entry points — `try_sort`, [`try_compact`] and
-//! [`try_select_kth`] — run the paper's algorithms against an untrusted or
-//! unreliable server and propagate a typed [`OdoError`] instead of
-//! panicking mid-pass: transient faults are retried by the policy, while
-//! tampering detected by
+//! The `try_` entry points — `try_sort`, [`try_compact`],
+//! [`try_select_kth`] and their siblings — run the paper's algorithms
+//! against an untrusted or unreliable server. Each pass returns its first
+//! failure as an [`OdoError`] with `?`, and stops there: transient faults
+//! are retried by the policy's `RetryingStore`, while tampering detected by
 //! [`AuthenticatedStore`](extmem::auth::AuthenticatedStore) surfaces as
-//! `OdoError::Store(Corrupted | Stale)` — never as a wrong answer.
+//! `OdoError::Store(Corrupted | Stale)` — never as a wrong answer. The
+//! infallible façades run the same passes and panic with this type's
+//! `Display`.
 //!
 //! [`try_compact`]: crate::compact::try_compact
 //! [`try_select_kth`]: crate::select::try_select_kth

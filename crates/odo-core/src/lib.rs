@@ -38,8 +38,11 @@
 //! [`compact::try_compact`] and [`select::try_select_kth`] retry transient
 //! faults per an [`extmem::RetryPolicy`] and propagate a typed [`OdoError`]
 //! — over an [`extmem::AuthenticatedStore`], corruption and rollback surface
-//! as `Err(Corrupted | Stale)`, never as silently wrong output. See the
-//! repo-root `DESIGN.md` for the fault model.
+//! as `Err(Corrupted | Stale)`, never as silently wrong output. There is one
+//! error path: every pass calls only the fallible block ops and returns the
+//! first error with `?`, and the infallible forms run the same pass and
+//! panic with the error's message. See the repo-root `DESIGN.md` for the
+//! fault model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -81,9 +84,8 @@ pub mod prelude {
     pub use crate::sorter::{OblivSorter, SortEngine, SorterReport};
     pub use crate::{sort_with, try_sort};
     pub use extmem::{
-        install_quiet_abort_hook, AuthenticatedStore, BlockStore, Cell, Config, Element,
-        EncryptedStore, ExtMem, FaultSpec, FaultyStore, FileStore, IoStats, PrefetchingStore,
-        RetryPolicy, RetryStats, StoreError,
+        AuthenticatedStore, BlockStore, Cell, Config, Element, EncryptedStore, ExtMem, FaultSpec,
+        FaultyStore, FileStore, IoStats, PrefetchingStore, RetryPolicy, RetryStats, StoreError,
     };
     pub use obliv_net::BucketSortConfig;
     pub use obliv_net::{
@@ -103,7 +105,6 @@ pub fn try_sort<S: BlockStore>(
     order: SortOrder,
     policy: RetryPolicy,
 ) -> Result<(SortReport, RetryStats), OdoError> {
-    sorter::check_sort_cache(h, cache_elems)?;
     try_external_oblivious_sort(store, h, cache_elems, order, policy).map_err(OdoError::from)
 }
 

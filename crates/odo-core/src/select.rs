@@ -99,8 +99,8 @@ use crate::error::OdoError;
 use crate::sorter::OblivSorter;
 use extmem::element::{cell_cmp_none_last, Cell};
 use extmem::{
-    run_fallible, ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, RetryPolicy,
-    RetryStats,
+    ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, RetryPolicy, RetryStats,
+    RetryingStore, StoreError,
 };
 
 /// Weighted samples each chunk contributes to a prune round: the window
@@ -147,8 +147,9 @@ pub struct SelectReport {
 /// Panics if `k` is not smaller than the number of occupied cells, and — when
 /// the array does not fit in cache — if `cache_elems < max(8·B, 32)` or `B`
 /// is not a power of two (the §3 compaction requirements plus two full
-/// prune-round sample strides per chunk). [`try_select_kth`] returns these as
-/// [`OdoError::InvalidArgument`] instead.
+/// prune-round sample strides per chunk), and with the error's message if a
+/// block I/O fails. [`try_select_kth`] returns these as an [`OdoError`]
+/// instead.
 pub fn select_kth<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
@@ -182,11 +183,11 @@ pub fn select_kth_with<S: BlockStore>(
 /// Fallible variant of [`select_kth`] for untrusted/unreliable servers:
 /// transient faults are retried per `policy` (the retry schedule depends
 /// only on the server's fault schedule, never on the data or the rank), and
-/// the first permanent [`StoreError`](extmem::StoreError) — a corrupted
-/// block, a rollback, exhausted retries — aborts the pass and is returned
-/// as a typed [`OdoError`] instead of panicking or selecting from tampered
-/// data. A rank `k` at or past the occupied count, a cache below
-/// `max(8·B, 32)` or a non-power-of-two `B` on the external path return
+/// the first permanent [`StoreError`] — a corrupted block, a rollback,
+/// exhausted retries — stops the pass and is returned as a typed
+/// [`OdoError`] instead of panicking or selecting from tampered data. A
+/// rank `k` at or past the occupied count, a cache below `max(8·B, 32)` or
+/// a non-power-of-two `B` on the external path return
 /// [`OdoError::InvalidArgument`]. The rank check fires after the first
 /// streaming pass over the input, where the occupied count is first known,
 /// so the trace up to the error is the same for every `k`.
@@ -200,12 +201,9 @@ pub fn try_select_kth<S: BlockStore>(
     k: usize,
     policy: RetryPolicy,
 ) -> Result<(Element, SelectReport, RetryStats), OdoError> {
-    let (inner, retries) = run_fallible(store, policy, |s| {
-        run(s, h, cache_elems, k, &OblivSorter::Bitonic)
-    })
-    .map_err(OdoError::from)?;
-    let (elem, report) = inner?;
-    Ok((elem, report, retries))
+    let mut rs = RetryingStore::new(store, policy);
+    let (elem, report) = run(&mut rs, h, cache_elems, k, &OblivSorter::Bitonic)?;
+    Ok((elem, report, rs.stats()))
 }
 
 const RANK_OUT_OF_RANGE: OdoError = OdoError::InvalidArgument {
@@ -249,7 +247,8 @@ impl Window {
 }
 
 /// The shared driver of [`select_kth_with`] and [`try_select_kth`]: every
-/// argument failure is an [`OdoError::InvalidArgument`].
+/// argument failure is an [`OdoError::InvalidArgument`], and the first
+/// failed block I/O stops the pass.
 fn run<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
@@ -263,16 +262,16 @@ fn run<S: BlockStore>(
 
     // Whole array fits in the private cache: one read pass, select CPU-side.
     if n <= cache_elems {
-        let live = budget.with(n.max(1), |_| {
-            let cells = store.load_span(h, 0, n);
+        let live = budget.with(n.max(1), |_| -> Result<_, StoreError> {
+            let cells = store.try_load_span(h, 0, n)?;
             let mut live: Vec<(usize, Element)> = cells
                 .iter()
                 .enumerate()
                 .filter_map(|(j, c)| c.map(|e| (j, e)))
                 .collect();
             live.sort_by_key(|&(j, e)| (e.key, j));
-            live
-        });
+            Ok(live)
+        })?;
         let &(idx, winner) = live.get(k).ok_or(RANK_OUT_OF_RANGE)?;
         return Ok((
             winner,
@@ -323,15 +322,15 @@ fn run<S: BlockStore>(
         let (lo, hi) = if s == 0 {
             (None, None)
         } else {
-            let (samples, live) = sample_chunks(store, &win, g, s, &mut budget);
+            let (samples, live) = sample_chunks(store, &win, g, s, &mut budget)?;
             if win.input && k >= live {
                 return Err(RANK_OUT_OF_RANGE);
             }
-            sorter.sort_by(store, &samples, cache_elems, &cell_cmp_none_last);
+            sorter.try_sort_by(store, &samples, cache_elems, &cell_cmp_none_last)?;
             let s_len = c * s;
             let q_lo = (kp * s / g).checked_sub(c).filter(|&q| q < s_len);
             let q_hi = Some((kp + 1).div_ceil(g / s)).filter(|&q| q < s_len);
-            let (lo, hi) = scan_splitters(store, &samples, &mut budget, q_lo, q_hi);
+            let (lo, hi) = scan_splitters(store, &samples, &mut budget, q_lo, q_hi)?;
             // lo = None means −∞ (no lower pruning); hi = None means +∞ (a
             // clamped or dummy splitter — every candidate is below it).
             debug_assert!(
@@ -343,7 +342,7 @@ fn run<S: BlockStore>(
         let bound = survivor_bound(win.len, g, s);
 
         if plan.is_some() {
-            let (below, mut kept) = filter(store, &win, lo, hi, bound, &mut budget);
+            let (below, mut kept) = filter(store, &win, lo, hi, bound, &mut budget)?;
             kp -= below;
             assert!(kp < kept.len(), "the bracket always contains the target");
             let (winner, elem) = *kept.select_nth_unstable_by_key(kp, |&(w, _)| w).1;
@@ -351,7 +350,7 @@ fn run<S: BlockStore>(
             let elem = if win.input {
                 elem
             } else {
-                recover(store, h, idx, &mut budget)
+                recover(store, h, idx, &mut budget)?
             };
             debug_assert_eq!(elem.key, winner.key);
             return Ok((
@@ -379,7 +378,7 @@ fn run<S: BlockStore>(
         hint_prefix(store, &win.h, win.blocks());
         for beta in 0..win.blocks() {
             budget.with(2 * b, |_| {
-                let blk = store.load_block(&win.h, beta);
+                let blk = store.try_load_block(&win.h, beta)?;
                 let mut out = Block::empty(b);
                 for t in 0..b {
                     let j = beta * b + t;
@@ -395,8 +394,8 @@ fn run<S: BlockStore>(
                         }
                     }
                 }
-                store.store_block(&wrk, beta, out);
-            });
+                store.try_store_block(&wrk, beta, out)
+            })?;
         }
         kp -= below;
         let survivors = crate::compact::run(store, &wrk, cache_elems, None)?.occupied;
@@ -449,7 +448,7 @@ fn sample_chunks<S: BlockStore>(
     g: usize,
     s: usize,
     budget: &mut CacheBudget,
-) -> (ArrayHandle, usize) {
+) -> Result<(ArrayHandle, usize), StoreError> {
     let c = win.len.div_ceil(g);
     let samples = store.alloc_array(c * s);
     let mut live = 0usize;
@@ -457,7 +456,7 @@ fn sample_chunks<S: BlockStore>(
         let lo_e = ci * g;
         let hi_e = ((ci + 1) * g).min(win.len);
         budget.with(hi_e - lo_e + s, |_| {
-            let cells = store.load_span(&win.h, lo_e, hi_e);
+            let cells = store.try_load_span(&win.h, lo_e, hi_e)?;
             let mut items: Vec<Element> = cells
                 .iter()
                 .enumerate()
@@ -468,10 +467,10 @@ fn sample_chunks<S: BlockStore>(
             let picks: Vec<Cell> = (0..s)
                 .map(|i| items.get((i + 1) * (g / s) - 1).copied())
                 .collect();
-            store.store_span(&samples, ci * s, &picks);
-        });
+            store.try_store_span(&samples, ci * s, &picks)
+        })?;
     }
-    (samples, live)
+    Ok((samples, live))
 }
 
 /// Step 3 of the final round: streams `win` once, counting the working items
@@ -485,14 +484,14 @@ fn filter<S: BlockStore>(
     hi: Cell,
     bound: usize,
     budget: &mut CacheBudget,
-) -> (usize, Vec<(Element, Element)>) {
+) -> Result<(usize, Vec<(Element, Element)>), StoreError> {
     let b = win.h.block_elems();
     budget.with(bound * win.survivor_words() + b, |_| {
         let mut below = 0usize;
         let mut kept = Vec::with_capacity(bound);
         hint_prefix(store, &win.h, win.blocks());
         for beta in 0..win.blocks() {
-            let blk = store.load_block(&win.h, beta);
+            let blk = store.try_load_block(&win.h, beta)?;
             for t in 0..b {
                 let j = beta * b + t;
                 if j >= win.len {
@@ -512,7 +511,7 @@ fn filter<S: BlockStore>(
                 }
             }
         }
-        (below, kept)
+        Ok((below, kept))
     })
 }
 
@@ -524,21 +523,22 @@ fn recover<S: BlockStore>(
     h: &ArrayHandle,
     idx: usize,
     budget: &mut CacheBudget,
-) -> Element {
+) -> Result<Element, StoreError> {
     let b = h.block_elems();
     let mut found: Cell = None;
     hint_prefix(store, h, h.n_blocks());
     for beta in 0..h.n_blocks() {
-        budget.with(b, |_| {
-            let blk = store.load_block(h, beta);
+        budget.with(b, |_| -> Result<(), StoreError> {
+            let blk = store.try_load_block(h, beta)?;
             for t in 0..b {
                 if beta * b + t == idx {
                     found = blk.get(t);
                 }
             }
-        });
+            Ok(())
+        })?;
     }
-    found.expect("the selected index holds an occupied cell")
+    Ok(found.expect("the selected index holds an occupied cell"))
 }
 
 /// Computes the elements at every rank in `ranks` (each 0-based among the
@@ -550,9 +550,9 @@ fn recover<S: BlockStore>(
 ///
 /// # Panics
 /// Panics if any rank is out of range, if `ranks.len() > cache_elems / 4`
-/// (the latched quantiles must fit in private memory), or on the
+/// (the latched quantiles must fit in private memory), on the
 /// [`obliv_net::external_oblivious_sort`] cache requirement
-/// (`cache_elems ≥ 2B`).
+/// (`cache_elems ≥ 2B`), or with the error's message if a block I/O fails.
 pub fn quantiles<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
@@ -578,6 +578,17 @@ pub fn quantiles_with<S: BlockStore>(
     ranks: &[usize],
     sorter: &OblivSorter,
 ) -> (Vec<Element>, IoStats) {
+    run_quantiles(store, h, cache_elems, ranks, sorter).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The body of [`quantiles_with`], stopping at the first failed block I/O.
+fn run_quantiles<S: BlockStore>(
+    store: &mut S,
+    h: &ArrayHandle,
+    cache_elems: usize,
+    ranks: &[usize],
+    sorter: &OblivSorter,
+) -> Result<(Vec<Element>, IoStats), OdoError> {
     let start = store.io_stats();
     let b = h.block_elems();
     assert!(
@@ -586,20 +597,20 @@ pub fn quantiles_with<S: BlockStore>(
     );
     let mut budget = CacheBudget::new(cache_elems);
 
-    let (wrk, live) = build_working_copy(store, h, &mut budget);
+    let (wrk, live) = build_working_copy(store, h, &mut budget)?;
     for &rk in ranks {
         assert!(rk < live, "rank {rk} out of range: {live} occupied");
     }
 
     // One oblivious sort; occupied working items now sit at their ranks.
-    sorter.sort_by(store, &wrk, cache_elems, &cell_cmp_none_last);
+    sorter.try_sort_by(store, &wrk, cache_elems, &cell_cmp_none_last)?;
 
     // Stream the sorted copy, latching each requested rank in a register.
     let mut picks: Vec<Cell> = vec![None; ranks.len()];
     hint_prefix(store, &wrk, wrk.n_blocks());
     for beta in 0..wrk.n_blocks() {
-        budget.with(b + 2 * ranks.len(), |_| {
-            let blk = store.load_block(&wrk, beta);
+        budget.with(b + 2 * ranks.len(), |_| -> Result<(), StoreError> {
+            let blk = store.try_load_block(&wrk, beta)?;
             for t in 0..b {
                 let p = beta * b + t;
                 for (slot, &rk) in ranks.iter().enumerate() {
@@ -608,7 +619,8 @@ pub fn quantiles_with<S: BlockStore>(
                     }
                 }
             }
-        });
+            Ok(())
+        })?;
     }
 
     // Recovery pass over the untouched input: resurrect every winner's full
@@ -616,8 +628,8 @@ pub fn quantiles_with<S: BlockStore>(
     let mut out: Vec<Cell> = vec![None; ranks.len()];
     hint_prefix(store, h, h.n_blocks());
     for beta in 0..h.n_blocks() {
-        budget.with(b + 2 * ranks.len(), |_| {
-            let blk = store.load_block(h, beta);
+        budget.with(b + 2 * ranks.len(), |_| -> Result<(), StoreError> {
+            let blk = store.try_load_block(h, beta)?;
             for t in 0..b {
                 let j = beta * b + t;
                 for (slot, pick) in picks.iter().enumerate() {
@@ -626,13 +638,14 @@ pub fn quantiles_with<S: BlockStore>(
                     }
                 }
             }
-        });
+            Ok(())
+        })?;
     }
     let elems = out
         .into_iter()
         .map(|c| c.expect("every requested rank resolves to an occupied cell"))
         .collect();
-    (elems, store.io_stats() - start)
+    Ok((elems, store.io_stats() - start))
 }
 
 /// Advertises a forward sweep over the first `blocks` blocks of `h` to the
@@ -654,7 +667,7 @@ fn build_working_copy<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
     budget: &mut CacheBudget,
-) -> (ArrayHandle, usize) {
+) -> Result<(ArrayHandle, usize), StoreError> {
     let b = h.block_elems();
     let n = h.len();
     let wrk = store.alloc_array(n);
@@ -662,7 +675,7 @@ fn build_working_copy<S: BlockStore>(
     hint_prefix(store, h, h.n_blocks());
     for beta in 0..h.n_blocks() {
         budget.with(2 * b, |_| {
-            let blk = store.load_block(h, beta);
+            let blk = store.try_load_block(h, beta)?;
             let mut out = Block::empty(b);
             for t in 0..b {
                 let j = beta * b + t;
@@ -674,10 +687,10 @@ fn build_working_copy<S: BlockStore>(
                     live += 1;
                 }
             }
-            store.store_block(&wrk, beta, out);
-        });
+            store.try_store_block(&wrk, beta, out)
+        })?;
     }
-    (wrk, live)
+    Ok((wrk, live))
 }
 
 /// Largest power of two `≤ x` (`x ≥ 1`).
@@ -699,15 +712,15 @@ fn scan_splitters<S: BlockStore>(
     budget: &mut CacheBudget,
     q_lo: Option<usize>,
     q_hi: Option<usize>,
-) -> (Cell, Cell) {
+) -> Result<(Cell, Cell), StoreError> {
     let b = samples.block_elems();
     let len = samples.len();
     let mut lo: Cell = None;
     let mut hi: Cell = None;
     hint_prefix(store, samples, samples.n_blocks());
     for beta in 0..samples.n_blocks() {
-        budget.with(b, |_| {
-            let blk = store.load_block(samples, beta);
+        budget.with(b, |_| -> Result<(), StoreError> {
+            let blk = store.try_load_block(samples, beta)?;
             for t in 0..b {
                 let q = beta * b + t;
                 if q >= len {
@@ -720,9 +733,10 @@ fn scan_splitters<S: BlockStore>(
                     hi = blk.get(t);
                 }
             }
-        });
+            Ok(())
+        })?;
     }
-    (lo, hi)
+    Ok((lo, hi))
 }
 
 #[cfg(test)]

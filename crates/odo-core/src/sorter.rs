@@ -20,8 +20,8 @@
 //! default. See the repo-root `DESIGN.md` for when to pick which.
 
 use crate::error::OdoError;
-use extmem::element::Cell;
-use extmem::{ArrayHandle, BlockStore, IoStats, RetryPolicy, RetryStats};
+use extmem::element::{cell_cmp_none_last, cell_cmp_none_last_desc, Cell};
+use extmem::{ArrayHandle, BlockStore, IoStats, RetryPolicy, RetryStats, RetryingStore};
 use obliv_net::bucket_sort::BucketSortConfig;
 use obliv_net::SortOrder;
 use std::cmp::Ordering;
@@ -78,11 +78,11 @@ impl OblivSorter {
     /// engine.
     ///
     /// # Panics
-    /// Panics on the engine's argument requirements (see
-    /// [`obliv_net::external_oblivious_sort`] and
-    /// [`obliv_net::bucket_oblivious_sort`]) and, for the bucket engine, on
-    /// a bucket overflow — retry with a fresh seed via [`Self::try_sort`]
-    /// instead of panicking where that matters.
+    /// Panics where [`Self::try_sort_by`] fails: on the engine's argument
+    /// requirements (see [`obliv_net::external_oblivious_sort`] and
+    /// [`obliv_net::bucket_oblivious_sort`]), on a failed block I/O and, for
+    /// the bucket engine, on a bucket overflow — retry with a fresh seed via
+    /// [`Self::try_sort`] instead of panicking where that matters.
     pub fn sort<S: BlockStore>(
         &self,
         store: &mut S,
@@ -90,22 +90,9 @@ impl OblivSorter {
         cache_elems: usize,
         order: SortOrder,
     ) -> SorterReport {
-        match self {
-            OblivSorter::Bitonic => {
-                let r = obliv_net::external_oblivious_sort(store, h, cache_elems, order);
-                SorterReport {
-                    io: r.io,
-                    engine: SortEngine::Bitonic,
-                }
-            }
-            OblivSorter::Bucket(cfg) => {
-                let r = obliv_net::bucket_oblivious_sort(store, h, cache_elems, order, cfg)
-                    .unwrap_or_else(|e| panic!("{e}"));
-                SorterReport {
-                    io: r.io,
-                    engine: SortEngine::Bucket,
-                }
-            }
+        match order {
+            SortOrder::Ascending => self.sort_by(store, h, cache_elems, &cell_cmp_none_last),
+            SortOrder::Descending => self.sort_by(store, h, cache_elems, &cell_cmp_none_last_desc),
         }
     }
 
@@ -127,23 +114,40 @@ impl OblivSorter {
         S: BlockStore,
         F: Fn(&Cell, &Cell) -> Ordering,
     {
-        match self {
+        self.try_sort_by(store, h, cache_elems, cmp)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::sort_by`] over `store` as given, returning the first error
+    /// instead of panicking: an argument failure as
+    /// [`OdoError::InvalidArgument`], a bucket overflow as
+    /// [`OdoError::BucketOverflow`], a failed block I/O as
+    /// [`OdoError::Store`]. Transient errors are not retried here; the
+    /// passes that embed a sort call this over the [`RetryingStore`] their
+    /// own `try_*` façade built.
+    pub fn try_sort_by<S, F>(
+        &self,
+        store: &mut S,
+        h: &ArrayHandle,
+        cache_elems: usize,
+        cmp: &F,
+    ) -> Result<SorterReport, OdoError>
+    where
+        S: BlockStore,
+        F: Fn(&Cell, &Cell) -> Ordering,
+    {
+        let io = match self {
             OblivSorter::Bitonic => {
-                let r = obliv_net::external_oblivious_sort_by(store, h, cache_elems, cmp);
-                SorterReport {
-                    io: r.io,
-                    engine: SortEngine::Bitonic,
-                }
+                obliv_net::try_external_oblivious_sort_by(store, h, cache_elems, cmp)?.io
             }
             OblivSorter::Bucket(cfg) => {
-                let r = obliv_net::bucket_oblivious_sort_by(store, h, cache_elems, cfg, cmp)
-                    .unwrap_or_else(|e| panic!("{e}"));
-                SorterReport {
-                    io: r.io,
-                    engine: SortEngine::Bucket,
-                }
+                obliv_net::bucket_oblivious_sort_by(store, h, cache_elems, cfg, cmp)?.io
             }
-        }
+        };
+        Ok(SorterReport {
+            io,
+            engine: self.engine(),
+        })
     }
 
     /// Fallible variant of [`Self::sort`] for untrusted/unreliable servers:
@@ -159,43 +163,15 @@ impl OblivSorter {
         order: SortOrder,
         policy: RetryPolicy,
     ) -> Result<(SorterReport, RetryStats), OdoError> {
-        match self {
-            OblivSorter::Bitonic => {
-                check_sort_cache(h, cache_elems)?;
-                let (r, retries) =
-                    obliv_net::try_external_oblivious_sort(store, h, cache_elems, order, policy)
-                        .map_err(OdoError::from)?;
-                Ok((
-                    SorterReport {
-                        io: r.io,
-                        engine: SortEngine::Bitonic,
-                    },
-                    retries,
-                ))
+        let mut rs = RetryingStore::new(store, policy);
+        let report = match order {
+            SortOrder::Ascending => self.try_sort_by(&mut rs, h, cache_elems, &cell_cmp_none_last),
+            SortOrder::Descending => {
+                self.try_sort_by(&mut rs, h, cache_elems, &cell_cmp_none_last_desc)
             }
-            OblivSorter::Bucket(cfg) => {
-                let (r, retries) =
-                    obliv_net::try_bucket_oblivious_sort(store, h, cache_elems, order, cfg, policy)
-                        .map_err(OdoError::from)?;
-                Ok((
-                    SorterReport {
-                        io: r.io,
-                        engine: SortEngine::Bucket,
-                    },
-                    retries,
-                ))
-            }
-        }
+        }?;
+        Ok((report, rs.stats()))
     }
-}
-
-/// The Lemma 2 sort's cache requirement (`M ≥ 2B`) as a typed
-/// [`OdoError::InvalidArgument`]. Checked before the sort runs: inside
-/// the retry bridge the sort's own check is a panic that unwinds through
-/// it.
-pub(crate) fn check_sort_cache(h: &ArrayHandle, cache_elems: usize) -> Result<(), OdoError> {
-    obliv_net::external_sort::check_cache(h.block_elems(), cache_elems)
-        .map_err(|reason| OdoError::InvalidArgument { reason })
 }
 
 #[cfg(test)]
@@ -273,8 +249,8 @@ mod tests {
 
     #[test]
     fn a_cache_below_two_blocks_is_a_typed_error_for_every_engine() {
-        // M = B: the Lemma 2 sort's own check would panic inside the retry
-        // bridge; the bucket engine needs M >= 8B on its external path.
+        // M = B: the Lemma 2 sort needs M >= 2B, the bucket engine M >= 8B
+        // on its external path.
         for sorter in [OblivSorter::Bitonic, OblivSorter::bucket(3)] {
             let mut mem = ExtMem::new(8);
             let h = mem.alloc_array_from_elements(&scrambled(64));

@@ -49,10 +49,10 @@ use std::cmp::Ordering;
 use extmem::element::cell_cmp_none_last;
 use extmem::util::{bucket_of, hash64, splitmix64};
 use extmem::{
-    run_fallible, AccessEvent, AccessTrace, ArrayHandle, Block, BlockStore, Cell, Element,
-    RetryPolicy, RetryStats,
+    AccessEvent, AccessTrace, ArrayHandle, Block, BlockStore, Cell, Element, RetryPolicy,
+    RetryStats, RetryingStore, StoreError,
 };
-use odo_core::compact::compact;
+use odo_core::compact::try_compact;
 use odo_core::obliv_net::hint_block_range;
 use odo_core::{OblivSorter, OdoError};
 
@@ -259,20 +259,29 @@ impl Oram {
     /// Reads address `addr`, returning its current value (0 if never
     /// written). Performs the full oblivious access — one bucket probe per
     /// occupied level — and may trigger an amortized rebuild.
+    ///
+    /// # Panics
+    /// Where [`Self::try_read`] would return an error.
     pub fn read<S: BlockStore>(&mut self, store: &mut S, addr: u64) -> u64 {
         self.access(store, addr, None)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Writes `value` to address `addr`. Same trace shape as [`Self::read`]
     /// — the server cannot distinguish reads from writes.
+    ///
+    /// # Panics
+    /// Where [`Self::try_write`] would return an error.
     pub fn write<S: BlockStore>(&mut self, store: &mut S, addr: u64, value: u64) {
-        self.access(store, addr, Some(value));
+        self.access(store, addr, Some(value))
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Fallible [`Self::read`] for untrusted/unreliable backends: transient
-    /// faults retry per `policy`; tampering and exhausted retries surface
-    /// as a typed [`OdoError`] and poison the client (further `try_*` calls
-    /// return [`OdoError::InvalidState`] — rebuild the ORAM to recover).
+    /// faults retry per `policy`; tampering, exhausted retries and a bucket
+    /// overflow in a rebuild's sort surface as a typed [`OdoError`] and
+    /// poison the client (further calls return [`OdoError::InvalidState`] —
+    /// rebuild the ORAM to recover).
     pub fn try_read<S: BlockStore>(
         &mut self,
         store: &mut S,
@@ -301,6 +310,21 @@ impl Oram {
         write: Option<u64>,
         policy: RetryPolicy,
     ) -> Result<(u64, RetryStats), OdoError> {
+        let mut rs = RetryingStore::new(store, policy);
+        let value = self.access(&mut rs, addr, write)?;
+        Ok((value, rs.stats()))
+    }
+
+    /// One oblivious access: scan the client, probe one bucket per occupied
+    /// level (the requested address until found, a fresh nonce afterwards),
+    /// cache the result, and flush every `period` accesses. An error leaves
+    /// the client poisoned.
+    fn access<S: BlockStore>(
+        &mut self,
+        store: &mut S,
+        addr: u64,
+        write: Option<u64>,
+    ) -> Result<u64, OdoError> {
         if self.poisoned {
             return Err(OdoError::InvalidState {
                 reason: "the ORAM client aborted mid-access and its level \
@@ -312,16 +336,6 @@ impl Oram {
                 reason: "ORAM address out of range",
             });
         }
-        let (value, stats) = run_fallible(store, policy, |s| self.access(s, addr, write))?;
-        Ok((value, stats))
-    }
-
-    /// One oblivious access: scan the client, probe one bucket per occupied
-    /// level (the requested address until found, a fresh nonce afterwards),
-    /// cache the result, and flush every `period` accesses.
-    fn access<S: BlockStore>(&mut self, store: &mut S, addr: u64, write: Option<u64>) -> u64 {
-        assert!(!self.poisoned, "ORAM client is poisoned");
-        assert!(addr < self.n, "ORAM address out of range");
         self.poisoned = true;
 
         let mut found: Option<u64> = None;
@@ -345,7 +359,7 @@ impl Oram {
             }
             let probe = if found.is_none() { addr } else { nonce };
             let bucket = bucket_of(hash64(probe, lvl.salt), lvl.nb);
-            let blk = store.load_block(&lvl.table, bucket);
+            let blk = store.try_load_block(&lvl.table, bucket)?;
             if found.is_none() {
                 for e in blk.slots().iter().flatten() {
                     if e.key == addr {
@@ -365,10 +379,10 @@ impl Oram {
 
         self.accesses += 1;
         if self.accesses.is_multiple_of(self.period) {
-            self.rebuild(store);
+            self.rebuild(store)?;
         }
         self.poisoned = false;
-        result
+        Ok(result)
     }
 
     /// Which level flush number `flush` (1-based) rebuilds into: the
@@ -381,7 +395,7 @@ impl Oram {
     /// every shallower level, as a pure sort+compact pipeline over the
     /// level's scratch region. Every pass reads and writes a fixed,
     /// data-independent block schedule.
-    fn rebuild<S: BlockStore>(&mut self, store: &mut S) {
+    fn rebuild<S: BlockStore>(&mut self, store: &mut S) -> Result<(), OdoError> {
         self.flushes += 1;
         let l = self.levels.len();
         let j = Self::target_level(self.flushes, l);
@@ -414,22 +428,23 @@ impl Oram {
         client.resize(self.client_slots, Some(Element::new(PAD_KEY, 0)));
         self.cache.clear();
         self.stash.clear();
-        store.store_span(&scratch, 0, &client);
+        store.try_store_span(&scratch, 0, &client)?;
 
         let mut off = self.client_slots / b;
         for i in 0..j {
             debug_assert!(self.levels[i].occupied, "binary-counter invariant");
-            off = self.copy_level_into_scratch(store, i, &scratch, off, (i + 2) as u8);
+            off = self.copy_level_into_scratch(store, i, &scratch, off, (i + 2) as u8)?;
             self.levels[i].occupied = false;
         }
         if include_self && self.levels[j].occupied {
-            off = self.copy_level_into_scratch(store, j, &scratch, off, (j + 2) as u8);
+            off = self.copy_level_into_scratch(store, j, &scratch, off, (j + 2) as u8)?;
         }
         let _ = off;
 
         // Pass 2 — sort by packed key: copies of the same address become
         // adjacent, newest (lowest priority) first, dummies last.
-        self.sorter.sort_by(store, &scratch, m, &cell_cmp_none_last);
+        self.sorter
+            .try_sort_by(store, &scratch, m, &cell_cmp_none_last)?;
 
         // Pass 3 — suppress stale duplicates and unpack keys back to bare
         // addresses. Sequential full sweep; every block is written back
@@ -439,7 +454,7 @@ impl Oram {
         let mut last: Option<u64> = None;
         let mut survivors = 0usize;
         for k in 0..nblocks {
-            let mut blk = store.load_block(&scratch, k);
+            let mut blk = store.try_load_block(&scratch, k)?;
             for s in 0..blk.len() {
                 let new = match blk.get(s) {
                     // Pads stay occupied so the occupied count cannot leak
@@ -460,7 +475,7 @@ impl Oram {
                 };
                 blk.set(s, new);
             }
-            store.store_block(&scratch, k, blk);
+            store.try_store_block(&scratch, k, blk)?;
         }
         debug_assert!(survivors + cap <= scratch.len());
 
@@ -472,7 +487,7 @@ impl Oram {
             let cells: Vec<Cell> = (0..b)
                 .map(|_| Some(Element::new(FILLER_BIT | k as u64, 0)))
                 .collect();
-            store.store_block(&scratch, filler_base + k, Block::from_cells(&cells));
+            store.try_store_block(&scratch, filler_base + k, Block::from_cells(&cells))?;
         }
 
         // Pass 5 — sort by destination bucket under a fresh epoch salt;
@@ -495,7 +510,7 @@ impl Oram {
                 (None, None) => Ordering::Equal,
             }
         };
-        self.sorter.sort_by(store, &scratch, m, &cmp);
+        self.sorter.try_sort_by(store, &scratch, m, &cmp)?;
 
         // Pass 6 — keep the first B candidates of every bucket (reals
         // preferentially, since they sort first); overflowing reals go to
@@ -505,7 +520,7 @@ impl Oram {
         let mut cur_bucket = usize::MAX;
         let mut kept = 0usize;
         for k in 0..nblocks {
-            let mut blk = store.load_block(&scratch, k);
+            let mut blk = store.try_load_block(&scratch, k)?;
             for s in 0..blk.len() {
                 if let Some(e) = blk.get(s) {
                     if e.key & PAD_KEY != 0 {
@@ -531,13 +546,15 @@ impl Oram {
                     }
                 }
             }
-            store.store_block(&scratch, k, blk);
+            store.try_store_block(&scratch, k, blk)?;
         }
 
         // Pass 7 — order-preserving compaction. Exactly B kept cells per
         // bucket, in bucket order, so the compacted prefix position of a
         // cell is bucket·B + rank: the prefix IS the new table image.
-        let report = compact(store, &scratch, m);
+        // Retries belong to the store this access was given (`try_access`
+        // wraps it in a `RetryingStore`), so the compaction adds none.
+        let (report, _) = try_compact(store, &scratch, m, RetryPolicy::no_retries())?;
         debug_assert_eq!(
             report.occupied, cap,
             "every bucket must keep exactly B cells"
@@ -548,11 +565,12 @@ impl Oram {
         let table = self.levels[j].table;
         hint_block_range(store, &scratch, 0, nb);
         for k in 0..nb {
-            let blk = store.load_block(&scratch, k);
-            store.store_block(&table, k, blk);
+            let blk = store.try_load_block(&scratch, k)?;
+            store.try_store_block(&table, k, blk)?;
         }
         self.levels[j].salt = salt;
         self.levels[j].occupied = true;
+        Ok(())
     }
 
     /// Streams level `i`'s table into `scratch` starting at block `off`,
@@ -565,12 +583,12 @@ impl Oram {
         scratch: &ArrayHandle,
         off: usize,
         prio: u8,
-    ) -> usize {
+    ) -> Result<usize, StoreError> {
         let table = self.levels[i].table;
         let nb = self.levels[i].nb;
         hint_block_range(store, &table, 0, nb);
         for k in 0..nb {
-            let mut blk = store.load_block(&table, k);
+            let mut blk = store.try_load_block(&table, k)?;
             for s in 0..blk.len() {
                 let new = match blk.get(s) {
                     // A committed table is always full — B reals+fillers
@@ -582,9 +600,9 @@ impl Oram {
                 };
                 blk.set(s, new);
             }
-            store.store_block(scratch, off + k, blk);
+            store.try_store_block(scratch, off + k, blk)?;
         }
-        off + nb
+        Ok(off + nb)
     }
 
     fn next_rand(&mut self) -> u64 {

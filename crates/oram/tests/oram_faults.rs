@@ -14,10 +14,10 @@ use std::collections::HashMap;
 
 use extmem::util::hash64;
 use extmem::{
-    install_quiet_abort_hook, AuthenticatedStore, EncryptedStore, FaultSpec, FaultyStore,
-    FileStore, RetryPolicy,
+    ArrayHandle, AuthenticatedStore, Block, BlockStore, EncryptedStore, ExtMem, FaultSpec,
+    FaultyStore, FileStore, IoStats, RetryPolicy, StoreError,
 };
-use odo_core::OdoError;
+use odo_core::{BucketSortConfig, OblivSorter, OdoError};
 use oram::{Oram, OramConfig};
 
 type Stack = AuthenticatedStore<FaultyStore<EncryptedStore<FileStore>>>;
@@ -45,7 +45,6 @@ enum Outcome {
 /// mixed request load under `spec`, checking every answer against a
 /// client-side mirror.
 fn run_case(seed: u64, spec: FaultSpec) -> (u64, u64, Outcome) {
-    install_quiet_abort_hook();
     let mut auth = stack(seed);
     let mut oram = Oram::new(&mut auth, N, &OramConfig::new(8, 64, seed));
     let mut mirror: HashMap<u64, u64> = HashMap::new();
@@ -207,4 +206,114 @@ fn a_fault_free_run_over_the_stack_matches_the_mirror() {
     assert_eq!(tampering, 0);
     assert_eq!(retries, 0);
     assert_eq!(outcome, Outcome::Correct);
+}
+
+/// A rebuild whose bucket sort overflows returns the typed
+/// `BucketOverflow` and poisons the client. Buckets of capacity 8 at
+/// `B = 8`, `M = 64` overflow within a few hundred accesses.
+#[test]
+fn a_bucket_overflow_in_a_rebuild_is_a_typed_error() {
+    let mut mem = ExtMem::new(8);
+    let sorter = OblivSorter::Bucket(BucketSortConfig::with_bucket_capacity(7, 8));
+    let cfg = OramConfig::new(8, 64, 7).with_sorter(sorter);
+    let mut oram = Oram::new(&mut mem, 1024, &cfg);
+    let policy = RetryPolicy::default();
+    let mut failed = None;
+    for k in 0..2_000u64 {
+        if let Err(e) = oram.try_write(&mut mem, hash64(k, 7) % 1024, k, policy) {
+            failed = Some(e);
+            break;
+        }
+    }
+    let err = failed.expect("a bucket of capacity 8 overflows within 2,000 accesses");
+    assert!(
+        matches!(err, OdoError::BucketOverflow { .. }),
+        "got {err:?}"
+    );
+    let next = oram.try_write(&mut mem, 0, 0, policy).unwrap_err();
+    assert!(
+        matches!(next, OdoError::InvalidState { .. }),
+        "got {next:?}"
+    );
+}
+
+/// A store that fails its `fail_at`-th block I/O (1-based) with
+/// `Corrupted`, and counts every block I/O it is asked for — including any
+/// issued after the failure.
+struct FailAt {
+    mem: ExtMem,
+    ops: usize,
+    fail_at: usize,
+}
+
+impl FailAt {
+    fn tick(&mut self, h: &ArrayHandle, i: usize) -> Result<(), StoreError> {
+        self.ops += 1;
+        if self.ops == self.fail_at {
+            return Err(StoreError::Corrupted {
+                addr: h.global_block(i),
+            });
+        }
+        Ok(())
+    }
+}
+
+impl BlockStore for FailAt {
+    fn block_elems(&self) -> usize {
+        self.mem.block_elems()
+    }
+    fn alloc_array(&mut self, len: usize) -> ArrayHandle {
+        self.mem.alloc_array(len)
+    }
+    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
+        self.try_load_block(h, i).unwrap()
+    }
+    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
+        self.try_store_block(h, i, blk).unwrap()
+    }
+    fn io_stats(&self) -> IoStats {
+        self.mem.stats()
+    }
+    fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
+        self.tick(h, i)?;
+        Ok(self.mem.read_block(h, i))
+    }
+    fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
+        self.tick(h, i)?;
+        self.mem.write_block(h, i, blk);
+        Ok(())
+    }
+}
+
+/// Like every algorithm-level `try_*` entry point (see `odo-core`'s fault
+/// battery), `Oram::try_write` returns the first fatal store error and
+/// issues no block I/O after it — whether the failing op is a probe or part
+/// of a rebuild.
+#[test]
+fn try_write_stops_at_the_first_fatal_error() {
+    const WRITES: u64 = 64;
+    let run = |fail_at: usize| {
+        let mut store = FailAt {
+            mem: ExtMem::new(B),
+            ops: 0,
+            fail_at,
+        };
+        let mut oram = Oram::new(&mut store, N, &OramConfig::new(8, 64, 3));
+        let policy = RetryPolicy::default();
+        let res = (0..WRITES).try_for_each(|k| {
+            oram.try_write(&mut store, hash64(k, 3) % N, k, policy)
+                .map(drop)
+        });
+        (res, store.ops)
+    };
+    let (res, total) = run(usize::MAX);
+    res.expect("fault-free run");
+    for k in (1..total).step_by((total / 64).max(1)).chain([total]) {
+        let (res, ops) = run(k);
+        assert!(
+            matches!(res, Err(OdoError::Store(StoreError::Corrupted { .. }))),
+            "failing op {k} of {total}: got {res:?}"
+        );
+        assert_eq!(ops, k, "block I/O issued after failing op {k}");
+    }
 }

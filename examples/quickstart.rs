@@ -152,8 +152,8 @@ fn main() {
     // Wrap the encrypted store in a deterministic fault injector (standing in
     // for a malicious server) and an authenticated store that MACs every
     // block with its address and a client-tracked version. A corrupting
-    // server now yields a typed error — never silently wrong data.
-    install_quiet_abort_hook(); // tampered runs abort internally via a caught panic
+    // server now yields a typed error — never silently wrong data. The sort
+    // stops at the first failed block and returns that error as a value.
     let tamper_n = n;
     let enc = EncryptedStore::new(b, 0xA11CE);
     let faulty = FaultyStore::new(enc, 42, FaultSpec::none());
