@@ -1,42 +1,44 @@
 //! Authenticated, freshness-checked storage: tampering becomes a typed
 //! error, never wrong data.
 //!
-//! [`AuthenticatedStore`] wraps any [`BlockStore`] and maintains, for every
-//! data array it allocates, a parallel server-side *MAC array* holding one
-//! entry per data block: a keyed hash over the block image ‖ block address ‖
-//! version, paired with that version number. Client-side it keeps the root
-//! of trust the server can never touch: a **version table** with the latest
-//! version of every block, charged against a [`CacheBudget`] together with a
-//! small LRU cache of MAC blocks.
+//! [`AuthenticatedStore`] wraps any [`BlockStore`]. The client keeps the root
+//! of trust, which the server never touches: a **table** with one
+//! `(version, tag)` entry per data block, the latest version written and the
+//! keyed MAC of that write over block image ‖ block address ‖ version. It is
+//! charged against a [`CacheBudget`] at two words per block. Every read is
+//! checked against the table:
 //!
-//! On every read the served block is verified:
+//! * the served block carries the tag of the latest write → it is returned;
+//! * it is an *older* write of the client's (a rollback, a replay, a dropped
+//!   write) → [`StoreError::Stale`];
+//! * anything else (bit flips, fabricated data) → [`StoreError::Corrupted`].
 //!
-//! * MAC mismatch (bit flips, fabricated data, a dropped write that split
-//!   the data from its MAC entry) → [`StoreError::Corrupted`];
-//! * valid MAC but a version **older** than the client's table (a rollback
-//!   or replay of a consistent earlier state) → [`StoreError::Stale`];
-//! * valid MAC at the expected version → the block is returned.
+//! Because the MAC key and the table never leave the client, a server cannot
+//! forge a block that verifies, and cannot replay an old one without the
+//! mismatch showing — *tampering surfaces as `Err(Corrupted | Stale)`,
+//! never as silently wrong data*.
 //!
-//! Because the MAC key and the version table never leave the client, a
-//! server cannot forge a block that verifies, and cannot replay an old one
-//! without the version mismatch showing — *tampering surfaces as
-//! `Err(Corrupted | Stale)`, never as silently wrong data*. The MAC blocks
-//! themselves need no authentication: corrupting them only makes
-//! verification fail.
+//! **The server MAC array is a checkpoint.** Every data array gets a
+//! parallel server-side MAC array, one `(tag, version)` cell per data block.
+//! Honest reads and writes never touch it. [`AuthenticatedStore::flush_macs`]
+//! writes each MAC block whose entries changed since the last flush, built
+//! from the client table. The array is read in one case only, after a block
+//! fails its check: a served block that verifies under the checkpoint's
+//! older `(tag, version)` is classified `Stale`, anything else `Corrupted`.
+//! The checkpoint needs no authentication of its own: a tampered one can
+//! only turn a `Stale` into a `Corrupted`.
 //!
-//! **Obliviousness.** MAC-array traffic is a deterministic function of the
-//! data-block access sequence (one MAC entry per data access, LRU-cached),
-//! so the authenticated trace is again identical for any same-shape input.
-//! One MAC block covers `B` data blocks, which with the LRU cache keeps the
-//! authentication overhead around `1/B` extra I/Os on sequential passes —
-//! the `faults` bench gates it at ≤ 15% at the headline point.
+//! **Obliviousness.** Between flushes the trace below this layer is the data
+//! trace, address for address. A flush writes the dirty MAC blocks in
+//! address order, and that set is a function of the write sequence alone.
+//! The one classification read happens only after the server has already
+//! deviated.
 //!
 //! **The span path.** [`Prefetchable::store_run`] MACs a whole run with the
 //! batched kernel ([`mac_run`]: interleaved absorb chains, bit-identical to
 //! the scalar path per block) before one span write of the data;
-//! [`AuthenticatedReader`] verifies the spans the prefetch adapter steals,
-//! sharing the foreground's version table and MAC cache, so dirty
-//! (unflushed) MAC entries are always visible to it. Steals run on the
+//! [`AuthenticatedReader`] verifies the spans the prefetch adapter steals
+//! against the table it shares with the foreground. Steals run on the
 //! caller's thread between foreground writes, so a span is verified against
 //! the versions its blocks were last written under.
 //!
@@ -55,9 +57,6 @@ use crate::mem::{ArrayHandle, IoStats};
 use crate::prefetch::{PrefetchRead, Prefetchable};
 use crate::store::BlockStore;
 use crate::util::hash64;
-
-/// Default number of MAC blocks the client caches.
-const DEFAULT_MAC_CACHE_BLOCKS: usize = 8;
 
 /// Interleave width of the batched MAC kernel.
 const MAC_LANES: usize = 8;
@@ -115,199 +114,153 @@ fn mac_run(key: u64, inputs: &[(usize, u64, &Block)]) -> Vec<u64> {
     out
 }
 
-/// Result of the metadata-only half of verification: either a final verdict
-/// (no MAC computation needed) or the `(mac, version)` pair to check.
-enum Verdict {
-    Done(Result<(), StoreError>),
-    NeedsMac { mac_s: u64, ver_s: u64 },
+/// What the client holds per data block: the latest version written
+/// (0: never written) and the MAC tag of that write.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Entry {
+    version: u64,
+    tag: u64,
 }
 
-/// The version/occupancy classification that precedes any MAC computation —
-/// shared verbatim by the foreground path and the reader so the two can
-/// never drift.
-fn preclassify(addr: usize, expected: u64, entry: Cell, blk: &Block) -> Verdict {
-    match entry {
-        None => {
-            if expected == 0 {
-                // Never written: only the all-dummy block is authentic.
-                if blk.is_all_dummy() {
-                    Verdict::Done(Ok(()))
-                } else {
-                    Verdict::Done(Err(StoreError::Corrupted { addr }))
-                }
-            } else {
-                // The server "forgot" a block the client wrote.
-                Verdict::Done(Err(StoreError::Stale {
-                    addr,
-                    expected,
-                    got: 0,
-                }))
-            }
-        }
-        Some(e) => {
-            let (mac_s, ver_s) = (e.key, e.payload);
-            if expected == 0 || ver_s > expected {
-                // A MAC entry for writes the client never made.
-                Verdict::Done(Err(StoreError::Corrupted { addr }))
-            } else {
-                Verdict::NeedsMac { mac_s, ver_s }
-            }
-        }
-    }
-}
-
-/// Second half of verification, given the freshly computed MAC.
-fn finish_verify(
-    addr: usize,
-    expected: u64,
-    mac_s: u64,
-    ver_s: u64,
-    computed: u64,
-) -> Result<(), StoreError> {
-    if mac_s != computed {
-        Err(StoreError::Corrupted { addr })
-    } else if ver_s < expected {
-        // Authentic but old: a rollback/replay.
-        Err(StoreError::Stale {
-            addr,
-            expected,
-            got: ver_s,
+impl Entry {
+    /// The entry a server MAC cell records (an empty cell: never flushed).
+    fn from_cell(cell: Cell) -> Self {
+        cell.map_or(Entry::default(), |e| Entry {
+            version: e.payload,
+            tag: e.key,
         })
-    } else {
-        Ok(())
+    }
+
+    /// Whether `blk` is the block this entry describes, given its MAC under
+    /// the entry's version (only computed for a written block).
+    fn matches(self, blk: &Block, mac: impl FnOnce() -> u64) -> bool {
+        if self.version == 0 {
+            blk.is_all_dummy()
+        } else {
+            mac() == self.tag
+        }
     }
 }
 
-/// Full scalar verification of one served block.
-fn verify_block(
-    key: u64,
-    addr: usize,
-    expected: u64,
-    entry: Cell,
-    blk: &Block,
-) -> Result<(), StoreError> {
-    match preclassify(addr, expected, entry, blk) {
-        Verdict::Done(r) => r,
-        Verdict::NeedsMac { mac_s, ver_s } => finish_verify(
+/// Classifies a served block at `addr` that failed its check against the
+/// client entry `want`, given the server checkpoint's cell for it: `Stale`
+/// when the block is an older write of the client's, `Corrupted` otherwise.
+fn classify(key: u64, addr: usize, want: Entry, checkpoint: Cell, blk: &Block) -> StoreError {
+    let old = Entry::from_cell(checkpoint);
+    if old.version < want.version && old.matches(blk, || mac_block(key, addr, old.version, blk)) {
+        StoreError::Stale {
             addr,
-            expected,
-            mac_s,
-            ver_s,
-            mac_block(key, addr, ver_s, blk),
-        ),
+            expected: want.version,
+            got: old.version,
+        }
+    } else {
+        StoreError::Corrupted { addr }
     }
+}
+
+/// A data array's server-side MAC checkpoint: one cell per data block, and
+/// which of its blocks changed since the last flush.
+#[derive(Clone, Debug)]
+struct MacArray {
+    handle: ArrayHandle,
+    dirty: Vec<bool>,
 }
 
 /// The client-side root of trust of an [`AuthenticatedStore`], as an opaque
-/// checkpointable value: the MAC key, the per-block version table, and the
-/// data-array → MAC-array map. Everything else (the MAC arrays themselves)
-/// lives server-side and is *verified against* this state, so persisting it
-/// across a client crash is exactly what makes torn server state detectable
-/// on restart. See [`AuthenticatedStore::client_state`] /
-/// [`AuthenticatedStore::resume`].
+/// checkpointable value: the MAC key, the per-block `(version, tag)` table,
+/// and the data-array → MAC-array map. The MAC arrays themselves live
+/// server-side, so persisting this state across a client crash is exactly
+/// what makes torn server state detectable on restart. See
+/// [`AuthenticatedStore::client_state`] / [`AuthenticatedStore::resume`].
 #[derive(Clone, Debug)]
 pub struct AuthClientState {
     key: u64,
-    versions: Vec<u64>,
-    mac_arrays: HashMap<usize, ArrayHandle>,
+    /// Entry of every data block, by global address.
+    table: Vec<Entry>,
+    /// Data-array start address → its MAC array.
+    mac_arrays: HashMap<usize, MacArray>,
 }
 
-#[derive(Debug)]
-struct MacCacheEntry {
-    mac_h: ArrayHandle,
-    blk_idx: usize,
-    blk: Block,
-    dirty: bool,
-    last_used: u64,
+impl AuthClientState {
+    /// The data array covering global address `addr`, as its start address
+    /// and MAC array — the MAC array has one cell per data block, so its
+    /// element count is the data array's block count.
+    fn owner(&self, addr: usize) -> Option<(usize, &MacArray)> {
+        self.mac_arrays
+            .iter()
+            .find(|(start, m)| addr >= **start && addr < **start + m.handle.len())
+            .map(|(start, m)| (*start, m))
+    }
+
+    /// The entry of `addr` with the start of its array, or `None` for an
+    /// address outside every array this client allocated — such a block can
+    /// never verify.
+    fn expected(&self, addr: usize) -> Option<(usize, Entry)> {
+        let (start, _) = self.owner(addr)?;
+        Some((start, self.table[addr]))
+    }
+
+    /// Records a write of block `addr` of the array starting at `start`.
+    fn commit(&mut self, start: usize, addr: usize, entry: Entry) {
+        self.table[addr] = entry;
+        let mac = self
+            .mac_arrays
+            .get_mut(&start)
+            .expect("array was not allocated through this AuthenticatedStore");
+        let b = mac.handle.block_elems();
+        mac.dirty[(addr - start) / b] = true;
+    }
 }
 
 /// The verification state shared between the foreground store and its
-/// readers: version table, MAC-array map, and the MAC cache.
-/// The cache *must* live here — a dirty (unflushed) MAC entry is the only
-/// authentic one, and a reader verifying against the stale server copy
-/// would reject honest data.
+/// readers: the client table and the count of MAC-array I/Os.
 #[derive(Debug)]
 struct AuthShared {
-    /// Latest version of every data block, by global address — the client's
-    /// root of trust. Version 0 means "never written".
-    versions: Vec<u64>,
-    /// Data-array start address → its MAC array.
-    mac_arrays: HashMap<usize, ArrayHandle>,
-    cache: Vec<MacCacheEntry>,
-    tick: u64,
-}
-
-impl AuthShared {
-    /// The data array covering global address `addr`, as
-    /// `(start address, MAC array)` — the MAC array has one entry per data
-    /// block, so its element count is exactly the data array's block count.
-    fn owning_array(&self, addr: usize) -> Option<(usize, ArrayHandle)> {
-        self.mac_arrays
-            .iter()
-            .find(|(start, mh)| addr >= **start && addr < **start + mh.len())
-            .map(|(start, mh)| (*start, *mh))
-    }
-
-    /// The cached MAC entry for slot `slot` of MAC block `blk_idx` of `mh`,
-    /// if that MAC block is cached (read-only: does not touch LRU state).
-    fn cached_mac_entry(&self, mh: &ArrayHandle, blk_idx: usize, slot: usize) -> Option<Cell> {
-        let id = mh.global_block(0);
-        self.cache
-            .iter()
-            .find(|e| e.mac_h.global_block(0) == id && e.blk_idx == blk_idx)
-            .map(|e| e.blk.get(slot))
-    }
+    client: AuthClientState,
+    mac_io: IoStats,
 }
 
 /// Locks the shared verification state, recovering from poison: every
-/// mutation under the lock leaves the state internally consistent (entries
-/// are pushed/removed whole), so a panicked holder cannot strand it.
+/// mutation under the lock leaves the state internally consistent, so a
+/// panicked holder cannot strand it.
 fn lock_shared(s: &Mutex<AuthShared>) -> MutexGuard<'_, AuthShared> {
     s.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Per-block MAC + client-side version table over any [`BlockStore`]. See
-/// the module docs for the threat model and detection guarantees.
+/// Per-block MAC + client-side `(version, tag)` table over any
+/// [`BlockStore`]. See the module docs for the threat model and detection
+/// guarantees.
 ///
 /// Client-side state is charged to a [`CacheBudget`] **in 64-bit words**:
-/// one word per data block for the version table, `2B` words per cached MAC
-/// block.
+/// two words per data block.
 #[derive(Debug)]
 pub struct AuthenticatedStore<S: BlockStore> {
     inner: S,
     key: u64,
     shared: Arc<Mutex<AuthShared>>,
-    cache_cap: usize,
     budget: CacheBudget,
-    mac_io: IoStats,
 }
 
 impl<S: BlockStore> AuthenticatedStore<S> {
-    /// Wraps `inner` with MAC key `key`, an effectively unbounded budget and
-    /// the default MAC-cache size.
+    /// Wraps `inner` with MAC key `key` and an effectively unbounded budget.
     pub fn new(inner: S, key: u64) -> Self {
-        Self::with_budget(inner, key, DEFAULT_MAC_CACHE_BLOCKS, usize::MAX >> 1)
+        Self::with_budget(inner, key, usize::MAX >> 1)
     }
 
-    /// Wraps `inner` with an explicit MAC-cache size (in blocks) and a
-    /// client-memory budget (in 64-bit words).
-    pub fn with_budget(inner: S, key: u64, mac_cache_blocks: usize, budget_words: usize) -> Self {
-        assert!(
-            mac_cache_blocks >= 1,
-            "the MAC cache needs at least 1 block"
-        );
+    /// Wraps `inner` with a client-memory budget (in 64-bit words).
+    pub fn with_budget(inner: S, key: u64, budget_words: usize) -> Self {
         AuthenticatedStore {
             inner,
             key,
             shared: Arc::new(Mutex::new(AuthShared {
-                versions: Vec::new(),
-                mac_arrays: HashMap::new(),
-                cache: Vec::new(),
-                tick: 0,
+                client: AuthClientState {
+                    key,
+                    table: Vec::new(),
+                    mac_arrays: HashMap::new(),
+                },
+                mac_io: IoStats::default(),
             })),
-            cache_cap: mac_cache_blocks,
             budget: CacheBudget::new(budget_words),
-            mac_io: IoStats::default(),
         }
     }
 
@@ -316,28 +269,23 @@ impl<S: BlockStore> AuthenticatedStore<S> {
         &self.inner
     }
 
-    /// Unwraps the store, discarding the client state (and any dirty MAC
-    /// cache — call [`AuthenticatedStore::flush_macs`] first if the server
-    /// copy must be complete).
+    /// Unwraps the store, discarding the client state (call
+    /// [`AuthenticatedStore::flush_macs`] first if the server checkpoint
+    /// must be current).
     pub fn into_inner(self) -> S {
         self.inner
     }
 
-    /// Snapshots the client-side root of trust — MAC key, version table and
-    /// the data-array → MAC-array map — as an opaque, durable value. This is
-    /// the state a real client would checkpoint to its own trusted storage:
-    /// with it, a crashed-and-restarted client can [`AuthenticatedStore::resume`]
-    /// over a reopened server file and still detect every torn, rolled-back
-    /// or corrupted block. Flush the MAC cache first
-    /// ([`AuthenticatedStore::flush_macs`]) so the snapshot's server-side
-    /// counterpart is complete.
+    /// Snapshots the client-side root of trust — MAC key, `(version, tag)`
+    /// table and the data-array → MAC-array map — as an opaque, durable
+    /// value. This is the state a real client would checkpoint to its own
+    /// trusted storage: with it, a crashed-and-restarted client can
+    /// [`AuthenticatedStore::resume`] over a reopened server file and still
+    /// detect every torn, rolled-back or corrupted block. Flush first
+    /// ([`AuthenticatedStore::flush_macs`]) so the server checkpoint can
+    /// still tell a rollback from corruption.
     pub fn client_state(&self) -> AuthClientState {
-        let sh = lock_shared(&self.shared);
-        AuthClientState {
-            key: self.key,
-            versions: sh.versions.clone(),
-            mac_arrays: sh.mac_arrays.clone(),
-        }
+        lock_shared(&self.shared).client.clone()
     }
 
     /// Reconstructs an authenticated view over a reopened server store from
@@ -346,14 +294,11 @@ impl<S: BlockStore> AuthenticatedStore<S> {
     /// blocks the same way across backends and restarts.
     pub fn resume(inner: S, state: AuthClientState) -> Self {
         let mut auth = Self::new(inner, state.key);
-        // Re-charge the version table against the fresh budget, exactly as
-        // the original alloc_array calls did.
-        auth.budget.acquire(state.versions.len());
-        {
-            let mut sh = lock_shared(&auth.shared);
-            sh.versions = state.versions;
-            sh.mac_arrays = state.mac_arrays;
-        }
+        // Re-charge the table against the fresh budget, exactly as the
+        // original alloc_array calls did.
+        let blocks: usize = state.mac_arrays.values().map(|m| m.handle.len()).sum();
+        auth.budget.acquire(2 * blocks);
+        lock_shared(&auth.shared).client = state;
         auth
     }
 
@@ -363,123 +308,61 @@ impl<S: BlockStore> AuthenticatedStore<S> {
         &mut self.inner
     }
 
-    /// The budget charging the version table and MAC cache (words).
+    /// The budget charging the client table (words).
     pub fn budget(&self) -> &CacheBudget {
         &self.budget
     }
 
-    /// I/Os spent on MAC-array traffic (a subset of the inner store's
-    /// totals) — the authentication overhead. Store traffic only: MAC
-    /// blocks an [`AuthenticatedReader`] fetches to verify a stolen span are
-    /// not counted here (they surface in the inner store's physical counters
-    /// instead).
+    /// I/Os spent on the MAC arrays (a subset of the inner store's totals):
+    /// checkpoint writes by [`AuthenticatedStore::flush_macs`] and the
+    /// classification reads that follow a failed check, on the foreground
+    /// and through an [`AuthenticatedReader`] alike. Zero between flushes
+    /// against an honest server.
     pub fn mac_io(&self) -> IoStats {
-        self.mac_io
+        lock_shared(&self.shared).mac_io
     }
 
-    /// Writes back every dirty MAC block and drops the MAC cache, releasing
-    /// its budget. Afterwards the server holds the complete MAC state.
+    /// Writes every MAC block whose entries changed since the last flush, in
+    /// address order, each built from the client table (the flush reads
+    /// nothing). Afterwards the server checkpoint matches the table. A
+    /// failed write leaves its block and the ones after it dirty, so a
+    /// retry finishes the flush.
     pub fn flush_macs(&mut self) -> Result<(), StoreError> {
-        let mut sh = lock_shared(&self.shared);
-        for idx in 0..sh.cache.len() {
-            if sh.cache[idx].dirty {
-                let (mh, bi, blk) = {
-                    let e = &sh.cache[idx];
-                    (e.mac_h, e.blk_idx, e.blk.clone())
-                };
-                self.inner.try_store_block(&mh, bi, blk)?;
-                self.mac_io.writes += 1;
-                sh.cache[idx].dirty = false;
+        let b = self.inner.block_elems();
+        let mut guard = lock_shared(&self.shared);
+        let sh = &mut *guard;
+        let mut starts: Vec<usize> = sh.client.mac_arrays.keys().copied().collect();
+        starts.sort_by_key(|s| sh.client.mac_arrays[s].handle.global_block(0));
+        for start in starts {
+            let mac = sh.client.mac_arrays.get_mut(&start).expect("listed above");
+            for bi in 0..mac.dirty.len() {
+                if !mac.dirty[bi] {
+                    continue;
+                }
+                let mut blk = Block::empty(b);
+                for s in 0..b.min(mac.handle.len() - bi * b) {
+                    let e = sh.client.table[start + bi * b + s];
+                    if e.version > 0 {
+                        blk.set(s, Some(Element::new(e.tag, e.version)));
+                    }
+                }
+                self.inner.try_store_block(&mac.handle, bi, blk)?;
+                sh.mac_io.writes += 1;
+                mac.dirty[bi] = false;
             }
         }
-        let b = self.inner.block_elems();
-        self.budget.release(2 * b * sh.cache.len());
-        sh.cache.clear();
         Ok(())
     }
 
-    fn mac_handle(&self, h: &ArrayHandle) -> ArrayHandle {
-        *lock_shared(&self.shared)
+    /// The MAC array of data array `h` and the client entry of its block `i`.
+    fn lookup(&self, h: &ArrayHandle, i: usize) -> (ArrayHandle, Entry) {
+        let sh = lock_shared(&self.shared);
+        let mac = sh
+            .client
             .mac_arrays
             .get(&h.global_block(0))
-            .expect("array was not allocated through this AuthenticatedStore")
-    }
-
-    /// Runs `f` on the cache entry holding MAC block `blk_idx` of `mh`,
-    /// loading (and evicting LRU, write-back) as needed — all under one
-    /// acquisition of the shared lock. On `Err` the cache is unchanged or
-    /// only cleaned — safe to retry.
-    fn with_cache_entry<T>(
-        &mut self,
-        mh: &ArrayHandle,
-        blk_idx: usize,
-        f: impl FnOnce(&mut MacCacheEntry) -> T,
-    ) -> Result<T, StoreError> {
-        let mut sh = lock_shared(&self.shared);
-        sh.tick += 1;
-        let tick = sh.tick;
-        let id = mh.global_block(0);
-        if let Some(pos) = sh
-            .cache
-            .iter()
-            .position(|e| e.mac_h.global_block(0) == id && e.blk_idx == blk_idx)
-        {
-            sh.cache[pos].last_used = tick;
-            return Ok(f(&mut sh.cache[pos]));
-        }
-        let b = self.inner.block_elems();
-        if sh.cache.len() >= self.cache_cap {
-            let victim = sh
-                .cache
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-                .expect("cache is non-empty");
-            if sh.cache[victim].dirty {
-                let (mh_v, bi_v, blk_v) = {
-                    let e = &sh.cache[victim];
-                    (e.mac_h, e.blk_idx, e.blk.clone())
-                };
-                // Flush before removing: if this write fails transiently the
-                // entry stays cached and dirty, and the retry redoes it.
-                self.inner.try_store_block(&mh_v, bi_v, blk_v)?;
-                self.mac_io.writes += 1;
-                sh.cache[victim].dirty = false;
-            }
-            sh.cache.remove(victim);
-            self.budget.release(2 * b);
-        }
-        let blk = self.inner.try_load_block(mh, blk_idx)?;
-        self.mac_io.reads += 1;
-        self.budget.try_acquire(2 * b)?;
-        sh.cache.push(MacCacheEntry {
-            mac_h: *mh,
-            blk_idx,
-            blk,
-            dirty: false,
-            last_used: tick,
-        });
-        let last = sh.cache.len() - 1;
-        Ok(f(&mut sh.cache[last]))
-    }
-
-    fn mac_entry(&mut self, mh: &ArrayHandle, data_blk: usize) -> Result<Cell, StoreError> {
-        let b = self.inner.block_elems();
-        self.with_cache_entry(mh, data_blk / b, |e| e.blk.get(data_blk % b))
-    }
-
-    fn set_mac_entry(
-        &mut self,
-        mh: &ArrayHandle,
-        data_blk: usize,
-        cell: Cell,
-    ) -> Result<(), StoreError> {
-        let b = self.inner.block_elems();
-        self.with_cache_entry(mh, data_blk / b, |e| {
-            e.blk.set(data_blk % b, cell);
-            e.dirty = true;
-        })
+            .expect("array was not allocated through this AuthenticatedStore");
+        (mac.handle, sh.client.table[h.global_block(i)])
     }
 }
 
@@ -490,15 +373,18 @@ impl<S: BlockStore> BlockStore for AuthenticatedStore<S> {
 
     fn alloc_array(&mut self, len_elements: usize) -> ArrayHandle {
         let h = self.inner.alloc_array(len_elements);
-        let mh = self.inner.alloc_array(h.n_blocks());
-        let mut sh = lock_shared(&self.shared);
+        let handle = self.inner.alloc_array(h.n_blocks());
+        let client = &mut lock_shared(&self.shared).client;
         let top = h.global_block(h.n_blocks() - 1) + 1;
-        if top > sh.versions.len() {
-            sh.versions.resize(top, 0);
+        if top > client.table.len() {
+            client.table.resize(top, Entry::default());
         }
-        // One version word per data block, client-side forever.
-        self.budget.acquire(h.n_blocks());
-        sh.mac_arrays.insert(h.global_block(0), mh);
+        // One (version, tag) entry per data block, client-side forever.
+        self.budget.acquire(2 * h.n_blocks());
+        let dirty = vec![false; handle.n_blocks()];
+        client
+            .mac_arrays
+            .insert(h.global_block(0), MacArray { handle, dirty });
         h
     }
 
@@ -525,134 +411,113 @@ impl<S: BlockStore> BlockStore for AuthenticatedStore<S> {
     }
 
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
-        let mh = self.mac_handle(h);
+        let (mh, want) = self.lookup(h, i);
         let addr = h.global_block(i);
         let blk = self.inner.try_load_block(h, i)?;
-        let entry = self.mac_entry(&mh, i)?;
-        let expected = lock_shared(&self.shared).versions[addr];
-        verify_block(self.key, addr, expected, entry, &blk)?;
-        Ok(blk)
+        if want.matches(&blk, || mac_block(self.key, addr, want.version, &blk)) {
+            return Ok(blk);
+        }
+        let b = self.inner.block_elems();
+        let checkpoint = self.inner.try_load_block(&mh, i / b)?.get(i % b);
+        lock_shared(&self.shared).mac_io.reads += 1;
+        Err(classify(self.key, addr, want, checkpoint, &blk))
     }
 
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
-        let mh = self.mac_handle(h);
         let addr = h.global_block(i);
-        // The version is bumped only after both the data write and the MAC
-        // entry update succeed, so a transiently failed attempt can be
-        // retried verbatim.
-        let ver = lock_shared(&self.shared).versions[addr] + 1;
-        let mac = mac_block(self.key, addr, ver, &blk);
+        // The entry is committed only after the data write succeeds, so a
+        // transiently failed attempt can be retried verbatim.
+        let version = self.lookup(h, i).1.version + 1;
+        let tag = mac_block(self.key, addr, version, &blk);
         self.inner.try_store_block(h, i, blk)?;
-        self.set_mac_entry(&mh, i, Some(Element::new(mac, ver)))?;
-        lock_shared(&self.shared).versions[addr] = ver;
+        lock_shared(&self.shared)
+            .client
+            .commit(h.global_block(0), addr, Entry { version, tag });
         Ok(())
     }
 }
 
 /// Reader over an authenticated store: fetches data through the wrapped
-/// store's reader and verifies it against the foreground's version table and
-/// MAC cache, which it shares. MAC blocks not in the shared cache are fetched
-/// through the reader's own inner reader and *not* inserted into the cache
-/// (readers hold no budget).
+/// store's reader and verifies it against the client table it shares with
+/// the foreground. Only a block that fails its check costs a MAC-array read
+/// (through the reader's own inner reader), to classify the failure.
 #[derive(Debug)]
 pub struct AuthenticatedReader<R: PrefetchRead> {
     inner: R,
     key: u64,
-    block_elems: usize,
     shared: Arc<Mutex<AuthShared>>,
+}
+
+impl<R: PrefetchRead> AuthenticatedReader<R> {
+    /// The error for a fetched block at `addr` that failed its check; reads
+    /// the block's checkpoint cell to classify it.
+    fn reject(&mut self, addr: usize, want: Option<(usize, Entry)>, blk: &Block) -> StoreError {
+        let Some((start, want)) = want else {
+            return StoreError::Corrupted { addr };
+        };
+        let (mac_addr, slot) = {
+            let sh = lock_shared(&self.shared);
+            let mac = &sh.client.mac_arrays[&start].handle;
+            let b = mac.block_elems();
+            (mac.global_block((addr - start) / b), (addr - start) % b)
+        };
+        let checkpoint = match self.inner.fetch(mac_addr) {
+            Ok(mac_blk) => mac_blk.get(slot),
+            Err(e) => return e,
+        };
+        lock_shared(&self.shared).mac_io.reads += 1;
+        classify(self.key, addr, want, checkpoint, blk)
+    }
 }
 
 impl<R: PrefetchRead> PrefetchRead for AuthenticatedReader<R> {
     fn fetch(&mut self, addr: usize) -> Result<Block, StoreError> {
         let blk = self.inner.fetch(addr)?;
-        let b = self.block_elems;
-        let (expected, entry) = {
-            let sh = lock_shared(&self.shared);
-            let Some((astart, mh)) = sh.owning_array(addr) else {
-                // An address outside every array this client allocated can
-                // never verify; a reader must not panic, so classify it the
-                // way any unverifiable block is classified.
-                return Err(StoreError::Corrupted { addr });
-            };
-            let i = addr - astart;
-            let expected = sh.versions.get(addr).copied().unwrap_or(0);
-            let entry = match sh.cached_mac_entry(&mh, i / b, i % b) {
-                Some(cell) => cell,
-                None => self.inner.fetch(mh.global_block(i / b))?.get(i % b),
-            };
-            (expected, entry)
-        };
-        verify_block(self.key, addr, expected, entry, &blk)?;
-        Ok(blk)
+        let want = lock_shared(&self.shared).client.expected(addr);
+        match want {
+            Some((_, e)) if e.matches(&blk, || mac_block(self.key, addr, e.version, &blk)) => {
+                Ok(blk)
+            }
+            _ => Err(self.reject(addr, want, &blk)),
+        }
     }
 
     fn fetch_run(&mut self, start: usize, count: usize) -> Vec<Result<Block, StoreError>> {
         let mut out = self.inner.fetch_run(start, count);
-        let b = self.block_elems;
-        // Phase 1: gather (expected version, MAC entry) per fetched block
-        // under one lock acquisition, memoizing MAC-block fetches so a run
-        // costs one MAC read per covered MAC block, not per data block.
-        let mut meta: Vec<Option<Result<(u64, Cell), StoreError>>> = Vec::with_capacity(count);
-        {
+        let wants: Vec<Option<(usize, Entry)>> = {
             let sh = lock_shared(&self.shared);
-            let mut fetched_macs: Vec<(usize, Result<Block, StoreError>)> = Vec::new();
-            for (k, res) in out.iter().enumerate() {
-                if res.is_err() {
-                    meta.push(None);
-                    continue;
-                }
-                let addr = start + k;
-                let Some((astart, mh)) = sh.owning_array(addr) else {
-                    meta.push(Some(Err(StoreError::Corrupted { addr })));
-                    continue;
-                };
-                let i = addr - astart;
-                let expected = sh.versions.get(addr).copied().unwrap_or(0);
-                let entry = match sh.cached_mac_entry(&mh, i / b, i % b) {
-                    Some(cell) => Ok(cell),
-                    None => {
-                        let mac_addr = mh.global_block(i / b);
-                        let blk_res = match fetched_macs.iter().find(|(a, _)| *a == mac_addr) {
-                            Some((_, r)) => r.clone(),
-                            None => {
-                                let r = self.inner.fetch(mac_addr);
-                                fetched_macs.push((mac_addr, r.clone()));
-                                r
-                            }
-                        };
-                        blk_res.map(|mb| mb.get(i % b))
-                    }
-                };
-                meta.push(Some(entry.map(|cell| (expected, cell))));
-            }
-        }
-        // Phase 2: metadata-only classification, then one batched MAC pass
-        // over everything that still needs its MAC checked.
-        let mut need: Vec<(usize, u64, u64, u64)> = Vec::new(); // (k, expected, mac_s, ver_s)
-        for (k, m) in meta.into_iter().enumerate() {
-            let addr = start + k;
-            let Ok(blk) = &out[k] else { continue };
-            match m.expect("meta recorded for every successfully fetched block") {
-                Err(e) => out[k] = Err(e),
-                Ok((expected, entry)) => match preclassify(addr, expected, entry, blk) {
-                    Verdict::Done(Ok(())) => {}
-                    Verdict::Done(Err(e)) => out[k] = Err(e),
-                    Verdict::NeedsMac { mac_s, ver_s } => need.push((k, expected, mac_s, ver_s)),
-                },
-            }
-        }
-        let macs = {
-            let inputs: Vec<(usize, u64, &Block)> = need
-                .iter()
-                .map(|(k, _, _, ver_s)| {
-                    (start + k, *ver_s, out[*k].as_ref().expect("fetched above"))
-                })
-                .collect();
-            mac_run(self.key, &inputs)
+            (start..start + count)
+                .map(|a| sh.client.expected(a))
+                .collect()
         };
-        for ((k, expected, mac_s, ver_s), mac) in need.into_iter().zip(macs) {
-            if let Err(e) = finish_verify(start + k, expected, mac_s, ver_s, mac) {
-                out[k] = Err(e);
+        // One batched MAC pass over every fetched block that was written.
+        let verified: Vec<bool> = {
+            let mut inputs: Vec<(usize, u64, &Block)> = Vec::new();
+            for (k, (res, want)) in out.iter().zip(&wants).enumerate() {
+                if let (Ok(blk), Some((_, e))) = (res, want) {
+                    if e.version > 0 {
+                        inputs.push((start + k, e.version, blk));
+                    }
+                }
+            }
+            let mut macs = mac_run(self.key, &inputs).into_iter();
+            out.iter()
+                .zip(&wants)
+                .map(|(res, want)| match (res, want) {
+                    (Ok(blk), Some((_, e))) => {
+                        e.matches(blk, || macs.next().expect("one MAC per written block"))
+                    }
+                    _ => false,
+                })
+                .collect()
+        };
+        for k in 0..count {
+            if verified[k] {
+                continue;
+            }
+            if let Ok(blk) = &out[k] {
+                let err = self.reject(start + k, wants[k], blk);
+                out[k] = Err(err);
             }
         }
         out
@@ -666,7 +531,6 @@ impl<S: BlockStore + Prefetchable> Prefetchable for AuthenticatedStore<S> {
         AuthenticatedReader {
             inner: self.inner.reader(),
             key: self.key,
-            block_elems: self.inner.block_elems(),
             shared: Arc::clone(&self.shared),
         }
     }
@@ -676,42 +540,41 @@ impl<S: BlockStore + Prefetchable> Prefetchable for AuthenticatedStore<S> {
     }
 
     /// MACs the whole run with the batched kernel, hands the data to the
-    /// wrapped store as one span write, then commits MAC entries and
-    /// versions block by block (same commit discipline as the single-block
-    /// path: version bumped only after its MAC entry landed). A failure
-    /// mid-commit leaves a prefix committed — detectable on the next read
-    /// exactly like a torn block-at-a-time write sequence.
+    /// wrapped store as one span write, then commits the entries (same
+    /// discipline as the single-block path: an entry changes only after its
+    /// data landed).
     fn store_run(&mut self, start: usize, blks: Vec<Block>) -> Result<(), StoreError> {
         let n = blks.len();
         if n == 0 {
             return Ok(());
         }
-        let (astart, mh, vers, macs) = {
+        let (astart, entries) = {
             let sh = lock_shared(&self.shared);
-            let (astart, mh) = sh
-                .owning_array(start)
+            let (astart, mac) = sh
+                .client
+                .owner(start)
                 .expect("array was not allocated through this AuthenticatedStore");
             debug_assert!(
-                start + n <= astart + mh.len(),
+                start + n <= astart + mac.handle.len(),
                 "store_run must stay within one array"
             );
-            let vers: Vec<u64> = (0..n).map(|k| sh.versions[start + k] + 1).collect();
             let inputs: Vec<(usize, u64, &Block)> = blks
                 .iter()
                 .enumerate()
-                .map(|(k, blk)| (start + k, vers[k], blk))
+                .map(|(k, blk)| (start + k, sh.client.table[start + k].version + 1, blk))
                 .collect();
             let macs = mac_run(self.key, &inputs);
-            (astart, mh, vers, macs)
+            let entries: Vec<Entry> = inputs
+                .iter()
+                .zip(macs)
+                .map(|(&(_, version, _), tag)| Entry { version, tag })
+                .collect();
+            (astart, entries)
         };
         self.inner.store_run(start, blks)?;
-        for k in 0..n {
-            self.set_mac_entry(
-                &mh,
-                start - astart + k,
-                Some(Element::new(macs[k], vers[k])),
-            )?;
-            lock_shared(&self.shared).versions[start + k] = vers[k];
+        let client = &mut lock_shared(&self.shared).client;
+        for (k, entry) in entries.into_iter().enumerate() {
+            client.commit(astart, start + k, entry);
         }
         Ok(())
     }
@@ -743,7 +606,7 @@ mod tests {
         let h = BlockStore::alloc_array(&mut auth, 16);
         auth.try_store_span(&h, 0, &elems(16)).unwrap();
         assert_eq!(auth.try_load_span(&h, 0, 16).unwrap(), elems(16));
-        // Survives a cache drop: MAC state persists server-side.
+        // A checkpoint flush changes nothing the client reads.
         auth.flush_macs().unwrap();
         assert_eq!(auth.try_load_span(&h, 0, 16).unwrap(), elems(16));
     }
@@ -805,7 +668,7 @@ mod tests {
         let mut auth = auth_over_faulty(4);
         let h = BlockStore::alloc_array(&mut auth, 4);
         // Every write dropped: the data write is lost, and so is the MAC
-        // flush — the server has nothing the client's version table expects.
+        // flush — the server has nothing the client's table expects.
         auth.inner_mut().set_spec(FaultSpec {
             drop_write_ppm: FULL,
             ..FaultSpec::none()
@@ -826,8 +689,8 @@ mod tests {
         let h = BlockStore::alloc_array(&mut auth, 4);
         auth.try_store_span(&h, 0, &elems(4)).unwrap();
         auth.flush_macs().unwrap();
-        // Corrupt every read — including the MAC-block read itself. Whatever
-        // the adversary hits first, verification must fail, not mis-serve.
+        // Corrupt every read — including the classifying MAC-block read.
+        // Whatever the adversary hits, verification must fail, not mis-serve.
         auth.inner_mut().set_spec(FaultSpec {
             corrupt_read_ppm: FULL,
             ..FaultSpec::none()
@@ -854,48 +717,57 @@ mod tests {
     }
 
     #[test]
-    fn budget_charges_versions_and_mac_cache_and_reports_high_water() {
+    fn budget_charges_two_words_per_block_and_nothing_per_io() {
         let enc = EncryptedStore::new(4, 1);
-        // 2 MAC cache blocks => 2 * 2*4 = 16 words, plus version words.
-        let mut auth = AuthenticatedStore::with_budget(enc, 2, 2, 64);
+        let mut auth = AuthenticatedStore::with_budget(enc, 2, 16);
         let h = BlockStore::alloc_array(&mut auth, 32); // 8 data blocks
-        assert_eq!(auth.budget().in_use(), 8, "one word per data block");
+        assert_eq!(
+            auth.budget().in_use(),
+            16,
+            "a (version, tag) pair per block"
+        );
         auth.try_store_span(&h, 0, &elems(32)).unwrap();
-        assert!(auth.budget().high_water() <= 8 + 16);
-        assert!(auth.budget().high_water() > 8, "the MAC cache was used");
-    }
-
-    #[test]
-    fn budget_exhaustion_is_a_typed_error_on_the_fallible_path() {
-        let enc = EncryptedStore::new(4, 1);
-        // Versions for 8 blocks fit (8 words), but a single MAC cache block
-        // needs 8 more words than the 10-word budget allows.
-        let mut auth = AuthenticatedStore::with_budget(enc, 2, 2, 10);
-        let h = BlockStore::alloc_array(&mut auth, 32);
-        let err = auth.try_load_block(&h, 0).unwrap_err();
-        assert!(
-            matches!(err, StoreError::BudgetExceeded { .. }),
-            "got {err:?}"
+        auth.flush_macs().unwrap();
+        assert_eq!(auth.try_load_span(&h, 0, 32).unwrap(), elems(32));
+        assert_eq!(
+            auth.budget().high_water(),
+            16,
+            "reads, writes and flushes hold no cache"
+        );
+        let resumed = AuthenticatedStore::resume(EncryptedStore::new(4, 1), auth.client_state());
+        assert_eq!(
+            resumed.budget().in_use(),
+            16,
+            "resume charges the same table"
         );
     }
 
     #[test]
+    #[should_panic(expected = "private cache budget exceeded")]
+    fn a_table_past_the_budget_is_refused_at_allocation() {
+        let enc = EncryptedStore::new(4, 1);
+        // 8 data blocks need 16 words of table.
+        let mut auth = AuthenticatedStore::with_budget(enc, 2, 15);
+        let _ = BlockStore::alloc_array(&mut auth, 32);
+    }
+
+    #[test]
     fn mac_overhead_is_small_on_sequential_passes() {
-        // One MAC block covers B data blocks, so a sequential sweep pays
-        // ~1/B extra I/Os for authentication.
+        // Reads and writes check against the client table: the MAC array
+        // costs nothing until a flush, which writes one block per B.
         let mut auth = auth_over_faulty(8);
         let h = BlockStore::alloc_array(&mut auth, 1024); // 128 data blocks
         let cells = elems(1024);
         auth.try_store_span(&h, 0, &cells).unwrap();
-        auth.flush_macs().unwrap();
-        let before = auth.io_stats();
         let _ = auth.try_load_span(&h, 0, 1024).unwrap();
-        let delta = auth.io_stats() - before;
-        // 128 data reads + at most ceil(128/8)=16 MAC block reads.
-        assert!(
-            delta.total() <= 128 + 16,
-            "authenticated sweep cost {} I/Os",
-            delta.total()
+        assert_eq!(auth.io_stats().total(), 256, "no MAC I/O between flushes");
+        auth.flush_macs().unwrap();
+        assert_eq!(auth.mac_io().writes, 16, "one write per dirty MAC block");
+        auth.flush_macs().unwrap();
+        assert_eq!(
+            auth.mac_io().total(),
+            16,
+            "a clean checkpoint writes nothing"
         );
     }
 
@@ -981,11 +853,9 @@ mod tests {
         let blks: Vec<Block> = cells.chunks(b).map(Block::from_cells).collect();
         run.store_run(h2.global_block(0), blks).unwrap();
 
-        // Same version table, same verified contents.
+        // Same client table, same verified contents.
         assert_eq!(run.try_load_span(&h2, 0, 64).unwrap(), cells);
-        let s1 = one.client_state();
-        let s2 = run.client_state();
-        assert_eq!(s1.versions, s2.versions);
+        assert_eq!(one.client_state().table, run.client_state().table);
     }
 
     #[test]
@@ -993,8 +863,8 @@ mod tests {
         let mut auth = auth_over_encrypted_file(4);
         let h = BlockStore::alloc_array(&mut auth, 32);
         auth.try_store_span(&h, 0, &elems(32)).unwrap();
-        // Deliberately NO flush_macs: the authentic MAC entries live only in
-        // the shared cache, which the reader must consult.
+        // Deliberately NO flush_macs: the authentic entries live only in the
+        // client table, which the reader shares.
         let mut reader = auth.reader();
         for (i, res) in reader
             .fetch_run(h.global_block(0), h.n_blocks())

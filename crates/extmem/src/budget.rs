@@ -65,8 +65,8 @@ impl CacheBudget {
 
     /// Fallible variant of [`CacheBudget::acquire`]: claims `slots` slots,
     /// or returns [`StoreError::BudgetExceeded`] leaving the budget
-    /// untouched. Used by the authenticated store, whose client-side
-    /// verification state competes with the algorithms for private memory.
+    /// untouched. Used where a data-dependent high-water mark meets the
+    /// model's private memory (the bucket sort's passes).
     pub fn try_acquire(&mut self, slots: usize) -> Result<(), StoreError> {
         if self.in_use + slots > self.capacity {
             return Err(StoreError::BudgetExceeded {

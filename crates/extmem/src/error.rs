@@ -21,8 +21,8 @@
 //! * [`StoreError::Stale`] — the returned block is an *authentic but old*
 //!   version: the MAC verifies for a version older than the client's version
 //!   table expects (a rollback/replay attack).
-//! * [`StoreError::BudgetExceeded`] — client-side authentication state would
-//!   exceed the private-memory budget ([`CacheBudget::try_acquire`]).
+//! * [`StoreError::BudgetExceeded`] — a pass's data-dependent client state
+//!   would exceed the private-memory budget ([`CacheBudget::try_acquire`]).
 //! * [`StoreError::PayloadTooWide`] — the payload does not fit the encrypted
 //!   encoding's 63-bit payload field (see
 //!   [`EncryptedStore`](crate::crypto::EncryptedStore)).
@@ -58,8 +58,7 @@ pub enum StoreError {
         /// The (older) version the server actually served.
         got: u64,
     },
-    /// Client-side state (version table, MAC cache) would exceed the private
-    /// cache budget.
+    /// A pass's client-side state would exceed the private cache budget.
     BudgetExceeded {
         /// Slots the failed acquisition requested.
         requested: usize,

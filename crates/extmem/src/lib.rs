@@ -44,9 +44,10 @@
 //! * [`FaultyStore`](fault::FaultyStore) — a seeded, deterministic fault
 //!   injector: transient read failures, ciphertext corruption, stale
 //!   replays, dropped writes, at configurable per-op rates.
-//! * [`AuthenticatedStore`](auth::AuthenticatedStore) — per-block MACs plus
-//!   a client-side version table: corruption and rollback surface as
-//!   `Err(Corrupted | Stale)`, never as wrong data.
+//! * [`AuthenticatedStore`](auth::AuthenticatedStore) — per-block MACs
+//!   checked against a client-side `(version, tag)` table at no extra I/O:
+//!   corruption and rollback surface as `Err(Corrupted | Stale)`, never as
+//!   wrong data.
 //! * [`RetryingStore`](retry::RetryingStore) — bounded retry with backoff
 //!   for transient faults; every other error passes through as a value.
 //!

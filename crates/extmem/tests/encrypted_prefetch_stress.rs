@@ -85,8 +85,7 @@ fn encrypted_session(seed: u64, cfg: PrefetchConfig, ops: usize) {
 
 /// Same battery over the full stack: spans are encrypted behind, MACed as a
 /// batch, and decrypted *and verified* when stolen — any block a steal
-/// verified against a stale version table or an unflushed MAC entry it
-/// failed to see would panic the load.
+/// verified against a stale `(version, tag)` entry would panic the load.
 fn authenticated_session(seed: u64, cfg: PrefetchConfig, ops: usize) {
     let enc = EncryptedStore::with_backing(FileStore::temp(B).expect("temp store"), seed | 1);
     let mut auth = AuthenticatedStore::new(enc, seed ^ 0x4D41_4343);
@@ -135,7 +134,7 @@ fn authenticated_session(seed: u64, cfg: PrefetchConfig, ops: usize) {
         }
         ps.recycle(blk);
     }
-    // The MAC cache flushes cleanly after all that span traffic.
+    // The MAC checkpoint flushes cleanly after all that span traffic.
     ps.inner_mut().flush_macs().expect("flush_macs");
 }
 

@@ -953,6 +953,13 @@ where
     group.check_levels(layout, s, base)?;
     let reals = &mut group.items;
     reals.sort_unstable_by(ecmp);
+    // Only buckets the server changed between passes overfill the runs.
+    if first_block + reals.len().div_ceil(b) > run_scratch.n_blocks() {
+        return Err(StoreError::Corrupted {
+            addr: run_scratch.global_block(0),
+        }
+        .into());
+    }
 
     budget.try_acquire(b).map_err(BucketSortError::Store)?;
     for (t, chunk) in reals.chunks(b).enumerate() {
@@ -1115,6 +1122,15 @@ where
     F: Fn(&Element, &Element) -> Ordering,
 {
     let b = store.block_elems();
+    if let Some(n) = pad_to {
+        // The runs hold the sort's items, never more than its output does.
+        if runs.iter().map(|r| r.reals).sum::<usize>() > n {
+            return Err(StoreError::Corrupted {
+                addr: src.global_block(0),
+            }
+            .into());
+        }
+    }
     struct Cursor {
         block: usize,
         slot: usize,
@@ -1151,16 +1167,18 @@ where
         })
         .collect();
     store.hint_blocks(src, &heads);
+    // The first `reals` cells of a run are occupied; a dummy there means
+    // the server changed the run since it was written.
     let head = |c: &Cursor| {
-        c.buf
-            .get(c.slot)
-            .expect("merge run invariant: the first `reals` cells of a run are occupied")
+        c.buf.get(c.slot).ok_or(StoreError::Corrupted {
+            addr: src.global_block(c.block),
+        })
     };
     let mut heap: Vec<(Element, usize)> = Vec::with_capacity(cursors.len());
     for (i, c) in cursors.iter_mut().enumerate() {
         if c.remaining > 0 {
             c.buf = store.try_load_block(src, c.block)?;
-            heap.push((head(c), i));
+            heap.push((head(c)?, i));
         }
     }
     for i in (0..heap.len() / 2).rev() {
@@ -1197,7 +1215,7 @@ where
             }
         }
         if c.remaining > 0 {
-            heap[0].0 = head(c);
+            heap[0].0 = head(c)?;
         } else {
             heap.swap_remove(0);
         }

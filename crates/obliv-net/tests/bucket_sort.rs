@@ -10,7 +10,9 @@
 //!   one byte-identical trace;
 //! * the full untrusted stack — Auth ∘ Faulty ∘ Encrypted with transient
 //!   faults retries to the exact sorted result, and a corrupting server
-//!   surfaces as a typed error, never a silently wrong answer.
+//!   surfaces as a typed error, never a silently wrong answer; without the
+//!   auth layer, a server that drops writes still gets a typed error, never
+//!   a panic.
 
 use extmem::element::Cell;
 use extmem::util::hash64;
@@ -245,4 +247,42 @@ fn a_corrupting_server_surfaces_as_a_typed_error() {
         ),
         "got {err:?}"
     );
+}
+
+/// A misbehaving server with no authentication layer (dropped writes leave
+/// dummies where a merge run expects its items) must turn into a typed
+/// error, never a panic.
+#[test]
+fn dropped_writes_without_authentication_are_a_typed_error_not_a_panic() {
+    let (n, b, m) = (4096, 8, 128);
+    let cells: Vec<Cell> = (0..n)
+        .map(|i| Some(Element::keyed(hash64(i as u64, 0xD20) >> 16, i)))
+        .collect();
+    for seed in 1..=8u64 {
+        let mut faulty = FaultyStore::new(ExtMem::new(b), seed, FaultSpec::none());
+        let h = BlockStore::alloc_array(&mut faulty, n);
+        faulty.try_store_span(&h, 0, &cells).unwrap();
+        faulty.set_spec(FaultSpec {
+            transient_read_ppm: 0,
+            corrupt_read_ppm: 0,
+            stale_read_ppm: 0,
+            drop_write_ppm: 6000,
+        });
+        let res = try_bucket_oblivious_sort(
+            &mut faulty,
+            &h,
+            m,
+            SortOrder::Ascending,
+            &BucketSortConfig::seeded(seed),
+            RetryPolicy::default(),
+        );
+        assert!(
+            matches!(
+                res,
+                Err(BucketSortError::Store(StoreError::Corrupted { .. }))
+            ),
+            "seed {seed}: got {:?}",
+            res.map(|_| ())
+        );
+    }
 }

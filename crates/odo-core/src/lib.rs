@@ -70,7 +70,8 @@ pub use obliv_net::{
     BucketSortReport, Comparator, Network, SortOrder, SortReport,
 };
 pub use select::{
-    quantiles, quantiles_with, select_kth, select_kth_with, try_select_kth, SelectReport,
+    quantiles, quantiles_with, select_kth, select_kth_with, try_quantiles, try_select_kth,
+    SelectReport,
 };
 pub use sorter::{OblivSorter, SortEngine, SorterReport};
 
@@ -79,7 +80,8 @@ pub mod prelude {
     pub use crate::compact::{compact, expand, try_compact, try_expand, CompactReport};
     pub use crate::error::OdoError;
     pub use crate::select::{
-        quantiles, quantiles_with, select_kth, select_kth_with, try_select_kth, SelectReport,
+        quantiles, quantiles_with, select_kth, select_kth_with, try_quantiles, try_select_kth,
+        SelectReport,
     };
     pub use crate::sorter::{OblivSorter, SortEngine, SorterReport};
     pub use crate::{sort_with, try_sort};

@@ -210,6 +210,17 @@ const RANK_OUT_OF_RANGE: OdoError = OdoError::InvalidArgument {
     reason: "rank k out of range: k must be smaller than the number of occupied cells",
 };
 
+/// The error for a broken invariant that every honest server keeps: the data
+/// changed between the passes that read it, which only a store without an
+/// authentication layer lets through. `cell` is where the disagreement
+/// showed; a bracket that missed the target names the window's length.
+fn corrupted(reason: &'static str, cell: usize) -> OdoError {
+    OdoError::CorruptedRouting { reason, cell }
+}
+
+const BRACKET_MISSED: &str = "the bracket always contains the target";
+const SURVIVORS_CAPPED: &str = "the weighted-sample rank bounds cap the survivors";
+
 /// A filtering round's candidates: the first `len` slots of `h`.
 #[derive(Clone, Copy)]
 struct Window {
@@ -333,18 +344,19 @@ fn run<S: BlockStore>(
             let (lo, hi) = scan_splitters(store, &samples, &mut budget, q_lo, q_hi)?;
             // lo = None means −∞ (no lower pruning); hi = None means +∞ (a
             // clamped or dummy splitter — every candidate is below it).
-            debug_assert!(
-                q_lo.is_none() || lo.is_some(),
-                "a lo splitter is never a dummy"
-            );
+            if let (Some(q), None) = (q_lo, lo) {
+                return Err(corrupted("a lo splitter is never a dummy", q));
+            }
             (lo, hi)
         };
         let bound = survivor_bound(win.len, g, s);
 
         if plan.is_some() {
             let (below, mut kept) = filter(store, &win, lo, hi, bound, &mut budget)?;
-            kp -= below;
-            assert!(kp < kept.len(), "the bracket always contains the target");
+            kp = kp
+                .checked_sub(below)
+                .filter(|&r| r < kept.len())
+                .ok_or(corrupted(BRACKET_MISSED, win.len))?;
             let (winner, elem) = *kept.select_nth_unstable_by_key(kp, |&(w, _)| w).1;
             let idx = winner.payload as usize;
             let elem = if win.input {
@@ -352,7 +364,12 @@ fn run<S: BlockStore>(
             } else {
                 recover(store, h, idx, &mut budget)?
             };
-            debug_assert_eq!(elem.key, winner.key);
+            if elem.key != winner.key {
+                return Err(corrupted(
+                    "the recovered element carries its working item's key",
+                    idx,
+                ));
+            }
             return Ok((
                 elem,
                 SelectReport {
@@ -397,13 +414,14 @@ fn run<S: BlockStore>(
                 store.try_store_block(&wrk, beta, out)
             })?;
         }
-        kp -= below;
         let survivors = crate::compact::run(store, &wrk, cache_elems, None)?.occupied;
-        assert!(kp < survivors, "the bracket always contains the target");
-        assert!(
-            survivors <= bound,
-            "weighted-sample rank bounds cap the survivors: {survivors} > {bound}"
-        );
+        if survivors > bound {
+            return Err(corrupted(SURVIVORS_CAPPED, bound));
+        }
+        kp = kp
+            .checked_sub(below)
+            .filter(|&r| r < survivors)
+            .ok_or(corrupted(BRACKET_MISSED, win.len))?;
         win = Window {
             h: wrk,
             len: bound,
@@ -484,7 +502,7 @@ fn filter<S: BlockStore>(
     hi: Cell,
     bound: usize,
     budget: &mut CacheBudget,
-) -> Result<(usize, Vec<(Element, Element)>), StoreError> {
+) -> Result<(usize, Vec<(Element, Element)>), OdoError> {
     let b = win.h.block_elems();
     budget.with(bound * win.survivor_words() + b, |_| {
         let mut below = 0usize;
@@ -502,10 +520,9 @@ fn filter<S: BlockStore>(
                     if lo.is_some_and(|l| w < l) {
                         below += 1;
                     } else if hi.is_none_or(|hh| w < hh) {
-                        assert!(
-                            kept.len() < bound,
-                            "weighted-sample rank bounds cap the survivors at {bound}"
-                        );
+                        if kept.len() == bound {
+                            return Err(corrupted(SURVIVORS_CAPPED, j));
+                        }
                         kept.push((w, e));
                     }
                 }
@@ -523,7 +540,7 @@ fn recover<S: BlockStore>(
     h: &ArrayHandle,
     idx: usize,
     budget: &mut CacheBudget,
-) -> Result<Element, StoreError> {
+) -> Result<Element, OdoError> {
     let b = h.block_elems();
     let mut found: Cell = None;
     hint_prefix(store, h, h.n_blocks());
@@ -538,7 +555,7 @@ fn recover<S: BlockStore>(
             Ok(())
         })?;
     }
-    Ok(found.expect("the selected index holds an occupied cell"))
+    found.ok_or(corrupted("the selected index holds an occupied cell", idx))
 }
 
 /// Computes the elements at every rank in `ranks` (each 0-based among the
@@ -553,6 +570,7 @@ fn recover<S: BlockStore>(
 /// (the latched quantiles must fit in private memory), on the
 /// [`obliv_net::external_oblivious_sort`] cache requirement
 /// (`cache_elems ≥ 2B`), or with the error's message if a block I/O fails.
+/// [`try_quantiles`] returns these as an [`OdoError`] instead.
 pub fn quantiles<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
@@ -581,7 +599,28 @@ pub fn quantiles_with<S: BlockStore>(
     run_quantiles(store, h, cache_elems, ranks, sorter).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The body of [`quantiles_with`], stopping at the first failed block I/O.
+/// Fallible variant of [`quantiles`] for untrusted/unreliable servers:
+/// transient faults are retried per `policy`, and the first permanent
+/// [`StoreError`] stops the pass and is returned as a typed [`OdoError`]. A
+/// rank at or past the occupied count, or more ranks than a quarter of the
+/// cache holds, return [`OdoError::InvalidArgument`]; the occupied count is
+/// known after the first streaming pass, so the trace up to that error is
+/// the same for every rank. The input array is left unmodified.
+pub fn try_quantiles<S: BlockStore>(
+    store: &mut S,
+    h: &ArrayHandle,
+    cache_elems: usize,
+    ranks: &[usize],
+    policy: RetryPolicy,
+) -> Result<(Vec<Element>, IoStats, RetryStats), OdoError> {
+    let mut rs = RetryingStore::new(store, policy);
+    let (elems, io) = run_quantiles(&mut rs, h, cache_elems, ranks, &OblivSorter::Bitonic)?;
+    Ok((elems, io, rs.stats()))
+}
+
+/// The body of [`quantiles_with`] and [`try_quantiles`]: every argument
+/// failure is an [`OdoError::InvalidArgument`], and the first failed block
+/// I/O stops the pass.
 fn run_quantiles<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
@@ -591,15 +630,18 @@ fn run_quantiles<S: BlockStore>(
 ) -> Result<(Vec<Element>, IoStats), OdoError> {
     let start = store.io_stats();
     let b = h.block_elems();
-    assert!(
-        ranks.len() <= cache_elems / 4,
-        "the requested quantiles must fit in the private cache"
-    );
+    if ranks.len() > cache_elems / 4 {
+        return Err(OdoError::InvalidArgument {
+            reason: "the requested quantiles must fit in the private cache",
+        });
+    }
     let mut budget = CacheBudget::new(cache_elems);
 
     let (wrk, live) = build_working_copy(store, h, &mut budget)?;
-    for &rk in ranks {
-        assert!(rk < live, "rank {rk} out of range: {live} occupied");
+    if ranks.iter().any(|&rk| rk >= live) {
+        return Err(OdoError::InvalidArgument {
+            reason: "quantile rank out of range: every rank must be smaller than the number of occupied cells",
+        });
     }
 
     // One oblivious sort; occupied working items now sit at their ranks.
@@ -643,8 +685,14 @@ fn run_quantiles<S: BlockStore>(
     }
     let elems = out
         .into_iter()
-        .map(|c| c.expect("every requested rank resolves to an occupied cell"))
-        .collect();
+        .zip(ranks)
+        .map(|(c, &rk)| {
+            c.ok_or(corrupted(
+                "every requested rank resolves to an occupied cell",
+                rk,
+            ))
+        })
+        .collect::<Result<_, _>>()?;
     Ok((elems, store.io_stats() - start))
 }
 

@@ -196,12 +196,15 @@ const TAMPER_LANES: [(&str, FaultSpec); 4] = [
         },
     ),
     (
+        // Only writes can be dropped, and only a write that changes the
+        // block counts, so this lane too runs at a higher rate than the
+        // read lanes to fire reliably across the seed grid.
         "drop",
         FaultSpec {
             transient_read_ppm: 0,
             corrupt_read_ppm: 0,
             stale_read_ppm: 0,
-            drop_write_ppm: 1500,
+            drop_write_ppm: 3000,
         },
     ),
     (

@@ -1,11 +1,16 @@
 //! Property tests pinning `select_kth` (and `quantiles`) against a
 //! sorted-reference oracle across the edge cases selection is notorious for:
 //! heavy duplication, extreme ranks, dummy-riddled arrays, non-power-of-two
-//! lengths and the pure in-cache regime.
+//! lengths and the pure in-cache regime — plus the typed errors of the
+//! fallible entry points, on bad arguments and on a misbehaving server.
 
 use odo_core::extmem::element::Cell;
-use odo_core::extmem::{Element, EncryptedStore, ExtMem};
-use odo_core::select::{quantiles, select_kth};
+use odo_core::extmem::util::hash64;
+use odo_core::extmem::{
+    BlockStore, Element, EncryptedStore, ExtMem, FaultSpec, FaultyStore, RetryPolicy,
+};
+use odo_core::select::{quantiles, select_kth, try_quantiles, try_select_kth};
+use odo_core::OdoError;
 
 /// The contract's reference: position `k` of the occupied cells stably
 /// sorted by key — i.e. rank by key, ties broken by original position.
@@ -281,6 +286,65 @@ fn the_filter_never_costs_more_than_pruning_to_the_cache() {
             report.io.total() <= prune_only,
             "N={n} B={b} M={m}: {} I/Os > {prune_only}",
             report.io.total()
+        );
+    }
+}
+
+#[test]
+fn try_quantiles_matches_the_oracle_and_types_its_argument_errors() {
+    let cells = full(1000, 0x9A, 50);
+    let (b, m) = (8, 128);
+    let mut mem = ExtMem::new(b);
+    let h = mem.alloc_array_from_cells(&cells);
+    let ranks = [0, 250, 499, 999];
+    let (got, io, retry) = try_quantiles(&mut mem, &h, m, &ranks, RetryPolicy::default()).unwrap();
+    let want: Vec<Element> = ranks.iter().map(|&k| oracle(&cells, k)).collect();
+    assert_eq!(got, want);
+    assert!(io.total() > 0);
+    assert_eq!(retry.retries, 0);
+
+    // A rank past the occupied count, and more ranks than a quarter of the
+    // cache holds, are argument errors, not panics.
+    let past = try_quantiles(&mut mem, &h, m, &[3, 1000], RetryPolicy::default());
+    assert!(
+        matches!(past, Err(OdoError::InvalidArgument { reason }) if reason.contains("out of range")),
+        "got {past:?}"
+    );
+    let too_many: Vec<usize> = (0..m / 4 + 1).collect();
+    let crowded = try_quantiles(&mut mem, &h, m, &too_many, RetryPolicy::default());
+    assert!(
+        matches!(crowded, Err(OdoError::InvalidArgument { reason }) if reason.contains("private cache")),
+        "got {crowded:?}"
+    );
+    assert_eq!(mem.snapshot_cells(&h), cells, "the input is never modified");
+}
+
+/// A server that drops writes, with no authentication layer, hands a prune
+/// round a window whose bracket misses the target. These seeds used to
+/// panic on the rank arithmetic; every run must now return, and a failed
+/// invariant is a typed, tampering-classified error.
+#[test]
+fn dropped_writes_without_authentication_never_panic_selection() {
+    let (n, b, m) = (4096usize, 16usize, 1024usize);
+    let cells: Vec<Cell> = (0..n)
+        .map(|i| Some(Element::new(hash64(i as u64, 0x5E1) >> 16, i as u64)))
+        .collect();
+    for seed in [14u64, 22, 31] {
+        let mut faulty = FaultyStore::new(ExtMem::new(b), seed, FaultSpec::none());
+        let h = BlockStore::alloc_array(&mut faulty, n);
+        faulty.try_store_span(&h, 0, &cells).unwrap();
+        faulty.set_spec(FaultSpec {
+            transient_read_ppm: 0,
+            corrupt_read_ppm: 0,
+            stale_read_ppm: 0,
+            drop_write_ppm: 6000,
+        });
+        let res = try_select_kth(&mut faulty, &h, m, n / 2, RetryPolicy::default());
+        assert!(faulty.fault_stats().dropped_writes > 0, "seed {seed}");
+        assert!(
+            matches!(res, Err(OdoError::CorruptedRouting { .. })),
+            "seed {seed}: got {:?}",
+            res.map(|(e, _, _)| e)
         );
     }
 }
