@@ -33,11 +33,15 @@
 #![warn(missing_docs)]
 
 use extmem::element::Cell;
-use extmem::{ArrayHandle, Block, BlockCache, Element, ExtMem, IoStats, StoreError};
+use extmem::{ArrayHandle, Block, BlockCache, BlockStore, Element, ExtMem, IoStats, StoreError};
 use obliv_net::butterfly;
 use obliv_net::compare::exchange_dir_by;
 use obliv_net::external_sort::SortOrder;
 use std::cmp::Ordering;
+
+/// Why the naive algorithms may expect their block I/Os to succeed: they run
+/// over the honest in-memory [`ExtMem`] and address only their own arrays.
+const EXTMEM_IO: &str = "in-range ExtMem block I/O cannot fail";
 
 /// What the naive sort did, alongside its I/O cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,36 +96,47 @@ where
         "external sort needs a private cache of at least two blocks (M >= 2B)"
     );
     let start = mem.stats();
-    let n = h.len();
-    if n <= 1 {
-        return NaiveSortReport {
-            io: mem.stats() - start,
-            levels: 0,
-            padded: false,
-        };
-    }
-    let p = n.next_power_of_two();
-    let mut report = if p == n {
-        sort_pow2(mem, h, cache_elems, cmp)
-    } else {
-        let scratch = mem.alloc_array(p);
-        for i in 0..h.n_blocks() {
-            let blk = mem.read_block(h, i);
-            mem.write_block(&scratch, i, blk);
-        }
-        let mut r = sort_pow2(mem, &scratch, cache_elems, cmp);
-        for i in 0..h.n_blocks() {
-            let blk = mem.read_block(&scratch, i);
-            mem.write_block(h, i, blk);
-        }
-        r.padded = true;
-        r
-    };
+    let mut report = sort_padded(mem, h, cache_elems, cmp).expect(EXTMEM_IO);
     report.io = mem.stats() - start;
     report
 }
 
-fn sort_pow2<F>(mem: &mut ExtMem, a: &ArrayHandle, cache_elems: usize, cmp: &F) -> NaiveSortReport
+/// Sorts `h` in place, through a dummy-padded power-of-two scratch array
+/// when its length is not a power of two.
+fn sort_padded<F>(
+    mem: &mut ExtMem,
+    h: &ArrayHandle,
+    cache_elems: usize,
+    cmp: &F,
+) -> Result<NaiveSortReport, StoreError>
+where
+    F: Fn(&Cell, &Cell) -> Ordering,
+{
+    let n = h.len();
+    let p = n.next_power_of_two();
+    if n <= 1 || p == n {
+        return sort_pow2(mem, h, cache_elems, cmp);
+    }
+    let scratch = mem.alloc_array(p);
+    for i in 0..h.n_blocks() {
+        let blk = mem.try_load_block(h, i)?;
+        mem.try_store_block(&scratch, i, blk)?;
+    }
+    let mut r = sort_pow2(mem, &scratch, cache_elems, cmp)?;
+    for i in 0..h.n_blocks() {
+        let blk = mem.try_load_block(&scratch, i)?;
+        mem.try_store_block(h, i, blk)?;
+    }
+    r.padded = true;
+    Ok(r)
+}
+
+fn sort_pow2<F>(
+    mem: &mut ExtMem,
+    a: &ArrayHandle,
+    cache_elems: usize,
+    cmp: &F,
+) -> Result<NaiveSortReport, StoreError>
 where
     F: Fn(&Cell, &Cell) -> Ordering,
 {
@@ -134,17 +149,17 @@ where
         let mut s = k / 2;
         while s >= 1 {
             let mut cache = BlockCache::new(mem, *a, m_blocks);
-            level_pass(&mut cache, p, s, k, cmp).expect("ExtMem block I/O cannot fail");
+            level_pass(&mut cache, p, s, k, cmp)?;
             levels += 1;
             s /= 2;
         }
         k *= 2;
     }
-    NaiveSortReport {
+    Ok(NaiveSortReport {
         io: IoStats::default(),
         levels,
         padded: false,
-    }
+    })
 }
 
 /// One full external pass for level `(k, s)`, at element granularity
@@ -210,15 +225,23 @@ pub fn naive_external_butterfly_compact(
         "external butterfly compaction requires a power-of-two block size"
     );
     let start = mem.stats();
+    let (levels, occupied) = route_levels(mem, h).expect(EXTMEM_IO);
+    NaiveCompactReport {
+        io: mem.stats() - start,
+        levels,
+        occupied,
+    }
+}
+
+/// The labelling pass and the routing levels of
+/// [`naive_external_butterfly_compact`]; returns the level count and the
+/// occupied count.
+fn route_levels(mem: &mut ExtMem, h: &ArrayHandle) -> Result<(usize, usize), StoreError> {
+    let b = h.block_elems();
     let n = h.len();
     let lv = butterfly::levels(n);
     if lv == 0 {
-        let occupied = mem.read_block(h, 0).occupancy().min(n);
-        return NaiveCompactReport {
-            io: mem.stats() - start,
-            levels: 0,
-            occupied,
-        };
+        return Ok((0, mem.try_load_block(h, 0)?.occupancy().min(n)));
     }
 
     // Distance-label pass: occupied cell j gets label j - rank(j) in a
@@ -227,7 +250,7 @@ pub fn naive_external_butterfly_compact(
     let dist = mem.alloc_array(n);
     let mut rank = 0usize;
     for beta in 0..h.n_blocks() {
-        let blk = mem.read_block(h, beta);
+        let blk = mem.try_load_block(h, beta)?;
         let mut lab = Block::empty(b);
         for r in 0..b {
             let j = beta * b + r;
@@ -239,7 +262,7 @@ pub fn naive_external_butterfly_compact(
                 rank += 1;
             }
         }
-        mem.write_block(&dist, beta, lab);
+        mem.try_store_block(&dist, beta, lab)?;
     }
 
     // Every level is one external pass. Wires of stride s < B live inside a
@@ -255,7 +278,7 @@ pub fn naive_external_butterfly_compact(
         }
         for beta in 0..nb.saturating_sub(k) {
             let mut mask = vec![false; 2 * b]; // source offsets within the pair
-            mem.modify_block_pair(&dist, beta, beta + k, |lo_blk, hi_blk| {
+            mem.try_modify_pair(&dist, beta, beta + k, |lo_blk, hi_blk| {
                 for r in 0..b {
                     // Destination j = beta*b + r; source j + s sits at pair
                     // offset r + s (s < B keeps it inside the two blocks;
@@ -280,8 +303,8 @@ pub fn naive_external_butterfly_compact(
                         }
                     }
                 }
-            });
-            mem.modify_block_pair(h, beta, beta + k, |lo_blk, hi_blk| {
+            })?;
+            mem.try_modify_pair(h, beta, beta + k, |lo_blk, hi_blk| {
                 for r in 0..b {
                     let off = if s < b { r + s } else { r + b };
                     if mask[off] {
@@ -298,7 +321,7 @@ pub fn naive_external_butterfly_compact(
                         }
                     }
                 }
-            });
+            })?;
         }
         // Wires whose destination lies in the last k blocks have no pair
         // partner; for s < B their intra-block hops still need one
@@ -306,7 +329,7 @@ pub fn naive_external_butterfly_compact(
         if s < b {
             let beta = nb - 1;
             let mut mask = vec![false; b];
-            let mut lab = mem.read_block(&dist, beta);
+            let mut lab = mem.try_load_block(&dist, beta)?;
             for r in 0..b.saturating_sub(s) {
                 if let Some(d_el) = lab.get(r + s) {
                     if d_el.key & s as u64 != 0 {
@@ -317,23 +340,18 @@ pub fn naive_external_butterfly_compact(
                     }
                 }
             }
-            mem.write_block(&dist, beta, lab);
-            let mut blk = mem.read_block(h, beta);
+            mem.try_store_block(&dist, beta, lab)?;
+            let mut blk = mem.try_load_block(h, beta)?;
             for r in 0..b.saturating_sub(s) {
                 if mask[r + s] {
                     blk.set(r, blk.get(r + s));
                     blk.set(r + s, None);
                 }
             }
-            mem.write_block(h, beta, blk);
+            mem.try_store_block(h, beta, blk)?;
         }
     }
-
-    NaiveCompactReport {
-        io: mem.stats() - start,
-        levels: lv,
-        occupied: rank,
-    }
+    Ok((lv, rank))
 }
 
 /// What the naive selection did, alongside its I/O cost.
@@ -363,8 +381,27 @@ pub fn naive_select_kth(
     cache_elems: usize,
     k: usize,
 ) -> (Element, NaiveSelectReport) {
-    use extmem::element::cell_cmp_none_last;
     let start = mem.stats();
+    let (found, levels, index) = select_by_sorting(mem, h, cache_elems, k).expect(EXTMEM_IO);
+    (
+        found,
+        NaiveSelectReport {
+            io: mem.stats() - start,
+            levels,
+            index,
+        },
+    )
+}
+
+/// The passes of [`naive_select_kth`]; returns the element, the sort's
+/// level count and the element's original index.
+fn select_by_sorting(
+    mem: &mut ExtMem,
+    h: &ArrayHandle,
+    cache_elems: usize,
+    k: usize,
+) -> Result<(Element, usize, usize), StoreError> {
+    use extmem::element::cell_cmp_none_last;
     let b = h.block_elems();
     let n = h.len();
 
@@ -373,7 +410,7 @@ pub fn naive_select_kth(
     let wrk = mem.alloc_array(n);
     let mut live = 0usize;
     for beta in 0..h.n_blocks() {
-        let blk = mem.read_block(h, beta);
+        let blk = mem.try_load_block(h, beta)?;
         let mut out = Block::empty(b);
         for t in 0..b {
             let j = beta * b + t;
@@ -385,7 +422,7 @@ pub fn naive_select_kth(
                 live += 1;
             }
         }
-        mem.write_block(&wrk, beta, out);
+        mem.try_store_block(&wrk, beta, out)?;
     }
     assert!(k < live, "rank k out of range: k={k} >= {live} occupied");
 
@@ -395,7 +432,7 @@ pub fn naive_select_kth(
     // rank-addressed read).
     let mut winner: Cell = None;
     for beta in 0..wrk.n_blocks() {
-        let blk = mem.read_block(&wrk, beta);
+        let blk = mem.try_load_block(&wrk, beta)?;
         for t in 0..b {
             if beta * b + t == k {
                 winner = blk.get(t);
@@ -409,21 +446,18 @@ pub fn naive_select_kth(
     // Recover the full original element by streaming the untouched input.
     let mut found: Cell = None;
     for beta in 0..h.n_blocks() {
-        let blk = mem.read_block(h, beta);
+        let blk = mem.try_load_block(h, beta)?;
         for t in 0..b {
             if beta * b + t == idx {
                 found = blk.get(t);
             }
         }
     }
-    (
+    Ok((
         found.expect("the selected index holds an occupied cell"),
-        NaiveSelectReport {
-            io: mem.stats() - start,
-            levels: sort.levels,
-            index: idx,
-        },
-    )
+        sort.levels,
+        idx,
+    ))
 }
 
 #[cfg(test)]

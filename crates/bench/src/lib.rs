@@ -57,15 +57,15 @@ pub use runner::{
 use runner::{dash, encrypted_file, encrypted_run, fmt_ms, temp_file, timed, yes_no};
 
 use baseline::{naive_external_bitonic_sort, naive_external_butterfly_compact, naive_select_kth};
-use extmem::element::Cell;
+use extmem::element::{cell_cmp_none_last, Cell};
 use extmem::{
     ArrayHandle, AuthenticatedStore, BackingStore, BlockStore, Element, EncryptedStore, ExtMem,
     FaultSpec, FaultStats, FaultyStore, IoStats, PrefetchingStore, RetryPolicy, StoreError,
 };
 use obliv_net::bucket_sort::{bucket_oblivious_sort, BucketSortConfig, BucketSortReport};
-use obliv_net::external_sort::{external_oblivious_sort, SortOrder, SortReport};
-use odo_core::compact::{compact, CompactReport};
-use odo_core::select::{select_kth, SelectReport};
+use obliv_net::external_sort::{try_external_oblivious_sort_by, SortOrder, SortReport};
+use odo_core::compact::{try_compact, CompactReport};
+use odo_core::select::{try_select_kth, SelectReport};
 use odo_core::SortEngine;
 use oram::{LevelGeometry, Oram, OramConfig};
 use std::fmt::{self, Debug};
@@ -333,7 +333,8 @@ pub(crate) trait ArrayAlgorithm {
 /// The elements of array `h` in slot order.
 fn elements<S: BlockStore>(store: &mut S, h: &ArrayHandle) -> Vec<Element> {
     store
-        .load_span(h, 0, h.len())
+        .try_load_span(h, 0, h.len())
+        .expect("the benchmark stores are honest")
         .into_iter()
         .flatten()
         .collect()
@@ -346,7 +347,8 @@ impl ArrayAlgorithm for Lemma2 {
     type Report = SortReport;
     type Output = Vec<Element>;
     fn run<S: BlockStore>(&self, store: &mut S, h: &ArrayHandle, m: usize) -> SortReport {
-        external_oblivious_sort(store, h, m, SortOrder::Ascending)
+        try_external_oblivious_sort_by(store, h, m, &cell_cmp_none_last)
+            .unwrap_or_else(|e| panic!("Lemma 2 sort failed: {e}"))
     }
     fn output<S: BlockStore>(store: &mut S, h: &ArrayHandle, _: &SortReport) -> Vec<Element> {
         elements(store, h)
@@ -373,10 +375,14 @@ impl ArrayAlgorithm for Compaction {
     type Report = CompactReport;
     type Output = Vec<Cell>;
     fn run<S: BlockStore>(&self, store: &mut S, h: &ArrayHandle, m: usize) -> CompactReport {
-        compact(store, h, m)
+        try_compact(store, h, m, RetryPolicy::default())
+            .unwrap_or_else(|e| panic!("compaction failed: {e}"))
+            .0
     }
     fn output<S: BlockStore>(store: &mut S, h: &ArrayHandle, _: &CompactReport) -> Vec<Cell> {
-        store.load_span(h, 0, h.len())
+        store
+            .try_load_span(h, 0, h.len())
+            .expect("the benchmark stores are honest")
     }
 }
 
@@ -389,7 +395,9 @@ impl ArrayAlgorithm for Selection {
     type Report = (Element, SelectReport);
     type Output = Element;
     fn run<S: BlockStore>(&self, store: &mut S, h: &ArrayHandle, m: usize) -> Self::Report {
-        select_kth(store, h, m, self.k)
+        let (e, report, _) = try_select_kth(store, h, m, self.k, RetryPolicy::default())
+            .unwrap_or_else(|e| panic!("selection failed: {e}"));
+        (e, report)
     }
     fn output<S: BlockStore>(_: &mut S, _: &ArrayHandle, report: &Self::Report) -> Element {
         report.0
@@ -411,7 +419,9 @@ impl<A: ArrayAlgorithm> Workload for ArrayJob<A> {
 
     fn setup<S: BlockStore>(&self, store: &mut S) -> ArrayHandle {
         let h = store.alloc_array(self.cells.len());
-        store.store_span(&h, 0, &self.cells);
+        store
+            .try_store_span(&h, 0, &self.cells)
+            .expect("the benchmark stores are honest");
         h
     }
 
@@ -527,12 +537,14 @@ impl Workload for OramJob {
     }
 
     fn run<S: BlockStore>(&self, store: &mut S, oram: &mut Oram) -> Vec<u64> {
+        let policy = RetryPolicy::default();
         let mut out = Vec::with_capacity(self.reqs.len());
         for &(addr, write) in &self.reqs {
-            match write {
-                Some(v) => oram.write(store, addr, v),
-                None => out.push(oram.read(store, addr)),
-            }
+            let res = match write {
+                Some(v) => oram.try_write(store, addr, v, policy).map(drop),
+                None => oram.try_read(store, addr, policy).map(|(v, _)| out.push(v)),
+            };
+            res.unwrap_or_else(|e| panic!("ORAM access failed: {e}"));
         }
         out
     }
@@ -1926,7 +1938,7 @@ fn oram_rebuild_bound(
 }
 
 /// The composed analytic I/O bound for a run of `accesses` ORAM accesses:
-/// one probe read per level per access, plus [`oram_rebuild_bound`] for the
+/// one probe read per level per access, plus `oram_rebuild_bound` for the
 /// level each flush actually targets (the binary-counter rule
 /// [`Oram::target_level`]). Every term is an explicit-constant upper bound
 /// on its pass, so the total upper-bounds the measured count — and since

@@ -84,7 +84,7 @@ impl Default for BlockArena {
 }
 
 impl BlockArena {
-    /// Creates an arena that pools at most [`DEFAULT_MAX_POOLED`] buffers,
+    /// Creates an arena that pools at most `DEFAULT_MAX_POOLED` buffers,
     /// ready to be shared behind an [`Arc`].
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())

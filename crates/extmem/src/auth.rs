@@ -35,7 +35,7 @@
 //! deviated.
 //!
 //! **The span path.** [`Prefetchable::store_run`] MACs a whole run with the
-//! batched kernel ([`mac_run`]: interleaved absorb chains, bit-identical to
+//! batched kernel (`mac_run`: interleaved absorb chains, bit-identical to
 //! the scalar path per block) before one span write of the data;
 //! [`AuthenticatedReader`] verifies the spans the prefetch adapter steals
 //! against the table it shares with the foreground. Steals run on the
@@ -388,16 +388,6 @@ impl<S: BlockStore> BlockStore for AuthenticatedStore<S> {
         h
     }
 
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        self.try_load_block(h, i)
-            .unwrap_or_else(|e| panic!("AuthenticatedStore: {e}"))
-    }
-
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-        self.try_store_block(h, i, blk)
-            .unwrap_or_else(|e| panic!("AuthenticatedStore: {e}"))
-    }
-
     fn io_stats(&self) -> IoStats {
         self.inner.io_stats()
     }
@@ -411,8 +401,8 @@ impl<S: BlockStore> BlockStore for AuthenticatedStore<S> {
     }
 
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
+        let addr = h.checked_block(i)?;
         let (mh, want) = self.lookup(h, i);
-        let addr = h.global_block(i);
         let blk = self.inner.try_load_block(h, i)?;
         if want.matches(&blk, || mac_block(self.key, addr, want.version, &blk)) {
             return Ok(blk);
@@ -424,7 +414,7 @@ impl<S: BlockStore> BlockStore for AuthenticatedStore<S> {
     }
 
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
-        let addr = h.global_block(i);
+        let addr = h.checked_block(i)?;
         // The entry is committed only after the data write succeeds, so a
         // transiently failed attempt can be retried verbatim.
         let version = self.lookup(h, i).1.version + 1;
@@ -890,7 +880,7 @@ mod tests {
         // bypassing authentication: the data changes, the MAC does not.
         let mut evil = Block::empty(4);
         evil.set(0, Some(Element::new(666, 0)));
-        auth.inner_mut().write_block(&h, 0, &evil);
+        auth.inner_mut().try_store_block(&h, 0, evil).unwrap();
         let mut reader = auth.reader();
         assert_eq!(
             reader.fetch(h.global_block(0)).unwrap_err(),

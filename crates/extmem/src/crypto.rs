@@ -28,15 +28,15 @@
 //! Each cell is serialised to two 64-bit plaintext words: the key, and a word
 //! whose top bit is the occupancy flag and whose low 63 bits are the payload.
 //! Consequently payloads stored through the encrypted path are limited to 63
-//! bits: the infallible write path panics on wider payloads, the fallible
-//! path ([`BlockStore::try_store_block`]) rejects them with
-//! [`StoreError::PayloadTooWide`]. Keys keep the full 64 bits.
+//! bits: every write ([`BlockStore::try_store_block`] and the span path)
+//! rejects wider ones with [`StoreError::PayloadTooWide`] before any I/O.
+//! Keys keep the full 64 bits.
 //!
 //! # The batched keystream kernel
 //!
 //! The scalar reference path derives each keystream word independently as
 //! `hash64(addr ⊕ rot(slot) ⊕ rot(lane), key ⊕ nonce·φ)` — two `splitmix64`
-//! applications per word, four per cell. [`fill_keystream`] produces the
+//! applications per word, four per cell. `fill_keystream` produces the
 //! identical words for a whole block at once: the inner `splitmix64(salt)`
 //! depends only on `(key, nonce)`, so it is hoisted out of the loop, and the
 //! remaining per-word finalizer runs over 8-wide unrolled lanes so the
@@ -127,8 +127,8 @@ fn fill_keystream(key: u64, addr: usize, nonce: u64, b: usize, out: &mut Vec<u64
 }
 
 /// Encrypts `blk` into a fresh ciphertext block using the batched kernel.
-/// Panics on payloads wider than 63 bits (the fallible store paths reject
-/// them with a typed error before reaching this point).
+/// Panics on payloads wider than 63 bits (every write path rejects them
+/// with a typed error before reaching this point).
 fn encrypt_block_with(key: u64, addr: usize, nonce: u64, blk: &Block, ks: &mut Vec<u64>) -> Block {
     fill_keystream(key, addr, nonce, blk.len(), ks);
     let mut out = Block::empty(blk.len());
@@ -138,8 +138,7 @@ fn encrypt_block_with(key: u64, addr: usize, nonce: u64, blk: &Block, ks: &mut V
                 assert!(
                     e.payload <= PAYLOAD_MASK,
                     "EncryptedStore payloads are limited to 63 bits \
-                     (got {:#x} > PAYLOAD_MASK = 2^63 - 1); use try_store_block for a \
-                     typed StoreError::PayloadTooWide instead",
+                     (got {:#x} > PAYLOAD_MASK = 2^63 - 1)",
                     e.payload
                 );
                 (e.key, OCC_BIT | e.payload)
@@ -294,6 +293,10 @@ impl<S: BackingStore> EncryptedStore<S> {
     /// Allocates an array and encrypts the given cells into it. The initial
     /// population is not charged as I/Os, mirroring
     /// [`ExtMem::alloc_array_from_cells`].
+    ///
+    /// # Panics
+    /// Panics where a block write fails: on a payload wider than 63 bits or
+    /// a backing-store error.
     pub fn alloc_array_from_cells(&mut self, cells: &[Cell]) -> ArrayHandle {
         let h = self.alloc_array(cells.len().max(1));
         let b = self.block_elems();
@@ -302,60 +305,11 @@ impl<S: BackingStore> EncryptedStore<S> {
             for (j, c) in chunk.iter().enumerate() {
                 blk.set(j, *c);
             }
-            self.write_block(&h, i, &blk);
+            self.try_store_block(&h, i, blk)
+                .unwrap_or_else(|e| panic!("EncryptedStore: {e}"));
         }
         BackingStore::reset_stats(&mut self.mem);
         h
-    }
-
-    /// Reads and decrypts local block `i` of array `h` (one I/O).
-    pub fn read_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        self.try_read_block(h, i)
-            .unwrap_or_else(|e| panic!("EncryptedStore: {e}"))
-    }
-
-    /// Fallible [`Self::read_block`]: backing-store failures (disk errors,
-    /// injected faults) propagate as typed [`StoreError`]s.
-    pub fn try_read_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
-        let addr = h.global_block(i);
-        let ct = self.mem.try_load_block(h, i)?;
-        let nonce = self.nonce_of(addr);
-        Ok(if nonce == u64::MAX {
-            self.mem.recycle(ct);
-            Block::empty(self.block_elems())
-        } else {
-            let pt = decrypt_block_with(self.key, addr, nonce, &ct, &mut self.ks);
-            self.mem.recycle(ct);
-            pt
-        })
-    }
-
-    /// Encrypts and writes local block `i` of array `h` (one I/O). A fresh
-    /// nonce is used on every call, so rewriting identical plaintext produces
-    /// a different ciphertext.
-    pub fn write_block(&mut self, h: &ArrayHandle, i: usize, blk: &Block) {
-        self.try_write_block(h, i, blk)
-            .unwrap_or_else(|e| panic!("EncryptedStore: {e}"))
-    }
-
-    /// Fallible [`Self::write_block`]. The nonce table and write counter are
-    /// only advanced after the backing store acknowledges the write, so a
-    /// failed (and later retried) write never leaves the nonce map pointing
-    /// at a ciphertext that was never persisted.
-    pub fn try_write_block(
-        &mut self,
-        h: &ArrayHandle,
-        i: usize,
-        blk: &Block,
-    ) -> Result<(), StoreError> {
-        self.ensure_nonces();
-        let addr = h.global_block(i);
-        let nonce = self.write_counter + 1;
-        let ct = encrypt_block_with(self.key, addr, nonce, blk, &mut self.ks);
-        self.mem.try_store_block(h, i, ct)?;
-        self.write_counter = nonce;
-        write_nonces(&self.nonces)[addr] = nonce;
-        Ok(())
     }
 
     /// The raw ciphertext currently stored for local block `i` (free of
@@ -402,15 +356,6 @@ impl<S: BackingStore> BlockStore for EncryptedStore<S> {
         EncryptedStore::alloc_array(self, len_elements)
     }
 
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        self.read_block(h, i)
-    }
-
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-        self.write_block(h, i, &blk);
-        self.mem.recycle(blk);
-    }
-
     fn io_stats(&self) -> IoStats {
         self.stats()
     }
@@ -423,15 +368,33 @@ impl<S: BackingStore> BlockStore for EncryptedStore<S> {
         self.mem.recycle(blk);
     }
 
+    /// Reads and decrypts local block `i` of array `h` (one I/O).
+    /// Backing-store failures (disk errors, injected faults) propagate as
+    /// typed [`StoreError`]s.
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
-        self.try_read_block(h, i)
+        let addr = h.checked_block(i)?;
+        let ct = self.mem.try_load_block(h, i)?;
+        let nonce = self.nonce_of(addr);
+        Ok(if nonce == u64::MAX {
+            self.mem.recycle(ct);
+            Block::empty(self.block_elems())
+        } else {
+            let pt = decrypt_block_with(self.key, addr, nonce, &ct, &mut self.ks);
+            self.mem.recycle(ct);
+            pt
+        })
     }
 
-    /// The fallible write path rejects over-wide payloads with a typed
-    /// [`StoreError::PayloadTooWide`] instead of panicking, so retrying
-    /// wrappers and the `try_` algorithm variants can propagate it; backing
-    /// store failures (disk errors, injected faults) propagate unchanged.
+    /// Encrypts and writes local block `i` of array `h` (one I/O) under a
+    /// fresh nonce, so rewriting identical plaintext produces a different
+    /// ciphertext. Over-wide payloads are refused with a typed
+    /// [`StoreError::PayloadTooWide`] before any I/O; backing-store failures
+    /// propagate unchanged. The nonce table and write counter advance only
+    /// after the backing store acknowledges the write, so a failed (and
+    /// later retried) write never leaves the nonce map pointing at a
+    /// ciphertext that was never persisted.
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
+        let addr = h.checked_block(i)?;
         if let Some(e) = blk
             .slots()
             .iter()
@@ -439,11 +402,16 @@ impl<S: BackingStore> BlockStore for EncryptedStore<S> {
             .find(|e| e.payload > PAYLOAD_MASK)
         {
             return Err(StoreError::PayloadTooWide {
-                addr: h.global_block(i),
+                addr,
                 payload: e.payload,
             });
         }
-        self.try_write_block(h, i, &blk)?;
+        self.ensure_nonces();
+        let nonce = self.write_counter + 1;
+        let ct = encrypt_block_with(self.key, addr, nonce, &blk, &mut self.ks);
+        self.mem.try_store_block(h, i, ct)?;
+        self.write_counter = nonce;
+        write_nonces(&self.nonces)[addr] = nonce;
         self.mem.recycle(blk);
         Ok(())
     }
@@ -580,8 +548,8 @@ mod tests {
         let mut blk = Block::empty(4);
         blk.set(0, Some(e(1)));
         blk.set(2, Some(e(2)));
-        store.write_block(&h, 0, &blk);
-        let back = store.read_block(&h, 0);
+        store.try_store_block(&h, 0, blk.clone()).unwrap();
+        let back = store.try_load_block(&h, 0).unwrap();
         assert_eq!(back, blk);
     }
 
@@ -589,7 +557,7 @@ mod tests {
     fn unwritten_blocks_decrypt_to_dummies() {
         let mut store = EncryptedStore::new(4, 7);
         let h = store.alloc_array(8);
-        let blk = store.read_block(&h, 1);
+        let blk = store.try_load_block(&h, 1).unwrap();
         assert!(blk.is_all_dummy());
     }
 
@@ -599,12 +567,12 @@ mod tests {
         let h = store.alloc_array(4);
         let mut blk = Block::empty(4);
         blk.set(1, Some(e(5)));
-        store.write_block(&h, 0, &blk);
+        store.try_store_block(&h, 0, blk.clone()).unwrap();
         let ct1 = store.raw_ciphertext(&h, 0);
-        store.write_block(&h, 0, &blk);
+        store.try_store_block(&h, 0, blk.clone()).unwrap();
         let ct2 = store.raw_ciphertext(&h, 0);
         assert_ne!(ct1, ct2, "re-encryption must produce a fresh ciphertext");
-        assert_eq!(store.read_block(&h, 0), blk);
+        assert_eq!(store.try_load_block(&h, 0).unwrap(), blk);
     }
 
     #[test]
@@ -613,7 +581,7 @@ mod tests {
         let h = store.alloc_array(2);
         let mut blk = Block::empty(2);
         blk.set(0, Some(e(1)));
-        store.write_block(&h, 0, &blk);
+        store.try_store_block(&h, 0, blk).unwrap();
         let ct = store.raw_ciphertext(&h, 0);
         assert_ne!(ct.get(0), Some(e(1)));
     }
@@ -626,7 +594,7 @@ mod tests {
         let h = store.alloc_array(4);
         let mut blk = Block::empty(4);
         blk.set(0, Some(e(1)));
-        store.write_block(&h, 0, &blk);
+        store.try_store_block(&h, 0, blk).unwrap();
         let ct = store.raw_ciphertext(&h, 0);
         assert!(ct.slots().iter().all(|s| s.is_some()));
     }
@@ -636,8 +604,8 @@ mod tests {
         let mut store = EncryptedStore::new(4, 1);
         let h = store.alloc_array(8);
         let blk = Block::empty(4);
-        store.write_block(&h, 0, &blk);
-        let _ = store.read_block(&h, 0);
+        store.try_store_block(&h, 0, blk).unwrap();
+        let _ = store.try_load_block(&h, 0).unwrap();
         assert_eq!(store.stats().reads, 1);
         assert_eq!(store.stats().writes, 1);
     }
@@ -650,7 +618,7 @@ mod tests {
         assert_eq!(store.stats().total(), 0);
         let mut out = Vec::new();
         for i in 0..h.n_blocks() {
-            out.extend(store.read_block(&h, i).occupied());
+            out.extend(store.try_load_block(&h, i).unwrap().occupied());
         }
         assert_eq!(out, (0..10).map(e).collect::<Vec<_>>());
     }
@@ -669,13 +637,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "63 bits")]
+    #[should_panic(expected = "63-bit limit")]
     fn oversized_payload_is_rejected() {
         let mut store = EncryptedStore::new(2, 1);
         let h = store.alloc_array(2);
         let mut blk = Block::empty(2);
         blk.set(0, Some(Element::new(1, u64::MAX)));
-        store.write_block(&h, 0, &blk);
+        store.store_block(&h, 0, blk);
     }
 
     #[test]
@@ -755,7 +723,8 @@ mod tests {
         let mut one = EncryptedStore::with_backing(FileStore::temp(b).unwrap(), 0x50F7);
         let h1 = BlockStore::alloc_array(&mut one, cells.len());
         for (i, chunk) in cells.chunks(b).enumerate() {
-            one.write_block(&h1, i, &Block::from_cells(chunk));
+            one.try_store_block(&h1, i, Block::from_cells(chunk))
+                .unwrap();
         }
 
         let mut run = EncryptedStore::with_backing(FileStore::temp(b).unwrap(), 0x50F7);
@@ -792,7 +761,7 @@ mod tests {
         );
         assert_eq!(store.stats().writes, 0, "the run was refused up front");
         // Nonces untouched: every block still decrypts as never-written.
-        assert!(store.read_block(&h, 0).is_all_dummy());
+        assert!(store.try_load_block(&h, 0).unwrap().is_all_dummy());
     }
 
     #[test]
@@ -804,7 +773,10 @@ mod tests {
         // Single fetch and span fetch agree with the foreground view.
         for i in 0..h.n_blocks() {
             let addr = h.global_block(i);
-            assert_eq!(reader.fetch(addr).unwrap(), store.read_block(&h, i));
+            assert_eq!(
+                reader.fetch(addr).unwrap(),
+                store.try_load_block(&h, i).unwrap()
+            );
         }
         let run: Vec<Block> = reader
             .fetch_run(h.global_block(0), h.n_blocks())
@@ -812,7 +784,7 @@ mod tests {
             .map(|r| r.unwrap())
             .collect();
         for (i, blk) in run.iter().enumerate() {
-            assert_eq!(*blk, store.read_block(&h, i));
+            assert_eq!(*blk, store.try_load_block(&h, i).unwrap());
         }
     }
 

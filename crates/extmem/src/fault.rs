@@ -267,18 +267,6 @@ impl<S: BlockStore> BlockStore for FaultyStore<S> {
         self.inner.alloc_array(len_elements)
     }
 
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        self.try_load_block(h, i).unwrap_or_else(|e| {
-            panic!("FaultyStore: {e} (use the fallible API or RetryingStore to handle faults)")
-        })
-    }
-
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-        self.try_store_block(h, i, blk).unwrap_or_else(|e| {
-            panic!("FaultyStore: {e} (use the fallible API or RetryingStore to handle faults)")
-        })
-    }
-
     fn io_stats(&self) -> IoStats {
         self.inner.io_stats()
     }
@@ -292,7 +280,7 @@ impl<S: BlockStore> BlockStore for FaultyStore<S> {
     }
 
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
-        let addr = h.global_block(i);
+        let addr = h.checked_block(i)?;
         let op = self.op_counter;
         self.op_counter += 1;
         // The round trip happens (and is charged) before any fault is
@@ -327,7 +315,7 @@ impl<S: BlockStore> BlockStore for FaultyStore<S> {
     }
 
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
-        let addr = h.global_block(i);
+        let addr = h.checked_block(i)?;
         let op = self.op_counter;
         self.op_counter += 1;
         if self.fires(op, LANE_DROP, self.spec.drop_write_ppm) {

@@ -435,16 +435,6 @@ impl BlockStore for FileStore {
         ArrayHandle::new_raw(start_block, len_elements, self.block_elems)
     }
 
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        self.try_load_block(h, i)
-            .unwrap_or_else(|e| panic!("FileStore: {e}"))
-    }
-
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-        self.try_store_block(h, i, blk)
-            .unwrap_or_else(|e| panic!("FileStore: {e}"))
-    }
-
     fn io_stats(&self) -> IoStats {
         self.stats
     }
@@ -454,14 +444,14 @@ impl BlockStore for FileStore {
     }
 
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
-        let addr = h.global_block(i);
+        let addr = h.checked_block(i)?;
         let blk = self.read_raw(addr)?;
         self.record(AccessOp::Read, addr);
         Ok(blk)
     }
 
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
-        let addr = h.global_block(i);
+        let addr = h.checked_block(i)?;
         self.write_raw(addr, &blk)?;
         self.arena.put(blk.into_buffer());
         self.record(AccessOp::Write, addr);

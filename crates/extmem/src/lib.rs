@@ -23,13 +23,12 @@
 //! * [`CacheBudget`] — a debug-level accounting helper used by algorithms to
 //!   assert that their private working set never exceeds `M` words.
 //! * [`BlockStore`] — the backend trait both [`ExtMem`] and
-//!   [`EncryptedStore`](crypto::EncryptedStore) implement, so algorithms
-//!   written against it (the external butterfly compaction in `odo-core`)
-//!   run unchanged, with identical traces and I/O counts, over plaintext or
-//!   re-encrypted storage.
-//! * [`EncryptedStore`](crypto::EncryptedStore) — a masking layer that models
-//!   semantically secure re-encryption of every block write (each write
-//!   produces a fresh ciphertext even for identical plaintexts).
+//!   [`EncryptedStore`] implement, so algorithms written against it (the
+//!   external butterfly compaction in `odo-core`) run unchanged, with
+//!   identical traces and I/O counts, over plaintext or re-encrypted storage.
+//! * [`EncryptedStore`] — a masking layer that models semantically secure
+//!   re-encryption of every block write (each write produces a fresh
+//!   ciphertext even for identical plaintexts).
 //! * [`trace`] — utilities for comparing access traces, the basis of the
 //!   obliviousness test-suite used across the workspace.
 //!
@@ -38,27 +37,27 @@
 //! The paper's server is not merely curious — it is *untrusted*. The fault
 //! model (see the repo-root `DESIGN.md`) extends the substrate accordingly:
 //!
-//! * [`StoreError`](error::StoreError) — the typed failure vocabulary, and
-//!   the `try_*` fallible operations every [`BlockStore`] carries. The
-//!   algorithms call only these and propagate the first error with `?`.
-//! * [`FaultyStore`](fault::FaultyStore) — a seeded, deterministic fault
-//!   injector: transient read failures, ciphertext corruption, stale
-//!   replays, dropped writes, at configurable per-op rates.
-//! * [`AuthenticatedStore`](auth::AuthenticatedStore) — per-block MACs
-//!   checked against a client-side `(version, tag)` table at no extra I/O:
-//!   corruption and rollback surface as `Err(Corrupted | Stale)`, never as
-//!   wrong data.
-//! * [`RetryingStore`](retry::RetryingStore) — bounded retry with backoff
-//!   for transient faults; every other error passes through as a value.
+//! * [`StoreError`] — the typed failure vocabulary, and the `try_*`
+//!   fallible operations every [`BlockStore`] carries: `try_load_block` and
+//!   `try_store_block` are the two required block ops. The algorithms call
+//!   only these and propagate the first error with `?`.
+//! * [`FaultyStore`] — a seeded, deterministic fault injector: transient
+//!   read failures, ciphertext corruption, stale replays, dropped writes, at
+//!   configurable per-op rates.
+//! * [`AuthenticatedStore`] — per-block MACs checked against a client-side
+//!   `(version, tag)` table at no extra I/O: corruption and rollback surface
+//!   as `Err(Corrupted | Stale)`, never as wrong data.
+//! * [`RetryingStore`] — bounded retry with backoff for transient faults;
+//!   every other error passes through as a value.
 //!
 //! ## Cost model
 //!
-//! Every [`ExtMem::read_block`] / [`ExtMem::write_block`] costs exactly one
-//! I/O, mirroring the paper's cost model (I/Os are counted at block
-//! granularity; CPU time inside the client cache is free). Algorithms that
-//! claim `O(N/B)` I/Os can therefore be validated by reading
-//! [`ExtMem::stats`] after a run, which is what the `odo-bench` experiment
-//! harness does.
+//! Every [`BlockStore::try_load_block`] / [`BlockStore::try_store_block`] on
+//! an [`ExtMem`] costs exactly one I/O, mirroring the paper's cost model
+//! (I/Os are counted at block granularity; CPU time inside the client cache
+//! is free). Algorithms that claim `O(N/B)` I/Os can therefore be validated
+//! by reading [`ExtMem::stats`] after a run, which is what the `odo-bench`
+//! experiment harness does.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

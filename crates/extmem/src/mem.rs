@@ -17,6 +17,8 @@ use std::sync::Arc;
 use crate::arena::BlockArena;
 use crate::block::Block;
 use crate::element::{Cell, Element};
+use crate::error::StoreError;
+use crate::store::{BackingStore, BlockStore};
 
 /// The kind of a block access, as visible to the server.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -108,6 +110,25 @@ impl ArrayHandle {
     pub fn global_block(&self, i: usize) -> usize {
         debug_assert!(i < self.n_blocks(), "block index out of range");
         self.start_block + i
+    }
+
+    /// Global block address of local block `i`, or the typed refusal every
+    /// store's fallible block op returns, before it does any I/O or indexes
+    /// any per-block table, for an index past the array (which would
+    /// otherwise address the next array's blocks).
+    pub(crate) fn checked_block(&self, i: usize) -> Result<usize, StoreError> {
+        // `i < n_blocks()` without its division: block 0 always exists, and
+        // block `i` does exactly when it starts before the array's end.
+        if i == 0
+            || i.checked_mul(self.block_elems)
+                .is_some_and(|lo| lo < self.len_elements)
+        {
+            Ok(self.start_block + i)
+        } else {
+            Err(StoreError::InvalidArgument {
+                reason: "block index out of range",
+            })
+        }
     }
 
     /// Crate-internal constructor used by the other [`crate::store::BlockStore`]
@@ -243,126 +264,6 @@ impl ExtMem {
         }
     }
 
-    /// Reads local block `i` of array `h` (costs one I/O). The returned
-    /// block's buffer comes from the shared [`BlockArena`], not a fresh
-    /// allocation.
-    pub fn read_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        let addr = h.global_block(i);
-        self.record(AccessOp::Read, addr);
-        let mut buf = self.arena.take(self.block_elems);
-        buf.copy_from_slice(self.blocks[addr].slots());
-        Block::from_buffer(buf)
-    }
-
-    /// Writes local block `i` of array `h` (costs one I/O). The replaced
-    /// block's buffer is recycled through the [`BlockArena`].
-    pub fn write_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-        assert_eq!(blk.len(), self.block_elems, "block size mismatch");
-        let addr = h.global_block(i);
-        self.record(AccessOp::Write, addr);
-        let old = std::mem::replace(&mut self.blocks[addr], blk);
-        self.arena.put(old.into_buffer());
-    }
-
-    /// Reads the cell at element index `idx` of array `h` by reading its
-    /// containing block (costs one I/O).
-    pub fn read_cell(&mut self, h: &ArrayHandle, idx: usize) -> Cell {
-        assert!(idx < h.len(), "element index out of range");
-        let blk = self.read_block(h, idx / self.block_elems);
-        blk.get(idx % self.block_elems)
-    }
-
-    /// Writes the cell at element index `idx` of array `h` via a
-    /// read-modify-write of its containing block (costs two I/Os).
-    pub fn write_cell(&mut self, h: &ArrayHandle, idx: usize, cell: Cell) {
-        assert!(idx < h.len(), "element index out of range");
-        let bi = idx / self.block_elems;
-        let mut blk = self.read_block(h, bi);
-        blk.set(idx % self.block_elems, cell);
-        self.write_block(h, bi, blk);
-    }
-
-    /// Fused read-modify-write of the block pair `(i, j)`: both blocks are
-    /// read, `f` is applied once to the pair, and both blocks are written
-    /// back (4 I/Os total, in the fixed order read `i`, read `j`, write `i`,
-    /// write `j`).
-    ///
-    /// This is the whole-block fast path used by the external oblivious
-    /// sort's stride-batched compare-exchange passes: one call per block pair
-    /// per pass, instead of `B` cell-level round trips. Writes are
-    /// unconditional, keeping the trace data-independent.
-    pub fn modify_block_pair(
-        &mut self,
-        h: &ArrayHandle,
-        i: usize,
-        j: usize,
-        f: impl FnOnce(&mut Block, &mut Block),
-    ) {
-        assert_ne!(i, j, "block pair must be two distinct blocks");
-        let mut a = self.read_block(h, i);
-        let mut b = self.read_block(h, j);
-        f(&mut a, &mut b);
-        self.write_block(h, i, a);
-        self.write_block(h, j, b);
-    }
-
-    /// Reads the element span `[elem_lo, elem_hi)` of array `h` into a flat
-    /// cell vector, charging one read I/O per spanned block.
-    ///
-    /// This is the load half of *in-cache finishing*: an algorithm pulls a
-    /// whole sub-problem into the private cache with one pass of block reads,
-    /// works on it CPU-side for free, and stores it back with
-    /// [`ExtMem::write_span`].
-    pub fn read_span(&mut self, h: &ArrayHandle, elem_lo: usize, elem_hi: usize) -> Vec<Cell> {
-        assert!(
-            elem_lo <= elem_hi && elem_hi <= h.len(),
-            "span out of range"
-        );
-        if elem_lo == elem_hi {
-            return Vec::new();
-        }
-        let b = self.block_elems;
-        let blk_lo = elem_lo / b;
-        let blk_hi = (elem_hi - 1) / b;
-        let mut out = Vec::with_capacity(elem_hi - elem_lo);
-        for bi in blk_lo..=blk_hi {
-            let blk = self.read_block(h, bi);
-            let lo = elem_lo.max(bi * b) - bi * b;
-            let hi = elem_hi.min((bi + 1) * b) - bi * b;
-            out.extend_from_slice(&blk.slots()[lo..hi]);
-        }
-        out
-    }
-
-    /// Writes `cells` back to the element span starting at `elem_lo`,
-    /// charging one write I/O per spanned block (plus one read I/O for each
-    /// boundary block the span only partially covers, which must be
-    /// read-modify-written).
-    pub fn write_span(&mut self, h: &ArrayHandle, elem_lo: usize, cells: &[Cell]) {
-        let elem_hi = elem_lo + cells.len();
-        assert!(elem_hi <= h.len(), "span out of range");
-        if cells.is_empty() {
-            return;
-        }
-        let b = self.block_elems;
-        let blk_lo = elem_lo / b;
-        let blk_hi = (elem_hi - 1) / b;
-        for bi in blk_lo..=blk_hi {
-            let lo = elem_lo.max(bi * b);
-            let hi = elem_hi.min((bi + 1) * b);
-            let full = lo == bi * b && hi == (bi + 1) * b;
-            let mut blk = if full {
-                Block::empty(b)
-            } else {
-                self.read_block(h, bi)
-            };
-            for (slot, cell) in (lo - bi * b..hi - bi * b).zip(&cells[lo - elem_lo..hi - elem_lo]) {
-                blk.set(slot, *cell);
-            }
-            self.write_block(h, bi, blk);
-        }
-    }
-
     /// Non-oblivious convenience used by tests and oracles: loads the whole
     /// array as a flat vector of cells **without** charging I/Os or touching
     /// the trace. Never use this inside an algorithm under test.
@@ -383,6 +284,67 @@ impl ExtMem {
     /// elements of the array in slot order, free of charge.
     pub fn snapshot_elements(&self, h: &ArrayHandle) -> Vec<Element> {
         self.snapshot_cells(h).into_iter().flatten().collect()
+    }
+}
+
+impl BlockStore for ExtMem {
+    fn block_elems(&self) -> usize {
+        self.block_elems
+    }
+
+    fn alloc_array(&mut self, len_elements: usize) -> ArrayHandle {
+        ExtMem::alloc_array(self, len_elements)
+    }
+
+    fn io_stats(&self) -> IoStats {
+        self.stats
+    }
+
+    fn recycle(&mut self, blk: Block) {
+        self.arena.put(blk.into_buffer());
+    }
+
+    /// Copies local block `i` of array `h` out (one I/O) into a buffer from
+    /// the shared [`BlockArena`], not a fresh allocation.
+    fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
+        let addr = h.checked_block(i)?;
+        self.record(AccessOp::Read, addr);
+        let mut buf = self.arena.take(self.block_elems);
+        buf.copy_from_slice(self.blocks[addr].slots());
+        Ok(Block::from_buffer(buf))
+    }
+
+    /// Replaces local block `i` of array `h` (one I/O), recycling the old
+    /// block's buffer through the [`BlockArena`].
+    fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
+        assert_eq!(blk.len(), self.block_elems, "block size mismatch");
+        let addr = h.checked_block(i)?;
+        self.record(AccessOp::Write, addr);
+        let old = std::mem::replace(&mut self.blocks[addr], blk);
+        self.arena.put(old.into_buffer());
+        Ok(())
+    }
+}
+
+impl BackingStore for ExtMem {
+    fn enable_trace(&mut self) {
+        ExtMem::enable_trace(self)
+    }
+
+    fn take_trace(&mut self) -> Option<AccessTrace> {
+        ExtMem::take_trace(self)
+    }
+
+    fn reset_stats(&mut self) {
+        ExtMem::reset_stats(self)
+    }
+
+    fn allocated_blocks(&self) -> usize {
+        ExtMem::allocated_blocks(self)
+    }
+
+    fn snapshot_cells(&self, h: &ArrayHandle) -> Vec<Cell> {
+        ExtMem::snapshot_cells(self, h)
     }
 }
 
@@ -409,21 +371,23 @@ mod tests {
         let items: Vec<Element> = (0..10).map(e).collect();
         let h = mem.alloc_array_from_elements(&items);
         assert_eq!(mem.stats().total(), 0);
-        let b0 = mem.read_block(&h, 0);
+        let b0 = mem.try_load_block(&h, 0).unwrap();
         assert_eq!(b0.occupied(), items[..4].to_vec());
         assert_eq!(mem.stats().reads, 1);
-        mem.write_block(&h, 0, Block::empty(4));
+        mem.try_store_block(&h, 0, Block::empty(4)).unwrap();
         assert_eq!(mem.stats().writes, 1);
     }
 
     #[test]
     fn cell_level_access_charges_block_ios() {
+        // A one-cell span costs its containing block: one read to load it,
+        // a read-modify-write to store it.
         let mut mem = ExtMem::new(4);
         let items: Vec<Element> = (0..8).map(e).collect();
         let h = mem.alloc_array_from_elements(&items);
-        assert_eq!(mem.read_cell(&h, 5), Some(e(5)));
+        assert_eq!(mem.try_load_span(&h, 5, 6).unwrap(), vec![Some(e(5))]);
         assert_eq!(mem.stats().reads, 1);
-        mem.write_cell(&h, 5, Some(e(99)));
+        mem.try_store_span(&h, 5, &[Some(e(99))]).unwrap();
         assert_eq!(
             mem.stats(),
             IoStats {
@@ -431,7 +395,7 @@ mod tests {
                 writes: 1
             }
         );
-        assert_eq!(mem.read_cell(&h, 5), Some(e(99)));
+        assert_eq!(mem.try_load_span(&h, 5, 6).unwrap(), vec![Some(e(99))]);
     }
 
     #[test]
@@ -439,8 +403,8 @@ mod tests {
         let mut mem = ExtMem::with_trace(2);
         let a = mem.alloc_array(4); // blocks 0..2
         let b = mem.alloc_array(4); // blocks 2..4
-        let _ = mem.read_block(&a, 1);
-        mem.write_block(&b, 0, Block::empty(2));
+        let _ = mem.try_load_block(&a, 1).unwrap();
+        mem.try_store_block(&b, 0, Block::empty(2)).unwrap();
         let t = mem.take_trace().unwrap();
         assert_eq!(
             t,
@@ -486,24 +450,39 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn out_of_range_block_index_panics() {
+    fn out_of_range_block_index_is_a_typed_error() {
+        // Local block 1 of a one-block array would be block 0 of the next
+        // array; both directions refuse it before any I/O, in release too.
         let mut mem = ExtMem::new(4);
         let h = mem.alloc_array(4);
-        let _ = mem.read_block(&h, 1);
+        let next = mem.alloc_array_from_elements(&(0..4).map(e).collect::<Vec<_>>());
+        let refused = StoreError::InvalidArgument {
+            reason: "block index out of range",
+        };
+        assert_eq!(mem.try_load_block(&h, 1).unwrap_err(), refused);
+        assert_eq!(
+            mem.try_store_block(&h, 1, Block::empty(4)).unwrap_err(),
+            refused
+        );
+        assert_eq!(mem.stats().total(), 0);
+        assert_eq!(
+            mem.snapshot_elements(&next),
+            (0..4).map(e).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn modify_block_pair_costs_two_reads_and_two_writes() {
         let mut mem = ExtMem::new(4);
         let h = mem.alloc_array_from_elements(&(0..16).map(e).collect::<Vec<_>>());
-        mem.modify_block_pair(&h, 0, 2, |a, b| {
+        mem.try_modify_pair(&h, 0, 2, |a, b| {
             for i in 0..4 {
                 let (x, y) = (a.get(i), b.get(i));
                 a.set(i, y);
                 b.set(i, x);
             }
-        });
+        })
+        .unwrap();
         assert_eq!(
             mem.stats(),
             IoStats {
@@ -522,7 +501,7 @@ mod tests {
         // pattern must never depend on whether the data changed.
         let mut mem = ExtMem::with_trace(4);
         let h = mem.alloc_array(8);
-        mem.modify_block_pair(&h, 0, 1, |_, _| {});
+        mem.try_modify_pair(&h, 0, 1, |_, _| {}).unwrap();
         assert_eq!(
             mem.stats(),
             IoStats {
@@ -538,7 +517,7 @@ mod tests {
     fn read_span_charges_one_read_per_spanned_block() {
         let mut mem = ExtMem::new(4);
         let h = mem.alloc_array_from_elements(&(0..16).map(e).collect::<Vec<_>>());
-        let cells = mem.read_span(&h, 2, 11);
+        let cells = mem.try_load_span(&h, 2, 11).unwrap();
         assert_eq!(cells.len(), 9);
         assert_eq!(cells[0], Some(e(2)));
         assert_eq!(cells[8], Some(e(10)));
@@ -550,7 +529,7 @@ mod tests {
         let mut mem = ExtMem::new(4);
         let h = mem.alloc_array(16);
         let cells: Vec<Cell> = (0..8).map(|k| Some(e(k))).collect();
-        mem.write_span(&h, 4, &cells); // blocks 1 and 2, fully covered
+        mem.try_store_span(&h, 4, &cells).unwrap(); // blocks 1 and 2, fully covered
         assert_eq!(
             mem.stats(),
             IoStats {
@@ -566,7 +545,8 @@ mod tests {
     fn write_span_preserves_cells_outside_partial_blocks() {
         let mut mem = ExtMem::new(4);
         let h = mem.alloc_array_from_elements(&(0..8).map(e).collect::<Vec<_>>());
-        mem.write_span(&h, 3, &[Some(e(100)), Some(e(101))]);
+        mem.try_store_span(&h, 3, &[Some(e(100)), Some(e(101))])
+            .unwrap();
         let cells = mem.snapshot_cells(&h);
         assert_eq!(cells[2], Some(e(2)));
         assert_eq!(cells[3], Some(e(100)));
@@ -586,9 +566,9 @@ mod tests {
     fn span_roundtrip() {
         let mut mem = ExtMem::new(4);
         let h = mem.alloc_array_from_elements(&(0..12).map(e).collect::<Vec<_>>());
-        let mut cells = mem.read_span(&h, 0, 12);
+        let mut cells = mem.try_load_span(&h, 0, 12).unwrap();
         cells.reverse();
-        mem.write_span(&h, 0, &cells);
+        mem.try_store_span(&h, 0, &cells).unwrap();
         let got = mem.snapshot_elements(&h);
         let expected: Vec<Element> = (0..12).rev().map(e).collect();
         assert_eq!(got, expected);
@@ -599,7 +579,7 @@ mod tests {
         let mut mem = ExtMem::new(4);
         let a = mem.alloc_array_from_elements(&(0..8).map(e).collect::<Vec<_>>());
         let b = mem.alloc_array_from_elements(&(100..108).map(e).collect::<Vec<_>>());
-        mem.write_cell(&a, 0, Some(e(55)));
+        mem.try_store_span(&a, 0, &[Some(e(55))]).unwrap();
         assert_eq!(mem.snapshot_elements(&b)[0], e(100));
     }
 }

@@ -448,16 +448,6 @@ impl<S: Prefetchable> BlockStore for PrefetchingStore<S> {
         self.inner.alloc_array(len_elements)
     }
 
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        self.try_load_block(h, i)
-            .unwrap_or_else(|e| panic!("PrefetchingStore: {e}"))
-    }
-
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-        self.try_store_block(h, i, blk)
-            .unwrap_or_else(|e| panic!("PrefetchingStore: {e}"))
-    }
-
     fn io_stats(&self) -> IoStats {
         self.stats
     }
@@ -477,7 +467,7 @@ impl<S: Prefetchable> BlockStore for PrefetchingStore<S> {
     }
 
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
-        let addr = h.global_block(i);
+        let addr = h.checked_block(i)?;
         let blk = match self.take_prefetched(addr) {
             Some(res) => res?,
             None => self.inner.try_load_block(h, i)?,
@@ -487,7 +477,7 @@ impl<S: Prefetchable> BlockStore for PrefetchingStore<S> {
     }
 
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
-        let addr = h.global_block(i);
+        let addr = h.checked_block(i)?;
         if self.wb_cap == 0 {
             self.invalidate(addr);
             self.inner.try_store_block(h, i, blk)?;
@@ -619,14 +609,19 @@ mod tests {
         fn alloc_array(&mut self, len: usize) -> ArrayHandle {
             self.0.alloc_array(len)
         }
-        fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-            self.0.read_block(h, i)
-        }
-        fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-            self.0.write_block(h, i, blk);
-        }
         fn io_stats(&self) -> IoStats {
             self.0.stats()
+        }
+        fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
+            self.0.try_load_block(h, i)
+        }
+        fn try_store_block(
+            &mut self,
+            h: &ArrayHandle,
+            i: usize,
+            blk: Block,
+        ) -> Result<(), StoreError> {
+            self.0.try_store_block(h, i, blk)
         }
     }
 

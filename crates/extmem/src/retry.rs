@@ -139,15 +139,6 @@ impl<S: BlockStore> BlockStore for RetryingStore<'_, S> {
         self.inner.alloc_array(len_elements)
     }
 
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        self.try_load_block(h, i).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-        self.try_store_block(h, i, blk)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn io_stats(&self) -> IoStats {
         self.inner.io_stats()
     }
@@ -203,17 +194,11 @@ mod tests {
         fn alloc_array(&mut self, len: usize) -> ArrayHandle {
             self.mem.alloc_array(len)
         }
-        fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-            self.mem.read_block(h, i)
-        }
-        fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-            self.mem.write_block(h, i, blk);
-        }
         fn io_stats(&self) -> IoStats {
             self.mem.stats()
         }
         fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
-            let blk = self.load_block(h, i);
+            let blk = self.mem.try_load_block(h, i)?;
             match self.read_errs.pop_front().flatten() {
                 Some(e) => Err(e),
                 None => Ok(blk),
@@ -227,10 +212,7 @@ mod tests {
         ) -> Result<(), StoreError> {
             match self.write_errs.pop_front().flatten() {
                 Some(e) => Err(e),
-                None => {
-                    self.store_block(h, i, blk);
-                    Ok(())
-                }
+                None => self.mem.try_store_block(h, i, blk),
             }
         }
     }
@@ -331,14 +313,19 @@ mod tests {
             fn alloc_array(&mut self, len: usize) -> ArrayHandle {
                 self.0.alloc_array(len)
             }
-            fn load_block(&mut self, _: &ArrayHandle, _: usize) -> Block {
-                panic!("a genuine logic error");
-            }
-            fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-                self.0.write_block(h, i, blk);
-            }
             fn io_stats(&self) -> IoStats {
                 self.0.stats()
+            }
+            fn try_load_block(&mut self, _: &ArrayHandle, _: usize) -> Result<Block, StoreError> {
+                panic!("a genuine logic error");
+            }
+            fn try_store_block(
+                &mut self,
+                h: &ArrayHandle,
+                i: usize,
+                blk: Block,
+            ) -> Result<(), StoreError> {
+                self.0.try_store_block(h, i, blk)
             }
         }
         let mut s = Panicky(ExtMem::new(4));

@@ -1,30 +1,31 @@
 //! The [`BlockStore`] abstraction: anything that serves block reads and
 //! writes with I/O accounting.
 //!
-//! PR 1's algorithms were written directly against [`ExtMem`]. The paper,
-//! however, is explicit that the algorithms never depend on *how* blocks are
-//! stored — only on the block interface and the fact that the adversary sees
-//! addresses, not contents. [`BlockStore`] captures exactly that interface,
-//! and is implemented by both the plaintext arena ([`ExtMem`]) and the
-//! re-encrypting masking layer ([`EncryptedStore`](crate::crypto::EncryptedStore)).
+//! The first algorithms were written directly against
+//! [`ExtMem`](crate::mem::ExtMem). The paper, however, is explicit that the
+//! algorithms never depend on *how* blocks are stored — only on the block
+//! interface and the fact that the adversary sees addresses, not contents.
+//! [`BlockStore`] captures exactly that interface, and is implemented by both
+//! the plaintext arena ([`ExtMem`](crate::mem::ExtMem)) and the re-encrypting
+//! masking layer ([`EncryptedStore`](crate::crypto::EncryptedStore)).
 //! An algorithm written against the trait — like `odo-core`'s external
 //! butterfly compaction — therefore runs unchanged over an encrypted
 //! outsourced store, with an identical address trace and identical I/O count
 //! (the encryption layer adds zero I/Os; the bench harness verifies this).
 //!
-//! The provided combinators ([`BlockStore::try_modify_pair`],
-//! [`BlockStore::try_load_span`], [`BlockStore::try_store_span`]) mirror the
-//! span/pair fast paths [`ExtMem`] grew for the external sort, but are
-//! expressed purely in terms of [`BlockStore::try_load_block`] /
-//! [`BlockStore::try_store_block`], so every implementor gets them — and
-//! their fixed access order — for free. The passes call only this fallible
-//! half; the infallible `modify_pair`, `load_span` and `store_span` are
-//! one-line wrappers that panic with the error's message.
+//! The required block ops are the fallible [`BlockStore::try_load_block`] /
+//! [`BlockStore::try_store_block`]. The provided combinators
+//! ([`BlockStore::try_modify_pair`], [`BlockStore::try_load_span`],
+//! [`BlockStore::try_store_span`]) are expressed purely in terms of them, so
+//! every implementor gets them — and their fixed access order — for free.
+//! The passes call only this fallible surface; the provided `load_block`,
+//! `store_block`, `modify_pair`, `load_span` and `store_span` are one-line
+//! wrappers that panic with the error's message.
 
 use crate::block::Block;
 use crate::element::Cell;
 use crate::error::StoreError;
-use crate::mem::{AccessTrace, ArrayHandle, ExtMem, IoStats};
+use crate::mem::{AccessTrace, ArrayHandle, IoStats};
 
 /// The typed refusal of a fallible span op whose span is not inside its
 /// array.
@@ -41,12 +42,6 @@ pub trait BlockStore {
 
     /// Allocates a new array of `len_elements` slots, all initially dummies.
     fn alloc_array(&mut self, len_elements: usize) -> ArrayHandle;
-
-    /// Reads local block `i` of array `h` (one I/O).
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block;
-
-    /// Writes local block `i` of array `h` (one I/O).
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block);
 
     /// Cumulative I/O counters of the underlying server.
     fn io_stats(&self) -> IoStats;
@@ -66,23 +61,27 @@ pub trait BlockStore {
     /// drops the block.
     fn recycle(&mut self, _blk: Block) {}
 
-    /// Fallible read of local block `i` of array `h` (one I/O).
-    ///
-    /// The default delegates to the infallible [`BlockStore::load_block`], so
-    /// reliable honest servers ([`ExtMem`],
-    /// [`EncryptedStore`](crate::crypto::EncryptedStore)) never fail. Untrusted
-    /// or unreliable wrappers ([`FaultyStore`](crate::fault::FaultyStore),
-    /// [`AuthenticatedStore`](crate::auth::AuthenticatedStore)) override this
-    /// to surface [`StoreError`]s instead of wrong data.
-    fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
-        Ok(self.load_block(h, i))
+    /// Reads local block `i` of array `h` (one I/O). A local index past the
+    /// array is refused with [`StoreError::InvalidArgument`] before any I/O;
+    /// untrusted or unreliable stores
+    /// ([`FaultyStore`](crate::fault::FaultyStore),
+    /// [`AuthenticatedStore`](crate::auth::AuthenticatedStore)) surface
+    /// their failures as other [`StoreError`]s instead of wrong data.
+    fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError>;
+
+    /// Writes local block `i` of array `h` (one I/O). A local index past the
+    /// array is refused with [`StoreError::InvalidArgument`] before any I/O.
+    fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError>;
+
+    /// [`BlockStore::try_load_block`], panicking where it fails.
+    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
+        self.try_load_block(h, i).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible write of local block `i` of array `h` (one I/O). Default
-    /// delegates to the infallible [`BlockStore::store_block`].
-    fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
-        self.store_block(h, i, blk);
-        Ok(())
+    /// [`BlockStore::try_store_block`], panicking where it fails.
+    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
+        self.try_store_block(h, i, blk)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fused read-modify-write of the distinct block pair `(i, j)` in the
@@ -211,7 +210,7 @@ pub trait BlockStore {
 /// free (unmetered) snapshot. The wrappers that need a concrete backend
 /// underneath them — [`EncryptedStore`](crate::crypto::EncryptedStore) in
 /// particular — are generic over this trait, so the same masking layer runs
-/// over the in-memory arena ([`ExtMem`]) or the on-disk
+/// over the in-memory arena ([`ExtMem`](crate::mem::ExtMem)) or the on-disk
 /// [`FileStore`](crate::file::FileStore) without caring which.
 pub trait BackingStore: BlockStore {
     /// Starts recording the access trace (clearing any previous recording).
@@ -232,58 +231,11 @@ pub trait BackingStore: BlockStore {
     fn snapshot_cells(&self, h: &ArrayHandle) -> Vec<Cell>;
 }
 
-impl BlockStore for ExtMem {
-    fn block_elems(&self) -> usize {
-        ExtMem::block_elems(self)
-    }
-
-    fn alloc_array(&mut self, len_elements: usize) -> ArrayHandle {
-        ExtMem::alloc_array(self, len_elements)
-    }
-
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        self.read_block(h, i)
-    }
-
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-        self.write_block(h, i, blk);
-    }
-
-    fn io_stats(&self) -> IoStats {
-        self.stats()
-    }
-
-    fn recycle(&mut self, blk: Block) {
-        self.arena().put(blk.into_buffer());
-    }
-}
-
-impl BackingStore for ExtMem {
-    fn enable_trace(&mut self) {
-        ExtMem::enable_trace(self)
-    }
-
-    fn take_trace(&mut self) -> Option<AccessTrace> {
-        ExtMem::take_trace(self)
-    }
-
-    fn reset_stats(&mut self) {
-        ExtMem::reset_stats(self)
-    }
-
-    fn allocated_blocks(&self) -> usize {
-        ExtMem::allocated_blocks(self)
-    }
-
-    fn snapshot_cells(&self, h: &ArrayHandle) -> Vec<Cell> {
-        ExtMem::snapshot_cells(self, h)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::element::Element;
+    use crate::mem::ExtMem;
 
     fn e(k: u64) -> Element {
         Element::new(k, 0)
@@ -294,15 +246,16 @@ mod tests {
     fn store_roundtrip<S: BlockStore>(store: &mut S) {
         let h = store.alloc_array(12);
         let cells: Vec<Cell> = (0..12).map(|k| Some(e(k))).collect();
-        store.store_span(&h, 0, &cells);
-        let back = store.load_span(&h, 0, 12);
-        assert_eq!(back, cells);
-        store.modify_pair(&h, 0, 2, |a, b| {
-            let (x, y) = (a.get(0), b.get(0));
-            a.set(0, y);
-            b.set(0, x);
-        });
-        let after = store.load_span(&h, 0, 12);
+        store.try_store_span(&h, 0, &cells).unwrap();
+        assert_eq!(store.try_load_span(&h, 0, 12).unwrap(), cells);
+        store
+            .try_modify_pair(&h, 0, 2, |a, b| {
+                let (x, y) = (a.get(0), b.get(0));
+                a.set(0, y);
+                b.set(0, x);
+            })
+            .unwrap();
+        let after = store.try_load_span(&h, 0, 12).unwrap();
         assert_eq!(after[0], Some(e(8)));
         assert_eq!(after[8], Some(e(0)));
     }
@@ -311,26 +264,6 @@ mod tests {
     fn extmem_implements_the_trait_combinators() {
         let mut mem = ExtMem::new(4);
         store_roundtrip(&mut mem);
-    }
-
-    #[test]
-    fn try_defaults_delegate_to_the_infallible_ops() {
-        // On an honest reliable store the fallible path always succeeds and
-        // is operationally identical to the infallible one.
-        let mut mem = ExtMem::new(4);
-        let h = BlockStore::alloc_array(&mut mem, 12);
-        let cells: Vec<Cell> = (0..12).map(|k| Some(e(k))).collect();
-        mem.try_store_span(&h, 0, &cells).unwrap();
-        assert_eq!(mem.try_load_span(&h, 0, 12).unwrap(), cells);
-        mem.try_modify_pair(&h, 0, 2, |a, b| {
-            let (x, y) = (a.get(0), b.get(0));
-            a.set(0, y);
-            b.set(0, x);
-        })
-        .unwrap();
-        let after = mem.try_load_span(&h, 0, 12).unwrap();
-        assert_eq!(after[0], Some(e(8)));
-        assert_eq!(after[8], Some(e(0)));
     }
 
     /// Runs `op` against a populated 12-slot array and asserts it is refused
@@ -390,33 +323,65 @@ mod tests {
         }
     }
 
+    /// The trace `op` leaves on a fresh two-block `ExtMem` array.
+    fn pair_trace(op: impl FnOnce(&mut ExtMem, &ArrayHandle)) -> AccessTrace {
+        let mut mem = ExtMem::with_trace(4);
+        let h = BlockStore::alloc_array(&mut mem, 8);
+        op(&mut mem, &h);
+        mem.take_trace().unwrap()
+    }
+
     #[test]
     fn try_pair_trace_matches_infallible_pair_trace() {
         // The fallible pair op must leave the identical server-visible trace
-        // as the infallible one: read i, read j, write i, write j.
-        let mut mem = ExtMem::with_trace(4);
-        let h = BlockStore::alloc_array(&mut mem, 8);
-        mem.try_modify_pair(&h, 0, 1, |_, _| {}).unwrap();
-        let t1 = mem.take_trace().unwrap();
-        let mut mem2 = ExtMem::with_trace(4);
-        let h2 = BlockStore::alloc_array(&mut mem2, 8);
-        BlockStore::modify_pair(&mut mem2, &h2, 0, 1, |_, _| {});
-        let t2 = mem2.take_trace().unwrap();
+        // as its panicking wrapper: read i, read j, write i, write j.
+        let t1 = pair_trace(|m, h| m.try_modify_pair(h, 0, 1, |_, _| {}).unwrap());
+        let t2 = pair_trace(|m, h| m.modify_pair(h, 0, 1, |_, _| {}));
         assert_eq!(t1, t2);
     }
 
     #[test]
     fn trait_pair_order_matches_inherent_fast_path() {
-        // The provided modify_pair must leave the same trace as
-        // ExtMem::modify_block_pair: read i, read j, write i, write j.
-        let mut mem = ExtMem::with_trace(4);
-        let h = BlockStore::alloc_array(&mut mem, 8);
-        BlockStore::modify_pair(&mut mem, &h, 0, 1, |_, _| {});
-        let t1 = mem.take_trace().unwrap();
-        let mut mem2 = ExtMem::with_trace(4);
-        let h2 = mem2.alloc_array(8);
-        mem2.modify_block_pair(&h2, 0, 1, |_, _| {});
-        let t2 = mem2.take_trace().unwrap();
+        // The provided pair op issues exactly the four block ops the
+        // hand-written fast path of the external sort issued: read i,
+        // read j, write i, write j.
+        let t1 = pair_trace(|m, h| m.try_modify_pair(h, 0, 1, |_, _| {}).unwrap());
+        let t2 = pair_trace(|m, h| {
+            let a = m.try_load_block(h, 0).unwrap();
+            let b = m.try_load_block(h, 1).unwrap();
+            m.try_store_block(h, 0, a).unwrap();
+            m.try_store_block(h, 1, b).unwrap();
+        });
         assert_eq!(t1, t2);
+    }
+
+    #[test]
+    fn an_out_of_range_block_index_is_refused_by_every_layer() {
+        // Local block `n_blocks()` of `a` is global block 0 of `next`. Every
+        // layer refuses it with a typed error, in release builds too, and
+        // the neighbouring array keeps its contents.
+        fn check<S: BlockStore>(store: &mut S) {
+            let a = store.alloc_array(8);
+            let next = store.alloc_array(8);
+            let cells: Vec<Cell> = (0..8).map(|k| Some(e(k))).collect();
+            store.try_store_span(&next, 0, &cells).unwrap();
+            let refused = StoreError::InvalidArgument {
+                reason: "block index out of range",
+            };
+            let before = store.io_stats();
+            assert_eq!(store.try_load_block(&a, a.n_blocks()).unwrap_err(), refused);
+            let blk = Block::from_cells(&cells[..4]);
+            assert_eq!(
+                store.try_store_block(&a, a.n_blocks(), blk).unwrap_err(),
+                refused
+            );
+            assert_eq!(store.io_stats(), before, "a refused op must not do I/O");
+            assert_eq!(store.try_load_span(&next, 0, 8).unwrap(), cells);
+        }
+        check(&mut ExtMem::new(4));
+        let file = crate::FileStore::temp(4).unwrap();
+        let enc = crate::EncryptedStore::with_backing(file, 0x51);
+        let auth = crate::AuthenticatedStore::new(enc, 0x4D);
+        check(&mut crate::PrefetchingStore::new(auth));
     }
 }

@@ -221,7 +221,7 @@ fn run_straddling_rewrites_stay_identical_to_scalar_writes() {
         let blks: Vec<Block> = (0..len).map(|k| mk_block(round, start + k)).collect();
         run.store_run(hr.global_block(start), blks.clone()).unwrap();
         for (k, blk) in blks.into_iter().enumerate() {
-            one.write_block(&ho, start + k, &blk);
+            one.try_store_block(&ho, start + k, blk).unwrap();
         }
         // Ciphertext equality after every round, not just at the end.
         for i in 0..n_blocks {

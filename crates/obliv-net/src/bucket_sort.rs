@@ -89,10 +89,7 @@ use std::fmt;
 
 use extmem::element::{cell_cmp_none_last, cell_cmp_none_last_desc, Cell};
 use extmem::util::{hash64, ilog2_floor, next_pow2};
-use extmem::{
-    ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, RetryPolicy, RetryStats,
-    RetryingStore, StoreError,
-};
+use extmem::{ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, StoreError};
 
 use crate::external_sort::SortOrder;
 
@@ -337,8 +334,8 @@ pub fn merge_split<T>(
 /// Sorts array `h` by key in the given order, dummies last, using at most
 /// `cache_elems` words of private memory.
 ///
-/// Same contract as
-/// [`external_oblivious_sort`](crate::external_sort::external_oblivious_sort),
+/// Same contract as the Lemma 2 sort
+/// ([`try_external_oblivious_sort_by`](crate::external_sort::try_external_oblivious_sort_by)),
 /// with two deltas: the trace depends on `(shape, cfg.seed, data)` rather
 /// than shape alone (see the module docs), and failure is a typed
 /// [`BucketSortError`] instead of a panic.
@@ -357,23 +354,6 @@ pub fn bucket_oblivious_sort<S: BlockStore>(
             bucket_oblivious_sort_by(store, h, cache_elems, cfg, &cell_cmp_none_last_desc)
         }
     }
-}
-
-/// [`bucket_oblivious_sort`] for untrusted/unreliable servers: transient
-/// faults are retried per `policy`; tampering and exhausted retries surface
-/// as [`BucketSortError::Store`], and routing overflow keeps its typed
-/// shape.
-pub fn try_bucket_oblivious_sort<S: BlockStore>(
-    store: &mut S,
-    h: &ArrayHandle,
-    cache_elems: usize,
-    order: SortOrder,
-    cfg: &BucketSortConfig,
-    policy: RetryPolicy,
-) -> Result<(BucketSortReport, RetryStats), BucketSortError> {
-    let mut rs = RetryingStore::new(store, policy);
-    let report = bucket_oblivious_sort(&mut rs, h, cache_elems, order, cfg)?;
-    Ok((report, rs.stats()))
 }
 
 /// Sorts array `h` with a custom total order on occupied cells.
@@ -1493,7 +1473,7 @@ mod tests {
 
     #[test]
     fn beats_the_lemma2_sort_when_n_is_large_relative_to_m() {
-        use crate::external_sort::external_oblivious_sort;
+        use crate::external_sort::try_external_oblivious_sort_by;
         let n = 1 << 14;
         let b = 64;
         let cache = 1 << 10; // N/M = 16
@@ -1512,7 +1492,8 @@ mod tests {
 
         let mut mem2 = ExtMem::new(b);
         let h2 = mem2.alloc_array_from_cells(&cells);
-        let lemma2 = external_oblivious_sort(&mut mem2, &h2, cache, SortOrder::Ascending);
+        let lemma2 =
+            try_external_oblivious_sort_by(&mut mem2, &h2, cache, &cell_cmp_none_last).unwrap();
 
         assert_eq!(
             mem.snapshot_cells(&h),

@@ -42,46 +42,6 @@ impl std::fmt::Display for RoutingCollision {
 
 impl std::error::Error for RoutingCollision {}
 
-/// Everything that can be wrong with a label table handed to the routing
-/// functions. A table read back from an *untrusted* store can be arbitrary
-/// garbage even when each block individually looked plausible (e.g. a
-/// corrupted-but-MAC-passing window), so the fallible entry points
-/// ([`try_route_with_labels`], [`try_render_labels`]) classify every
-/// inconsistency as a typed error instead of panicking mid-route.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RoutingError {
-    /// Two occupied cells routed to the same internal cell.
-    Collision(RoutingCollision),
-    /// The label table does not describe a valid routing: a label without an
-    /// item (or vice versa), a label that would move an item past cell 0, or
-    /// leftover distance after the last level.
-    MalformedLabels {
-        /// The cell at which the inconsistency was detected.
-        cell: usize,
-        /// What was inconsistent about it.
-        reason: &'static str,
-    },
-}
-
-impl std::fmt::Display for RoutingError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RoutingError::Collision(c) => c.fmt(f),
-            RoutingError::MalformedLabels { cell, reason } => {
-                write!(f, "malformed label table at cell {cell}: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RoutingError {}
-
-impl From<RoutingCollision> for RoutingError {
-    fn from(c: RoutingCollision) -> Self {
-        RoutingError::Collision(c)
-    }
-}
-
 /// Number of routing levels for an `n`-cell network (`⌈log2 n⌉`).
 pub fn levels(n: usize) -> usize {
     if n <= 1 {
@@ -113,33 +73,16 @@ pub fn compaction_labels<T>(cells: &[Option<T>]) -> Vec<Option<usize>> {
 
 /// Routes items through the butterfly network according to their distance
 /// labels (`labels[j]` must be `Some(d)` exactly when `cells[j]` is occupied,
-/// with `d ≤ j`). Returns the contents of the final level.
+/// with `d ≤ j`). Returns the contents of the final level, or the first
+/// [`RoutingCollision`] when the labels are not valid (Lemma 5).
+///
+/// # Panics
+/// Panics if labels and occupancy disagree, if a label would move an item
+/// past cell 0, or if distance is left over after the last level.
 pub fn route_with_labels<T: Clone>(
     cells: &[Option<T>],
     labels: &[Option<usize>],
 ) -> Result<Vec<Option<T>>, RoutingCollision> {
-    match try_route_with_labels(cells, labels) {
-        Ok(out) => Ok(out),
-        Err(RoutingError::Collision(c)) => Err(c),
-        Err(RoutingError::MalformedLabels { cell, reason }) => {
-            if reason.contains("past cell 0") {
-                panic!("distance label may not move an item past cell 0")
-            }
-            panic!("labels and occupancy must agree at cell {cell}")
-        }
-    }
-}
-
-/// Fully fallible form of [`route_with_labels`]: *every* inconsistency in the
-/// label table — occupancy mismatches, out-of-range labels, collisions,
-/// unconsumed distance — is returned as a typed [`RoutingError`] instead of
-/// panicking. This is the entry point to use when the labels were read back
-/// from an untrusted store: a tampered (but individually plausible-looking)
-/// table surfaces as `Err`, never as a panic or a silent mis-route.
-pub fn try_route_with_labels<T: Clone>(
-    cells: &[Option<T>],
-    labels: &[Option<usize>],
-) -> Result<Vec<Option<T>>, RoutingError> {
     assert_eq!(cells.len(), labels.len(), "one label per cell");
     let n = cells.len();
     let lv = levels(n);
@@ -148,21 +91,11 @@ pub fn try_route_with_labels<T: Clone>(
     for (j, (c, l)) in cells.iter().zip(labels.iter()).enumerate() {
         cur.push(match (c, l) {
             (Some(item), Some(d)) => {
-                if *d > j {
-                    return Err(RoutingError::MalformedLabels {
-                        cell: j,
-                        reason: "distance label may not move an item past cell 0",
-                    });
-                }
+                assert!(*d <= j, "distance label may not move an item past cell 0");
                 Some((item.clone(), *d))
             }
             (None, None) => None,
-            _ => {
-                return Err(RoutingError::MalformedLabels {
-                    cell: j,
-                    reason: "labels and occupancy must agree",
-                })
-            }
+            _ => panic!("labels and occupancy must agree at cell {j}"),
         });
     }
 
@@ -175,29 +108,27 @@ pub fn try_route_with_labels<T: Clone>(
                 let hop = d % modulus; // either 0 or 2^i for valid labels
                 debug_assert!(hop == 0 || hop == step, "invalid distance label");
                 let dest = j - hop;
-                let nd = d - hop;
                 if next[dest].is_some() {
-                    return Err(RoutingError::Collision(RoutingCollision {
+                    return Err(RoutingCollision {
                         level: i + 1,
                         cell: dest,
-                    }));
+                    });
                 }
-                next[dest] = Some((item, nd));
+                next[dest] = Some((item, d - hop));
             }
         }
         cur = next;
     }
-    cur.into_iter()
+    Ok(cur
+        .into_iter()
         .enumerate()
-        .map(|(j, slot)| match slot {
-            Some((item, 0)) => Ok(Some(item)),
-            Some((_, _)) => Err(RoutingError::MalformedLabels {
-                cell: j,
-                reason: "distance not consumed by the last level",
-            }),
-            None => Ok(None),
+        .map(|(j, slot)| {
+            slot.map(|(item, d)| {
+                assert_eq!(d, 0, "distance not consumed by the last level at cell {j}");
+                item
+            })
         })
-        .collect()
+        .collect())
 }
 
 /// Stable tight compaction of `cells` through the butterfly network: occupied
@@ -277,29 +208,22 @@ pub fn expand<T: Clone>(cells: &[Option<T>], targets: &[usize]) -> Vec<Option<T>
 /// Renders the level-by-level remaining-distance labels of a routing run in
 /// the style of the paper's Figure 1: one row per level, occupied cells show
 /// their remaining distance, empty cells show `·`.
+///
+/// # Panics
+/// Panics on a label table that [`route_with_labels`] would not route:
+/// labels and occupancy that disagree, a label running past cell 0, or a
+/// collision.
 pub fn render_labels<T: Clone>(cells: &[Option<T>], labels: &[Option<usize>]) -> String {
-    try_render_labels(cells, labels).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`render_labels`] for label tables of untrusted origin:
-/// a table whose occupancy and labels disagree, whose labels run past cell 0,
-/// or whose routing collides yields a typed [`RoutingError`] instead of a
-/// panic mid-render.
-pub fn try_render_labels<T: Clone>(
-    cells: &[Option<T>],
-    labels: &[Option<usize>],
-) -> Result<String, RoutingError> {
     assert_eq!(cells.len(), labels.len(), "one label per cell");
+    let malformed =
+        |j: usize, reason: &str| -> ! { panic!("malformed label table at cell {j}: {reason}") };
     let n = cells.len();
     let lv = levels(n);
     let mut cur: Vec<Option<usize>> = labels.to_vec();
     let mut occupied: Vec<bool> = cells.iter().map(|c| c.is_some()).collect();
     for (j, (occ, lab)) in occupied.iter().zip(cur.iter()).enumerate() {
         if *occ != lab.is_some() {
-            return Err(RoutingError::MalformedLabels {
-                cell: j,
-                reason: "labels and occupancy must agree",
-            });
+            malformed(j, "labels and occupancy must agree");
         }
     }
     let mut out = String::new();
@@ -321,24 +245,20 @@ pub fn try_render_labels<T: Clone>(
         let mut next_occ = vec![false; n];
         let mut next_lab: Vec<Option<usize>> = vec![None; n];
         for j in 0..n {
-            if occupied[j] {
-                let d = cur[j].ok_or(RoutingError::MalformedLabels {
-                    cell: j,
-                    reason: "labels and occupancy must agree",
-                })?;
+            if let (true, Some(d)) = (occupied[j], cur[j]) {
                 let hop = d % modulus;
                 if hop > j {
-                    return Err(RoutingError::MalformedLabels {
-                        cell: j,
-                        reason: "distance label may not move an item past cell 0",
-                    });
+                    malformed(j, "distance label may not move an item past cell 0");
                 }
                 let dest = j - hop;
                 if next_occ[dest] {
-                    return Err(RoutingError::Collision(RoutingCollision {
-                        level: i + 1,
-                        cell: dest,
-                    }));
+                    panic!(
+                        "{}",
+                        RoutingCollision {
+                            level: i + 1,
+                            cell: dest,
+                        }
+                    );
                 }
                 next_occ[dest] = true;
                 next_lab[dest] = Some(d - hop);
@@ -347,7 +267,7 @@ pub fn try_render_labels<T: Clone>(
         occupied = next_occ;
         cur = next_lab;
     }
-    Ok(out)
+    out
 }
 
 /// Reproduces the instance drawn in the paper's Figure 1: a 16-cell level
@@ -510,84 +430,46 @@ mod tests {
     }
 
     #[test]
-    fn try_route_classifies_every_malformed_table_as_err() {
-        // Label without an item.
-        let cells: Vec<Option<u32>> = vec![None, Some(1), None, None];
-        let labels = vec![Some(0usize), Some(1), None, None];
-        assert_eq!(
-            try_route_with_labels(&cells, &labels),
-            Err(RoutingError::MalformedLabels {
-                cell: 0,
-                reason: "labels and occupancy must agree",
-            })
-        );
-        // Item without a label.
-        let cells: Vec<Option<u32>> = vec![Some(1), Some(2), None, None];
-        let labels = vec![Some(0usize), None, None, None];
-        assert!(matches!(
-            try_route_with_labels(&cells, &labels),
-            Err(RoutingError::MalformedLabels { cell: 1, .. })
-        ));
-        // Label running past cell 0.
-        let cells: Vec<Option<u32>> = vec![None, Some(1), None, None];
-        let labels = vec![None, Some(3usize), None, None];
-        assert!(matches!(
-            try_route_with_labels(&cells, &labels),
-            Err(RoutingError::MalformedLabels {
-                cell: 1,
-                reason: "distance label may not move an item past cell 0",
-            })
-        ));
-        // Collision is still reported as a collision.
-        let cells = vec![Some(1u32), Some(2), None, None];
-        let labels = vec![Some(0usize), Some(1), None, None];
-        assert_eq!(
-            try_route_with_labels(&cells, &labels),
-            Err(RoutingError::Collision(RoutingCollision {
-                level: 1,
-                cell: 0
-            }))
-        );
-        // A valid table still routes.
-        let cells = vec![None, Some(7u32), None, Some(8)];
-        let labels = compaction_labels(&cells);
-        assert_eq!(
-            try_route_with_labels(&cells, &labels).unwrap(),
-            vec![Some(7), Some(8), None, None]
-        );
-    }
-
-    #[test]
-    fn try_render_rejects_malformed_tables_instead_of_panicking() {
-        // The exact shape that used to hit the bare unwrap on the first
-        // level walk: occupancy says occupied, labels say dummy.
-        let cells: Vec<Option<u32>> = vec![None, Some(1), Some(2), None];
-        let labels = vec![None, Some(1usize), None, None]; // cell 2 lies
-        let err = try_render_labels(&cells, &labels).unwrap_err();
-        assert!(matches!(err, RoutingError::MalformedLabels { cell: 2, .. }));
-        // Colliding labels surface as a collision, not a silent merge.
-        let cells: Vec<Option<u32>> = vec![Some(1), Some(2), None, None];
-        let labels = vec![Some(0usize), Some(1), None, None];
-        assert_eq!(
-            try_render_labels(&cells, &labels),
-            Err(RoutingError::Collision(RoutingCollision {
-                level: 1,
-                cell: 0
-            }))
-        );
-        // Valid tables render exactly as before.
-        let (cells, labels) = figure1_example();
-        assert_eq!(
-            try_render_labels(&cells, &labels).unwrap(),
-            render_labels(&cells, &labels)
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "labels and occupancy must agree at cell 1")]
     fn infallible_route_keeps_the_legacy_panic_message() {
         let cells: Vec<Option<u32>> = vec![Some(1), Some(2), None, None];
         let labels = vec![Some(0usize), None, None, None];
         let _ = route_with_labels(&cells, &labels);
+    }
+
+    #[test]
+    #[should_panic(expected = "labels and occupancy must agree at cell 0")]
+    fn route_rejects_a_label_without_an_item() {
+        let cells: Vec<Option<u32>> = vec![None, Some(1), None, None];
+        let labels = vec![Some(0usize), Some(1), None, None];
+        let _ = route_with_labels(&cells, &labels);
+    }
+
+    #[test]
+    #[should_panic(expected = "may not move an item past cell 0")]
+    fn route_rejects_a_label_past_cell_zero() {
+        let cells: Vec<Option<u32>> = vec![None, Some(1), None, None];
+        let labels = vec![None, Some(3usize), None, None];
+        let _ = route_with_labels(&cells, &labels);
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed label table at cell 2: labels and occupancy must agree")]
+    fn render_rejects_labels_that_disagree_with_occupancy() {
+        let cells: Vec<Option<u32>> = vec![None, Some(1), Some(2), None];
+        let labels = vec![None, Some(1usize), None, None]; // cell 2 lies
+        render_labels(&cells, &labels);
+    }
+
+    #[test]
+    #[should_panic(expected = "butterfly routing collision at level 1 cell 0")]
+    fn render_reports_a_collision_like_route() {
+        let cells: Vec<Option<u32>> = vec![Some(1), Some(2), None, None];
+        let labels = vec![Some(0usize), Some(1), None, None];
+        assert_eq!(
+            route_with_labels(&cells, &labels),
+            Err(RoutingCollision { level: 1, cell: 0 })
+        );
+        render_labels(&cells, &labels);
     }
 }

@@ -60,14 +60,12 @@
 
 use crate::bitonic::{bitonic_merge_pow2_by, bitonic_sort_pow2_by};
 use crate::compare::exchange_dir_by;
-use extmem::element::{cell_cmp_none_last, cell_cmp_none_last_desc, Cell};
-use extmem::{
-    ArrayHandle, BlockCache, BlockStore, CacheBudget, IoStats, RetryPolicy, RetryStats,
-    RetryingStore, StoreError,
-};
+use extmem::element::Cell;
+use extmem::{ArrayHandle, BlockCache, BlockStore, CacheBudget, IoStats, StoreError};
 use std::cmp::Ordering;
 
-/// Direction of an [`external_oblivious_sort`].
+/// Direction of a sort: which cell comparator a façade such as
+/// `odo_core::try_sort` hands to [`try_external_oblivious_sort_by`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SortOrder {
     /// Keys ascending; dummy (empty) cells sort after every occupied cell.
@@ -94,92 +92,28 @@ pub struct SortReport {
     pub padded: bool,
 }
 
-/// Sorts array `h` by key in the given order, dummies last, using at most
-/// `cache_elems` words of private memory. Returns the [`SortReport`].
+/// Sorts array `h` by the total order `cmp` on cells, using at most
+/// `cache_elems` words of private memory, and returns the [`SortReport`].
+/// [`cell_cmp_none_last`](extmem::element::cell_cmp_none_last) and
+/// [`cell_cmp_none_last_desc`](extmem::element::cell_cmp_none_last_desc)
+/// sort by key ascending or descending, dummies last.
 ///
 /// Generic over the [`BlockStore`] backend: the identical algorithm —
 /// identical address trace, identical I/O count — runs over a plaintext
 /// [`extmem::ExtMem`] arena or an [`extmem::EncryptedStore`] (the `odo-bench`
 /// harness asserts the zero-extra-I/O property at every grid point).
 ///
-/// # Panics
-/// Panics if `cache_elems < 2·B` (the paper's minimal `M ≥ 2B` regime), or
-/// with the error's message if a block I/O fails; [`try_external_oblivious_sort`]
-/// returns both as a [`StoreError`] instead.
-pub fn external_oblivious_sort<S: BlockStore>(
-    store: &mut S,
-    h: &ArrayHandle,
-    cache_elems: usize,
-    order: SortOrder,
-) -> SortReport {
-    match order {
-        SortOrder::Ascending => {
-            external_oblivious_sort_by(store, h, cache_elems, &cell_cmp_none_last)
-        }
-        SortOrder::Descending => {
-            external_oblivious_sort_by(store, h, cache_elems, &cell_cmp_none_last_desc)
-        }
-    }
-}
-
-/// Fallible variant of [`external_oblivious_sort`] for untrusted/unreliable
-/// servers: transient faults are retried per `policy` (the retry schedule
-/// depends only on the server's fault schedule, never on the data, so traces
-/// stay data-independent), and the first permanent [`StoreError`] — a
-/// corrupted block, a rollback, exhausted retries — stops the pass and is
-/// returned instead of panicking or producing wrong output. A cache below
-/// two blocks is [`StoreError::InvalidArgument`].
-///
-/// On `Err` the contents of `h` (and of the scratch array, for non-power-of-
-/// two lengths) are unspecified; the store itself remains usable and its I/O
-/// accounting reflects every operation actually issued.
-pub fn try_external_oblivious_sort<S: BlockStore>(
-    store: &mut S,
-    h: &ArrayHandle,
-    cache_elems: usize,
-    order: SortOrder,
-    policy: RetryPolicy,
-) -> Result<(SortReport, RetryStats), StoreError> {
-    let mut rs = RetryingStore::new(store, policy);
-    let report = match order {
-        SortOrder::Ascending => {
-            try_external_oblivious_sort_by(&mut rs, h, cache_elems, &cell_cmp_none_last)
-        }
-        SortOrder::Descending => {
-            try_external_oblivious_sort_by(&mut rs, h, cache_elems, &cell_cmp_none_last_desc)
-        }
-    }?;
-    Ok((report, rs.stats()))
-}
-
-/// Sorts array `h` with a custom total order on cells.
-///
 /// When `h.len()` is not a power of two the sort pads into a scratch array
 /// whose extra slots are dummies; `cmp` must therefore order every dummy
 /// (`None`) cell after every occupied cell, or elements may be truncated on
 /// copy-back. Power-of-two lengths accept any total order.
 ///
-/// # Panics
-/// Where [`try_external_oblivious_sort_by`] fails: `cache_elems < 2·B`, or
-/// a store error.
-pub fn external_oblivious_sort_by<S, F>(
-    store: &mut S,
-    h: &ArrayHandle,
-    cache_elems: usize,
-    cmp: &F,
-) -> SortReport
-where
-    S: BlockStore,
-    F: Fn(&Cell, &Cell) -> Ordering,
-{
-    try_external_oblivious_sort_by(store, h, cache_elems, cmp).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`external_oblivious_sort_by`] over `store` as given, returning its first
-/// error: `cache_elems < 2·B` (the paper's minimal `M ≥ 2B` regime) as
-/// [`StoreError::InvalidArgument`] before any I/O, else the first failed
-/// block I/O. Transient errors are not retried here; wrap the store in a
-/// [`RetryingStore`] for that, as [`try_external_oblivious_sort`] does.
+/// Returns the first error: `cache_elems < 2·B` (the paper's minimal
+/// `M ≥ 2B` regime) as [`StoreError::InvalidArgument`] before any I/O, else
+/// the first failed block I/O, after which the contents of `h` (and of the
+/// scratch array, for non-power-of-two lengths) are unspecified. Transient
+/// errors are not retried here; wrap the store in an
+/// [`extmem::RetryingStore`] for that, as `odo_core::try_sort` does.
 pub fn try_external_oblivious_sort_by<S, F>(
     store: &mut S,
     h: &ArrayHandle,
@@ -412,7 +346,22 @@ fn span_blocks(f: usize, b: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use extmem::element::{cell_cmp_none_last, cell_cmp_none_last_desc};
     use extmem::{Element, ExtMem};
+
+    fn sort_in(
+        mem: &mut ExtMem,
+        h: &ArrayHandle,
+        m: usize,
+        order: SortOrder,
+    ) -> Result<SortReport, StoreError> {
+        match order {
+            SortOrder::Ascending => try_external_oblivious_sort_by(mem, h, m, &cell_cmp_none_last),
+            SortOrder::Descending => {
+                try_external_oblivious_sort_by(mem, h, m, &cell_cmp_none_last_desc)
+            }
+        }
+    }
 
     fn e(k: u64) -> Element {
         Element::new(k, 0)
@@ -433,7 +382,7 @@ mod tests {
         let mut mem = ExtMem::new(b);
         let input = keyed_input(n, salt);
         let h = mem.alloc_array_from_elements(&input);
-        let report = external_oblivious_sort(&mut mem, &h, m, SortOrder::Ascending);
+        let report = sort_in(&mut mem, &h, m, SortOrder::Ascending).unwrap();
         (mem.snapshot_elements(&h), report, input)
     }
 
@@ -460,7 +409,7 @@ mod tests {
         let mut mem = ExtMem::new(8);
         let input = keyed_input(128, 7);
         let h = mem.alloc_array_from_elements(&input);
-        external_oblivious_sort(&mut mem, &h, 32, SortOrder::Descending);
+        sort_in(&mut mem, &h, 32, SortOrder::Descending).unwrap();
         let got = mem.snapshot_elements(&h);
         let mut expected = input;
         expected.sort_unstable();
@@ -484,7 +433,7 @@ mod tests {
             Some(e(2)),
         ];
         let h = mem.alloc_array_from_cells(&cells);
-        external_oblivious_sort(&mut mem, &h, 8, SortOrder::Ascending);
+        sort_in(&mut mem, &h, 8, SortOrder::Ascending).unwrap();
         let got = mem.snapshot_cells(&h);
         assert_eq!(
             got[..5],
@@ -497,7 +446,7 @@ mod tests {
     fn trivial_inputs_cost_nothing() {
         let mut mem = ExtMem::new(4);
         let h = mem.alloc_array_from_elements(&[e(1)]);
-        let report = external_oblivious_sort(&mut mem, &h, 8, SortOrder::Ascending);
+        let report = sort_in(&mut mem, &h, 8, SortOrder::Ascending).unwrap();
         assert_eq!(report.io.total(), 0);
     }
 
@@ -524,11 +473,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least two blocks")]
     fn tiny_cache_is_rejected() {
         let mut mem = ExtMem::new(8);
         let h = mem.alloc_array(64);
-        external_oblivious_sort(&mut mem, &h, 8, SortOrder::Ascending);
+        let err = sort_in(&mut mem, &h, 8, SortOrder::Ascending).unwrap_err();
+        assert!(matches!(err, StoreError::InvalidArgument { .. }));
+        assert!(err.to_string().contains("at least two blocks"));
+        assert_eq!(mem.stats().total(), 0, "refused before any I/O");
     }
 
     #[test]

@@ -41,13 +41,10 @@ pub mod network;
 
 pub use bitonic::{bitonic_merge_pow2_by, bitonic_network, bitonic_sort_pow2};
 pub use bucket_sort::{
-    bucket_oblivious_sort, bucket_oblivious_sort_by, merge_split, try_bucket_oblivious_sort,
-    BucketSortConfig, BucketSortError, BucketSortReport, MergeSplitOverflow,
+    bucket_oblivious_sort, bucket_oblivious_sort_by, merge_split, BucketSortConfig,
+    BucketSortError, BucketSortReport, MergeSplitOverflow,
 };
-pub use external_sort::{
-    external_oblivious_sort, external_oblivious_sort_by, try_external_oblivious_sort,
-    try_external_oblivious_sort_by, SortOrder, SortReport,
-};
+pub use external_sort::{try_external_oblivious_sort_by, SortOrder, SortReport};
 pub use network::{Comparator, Network};
 
 /// Announces the strictly sequential block-read schedule `[lo, hi)` of

@@ -15,16 +15,30 @@
 //!   a panic.
 
 use extmem::element::Cell;
+use extmem::element::{cell_cmp_none_last, cell_cmp_none_last_desc};
 use extmem::util::hash64;
 use extmem::{
-    AccessTrace, AuthenticatedStore, BlockStore, Element, EncryptedStore, ExtMem, FaultSpec,
-    FaultyStore, RetryPolicy, StoreError,
+    AccessTrace, ArrayHandle, AuthenticatedStore, BlockStore, Element, EncryptedStore, ExtMem,
+    FaultSpec, FaultyStore, RetryPolicy, RetryStats, RetryingStore, StoreError,
 };
 use obliv_net::bucket_sort::{
-    bucket_oblivious_sort, merge_split, try_bucket_oblivious_sort, BucketSortConfig,
-    BucketSortError,
+    bucket_oblivious_sort, merge_split, BucketSortConfig, BucketSortError, BucketSortReport,
 };
-use obliv_net::external_sort::{external_oblivious_sort, SortOrder};
+use obliv_net::external_sort::{try_external_oblivious_sort_by, SortOrder};
+
+/// The bucket sort of `h`, ascending, over a [`RetryingStore`] with the
+/// default policy: transient faults are retried, every other error returns.
+fn retrying_bucket_sort<S: BlockStore>(
+    store: &mut S,
+    h: &ArrayHandle,
+    m: usize,
+    seed: u64,
+) -> Result<(BucketSortReport, RetryStats), BucketSortError> {
+    let mut rs = RetryingStore::new(store, RetryPolicy::default());
+    let cfg = BucketSortConfig::seeded(seed);
+    let report = bucket_oblivious_sort(&mut rs, h, m, SortOrder::Ascending, &cfg)?;
+    Ok((report, rs.stats()))
+}
 
 fn bucket_run(
     cells: &[Cell],
@@ -44,7 +58,11 @@ fn bucket_run(
 fn oracle_run(cells: &[Cell], b: usize, m: usize, order: SortOrder) -> Vec<Cell> {
     let mut mem = ExtMem::new(b);
     let h = mem.alloc_array_from_cells(cells);
-    external_oblivious_sort(&mut mem, &h, m, order);
+    let cmp = match order {
+        SortOrder::Ascending => cell_cmp_none_last,
+        SortOrder::Descending => cell_cmp_none_last_desc,
+    };
+    try_external_oblivious_sort_by(&mut mem, &h, m, &cmp).unwrap();
     mem.snapshot_cells(&h)
 }
 
@@ -198,15 +216,8 @@ fn transient_faults_on_the_full_stack_retry_to_the_sorted_result() {
         stale_read_ppm: 0,
         drop_write_ppm: 0,
     });
-    let (report, retry) = try_bucket_oblivious_sort(
-        &mut auth,
-        &h,
-        128,
-        SortOrder::Ascending,
-        &BucketSortConfig::seeded(5),
-        RetryPolicy::default(),
-    )
-    .expect("transients must be ridden out");
+    let (report, retry) =
+        retrying_bucket_sort(&mut auth, &h, 128, 5).expect("transients must be ridden out");
     assert!(retry.retries > 0, "3% transients must cause retries");
     assert!(report.io.total() > 0);
 
@@ -231,15 +242,7 @@ fn a_corrupting_server_surfaces_as_a_typed_error() {
         stale_read_ppm: 0,
         drop_write_ppm: 0,
     });
-    let err = try_bucket_oblivious_sort(
-        &mut auth,
-        &h,
-        128,
-        SortOrder::Ascending,
-        &BucketSortConfig::seeded(5),
-        RetryPolicy::default(),
-    )
-    .unwrap_err();
+    let err = retrying_bucket_sort(&mut auth, &h, 128, 5).unwrap_err();
     assert!(
         matches!(
             err,
@@ -268,14 +271,7 @@ fn dropped_writes_without_authentication_are_a_typed_error_not_a_panic() {
             stale_read_ppm: 0,
             drop_write_ppm: 6000,
         });
-        let res = try_bucket_oblivious_sort(
-            &mut faulty,
-            &h,
-            m,
-            SortOrder::Ascending,
-            &BucketSortConfig::seeded(seed),
-            RetryPolicy::default(),
-        );
+        let res = retrying_bucket_sort(&mut faulty, &h, m, seed);
         assert!(
             matches!(
                 res,

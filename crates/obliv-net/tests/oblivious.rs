@@ -2,15 +2,30 @@
 //! access sequence must be *identical* for any two inputs of the same shape.
 
 use extmem::element::Cell;
+use extmem::element::{cell_cmp_none_last, cell_cmp_none_last_desc};
 use extmem::trace::{assert_oblivious, TraceSummary};
-use extmem::{AccessTrace, Element, EncryptedStore, ExtMem};
-use obliv_net::external_sort::{external_oblivious_sort, SortOrder};
+use extmem::{AccessTrace, ArrayHandle, BlockStore, Element, EncryptedStore, ExtMem};
+use obliv_net::external_sort::{try_external_oblivious_sort_by, SortOrder, SortReport};
+
+/// The Lemma 2 sort of `h` in `order`, dummies last.
+fn lemma2_sort<S: BlockStore>(
+    store: &mut S,
+    h: &ArrayHandle,
+    m: usize,
+    order: SortOrder,
+) -> SortReport {
+    let cmp = match order {
+        SortOrder::Ascending => cell_cmp_none_last,
+        SortOrder::Descending => cell_cmp_none_last_desc,
+    };
+    try_external_oblivious_sort_by(store, h, m, &cmp).expect("an honest store never fails")
+}
 
 fn trace_of(cells: &[Cell], b: usize, m: usize, order: SortOrder) -> AccessTrace {
     let mut mem = ExtMem::new(b);
     let h = mem.alloc_array_from_cells(cells);
     mem.enable_trace();
-    external_oblivious_sort(&mut mem, &h, m, order);
+    lemma2_sort(&mut mem, &h, m, order);
     mem.take_trace().expect("trace was enabled")
 }
 
@@ -96,7 +111,7 @@ fn encrypted_store_shares_the_exact_sort_trace() {
         let mut enc = EncryptedStore::new(b, 0x50F7);
         let h = enc.alloc_array_from_cells(&cells);
         enc.enable_trace();
-        let report = external_oblivious_sort(&mut enc, &h, m, SortOrder::Ascending);
+        let report = lemma2_sort(&mut enc, &h, m, SortOrder::Ascending);
         let etrace = enc.take_trace().expect("trace was enabled");
         assert_oblivious(&plain, &etrace, "plaintext vs encrypted sort");
         assert_eq!(etrace.len() as u64, report.io.total());
@@ -114,7 +129,7 @@ fn trace_length_matches_reported_io() {
     let mut mem = ExtMem::new(16);
     let h = mem.alloc_array_from_cells(&input);
     mem.enable_trace();
-    let report = external_oblivious_sort(&mut mem, &h, 64, SortOrder::Ascending);
+    let report = lemma2_sort(&mut mem, &h, 64, SortOrder::Ascending);
     let trace = mem.take_trace().unwrap();
     let summary = TraceSummary::of(&trace);
     assert_eq!(summary.len as u64, report.io.total());
@@ -138,7 +153,7 @@ fn external_sort_matches_std_sort_on_random_inputs() {
                 .collect();
             let mut mem = ExtMem::new(b);
             let h = mem.alloc_array_from_elements(&input);
-            external_oblivious_sort(&mut mem, &h, m, SortOrder::Ascending);
+            lemma2_sort(&mut mem, &h, m, SortOrder::Ascending);
             let mut expected = input;
             expected.sort_unstable();
             assert_eq!(

@@ -71,7 +71,7 @@
 //! `C_c·⌈N/B⌉·(1 + ⌈log_β⌈N/M⌉⌉)`, `β = max(2, M/(8B))`, at every grid
 //! point and `BENCH_compact.json` records the measurements.
 //!
-//! The reverse direction ([`expand`]) routes a compact prefix back out to a
+//! The reverse direction ([`try_expand`]) routes a compact prefix back out to a
 //! strictly increasing target set — the paper's observation that the network
 //! can be used "in reverse" — with the same sweeps mirrored: the groups run
 //! in descending order and every column is visited right to left. The item
@@ -136,7 +136,7 @@ pub struct CompactReport {
     /// whole array fit in cache.
     pub window_elems: usize,
     /// Number of occupied cells (the compacted prefix length). For
-    /// [`expand`] this is the number of routed items, `targets.len()`.
+    /// [`try_expand`] this is the number of routed items, `targets.len()`.
     pub occupied: usize,
 }
 
@@ -146,26 +146,15 @@ pub struct CompactReport {
 /// `O((N/B)(1 + log_{M/B}(N/M)))` I/Os whose addresses depend only on the
 /// shape `(N, B, M)` — see the module documentation.
 ///
-/// # Panics
-/// Panics if `cache_elems < 8·B`, if the array does not fit in cache and
-/// `B` is not a power of two, or with the error's message if a block I/O
-/// fails. The fallible path ([`try_compact`]) returns the same conditions
-/// as an [`OdoError`] instead.
-pub fn compact<S: BlockStore>(store: &mut S, h: &ArrayHandle, cache_elems: usize) -> CompactReport {
-    run(store, h, cache_elems, None).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`compact`] for untrusted/unreliable servers:
-/// transient faults are retried per `policy` (the retry schedule depends
-/// only on the server's fault schedule, never on the data), and the first
-/// permanent [`StoreError`] — a corrupted block, a rollback, exhausted
-/// retries — stops the pass and is returned as a typed [`OdoError`]
-/// instead of panicking or compacting tampered data. Argument validation
-/// (cache too small, non-power-of-two blocks) also returns
-/// [`OdoError::InvalidArgument`] here, where the infallible [`compact`]
-/// panics; routing state that disagrees with itself — the symptom of a
-/// corrupted but unauthenticated store — surfaces as
-/// [`OdoError::CorruptedRouting`].
+/// For untrusted/unreliable servers: transient faults are retried per
+/// `policy` (the retry schedule depends only on the server's fault
+/// schedule, never on the data), and the first permanent [`StoreError`] — a
+/// corrupted block, a rollback, exhausted retries — stops the pass and is
+/// returned as a typed [`OdoError`] instead of compacting tampered data. A
+/// cache below `8·B`, or a non-power-of-two `B` when the array does not fit
+/// in cache, returns [`OdoError::InvalidArgument`]; routing state that
+/// disagrees with itself — the symptom of a corrupted but unauthenticated
+/// store — surfaces as [`OdoError::CorruptedRouting`].
 ///
 /// On `Err` the contents of `h` (and of the internal scratch arrays) are
 /// unspecified; the store itself remains usable.
@@ -183,33 +172,17 @@ pub fn try_compact<S: BlockStore>(
 /// The reverse operation: array `h` holds `targets.len()` occupied cells as a
 /// prefix (dummies after), and item `i` of the prefix is routed right to cell
 /// `targets[i]`. `targets` must be strictly increasing with every target
-/// `< h.len()`. Running [`expand`] after [`compact`] with the original
-/// occupied positions restores the original array.
+/// `< h.len()`. Running [`try_expand`] after [`try_compact`] with the
+/// original occupied positions restores the original array.
 ///
 /// The access trace depends only on the shape `(N, B, M)` — the targets
 /// steer item movement strictly inside the private cache.
 ///
-/// # Panics
-/// Panics on malformed targets, on a prefix/occupancy mismatch, if
-/// `cache_elems < 8·B`, if the array does not fit in cache and `B` is not
-/// a power of two, or with the error's message if a block I/O fails. The
-/// fallible path ([`try_expand`]) returns the same conditions as an
-/// [`OdoError`] instead.
-pub fn expand<S: BlockStore>(
-    store: &mut S,
-    h: &ArrayHandle,
-    targets: &[usize],
-    cache_elems: usize,
-) -> CompactReport {
-    run(store, h, cache_elems, Some(targets)).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`expand`], mirroring [`try_compact`]: transient
-/// faults retry per `policy`, tampering surfaces as a typed
-/// [`OdoError`], and every condition that makes [`expand`] panic —
-/// non-monotone or out-of-range targets, a prefix/occupancy mismatch, a
-/// too-small cache, a non-power-of-two block size on the external path —
-/// returns [`OdoError::InvalidArgument`] instead.
+/// Errors mirror [`try_compact`]: transient faults retry per `policy`,
+/// tampering surfaces as a typed [`OdoError`], and non-monotone or
+/// out-of-range targets, a prefix/occupancy mismatch, a too-small cache or a
+/// non-power-of-two block size on the external path return
+/// [`OdoError::InvalidArgument`].
 ///
 /// On `Err` the contents of `h` (and of the internal scratch arrays) are
 /// unspecified; the store itself remains usable.
@@ -228,9 +201,7 @@ pub fn try_expand<S: BlockStore>(
 /// Shared driver: `targets == None` compacts leftward, `Some` expands
 /// rightward. All validation returns [`OdoError::InvalidArgument`], every
 /// self-inconsistent routing state returns [`OdoError::CorruptedRouting`]
-/// and the first failed block I/O returns [`OdoError::Store`]; the
-/// infallible façades panic with the error's `Display`, which preserves the
-/// historical assert messages.
+/// and the first failed block I/O returns [`OdoError::Store`].
 pub(crate) fn run<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
@@ -815,7 +786,7 @@ mod tests {
     fn run_compact(cells: &[Cell], b: usize, m: usize) -> (Vec<Cell>, CompactReport) {
         let mut mem = ExtMem::new(b);
         let h = mem.alloc_array_from_cells(cells);
-        let report = compact(&mut mem, &h, m);
+        let report = run(&mut mem, &h, m, None).unwrap();
         (mem.snapshot_cells(&h), report)
     }
 
@@ -911,8 +882,8 @@ mod tests {
                 .collect();
             let mut mem = ExtMem::new(b);
             let h = mem.alloc_array_from_cells(&cells);
-            compact(&mut mem, &h, m);
-            let report = expand(&mut mem, &h, &targets, m);
+            run(&mut mem, &h, m, None).unwrap();
+            let report = run(&mut mem, &h, m, Some(&targets)).unwrap();
             assert_eq!(mem.snapshot_cells(&h), cells, "N={n} B={b} M={m}");
             assert_eq!(report.occupied, targets.len());
         }
@@ -927,35 +898,42 @@ mod tests {
         let targets = [3usize, 10, 11, 40, 41, 63];
         let mut mem = ExtMem::new(4);
         let h = mem.alloc_array_from_cells(&compacted);
-        expand(&mut mem, &h, &targets, 32);
+        run(&mut mem, &h, 32, Some(&targets)).unwrap();
         assert_eq!(
             mem.snapshot_cells(&h),
             butterfly::expand(&compacted, &targets)
         );
     }
 
+    /// Asserts `err` is an argument refusal whose message names `what`.
+    fn assert_invalid(err: OdoError, what: &str) {
+        assert!(matches!(err, OdoError::InvalidArgument { .. }), "{err:?}");
+        assert!(err.to_string().contains(what), "{err}");
+    }
+
     #[test]
-    #[should_panic(expected = "strictly increasing")]
     fn expand_rejects_non_monotone_targets() {
         let mut mem = ExtMem::new(4);
         let h = mem.alloc_array(16);
-        expand(&mut mem, &h, &[2, 1], 16);
+        let err = try_expand(&mut mem, &h, &[2, 1], 16, RetryPolicy::default()).unwrap_err();
+        assert_invalid(err, "strictly increasing");
+        assert_eq!(mem.stats().total(), 0, "refused before any I/O");
     }
 
     #[test]
-    #[should_panic(expected = "at least eight blocks")]
     fn tiny_cache_is_rejected() {
         let mut mem = ExtMem::new(8);
         let h = mem.alloc_array(64);
-        compact(&mut mem, &h, 32);
+        let err = try_compact(&mut mem, &h, 32, RetryPolicy::default()).unwrap_err();
+        assert_invalid(err, "at least eight blocks");
     }
 
     #[test]
-    #[should_panic(expected = "power-of-two block size")]
     fn external_path_rejects_odd_block_size() {
         let mut mem = ExtMem::new(6);
         let h = mem.alloc_array(600);
-        compact(&mut mem, &h, 48);
+        let err = try_compact(&mut mem, &h, 48, RetryPolicy::default()).unwrap_err();
+        assert_invalid(err, "power-of-two block size");
     }
 
     #[test]
@@ -991,8 +969,7 @@ mod tests {
 
     #[test]
     fn try_compact_reports_argument_failures_as_errors() {
-        // A cache below 8 blocks: the infallible path panics, the fallible
-        // path must return a typed error with the same message.
+        // A cache below 8 blocks.
         let mut mem = ExtMem::new(8);
         let h = mem.alloc_array(64);
         let err = try_compact(&mut mem, &h, 32, RetryPolicy::default()).unwrap_err();
@@ -1172,9 +1149,9 @@ mod tests {
         let mut mem = ExtMem::new(4);
         let h = mem.alloc_array_from_cells(&every_third());
         let (seen, table) = head_sweep(&mut mem, &h);
-        let mut first = mem.load_block(&h, 0);
+        let mut first = mem.try_load_block(&h, 0).unwrap();
         first.set(2, None);
-        mem.store_block(&h, 0, first);
+        mem.try_store_block(&h, 0, first).unwrap();
         let err = column_sweep(&mut mem, &h, seen, table).unwrap_err();
         assert!(matches!(err, OdoError::CorruptedRouting { cell: 3, .. }));
         assert!(err.to_string().contains("should have spent"));
@@ -1184,9 +1161,9 @@ mod tests {
         let mut mem = ExtMem::new(4);
         let h = mem.alloc_array_from_cells(&every_third());
         let (seen, table) = head_sweep(&mut mem, &h);
-        let mut last = mem.load_block(&h, 13);
+        let mut last = mem.try_load_block(&h, 13).unwrap();
         last.set(1, None);
-        mem.store_block(&h, 13, last);
+        mem.try_store_block(&h, 13, last).unwrap();
         let err = column_sweep(&mut mem, &h, seen, table).unwrap_err();
         assert!(err.to_string().contains("item count changed"));
     }
@@ -1222,8 +1199,8 @@ mod tests {
         let mut mem = ExtMem::new(8);
         let h = mem.alloc_array_from_cells(&cells);
         let before = mem.allocated_blocks();
-        compact(&mut mem, &h, 1 << 10);
-        expand(&mut mem, &h, &targets, 1 << 10);
+        run(&mut mem, &h, 1 << 10, None).unwrap();
+        run(&mut mem, &h, 1 << 10, Some(&targets)).unwrap();
         assert_eq!(mem.allocated_blocks(), before);
         assert_eq!(mem.snapshot_cells(&h), cells);
         // N = 512, B = 8, M = 64: the 16-row stride-4 table outgrows the 12
@@ -1231,7 +1208,7 @@ mod tests {
         let mut mem = ExtMem::new(8);
         let h = mem.alloc_array_from_cells(&cells[..512]);
         let before = mem.allocated_blocks();
-        compact(&mut mem, &h, 64);
+        run(&mut mem, &h, 64, None).unwrap();
         assert_eq!(mem.allocated_blocks(), before + 2);
         assert_eq!(mem.snapshot_cells(&h), reference_compact(&cells[..512]));
     }
@@ -1243,9 +1220,9 @@ mod tests {
         // in either direction, and the first sweep refuses to route it.
         let mut mem = ExtMem::new(8);
         let h = mem.alloc_array_from_cells(&occupancy(100, 4, 1, 2));
-        let mut last = mem.load_block(&h, 12);
+        let mut last = mem.try_load_block(&h, 12).unwrap();
         last.set(6, Some(e(99)));
-        mem.store_block(&h, 12, last);
+        mem.try_store_block(&h, 12, last).unwrap();
         let err = run(&mut mem, &h, 64, None).unwrap_err();
         assert!(matches!(err, OdoError::CorruptedRouting { cell: 102, .. }));
 
@@ -1254,7 +1231,8 @@ mod tests {
         cells[0] = Some(e(0));
         cells[102] = Some(e(1));
         let h = mem.alloc_array_from_cells(&cells[..100]);
-        mem.store_block(&h, 12, Block::from_cells(&cells[96..]));
+        mem.try_store_block(&h, 12, Block::from_cells(&cells[96..]))
+            .unwrap();
         let err = run(&mut mem, &h, 64, Some(&[50])).unwrap_err();
         assert!(matches!(err, OdoError::CorruptedRouting { cell: 102, .. }));
     }

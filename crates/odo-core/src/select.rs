@@ -6,7 +6,7 @@
 //! # Problem
 //!
 //! An array of `N` cells (some possibly empty) holds `L` occupied elements;
-//! [`select_kth`] must return the element of rank `k` among them — the
+//! [`try_select_kth`] must return the element of rank `k` among them — the
 //! element at position `k` of the occupied cells stably sorted by key — with
 //! a server-visible access sequence that is a fixed function of the *shape*
 //! `(N, B, M)` alone. Neither the data values **nor the rank `k` itself** may
@@ -30,7 +30,7 @@
 //!    implicit weight `g/s`. On the first round this pass also counts the
 //!    occupied cells.
 //! 2. **Oblivious approximate-quantile reduction.** The sample array is
-//!    sorted with the selected [`OblivSorter`], and one streaming pass
+//!    sorted with the Lemma 2 sort, and one streaming pass
 //!    captures — in private registers, never by rank-addressed reads — the
 //!    two splitters `lo = σ(q_lo)` and `hi = σ(q_hi)` with
 //!    `q_lo = ⌊k′·s/g⌋ − C` and `q_hi = ⌈(k′+1)·s/g⌉` (clamped to ±∞). The
@@ -54,7 +54,7 @@
 //! round extracts `s = 8` splitters per chunk exactly as above, but its third
 //! pass writes the candidates in `[lo, hi)` as working items into a fresh
 //! scratch array (dummies elsewhere), and §3 compaction
-//! ([`crate::compact::compact`]) routes them to a prefix of at most
+//! ([`crate::compact::try_compact`]'s pass) routes them to a prefix of at most
 //! `r′ < ⅝·r` slots, which is the next round's window. Once the window admits
 //! the filter, the filter finishes, and one last streaming pass over the
 //! untouched input recovers the full original element from the winning
@@ -92,11 +92,9 @@
 //! (inherited from §3 compaction) plus `M ≥ 32` so that every chunk holds at
 //! least two prune-round sample strides; in-cache arrays accept any `B ≥ 1`.
 //! [`try_select_kth`] reports a violation, and a rank `k` outside the
-//! occupied cells, as [`OdoError::InvalidArgument`]; the infallible entry
-//! points panic with the same message.
+//! occupied cells, as [`OdoError::InvalidArgument`].
 
 use crate::error::OdoError;
-use crate::sorter::OblivSorter;
 use extmem::element::{cell_cmp_none_last, Cell};
 use extmem::{
     ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, RetryPolicy, RetryStats,
@@ -141,56 +139,20 @@ pub struct SelectReport {
 /// by key (ties broken by original array position). Uses at most
 /// `cache_elems` words of private memory and `O((N/B)(1 + log(N/M)))` I/Os
 /// whose addresses depend only on the shape `(N, B, M)` — neither the data
-/// nor `k` influence the trace. The input array is left unmodified.
+/// nor `k` influence the trace.
 ///
-/// # Panics
-/// Panics if `k` is not smaller than the number of occupied cells, and — when
-/// the array does not fit in cache — if `cache_elems < max(8·B, 32)` or `B`
-/// is not a power of two (the §3 compaction requirements plus two full
-/// prune-round sample strides per chunk), and with the error's message if a
-/// block I/O fails. [`try_select_kth`] returns these as an [`OdoError`]
-/// instead.
-pub fn select_kth<S: BlockStore>(
-    store: &mut S,
-    h: &ArrayHandle,
-    cache_elems: usize,
-    k: usize,
-) -> (Element, SelectReport) {
-    select_kth_with(store, h, cache_elems, k, &OblivSorter::Bitonic)
-}
-
-/// [`select_kth`] with an explicit [`OblivSorter`] strategy: the sample sort
-/// of every round runs on the selected engine. `&OblivSorter::Bitonic`
-/// reproduces [`select_kth`] exactly; `OblivSorter::bucket(seed)` swaps in
-/// the randomized `O((N/B)·log_{M/B}(N/B))` engine (note its trace then
-/// depends on the seed and the random bin assignment — see `DESIGN.md` on
-/// when that is acceptable).
-///
-/// # Panics
-/// Same conditions as [`select_kth`], plus — on the bucket engine — a bucket
-/// overflow (probability `≈ exp(−Z/6)` per bucket-level; retry with a fresh
-/// seed).
-pub fn select_kth_with<S: BlockStore>(
-    store: &mut S,
-    h: &ArrayHandle,
-    cache_elems: usize,
-    k: usize,
-    sorter: &OblivSorter,
-) -> (Element, SelectReport) {
-    run(store, h, cache_elems, k, sorter).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`select_kth`] for untrusted/unreliable servers:
-/// transient faults are retried per `policy` (the retry schedule depends
-/// only on the server's fault schedule, never on the data or the rank), and
-/// the first permanent [`StoreError`] — a corrupted block, a rollback,
-/// exhausted retries — stops the pass and is returned as a typed
-/// [`OdoError`] instead of panicking or selecting from tampered data. A
-/// rank `k` at or past the occupied count, a cache below `max(8·B, 32)` or
-/// a non-power-of-two `B` on the external path return
-/// [`OdoError::InvalidArgument`]. The rank check fires after the first
-/// streaming pass over the input, where the occupied count is first known,
-/// so the trace up to the error is the same for every `k`.
+/// For untrusted/unreliable servers: transient faults are retried per
+/// `policy` (the retry schedule depends only on the server's fault schedule,
+/// never on the data or the rank), and the first permanent [`StoreError`] —
+/// a corrupted block, a rollback, exhausted retries — stops the pass and is
+/// returned as a typed [`OdoError`] instead of selecting from tampered data.
+/// A rank `k` at or past the occupied count returns
+/// [`OdoError::InvalidArgument`], and so, when the array does not fit in
+/// cache, do `cache_elems < max(8·B, 32)` and a non-power-of-two `B` (the
+/// §3 compaction requirements plus two full prune-round sample strides per
+/// chunk). The rank check fires after the first streaming pass over the
+/// input, where the occupied count is first known, so the trace up to the
+/// error is the same for every `k`.
 ///
 /// The input array is left unmodified even on `Err` (selection works on
 /// internal scratch copies); the store remains usable.
@@ -202,7 +164,7 @@ pub fn try_select_kth<S: BlockStore>(
     policy: RetryPolicy,
 ) -> Result<(Element, SelectReport, RetryStats), OdoError> {
     let mut rs = RetryingStore::new(store, policy);
-    let (elem, report) = run(&mut rs, h, cache_elems, k, &OblivSorter::Bitonic)?;
+    let (elem, report) = run(&mut rs, h, cache_elems, k)?;
     Ok((elem, report, rs.stats()))
 }
 
@@ -257,7 +219,7 @@ impl Window {
     }
 }
 
-/// The shared driver of [`select_kth_with`] and [`try_select_kth`]: every
+/// The body of [`try_select_kth`] over `store` as given: every
 /// argument failure is an [`OdoError::InvalidArgument`], and the first
 /// failed block I/O stops the pass.
 fn run<S: BlockStore>(
@@ -265,7 +227,6 @@ fn run<S: BlockStore>(
     h: &ArrayHandle,
     cache_elems: usize,
     k: usize,
-    sorter: &OblivSorter,
 ) -> Result<(Element, SelectReport), OdoError> {
     let start = store.io_stats();
     let n = h.len();
@@ -337,7 +298,12 @@ fn run<S: BlockStore>(
             if win.input && k >= live {
                 return Err(RANK_OUT_OF_RANGE);
             }
-            sorter.try_sort_by(store, &samples, cache_elems, &cell_cmp_none_last)?;
+            obliv_net::try_external_oblivious_sort_by(
+                store,
+                &samples,
+                cache_elems,
+                &cell_cmp_none_last,
+            )?;
             let s_len = c * s;
             let q_lo = (kp * s / g).checked_sub(c).filter(|&q| q < s_len);
             let q_hi = Some((kp + 1).div_ceil(g / s)).filter(|&q| q < s_len);
@@ -565,47 +531,13 @@ fn recover<S: BlockStore>(
 /// requested ranks steer private registers only — and the input array is left
 /// unmodified. Returns the elements in the order of `ranks`.
 ///
-/// # Panics
-/// Panics if any rank is out of range, if `ranks.len() > cache_elems / 4`
-/// (the latched quantiles must fit in private memory), on the
-/// [`obliv_net::external_oblivious_sort`] cache requirement
-/// (`cache_elems ≥ 2B`), or with the error's message if a block I/O fails.
-/// [`try_quantiles`] returns these as an [`OdoError`] instead.
-pub fn quantiles<S: BlockStore>(
-    store: &mut S,
-    h: &ArrayHandle,
-    cache_elems: usize,
-    ranks: &[usize],
-) -> (Vec<Element>, IoStats) {
-    quantiles_with(store, h, cache_elems, ranks, &OblivSorter::Bitonic)
-}
-
-/// [`quantiles`] with an explicit [`OblivSorter`] strategy for the one big
-/// sort of the working copy. With `OblivSorter::bucket(seed)` the quantile
-/// pass drops from `O((N/B)·log²(N/M))` to `O((N/B)·log_{M/B}(N/B))` I/Os —
-/// on this entry point the engine swap pays off the most, because the sort
-/// *is* the algorithm.
-///
-/// # Panics
-/// Same conditions as [`quantiles`], plus the engine's own requirements (see
-/// [`crate::sorter::OblivSorter::sort_by`]).
-pub fn quantiles_with<S: BlockStore>(
-    store: &mut S,
-    h: &ArrayHandle,
-    cache_elems: usize,
-    ranks: &[usize],
-    sorter: &OblivSorter,
-) -> (Vec<Element>, IoStats) {
-    run_quantiles(store, h, cache_elems, ranks, sorter).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`quantiles`] for untrusted/unreliable servers:
-/// transient faults are retried per `policy`, and the first permanent
-/// [`StoreError`] stops the pass and is returned as a typed [`OdoError`]. A
-/// rank at or past the occupied count, or more ranks than a quarter of the
-/// cache holds, return [`OdoError::InvalidArgument`]; the occupied count is
-/// known after the first streaming pass, so the trace up to that error is
-/// the same for every rank. The input array is left unmodified.
+/// For untrusted/unreliable servers: transient faults are retried per
+/// `policy`, and the first permanent [`StoreError`] stops the pass and is
+/// returned as a typed [`OdoError`]. More ranks than a quarter of the cache
+/// holds, or a cache below two blocks, return [`OdoError::InvalidArgument`]
+/// before any I/O; so does a rank at or past the occupied count, once the
+/// first streaming pass knows that count, so the trace up to that error is
+/// the same for every rank.
 pub fn try_quantiles<S: BlockStore>(
     store: &mut S,
     h: &ArrayHandle,
@@ -614,11 +546,11 @@ pub fn try_quantiles<S: BlockStore>(
     policy: RetryPolicy,
 ) -> Result<(Vec<Element>, IoStats, RetryStats), OdoError> {
     let mut rs = RetryingStore::new(store, policy);
-    let (elems, io) = run_quantiles(&mut rs, h, cache_elems, ranks, &OblivSorter::Bitonic)?;
+    let (elems, io) = run_quantiles(&mut rs, h, cache_elems, ranks)?;
     Ok((elems, io, rs.stats()))
 }
 
-/// The body of [`quantiles_with`] and [`try_quantiles`]: every argument
+/// The body of [`try_quantiles`] over `store` as given: every argument
 /// failure is an [`OdoError::InvalidArgument`], and the first failed block
 /// I/O stops the pass.
 fn run_quantiles<S: BlockStore>(
@@ -626,13 +558,17 @@ fn run_quantiles<S: BlockStore>(
     h: &ArrayHandle,
     cache_elems: usize,
     ranks: &[usize],
-    sorter: &OblivSorter,
 ) -> Result<(Vec<Element>, IoStats), OdoError> {
     let start = store.io_stats();
     let b = h.block_elems();
     if ranks.len() > cache_elems / 4 {
         return Err(OdoError::InvalidArgument {
             reason: "the requested quantiles must fit in the private cache",
+        });
+    }
+    if cache_elems < 2 * b {
+        return Err(OdoError::InvalidArgument {
+            reason: "quantiles need a private cache of at least two blocks (M >= 2B)",
         });
     }
     let mut budget = CacheBudget::new(cache_elems);
@@ -645,7 +581,7 @@ fn run_quantiles<S: BlockStore>(
     }
 
     // One oblivious sort; occupied working items now sit at their ranks.
-    sorter.try_sort_by(store, &wrk, cache_elems, &cell_cmp_none_last)?;
+    obliv_net::try_external_oblivious_sort_by(store, &wrk, cache_elems, &cell_cmp_none_last)?;
 
     // Stream the sorted copy, latching each requested rank in a register.
     let mut picks: Vec<Cell> = vec![None; ranks.len()];
@@ -704,7 +640,7 @@ fn hint_prefix<S: BlockStore>(store: &mut S, h: &ArrayHandle, blocks: usize) {
     store.hint_blocks(h, &schedule);
 }
 
-/// The shared working pass of [`select_kth`] and [`quantiles`]: streams the
+/// The shared working pass of [`try_select_kth`] and [`try_quantiles`]: streams the
 /// input once, replacing occupied cell `j` by the working item `(key, j)` in
 /// a freshly allocated parallel array — a strict total order even under
 /// duplicate keys, which is what lets the sampling bounds prune duplicates
@@ -819,7 +755,7 @@ mod tests {
     fn run_select(cells: &[Cell], b: usize, m: usize, k: usize) -> (Element, SelectReport) {
         let mut mem = ExtMem::new(b);
         let h = mem.alloc_array_from_cells(cells);
-        select_kth(&mut mem, &h, m, k)
+        run(&mut mem, &h, m, k).unwrap()
     }
 
     #[test]
@@ -851,7 +787,7 @@ mod tests {
         let cells: Vec<Cell> = keyed_input(512, 3, 100).into_iter().map(Some).collect();
         let mut mem = ExtMem::new(8);
         let h = mem.alloc_array_from_cells(&cells);
-        select_kth(&mut mem, &h, 64, 200);
+        run(&mut mem, &h, 64, 200).unwrap();
         assert_eq!(mem.snapshot_cells(&h), cells);
     }
 
@@ -878,20 +814,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rank k out of range")]
     fn overlarge_rank_is_rejected() {
         let cells: Vec<Cell> = (0..100)
             .map(|i| Some(Element::keyed(i as u64, i)))
             .collect();
-        run_select(&cells, 8, 512, 100);
+        let (r, _) = try_select(&cells, 8, 512, 100);
+        assert!(invalid_reason(r).contains("rank k out of range"));
     }
 
     #[test]
-    #[should_panic(expected = "rank k out of range")]
     fn rank_counts_occupied_not_slots() {
         let mut cells: Vec<Cell> = vec![None; 600];
         cells[5] = Some(Element::keyed(1, 5));
-        run_select(&cells, 8, 64, 1); // only one occupied cell
+        let (r, _) = try_select(&cells, 8, 64, 1); // only one occupied cell
+        assert!(invalid_reason(r).contains("rank k out of range"));
     }
 
     #[test]
@@ -933,12 +869,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "eight blocks")]
     fn tiny_cache_is_rejected_on_the_external_path() {
         let cells: Vec<Cell> = (0..4096)
             .map(|i| Some(Element::keyed(i as u64, i)))
             .collect();
-        run_select(&cells, 64, 256, 5);
+        let (r, _) = try_select(&cells, 64, 256, 5);
+        assert!(invalid_reason(r).contains("eight blocks"));
     }
 
     /// `try_select_kth` at `(N, B, M)` on `cells`, with the store's trace.
@@ -1062,7 +998,7 @@ mod tests {
         let ranks = [0usize, 175, 350, 525, 699];
         let mut mem = ExtMem::new(8);
         let h = mem.alloc_array_from_cells(&cells);
-        let (got, io) = quantiles(&mut mem, &h, 64, &ranks);
+        let (got, io) = run_quantiles(&mut mem, &h, 64, &ranks).unwrap();
         assert!(io.total() > 0);
         for (i, &rk) in ranks.iter().enumerate() {
             assert_eq!(got[i], oracle(&cells, rk), "rank {rk}");
@@ -1072,36 +1008,16 @@ mod tests {
     }
 
     #[test]
-    fn bucket_engine_selects_identically_to_the_default() {
-        let cells: Vec<Cell> = keyed_input(2048, 11, 64).into_iter().map(Some).collect();
-        for k in [0usize, 777, 2047] {
-            let mut mem = ExtMem::new(16);
-            let h = mem.alloc_array_from_cells(&cells);
-            let (got, report) = select_kth_with(&mut mem, &h, 256, k, &OblivSorter::bucket(13));
-            assert_eq!(got, oracle(&cells, k), "k={k}");
-            assert_eq!(report.rank, k);
-            assert_eq!(cells[report.index], Some(got));
-        }
-    }
-
-    #[test]
-    fn quantiles_with_bucket_engine_matches_and_costs_less() {
-        let n = 1usize << 13;
-        let cells: Vec<Cell> = keyed_input(n, 3, 100).into_iter().map(Some).collect();
-        let ranks = [0usize, 2000, n - 1];
-        let mut mem = ExtMem::new(16);
+    fn try_quantiles_reports_a_cache_below_two_blocks_as_invalid_argument() {
+        // M = 12 < 2B: the working copy's build and sort each need two
+        // blocks of B = 8 in cache.
+        let cells: Vec<Cell> = keyed_input(64, 1, 10).into_iter().map(Some).collect();
+        let mut mem = ExtMem::new(8);
         let h = mem.alloc_array_from_cells(&cells);
-        let (bit, io_bit) = quantiles(&mut mem, &h, 256, &ranks);
-        let mut mem = ExtMem::new(16);
-        let h = mem.alloc_array_from_cells(&cells);
-        let (bkt, io_bkt) = quantiles_with(&mut mem, &h, 256, &ranks, &OblivSorter::bucket(4));
-        assert_eq!(bit, bkt);
-        assert!(
-            io_bkt.total() < io_bit.total(),
-            "bucket {} >= bitonic {} at N/M = 32",
-            io_bkt.total(),
-            io_bit.total()
-        );
+        let err = try_quantiles(&mut mem, &h, 12, &[3], RetryPolicy::default()).unwrap_err();
+        assert!(matches!(err, OdoError::InvalidArgument { .. }), "{err:?}");
+        assert!(err.to_string().contains("at least two blocks"), "{err}");
+        assert_eq!(mem.stats().total(), 0, "refused before any I/O");
     }
 
     #[test]
@@ -1110,7 +1026,7 @@ mod tests {
         let trace_of = |ranks: &[usize]| {
             let mut mem = ExtMem::with_trace(8);
             let h = mem.alloc_array_from_cells(&cells);
-            quantiles(&mut mem, &h, 64, ranks);
+            run_quantiles(&mut mem, &h, 64, ranks).unwrap();
             mem.take_trace().unwrap()
         };
         let a = trace_of(&[0, 256, 511]);

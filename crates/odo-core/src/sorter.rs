@@ -14,10 +14,10 @@
 //!   fixed function of `(shape, seed)` plus the random bin assignment. The
 //!   engine of choice once `N ≫ M`, where the squared log dominates.
 //!
-//! Callers that embed a sort — [`crate::select::select_kth_with`]'s sample
-//! sorts, [`crate::sort_outsourced_with`] — take the strategy
-//! as a parameter; the un-suffixed entry points keep the deterministic
-//! default. See the repo-root `DESIGN.md` for when to pick which.
+//! The ORAM rebuild takes the strategy as a parameter and sorts through
+//! [`OblivSorter::try_sort_by`]; selection and quantiles embed the
+//! deterministic default. See the repo-root `DESIGN.md` for when to pick
+//! which.
 
 use crate::error::OdoError;
 use extmem::element::{cell_cmp_none_last, cell_cmp_none_last_desc, Cell};
@@ -74,57 +74,15 @@ impl OblivSorter {
         }
     }
 
-    /// Sorts array `h` in the given order (dummies last) with the selected
-    /// engine.
-    ///
-    /// # Panics
-    /// Panics where [`Self::try_sort_by`] fails: on the engine's argument
-    /// requirements (see [`obliv_net::external_oblivious_sort`] and
-    /// [`obliv_net::bucket_oblivious_sort`]), on a failed block I/O and, for
-    /// the bucket engine, on a bucket overflow — retry with a fresh seed via
-    /// [`Self::try_sort`] instead of panicking where that matters.
-    pub fn sort<S: BlockStore>(
-        &self,
-        store: &mut S,
-        h: &ArrayHandle,
-        cache_elems: usize,
-        order: SortOrder,
-    ) -> SorterReport {
-        match order {
-            SortOrder::Ascending => self.sort_by(store, h, cache_elems, &cell_cmp_none_last),
-            SortOrder::Descending => self.sort_by(store, h, cache_elems, &cell_cmp_none_last_desc),
-        }
-    }
-
     /// Sorts array `h` by an arbitrary cell comparator with the selected
-    /// engine. The comparator must order dummies last (e.g.
-    /// [`extmem::element::cell_cmp_none_last`]); the bucket engine enforces
-    /// that itself and only consults `cmp` on occupied cells.
-    ///
-    /// # Panics
-    /// Same conditions as [`Self::sort`].
-    pub fn sort_by<S, F>(
-        &self,
-        store: &mut S,
-        h: &ArrayHandle,
-        cache_elems: usize,
-        cmp: &F,
-    ) -> SorterReport
-    where
-        S: BlockStore,
-        F: Fn(&Cell, &Cell) -> Ordering,
-    {
-        self.try_sort_by(store, h, cache_elems, cmp)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::sort_by`] over `store` as given, returning the first error
-    /// instead of panicking: an argument failure as
-    /// [`OdoError::InvalidArgument`], a bucket overflow as
+    /// engine, over `store` as given, returning the first error: an argument
+    /// failure as [`OdoError::InvalidArgument`], a bucket overflow as
     /// [`OdoError::BucketOverflow`], a failed block I/O as
-    /// [`OdoError::Store`]. Transient errors are not retried here; the
-    /// passes that embed a sort call this over the [`RetryingStore`] their
-    /// own `try_*` façade built.
+    /// [`OdoError::Store`]. The comparator must order dummies last (e.g.
+    /// [`extmem::element::cell_cmp_none_last`]); the bucket engine enforces
+    /// that itself and only consults `cmp` on occupied cells. Transient
+    /// errors are not retried here; the passes that embed a sort call this
+    /// over the [`RetryingStore`] their own `try_*` façade built.
     pub fn try_sort_by<S, F>(
         &self,
         store: &mut S,
@@ -150,11 +108,11 @@ impl OblivSorter {
         })
     }
 
-    /// Fallible variant of [`Self::sort`] for untrusted/unreliable servers:
-    /// transient faults retry per `policy`, tampering and argument failures
-    /// surface as a typed [`OdoError`], and a bucket overflow returns
-    /// [`OdoError::BucketOverflow`] (retry with a fresh seed) instead of
-    /// panicking.
+    /// Sorts array `h` in the given order (dummies last) with the selected
+    /// engine, for untrusted/unreliable servers: transient faults retry per
+    /// `policy`, tampering and argument failures surface as a typed
+    /// [`OdoError`], and a bucket overflow returns
+    /// [`OdoError::BucketOverflow`] (retry with a fresh seed).
     pub fn try_sort<S: BlockStore>(
         &self,
         store: &mut S,
@@ -185,7 +143,7 @@ mod tests {
             .collect()
     }
 
-    fn sort_with(
+    fn sorted_by(
         sorter: OblivSorter,
         n: usize,
         b: usize,
@@ -194,14 +152,22 @@ mod tests {
         let mut mem = ExtMem::new(b);
         let items = scrambled(n);
         let h = mem.alloc_array_from_elements(&items);
-        let report = sorter.sort(&mut mem, &h, m, SortOrder::Ascending);
+        let (report, _) = sorter
+            .try_sort(
+                &mut mem,
+                &h,
+                m,
+                SortOrder::Ascending,
+                RetryPolicy::default(),
+            )
+            .unwrap();
         (mem.snapshot_elements(&h), report)
     }
 
     #[test]
     fn both_engines_agree_with_each_other() {
-        let (bitonic, rb) = sort_with(OblivSorter::Bitonic, 2048, 16, 256);
-        let (bucket, rk) = sort_with(OblivSorter::bucket(42), 2048, 16, 256);
+        let (bitonic, rb) = sorted_by(OblivSorter::Bitonic, 2048, 16, 256);
+        let (bucket, rk) = sorted_by(OblivSorter::bucket(42), 2048, 16, 256);
         assert_eq!(bitonic, bucket);
         assert_eq!(rb.engine, SortEngine::Bitonic);
         assert_eq!(rk.engine, SortEngine::Bucket);
@@ -210,8 +176,8 @@ mod tests {
 
     #[test]
     fn bucket_engine_beats_bitonic_when_n_dwarfs_m() {
-        let (_, rb) = sort_with(OblivSorter::Bitonic, 1 << 13, 16, 256);
-        let (_, rk) = sort_with(OblivSorter::bucket(7), 1 << 13, 16, 256);
+        let (_, rb) = sorted_by(OblivSorter::Bitonic, 1 << 13, 16, 256);
+        let (_, rk) = sorted_by(OblivSorter::bucket(7), 1 << 13, 16, 256);
         assert!(
             rk.io.total() < rb.io.total(),
             "bucket {} >= bitonic {}",
@@ -280,5 +246,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("at least two blocks"));
+        assert_eq!(mem.stats().total(), 0, "refused before any I/O");
     }
 }

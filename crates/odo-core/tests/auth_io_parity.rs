@@ -127,12 +127,6 @@ impl<S: BlockStore> BlockStore for Recorder<S> {
         self.arrays.push(h);
         h
     }
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        self.inner.load_block(h, i)
-    }
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-        self.inner.store_block(h, i, blk)
-    }
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
         self.inner.try_load_block(h, i)
     }

@@ -6,11 +6,12 @@
 //! Mitzenmacher's ORAM simulation argument, and the premise this paper's
 //! compaction inherits).
 
-use odo_core::compact::{compact, expand, CompactReport};
+use odo_core::compact::{try_compact, try_expand, CompactReport};
 use odo_core::extmem::element::Cell;
 use odo_core::extmem::trace::{assert_oblivious, TraceSummary};
 use odo_core::extmem::util::hash64;
 use odo_core::extmem::{AccessTrace, Element, EncryptedStore, ExtMem};
+use odo_core::RetryPolicy;
 
 fn occupancy(n: usize, salt: u64, num: u64, den: u64) -> Vec<Cell> {
     (0..n)
@@ -28,7 +29,7 @@ fn compact_trace(cells: &[Cell], b: usize, m: usize) -> AccessTrace {
     let mut mem = ExtMem::new(b);
     let h = mem.alloc_array_from_cells(cells);
     mem.enable_trace();
-    compact(&mut mem, &h, m);
+    try_compact(&mut mem, &h, m, RetryPolicy::default()).unwrap();
     mem.take_trace().expect("trace was enabled")
 }
 
@@ -106,7 +107,9 @@ fn round_trip(cells: &[Cell], b: usize, m: usize) -> [(AccessTrace, CompactRepor
     let mut mem = ExtMem::new(b);
     let h = mem.alloc_array_from_cells(cells);
     mem.enable_trace();
-    let compacted = compact(&mut mem, &h, m);
+    let compacted = try_compact(&mut mem, &h, m, RetryPolicy::default())
+        .unwrap()
+        .0;
     let compact_trace = mem.take_trace().expect("trace was enabled");
     let mut expected: Vec<Cell> = cells.iter().flatten().map(|&e| Some(e)).collect();
     expected.resize(cells.len(), None);
@@ -119,7 +122,9 @@ fn round_trip(cells: &[Cell], b: usize, m: usize) -> [(AccessTrace, CompactRepor
 
     let targets: Vec<usize> = (0..cells.len()).filter(|&j| cells[j].is_some()).collect();
     mem.enable_trace();
-    let expanded = expand(&mut mem, &h, &targets, m);
+    let expanded = try_expand(&mut mem, &h, &targets, m, RetryPolicy::default())
+        .unwrap()
+        .0;
     let expand_trace = mem.take_trace().expect("trace was enabled");
     assert_eq!(
         mem.snapshot_cells(&h),
@@ -197,7 +202,7 @@ fn expand_trace_is_independent_of_targets() {
         let mut mem = ExtMem::new(b);
         let h = mem.alloc_array_from_cells(&cells);
         mem.enable_trace();
-        expand(&mut mem, &h, &targets, m);
+        try_expand(&mut mem, &h, &targets, m, RetryPolicy::default()).unwrap();
         mem.take_trace().expect("trace was enabled")
     };
     let reference = trace_of(64, 4);
@@ -221,7 +226,7 @@ fn encrypted_store_shares_the_exact_trace() {
     let mut enc = EncryptedStore::new(b, 0xB0B);
     let h = enc.alloc_array_from_cells(&cells);
     enc.enable_trace();
-    compact(&mut enc, &h, m);
+    try_compact(&mut enc, &h, m, RetryPolicy::default()).unwrap();
     let etrace = enc.take_trace().expect("trace was enabled");
     assert_oblivious(&plain, &etrace, "plaintext vs encrypted store");
 }
@@ -233,7 +238,9 @@ fn compact_trace_length_matches_reported_io() {
     let mut mem = ExtMem::new(b);
     let h = mem.alloc_array_from_cells(&cells);
     mem.enable_trace();
-    let report = compact(&mut mem, &h, m);
+    let report = try_compact(&mut mem, &h, m, RetryPolicy::default())
+        .unwrap()
+        .0;
     let trace = mem.take_trace().unwrap();
     let summary = TraceSummary::of(&trace);
     assert_eq!(summary.len as u64, report.io.total());

@@ -4,10 +4,11 @@
 //! `Vec`-retain reference — stability, tightness and order preservation
 //! included — and expansion must invert compaction.
 
-use odo_core::compact::{compact, expand};
+use odo_core::compact::{try_compact, try_expand};
 use odo_core::extmem::element::Cell;
 use odo_core::extmem::{Element, EncryptedStore, ExtMem};
 use odo_core::obliv_net::butterfly;
+use odo_core::RetryPolicy;
 
 fn occupancy(n: usize, salt: u64, num: u64, den: u64) -> Vec<Cell> {
     (0..n)
@@ -35,7 +36,7 @@ fn retain_reference(cells: &[Cell]) -> Vec<Cell> {
 fn external_compact(cells: &[Cell], b: usize, m: usize) -> Vec<Cell> {
     let mut mem = ExtMem::new(b);
     let h = mem.alloc_array_from_cells(cells);
-    compact(&mut mem, &h, m);
+    try_compact(&mut mem, &h, m, RetryPolicy::default()).unwrap();
     mem.snapshot_cells(&h)
 }
 
@@ -110,8 +111,8 @@ fn expand_inverts_compact_across_seeds() {
                 .collect();
             let mut mem = ExtMem::new(b);
             let h = mem.alloc_array_from_cells(&cells);
-            compact(&mut mem, &h, m);
-            expand(&mut mem, &h, &targets, m);
+            try_compact(&mut mem, &h, m, RetryPolicy::default()).unwrap();
+            try_expand(&mut mem, &h, &targets, m, RetryPolicy::default()).unwrap();
             assert_eq!(
                 mem.snapshot_cells(&h),
                 cells,
@@ -143,7 +144,7 @@ fn external_expand_matches_circuit_expand() {
         assert_eq!(targets.len(), r);
         let mut mem = ExtMem::new(8);
         let h = mem.alloc_array_from_cells(&prefix);
-        expand(&mut mem, &h, &targets, 64);
+        try_expand(&mut mem, &h, &targets, 64, RetryPolicy::default()).unwrap();
         assert_eq!(
             mem.snapshot_cells(&h),
             butterfly::expand(&prefix, &targets),
@@ -157,11 +158,15 @@ fn encrypted_store_computes_the_same_compaction_with_equal_io() {
     let cells = occupancy(500, 13, 1, 2);
     let mut mem = ExtMem::new(16);
     let h = mem.alloc_array_from_cells(&cells);
-    let plain = compact(&mut mem, &h, 128);
+    let plain = try_compact(&mut mem, &h, 128, RetryPolicy::default())
+        .unwrap()
+        .0;
 
     let mut enc = EncryptedStore::new(16, 0x5EC_2E7);
     let eh = enc.alloc_array_from_cells(&cells);
-    let encrypted = compact(&mut enc, &eh, 128);
+    let encrypted = try_compact(&mut enc, &eh, 128, RetryPolicy::default())
+        .unwrap()
+        .0;
 
     assert_eq!(enc.snapshot_cells(&eh), mem.snapshot_cells(&h));
     assert_eq!(encrypted.io, plain.io, "re-encryption must add zero I/Os");

@@ -17,7 +17,7 @@ use extmem::install_quiet_abort_hook;
 use extmem::util::hash64;
 use odo_core::{
     ArrayHandle, AuthenticatedStore, BlockStore, Cell, Element, FileStore, InjectedCrash,
-    OblivSorter, SortOrder, StoreError,
+    OblivSorter, RetryPolicy, SortOrder, StoreError,
 };
 
 const N: usize = 512;
@@ -52,7 +52,13 @@ fn populate_and_crash(
 
     auth.inner_mut().crash_after_writes(budget);
     let died = catch_unwind(AssertUnwindSafe(|| {
-        OblivSorter::Bitonic.sort(&mut auth, &h, M, SortOrder::Ascending);
+        let _ = OblivSorter::Bitonic.try_sort(
+            &mut auth,
+            &h,
+            M,
+            SortOrder::Ascending,
+            RetryPolicy::default(),
+        );
     }));
     let payload = died.expect_err("the armed store must kill the sort");
     assert!(
@@ -119,7 +125,15 @@ fn a_whole_run_without_a_crash_still_verifies_after_resume() {
     let mut auth = AuthenticatedStore::new(fs, KEY);
     let h = BlockStore::alloc_array(&mut auth, N);
     auth.try_store_span(&h, 0, &input(7)).unwrap();
-    OblivSorter::Bitonic.sort(&mut auth, &h, M, SortOrder::Ascending);
+    OblivSorter::Bitonic
+        .try_sort(
+            &mut auth,
+            &h,
+            M,
+            SortOrder::Ascending,
+            RetryPolicy::default(),
+        )
+        .unwrap();
     auth.flush_macs().unwrap();
     let state = auth.client_state();
     drop(auth);

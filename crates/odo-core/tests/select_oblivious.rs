@@ -17,7 +17,8 @@
 use odo_core::extmem::element::Cell;
 use odo_core::extmem::trace::{assert_oblivious, TraceSummary};
 use odo_core::extmem::{AccessTrace, Element, EncryptedStore, ExtMem};
-use odo_core::select::{quantiles, select_kth, SelectReport};
+use odo_core::select::{try_quantiles, try_select_kth, SelectReport};
+use odo_core::RetryPolicy;
 
 /// Pseudo-random dataset: keys in `[0, key_range)`, payloads arbitrary.
 fn dataset(n: usize, salt: u64, key_range: u64) -> Vec<Cell> {
@@ -35,7 +36,7 @@ fn select_trace(cells: &[Cell], b: usize, m: usize, k: usize) -> AccessTrace {
     let mut mem = ExtMem::new(b);
     let h = mem.alloc_array_from_cells(cells);
     mem.enable_trace();
-    select_kth(&mut mem, &h, m, k);
+    try_select_kth(&mut mem, &h, m, k, RetryPolicy::default()).unwrap();
     mem.take_trace().expect("trace was enabled")
 }
 
@@ -115,7 +116,7 @@ fn encrypted_store_shares_the_exact_trace() {
     let mut enc = EncryptedStore::new(b, 0x5EC);
     let h = enc.alloc_array_from_cells(&cells);
     enc.enable_trace();
-    let (_, report) = select_kth(&mut enc, &h, m, k);
+    let (_, report, _) = try_select_kth(&mut enc, &h, m, k, RetryPolicy::default()).unwrap();
     let etrace = enc.take_trace().expect("trace was enabled");
     assert_oblivious(&plain, &etrace, "plaintext vs encrypted store");
     assert_eq!(etrace.len() as u64, report.io.total());
@@ -139,7 +140,7 @@ fn select_trace_length_matches_reported_io() {
     let mut mem = ExtMem::new(b);
     let h = mem.alloc_array_from_cells(&cells);
     mem.enable_trace();
-    let (_, report) = select_kth(&mut mem, &h, m, 350);
+    let (_, report, _) = try_select_kth(&mut mem, &h, m, 350, RetryPolicy::default()).unwrap();
     let trace = mem.take_trace().unwrap();
     let summary = TraceSummary::of(&trace);
     assert_eq!(summary.len as u64, report.io.total());
@@ -154,7 +155,7 @@ fn quantiles_trace_is_independent_of_data_and_ranks() {
         let mut mem = ExtMem::new(b);
         let h = mem.alloc_array_from_cells(cells);
         mem.enable_trace();
-        quantiles(&mut mem, &h, m, ranks);
+        try_quantiles(&mut mem, &h, m, ranks, RetryPolicy::default()).unwrap();
         mem.take_trace().expect("trace was enabled")
     };
     let reference = trace_of(&dataset(n, 1, 64), &[0, 128, 256, 384, 511]);
@@ -170,7 +171,9 @@ const FILTER: (usize, usize, usize) = (4096, 16, 1024);
 fn select_report(cells: &[Cell], b: usize, m: usize, k: usize) -> SelectReport {
     let mut mem = ExtMem::new(b);
     let h = mem.alloc_array_from_cells(cells);
-    select_kth(&mut mem, &h, m, k).1
+    try_select_kth(&mut mem, &h, m, k, RetryPolicy::default())
+        .unwrap()
+        .1
 }
 
 #[test]
@@ -231,7 +234,7 @@ fn filter_path_encrypted_store_shares_the_exact_trace() {
     let mut enc = EncryptedStore::new(b, 0x5EC);
     let h = enc.alloc_array_from_cells(&cells);
     enc.enable_trace();
-    let (_, report) = select_kth(&mut enc, &h, m, k);
+    let (_, report, _) = try_select_kth(&mut enc, &h, m, k, RetryPolicy::default()).unwrap();
     let etrace = enc.take_trace().expect("trace was enabled");
     assert_oblivious(&plain, &etrace, "filter path: plaintext vs encrypted");
     assert_eq!(etrace.len() as u64, report.io.total());

@@ -1,4 +1,4 @@
-//! Property tests pinning `select_kth` (and `quantiles`) against a
+//! Property tests pinning `try_select_kth` (and `try_quantiles`) against a
 //! sorted-reference oracle across the edge cases selection is notorious for:
 //! heavy duplication, extreme ranks, dummy-riddled arrays, non-power-of-two
 //! lengths and the pure in-cache regime — plus the typed errors of the
@@ -9,7 +9,7 @@ use odo_core::extmem::util::hash64;
 use odo_core::extmem::{
     BlockStore, Element, EncryptedStore, ExtMem, FaultSpec, FaultyStore, RetryPolicy,
 };
-use odo_core::select::{quantiles, select_kth, try_quantiles, try_select_kth};
+use odo_core::select::{try_quantiles, try_select_kth};
 use odo_core::OdoError;
 
 /// The contract's reference: position `k` of the occupied cells stably
@@ -27,7 +27,7 @@ fn oracle(cells: &[Cell], k: usize) -> Element {
 fn check(cells: &[Cell], b: usize, m: usize, k: usize, label: &str) {
     let mut mem = ExtMem::new(b);
     let h = mem.alloc_array_from_cells(cells);
-    let (got, report) = select_kth(&mut mem, &h, m, k);
+    let (got, report, _) = try_select_kth(&mut mem, &h, m, k, RetryPolicy::default()).unwrap();
     assert_eq!(got, oracle(cells, k), "{label}: wrong element");
     assert_eq!(report.rank, k, "{label}: report rank");
     assert_eq!(
@@ -129,7 +129,8 @@ fn pure_in_cache_path() {
         let cells = full(n, 2, 10);
         let mut mem = ExtMem::new(b);
         let h = mem.alloc_array_from_cells(&cells);
-        let (got, report) = select_kth(&mut mem, &h, m, n / 2);
+        let (got, report, _) =
+            try_select_kth(&mut mem, &h, m, n / 2, RetryPolicy::default()).unwrap();
         assert_eq!(got, oracle(&cells, n / 2), "N={n}");
         assert!(report.in_cache);
         assert_eq!(report.rounds, 0);
@@ -161,11 +162,13 @@ fn selection_agrees_between_plain_and_encrypted_stores() {
     for k in [0usize, 300, 599] {
         let mut mem = ExtMem::new(8);
         let h = mem.alloc_array_from_cells(&cells);
-        let (plain, preport) = select_kth(&mut mem, &h, 64, k);
+        let (plain, preport, _) =
+            try_select_kth(&mut mem, &h, 64, k, RetryPolicy::default()).unwrap();
 
         let mut enc = EncryptedStore::new(8, 0xE);
         let eh = enc.alloc_array_from_cells(&cells);
-        let (encd, ereport) = select_kth(&mut enc, &eh, 64, k);
+        let (encd, ereport, _) =
+            try_select_kth(&mut enc, &eh, 64, k, RetryPolicy::default()).unwrap();
 
         assert_eq!(plain, encd, "k={k}");
         assert_eq!(preport.io, ereport.io, "k={k}: encryption added I/Os");
@@ -180,7 +183,8 @@ fn quantiles_match_the_oracle_at_every_requested_rank() {
         let ranks = [0usize, 1, n / 4, n / 2, 3 * n / 4, n - 2, n - 1];
         let mut mem = ExtMem::new(8);
         let h = mem.alloc_array_from_cells(&cells);
-        let (got, io) = quantiles(&mut mem, &h, 128, &ranks);
+        let (got, io, _) =
+            try_quantiles(&mut mem, &h, 128, &ranks, RetryPolicy::default()).unwrap();
         assert!(io.total() > 0);
         for (i, &rk) in ranks.iter().enumerate() {
             assert_eq!(got[i], oracle(&cells, rk), "range={key_range} rank={rk}");
@@ -195,11 +199,11 @@ fn quantiles_and_select_kth_agree() {
     let ranks = [0usize, 100, 255, 256, 511];
     let mut mem = ExtMem::new(8);
     let h = mem.alloc_array_from_cells(&cells);
-    let (qs, _) = quantiles(&mut mem, &h, 64, &ranks);
+    let (qs, _, _) = try_quantiles(&mut mem, &h, 64, &ranks, RetryPolicy::default()).unwrap();
     for (i, &rk) in ranks.iter().enumerate() {
         let mut mem2 = ExtMem::new(8);
         let h2 = mem2.alloc_array_from_cells(&cells);
-        let (sel, _) = select_kth(&mut mem2, &h2, 64, rk);
+        let (sel, _, _) = try_select_kth(&mut mem2, &h2, 64, rk, RetryPolicy::default()).unwrap();
         assert_eq!(qs[i], sel, "rank {rk}");
     }
 }
@@ -281,7 +285,8 @@ fn the_filter_never_costs_more_than_pruning_to_the_cache() {
         let cells = full(n, 6, 1 << 20);
         let mut mem = ExtMem::new(b);
         let h = mem.alloc_array_from_cells(&cells);
-        let (_, report) = select_kth(&mut mem, &h, m, n / 2);
+        let (_, report, _) =
+            try_select_kth(&mut mem, &h, m, n / 2, RetryPolicy::default()).unwrap();
         assert!(
             report.io.total() <= prune_only,
             "N={n} B={b} M={m}: {} I/Os > {prune_only}",

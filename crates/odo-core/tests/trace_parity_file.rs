@@ -9,13 +9,13 @@
 //! invisible in the trace by construction. Each case also checks that the
 //! final array contents agree across backends.
 
-use odo_core::compact::{compact, expand};
+use odo_core::compact::{try_compact, try_expand};
 use odo_core::extmem::element::Cell;
 use odo_core::extmem::trace::assert_oblivious;
 use odo_core::extmem::util::hash64;
 use odo_core::{
-    select_kth, AccessTrace, ArrayHandle, BlockStore, Element, EncryptedStore, ExtMem, FileStore,
-    OblivSorter, PrefetchConfig, PrefetchingStore, SortOrder,
+    try_select_kth, AccessTrace, ArrayHandle, BlockStore, Element, EncryptedStore, ExtMem,
+    FileStore, OblivSorter, PrefetchConfig, PrefetchingStore, RetryPolicy, SortOrder,
 };
 
 const SEED: u64 = 0x0B0C;
@@ -103,23 +103,19 @@ fn cases() -> Vec<Case> {
 }
 
 fn run_prim<S: BlockStore>(store: &mut S, h: &ArrayHandle, case: &Case) {
-    match case.prim {
-        Prim::SortBitonic => {
-            OblivSorter::Bitonic.sort(store, h, case.m, SortOrder::Ascending);
-        }
-        Prim::SortBucket => {
-            OblivSorter::bucket(SEED).sort(store, h, case.m, SortOrder::Ascending);
-        }
-        Prim::Compact => {
-            compact(store, h, case.m);
-        }
-        Prim::Expand => {
-            expand(store, h, &case.targets, case.m);
-        }
-        Prim::Select => {
-            select_kth(store, h, case.m, case.k);
-        }
-    }
+    let (order, policy) = (SortOrder::Ascending, RetryPolicy::default());
+    let done = match case.prim {
+        Prim::SortBitonic => OblivSorter::Bitonic
+            .try_sort(store, h, case.m, order, policy)
+            .map(drop),
+        Prim::SortBucket => OblivSorter::bucket(SEED)
+            .try_sort(store, h, case.m, order, policy)
+            .map(drop),
+        Prim::Compact => try_compact(store, h, case.m, policy).map(drop),
+        Prim::Expand => try_expand(store, h, &case.targets, case.m, policy).map(drop),
+        Prim::Select => try_select_kth(store, h, case.m, case.k, policy).map(drop),
+    };
+    done.expect("the backends under test are honest");
 }
 
 fn patched(mut case: Case) -> Case {

@@ -265,23 +265,16 @@ impl BlockStore for FailAt {
     fn alloc_array(&mut self, len: usize) -> ArrayHandle {
         self.mem.alloc_array(len)
     }
-    fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
-        self.try_load_block(h, i).unwrap()
-    }
-    fn store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) {
-        self.try_store_block(h, i, blk).unwrap()
-    }
     fn io_stats(&self) -> IoStats {
         self.mem.stats()
     }
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
         self.tick(h, i)?;
-        Ok(self.mem.read_block(h, i))
+        self.mem.try_load_block(h, i)
     }
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
         self.tick(h, i)?;
-        self.mem.write_block(h, i, blk);
-        Ok(())
+        self.mem.try_store_block(h, i, blk)
     }
 }
 

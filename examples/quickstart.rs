@@ -20,8 +20,13 @@ fn main() {
         .collect();
     let h = mem.alloc_array_from_elements(&items);
 
+    // Every entry point is fallible: an honest store never fails, and the
+    // default policy retries transient server faults.
+    let policy = RetryPolicy::default();
+
     // The paper's Lemma 2 sort: O((N/B)(1 + log²(N/M))) I/Os.
-    let report = external_oblivious_sort(&mut mem, &h, m, SortOrder::Ascending);
+    let (report, _) =
+        try_sort(&mut mem, &h, m, SortOrder::Ascending, policy).expect("honest store");
 
     let sorted = mem.snapshot_elements(&h);
     assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "output is sorted");
@@ -51,13 +56,9 @@ fn main() {
     // DESIGN.md "Sorter strategy" for when to pick which.
     let mut bmem = ExtMem::new(b);
     let bh = bmem.alloc_array_from_elements(&items);
-    let breport = sort_with(
-        &mut bmem,
-        &bh,
-        m,
-        SortOrder::Ascending,
-        &OblivSorter::bucket(0xB0C_C1A0),
-    );
+    let (breport, _) = OblivSorter::bucket(0xB0C_C1A0)
+        .try_sort(&mut bmem, &bh, m, SortOrder::Ascending, policy)
+        .expect("honest store");
     assert_eq!(bmem.snapshot_elements(&bh), sorted, "engines agree");
     println!(
         "bucket engine: {} I/Os vs Lemma 2 {} at N/M = {} — same sorted output",
@@ -78,7 +79,7 @@ fn main() {
 
     let mut store = EncryptedStore::new(b, 0xA11CE);
     let handle = store.alloc_array_from_cells(&cells);
-    let report = compact(&mut store, &handle, m);
+    let (report, _) = try_compact(&mut store, &handle, m, policy).expect("honest store");
 
     assert_eq!(report.occupied, survivors);
     println!(
@@ -98,12 +99,12 @@ fn main() {
     // The network also runs in reverse: route the prefix back to the
     // original occupied positions, restoring the array exactly.
     let targets: Vec<usize> = (0..n).filter(|i| i % 5 != 0).collect();
-    expand(&mut store, &handle, &targets, m);
+    try_expand(&mut store, &handle, &targets, m, policy).expect("honest store");
     assert_eq!(store.snapshot_cells(&handle), cells);
     println!("expansion (the network in reverse) restored the original layout");
 
     // --- §4 selection: the median, without the server learning it ---
-    // select_kth brackets the median between weighted splitters drawn from
+    // try_select_kth brackets the median between weighted splitters drawn from
     // cache-sized chunks and keeps the candidates between them in the
     // private cache: at this shape one filtering round — two streaming
     // passes around one small sample sort, cheaper than sorting — and the
@@ -112,7 +113,8 @@ fn main() {
     let survivors_arr: Vec<Cell> = cells.iter().flatten().map(|e| Some(*e)).collect();
     let sel_handle = store.alloc_array_from_cells(&survivors_arr);
     let k = survivors / 2;
-    let (median, report) = select_kth(&mut store, &sel_handle, m, k);
+    let (median, report, _) =
+        try_select_kth(&mut store, &sel_handle, m, k, policy).expect("honest store");
     println!(
         "selected the median (rank {k} of {survivors}) on the encrypted store: key {}",
         median.key
@@ -129,24 +131,24 @@ fn main() {
 
     // Several order statistics at once: one oblivious sort of a working
     // copy serves any number of quantiles.
-    let (qs, qio) = quantiles(
-        &mut store,
-        &sel_handle,
-        m,
-        &[
-            0,
-            survivors / 4,
-            survivors / 2,
-            3 * survivors / 4,
-            survivors - 1,
-        ],
-    );
+    let ranks = [
+        0,
+        survivors / 4,
+        survivors / 2,
+        3 * survivors / 4,
+        survivors - 1,
+    ];
+    let (qs, qio, _) =
+        try_quantiles(&mut store, &sel_handle, m, &ranks, policy).expect("honest store");
     println!(
         "quantiles (min, q1, median, q3, max) = {:?} in {} I/Os",
         qs.iter().map(|e| e.key).collect::<Vec<_>>(),
         qio.total()
     );
-    assert_eq!(qs[2], median, "the quantile sweep agrees with select_kth");
+    assert_eq!(
+        qs[2], median,
+        "the quantile sweep agrees with the selection"
+    );
 
     // --- tamper detection: the server is UNTRUSTED, not merely curious ---
     // Wrap the encrypted store in a deterministic fault injector (standing in
@@ -170,13 +172,7 @@ fn main() {
         corrupt_read_ppm: 5_000,
         ..FaultSpec::none()
     });
-    match try_sort(
-        &mut auth,
-        &th,
-        m,
-        SortOrder::Ascending,
-        RetryPolicy::default(),
-    ) {
+    match try_sort(&mut auth, &th, m, SortOrder::Ascending, policy) {
         Err(OdoError::Store(StoreError::Corrupted { addr })) => {
             println!("tampering server: sort ABORTED — block {addr} failed authentication");
         }
@@ -189,14 +185,8 @@ fn main() {
         transient_read_ppm: 20_000,
         ..FaultSpec::none()
     });
-    let (_, retry) = try_sort(
-        &mut auth,
-        &th,
-        m,
-        SortOrder::Ascending,
-        RetryPolicy::default(),
-    )
-    .expect("transient faults are survivable");
+    let (_, retry) = try_sort(&mut auth, &th, m, SortOrder::Ascending, policy)
+        .expect("transient faults are survivable");
     auth.inner_mut().set_spec(FaultSpec::none());
     let recovered = auth
         .try_load_span(&th, 0, tamper_n)
@@ -224,13 +214,9 @@ fn main() {
         EncryptedStore::with_backing(FileStore::temp(b).expect("temp-backed block file"), 0x50F8);
     let fh = efile.alloc_array_from_cells(&ecells);
     let t = std::time::Instant::now();
-    let freport = sort_with(
-        &mut efile,
-        &fh,
-        m,
-        SortOrder::Ascending,
-        &OblivSorter::bucket(0xB0C_C1A0),
-    );
+    let (freport, _) = OblivSorter::bucket(0xB0C_C1A0)
+        .try_sort(&mut efile, &fh, m, SortOrder::Ascending, policy)
+        .expect("honest store");
     let plain = t.elapsed();
     let fsorted: Vec<Element> = efile.snapshot_cells(&fh).into_iter().flatten().collect();
     assert_eq!(fsorted, sorted, "encrypted file backend agrees");
@@ -241,13 +227,9 @@ fn main() {
     ));
     let ph = pf.inner_mut().alloc_array_from_cells(&ecells);
     let t = std::time::Instant::now();
-    let preport = sort_with(
-        &mut pf,
-        &ph,
-        m,
-        SortOrder::Ascending,
-        &OblivSorter::bucket(0xB0C_C1A0),
-    );
+    let (preport, _) = OblivSorter::bucket(0xB0C_C1A0)
+        .try_sort(&mut pf, &ph, m, SortOrder::Ascending, policy)
+        .expect("honest store");
     pf.flush_writes().expect("write-behind flush");
     let prefetched = t.elapsed();
     let psorted: Vec<Element> = pf
@@ -280,10 +262,12 @@ fn main() {
     omem.enable_trace();
     let before = omem.io_stats();
     for a in 0..oram_n {
-        oram.write(&mut omem, a, a * 3 + 1);
+        oram.try_write(&mut omem, a, a * 3 + 1, policy)
+            .expect("honest store");
     }
     for a in 0..oram_n {
-        assert_eq!(oram.read(&mut omem, a), a * 3 + 1, "ORAM round-trips");
+        let (v, _) = oram.try_read(&mut omem, a, policy).expect("honest store");
+        assert_eq!(v, a * 3 + 1, "ORAM round-trips");
     }
     let oio = omem.io_stats() - before;
     let otrace = omem.take_trace().expect("trace was enabled");

@@ -12,12 +12,14 @@
 //! (binary: `odo-bench`, emitting `BENCH_sort.json`, `BENCH_compact.json`,
 //! `BENCH_select.json`, `BENCH_faults.json` and `BENCH_oram.json`).
 //!
-//! The server is modeled as *untrusted*, not merely curious: wrap any store
-//! in `extmem::AuthenticatedStore` and use the fallible `try_sort` /
-//! `try_compact` / `try_select_kth` façades, and corruption or rollback by
-//! the server surfaces as a typed `Err(Corrupted | Stale)` — never as
-//! silently wrong data — while transient failures are retried on a
-//! data-independent schedule. The fault model, the store layering and the
+//! The server is modeled as *untrusted*, not merely curious, so each
+//! primitive has one entry point and it is fallible: `try_sort`,
+//! `OblivSorter::try_sort`, `try_compact`, `try_expand`, `try_select_kth`
+//! and `try_quantiles`. Wrap any store in `extmem::AuthenticatedStore` and
+//! corruption or rollback by the server surfaces as a typed
+//! `Err(Corrupted | Stale)` — never as silently wrong data — while transient
+//! failures are retried on a data-independent schedule and bad arguments
+//! return `Err(InvalidArgument)` instead of panicking. The fault model, the store layering and the
 //! toy-crypto substitution table are documented in `DESIGN.md` at the
 //! workspace root.
 //!
