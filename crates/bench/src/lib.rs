@@ -62,11 +62,11 @@ use extmem::{
     ArrayHandle, AuthenticatedStore, BackingStore, BlockStore, Element, EncryptedStore, ExtMem,
     FaultSpec, FaultStats, FaultyStore, IoStats, PrefetchingStore, RetryPolicy, StoreError,
 };
-use obliv_net::bucket_sort::{bucket_oblivious_sort, BucketSortConfig, BucketSortReport};
+use obliv_net::bucket_sort::{bucket_oblivious_sort_by, BucketSortConfig, BucketSortReport};
 use obliv_net::external_sort::{try_external_oblivious_sort_by, SortOrder, SortReport};
 use odo_core::compact::{try_compact, CompactReport};
 use odo_core::select::{try_select_kth, SelectReport};
-use odo_core::SortEngine;
+use odo_core::OblivSorter;
 use oram::{LevelGeometry, Oram, OramConfig};
 use std::fmt::{self, Debug};
 
@@ -360,7 +360,7 @@ impl ArrayAlgorithm for BucketSortConfig {
     type Report = BucketSortReport;
     type Output = Vec<Element>;
     fn run<S: BlockStore>(&self, store: &mut S, h: &ArrayHandle, m: usize) -> BucketSortReport {
-        bucket_oblivious_sort(store, h, m, SortOrder::Ascending, self)
+        bucket_oblivious_sort_by(store, h, m, self, &cell_cmp_none_last)
             .unwrap_or_else(|e| panic!("bucket sort failed: {e}"))
     }
     fn output<S: BlockStore>(store: &mut S, h: &ArrayHandle, _: &BucketSortReport) -> Vec<Element> {
@@ -1489,8 +1489,6 @@ pub struct FaultBenchResult {
     pub sort_io: IoStats,
     /// Transient retries performed by the retry layer.
     pub retries: u64,
-    /// Abstract backoff units slept across those retries.
-    pub backoff_units: u64,
     /// Faults actually injected during the sort window.
     pub faults: FaultStats,
     /// The typed error the sort returned, if any (rendered).
@@ -1597,15 +1595,15 @@ fn fault_window<S: BlockStore, B: BackingStore>(
     let faults_before = faulty(&mut store).fault_stats();
     let policy = RetryPolicy::default();
     let (run, elapsed_ns) =
-        timed(|| odo_core::try_sort(&mut store, &h, m, SortOrder::Ascending, policy));
+        timed(|| OblivSorter::default().try_sort(&mut store, &h, m, SortOrder::Ascending, policy));
     faulty(&mut store).set_spec(FaultSpec::none());
     let faults = faulty(&mut store).fault_stats();
     let _ = flush(&mut store);
     let after = faulty(&mut store).inner().io_stats();
 
-    let (retries, backoff_units, run_error) = match run {
-        Ok((_, retry)) => (retry.retries, retry.backoff_units, None),
-        Err(e) => (0, 0, Some(e.to_string())),
+    let (retries, run_error) = match run {
+        Ok((_, retry)) => (retry.retries, None),
+        Err(e) => (0, Some(e.to_string())),
     };
     let (readback_error, output_correct) = match &run_error {
         Some(_) => (None, None),
@@ -1621,7 +1619,6 @@ fn fault_window<S: BlockStore, B: BackingStore>(
         elapsed_ns,
         sort_io: after - before,
         retries,
-        backoff_units,
         faults: FaultStats {
             transient_reads: faults.transient_reads - faults_before.transient_reads,
             corrupt_reads: faults.corrupt_reads - faults_before.corrupt_reads,
@@ -1837,7 +1834,6 @@ impl Family for FaultBench {
                     .map_or(Json::Null, |o| Json::Float(o, 4)),
             ),
             ("retries", r.retries.into()),
-            ("backoff_units", r.backoff_units.into()),
             (
                 "faults_injected",
                 Json::Obj(vec![
@@ -1899,10 +1895,10 @@ pub const ORAM_BENCH_SEED: u64 = 0x04A7_0B5E;
 
 /// The engine-appropriate per-pass sort bound: Lemma 2's squared-log form
 /// for the bitonic engine, the `log_{M/B}` form for the bucket engine.
-fn sorter_pass_bound(engine: SortEngine, n: usize, b: usize, m: usize) -> u64 {
-    match engine {
-        SortEngine::Bitonic => sort_io_bound(n, b, m),
-        SortEngine::Bucket => bucket_sort_io_bound(n, b, m),
+fn sorter_pass_bound(sorter: OblivSorter, n: usize, b: usize, m: usize) -> u64 {
+    match sorter {
+        OblivSorter::Bitonic => sort_io_bound(n, b, m),
+        OblivSorter::Bucket(_) => bucket_sort_io_bound(n, b, m),
     }
 }
 
@@ -1917,7 +1913,7 @@ fn oram_rebuild_bound(
     b: usize,
     m: usize,
     j: usize,
-    engine: SortEngine,
+    sorter: OblivSorter,
 ) -> u64 {
     let g = &geo[j];
     let scratch_cells = g.scratch_blocks * b;
@@ -1929,7 +1925,7 @@ fn oram_rebuild_bound(
         // The deepest level rebuilds into itself, consuming its own table.
         io += 2 * g.table_blocks as u64;
     }
-    io += 2 * sorter_pass_bound(engine, scratch_cells, b, m);
+    io += 2 * sorter_pass_bound(sorter, scratch_cells, b, m);
     io += 4 * g.scratch_blocks as u64;
     io += g.table_blocks as u64;
     io += compact_io_bound(scratch_cells, b, m);
@@ -1952,13 +1948,13 @@ pub fn oram_io_bound(
     m: usize,
     period: u64,
     accesses: u64,
-    engine: SortEngine,
+    sorter: OblivSorter,
 ) -> u64 {
     let levels = geo.len();
     let mut total = accesses * levels as u64;
     for f in 1..=accesses / period {
         let j = Oram::target_level(f, levels);
-        total += oram_rebuild_bound(geo, client_blocks, b, m, j, engine);
+        total += oram_rebuild_bound(geo, client_blocks, b, m, j, sorter);
     }
     total
 }
@@ -2045,7 +2041,7 @@ pub fn run_oram_point(point: OramGridPoint, backends: bool) -> OramBenchResult {
         m,
         period as u64,
         accesses as u64,
-        job.cfg.sorter.engine(),
+        job.cfg.sorter,
     );
     let (timings, encrypted_prefetch_ns) = if backends {
         let parity = Check::Parity(&mem);

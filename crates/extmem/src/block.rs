@@ -3,10 +3,9 @@
 //! In the external-memory model (Aggarwal–Vitter), data moves between the
 //! private cache and external storage in contiguous blocks of `B` words. Each
 //! [`Block`] here holds `B` element slots ([`Cell`]s); a slot may be empty
-//! (dummy). Block-level helpers used by the consolidation and compaction
-//! algorithms — counting occupied slots, packing occupied slots while
-//! preserving order, merging two blocks — all live here so the algorithm
-//! crates can stay at the level the paper describes.
+//! (dummy). Block-level helpers used by the algorithms — counting occupied
+//! slots, listing them in order, building full or padded blocks — live here
+//! so the algorithm crates can stay at the level the paper describes.
 
 use crate::element::{Cell, Element};
 
@@ -106,18 +105,6 @@ impl Block {
         }
     }
 
-    /// Packs the occupied elements to the front of the block, preserving their
-    /// relative order, and fills the rest with dummies.
-    pub fn pack_front(&mut self) {
-        let occ = self.occupied();
-        let b = self.len();
-        self.clear();
-        for (i, e) in occ.into_iter().enumerate() {
-            debug_assert!(i < b);
-            self.slots[i] = Some(e);
-        }
-    }
-
     /// Builds a full block from the first `B` elements of `items`, returning
     /// the block and the number of items consumed. Panics if fewer than `B`
     /// items are provided.
@@ -162,20 +149,6 @@ mod tests {
         b.set(3, Some(e(20)));
         assert_eq!(b.occupancy(), 2);
         assert_eq!(b.occupied(), vec![e(10), e(20)]);
-    }
-
-    #[test]
-    fn pack_front_preserves_relative_order() {
-        let mut b = Block::empty(5);
-        b.set(1, Some(e(3)));
-        b.set(2, Some(e(1)));
-        b.set(4, Some(e(2)));
-        b.pack_front();
-        assert_eq!(b.get(0), Some(e(3)));
-        assert_eq!(b.get(1), Some(e(1)));
-        assert_eq!(b.get(2), Some(e(2)));
-        assert_eq!(b.get(3), None);
-        assert_eq!(b.get(4), None);
     }
 
     #[test]

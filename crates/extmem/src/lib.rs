@@ -18,8 +18,6 @@
 //! * [`ExtMem`] — the block store: allocation of arrays, block reads/writes,
 //!   per-operation I/O accounting ([`IoStats`]) and access-trace capture
 //!   ([`AccessTrace`]), which is exactly the adversary's view.
-//! * [`Config`] — the `(N, B, M)` parameters plus the paper's *wide-block*
-//!   (`B ≥ log(N/B)`) and *tall-cache* (`M ≥ B^{1+ε}`) assumption checks.
 //! * [`CacheBudget`] — a debug-level accounting helper used by algorithms to
 //!   assert that their private working set never exceeds `M` words.
 //! * [`BlockStore`] — the backend trait both [`ExtMem`] and
@@ -47,7 +45,7 @@
 //! * [`AuthenticatedStore`] — per-block MACs checked against a client-side
 //!   `(version, tag)` table at no extra I/O: corruption and rollback surface
 //!   as `Err(Corrupted | Stale)`, never as wrong data.
-//! * [`RetryingStore`] — bounded retry with backoff for transient faults;
+//! * [`RetryingStore`] — bounded retry of transient faults;
 //!   every other error passes through as a value.
 //!
 //! ## Cost model
@@ -67,7 +65,6 @@ pub mod auth;
 pub mod block;
 pub mod budget;
 pub mod cache;
-pub mod config;
 pub mod crypto;
 pub mod element;
 pub mod error;
@@ -85,7 +82,6 @@ pub use auth::{AuthClientState, AuthenticatedReader, AuthenticatedStore};
 pub use block::Block;
 pub use budget::CacheBudget;
 pub use cache::BlockCache;
-pub use config::{Config, ConfigError};
 pub use crypto::{EncryptedReader, EncryptedStore};
 pub use element::{Cell, Element};
 pub use error::StoreError;

@@ -1,17 +1,15 @@
-//! Bounded retry with backoff over a fallible store.
+//! Bounded retry over a fallible store.
 //!
 //! Every pass is written against the fallible `try_*` half of
 //! [`BlockStore`] and propagates the first [`StoreError`] with `?`.
 //! [`RetryingStore`] sits between a pass and an unreliable server:
 //!
 //! * **Transient** failures are retried up to [`RetryPolicy::max_retries`]
-//!   times with capped exponential backoff. In the I/O model "backoff" is
-//!   bookkeeping, not wall-clock sleeping: the schedule is charged to
-//!   [`RetryStats::backoff_units`]. Crucially, whether an operation is
-//!   retried depends only on what the *server* did (the injected fault
-//!   schedule), never on the data — retried addresses are re-issued
-//!   verbatim, so traces stay data-independent (the fault battery asserts
-//!   this byte for byte).
+//!   times, at once: the I/O model has no clock to wait on. Crucially,
+//!   whether an operation is retried depends only on what the *server* did
+//!   (the injected fault schedule), never on the data — retried addresses
+//!   are re-issued verbatim, so traces stay data-independent (the fault
+//!   battery asserts this byte for byte).
 //! * **Permanent** failures (corruption, rollback, exhausted retries) are
 //!   returned as values. The pass stops at the first one: tampered data
 //!   could otherwise flow into the algorithm's internal invariants and
@@ -29,49 +27,27 @@ use crate::error::StoreError;
 use crate::mem::{ArrayHandle, IoStats};
 use crate::store::BlockStore;
 
-/// How many times to retry transient faults, and how the (model) backoff
-/// schedule grows. The schedule is a function of the attempt number only —
-/// never of the data being stored — so retries cannot leak plaintext.
+/// How many times to retry a transient fault. Whether an operation is
+/// retried depends on the server's answer only — never on the data being
+/// stored — so retries cannot leak plaintext.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum number of retries per operation (0 = fail on first transient).
     pub max_retries: u32,
-    /// Backoff charged for the first retry, in abstract time units.
-    pub backoff_base_units: u64,
-    /// Cap on the per-retry backoff; the exponential schedule saturates here.
-    pub backoff_cap_units: u64,
 }
 
 impl Default for RetryPolicy {
-    /// Eight retries with a 1-unit base doubling up to 64 units — enough to
-    /// ride out fault rates well past anything a usable server would show.
+    /// Eight retries — enough to ride out fault rates well past anything a
+    /// usable server would show.
     fn default() -> Self {
-        RetryPolicy {
-            max_retries: 8,
-            backoff_base_units: 1,
-            backoff_cap_units: 64,
-        }
+        RetryPolicy { max_retries: 8 }
     }
 }
 
 impl RetryPolicy {
     /// A policy that never retries: the first transient fault is fatal.
     pub fn no_retries() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            backoff_base_units: 0,
-            backoff_cap_units: 0,
-        }
-    }
-
-    /// Backoff charged for retry number `attempt` (1-based): capped
-    /// exponential, `min(base << (attempt-1), cap)`.
-    fn backoff_for(&self, attempt: u32) -> u64 {
-        let shifted = self
-            .backoff_base_units
-            .checked_shl(attempt.saturating_sub(1))
-            .unwrap_or(u64::MAX);
-        shifted.min(self.backoff_cap_units)
+        RetryPolicy { max_retries: 0 }
     }
 }
 
@@ -80,8 +56,6 @@ impl RetryPolicy {
 pub struct RetryStats {
     /// Operations re-issued after a transient fault.
     pub retries: u64,
-    /// Total backoff charged across all retries, in abstract time units.
-    pub backoff_units: u64,
 }
 
 /// Retries the transient faults of a fallible [`BlockStore`] per the
@@ -92,6 +66,9 @@ pub struct RetryingStore<'a, S: BlockStore> {
     inner: &'a mut S,
     policy: RetryPolicy,
     stats: RetryStats,
+    /// The caller's block from the previous write, kept as the buffer the
+    /// next write copies into, so steady-state writes allocate nothing.
+    spare: Option<Block>,
 }
 
 impl<'a, S: BlockStore> RetryingStore<'a, S> {
@@ -101,6 +78,7 @@ impl<'a, S: BlockStore> RetryingStore<'a, S> {
             inner,
             policy,
             stats: RetryStats::default(),
+            spare: None,
         }
     }
 
@@ -122,7 +100,6 @@ impl<'a, S: BlockStore> RetryingStore<'a, S> {
                 Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
                     attempt += 1;
                     self.stats.retries += 1;
-                    self.stats.backoff_units += self.policy.backoff_for(attempt);
                 }
                 other => return other,
             }
@@ -155,10 +132,23 @@ impl<S: BlockStore> BlockStore for RetryingStore<'_, S> {
         self.retry(|s| s.try_load_block(h, i))
     }
 
-    /// Each attempt writes a clone of `blk`, so a retry re-issues the same
-    /// contents.
+    /// Each attempt writes a copy of `blk`, so a retry re-issues the same
+    /// contents. The first attempt copies into the spare buffer; `blk`
+    /// itself then becomes the spare for the next write.
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
-        self.retry(|s| s.try_store_block(h, i, blk.clone()))
+        let mut spare = self.spare.take();
+        let result = self.retry(|s| {
+            let copy = match spare.take() {
+                Some(mut buf) if buf.len() == blk.len() => {
+                    buf.slots_mut().copy_from_slice(blk.slots());
+                    buf
+                }
+                _ => blk.clone(),
+            };
+            s.try_store_block(h, i, copy)
+        });
+        self.spare = Some(blk);
+        result
     }
 }
 
@@ -235,8 +225,6 @@ mod tests {
         assert_eq!(rs.try_load_span(&h, 0, 4).unwrap(), cells(4));
         let stats = rs.stats();
         assert_eq!(stats.retries, 2);
-        // Exponential backoff: 1 + 2 units.
-        assert_eq!(stats.backoff_units, 3);
         // Each attempt was a real server access (charged).
         assert_eq!(s.io_stats().reads, 3);
     }
@@ -249,10 +237,7 @@ mod tests {
             s.read_errs
                 .push_back(Some(StoreError::Transient { addr: 7 }));
         }
-        let policy = RetryPolicy {
-            max_retries: 3,
-            ..RetryPolicy::default()
-        };
+        let policy = RetryPolicy { max_retries: 3 };
         let err = RetryingStore::new(&mut s, policy)
             .try_load_block(&h, 0)
             .unwrap_err();
@@ -284,6 +269,27 @@ mod tests {
         rs.try_store_span(&h, 0, &cells(4)).unwrap();
         assert_eq!(rs.stats().retries, 1);
         assert_eq!(s.load_span(&h, 0, 4), cells(4));
+    }
+
+    #[test]
+    fn consecutive_writes_each_land_their_own_contents() {
+        // Each write copies into the previous write's block. The second
+        // write's first attempt fails and is retried; the third write runs
+        // on the recycled buffer. Every block must hold its own contents.
+        let mut s = Scripted::new(4);
+        let h = BlockStore::alloc_array(&mut s, 12);
+        s.write_errs
+            .extend([None, Some(StoreError::Transient { addr: 1 })]);
+        let blocks: Vec<Vec<Cell>> = (0..3u64)
+            .map(|b| (0..4).map(|k| Some(Element::new(10 * b + k, k))).collect())
+            .collect();
+        let mut rs = RetryingStore::new(&mut s, RetryPolicy::default());
+        for (i, cells) in blocks.iter().enumerate() {
+            rs.try_store_block(&h, i, Block::from_cells(cells)).unwrap();
+        }
+        assert_eq!(rs.stats().retries, 1);
+        assert_eq!(s.load_span(&h, 0, 12), blocks.concat());
+        assert_eq!(s.io_stats().writes, 3, "the failed attempt is not charged");
     }
 
     #[test]
@@ -331,17 +337,6 @@ mod tests {
         let mut s = Panicky(ExtMem::new(4));
         let h = BlockStore::alloc_array(&mut s, 4);
         let _ = RetryingStore::new(&mut s, RetryPolicy::default()).try_load_block(&h, 0);
-    }
-
-    #[test]
-    fn backoff_schedule_is_capped_exponential() {
-        let p = RetryPolicy {
-            max_retries: 10,
-            backoff_base_units: 2,
-            backoff_cap_units: 16,
-        };
-        let units: Vec<u64> = (1..=6).map(|a| p.backoff_for(a)).collect();
-        assert_eq!(units, vec![2, 4, 8, 16, 16, 16]);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!
 //! [`assert_oblivious`] and [`traces_equal`] implement those checks, and
 //! [`TraceSummary`] offers aggregate statistics (length, read/write mix,
-//! address histogram) that the experiment harness reports alongside I/O
-//! counts.
+//! distinct addresses, hottest-address frequency).
 
 use crate::mem::{AccessEvent, AccessOp, AccessTrace};
 use std::collections::BTreeMap;
@@ -93,16 +92,6 @@ impl TraceSummary {
     }
 }
 
-/// Per-address access histogram (address → number of accesses), useful for
-/// eyeballing hot spots in the experiment harness output.
-pub fn address_histogram(trace: &AccessTrace) -> BTreeMap<usize, usize> {
-    let mut hist = BTreeMap::new();
-    for ev in trace {
-        *hist.entry(ev.addr).or_insert(0) += 1;
-    }
-    hist
-}
-
 /// Convenience constructor for tests in other crates.
 pub fn event(op: AccessOp, addr: usize) -> AccessEvent {
     AccessEvent { op, addr }
@@ -158,14 +147,5 @@ mod tests {
         assert_eq!(s.writes, 1);
         assert_eq!(s.distinct_addrs, 2);
         assert_eq!(s.max_addr_frequency, 3);
-    }
-
-    #[test]
-    fn histogram_counts_per_address() {
-        let t = vec![r(3), w(3), r(7)];
-        let h = address_histogram(&t);
-        assert_eq!(h[&3], 2);
-        assert_eq!(h[&7], 1);
-        assert_eq!(h.len(), 2);
     }
 }

@@ -12,7 +12,6 @@
 //! with sentinels, as the external sort does with dummies.
 
 use crate::compare::compare_exchange_dir_by;
-use crate::network::{Comparator, Network};
 use std::cmp::Ordering;
 
 /// Sorts a power-of-two-length slice ascending.
@@ -64,53 +63,6 @@ where
     if n > 1 {
         merge_rec(v, 0, n, ascending, cmp);
     }
-}
-
-/// Builds the explicit [`Network`] form of the bitonic sorter over `n` wires
-/// (`n` a power of two), one level of disjoint comparators per stage.
-///
-/// The network uses *directed* comparators ([`Comparator::directed`]):
-/// descending merge halves route their maximum to the lower wire, exactly as
-/// [`bitonic_sort_pow2`] executes them. The test-suite verifies the network
-/// with the zero-one principle and checks it agrees with the in-place sorter.
-///
-/// # Panics
-/// Panics if `n` is not a power of two.
-pub fn bitonic_network(n: usize) -> Network {
-    assert!(
-        n.is_power_of_two() || n == 0,
-        "bitonic_network requires a power-of-two width"
-    );
-    let mut net = Network::new(n.max(1));
-    if n < 2 {
-        return net;
-    }
-    // Iterative formulation: stage k doubles the sorted sequence length,
-    // stride s halves within a stage; pair (i, i ^ s) merges ascending iff
-    // bit k of i is clear. Each (k, s) level is one stage of disjoint
-    // comparators.
-    let mut k = 2;
-    while k <= n {
-        let mut s = k / 2;
-        while s >= 1 {
-            let mut stage = Vec::with_capacity(n / 2);
-            for i in 0..n {
-                let l = i ^ s;
-                if l > i {
-                    let asc = i & k == 0;
-                    stage.push(if asc {
-                        Comparator::directed(i, l)
-                    } else {
-                        Comparator::directed(l, i)
-                    });
-                }
-            }
-            net.push_stage(stage);
-            s /= 2;
-        }
-        k *= 2;
-    }
-    net
 }
 
 fn sort_rec<T, F>(v: &mut [T], lo: usize, n: usize, asc: bool, cmp: &F)
@@ -207,50 +159,20 @@ mod tests {
     }
 
     #[test]
-    fn network_passes_zero_one_principle_exhaustively() {
+    fn sorts_all_zero_one_inputs_up_to_width_16() {
         // Zero-one principle: a comparator network sorts all inputs iff it
-        // sorts all 0/1 inputs. Checked exhaustively through the explicit
-        // Network form (directed comparators included).
+        // sorts all 0/1 inputs. Checked exhaustively on the in-place sorter,
+        // in both directions.
         for n in [1usize, 2, 4, 8, 16] {
-            let net = bitonic_network(n);
-            assert!(
-                net.sorts_all_zero_one_inputs(),
-                "bitonic network of width {n} is not a sorter"
-            );
-        }
-    }
-
-    #[test]
-    fn network_and_in_place_sort_agree() {
-        let n = 16;
-        let net = bitonic_network(n);
-        let mut a: Vec<u32> = (0..n as u32)
-            .map(|i| i.wrapping_mul(2654435761) % 101)
-            .collect();
-        let mut b = a.clone();
-        net.apply(&mut a);
-        bitonic_sort_pow2(&mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn network_size_matches_known_counts() {
-        // Bitonic sorter on 2^k wires has k(k+1)/2 levels of n/2 comparators.
-        let net = bitonic_network(8);
-        assert_eq!(net.depth(), 6); // 3*4/2 levels
-        assert_eq!(net.size(), 6 * 4);
-        assert!(net.stages().iter().all(|s| s.len() == 4));
-    }
-
-    #[test]
-    fn sorts_all_zero_one_inputs_width_8() {
-        // Direct 0-1 principle check of the in-place sorter (not the Network
-        // form, which normalises descending comparators).
-        let n = 8;
-        for mask in 0u32..(1 << n) {
-            let mut v: Vec<u8> = (0..n).map(|i| ((mask >> i) & 1) as u8).collect();
-            bitonic_sort_pow2(&mut v);
-            assert!(v.windows(2).all(|w| w[0] <= w[1]), "failed mask {mask:b}");
+            for mask in 0u32..(1 << n) {
+                let v: Vec<u8> = (0..n).map(|i| ((mask >> i) & 1) as u8).collect();
+                let mut asc = v.clone();
+                bitonic_sort_pow2(&mut asc);
+                assert!(asc.windows(2).all(|w| w[0] <= w[1]), "n={n} mask {mask:b}");
+                let mut desc = v;
+                bitonic_sort_pow2_by(&mut desc, false, &|a: &u8, b: &u8| a.cmp(b));
+                assert!(desc.windows(2).all(|w| w[0] >= w[1]), "n={n} mask {mask:b}");
+            }
         }
     }
 }

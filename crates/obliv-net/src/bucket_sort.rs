@@ -87,11 +87,9 @@ use std::cmp::Ordering;
 use std::error::Error;
 use std::fmt;
 
-use extmem::element::{cell_cmp_none_last, cell_cmp_none_last_desc, Cell};
+use extmem::element::Cell;
 use extmem::util::{hash64, ilog2_floor, next_pow2};
 use extmem::{ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, StoreError};
-
-use crate::external_sort::SortOrder;
 
 /// Default minimum bucket capacity: `exp(−128/6) ≈ 5·10⁻¹⁰` per-bucket
 /// overflow probability.
@@ -109,7 +107,7 @@ const MAX_SEED_ATTEMPTS: usize = 4;
 /// a prefetcher's ready budget at the grid points we benchmark.
 const MERGE_LOOKAHEAD: usize = 8;
 
-/// Tuning knobs for [`bucket_oblivious_sort`].
+/// Tuning knobs for [`bucket_oblivious_sort_by`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BucketSortConfig {
     /// Seed for the random bin assignment. Same seed + same input ⇒
@@ -331,36 +329,16 @@ pub fn merge_split<T>(
     Ok((lo, hi))
 }
 
-/// Sorts array `h` by key in the given order, dummies last, using at most
-/// `cache_elems` words of private memory.
+/// Sorts array `h` by the total order `cmp` on occupied cells, dummies
+/// last, using at most `cache_elems` words of private memory.
 ///
 /// Same contract as the Lemma 2 sort
 /// ([`try_external_oblivious_sort_by`](crate::external_sort::try_external_oblivious_sort_by)),
 /// with two deltas: the trace depends on `(shape, cfg.seed, data)` rather
 /// than shape alone (see the module docs), and failure is a typed
-/// [`BucketSortError`] instead of a panic.
-pub fn bucket_oblivious_sort<S: BlockStore>(
-    store: &mut S,
-    h: &ArrayHandle,
-    cache_elems: usize,
-    order: SortOrder,
-    cfg: &BucketSortConfig,
-) -> Result<BucketSortReport, BucketSortError> {
-    match order {
-        SortOrder::Ascending => {
-            bucket_oblivious_sort_by(store, h, cache_elems, cfg, &cell_cmp_none_last)
-        }
-        SortOrder::Descending => {
-            bucket_oblivious_sort_by(store, h, cache_elems, cfg, &cell_cmp_none_last_desc)
-        }
-    }
-}
-
-/// Sorts array `h` with a custom total order on occupied cells.
-///
-/// `cmp` is only ever consulted on occupied (`Some`) cells: the bucket sort
-/// removes dummies structurally and always emits them after every occupied
-/// cell, whatever `cmp` says about `None`.
+/// [`BucketSortError`]. `cmp` is only ever consulted on occupied (`Some`)
+/// cells: the bucket sort removes dummies structurally and always emits them
+/// after every occupied cell, whatever `cmp` says about `None`.
 pub fn bucket_oblivious_sort_by<S, F>(
     store: &mut S,
     h: &ArrayHandle,
@@ -1227,7 +1205,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use extmem::element::{cell_cmp_none_last, cell_cmp_none_last_desc};
     use extmem::ExtMem;
+
+    /// A cell order, as the sort façades hand one to the engine.
+    type CellCmp = fn(&Cell, &Cell) -> Ordering;
+    const ASC: CellCmp = cell_cmp_none_last;
+    const DESC: CellCmp = cell_cmp_none_last_desc;
 
     fn e(k: u64) -> Element {
         Element::new(k, 0)
@@ -1247,7 +1231,7 @@ mod tests {
     ) -> (Vec<Cell>, BucketSortReport) {
         let mut mem = ExtMem::new(b);
         let h = mem.alloc_array_from_cells(cells);
-        let rep = bucket_oblivious_sort(&mut mem, &h, cache, SortOrder::Ascending, cfg)
+        let rep = bucket_oblivious_sort_by(&mut mem, &h, cache, cfg, &cell_cmp_none_last)
             .expect("sort failed");
         (mem.snapshot_cells(&h), rep)
     }
@@ -1362,12 +1346,12 @@ mod tests {
         let cells = keyed_input(2048, 3, 1000);
         let mut mem = ExtMem::new(8);
         let h = mem.alloc_array_from_cells(&cells);
-        bucket_oblivious_sort(
+        bucket_oblivious_sort_by(
             &mut mem,
             &h,
             320,
-            SortOrder::Descending,
             &BucketSortConfig::seeded(9),
+            &cell_cmp_none_last_desc,
         )
         .unwrap();
         let out = mem.snapshot_cells(&h);
@@ -1404,7 +1388,7 @@ mod tests {
         ] {
             let cfg = BucketSortConfig::with_bucket_capacity(0, z);
             let err =
-                bucket_oblivious_sort(&mut mem, &h, 320, SortOrder::Ascending, &cfg).unwrap_err();
+                bucket_oblivious_sort_by(&mut mem, &h, 320, &cfg, &cell_cmp_none_last).unwrap_err();
             match err {
                 BucketSortError::InvalidArgument { reason } => {
                     assert!(
@@ -1449,12 +1433,12 @@ mod tests {
         let cells = keyed_input(4096, 1, 100);
         let mut mem = ExtMem::new(8);
         let h = mem.alloc_array_from_cells(&cells);
-        let err = bucket_oblivious_sort(
+        let err = bucket_oblivious_sort_by(
             &mut mem,
             &h,
             40, // < 8B
-            SortOrder::Ascending,
             &BucketSortConfig::default(),
+            &cell_cmp_none_last,
         )
         .unwrap_err();
         assert!(matches!(err, BucketSortError::InvalidArgument { .. }));
@@ -1481,12 +1465,12 @@ mod tests {
 
         let mut mem = ExtMem::new(b);
         let h = mem.alloc_array_from_cells(&cells);
-        let rep = bucket_oblivious_sort(
+        let rep = bucket_oblivious_sort_by(
             &mut mem,
             &h,
             cache,
-            SortOrder::Ascending,
             &BucketSortConfig::default(),
+            &cell_cmp_none_last,
         )
         .unwrap();
 
@@ -1513,12 +1497,12 @@ mod tests {
         cells: &[Cell],
         b: usize,
         cache: usize,
-        order: SortOrder,
+        order: CellCmp,
         cfg: &BucketSortConfig,
     ) -> (u64, BucketSortReport) {
         let mut mem = ExtMem::with_trace(b);
         let h = mem.alloc_array_from_cells(cells);
-        let rep = bucket_oblivious_sort(&mut mem, &h, cache, order, cfg).expect("sort failed");
+        let rep = bucket_oblivious_sort_by(&mut mem, &h, cache, cfg, &order).expect("sort failed");
         let mut acc = 0u64;
         for ev in mem.take_trace().expect("trace was enabled") {
             let op = matches!(ev.op, extmem::AccessOp::Write) as u64;
@@ -1822,7 +1806,7 @@ mod tests {
                 dummies(keyed_input(4096, 13, 97), 99),
                 8,
                 512,
-                SortOrder::Ascending,
+                ASC,
                 BucketSortConfig::seeded(42),
             ),
             (
@@ -1830,7 +1814,7 @@ mod tests {
                 keyed_input(3000, 3000, 10),
                 8,
                 320,
-                SortOrder::Ascending,
+                ASC,
                 BucketSortConfig::seeded(5),
             ),
             (
@@ -1838,7 +1822,7 @@ mod tests {
                 identical,
                 8,
                 128,
-                SortOrder::Descending,
+                DESC,
                 BucketSortConfig::with_bucket_capacity(6, 16),
             ),
             (
@@ -1846,7 +1830,7 @@ mod tests {
                 freak,
                 16,
                 128,
-                SortOrder::Ascending,
+                ASC,
                 BucketSortConfig::seeded(1),
             ),
             (
@@ -1854,7 +1838,7 @@ mod tests {
                 keyed_input(96, 7, 50),
                 8,
                 256,
-                SortOrder::Ascending,
+                ASC,
                 BucketSortConfig::default(),
             ),
         ];
@@ -1875,12 +1859,12 @@ mod tests {
     fn trivial_lengths_are_reported_in_cache() {
         let mut mem = ExtMem::new(8);
         let h = mem.alloc_array_from_cells(&[Some(e(3))]);
-        let rep = bucket_oblivious_sort(
+        let rep = bucket_oblivious_sort_by(
             &mut mem,
             &h,
             64,
-            SortOrder::Ascending,
             &BucketSortConfig::default(),
+            &cell_cmp_none_last,
         )
         .unwrap();
         assert!(rep.in_cache);

@@ -25,12 +25,6 @@ where
     }
 }
 
-/// Compare-exchange for `Ord` types.
-#[inline]
-pub fn compare_exchange<T: Ord>(v: &mut [T], i: usize, j: usize) {
-    compare_exchange_by(v, i, j, &|a: &T, b: &T| a.cmp(b));
-}
-
 /// Descending compare-exchange (larger element ends up at the lower index).
 #[inline]
 pub fn compare_exchange_desc_by<T, F>(v: &mut [T], i: usize, j: usize, cmp: &F)
@@ -56,21 +50,6 @@ where
     }
 }
 
-/// Compare-exchange that routes the minimum to `min_idx` and the maximum to
-/// `max_idx`, with no constraint on which index is lower. This is what a
-/// *directed* comparator of a bitonic network performs: descending
-/// comparators are simply `min_idx > max_idx`.
-#[inline]
-pub fn compare_exchange_min_max_by<T, F>(v: &mut [T], min_idx: usize, max_idx: usize, cmp: &F)
-where
-    F: Fn(&T, &T) -> Ordering,
-{
-    debug_assert_ne!(min_idx, max_idx);
-    if cmp(&v[min_idx], &v[max_idx]) == Ordering::Greater {
-        v.swap(min_idx, max_idx);
-    }
-}
-
 /// Orders an owned pair for a directional comparator: returns the values in
 /// the order they belong at `(lower index, higher index)` — minimum first
 /// when `ascending`, maximum first otherwise.
@@ -93,24 +72,17 @@ where
     }
 }
 
-/// Returns `true` if `v` is sorted according to `cmp`.
-pub fn is_sorted_by<T, F>(v: &[T], cmp: &F) -> bool
-where
-    F: Fn(&T, &T) -> Ordering,
-{
-    v.windows(2).all(|w| cmp(&w[0], &w[1]) != Ordering::Greater)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn ascending_comparator_orders_pair() {
+        let cmp = |a: &i32, b: &i32| a.cmp(b);
         let mut v = vec![5, 1];
-        compare_exchange(&mut v, 0, 1);
+        compare_exchange_by(&mut v, 0, 1, &cmp);
         assert_eq!(v, vec![1, 5]);
-        compare_exchange(&mut v, 0, 1);
+        compare_exchange_by(&mut v, 0, 1, &cmp);
         assert_eq!(v, vec![1, 5], "already ordered pair is untouched");
     }
 
@@ -136,13 +108,5 @@ mod tests {
         let mut v = vec![-9, 2];
         compare_exchange_by(&mut v, 0, 1, &|a: &i32, b: &i32| a.abs().cmp(&b.abs()));
         assert_eq!(v, vec![2, -9]);
-    }
-
-    #[test]
-    fn is_sorted_detects_order() {
-        let cmp = |a: &i32, b: &i32| a.cmp(b);
-        assert!(is_sorted_by(&[1, 2, 2, 3], &cmp));
-        assert!(!is_sorted_by(&[1, 3, 2], &cmp));
-        assert!(is_sorted_by::<i32, _>(&[], &cmp));
     }
 }

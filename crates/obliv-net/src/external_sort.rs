@@ -64,8 +64,8 @@ use extmem::element::Cell;
 use extmem::{ArrayHandle, BlockCache, BlockStore, CacheBudget, IoStats, StoreError};
 use std::cmp::Ordering;
 
-/// Direction of a sort: which cell comparator a façade such as
-/// `odo_core::try_sort` hands to [`try_external_oblivious_sort_by`].
+/// Direction of a sort: which cell comparator the sort façade
+/// (`odo_core::OblivSorter::try_sort`) hands to the selected engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SortOrder {
     /// Keys ascending; dummy (empty) cells sort after every occupied cell.
@@ -113,7 +113,8 @@ pub struct SortReport {
 /// the first failed block I/O, after which the contents of `h` (and of the
 /// scratch array, for non-power-of-two lengths) are unspecified. Transient
 /// errors are not retried here; wrap the store in an
-/// [`extmem::RetryingStore`] for that, as `odo_core::try_sort` does.
+/// [`extmem::RetryingStore`] for that, as `odo_core::OblivSorter::try_sort`
+/// does.
 pub fn try_external_oblivious_sort_by<S, F>(
     store: &mut S,
     h: &ArrayHandle,
@@ -401,6 +402,7 @@ mod tests {
             expected.sort_unstable();
             assert_eq!(got, expected, "failed for N={n} B={b} M={m}");
             assert!(report.io.total() > 0);
+            assert_eq!(report.padded, !n.is_power_of_two(), "N={n}");
         }
     }
 

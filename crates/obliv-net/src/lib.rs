@@ -6,8 +6,6 @@
 //! * [`compare`] — compare-exchange primitives, the only data-dependent
 //!   operation a sorting network performs (and it performs it with a fixed
 //!   access pattern).
-//! * [`network`] — explicit comparator-network representation plus
-//!   zero-one-principle exhaustive checking used by the test-suite.
 //! * [`bitonic`] — Batcher's bitonic sorter for power-of-two slices; its
 //!   stride structure is what the external-memory sort exploits, and it
 //!   finishes the Lemma 2 sort's in-cache sub-problems.
@@ -37,15 +35,13 @@ pub mod bucket_sort;
 pub mod butterfly;
 pub mod compare;
 pub mod external_sort;
-pub mod network;
 
-pub use bitonic::{bitonic_merge_pow2_by, bitonic_network, bitonic_sort_pow2};
+pub use bitonic::{bitonic_merge_pow2_by, bitonic_sort_pow2};
 pub use bucket_sort::{
-    bucket_oblivious_sort, bucket_oblivious_sort_by, merge_split, BucketSortConfig,
-    BucketSortError, BucketSortReport, MergeSplitOverflow,
+    bucket_oblivious_sort_by, merge_split, BucketSortConfig, BucketSortError, BucketSortReport,
+    MergeSplitOverflow,
 };
 pub use external_sort::{try_external_oblivious_sort_by, SortOrder, SortReport};
-pub use network::{Comparator, Network};
 
 /// Announces the strictly sequential block-read schedule `[lo, hi)` of
 /// array `h` in one [`hint_blocks`](extmem::BlockStore::hint_blocks) call,

@@ -22,9 +22,18 @@ use extmem::{
     FaultSpec, FaultyStore, RetryPolicy, RetryStats, RetryingStore, StoreError,
 };
 use obliv_net::bucket_sort::{
-    bucket_oblivious_sort, merge_split, BucketSortConfig, BucketSortError, BucketSortReport,
+    bucket_oblivious_sort_by, merge_split, BucketSortConfig, BucketSortError, BucketSortReport,
 };
 use obliv_net::external_sort::{try_external_oblivious_sort_by, SortOrder};
+use std::cmp::Ordering;
+
+/// The cell order a sort façade hands the engines for `order`.
+fn order_cmp(order: SortOrder) -> fn(&Cell, &Cell) -> Ordering {
+    match order {
+        SortOrder::Ascending => cell_cmp_none_last,
+        SortOrder::Descending => cell_cmp_none_last_desc,
+    }
+}
 
 /// The bucket sort of `h`, ascending, over a [`RetryingStore`] with the
 /// default policy: transient faults are retried, every other error returns.
@@ -36,7 +45,7 @@ fn retrying_bucket_sort<S: BlockStore>(
 ) -> Result<(BucketSortReport, RetryStats), BucketSortError> {
     let mut rs = RetryingStore::new(store, RetryPolicy::default());
     let cfg = BucketSortConfig::seeded(seed);
-    let report = bucket_oblivious_sort(&mut rs, h, m, SortOrder::Ascending, &cfg)?;
+    let report = bucket_oblivious_sort_by(&mut rs, h, m, &cfg, &cell_cmp_none_last)?;
     Ok((report, rs.stats()))
 }
 
@@ -49,8 +58,8 @@ fn bucket_run(
 ) -> (Vec<Cell>, AccessTrace) {
     let mut mem = ExtMem::with_trace(b);
     let h = mem.alloc_array_from_cells(cells);
-    bucket_oblivious_sort(&mut mem, &h, m, order, &BucketSortConfig::seeded(seed))
-        .expect("bucket sort failed");
+    let cfg = BucketSortConfig::seeded(seed);
+    bucket_oblivious_sort_by(&mut mem, &h, m, &cfg, &order_cmp(order)).expect("bucket sort failed");
     let trace = mem.take_trace().expect("trace was enabled");
     (mem.snapshot_cells(&h), trace)
 }
@@ -58,11 +67,7 @@ fn bucket_run(
 fn oracle_run(cells: &[Cell], b: usize, m: usize, order: SortOrder) -> Vec<Cell> {
     let mut mem = ExtMem::new(b);
     let h = mem.alloc_array_from_cells(cells);
-    let cmp = match order {
-        SortOrder::Ascending => cell_cmp_none_last,
-        SortOrder::Descending => cell_cmp_none_last_desc,
-    };
-    try_external_oblivious_sort_by(&mut mem, &h, m, &cmp).unwrap();
+    try_external_oblivious_sort_by(&mut mem, &h, m, &order_cmp(order)).unwrap();
     mem.snapshot_cells(&h)
 }
 
@@ -170,12 +175,12 @@ fn plaintext_and_encrypted_traces_are_byte_identical() {
         let mut enc = EncryptedStore::new(b, 0xC1F4);
         let h = enc.alloc_array_from_cells(&cells);
         enc.enable_trace();
-        let report = bucket_oblivious_sort(
+        let report = bucket_oblivious_sort_by(
             &mut enc,
             &h,
             m,
-            SortOrder::Ascending,
             &BucketSortConfig::seeded(seed),
+            &cell_cmp_none_last,
         )
         .expect("encrypted bucket sort failed");
         let etrace = enc.take_trace().expect("trace was enabled");

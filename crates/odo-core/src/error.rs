@@ -1,21 +1,23 @@
-//! The workspace-level error type for the fallible (`try_`) primitives.
+//! The workspace-level error type of the `try_*` primitives.
 //!
-//! The `try_` entry points — `try_sort`, [`try_compact`],
-//! [`try_select_kth`] and their siblings — run the paper's algorithms
-//! against an untrusted or unreliable server. Each pass returns its first
-//! failure as an [`OdoError`] with `?`, and stops there: transient faults
-//! are retried by the policy's `RetryingStore`, while tampering detected by
+//! Every primitive has one entry point, and it is fallible:
+//! [`OblivSorter::try_sort`], [`try_compact`], [`try_select_kth`] and their
+//! siblings run the paper's algorithms against an untrusted or unreliable
+//! server. Each pass returns its first failure as an [`OdoError`] with `?`,
+//! and stops there: transient faults are retried by the policy's
+//! `RetryingStore`, tampering detected by
 //! [`AuthenticatedStore`](extmem::auth::AuthenticatedStore) surfaces as
-//! `OdoError::Store(Corrupted | Stale)` — never as a wrong answer. The
-//! infallible façades run the same passes and panic with this type's
-//! `Display`.
+//! `OdoError::Store(Corrupted | Stale)` — never as a wrong answer — and a
+//! shape the pass cannot run as [`OdoError::InvalidArgument`] — never as a
+//! panic.
 //!
+//! [`OblivSorter::try_sort`]: crate::sorter::OblivSorter::try_sort
 //! [`try_compact`]: crate::compact::try_compact
 //! [`try_select_kth`]: crate::select::try_select_kth
 
 use std::fmt;
 
-use extmem::{ConfigError, StoreError};
+use extmem::StoreError;
 use obliv_net::bucket_sort::BucketSortError;
 
 /// Everything a fallible algorithm run can report.
@@ -25,12 +27,9 @@ pub enum OdoError {
     /// server tampered with data (corruption/rollback), the client-side
     /// budget ran out, or a payload did not fit the encrypted encoding.
     Store(StoreError),
-    /// The `(N, B, M)` model configuration is invalid.
-    Config(ConfigError),
     /// The caller's arguments don't describe a runnable pass (bad targets,
-    /// cache too small, non-power-of-two blocks, …). On the infallible
-    /// entry points the same validation panics with `reason` as the message,
-    /// so `Display` prints `reason` verbatim.
+    /// cache too small, non-power-of-two blocks, …). `Display` prints
+    /// `reason` verbatim.
     InvalidArgument {
         /// Human-readable validation failure.
         reason: &'static str,
@@ -79,7 +78,6 @@ impl fmt::Display for OdoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OdoError::Store(e) => write!(f, "store error: {e}"),
-            OdoError::Config(e) => write!(f, "configuration error: {e}"),
             OdoError::InvalidArgument { reason } => write!(f, "{reason}"),
             OdoError::InvalidState { reason } => {
                 write!(
@@ -106,7 +104,6 @@ impl std::error::Error for OdoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             OdoError::Store(e) => Some(e),
-            OdoError::Config(e) => Some(e),
             _ => None,
         }
     }
@@ -143,12 +140,6 @@ impl From<StoreError> for OdoError {
     }
 }
 
-impl From<ConfigError> for OdoError {
-    fn from(e: ConfigError) -> Self {
-        OdoError::Config(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,8 +165,8 @@ mod tests {
 
     #[test]
     fn invalid_argument_displays_its_reason_verbatim() {
-        // The infallible façades panic with `Display` of this variant, so it
-        // must be exactly the legacy assert message.
+        // `Display` is the reason alone, so a caller can print or match it
+        // without unwrapping a prefix.
         let e = OdoError::InvalidArgument {
             reason: "expansion targets must be strictly increasing",
         };

@@ -26,15 +26,6 @@ use obliv_net::bucket_sort::BucketSortConfig;
 use obliv_net::SortOrder;
 use std::cmp::Ordering;
 
-/// Which engine a [`SorterReport`] came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SortEngine {
-    /// The Lemma 2 deterministic external bitonic sort.
-    Bitonic,
-    /// The randomized bucket oblivious sort.
-    Bucket,
-}
-
 /// The engine-agnostic slice of a sort's outcome. Engine-specific detail
 /// (bucket capacity, butterfly depth, merge passes, …) stays on the engines'
 /// own report types.
@@ -42,8 +33,6 @@ pub enum SortEngine {
 pub struct SorterReport {
     /// I/Os charged to this sort (reads + writes deltas).
     pub io: IoStats,
-    /// The engine that ran.
-    pub engine: SortEngine,
 }
 
 /// Strategy switch for the external oblivious sorts. `Default` is
@@ -64,14 +53,6 @@ impl OblivSorter {
     /// The bucket engine with the given seed and automatic bucket capacity.
     pub fn bucket(seed: u64) -> Self {
         OblivSorter::Bucket(BucketSortConfig::seeded(seed))
-    }
-
-    /// Which engine this strategy selects.
-    pub fn engine(&self) -> SortEngine {
-        match self {
-            OblivSorter::Bitonic => SortEngine::Bitonic,
-            OblivSorter::Bucket(_) => SortEngine::Bucket,
-        }
     }
 
     /// Sorts array `h` by an arbitrary cell comparator with the selected
@@ -102,17 +83,25 @@ impl OblivSorter {
                 obliv_net::bucket_oblivious_sort_by(store, h, cache_elems, cfg, cmp)?.io
             }
         };
-        Ok(SorterReport {
-            io,
-            engine: self.engine(),
-        })
+        Ok(SorterReport { io })
     }
 
-    /// Sorts array `h` in the given order (dummies last) with the selected
-    /// engine, for untrusted/unreliable servers: transient faults retry per
-    /// `policy`, tampering and argument failures surface as a typed
-    /// [`OdoError`], and a bucket overflow returns
-    /// [`OdoError::BucketOverflow`] (retry with a fresh seed).
+    /// Sorts array `h` by key in the given order, dummies last, with the
+    /// selected engine in at most `cache_elems` words of private memory —
+    /// the workspace's one sort entry point (`OblivSorter::default()` runs
+    /// the paper's Lemma 2 sort). Built for untrusted/unreliable servers:
+    /// transient faults retry per `policy` (the retry schedule depends only
+    /// on the server's fault schedule, never on the data, so traces stay
+    /// data-independent), tampering detected by an
+    /// [`AuthenticatedStore`](extmem::AuthenticatedStore) returns
+    /// `Err(OdoError::Store(Corrupted | Stale))` instead of a wrong answer, a
+    /// cache below two blocks returns [`OdoError::InvalidArgument`] before
+    /// any I/O, and a bucket overflow returns [`OdoError::BucketOverflow`]
+    /// (retry with a fresh seed).
+    ///
+    /// On `Err` the contents of `h` (and of any scratch array) are
+    /// unspecified; the store itself remains usable and its I/O accounting
+    /// reflects every operation actually issued.
     pub fn try_sort<S: BlockStore>(
         &self,
         store: &mut S,
@@ -166,11 +155,9 @@ mod tests {
 
     #[test]
     fn both_engines_agree_with_each_other() {
-        let (bitonic, rb) = sorted_by(OblivSorter::Bitonic, 2048, 16, 256);
-        let (bucket, rk) = sorted_by(OblivSorter::bucket(42), 2048, 16, 256);
+        let (bitonic, _) = sorted_by(OblivSorter::Bitonic, 2048, 16, 256);
+        let (bucket, _) = sorted_by(OblivSorter::bucket(42), 2048, 16, 256);
         assert_eq!(bitonic, bucket);
-        assert_eq!(rb.engine, SortEngine::Bitonic);
-        assert_eq!(rk.engine, SortEngine::Bucket);
         assert!(bitonic.windows(2).all(|w| w[0] <= w[1]));
     }
 
@@ -189,27 +176,31 @@ mod tests {
     #[test]
     fn default_is_the_deterministic_oracle() {
         assert_eq!(OblivSorter::default(), OblivSorter::Bitonic);
-        assert_eq!(OblivSorter::default().engine(), SortEngine::Bitonic);
     }
 
     #[test]
     fn try_sort_runs_both_engines() {
+        // 200 is not a power of two: the Lemma 2 sort pads through a scratch
+        // array, the bucket sort through its bucket layout.
         for sorter in [OblivSorter::Bitonic, OblivSorter::bucket(5)] {
-            let mut mem = ExtMem::new(8);
-            let items = scrambled(1024);
-            let h = mem.alloc_array_from_elements(&items);
-            let (report, _) = sorter
-                .try_sort(
-                    &mut mem,
-                    &h,
-                    128,
-                    SortOrder::Ascending,
-                    RetryPolicy::default(),
-                )
-                .unwrap();
-            assert_eq!(report.engine, sorter.engine());
-            let got = mem.snapshot_elements(&h);
-            assert!(got.windows(2).all(|w| w[0] <= w[1]));
+            for order in [SortOrder::Ascending, SortOrder::Descending] {
+                let items = scrambled(200);
+                let mut mem = ExtMem::new(8);
+                let h = mem.alloc_array_from_elements(&items);
+                let (report, retry) = sorter
+                    .try_sort(&mut mem, &h, 128, order, RetryPolicy::default())
+                    .unwrap();
+                let mut want = items;
+                want.sort_unstable_by_key(|e| e.key);
+                if order == SortOrder::Descending {
+                    want.reverse();
+                }
+                let keys = |v: &[Element]| v.iter().map(|e| e.key).collect::<Vec<_>>();
+                let got = mem.snapshot_elements(&h);
+                assert_eq!(keys(&got), keys(&want), "{sorter:?} {order:?}");
+                assert_eq!(report.io, mem.stats(), "{sorter:?} {order:?}");
+                assert_eq!(retry.retries, 0);
+            }
         }
     }
 
@@ -231,20 +222,20 @@ mod tests {
                 .unwrap_err();
             assert!(
                 matches!(err, OdoError::InvalidArgument { .. }),
-                "{:?}: {err:?}",
-                sorter.engine()
+                "{sorter:?}: {err:?}"
             );
         }
         let mut mem = ExtMem::new(8);
         let h = mem.alloc_array_from_elements(&scrambled(64));
-        let err = crate::try_sort(
-            &mut mem,
-            &h,
-            8,
-            SortOrder::Ascending,
-            RetryPolicy::default(),
-        )
-        .unwrap_err();
+        let err = OblivSorter::default()
+            .try_sort(
+                &mut mem,
+                &h,
+                8,
+                SortOrder::Ascending,
+                RetryPolicy::default(),
+            )
+            .unwrap_err();
         assert!(err.to_string().contains("at least two blocks"));
         assert_eq!(mem.stats().total(), 0, "refused before any I/O");
     }

@@ -55,7 +55,9 @@ fn run<S: BlockStore>(pass: Pass, store: &mut S, h: &ArrayHandle) {
             try_select_kth(store, h, M, N / 3, policy).unwrap();
         }
         Pass::Lemma2Sort => {
-            try_sort(store, h, M, SortOrder::Ascending, policy).unwrap();
+            OblivSorter::default()
+                .try_sort(store, h, M, SortOrder::Ascending, policy)
+                .unwrap();
         }
         Pass::BucketSort => {
             OblivSorter::bucket(7)

