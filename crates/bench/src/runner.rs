@@ -13,7 +13,7 @@
 use extmem::trace::first_divergence;
 use extmem::{
     AccessTrace, BackingStore, BlockStore, EncryptedStore, ExtMem, FileStore, IoStats,
-    Prefetchable, PrefetchingStore,
+    PrefetchingStore,
 };
 use std::fmt::{self, Debug, Display, Write as _};
 use std::time::Instant;
@@ -202,7 +202,7 @@ impl<S: BackingStore> Stack for EncryptedStore<S> {
 
 /// The trace is the *logical* one, in the algorithm's request order: it
 /// must match the same run over a non-prefetching store byte for byte.
-impl<S: Prefetchable> Stack for PrefetchingStore<S> {
+impl<S: BlockStore> Stack for PrefetchingStore<S> {
     fn enable_trace(&mut self) {
         PrefetchingStore::enable_trace(self);
     }

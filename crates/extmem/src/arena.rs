@@ -1,4 +1,4 @@
-//! A thread-safe pool of block buffers: allocate once, recycle forever.
+//! A pool of block buffers: allocate once, recycle forever.
 //!
 //! Every block that moves between the client and the server is `B` cells
 //! wide, so the allocation pattern of the whole workspace is millions of
@@ -9,16 +9,14 @@
 //! steady-state operation performs no heap allocation at all on the block
 //! path. This is the safe-Rust analogue of LevelDB's bump-pointer `Arena`:
 //! the crate is `#![forbid(unsafe_code)]`, so instead of handing out raw
-//! pointers into slabs we recycle whole owned buffers through a mutex-guarded
-//! free list, which keeps the same "allocation cost amortises to a pointer
-//! bump" property without any lifetime hazards.
+//! pointers into slabs we recycle whole owned buffers through a free list,
+//! which keeps the same "allocation cost amortises to a pointer bump"
+//! property without any lifetime hazards.
 //!
-//! The arena is shared: [`ExtMem`](crate::mem::ExtMem) and
-//! [`FileStore`](crate::file::FileStore) each own one behind an [`Arc`], and
-//! the readers a [`PrefetchingStore`](crate::prefetch::PrefetchingStore)
-//! steals through clone that `Arc`, so blocks they decode draw from — and
-//! return to — the same pool as the store. All methods take `&self`; the
-//! internal mutex is held only for a push/pop, never across I/O.
+//! The arena is plain owned state: [`ExtMem`](crate::mem::ExtMem) and
+//! [`FileStore`](crate::file::FileStore) each own one. The store stack is
+//! single-threaded, so the pool sits in a [`RefCell`] and every method takes
+//! `&self` (a store's non-mutating snapshot path recycles too).
 //!
 //! # Lifetime rules
 //!
@@ -30,11 +28,11 @@
 //!   buffers are dropped (bounding the arena's memory at
 //!   `max_pooled · B · sizeof(Cell)`).
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
 
 use crate::element::Cell;
 
-/// Default cap on pooled buffers (per arena, not per thread).
+/// Default cap on pooled buffers.
 const DEFAULT_MAX_POOLED: usize = 1024;
 
 /// Cumulative counters describing how well the pool is doing its job.
@@ -69,11 +67,11 @@ struct Pool {
     stats: ArenaStats,
 }
 
-/// A shared, thread-safe pool of `Vec<Cell>` block buffers. See the module
-/// docs for the lifetime rules.
+/// A pool of `Vec<Cell>` block buffers. See the module docs for the
+/// lifetime rules.
 #[derive(Debug)]
 pub struct BlockArena {
-    pool: Mutex<Pool>,
+    pool: RefCell<Pool>,
     max_pooled: usize,
 }
 
@@ -84,16 +82,15 @@ impl Default for BlockArena {
 }
 
 impl BlockArena {
-    /// Creates an arena that pools at most `DEFAULT_MAX_POOLED` buffers,
-    /// ready to be shared behind an [`Arc`].
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
+    /// Creates an arena that pools at most `DEFAULT_MAX_POOLED` buffers.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Creates an arena with an explicit pool cap.
     pub fn with_capacity(max_pooled: usize) -> Self {
         BlockArena {
-            pool: Mutex::new(Pool::default()),
+            pool: RefCell::new(Pool::default()),
             max_pooled,
         }
     }
@@ -101,11 +98,10 @@ impl BlockArena {
     /// Takes a cleared buffer of exactly `b` dummy cells, reusing a pooled
     /// buffer when one with sufficient capacity is available.
     pub fn take(&self, b: usize) -> Vec<Cell> {
-        let mut pool = self.pool.lock().expect("block arena poisoned");
+        let mut pool = self.pool.borrow_mut();
         while let Some(mut buf) = pool.buffers.pop() {
             if buf.capacity() >= b {
                 pool.stats.reused += 1;
-                drop(pool);
                 buf.clear();
                 buf.resize(b, None);
                 return buf;
@@ -115,7 +111,6 @@ impl BlockArena {
             pool.stats.dropped += 1;
         }
         pool.stats.allocated += 1;
-        drop(pool);
         vec![None; b]
     }
 
@@ -124,7 +119,7 @@ impl BlockArena {
         if buf.capacity() == 0 {
             return;
         }
-        let mut pool = self.pool.lock().expect("block arena poisoned");
+        let mut pool = self.pool.borrow_mut();
         if pool.buffers.len() < self.max_pooled {
             pool.stats.recycled += 1;
             pool.buffers.push(buf);
@@ -135,16 +130,12 @@ impl BlockArena {
 
     /// Number of buffers currently pooled.
     pub fn pooled(&self) -> usize {
-        self.pool
-            .lock()
-            .expect("block arena poisoned")
-            .buffers
-            .len()
+        self.pool.borrow().buffers.len()
     }
 
     /// Snapshot of the reuse counters.
     pub fn stats(&self) -> ArenaStats {
-        self.pool.lock().expect("block arena poisoned").stats
+        self.pool.borrow().stats
     }
 }
 
@@ -202,22 +193,23 @@ mod tests {
 
     #[test]
     fn arena_is_usable_from_many_threads() {
-        let arena = BlockArena::new();
-        let mut handles = Vec::new();
+        // The arena is owned, not shared: it moves with its store from
+        // thread to thread and keeps its pool and counters on the way.
+        let mut arena = BlockArena::new();
         for _ in 0..4 {
-            let a = Arc::clone(&arena);
-            handles.push(std::thread::spawn(move || {
+            arena = std::thread::spawn(move || {
                 for _ in 0..200 {
-                    let buf = a.take(32);
+                    let buf = arena.take(32);
                     assert_eq!(buf.len(), 32);
-                    a.put(buf);
+                    arena.put(buf);
                 }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
+                arena
+            })
+            .join()
+            .unwrap();
         }
         let stats = arena.stats();
         assert_eq!(stats.allocated + stats.reused, 800);
+        assert_eq!(stats.allocated, 1, "one buffer served every take");
     }
 }

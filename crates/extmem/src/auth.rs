@@ -34,28 +34,28 @@
 //! The one classification read happens only after the server has already
 //! deviated.
 //!
-//! **The span path.** [`Prefetchable::store_run`] MACs a whole run with the
-//! batched kernel (`mac_run`: interleaved absorb chains, bit-identical to
-//! the scalar path per block) before one span write of the data;
-//! [`AuthenticatedReader`] verifies the spans the prefetch adapter steals
-//! against the table it shares with the foreground. Steals run on the
-//! caller's thread between foreground writes, so a span is verified against
-//! the versions its blocks were last written under.
+//! **The span path.** [`BlockStore::try_store_span`] MACs the blocks a span
+//! covers whole with the batched kernel (`mac_run`: interleaved absorb
+//! chains, bit-identical to the scalar path per block) before one span
+//! write of the data, and commits each entry only after its data landed;
+//! [`BlockStore::try_load_span`] reads them as one span and verifies them
+//! with the same kernel against the table. A block that fails its check
+//! fails the span with the error its single-block read would return (the
+//! blocks after it have already been read).
 //!
 //! The MAC is a toy keyed `splitmix64` chain, deliberately matching the toy
 //! cipher in [`crypto`](crate::crypto) — see `DESIGN.md` for the
 //! substitution table mapping it to a real HMAC.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::ops::Range;
 
 use crate::block::Block;
 use crate::budget::CacheBudget;
 use crate::element::{Cell, Element};
 use crate::error::StoreError;
 use crate::mem::{ArrayHandle, IoStats};
-use crate::prefetch::{PrefetchRead, Prefetchable};
-use crate::store::BlockStore;
+use crate::store::{load_span_with, store_span_with, BlockStore};
 use crate::util::hash64;
 
 /// Interleave width of the batched MAC kernel.
@@ -64,9 +64,9 @@ const MAC_LANES: usize = 8;
 /// Keyed MAC over a block image bound to its global address and version.
 /// A toy stand-in for HMAC: a `splitmix64` chain absorbing occupancy, key
 /// and payload of every slot (see `DESIGN.md`).
-fn mac_block(key: u64, addr: usize, version: u64, blk: &Block) -> u64 {
+fn mac_block(key: u64, addr: usize, version: u64, blk: &[Cell]) -> u64 {
     let mut acc = hash64((addr as u64) ^ version.rotate_left(32), key);
-    for (i, cell) in blk.slots().iter().enumerate() {
+    for (i, cell) in blk.iter().enumerate() {
         let (occ, k, p) = match cell {
             Some(e) => (1u64 << 63, e.key, e.payload),
             None => (0, 0, 0),
@@ -83,7 +83,7 @@ fn mac_block(key: u64, addr: usize, version: u64, blk: &Block) -> u64 {
 /// Bit-identical to the scalar path: every chain performs exactly the
 /// operations [`mac_block`] performs for its block — the property battery
 /// asserts equality MAC for MAC.
-fn mac_run(key: u64, inputs: &[(usize, u64, &Block)]) -> Vec<u64> {
+fn mac_run(key: u64, inputs: &[(usize, u64, &[Cell])]) -> Vec<u64> {
     let mut out = Vec::with_capacity(inputs.len());
     let mut i = 0;
     while i + MAC_LANES <= inputs.len() {
@@ -98,7 +98,7 @@ fn mac_run(key: u64, inputs: &[(usize, u64, &Block)]) -> Vec<u64> {
                 if s >= blk.len() {
                     continue;
                 }
-                let (occ, k, p) = match blk.get(s) {
+                let (occ, k, p) = match blk[s] {
                     Some(e) => (1u64 << 63, e.key, e.payload),
                     None => (0, 0, 0),
                 };
@@ -133,9 +133,9 @@ impl Entry {
 
     /// Whether `blk` is the block this entry describes, given its MAC under
     /// the entry's version (only computed for a written block).
-    fn matches(self, blk: &Block, mac: impl FnOnce() -> u64) -> bool {
+    fn matches(self, blk: &[Cell], mac: impl FnOnce() -> u64) -> bool {
         if self.version == 0 {
-            blk.is_all_dummy()
+            blk.iter().all(Option::is_none)
         } else {
             mac() == self.tag
         }
@@ -145,7 +145,7 @@ impl Entry {
 /// Classifies a served block at `addr` that failed its check against the
 /// client entry `want`, given the server checkpoint's cell for it: `Stale`
 /// when the block is an older write of the client's, `Corrupted` otherwise.
-fn classify(key: u64, addr: usize, want: Entry, checkpoint: Cell, blk: &Block) -> StoreError {
+fn classify(key: u64, addr: usize, want: Entry, checkpoint: Cell, blk: &[Cell]) -> StoreError {
     let old = Entry::from_cell(checkpoint);
     if old.version < want.version && old.matches(blk, || mac_block(key, addr, old.version, blk)) {
         StoreError::Stale {
@@ -181,52 +181,6 @@ pub struct AuthClientState {
     mac_arrays: HashMap<usize, MacArray>,
 }
 
-impl AuthClientState {
-    /// The data array covering global address `addr`, as its start address
-    /// and MAC array — the MAC array has one cell per data block, so its
-    /// element count is the data array's block count.
-    fn owner(&self, addr: usize) -> Option<(usize, &MacArray)> {
-        self.mac_arrays
-            .iter()
-            .find(|(start, m)| addr >= **start && addr < **start + m.handle.len())
-            .map(|(start, m)| (*start, m))
-    }
-
-    /// The entry of `addr` with the start of its array, or `None` for an
-    /// address outside every array this client allocated — such a block can
-    /// never verify.
-    fn expected(&self, addr: usize) -> Option<(usize, Entry)> {
-        let (start, _) = self.owner(addr)?;
-        Some((start, self.table[addr]))
-    }
-
-    /// Records a write of block `addr` of the array starting at `start`.
-    fn commit(&mut self, start: usize, addr: usize, entry: Entry) {
-        self.table[addr] = entry;
-        let mac = self
-            .mac_arrays
-            .get_mut(&start)
-            .expect("array was not allocated through this AuthenticatedStore");
-        let b = mac.handle.block_elems();
-        mac.dirty[(addr - start) / b] = true;
-    }
-}
-
-/// The verification state shared between the foreground store and its
-/// readers: the client table and the count of MAC-array I/Os.
-#[derive(Debug)]
-struct AuthShared {
-    client: AuthClientState,
-    mac_io: IoStats,
-}
-
-/// Locks the shared verification state, recovering from poison: every
-/// mutation under the lock leaves the state internally consistent, so a
-/// panicked holder cannot strand it.
-fn lock_shared(s: &Mutex<AuthShared>) -> MutexGuard<'_, AuthShared> {
-    s.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 /// Per-block MAC + client-side `(version, tag)` table over any
 /// [`BlockStore`]. See the module docs for the threat model and detection
 /// guarantees.
@@ -237,7 +191,9 @@ fn lock_shared(s: &Mutex<AuthShared>) -> MutexGuard<'_, AuthShared> {
 pub struct AuthenticatedStore<S: BlockStore> {
     inner: S,
     key: u64,
-    shared: Arc<Mutex<AuthShared>>,
+    client: AuthClientState,
+    /// I/Os spent on the MAC arrays.
+    mac_io: IoStats,
     budget: CacheBudget,
 }
 
@@ -252,14 +208,12 @@ impl<S: BlockStore> AuthenticatedStore<S> {
         AuthenticatedStore {
             inner,
             key,
-            shared: Arc::new(Mutex::new(AuthShared {
-                client: AuthClientState {
-                    key,
-                    table: Vec::new(),
-                    mac_arrays: HashMap::new(),
-                },
-                mac_io: IoStats::default(),
-            })),
+            client: AuthClientState {
+                key,
+                table: Vec::new(),
+                mac_arrays: HashMap::new(),
+            },
+            mac_io: IoStats::default(),
             budget: CacheBudget::new(budget_words),
         }
     }
@@ -285,7 +239,7 @@ impl<S: BlockStore> AuthenticatedStore<S> {
     /// ([`AuthenticatedStore::flush_macs`]) so the server checkpoint can
     /// still tell a rollback from corruption.
     pub fn client_state(&self) -> AuthClientState {
-        lock_shared(&self.shared).client.clone()
+        self.client.clone()
     }
 
     /// Reconstructs an authenticated view over a reopened server store from
@@ -298,7 +252,7 @@ impl<S: BlockStore> AuthenticatedStore<S> {
         // original alloc_array calls did.
         let blocks: usize = state.mac_arrays.values().map(|m| m.handle.len()).sum();
         auth.budget.acquire(2 * blocks);
-        lock_shared(&auth.shared).client = state;
+        auth.client = state;
         auth
     }
 
@@ -315,11 +269,10 @@ impl<S: BlockStore> AuthenticatedStore<S> {
 
     /// I/Os spent on the MAC arrays (a subset of the inner store's totals):
     /// checkpoint writes by [`AuthenticatedStore::flush_macs`] and the
-    /// classification reads that follow a failed check, on the foreground
-    /// and through an [`AuthenticatedReader`] alike. Zero between flushes
-    /// against an honest server.
+    /// classification reads that follow a failed check. Zero between
+    /// flushes against an honest server.
     pub fn mac_io(&self) -> IoStats {
-        lock_shared(&self.shared).mac_io
+        self.mac_io
     }
 
     /// Writes every MAC block whose entries changed since the last flush, in
@@ -329,40 +282,134 @@ impl<S: BlockStore> AuthenticatedStore<S> {
     /// retry finishes the flush.
     pub fn flush_macs(&mut self) -> Result<(), StoreError> {
         let b = self.inner.block_elems();
-        let mut guard = lock_shared(&self.shared);
-        let sh = &mut *guard;
-        let mut starts: Vec<usize> = sh.client.mac_arrays.keys().copied().collect();
-        starts.sort_by_key(|s| sh.client.mac_arrays[s].handle.global_block(0));
+        let client = &mut self.client;
+        let mut starts: Vec<usize> = client.mac_arrays.keys().copied().collect();
+        starts.sort_by_key(|s| client.mac_arrays[s].handle.global_block(0));
         for start in starts {
-            let mac = sh.client.mac_arrays.get_mut(&start).expect("listed above");
+            let mac = client.mac_arrays.get_mut(&start).expect("listed above");
             for bi in 0..mac.dirty.len() {
                 if !mac.dirty[bi] {
                     continue;
                 }
                 let mut blk = Block::empty(b);
                 for s in 0..b.min(mac.handle.len() - bi * b) {
-                    let e = sh.client.table[start + bi * b + s];
+                    let e = client.table[start + bi * b + s];
                     if e.version > 0 {
                         blk.set(s, Some(Element::new(e.tag, e.version)));
                     }
                 }
                 self.inner.try_store_block(&mac.handle, bi, blk)?;
-                sh.mac_io.writes += 1;
+                self.mac_io.writes += 1;
                 mac.dirty[bi] = false;
             }
         }
         Ok(())
     }
 
-    /// The MAC array of data array `h` and the client entry of its block `i`.
-    fn lookup(&self, h: &ArrayHandle, i: usize) -> (ArrayHandle, Entry) {
-        let sh = lock_shared(&self.shared);
-        let mac = sh
-            .client
-            .mac_arrays
-            .get(&h.global_block(0))
-            .expect("array was not allocated through this AuthenticatedStore");
-        (mac.handle, sh.client.table[h.global_block(i)])
+    /// The MAC array of data array `h`, or the typed refusal of a handle
+    /// this store did not allocate.
+    fn mac_array(&self, h: &ArrayHandle) -> Result<&MacArray, StoreError> {
+        match self.client.mac_arrays.get(&h.global_block(0)) {
+            Some(mac) if mac.handle.len() == h.n_blocks() => Ok(mac),
+            _ => Err(StoreError::InvalidArgument {
+                reason: "array was not allocated through this AuthenticatedStore",
+            }),
+        }
+    }
+
+    /// Records a landed write of local block `i` of `h`: its new entry, and
+    /// the MAC block holding that entry marked for the next flush.
+    fn commit(&mut self, h: &ArrayHandle, i: usize, entry: Entry) {
+        self.client.table[h.global_block(i)] = entry;
+        if let Some(mac) = self.client.mac_arrays.get_mut(&h.global_block(0)) {
+            mac.dirty[i / mac.handle.block_elems()] = true;
+        }
+    }
+
+    /// The error for block `i` of `h`, served as `blk`, that failed its
+    /// check against `want`: reads the block's checkpoint cell to classify
+    /// it.
+    fn reject(&mut self, h: &ArrayHandle, i: usize, want: Entry, blk: &[Cell]) -> StoreError {
+        let mh = match self.mac_array(h) {
+            Ok(mac) => mac.handle,
+            Err(e) => return e,
+        };
+        let b = mh.block_elems();
+        let checkpoint = match self.inner.try_load_block(&mh, i / b) {
+            Ok(mac_blk) => mac_blk.get(i % b),
+            Err(e) => return e,
+        };
+        self.mac_io.reads += 1;
+        classify(self.key, h.global_block(i), want, checkpoint, blk)
+    }
+
+    /// Reads whole blocks `blocks` of `h` as one span of the wrapped store
+    /// and checks them in order with the batched kernel; the first block
+    /// that fails is rejected as on the single-block path.
+    fn load_whole(
+        &mut self,
+        h: &ArrayHandle,
+        blocks: Range<usize>,
+    ) -> Result<Vec<Cell>, StoreError> {
+        self.mac_array(h)?;
+        let b = h.block_elems();
+        let cells = self
+            .inner
+            .try_load_span(h, blocks.start * b, blocks.end * b)?;
+        let wants: Vec<Entry> = blocks
+            .clone()
+            .map(|bi| self.client.table[h.global_block(bi)])
+            .collect();
+        let inputs: Vec<(usize, u64, &[Cell])> = blocks
+            .clone()
+            .zip(&wants)
+            .zip(cells.chunks(b))
+            .filter(|((_, want), _)| want.version > 0)
+            .map(|((bi, want), blk)| (h.global_block(bi), want.version, blk))
+            .collect();
+        let mut macs = mac_run(self.key, &inputs).into_iter();
+        for ((bi, want), blk) in blocks.zip(wants).zip(cells.chunks(b)) {
+            if !want.matches(blk, || macs.next().expect("one MAC per written block")) {
+                return Err(self.reject(h, bi, want, blk));
+            }
+        }
+        Ok(cells)
+    }
+
+    /// MACs the whole blocks starting at local block `first` of `h` with the
+    /// batched kernel, writes them as one span of the wrapped store, then
+    /// commits the entry of every block the wrapped store counted as
+    /// written (its I/O counters tell how far a failed span got) — the
+    /// discipline of the single-block path, where an entry changes only
+    /// after its data landed.
+    fn store_whole(
+        &mut self,
+        h: &ArrayHandle,
+        first: usize,
+        cells: &[Cell],
+    ) -> Result<(), StoreError> {
+        self.mac_array(h)?;
+        let b = h.block_elems();
+        let inputs: Vec<(usize, u64, &[Cell])> = cells
+            .chunks(b)
+            .enumerate()
+            .map(|(k, blk)| {
+                let addr = h.global_block(first + k);
+                (addr, self.client.table[addr].version + 1, blk)
+            })
+            .collect();
+        let entries: Vec<Entry> = inputs
+            .iter()
+            .zip(mac_run(self.key, &inputs))
+            .map(|(&(_, version, _), tag)| Entry { version, tag })
+            .collect();
+        let before = self.inner.io_stats().writes;
+        let res = self.inner.try_store_span(h, first * b, cells);
+        let landed = (self.inner.io_stats().writes - before) as usize;
+        for (k, entry) in entries.into_iter().take(landed).enumerate() {
+            self.commit(h, first + k, entry);
+        }
+        res
     }
 }
 
@@ -374,7 +421,7 @@ impl<S: BlockStore> BlockStore for AuthenticatedStore<S> {
     fn alloc_array(&mut self, len_elements: usize) -> ArrayHandle {
         let h = self.inner.alloc_array(len_elements);
         let handle = self.inner.alloc_array(h.n_blocks());
-        let client = &mut lock_shared(&self.shared).client;
+        let client = &mut self.client;
         let top = h.global_block(h.n_blocks() - 1) + 1;
         if top > client.table.len() {
             client.table.resize(top, Entry::default());
@@ -402,171 +449,45 @@ impl<S: BlockStore> BlockStore for AuthenticatedStore<S> {
 
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
         let addr = h.checked_block(i)?;
-        let (mh, want) = self.lookup(h, i);
+        self.mac_array(h)?;
+        let want = self.client.table[addr];
         let blk = self.inner.try_load_block(h, i)?;
-        if want.matches(&blk, || mac_block(self.key, addr, want.version, &blk)) {
+        if want.matches(blk.slots(), || {
+            mac_block(self.key, addr, want.version, blk.slots())
+        }) {
             return Ok(blk);
         }
-        let b = self.inner.block_elems();
-        let checkpoint = self.inner.try_load_block(&mh, i / b)?.get(i % b);
-        lock_shared(&self.shared).mac_io.reads += 1;
-        Err(classify(self.key, addr, want, checkpoint, &blk))
+        Err(self.reject(h, i, want, blk.slots()))
     }
 
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
-        let addr = h.checked_block(i)?;
+        let addr = h.checked_write(i, &blk)?;
+        self.mac_array(h)?;
         // The entry is committed only after the data write succeeds, so a
         // transiently failed attempt can be retried verbatim.
-        let version = self.lookup(h, i).1.version + 1;
-        let tag = mac_block(self.key, addr, version, &blk);
+        let version = self.client.table[addr].version + 1;
+        let tag = mac_block(self.key, addr, version, blk.slots());
         self.inner.try_store_block(h, i, blk)?;
-        lock_shared(&self.shared)
-            .client
-            .commit(h.global_block(0), addr, Entry { version, tag });
+        self.commit(h, i, Entry { version, tag });
         Ok(())
     }
-}
 
-/// Reader over an authenticated store: fetches data through the wrapped
-/// store's reader and verifies it against the client table it shares with
-/// the foreground. Only a block that fails its check costs a MAC-array read
-/// (through the reader's own inner reader), to classify the failure.
-#[derive(Debug)]
-pub struct AuthenticatedReader<R: PrefetchRead> {
-    inner: R,
-    key: u64,
-    shared: Arc<Mutex<AuthShared>>,
-}
-
-impl<R: PrefetchRead> AuthenticatedReader<R> {
-    /// The error for a fetched block at `addr` that failed its check; reads
-    /// the block's checkpoint cell to classify it.
-    fn reject(&mut self, addr: usize, want: Option<(usize, Entry)>, blk: &Block) -> StoreError {
-        let Some((start, want)) = want else {
-            return StoreError::Corrupted { addr };
-        };
-        let (mac_addr, slot) = {
-            let sh = lock_shared(&self.shared);
-            let mac = &sh.client.mac_arrays[&start].handle;
-            let b = mac.block_elems();
-            (mac.global_block((addr - start) / b), (addr - start) % b)
-        };
-        let checkpoint = match self.inner.fetch(mac_addr) {
-            Ok(mac_blk) => mac_blk.get(slot),
-            Err(e) => return e,
-        };
-        lock_shared(&self.shared).mac_io.reads += 1;
-        classify(self.key, addr, want, checkpoint, blk)
-    }
-}
-
-impl<R: PrefetchRead> PrefetchRead for AuthenticatedReader<R> {
-    fn fetch(&mut self, addr: usize) -> Result<Block, StoreError> {
-        let blk = self.inner.fetch(addr)?;
-        let want = lock_shared(&self.shared).client.expected(addr);
-        match want {
-            Some((_, e)) if e.matches(&blk, || mac_block(self.key, addr, e.version, &blk)) => {
-                Ok(blk)
-            }
-            _ => Err(self.reject(addr, want, &blk)),
-        }
+    fn try_load_span(
+        &mut self,
+        h: &ArrayHandle,
+        elem_lo: usize,
+        elem_hi: usize,
+    ) -> Result<Vec<Cell>, StoreError> {
+        load_span_with(self, h, elem_lo, elem_hi, AuthenticatedStore::load_whole)
     }
 
-    fn fetch_run(&mut self, start: usize, count: usize) -> Vec<Result<Block, StoreError>> {
-        let mut out = self.inner.fetch_run(start, count);
-        let wants: Vec<Option<(usize, Entry)>> = {
-            let sh = lock_shared(&self.shared);
-            (start..start + count)
-                .map(|a| sh.client.expected(a))
-                .collect()
-        };
-        // One batched MAC pass over every fetched block that was written.
-        let verified: Vec<bool> = {
-            let mut inputs: Vec<(usize, u64, &Block)> = Vec::new();
-            for (k, (res, want)) in out.iter().zip(&wants).enumerate() {
-                if let (Ok(blk), Some((_, e))) = (res, want) {
-                    if e.version > 0 {
-                        inputs.push((start + k, e.version, blk));
-                    }
-                }
-            }
-            let mut macs = mac_run(self.key, &inputs).into_iter();
-            out.iter()
-                .zip(&wants)
-                .map(|(res, want)| match (res, want) {
-                    (Ok(blk), Some((_, e))) => {
-                        e.matches(blk, || macs.next().expect("one MAC per written block"))
-                    }
-                    _ => false,
-                })
-                .collect()
-        };
-        for k in 0..count {
-            if verified[k] {
-                continue;
-            }
-            if let Ok(blk) = &out[k] {
-                let err = self.reject(start + k, wants[k], blk);
-                out[k] = Err(err);
-            }
-        }
-        out
-    }
-}
-
-impl<S: BlockStore + Prefetchable> Prefetchable for AuthenticatedStore<S> {
-    type Reader = AuthenticatedReader<S::Reader>;
-
-    fn reader(&self) -> Self::Reader {
-        AuthenticatedReader {
-            inner: self.inner.reader(),
-            key: self.key,
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    fn supports_store_runs(&self) -> bool {
-        self.inner.supports_store_runs()
-    }
-
-    /// MACs the whole run with the batched kernel, hands the data to the
-    /// wrapped store as one span write, then commits the entries (same
-    /// discipline as the single-block path: an entry changes only after its
-    /// data landed).
-    fn store_run(&mut self, start: usize, blks: Vec<Block>) -> Result<(), StoreError> {
-        let n = blks.len();
-        if n == 0 {
-            return Ok(());
-        }
-        let (astart, entries) = {
-            let sh = lock_shared(&self.shared);
-            let (astart, mac) = sh
-                .client
-                .owner(start)
-                .expect("array was not allocated through this AuthenticatedStore");
-            debug_assert!(
-                start + n <= astart + mac.handle.len(),
-                "store_run must stay within one array"
-            );
-            let inputs: Vec<(usize, u64, &Block)> = blks
-                .iter()
-                .enumerate()
-                .map(|(k, blk)| (start + k, sh.client.table[start + k].version + 1, blk))
-                .collect();
-            let macs = mac_run(self.key, &inputs);
-            let entries: Vec<Entry> = inputs
-                .iter()
-                .zip(macs)
-                .map(|(&(_, version, _), tag)| Entry { version, tag })
-                .collect();
-            (astart, entries)
-        };
-        self.inner.store_run(start, blks)?;
-        let client = &mut lock_shared(&self.shared).client;
-        for (k, entry) in entries.into_iter().enumerate() {
-            client.commit(astart, start + k, entry);
-        }
-        Ok(())
+    fn try_store_span(
+        &mut self,
+        h: &ArrayHandle,
+        elem_lo: usize,
+        cells: &[Cell],
+    ) -> Result<(), StoreError> {
+        store_span_with(self, h, elem_lo, cells, AuthenticatedStore::store_whole)
     }
 }
 
@@ -770,12 +691,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not allocated through this AuthenticatedStore")]
     fn foreign_handles_are_rejected() {
+        // A handle this store did not allocate is refused with a typed
+        // error by every data op, before any I/O or table change.
         let mut mem = ExtMem::new(4);
         let foreign = mem.alloc_array(8);
         let mut auth = AuthenticatedStore::new(mem, 9);
-        let _ = auth.try_load_block(&foreign, 0);
+        let own = BlockStore::alloc_array(&mut auth, 8);
+        let refused = StoreError::InvalidArgument {
+            reason: "array was not allocated through this AuthenticatedStore",
+        };
+        assert_eq!(auth.try_load_block(&foreign, 0).unwrap_err(), refused);
+        assert_eq!(
+            auth.try_store_block(&foreign, 1, Block::empty(4))
+                .unwrap_err(),
+            refused
+        );
+        assert_eq!(auth.try_load_span(&foreign, 0, 8).unwrap_err(), refused);
+        assert_eq!(
+            auth.try_store_span(&foreign, 0, &elems(8)).unwrap_err(),
+            refused
+        );
+        assert_eq!(auth.io_stats().total(), 0, "refused before any I/O");
+        assert!(auth.client.table.iter().all(|e| e.version == 0));
+        assert!(auth.try_load_span(&own, 0, 8).is_ok());
     }
 
     // --- the batched MAC kernel and the span path ---
@@ -805,10 +744,10 @@ mod tests {
                         blk
                     })
                     .collect();
-                let inputs: Vec<(usize, u64, &Block)> = blocks
+                let inputs: Vec<(usize, u64, &[Cell])> = blocks
                     .iter()
                     .enumerate()
-                    .map(|(i, blk)| (100 + i, (i as u64) * 7 + 1, blk))
+                    .map(|(i, blk)| (100 + i, (i as u64) * 7 + 1, blk.slots()))
                     .collect();
                 let batched = mac_run(0x4D4143, &inputs);
                 for ((addr, ver, blk), got) in inputs.iter().zip(&batched) {
@@ -831,17 +770,21 @@ mod tests {
 
     #[test]
     fn store_run_is_equivalent_to_block_at_a_time_writes() {
+        // One span write MACs the run as a batch; it must leave the same
+        // client table and verified contents as block-at-a-time writes.
         let cells = elems(64);
         let b = 4;
 
         let mut one = auth_over_encrypted_file(b);
         let h1 = BlockStore::alloc_array(&mut one, cells.len());
-        one.try_store_span(&h1, 0, &cells).unwrap();
+        for (i, chunk) in cells.chunks(b).enumerate() {
+            one.try_store_block(&h1, i, Block::from_cells(chunk))
+                .unwrap();
+        }
 
         let mut run = auth_over_encrypted_file(b);
         let h2 = BlockStore::alloc_array(&mut run, cells.len());
-        let blks: Vec<Block> = cells.chunks(b).map(Block::from_cells).collect();
-        run.store_run(h2.global_block(0), blks).unwrap();
+        run.try_store_span(&h2, 0, &cells).unwrap();
 
         // Same client table, same verified contents.
         assert_eq!(run.try_load_span(&h2, 0, 64).unwrap(), cells);
@@ -850,24 +793,24 @@ mod tests {
 
     #[test]
     fn reader_verifies_honest_spans_including_dirty_mac_entries() {
+        // Span reads (the path prefetch steals take) verify against the
+        // client table, so they need no MAC flush and no MAC I/O.
         let mut auth = auth_over_encrypted_file(4);
         let h = BlockStore::alloc_array(&mut auth, 32);
         auth.try_store_span(&h, 0, &elems(32)).unwrap();
         // Deliberately NO flush_macs: the authentic entries live only in the
-        // client table, which the reader shares.
-        let mut reader = auth.reader();
-        for (i, res) in reader
-            .fetch_run(h.global_block(0), h.n_blocks())
-            .into_iter()
-            .enumerate()
-        {
-            let blk = res.unwrap_or_else(|e| panic!("block {i} failed span verification: {e}"));
-            assert_eq!(blk, auth.try_load_block(&h, i).unwrap());
+        // client table.
+        assert_eq!(auth.try_load_span(&h, 0, 32).unwrap(), elems(32));
+        for i in 0..h.n_blocks() {
+            assert_eq!(
+                auth.try_load_block(&h, i).unwrap().slots(),
+                &elems(32)[i * 4..(i + 1) * 4]
+            );
         }
-        // Single fetches agree too, and unwritten arrays verify as dummies.
+        // Unwritten arrays verify as dummies.
         let h2 = BlockStore::alloc_array(&mut auth, 8);
-        let mut reader = auth.reader();
-        assert!(reader.fetch(h2.global_block(1)).unwrap().is_all_dummy());
+        assert_eq!(auth.try_load_span(&h2, 0, 8).unwrap(), vec![None; 8]);
+        assert_eq!(auth.mac_io().total(), 0);
     }
 
     #[test]
@@ -881,30 +824,28 @@ mod tests {
         let mut evil = Block::empty(4);
         evil.set(0, Some(Element::new(666, 0)));
         auth.inner_mut().try_store_block(&h, 0, evil).unwrap();
-        let mut reader = auth.reader();
-        assert_eq!(
-            reader.fetch(h.global_block(0)).unwrap_err(),
-            StoreError::Corrupted {
-                addr: h.global_block(0)
-            }
-        );
-        // The rest of the span still verifies.
-        let results = reader.fetch_run(h.global_block(0), 2);
-        assert!(results[0].is_err());
-        assert!(results[1].is_ok());
+        let corrupted = StoreError::Corrupted {
+            addr: h.global_block(0),
+        };
+        assert_eq!(auth.try_load_span(&h, 0, 8).unwrap_err(), corrupted);
+        assert_eq!(auth.mac_io().reads, 1, "one classification read");
+        // The rest of the array still verifies.
+        assert_eq!(auth.try_load_span(&h, 4, 8).unwrap(), elems(8)[4..]);
     }
 
     #[test]
     fn reader_rejects_addresses_outside_every_array() {
+        // A MAC array's blocks are not client data: a span over one is
+        // refused before any I/O.
         let mut auth = auth_over_encrypted_file(4);
         let h = BlockStore::alloc_array(&mut auth, 8);
         auth.try_store_span(&h, 0, &elems(8)).unwrap();
-        let mut reader = auth.reader();
-        // The MAC array's own blocks are not client data and cannot verify.
-        let mac_addr = h.global_block(h.n_blocks() - 1) + 1;
+        let mac = auth.client.mac_arrays[&h.global_block(0)].handle;
+        let before = auth.io_stats();
         assert!(matches!(
-            reader.fetch(mac_addr),
-            Err(StoreError::Corrupted { .. })
+            auth.try_load_span(&mac, 0, mac.len()),
+            Err(StoreError::InvalidArgument { .. })
         ));
+        assert_eq!(auth.io_stats(), before);
     }
 }

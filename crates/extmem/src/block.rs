@@ -4,8 +4,8 @@
 //! private cache and external storage in contiguous blocks of `B` words. Each
 //! [`Block`] here holds `B` element slots ([`Cell`]s); a slot may be empty
 //! (dummy). Block-level helpers used by the algorithms — counting occupied
-//! slots, listing them in order, building full or padded blocks — live here
-//! so the algorithm crates can stay at the level the paper describes.
+//! slots, listing them in order — live here so the algorithm crates can
+//! stay at the level the paper describes.
 
 use crate::element::{Cell, Element};
 
@@ -83,11 +83,6 @@ impl Block {
         self.slots.iter().filter(|c| c.is_some()).count()
     }
 
-    /// Whether every slot is occupied.
-    pub fn is_full(&self) -> bool {
-        self.slots.iter().all(|c| c.is_some())
-    }
-
     /// Whether every slot is a dummy.
     pub fn is_all_dummy(&self) -> bool {
         self.slots.iter().all(|c| c.is_none())
@@ -103,25 +98,6 @@ impl Block {
         for s in &mut self.slots {
             *s = None;
         }
-    }
-
-    /// Builds a full block from the first `B` elements of `items`, returning
-    /// the block and the number of items consumed. Panics if fewer than `B`
-    /// items are provided.
-    pub fn filled_from(items: &[Element], b: usize) -> Self {
-        assert!(items.len() >= b, "need at least B elements to fill a block");
-        Block {
-            slots: items[..b].iter().map(|e| Some(*e)).collect(),
-        }
-    }
-
-    /// Builds a (possibly partially full) block from at most `B` elements,
-    /// padding the remainder with dummies.
-    pub fn padded_from(items: &[Element], b: usize) -> Self {
-        assert!(items.len() <= b, "too many elements for one block");
-        let mut slots: Vec<Cell> = items.iter().map(|e| Some(*e)).collect();
-        slots.resize(b, None);
-        Block { slots }
     }
 }
 
@@ -139,7 +115,6 @@ mod tests {
         assert_eq!(b.len(), 8);
         assert_eq!(b.occupancy(), 0);
         assert!(b.is_all_dummy());
-        assert!(!b.is_full());
     }
 
     #[test]
@@ -152,33 +127,9 @@ mod tests {
     }
 
     #[test]
-    fn filled_from_takes_exactly_b_elements() {
-        let items: Vec<Element> = (0..10).map(e).collect();
-        let b = Block::filled_from(&items, 4);
-        assert!(b.is_full());
-        assert_eq!(b.occupied(), items[..4].to_vec());
-    }
-
-    #[test]
-    fn padded_from_pads_with_dummies() {
-        let items: Vec<Element> = (0..2).map(e).collect();
-        let b = Block::padded_from(&items, 4);
-        assert_eq!(b.occupancy(), 2);
-        assert_eq!(b.len(), 4);
-        assert_eq!(b.get(2), None);
-    }
-
-    #[test]
-    #[should_panic]
-    fn padded_from_rejects_overfull_input() {
-        let items: Vec<Element> = (0..5).map(e).collect();
-        let _ = Block::padded_from(&items, 4);
-    }
-
-    #[test]
     fn clear_resets_all_slots() {
-        let items: Vec<Element> = (0..4).map(e).collect();
-        let mut b = Block::filled_from(&items, 4);
+        let cells: Vec<Cell> = (0..4).map(|k| Some(e(k))).collect();
+        let mut b = Block::from_cells(&cells);
         b.clear();
         assert!(b.is_all_dummy());
     }

@@ -46,21 +46,28 @@
 //! battery asserts equality word for word.
 //!
 //! **Scratch-buffer lifetime.** The kernel writes into a caller-owned
-//! `Vec<u64>` that is resized (never shrunk) to `2B` words. The store and
-//! every [`EncryptedReader`] own exactly one such scratch each, reused
-//! across calls, so steady-state en/decryption performs no allocation. The
-//! scratch holds *keystream*, not plaintext, and is overwritten in full by
-//! the next call — nothing needs zeroizing between blocks.
+//! `Vec<u64>` that is resized (never shrunk) to `2B` words. The store owns
+//! exactly one such scratch, reused across calls, so steady-state
+//! en/decryption performs no allocation. The scratch holds *keystream*, not
+//! plaintext, and is overwritten in full by the next call — nothing needs
+//! zeroizing between blocks.
+//!
+//! # The span path
+//!
+//! [`BlockStore::try_load_span`] and [`BlockStore::try_store_span`] move the
+//! blocks a span covers whole as one span of the backend, en/decrypting
+//! them block after block with the kernel. Nonces are assigned per block in
+//! ascending address order, exactly as block-at-a-time writes assign them,
+//! so the ciphertext is bit-identical to theirs.
 
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::ops::Range;
 
 use crate::block::Block;
 use crate::element::{Cell, Element};
 use crate::error::StoreError;
 use crate::mem::{ArrayHandle, ExtMem, IoStats};
-use crate::prefetch::{PrefetchRead, Prefetchable};
-use crate::store::{BackingStore, BlockStore};
-use crate::util::{hash64, splitmix64};
+use crate::store::{load_span_with, store_span_with, BackingStore, BlockStore};
+use crate::util::splitmix64;
 
 const PAYLOAD_MASK: u64 = (1 << 63) - 1;
 const OCC_BIT: u64 = 1 << 63;
@@ -75,21 +82,10 @@ const LANE1: u64 = 1u64 << 40;
 /// Unroll width of the batched keystream kernel.
 const KS_LANES: usize = 8;
 
-/// Scalar reference keystream word for `(addr, nonce, slot, lane)` — the
-/// oracle the batched kernel is tested against, and the exact function the
-/// original per-word path computed.
-#[cfg_attr(not(test), allow(dead_code))]
-#[inline]
-fn keystream_word(key: u64, addr: usize, nonce: u64, slot: usize, lane: u64) -> u64 {
-    hash64(
-        (addr as u64) ^ (slot as u64).rotate_left(20) ^ lane.rotate_left(40),
-        key ^ nonce.wrapping_mul(GOLDEN),
-    )
-}
-
 /// Fills `out` with the `2·b` keystream words of block `addr` under `nonce`:
 /// `out[2i]` masks the key word of slot `i`, `out[2i+1]` the payload word.
-/// Bit-identical to [`keystream_word`] per word; see the module docs for the
+/// Bit-identical to the scalar per-word derivation (the module docs' formula,
+/// tested word for word); see the module docs for the
 /// hoisting/unrolling argument and the scratch-buffer lifetime rules.
 fn fill_keystream(key: u64, addr: usize, nonce: u64, b: usize, out: &mut Vec<u64>) {
     out.resize(2 * b, 0);
@@ -126,60 +122,45 @@ fn fill_keystream(key: u64, addr: usize, nonce: u64, b: usize, out: &mut Vec<u64
     }
 }
 
-/// Encrypts `blk` into a fresh ciphertext block using the batched kernel.
-/// Panics on payloads wider than 63 bits (every write path rejects them
-/// with a typed error before reaching this point).
-fn encrypt_block_with(key: u64, addr: usize, nonce: u64, blk: &Block, ks: &mut Vec<u64>) -> Block {
-    fill_keystream(key, addr, nonce, blk.len(), ks);
-    let mut out = Block::empty(blk.len());
-    for (i, cell) in blk.slots().iter().enumerate() {
-        let (w0, w1) = match cell {
-            Some(e) => {
-                assert!(
-                    e.payload <= PAYLOAD_MASK,
-                    "EncryptedStore payloads are limited to 63 bits \
-                     (got {:#x} > PAYLOAD_MASK = 2^63 - 1)",
-                    e.payload
-                );
-                (e.key, OCC_BIT | e.payload)
-            }
+/// Encrypts one block's plaintext cells in place using the batched kernel
+/// (a trailing part of a block encrypts as the same slots of the whole
+/// block would). Every write path refuses payloads wider than 63 bits with
+/// a typed error before reaching this point.
+fn encrypt_cells(key: u64, addr: usize, nonce: u64, cells: &mut [Cell], ks: &mut Vec<u64>) {
+    fill_keystream(key, addr, nonce, cells.len(), ks);
+    for (i, cell) in cells.iter_mut().enumerate() {
+        let (w0, w1) = match *cell {
+            Some(e) => (e.key, OCC_BIT | e.payload),
             None => (0, 0),
         };
-        out.set(i, Some(Element::new(w0 ^ ks[2 * i], w1 ^ ks[2 * i + 1])));
+        *cell = Some(Element::new(w0 ^ ks[2 * i], w1 ^ ks[2 * i + 1]));
     }
-    out
 }
 
-/// Decrypts a ciphertext block using the batched kernel. A missing
+/// Decrypts one block's ciphertext cells in place using the batched kernel;
+/// `nonce == u64::MAX` (never written) decrypts to dummies. A missing
 /// ciphertext slot decrypts as zero words; the occupancy bit then reads as
 /// a dummy.
-fn decrypt_block_with(key: u64, addr: usize, nonce: u64, blk: &Block, ks: &mut Vec<u64>) -> Block {
-    fill_keystream(key, addr, nonce, blk.len(), ks);
-    let mut out = Block::empty(blk.len());
-    for i in 0..blk.len() {
-        let (c0, c1) = match blk.get(i) {
-            Some(ct) => (ct.key, ct.payload),
-            None => (0, 0),
-        };
+fn decrypt_cells(key: u64, addr: usize, nonce: u64, cells: &mut [Cell], ks: &mut Vec<u64>) {
+    if nonce == u64::MAX {
+        cells.fill(None);
+        return;
+    }
+    fill_keystream(key, addr, nonce, cells.len(), ks);
+    for (i, cell) in cells.iter_mut().enumerate() {
+        let (c0, c1) = cell.map_or((0, 0), |ct| (ct.key, ct.payload));
         let w0 = c0 ^ ks[2 * i];
         let w1 = c1 ^ ks[2 * i + 1];
-        if w1 & OCC_BIT != 0 {
-            out.set(i, Some(Element::new(w0, w1 & PAYLOAD_MASK)));
-        } else {
-            out.set(i, None);
-        }
+        *cell = (w1 & OCC_BIT != 0).then(|| Element::new(w0, w1 & PAYLOAD_MASK));
     }
-    out
 }
 
-/// Locks the shared nonce table for reading, recovering from poison (no
-/// writer mutates it non-atomically, so a panicked holder leaves it valid).
-fn read_nonces(nonces: &RwLock<Vec<u64>>) -> RwLockReadGuard<'_, Vec<u64>> {
-    nonces.read().unwrap_or_else(|p| p.into_inner())
-}
-
-fn write_nonces(nonces: &RwLock<Vec<u64>>) -> RwLockWriteGuard<'_, Vec<u64>> {
-    nonces.write().unwrap_or_else(|p| p.into_inner())
+/// The first cell of `cells` whose payload the encoding cannot represent.
+fn too_wide(cells: &[Cell]) -> Option<(usize, u64)> {
+    cells.iter().enumerate().find_map(|(i, c)| {
+        c.filter(|e| e.payload > PAYLOAD_MASK)
+            .map(|e| (i, e.payload))
+    })
 }
 
 /// An encrypted view over an [`ExtMem`] arena.
@@ -195,9 +176,8 @@ pub struct EncryptedStore<S: BackingStore = ExtMem> {
     key: u64,
     write_counter: u64,
     /// Nonce of the latest write for each global block; `u64::MAX` means the
-    /// block was never written and decrypts to the all-dummy block. Shared
-    /// (read-only) with every [`EncryptedReader`] this store hands out.
-    nonces: Arc<RwLock<Vec<u64>>>,
+    /// block was never written and decrypts to the all-dummy block.
+    nonces: Vec<u64>,
     /// Reusable keystream scratch of the batched kernel (see module docs).
     ks: Vec<u64>,
 }
@@ -236,7 +216,7 @@ impl<S: BackingStore> EncryptedStore<S> {
             mem,
             key,
             write_counter: 0,
-            nonces: Arc::new(RwLock::new(Vec::new())),
+            nonces: Vec::new(),
             ks: Vec::new(),
         })
     }
@@ -269,17 +249,13 @@ impl<S: BackingStore> EncryptedStore<S> {
     /// The latest-write nonce of global block `addr` (`u64::MAX` = never
     /// written).
     fn nonce_of(&self, addr: usize) -> u64 {
-        read_nonces(&self.nonces)
-            .get(addr)
-            .copied()
-            .unwrap_or(u64::MAX)
+        self.nonces.get(addr).copied().unwrap_or(u64::MAX)
     }
 
     fn ensure_nonces(&mut self) {
         let top = BackingStore::allocated_blocks(&self.mem);
-        let mut nonces = write_nonces(&self.nonces);
-        while nonces.len() < top {
-            nonces.push(u64::MAX);
+        if self.nonces.len() < top {
+            self.nonces.resize(top, u64::MAX);
         }
     }
 
@@ -326,24 +302,13 @@ impl<S: BackingStore> EncryptedStore<S> {
     /// I/Os or touching the trace. Never use this inside an algorithm under
     /// test.
     pub fn snapshot_cells(&self, h: &ArrayHandle) -> Vec<Cell> {
-        let b = self.block_elems();
         let mut ks = Vec::new();
-        let mut out = Vec::with_capacity(h.len());
-        for i in 0..h.n_blocks() {
+        let mut cells = BackingStore::snapshot_cells(&self.mem, h);
+        for (i, ct) in cells.chunks_mut(self.block_elems()).enumerate() {
             let addr = h.global_block(i);
-            let nonce = self.nonce_of(addr);
-            let blk = if nonce == u64::MAX {
-                Block::empty(b)
-            } else {
-                decrypt_block_with(self.key, addr, nonce, &self.raw_ciphertext(h, i), &mut ks)
-            };
-            for j in 0..b {
-                if out.len() < h.len() {
-                    out.push(blk.get(j));
-                }
-            }
+            decrypt_cells(self.key, addr, self.nonce_of(addr), ct, &mut ks);
         }
-        out
+        cells
     }
 }
 
@@ -373,16 +338,15 @@ impl<S: BackingStore> BlockStore for EncryptedStore<S> {
     /// typed [`StoreError`]s.
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
         let addr = h.checked_block(i)?;
-        let ct = self.mem.try_load_block(h, i)?;
-        let nonce = self.nonce_of(addr);
-        Ok(if nonce == u64::MAX {
-            self.mem.recycle(ct);
-            Block::empty(self.block_elems())
-        } else {
-            let pt = decrypt_block_with(self.key, addr, nonce, &ct, &mut self.ks);
-            self.mem.recycle(ct);
-            pt
-        })
+        let mut blk = self.mem.try_load_block(h, i)?;
+        decrypt_cells(
+            self.key,
+            addr,
+            self.nonce_of(addr),
+            blk.slots_mut(),
+            &mut self.ks,
+        );
+        Ok(blk)
     }
 
     /// Encrypts and writes local block `i` of array `h` (one I/O) under a
@@ -394,141 +358,104 @@ impl<S: BackingStore> BlockStore for EncryptedStore<S> {
     /// later retried) write never leaves the nonce map pointing at a
     /// ciphertext that was never persisted.
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
-        let addr = h.checked_block(i)?;
-        if let Some(e) = blk
-            .slots()
-            .iter()
-            .flatten()
-            .find(|e| e.payload > PAYLOAD_MASK)
-        {
-            return Err(StoreError::PayloadTooWide {
-                addr,
-                payload: e.payload,
-            });
+        let addr = h.checked_write(i, &blk)?;
+        if let Some((_, payload)) = too_wide(blk.slots()) {
+            return Err(StoreError::PayloadTooWide { addr, payload });
         }
         self.ensure_nonces();
         let nonce = self.write_counter + 1;
-        let ct = encrypt_block_with(self.key, addr, nonce, &blk, &mut self.ks);
+        let mut ct = blk;
+        encrypt_cells(self.key, addr, nonce, ct.slots_mut(), &mut self.ks);
         self.mem.try_store_block(h, i, ct)?;
         self.write_counter = nonce;
-        write_nonces(&self.nonces)[addr] = nonce;
-        self.mem.recycle(blk);
+        self.nonces[addr] = nonce;
         Ok(())
     }
+
+    fn try_load_span(
+        &mut self,
+        h: &ArrayHandle,
+        elem_lo: usize,
+        elem_hi: usize,
+    ) -> Result<Vec<Cell>, StoreError> {
+        load_span_with(self, h, elem_lo, elem_hi, EncryptedStore::load_whole)
+    }
+
+    fn try_store_span(
+        &mut self,
+        h: &ArrayHandle,
+        elem_lo: usize,
+        cells: &[Cell],
+    ) -> Result<(), StoreError> {
+        store_span_with(self, h, elem_lo, cells, EncryptedStore::store_whole)
+    }
 }
 
-/// Reader over an encrypted store: fetches ciphertext through the backend's
-/// own reader and decrypts it under the store's nonce table, shared
-/// read-only. It serves the prefetch adapter's span steals, which run on
-/// the caller's thread between foreground writes, so every nonce it reads
-/// is the one the block was last written under.
-#[derive(Debug)]
-pub struct EncryptedReader<R: PrefetchRead> {
-    inner: R,
-    key: u64,
-    block_elems: usize,
-    nonces: Arc<RwLock<Vec<u64>>>,
-    ks: Vec<u64>,
-}
-
-impl<R: PrefetchRead> EncryptedReader<R> {
-    fn decrypt(&mut self, addr: usize, nonce: u64, ct: Block) -> Block {
-        if nonce == u64::MAX {
-            Block::empty(self.block_elems)
-        } else {
-            decrypt_block_with(self.key, addr, nonce, &ct, &mut self.ks)
+impl<S: BackingStore> EncryptedStore<S> {
+    /// Reads whole blocks `blocks` of `h` as one span of the backend and
+    /// decrypts them block after block.
+    fn load_whole(
+        &mut self,
+        h: &ArrayHandle,
+        blocks: Range<usize>,
+    ) -> Result<Vec<Cell>, StoreError> {
+        let b = h.block_elems();
+        let mut cells = self
+            .mem
+            .try_load_span(h, blocks.start * b, blocks.end * b)?;
+        for (bi, ct) in blocks.zip(cells.chunks_mut(b)) {
+            let addr = h.global_block(bi);
+            decrypt_cells(self.key, addr, self.nonce_of(addr), ct, &mut self.ks);
         }
-    }
-}
-
-impl<R: PrefetchRead> PrefetchRead for EncryptedReader<R> {
-    fn fetch(&mut self, addr: usize) -> Result<Block, StoreError> {
-        let ct = self.inner.fetch(addr)?;
-        let nonce = read_nonces(&self.nonces)
-            .get(addr)
-            .copied()
-            .unwrap_or(u64::MAX);
-        Ok(self.decrypt(addr, nonce, ct))
+        Ok(cells)
     }
 
-    fn fetch_run(&mut self, start: usize, count: usize) -> Vec<Result<Block, StoreError>> {
-        let cts = self.inner.fetch_run(start, count);
-        // One lock round-trip covers the whole run's nonces.
-        let nonces: Vec<u64> = {
-            let g = read_nonces(&self.nonces);
-            (start..start + count)
-                .map(|a| g.get(a).copied().unwrap_or(u64::MAX))
-                .collect()
-        };
-        cts.into_iter()
-            .zip(nonces)
-            .enumerate()
-            .map(|(k, (res, nonce))| res.map(|ct| self.decrypt(start + k, nonce, ct)))
-            .collect()
-    }
-}
-
-impl<S: BackingStore + Prefetchable> Prefetchable for EncryptedStore<S> {
-    type Reader = EncryptedReader<S::Reader>;
-
-    fn reader(&self) -> Self::Reader {
-        EncryptedReader {
-            inner: self.mem.reader(),
-            key: self.key,
-            block_elems: self.block_elems(),
-            nonces: Arc::clone(&self.nonces),
-            ks: Vec::new(),
-        }
-    }
-
-    fn supports_store_runs(&self) -> bool {
-        self.mem.supports_store_runs()
-    }
-
-    /// Encrypts the whole run with the batched kernel, then hands the
-    /// backend one span write. Nonces are assigned monotonically per block
-    /// exactly as `block_at_a_time` writes would, so the ciphertext is
-    /// bit-identical to theirs (each block's ciphertext is a pure function
-    /// of `(key, addr, nonce, plaintext)`), and committed only after the
-    /// backend acknowledges the span, so a cleanly failed span leaves every
-    /// nonce at its pre-call value. (A *partially torn* span is
-    /// indistinguishable from any other torn server write: stale-nonce
-    /// ciphertext that decrypts to garbage, caught by the authentication
-    /// layer, exactly like a torn block-at-a-time write sequence.)
-    fn store_run(&mut self, start: usize, blks: Vec<Block>) -> Result<(), StoreError> {
-        for (k, blk) in blks.iter().enumerate() {
-            if let Some(e) = blk
-                .slots()
-                .iter()
-                .flatten()
-                .find(|e| e.payload > PAYLOAD_MASK)
-            {
-                return Err(StoreError::PayloadTooWide {
-                    addr: start + k,
-                    payload: e.payload,
-                });
-            }
-        }
+    /// Encrypts the whole blocks starting at local block `first` of `h`
+    /// under consecutive nonces and writes them as one span of the backend.
+    /// As on the per-block path, a block with an over-wide payload is
+    /// refused with [`StoreError::PayloadTooWide`] after the blocks before
+    /// it are written, and a nonce is committed only for a block the
+    /// backend counted as written (its I/O counters tell how far a failed
+    /// span got), so a torn span leaves every other nonce as it was.
+    fn store_whole(
+        &mut self,
+        h: &ArrayHandle,
+        first: usize,
+        cells: &[Cell],
+    ) -> Result<(), StoreError> {
+        let b = h.block_elems();
+        let wide = too_wide(cells);
+        let n = wide.map_or(cells.len(), |(i, _)| i / b * b) / b;
         self.ensure_nonces();
-        let base = self.write_counter;
-        let n = blks.len();
-        let cts: Vec<Block> = blks
-            .iter()
-            .enumerate()
-            .map(|(k, blk)| {
-                encrypt_block_with(self.key, start + k, base + 1 + k as u64, blk, &mut self.ks)
-            })
-            .collect();
-        for blk in blks {
-            self.mem.recycle(blk);
+        if n > 0 {
+            let base = self.write_counter;
+            let mut ct = cells[..n * b].to_vec();
+            for (k, blk) in ct.chunks_mut(b).enumerate() {
+                let nonce = base + 1 + k as u64;
+                encrypt_cells(
+                    self.key,
+                    h.global_block(first + k),
+                    nonce,
+                    blk,
+                    &mut self.ks,
+                );
+            }
+            let before = self.mem.io_stats().writes;
+            let res = self.mem.try_store_span(h, first * b, &ct);
+            let landed = (self.mem.io_stats().writes - before) as usize;
+            for k in 0..landed.min(n) {
+                self.nonces[h.global_block(first + k)] = base + 1 + k as u64;
+            }
+            self.write_counter = base + landed.min(n) as u64;
+            res?;
         }
-        self.mem.store_run(start, cts)?;
-        self.write_counter = base + n as u64;
-        let mut nonces = write_nonces(&self.nonces);
-        for k in 0..n {
-            nonces[start + k] = base + 1 + k as u64;
+        match wide {
+            Some((i, payload)) => Err(StoreError::PayloadTooWide {
+                addr: h.global_block(first + i / b),
+                payload,
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -671,6 +598,19 @@ mod tests {
 
     // --- the batched kernel and the span path ---
 
+    use crate::util::hash64;
+
+    /// Scalar reference keystream word for `(addr, nonce, slot, lane)` — the
+    /// oracle the batched kernel is tested against, and the exact function the
+    /// original per-word path computed.
+    #[inline]
+    fn keystream_word(key: u64, addr: usize, nonce: u64, slot: usize, lane: u64) -> u64 {
+        hash64(
+            (addr as u64) ^ (slot as u64).rotate_left(20) ^ lane.rotate_left(40),
+            key ^ nonce.wrapping_mul(GOLDEN),
+        )
+    }
+
     #[test]
     fn batched_keystream_is_bit_identical_to_the_scalar_oracle() {
         // Every block size from 1 (all tail) through several unroll widths,
@@ -715,8 +655,8 @@ mod tests {
     }
 
     /// Writes `n_blocks` blocks of `b` cells once block by block and once as
-    /// one `store_run`, under the same key, and asserts the backend holds the
-    /// same ciphertext for every block.
+    /// one span, under the same key, and asserts the backend holds the same
+    /// ciphertext for every block.
     fn assert_run_matches_block_writes(b: usize, n_blocks: usize) {
         let cells: Vec<Cell> = (0..(n_blocks * b) as u64).map(|i| Some(e(i))).collect();
 
@@ -729,8 +669,8 @@ mod tests {
 
         let mut run = EncryptedStore::with_backing(FileStore::temp(b).unwrap(), 0x50F7);
         let h2 = BlockStore::alloc_array(&mut run, cells.len());
-        let blks: Vec<Block> = cells.chunks(b).map(Block::from_cells).collect();
-        run.store_run(h2.global_block(0), blks).unwrap();
+        run.try_store_span(&h2, 0, &cells).unwrap();
+        assert_eq!(run.stats(), one.stats(), "one write I/O per block");
 
         for i in 0..n_blocks {
             assert_eq!(
@@ -745,57 +685,51 @@ mod tests {
 
     #[test]
     fn store_run_rejects_oversized_payloads_before_writing_anything() {
+        // An over-wide payload in the first block of a span: refused before
+        // any I/O, as the per-block path refuses that block's write.
         let mut store = EncryptedStore::with_backing(FileStore::temp(2).unwrap(), 1);
         let h = BlockStore::alloc_array(&mut store, 8);
-        let mut bad = Block::empty(2);
-        bad.set(0, Some(Element::new(1, u64::MAX)));
-        let err = store
-            .store_run(h.global_block(0), vec![Block::empty(2), bad])
-            .unwrap_err();
+        let mut cells = vec![None; 4];
+        cells[1] = Some(Element::new(1, u64::MAX));
+        let err = store.try_store_span(&h, 0, &cells).unwrap_err();
         assert_eq!(
             err,
             StoreError::PayloadTooWide {
-                addr: h.global_block(1),
+                addr: h.global_block(0),
                 payload: u64::MAX
             }
         );
-        assert_eq!(store.stats().writes, 0, "the run was refused up front");
+        assert_eq!(store.stats().writes, 0, "the span was refused up front");
         // Nonces untouched: every block still decrypts as never-written.
         assert!(store.try_load_block(&h, 0).unwrap().is_all_dummy());
     }
 
     #[test]
     fn reader_decrypts_what_the_foreground_wrote() {
+        // The span read (the path prefetch steals take) decrypts exactly
+        // what block writes wrote, one read I/O per block.
         let mut store = EncryptedStore::with_backing(FileStore::temp(4).unwrap(), 0xD0_0D);
         let cells: Vec<Cell> = (0..32).map(|i| Some(e(i))).collect();
         let h = store.alloc_array_from_cells(&cells);
-        let mut reader = store.reader();
-        // Single fetch and span fetch agree with the foreground view.
+        let mut by_block = Vec::new();
         for i in 0..h.n_blocks() {
-            let addr = h.global_block(i);
-            assert_eq!(
-                reader.fetch(addr).unwrap(),
-                store.try_load_block(&h, i).unwrap()
-            );
+            by_block.extend_from_slice(store.try_load_block(&h, i).unwrap().slots());
         }
-        let run: Vec<Block> = reader
-            .fetch_run(h.global_block(0), h.n_blocks())
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
-        for (i, blk) in run.iter().enumerate() {
-            assert_eq!(*blk, store.try_load_block(&h, i).unwrap());
-        }
+        assert_eq!(by_block, cells);
+        assert_eq!(store.try_load_span(&h, 0, 32).unwrap(), cells);
+        assert_eq!(store.try_load_span(&h, 3, 29).unwrap(), cells[3..29]);
+        assert_eq!(store.stats().reads, 8 + 8 + 8);
     }
 
     #[test]
     fn reader_sees_unwritten_blocks_as_dummies() {
         let mut store = EncryptedStore::with_backing(FileStore::temp(4).unwrap(), 3);
         let h = store.alloc_array(16);
-        let mut reader = store.reader();
-        for res in reader.fetch_run(h.global_block(0), h.n_blocks()) {
-            assert!(res.unwrap().is_all_dummy());
-        }
+        assert!(store
+            .try_load_span(&h, 0, 16)
+            .unwrap()
+            .iter()
+            .all(Option::is_none));
     }
 
     #[test]

@@ -34,16 +34,10 @@
 //! I/O, so accounting and the adversary-visible trace stay faithful to what
 //! a real client would observe.
 //!
-//! **The span path.** [`Prefetchable::store_run`] decomposes a run into one
-//! fault decision per block, consuming op indices in address order — the
-//! exact schedule the block-at-a-time path consumes, so a decomposed run
-//! injects bit-identical faults (asserted by a test). [`FaultyReader`]s
-//! instead key their faults on the *address* (a "persistently bad sector"
-//! model): a reader shares no op counter with its store, and an address
-//! keyed schedule does not depend on how reader and store calls interleave.
-//! Reader faults cover the transient and corrupt lanes only (stale/drop need
-//! the foreground's version history) and are not recorded in the store's
-//! fault log.
+//! **The span path.** The span ops keep their per-block defaults, so a span
+//! makes one fault decision per block, consuming op indices in address
+//! order — the exact schedule the block-at-a-time path consumes, so a span
+//! injects bit-identical faults (asserted by a test).
 
 use std::collections::HashMap;
 
@@ -51,7 +45,6 @@ use crate::block::Block;
 use crate::element::Element;
 use crate::error::StoreError;
 use crate::mem::{ArrayHandle, IoStats};
-use crate::prefetch::{PrefetchRead, Prefetchable};
 use crate::store::BlockStore;
 use crate::util::{bucket_of, hash64};
 
@@ -66,7 +59,6 @@ const LANE_CORRUPT: u64 = 0x434F_5252_5550_5421; // "CORRUPT!"
 const LANE_STALE: u64 = 0x5354_414C_4552_4550; // "STALEREP"
 const LANE_DROP: u64 = 0x4452_4F50_5752_4954; // "DROPWRIT"
 const LANE_MUTATE: u64 = 0x4D55_5441_5445_2121; // slot/bit choice for corruption
-const LANE_FETCH: u64 = 0x4645_5443_4852_4541; // "FETCHREA": reader faults
 
 /// Per-lane fault rates in parts per million of operations.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -134,8 +126,7 @@ impl FaultStats {
 }
 
 /// Tampers with one slot of `blk`, all choices drawn from `coin` (never from
-/// the data) — shared by the foreground op-indexed corruption lane and the
-/// address-keyed [`FaultyReader`] lane.
+/// the data).
 fn corrupt_with(coin: u64, blk: &mut Block) {
     let slot = bucket_of(coin, blk.len().max(1));
     match blk.get(slot) {
@@ -315,7 +306,7 @@ impl<S: BlockStore> BlockStore for FaultyStore<S> {
     }
 
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
-        let addr = h.checked_block(i)?;
+        let addr = h.checked_write(i, &blk)?;
         let op = self.op_counter;
         self.op_counter += 1;
         if self.fires(op, LANE_DROP, self.spec.drop_write_ppm) {
@@ -334,107 +325,6 @@ impl<S: BlockStore> BlockStore for FaultyStore<S> {
         }
         self.inner.try_store_block(h, i, blk.clone())?;
         self.push_history(addr, blk);
-        Ok(())
-    }
-}
-
-/// Reader over a faulty store, modelling *persistently bad sectors*:
-/// whether an address misbehaves is `hash64(addr, seed ⊕ LANE_FETCH)` — a
-/// function of the address and seed only, so the schedule is deterministic
-/// no matter how reader and store calls interleave. Covers the transient and corrupt lanes; stale replays and
-/// dropped writes need the foreground's version history and only exist
-/// there. Reader-injected faults are not recorded in the foreground fault
-/// log (readers share no state with the store).
-#[derive(Debug)]
-pub struct FaultyReader<R: PrefetchRead> {
-    inner: R,
-    seed: u64,
-    spec: FaultSpec,
-}
-
-impl<R: PrefetchRead> FaultyReader<R> {
-    fn apply(&self, addr: usize, res: Result<Block, StoreError>) -> Result<Block, StoreError> {
-        let mut blk = res?;
-        let sector = hash64(addr as u64, self.seed ^ LANE_FETCH);
-        if self.spec.transient_read_ppm > 0
-            && bucket_of(hash64(sector, self.seed ^ LANE_TRANSIENT), PPM)
-                < self.spec.transient_read_ppm as usize
-        {
-            return Err(StoreError::Transient { addr });
-        }
-        if self.spec.corrupt_read_ppm > 0
-            && bucket_of(hash64(sector, self.seed ^ LANE_CORRUPT), PPM)
-                < self.spec.corrupt_read_ppm as usize
-        {
-            corrupt_with(hash64(sector, self.seed ^ LANE_MUTATE), &mut blk);
-        }
-        Ok(blk)
-    }
-}
-
-impl<R: PrefetchRead> PrefetchRead for FaultyReader<R> {
-    fn fetch(&mut self, addr: usize) -> Result<Block, StoreError> {
-        let res = self.inner.fetch(addr);
-        self.apply(addr, res)
-    }
-
-    fn fetch_run(&mut self, start: usize, count: usize) -> Vec<Result<Block, StoreError>> {
-        self.inner
-            .fetch_run(start, count)
-            .into_iter()
-            .enumerate()
-            .map(|(k, res)| self.apply(start + k, res))
-            .collect()
-    }
-}
-
-impl<S: BlockStore + Prefetchable> Prefetchable for FaultyStore<S> {
-    type Reader = FaultyReader<S::Reader>;
-
-    fn reader(&self) -> Self::Reader {
-        FaultyReader {
-            inner: self.inner.reader(),
-            seed: self.seed,
-            spec: self.spec,
-        }
-    }
-
-    fn supports_store_runs(&self) -> bool {
-        self.inner.supports_store_runs()
-    }
-
-    /// Decomposes the run into one fault decision per block, consuming op
-    /// indices in address order — exactly the schedule the block-at-a-time
-    /// path consumes, so the injected faults (and the resulting server
-    /// content) are bit-identical to issuing the same writes one by one.
-    fn store_run(&mut self, start: usize, blks: Vec<Block>) -> Result<(), StoreError> {
-        let mut resolved = Vec::with_capacity(blks.len());
-        // History pushes are deferred until the span write succeeds, matching
-        // the block path's push-after-store ordering.
-        let mut to_push: Vec<(usize, Block)> = Vec::new();
-        for (k, blk) in blks.into_iter().enumerate() {
-            let addr = start + k;
-            let op = self.op_counter;
-            self.op_counter += 1;
-            if self.fires(op, LANE_DROP, self.spec.drop_write_ppm) {
-                let current = self
-                    .current_content(addr)
-                    .unwrap_or_else(|| Block::empty(self.inner.block_elems()));
-                // Same rule as the block path: only a material drop counts,
-                // and the old content is still (re)written and charged.
-                if blk != current {
-                    self.record(op, FaultKind::DropWrite);
-                    resolved.push(current);
-                    continue;
-                }
-            }
-            to_push.push((addr, blk.clone()));
-            resolved.push(blk);
-        }
-        self.inner.store_run(start, resolved)?;
-        for (addr, blk) in to_push {
-            self.push_history(addr, blk);
-        }
         Ok(())
     }
 }
@@ -651,8 +541,7 @@ mod tests {
 
         let mut run = faulty_file(0xD15C, spec);
         let h2 = run.alloc_array(n_cells as usize);
-        let blks: Vec<Block> = cells(n_cells).chunks(b).map(Block::from_cells).collect();
-        run.store_run(h2.global_block(0), blks).unwrap();
+        run.try_store_span(&h2, 0, &cells(n_cells)).unwrap();
 
         assert_eq!(one.ops_issued(), run.ops_issued());
         assert_eq!(one.fault_log(), run.fault_log());
@@ -673,43 +562,47 @@ mod tests {
     }
 
     #[test]
-    fn reader_faults_are_keyed_by_address_not_arrival_order() {
+    fn span_reads_inject_the_identical_fault_schedule() {
+        // Same seed, same spec, same reads — once block at a time, once as
+        // one span per stretch. A span consumes one op index per block in
+        // address order, so both see the same faults, and a span stops at
+        // its first transient exactly where the block loop does.
         let spec = FaultSpec {
-            transient_read_ppm: 200_000,
+            transient_read_ppm: 60_000,
             corrupt_read_ppm: 200_000,
             ..FaultSpec::none()
         };
-        let mut faulty = faulty_file(0xBAD5EC, FaultSpec::none());
-        let h = faulty.alloc_array(64);
-        faulty.try_store_span(&h, 0, &cells(64)).unwrap();
-        faulty.set_spec(spec);
-
-        // Two readers fetching the same addresses in opposite orders must
-        // observe identical per-address outcomes.
-        let addrs: Vec<usize> = (0..h.n_blocks()).map(|i| h.global_block(i)).collect();
-        let mut fwd = faulty.reader();
-        let mut rev = faulty.reader();
-        let fwd_results: Vec<_> = addrs.iter().map(|&a| fwd.fetch(a)).collect();
-        let mut rev_results: Vec<_> = addrs.iter().rev().map(|&a| rev.fetch(a)).collect();
-        rev_results.reverse();
-        assert_eq!(fwd_results, rev_results);
-        // And a run fetch sees the same faults as single fetches.
-        let mut run_reader = faulty.reader();
-        let run_results = run_reader.fetch_run(addrs[0], addrs.len());
-        assert_eq!(fwd_results, run_results);
-        // The schedule fires both lanes at this rate.
-        assert!(fwd_results.iter().any(|r| r.is_err()));
-        assert!(fwd_results.iter().any(|r| r.is_ok()));
-        // Reader faults never touch the foreground log.
-        assert!(faulty.fault_log().is_empty());
-        // With a clean spec the reader serves honest data.
-        faulty.set_spec(FaultSpec::none());
-        let mut clean = faulty.reader();
-        for (i, &a) in addrs.iter().enumerate() {
-            assert_eq!(
-                clean.fetch(a).unwrap(),
-                faulty.try_load_block(&h, i).unwrap()
-            );
+        let mut one = faulty_file(0xBAD5EC, FaultSpec::none());
+        let mut run = faulty_file(0xBAD5EC, FaultSpec::none());
+        let h1 = one.alloc_array(64);
+        let h2 = run.alloc_array(64);
+        one.try_store_span(&h1, 0, &cells(64)).unwrap();
+        run.try_store_span(&h2, 0, &cells(64)).unwrap();
+        one.set_spec(spec);
+        run.set_spec(spec);
+        for _ in 0..4 {
+            let mut by_block = Vec::new();
+            let mut failed = None;
+            for i in 0..h1.n_blocks() {
+                match one.try_load_block(&h1, i) {
+                    Ok(blk) => by_block.extend_from_slice(blk.slots()),
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
+                    }
+                }
+            }
+            let span = run.try_load_span(&h2, 0, 64);
+            match failed {
+                Some(e) => assert_eq!(span, Err(e)),
+                None => assert_eq!(span, Ok(by_block)),
+            }
+            assert_eq!(one.ops_issued(), run.ops_issued());
         }
+        assert_eq!(one.fault_log(), run.fault_log());
+        assert!(
+            run.fault_stats().transient_reads > 0 && run.fault_stats().corrupt_reads > 0,
+            "the schedule fires both lanes at these rates"
+        );
     }
 }

@@ -5,8 +5,9 @@
 //! [`ExtMem`](crate::mem::ExtMem) arena, which counts I/Os but costs
 //! nanoseconds per "I/O". `FileStore` implements the same [`BlockStore`]
 //! interface over a single preallocated file, so the paper's `O(N/B)`-style
-//! bounds can be measured in *seconds*: every `load_block`/`store_block` is a
-//! positioned read/write (`pread`/`pwrite`) of one `B`-cell block image.
+//! bounds can be measured in *seconds*: every block op is a positioned
+//! read/write (`pread`/`pwrite`) of one `B`-cell block image, and a span op
+//! moves the blocks it covers whole with one positioned read or write.
 //!
 //! Addressing is identical to `ExtMem` — arrays are allocated back-to-back
 //! and a handle's local block `i` lives at global address
@@ -45,18 +46,17 @@
 
 use std::fs::File;
 use std::io;
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::arena::BlockArena;
 use crate::block::Block;
 use crate::element::{Cell, Element};
 use crate::error::StoreError;
 use crate::mem::{AccessEvent, AccessOp, AccessTrace, ArrayHandle, IoStats};
-use crate::prefetch::{PrefetchRead, Prefetchable};
-use crate::store::{BackingStore, BlockStore};
+use crate::store::{load_span_with, store_span_with, BackingStore, BlockStore};
 
 /// Bytes per cell on disk: occupancy word, key, payload.
 pub const CELL_BYTES: usize = 24;
@@ -105,38 +105,43 @@ fn map_io_err(addr: usize, e: &io::Error) -> StoreError {
     }
 }
 
+/// Decodes the image of the block at `addr` into `out` (one cell per 24
+/// bytes); a garbled cell fails as [`StoreError::Corrupted`].
+fn decode_cells(bytes: &[u8], out: &mut [Cell], addr: usize) -> Result<(), StoreError> {
+    debug_assert_eq!(bytes.len(), out.len() * CELL_BYTES);
+    for (slot, chunk) in out.iter_mut().zip(bytes.chunks_exact(CELL_BYTES)) {
+        let word = |r: Range<usize>| u64::from_le_bytes(chunk[r].try_into().expect("8-byte word"));
+        *slot = match word(0..8) {
+            0 => None,
+            1 => Some(Element::new(word(8..16), word(16..24))),
+            _ => return Err(StoreError::Corrupted { addr }),
+        };
+    }
+    Ok(())
+}
+
 /// Decodes one block image; the buffer is drawn from `arena`.
-pub(crate) fn decode_block(
+fn decode_block(
     bytes: &[u8],
     block_elems: usize,
     arena: &BlockArena,
     addr: usize,
 ) -> Result<Block, StoreError> {
-    debug_assert_eq!(bytes.len(), block_elems * CELL_BYTES);
     let mut buf = arena.take(block_elems);
-    for (slot, chunk) in buf.iter_mut().zip(bytes.chunks_exact(CELL_BYTES)) {
-        let occ = u64::from_le_bytes(chunk[0..8].try_into().expect("8-byte chunk"));
-        match occ {
-            0 => *slot = None,
-            1 => {
-                let key = u64::from_le_bytes(chunk[8..16].try_into().expect("8-byte chunk"));
-                let payload = u64::from_le_bytes(chunk[16..24].try_into().expect("8-byte chunk"));
-                *slot = Some(Element::new(key, payload));
-            }
-            _ => {
-                arena.put(buf);
-                return Err(StoreError::Corrupted { addr });
-            }
+    match decode_cells(bytes, &mut buf, addr) {
+        Ok(()) => Ok(Block::from_buffer(buf)),
+        Err(e) => {
+            arena.put(buf);
+            Err(e)
         }
     }
-    Ok(Block::from_buffer(buf))
 }
 
-/// Encodes a block by *appending* its image to `out` (callers clear first
-/// when they want exactly one image; span writers append several).
-pub(crate) fn encode_block(blk: &Block, out: &mut Vec<u8>) {
-    out.reserve(blk.len() * CELL_BYTES);
-    for cell in blk.slots() {
+/// Encodes cells by *appending* their images to `out` (callers clear first
+/// when they want exactly these images).
+fn encode_cells(cells: &[Cell], out: &mut Vec<u8>) {
+    out.reserve(cells.len() * CELL_BYTES);
+    for cell in cells {
         match cell {
             Some(e) => {
                 out.extend_from_slice(&1u64.to_le_bytes());
@@ -151,13 +156,13 @@ pub(crate) fn encode_block(blk: &Block, out: &mut Vec<u8>) {
 /// A [`BlockStore`] over a single preallocated file. See the module docs.
 #[derive(Debug)]
 pub struct FileStore {
-    file: Arc<File>,
+    file: File,
     path: PathBuf,
     block_elems: usize,
     n_blocks: usize,
     stats: IoStats,
     trace: Option<AccessTrace>,
-    arena: Arc<BlockArena>,
+    arena: BlockArena,
     scratch: Vec<u8>,
     delete_on_drop: bool,
     /// `Some(n)`: panic with [`InjectedCrash`] when the `n+1`-th further
@@ -193,7 +198,7 @@ impl FileStore {
         };
         let n_blocks = (len / byte_offset(block_elems, CELL_BYTES)) as usize;
         Ok(FileStore {
-            file: Arc::new(file),
+            file,
             path,
             block_elems,
             n_blocks,
@@ -284,7 +289,7 @@ impl FileStore {
     }
 
     /// The buffer pool decoded blocks draw from.
-    pub fn arena(&self) -> &Arc<BlockArena> {
+    pub fn arena(&self) -> &BlockArena {
         &self.arena
     }
 
@@ -336,7 +341,6 @@ impl FileStore {
     }
 
     fn write_raw(&mut self, addr: usize, blk: &Block) -> Result<(), StoreError> {
-        assert_eq!(blk.len(), self.block_elems, "block size mismatch");
         if let Some(n) = self.crash_after.as_mut() {
             if *n == 0 {
                 std::panic::panic_any(InjectedCrash);
@@ -346,7 +350,7 @@ impl FileStore {
         let bytes = self.block_bytes();
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        encode_block(blk, &mut scratch);
+        encode_cells(blk.slots(), &mut scratch);
         let res = self
             .file
             .write_all_at(&scratch, byte_offset(addr, bytes))
@@ -451,10 +455,96 @@ impl BlockStore for FileStore {
     }
 
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
-        let addr = h.checked_block(i)?;
+        let addr = h.checked_write(i, &blk)?;
         self.write_raw(addr, &blk)?;
         self.arena.put(blk.into_buffer());
         self.record(AccessOp::Write, addr);
+        Ok(())
+    }
+
+    fn try_load_span(
+        &mut self,
+        h: &ArrayHandle,
+        elem_lo: usize,
+        elem_hi: usize,
+    ) -> Result<Vec<Cell>, StoreError> {
+        load_span_with(self, h, elem_lo, elem_hi, FileStore::load_whole)
+    }
+
+    fn try_store_span(
+        &mut self,
+        h: &ArrayHandle,
+        elem_lo: usize,
+        cells: &[Cell],
+    ) -> Result<(), StoreError> {
+        store_span_with(self, h, elem_lo, cells, FileStore::store_whole)
+    }
+}
+
+impl FileStore {
+    /// Reads whole blocks `blocks` of `h` with one positioned read. If that
+    /// read fails, reads them one by one instead, so the error names the
+    /// block that caused it and the blocks before it are charged, exactly as
+    /// on the per-block path.
+    fn load_whole(
+        &mut self,
+        h: &ArrayHandle,
+        blocks: Range<usize>,
+    ) -> Result<Vec<Cell>, StoreError> {
+        let b = self.block_elems;
+        let first = h.global_block(blocks.start);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.resize(blocks.len() * self.block_bytes(), 0);
+        let read = self
+            .file
+            .read_exact_at(&mut scratch, byte_offset(first, self.block_bytes()));
+        let mut out = vec![None; blocks.len() * b];
+        let res = match read {
+            Ok(()) => (0..blocks.len()).try_for_each(|k| {
+                let bytes = &scratch[k * self.block_bytes()..(k + 1) * self.block_bytes()];
+                decode_cells(bytes, &mut out[k * b..(k + 1) * b], first + k)?;
+                self.record(AccessOp::Read, first + k);
+                Ok(())
+            }),
+            Err(_) => blocks.clone().try_for_each(|bi| {
+                let blk = self.try_load_block(h, bi)?;
+                let k = bi - blocks.start;
+                out[k * b..(k + 1) * b].copy_from_slice(blk.slots());
+                self.arena.put(blk.into_buffer());
+                Ok(())
+            }),
+        };
+        self.scratch = scratch;
+        res.map(|()| out)
+    }
+
+    /// Writes the whole blocks starting at local block `first` of `h` with
+    /// one positioned write. If that write fails — or a crash is armed,
+    /// since crash injection counts block writes — writes them one by one
+    /// instead, exactly as the per-block path does.
+    fn store_whole(
+        &mut self,
+        h: &ArrayHandle,
+        first: usize,
+        cells: &[Cell],
+    ) -> Result<(), StoreError> {
+        let b = self.block_elems;
+        let start = h.global_block(first);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let written = self.crash_after.is_none() && {
+            scratch.clear();
+            encode_cells(cells, &mut scratch);
+            self.file
+                .write_all_at(&scratch, byte_offset(start, self.block_bytes()))
+                .is_ok()
+        };
+        self.scratch = scratch;
+        for (k, chunk) in cells.chunks(b).enumerate() {
+            if !written {
+                self.write_raw(start + k, &Block::from_cells(chunk))?;
+            }
+            self.record(AccessOp::Write, start + k);
+        }
         Ok(())
     }
 }
@@ -478,107 +568,6 @@ impl BackingStore for FileStore {
 
     fn snapshot_cells(&self, h: &ArrayHandle) -> Vec<Cell> {
         FileStore::snapshot_cells(self, h)
-    }
-}
-
-/// Reader over the same file: positioned reads share the
-/// [`Arc<File>`] (no seek cursor is involved), and decoded blocks draw from
-/// the same shared [`BlockArena`] as the foreground.
-#[derive(Debug)]
-pub struct FileReader {
-    file: Arc<File>,
-    block_elems: usize,
-    arena: Arc<BlockArena>,
-    scratch: Vec<u8>,
-}
-
-impl PrefetchRead for FileReader {
-    fn fetch(&mut self, addr: usize) -> Result<Block, StoreError> {
-        let bytes = self.block_elems * CELL_BYTES;
-        self.scratch.resize(bytes, 0);
-        self.file
-            .read_exact_at(&mut self.scratch, byte_offset(addr, bytes))
-            .map_err(|e| map_io_err(addr, &e))?;
-        decode_block(&self.scratch, self.block_elems, &self.arena, addr)
-    }
-
-    fn fetch_run(&mut self, start: usize, count: usize) -> Vec<Result<Block, StoreError>> {
-        let bytes = self.block_elems * CELL_BYTES;
-        self.scratch.resize(bytes * count, 0);
-        if self
-            .file
-            .read_exact_at(&mut self.scratch, byte_offset(start, bytes))
-            .is_err()
-        {
-            // The span read can cross damage a per-block read would dodge
-            // (e.g. a truncation inside the run); fall back block by block
-            // so errors land on the exact address that caused them.
-            return (start..start + count).map(|a| self.fetch(a)).collect();
-        }
-        (0..count)
-            .map(|k| {
-                decode_block(
-                    &self.scratch[k * bytes..(k + 1) * bytes],
-                    self.block_elems,
-                    &self.arena,
-                    start + k,
-                )
-            })
-            .collect()
-    }
-}
-
-impl Prefetchable for FileStore {
-    type Reader = FileReader;
-
-    fn reader(&self) -> FileReader {
-        FileReader {
-            file: Arc::clone(&self.file),
-            block_elems: self.block_elems,
-            arena: Arc::clone(&self.arena),
-            scratch: Vec::new(),
-        }
-    }
-
-    fn supports_store_runs(&self) -> bool {
-        true
-    }
-
-    fn store_run(&mut self, start: usize, blks: Vec<Block>) -> Result<(), StoreError> {
-        // Crash injection counts individual block writes, so a run must
-        // still decrement the fuse once per block — route through the
-        // per-block path whenever a crash is armed.
-        if self.crash_after.is_some() {
-            for (k, blk) in blks.into_iter().enumerate() {
-                self.write_raw(start + k, &blk)?;
-                self.arena.put(blk.into_buffer());
-            }
-            return Ok(());
-        }
-        let bytes = self.block_bytes();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        for blk in &blks {
-            assert_eq!(blk.len(), self.block_elems, "block size mismatch");
-            encode_block(blk, &mut scratch);
-        }
-        let res = self
-            .file
-            .write_all_at(&scratch, byte_offset(start, bytes))
-            .map_err(|e| map_io_err(start, &e));
-        self.scratch = scratch;
-        if res.is_err() {
-            // Localize the failure: retry block by block so the error names
-            // the exact address — and if the retries all land, the run is
-            // durable after all.
-            for (k, blk) in blks.iter().enumerate() {
-                self.write_raw(start + k, blk)?;
-            }
-        }
-        for blk in blks {
-            self.arena.put(blk.into_buffer());
-        }
-        Ok(())
     }
 }
 

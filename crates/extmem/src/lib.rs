@@ -78,15 +78,15 @@ pub mod trace;
 pub mod util;
 
 pub use arena::{ArenaStats, BlockArena};
-pub use auth::{AuthClientState, AuthenticatedReader, AuthenticatedStore};
+pub use auth::{AuthClientState, AuthenticatedStore};
 pub use block::Block;
 pub use budget::CacheBudget;
 pub use cache::BlockCache;
-pub use crypto::{EncryptedReader, EncryptedStore};
+pub use crypto::EncryptedStore;
 pub use element::{Cell, Element};
 pub use error::StoreError;
-pub use fault::{FaultKind, FaultSpec, FaultStats, FaultyReader, FaultyStore};
-pub use file::{install_quiet_abort_hook, FileReader, FileStore, InjectedCrash};
+pub use fault::{FaultKind, FaultSpec, FaultStats, FaultyStore};
+pub use file::{install_quiet_abort_hook, FileStore, InjectedCrash};
 pub use mem::{AccessEvent, AccessOp, AccessTrace, ArrayHandle, ExtMem, IoStats};
 pub use prefetch::{PrefetchConfig, PrefetchRead, PrefetchStats, Prefetchable, PrefetchingStore};
 pub use retry::{RetryPolicy, RetryStats, RetryingStore};

@@ -12,8 +12,6 @@
 //! random-number-generator seed) and asserting that the captured traces are
 //! identical — see the [`crate::trace`] module.
 
-use std::sync::Arc;
-
 use crate::arena::BlockArena;
 use crate::block::Block;
 use crate::element::{Cell, Element};
@@ -131,6 +129,21 @@ impl ArrayHandle {
         }
     }
 
+    /// [`checked_block`](Self::checked_block) for a write of `blk`, which
+    /// must also be exactly `B` cells wide: every store's fallible write
+    /// refuses a wrong-size block with the same typed error before any I/O
+    /// and before any per-block state (nonce, tag, buffer) changes.
+    pub(crate) fn checked_write(&self, i: usize, blk: &Block) -> Result<usize, StoreError> {
+        let addr = self.checked_block(i)?;
+        if blk.len() == self.block_elems {
+            Ok(addr)
+        } else {
+            Err(StoreError::InvalidArgument {
+                reason: "block size mismatch",
+            })
+        }
+    }
+
     /// Crate-internal constructor used by the other [`crate::store::BlockStore`]
     /// implementations ([`crate::file::FileStore`]); handles must address
     /// blocks identically across backends so traces stay comparable.
@@ -152,7 +165,7 @@ pub struct ExtMem {
     trace: Option<AccessTrace>,
     /// Recycles the `Vec<Cell>` of every block this store clones out or
     /// replaces, so the block path stops churning the allocator.
-    arena: Arc<BlockArena>,
+    arena: BlockArena,
 }
 
 impl ExtMem {
@@ -169,7 +182,7 @@ impl ExtMem {
     }
 
     /// The buffer pool this store draws block buffers from.
-    pub fn arena(&self) -> &Arc<BlockArena> {
+    pub fn arena(&self) -> &BlockArena {
         &self.arena
     }
 
@@ -305,7 +318,7 @@ impl BlockStore for ExtMem {
     }
 
     /// Copies local block `i` of array `h` out (one I/O) into a buffer from
-    /// the shared [`BlockArena`], not a fresh allocation.
+    /// the store's [`BlockArena`], not a fresh allocation.
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
         let addr = h.checked_block(i)?;
         self.record(AccessOp::Read, addr);
@@ -317,8 +330,7 @@ impl BlockStore for ExtMem {
     /// Replaces local block `i` of array `h` (one I/O), recycling the old
     /// block's buffer through the [`BlockArena`].
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
-        assert_eq!(blk.len(), self.block_elems, "block size mismatch");
-        let addr = h.checked_block(i)?;
+        let addr = h.checked_write(i, &blk)?;
         self.record(AccessOp::Write, addr);
         let old = std::mem::replace(&mut self.blocks[addr], blk);
         self.arena.put(old.into_buffer());

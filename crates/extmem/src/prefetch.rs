@@ -1,4 +1,5 @@
-//! [`PrefetchingStore`]: shape-derived read-ahead over a file-backed store.
+//! [`PrefetchingStore`]: shape-derived read-ahead and write-behind over any
+//! store with a span path.
 //!
 //! The oblivious algorithms in this workspace have a property a normal
 //! program does not: **every pass knows its entire block-read schedule
@@ -7,11 +8,11 @@
 //! therefore announce its schedule up front via
 //! [`BlockStore::hint_blocks`], and this adapter turns those hints into
 //! coalesced reads on the caller's thread: the first load of a hinted block
-//! reads the whole contiguous hinted run with one positioned span read
-//! ([`PrefetchRead::fetch_run`]) and parks the tail until the algorithm asks
-//! for it. A block read costs about a microsecond from a fast device or the
-//! page cache, so one syscall per run instead of one per block is the
-//! payoff; everything runs on the thread that calls the store.
+//! reads the whole contiguous hinted run with one span read of the wrapped
+//! store ([`BlockStore::try_load_span`]) and parks the tail until the
+//! algorithm asks for it. A block read costs about a microsecond from a
+//! fast device or the page cache, so one syscall per run instead of one per
+//! block is the payoff; everything runs on the thread that calls the store.
 //!
 //! ## Why this is oblivious
 //!
@@ -33,78 +34,76 @@
 //! ## Consistency protocol
 //!
 //! Per global address the adapter tracks one slot: a hint marks it
-//! `Queued`, and the read that serves it leaves `Ready | Failed`.
+//! `Queued`, and the span read that serves it leaves `Ready`.
 //!
-//! * [`BlockStore::load_block`] takes `Ready` blocks for free ("hit") and
-//!   surfaces a parked `Failed` read as its error. A `Queued` load is a
-//!   *steal*: it reads the contiguous hinted run starting at the address
-//!   with one span read, returns the first block and parks the rest as
-//!   `Ready | Failed`. Any other load is a synchronous read ("miss").
-//! * [`BlockStore::store_block`] invalidates any slot for the address, so a
-//!   stale prefetch can never be served after a write. (The pass structure
-//!   already guarantees every hinted block is consumed before the pass
-//!   writes it back; this is the safety net.) Over a store with span-write
-//!   support ([`Prefetchable::store_run`]) the write then parks in a
-//!   bounded *write-behind buffer* — its slot marked `Buffered`, which
-//!   hints and steals skip — and is flushed as one positioned span write
-//!   per maximal contiguous run when the buffer fills, on
+//! * [`BlockStore::try_load_block`] takes `Ready` blocks for free ("hit").
+//!   A `Queued` load is a *steal*: it reads the contiguous hinted run
+//!   starting at the address, inside its array, with one span read, returns
+//!   the first block and parks the rest as `Ready`. A failed span read makes
+//!   the steal a miss: the demanded block is read alone and the rest of the
+//!   run goes back to `Empty`, so an error surfaces at the load of the block
+//!   that caused it. Any other load is a single-block read ("miss").
+//! * [`BlockStore::try_store_block`] invalidates any slot for the address,
+//!   so a stale prefetch can never be served after a write. (The pass
+//!   structure already guarantees every hinted block is consumed before the
+//!   pass writes it back; this is the safety net.) The write then parks in
+//!   a bounded *write-behind buffer* — its slot marked `Buffered`, which
+//!   hints and steals skip — and is flushed as one span write per maximal
+//!   run of consecutive blocks of one array when the buffer fills, on
 //!   [`PrefetchingStore::flush_writes`] / [`PrefetchingStore::inner_mut`],
 //!   or on drop. Loads of a buffered address are served from the buffer
-//!   (read-your-writes), never from the stale file copy.
+//!   (read-your-writes), never from the stale server copy.
+//! * Span reads and writes move whole blocks only: an array's partial last
+//!   block goes through the single-block ops, so every layer below sees
+//!   the same block counts whichever way a block travels.
 //! * Steals respect `max_ready`: parked blocks never exceed it, bounding the
 //!   adapter's memory at `(max_ready + write_buffer) · B` cells. This budget
 //!   is accounted against the client's private memory `M` by the callers
 //!   that size it.
 
 use crate::block::Block;
+use crate::element::Cell;
 use crate::error::StoreError;
 use crate::mem::{AccessEvent, AccessOp, AccessTrace, ArrayHandle, IoStats};
 use crate::store::BlockStore;
 
-/// A block reader detached from its store: the half of a store the adapter
-/// steals hinted runs through. Positioned reads must be independent of the
-/// store's own I/O (no shared seek cursor).
+/// A block reader detached from its store.
+///
+/// Nothing in this crate implements or calls this trait or [`Prefetchable`]:
+/// [`PrefetchingStore`] steals and writes behind through the span ops of
+/// [`BlockStore`]. The declarations remain for external wrappers that still
+/// implement them.
 pub trait PrefetchRead: Send + 'static {
     /// Reads and decodes the block at global address `addr`.
     fn fetch(&mut self, addr: usize) -> Result<Block, StoreError>;
 
-    /// Reads and decodes `count` consecutive blocks starting at `start`.
-    /// The default loops [`fetch`](PrefetchRead::fetch); implementations
-    /// with positioned I/O should override it with one span read so a
-    /// sequential schedule costs one syscall per batch instead of one per
-    /// block.
+    /// Reads and decodes `count` consecutive blocks starting at `start`;
+    /// the default loops [`fetch`](PrefetchRead::fetch).
     fn fetch_run(&mut self, start: usize, count: usize) -> Vec<Result<Block, StoreError>> {
         (start..start + count).map(|a| self.fetch(a)).collect()
     }
 }
 
-/// A store that can hand out independent readers; implementing this is what
-/// makes a store wrappable by [`PrefetchingStore`].
+/// A store that can hand out independent readers. Like [`PrefetchRead`],
+/// nothing in this crate implements or calls it.
 pub trait Prefetchable: BlockStore {
-    /// The reader type steals go through.
+    /// The reader type.
     type Reader: PrefetchRead;
 
     /// Creates a reader sharing this store's file and buffer pool.
     fn reader(&self) -> Self::Reader;
 
     /// True when [`store_run`](Prefetchable::store_run) performs a real
-    /// positioned span write. Gates the adapter's write-behind buffer: a
-    /// store that leaves this `false` gets plain write-through.
+    /// positioned span write.
     fn supports_store_runs(&self) -> bool {
         false
     }
 
-    /// Writes `blks` to consecutive global addresses starting at `start`
-    /// (one positioned write for the whole run), recycling the buffers.
-    /// Only called when [`supports_store_runs`](Prefetchable::supports_store_runs)
-    /// returns true.
-    ///
-    /// The default body is for stores that never advertise span-write
-    /// support: a wrapper that calls it anyway (misreporting
-    /// `supports_store_runs`) gets a typed [`StoreError::Corrupted`] for the
-    /// run's first address — the write was *not* performed — rather than a
-    /// process-killing panic. Debug builds additionally `debug_assert` so
-    /// the misbehavior is loud under test.
+    /// Writes `blks` to consecutive global addresses starting at `start`.
+    /// The default refuses with [`StoreError::Corrupted`] for `start` (and
+    /// asserts in debug builds): only a store whose
+    /// [`supports_store_runs`](Prefetchable::supports_store_runs) is true
+    /// may be asked.
     fn store_run(&mut self, start: usize, blks: Vec<Block>) -> Result<(), StoreError> {
         debug_assert!(
             false,
@@ -121,11 +120,11 @@ pub trait Prefetchable: BlockStore {
 pub struct PrefetchConfig {
     /// Maximum decoded blocks parked awaiting consumption.
     pub max_ready: usize,
-    /// Write-behind buffer capacity in blocks (0 disables). Stores are
-    /// accepted into the buffer and flushed as coalesced span writes — one
-    /// positioned write per maximal contiguous run — once it fills, on
-    /// [`PrefetchingStore::flush_writes`], or on drop. Only effective over
-    /// stores whose [`Prefetchable::supports_store_runs`] is true.
+    /// Write-behind buffer capacity in blocks (0 flushes every write at
+    /// once). Stores are accepted into the buffer and flushed as coalesced
+    /// span writes — one span write per maximal run of consecutive blocks of
+    /// one array — once it fills, on [`PrefetchingStore::flush_writes`], or
+    /// on drop.
     pub write_buffer: usize,
 }
 
@@ -146,7 +145,8 @@ pub struct PrefetchStats {
     /// Loads with no matching hint: synchronous read.
     pub misses: u64,
     /// Loads that found their hint queued and read the contiguous hinted
-    /// run from there with one span read.
+    /// run from there with one span read. A steal whose span read failed
+    /// counts as a miss.
     pub steals: u64,
     /// Always 0: every read runs on the caller's thread, so a load never
     /// waits for another one. Kept so stats consumers stay unchanged.
@@ -170,7 +170,6 @@ enum Slot {
     /// Hinted and not read yet.
     Queued,
     Ready(Block),
-    Failed(StoreError),
     /// The newest content for this address sits in the adapter's
     /// write-behind buffer; the file copy is stale until the next flush.
     /// Hints and steals skip this state.
@@ -181,35 +180,39 @@ enum Slot {
 /// trigger, so a deep hint schedule is consumed in runs of this length.
 const MAX_STEAL_RUN: usize = 16;
 
-/// The read-ahead adapter. Wraps any [`Prefetchable`] store and honors
+/// The read-ahead adapter. Wraps any [`BlockStore`] and honors
 /// [`BlockStore::hint_blocks`] schedules with coalesced span reads; see the
 /// module docs for the protocol and obliviousness argument.
 #[derive(Debug)]
-pub struct PrefetchingStore<S: Prefetchable> {
+pub struct PrefetchingStore<S: BlockStore> {
     inner: S,
-    /// Per-address slot state, indexed by global block address. The file's
-    /// address space is dense and small, so a flat vector keeps the hot
-    /// hit path at an indexed load instead of a hash lookup.
+    /// Per-address slot state, indexed by global block address. The
+    /// store's address space is dense and small, so a flat vector keeps the
+    /// hot hit path at an indexed load instead of a hash lookup.
     slots: Vec<Slot>,
     /// Decoded blocks parked in `slots`; never exceeds `max_ready`.
     ready: usize,
     max_ready: usize,
-    /// Reader for steals (span reads of hinted runs).
-    fg_reader: S::Reader,
     /// Logical I/O counters: what the algorithm asked for, independent of
     /// which physical read served it.
     stats: IoStats,
     trace: Option<AccessTrace>,
     prefetch_stats: PrefetchStats,
-    /// Write-behind buffer: `(global address, newest block)` pairs, flushed
-    /// as coalesced span writes. Every entry has its slot set to
+    /// Write-behind buffer: `(array, local block, newest block)` triples,
+    /// flushed as coalesced span writes. Every entry has its slot set to
     /// [`Slot::Buffered`], which is what keeps hints and steals away.
-    wb: Vec<(usize, Block)>,
-    /// Capacity of `wb`; 0 when the inner store has no span-write support.
+    wb: Vec<(ArrayHandle, usize, Block)>,
+    /// Capacity of `wb`.
     wb_cap: usize,
 }
 
-impl<S: Prefetchable> PrefetchingStore<S> {
+/// Blocks of `h` a span op can move: the ones wholly inside the array (all
+/// but a partial last block).
+fn whole_blocks(h: &ArrayHandle) -> usize {
+    h.len() / h.block_elems()
+}
+
+impl<S: BlockStore> PrefetchingStore<S> {
     /// Wraps `inner` with the default configuration.
     pub fn new(inner: S) -> Self {
         Self::with_config(inner, PrefetchConfig::default())
@@ -218,23 +221,16 @@ impl<S: Prefetchable> PrefetchingStore<S> {
     /// Wraps `inner` with an explicit configuration.
     pub fn with_config(inner: S, cfg: PrefetchConfig) -> Self {
         assert!(cfg.max_ready >= 1, "prefetching needs a ready budget");
-        let fg_reader = inner.reader();
-        let wb_cap = if inner.supports_store_runs() {
-            cfg.write_buffer
-        } else {
-            0
-        };
         PrefetchingStore {
             inner,
             slots: Vec::new(),
             ready: 0,
             max_ready: cfg.max_ready,
-            fg_reader,
             stats: IoStats::default(),
             trace: None,
             prefetch_stats: PrefetchStats::default(),
-            wb: Vec::with_capacity(wb_cap),
-            wb_cap,
+            wb: Vec::with_capacity(cfg.write_buffer),
+            wb_cap: cfg.write_buffer,
         }
     }
 
@@ -255,31 +251,41 @@ impl<S: Prefetchable> PrefetchingStore<S> {
         &mut self.inner
     }
 
-    /// Writes every buffered block back to the wrapped store, coalescing
-    /// contiguous addresses into single span writes. A no-op when nothing
-    /// is buffered; returns the first error a span (or its per-block retry)
-    /// surfaces.
+    /// Writes every buffered block back to the wrapped store: each maximal
+    /// run of consecutive whole blocks of one array as one span write, an
+    /// array's partial last block as a single-block write. A no-op when
+    /// nothing is buffered; returns the first error a write surfaces.
     pub fn flush_writes(&mut self) -> Result<(), StoreError> {
         if self.wb.is_empty() {
             return Ok(());
         }
         let mut wb = std::mem::take(&mut self.wb);
-        wb.sort_by_key(|(a, _)| *a);
-        for (a, _) in &wb {
-            debug_assert!(matches!(self.slot(*a), Slot::Buffered));
-            self.set(*a, Slot::Empty);
+        wb.sort_by_key(|(h, i, _)| h.global_block(*i));
+        for (h, i, _) in &wb {
+            debug_assert!(matches!(self.slot(h.global_block(*i)), Slot::Buffered));
+            self.set(h.global_block(*i), Slot::Empty);
         }
         let mut first_err = None;
         let mut iter = wb.into_iter().peekable();
-        while let Some((start, blk)) = iter.next() {
-            let mut run = vec![blk];
-            let mut next = start + 1;
-            while iter.peek().is_some_and(|(a, _)| *a == next) {
-                run.push(iter.next().expect("peeked").1);
-                next += 1;
-            }
-            self.prefetch_stats.write_spans += 1;
-            if let Err(e) = self.inner.store_run(start, run) {
+        while let Some((h, first, blk)) = iter.next() {
+            let res = if first < whole_blocks(&h) {
+                let mut cells: Vec<Cell> = blk.slots().to_vec();
+                self.inner.recycle(blk);
+                let mut next = first + 1;
+                while let Some((_, _, blk)) =
+                    iter.next_if(|(h2, i, _)| *h2 == h && *i == next && next < whole_blocks(&h))
+                {
+                    cells.extend_from_slice(blk.slots());
+                    self.inner.recycle(blk);
+                    next += 1;
+                }
+                self.prefetch_stats.write_spans += 1;
+                self.inner
+                    .try_store_span(&h, first * h.block_elems(), &cells)
+            } else {
+                self.inner.try_store_block(&h, first, blk)
+            };
+            if let Err(e) = res {
                 first_err.get_or_insert(e);
             }
         }
@@ -290,22 +296,23 @@ impl<S: Prefetchable> PrefetchingStore<S> {
     }
 
     /// Accepts a write into the write-behind buffer (the newest content for
-    /// `addr` now lives here; any prefetch state for it is invalidated) and
-    /// flushes when the buffer fills.
-    fn buffer_write(&mut self, addr: usize, blk: Block) -> Result<(), StoreError> {
+    /// the block now lives here; any prefetch state for it is invalidated)
+    /// and flushes when the buffer fills.
+    fn buffer_write(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
+        let addr = h.global_block(i);
         if matches!(self.slot(addr), Slot::Buffered) {
             let entry = self
                 .wb
                 .iter_mut()
-                .find(|(a, _)| *a == addr)
+                .find(|(h2, i2, _)| h2.global_block(*i2) == addr)
                 .expect("Buffered slot implies a buffer entry");
-            let old = std::mem::replace(&mut entry.1, blk);
+            let old = std::mem::replace(&mut entry.2, blk);
             self.inner.recycle(old);
             return Ok(());
         }
         self.invalidate(addr);
         self.set(addr, Slot::Buffered);
-        self.wb.push((addr, blk));
+        self.wb.push((*h, i, blk));
         if self.wb.len() >= self.wb_cap {
             self.flush_writes()?;
         }
@@ -360,62 +367,74 @@ impl<S: Prefetchable> PrefetchingStore<S> {
         }
     }
 
-    fn take_prefetched(&mut self, addr: usize) -> Option<Result<Block, StoreError>> {
+    /// Serves a load of local block `i` of `h` (global address `addr`).
+    fn load(&mut self, h: &ArrayHandle, i: usize, addr: usize) -> Result<Block, StoreError> {
         match self.take_slot(addr) {
             Slot::Empty => {
                 self.prefetch_stats.misses += 1;
-                None
+                self.inner.try_load_block(h, i)
             }
-            Slot::Queued => Some(self.steal(addr)),
+            Slot::Queued => self.steal(h, i, addr),
             Slot::Ready(blk) => {
                 self.ready -= 1;
                 self.prefetch_stats.hits += 1;
-                Some(Ok(blk))
+                Ok(blk)
             }
-            Slot::Failed(e) => Some(Err(e)),
             Slot::Buffered => {
                 // Read-your-writes: the newest content is still in the
                 // write-behind buffer — serve a copy without touching the
-                // file (the entry remains the durable source until flushed).
+                // server (the entry remains the durable source until
+                // flushed).
                 self.set(addr, Slot::Buffered);
                 self.prefetch_stats.wb_hits += 1;
-                let blk = self
+                let (_, _, blk) = self
                     .wb
                     .iter()
-                    .find(|(a, _)| *a == addr)
-                    .expect("Buffered slot implies a buffer entry")
-                    .1
-                    .clone();
-                Some(Ok(blk))
+                    .find(|(h2, i2, _)| h2.global_block(*i2) == addr)
+                    .expect("Buffered slot implies a buffer entry");
+                Ok(blk.clone())
             }
         }
     }
 
-    /// Reads the contiguous hinted run starting at `addr` (whose slot the
-    /// caller already took) with one span read, returns its first block and
-    /// parks the tail within the ready budget.
-    fn steal(&mut self, addr: usize) -> Result<Block, StoreError> {
+    /// Reads the contiguous hinted run of whole blocks of `h` starting at
+    /// local block `i` (whose slot the caller already took) with one span
+    /// read, returns its first block and parks the tail within the ready
+    /// budget. A partial last block is read alone; a failed span is a miss.
+    fn steal(&mut self, h: &ArrayHandle, i: usize, addr: usize) -> Result<Block, StoreError> {
+        let whole = whole_blocks(h);
+        if i >= whole {
+            self.prefetch_stats.steals += 1;
+            return self.inner.try_load_block(h, i);
+        }
         let spare = self.max_ready - self.ready;
         let mut run = 1usize;
-        while run < MAX_STEAL_RUN && run <= spare && matches!(self.slot(addr + run), Slot::Queued) {
+        while run < MAX_STEAL_RUN
+            && run <= spare
+            && i + run < whole
+            && matches!(self.slot(addr + run), Slot::Queued)
+        {
             run += 1;
         }
-        self.prefetch_stats.steals += 1;
-        let mut results = self.fg_reader.fetch_run(addr, run).into_iter();
-        let first = results
-            .next()
-            .expect("fetch_run returns one result per block");
-        for (a, res) in (addr + 1..).zip(results) {
-            let slot = match res {
-                Ok(blk) => {
-                    self.ready += 1;
-                    Slot::Ready(blk)
+        let b = h.block_elems();
+        let cells = match self.inner.try_load_span(h, i * b, (i + run) * b) {
+            Ok(cells) => cells,
+            Err(_) => {
+                for a in addr + 1..addr + run {
+                    self.set(a, Slot::Empty);
                 }
-                Err(e) => Slot::Failed(e),
-            };
-            self.set(a, slot);
+                self.prefetch_stats.misses += 1;
+                return self.inner.try_load_block(h, i);
+            }
+        };
+        self.prefetch_stats.steals += 1;
+        let mut blocks = cells.chunks(b).map(Block::from_cells);
+        let first = blocks.next().expect("a steal reads at least one block");
+        for (a, blk) in (addr + 1..).zip(blocks) {
+            self.ready += 1;
+            self.set(a, Slot::Ready(blk));
         }
-        first
+        Ok(first)
     }
 
     /// Drops any prefetch state for `addr` ahead of a write.
@@ -423,14 +442,14 @@ impl<S: Prefetchable> PrefetchingStore<S> {
         match self.take_slot(addr) {
             Slot::Empty => return,
             Slot::Ready(_) => self.ready -= 1,
-            Slot::Queued | Slot::Failed(_) => {}
+            Slot::Queued => {}
             Slot::Buffered => unreachable!("buffer_write handles buffered addresses first"),
         }
         self.prefetch_stats.invalidated += 1;
     }
 }
 
-impl<S: Prefetchable> Drop for PrefetchingStore<S> {
+impl<S: BlockStore> Drop for PrefetchingStore<S> {
     fn drop(&mut self) {
         // Best-effort durability: a flush error cannot surface from Drop,
         // but callers that care read back through `inner_mut`/`flush_writes`
@@ -439,7 +458,7 @@ impl<S: Prefetchable> Drop for PrefetchingStore<S> {
     }
 }
 
-impl<S: Prefetchable> BlockStore for PrefetchingStore<S> {
+impl<S: BlockStore> BlockStore for PrefetchingStore<S> {
     fn block_elems(&self) -> usize {
         self.inner.block_elems()
     }
@@ -468,22 +487,14 @@ impl<S: Prefetchable> BlockStore for PrefetchingStore<S> {
 
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
         let addr = h.checked_block(i)?;
-        let blk = match self.take_prefetched(addr) {
-            Some(res) => res?,
-            None => self.inner.try_load_block(h, i)?,
-        };
+        let blk = self.load(h, i, addr)?;
         self.record(AccessOp::Read, addr);
         Ok(blk)
     }
 
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
-        let addr = h.checked_block(i)?;
-        if self.wb_cap == 0 {
-            self.invalidate(addr);
-            self.inner.try_store_block(h, i, blk)?;
-        } else {
-            self.buffer_write(addr, blk)?;
-        }
+        let addr = h.checked_write(i, &blk)?;
+        self.buffer_write(h, i, blk)?;
         self.record(AccessOp::Write, addr);
         Ok(())
     }

@@ -21,6 +21,18 @@
 //! The passes call only this fallible surface; the provided `load_block`,
 //! `store_block`, `modify_pair`, `load_span` and `store_span` are one-line
 //! wrappers that panic with the error's message.
+//!
+//! The span ops are the one way a run of blocks moves in one request. A
+//! store with a cheaper batch path (one positioned read or write, a batched
+//! keystream or MAC kernel) overrides them through `load_span_with` and
+//! `store_span_with`: the blocks a span covers whole go through the
+//! store's batch, and a partly covered boundary block — including an
+//! array's partial last block — goes through its single-block op, in the
+//! ascending block order of the per-block defaults. An override therefore
+//! returns the same cells, charges the same I/Os and leaves the same trace
+//! as the default for every span.
+
+use std::ops::Range;
 
 use crate::block::Block;
 use crate::element::Cell;
@@ -32,6 +44,92 @@ use crate::mem::{AccessTrace, ArrayHandle, IoStats};
 const SPAN_OUT_OF_RANGE: StoreError = StoreError::InvalidArgument {
     reason: "span out of range",
 };
+
+/// Reads the element span `[elem_lo, elem_hi)` of `h`: the blocks it covers
+/// whole as one call of `load_whole` (which returns their cells), each
+/// boundary block through `try_load_block`, in ascending block order. Stops
+/// at the first error; a span outside the array is refused before any I/O.
+pub(crate) fn load_span_with<S: BlockStore + ?Sized>(
+    store: &mut S,
+    h: &ArrayHandle,
+    elem_lo: usize,
+    elem_hi: usize,
+    mut load_whole: impl FnMut(&mut S, &ArrayHandle, Range<usize>) -> Result<Vec<Cell>, StoreError>,
+) -> Result<Vec<Cell>, StoreError> {
+    if elem_lo > elem_hi || elem_hi > h.len() {
+        return Err(SPAN_OUT_OF_RANGE);
+    }
+    if elem_lo == elem_hi {
+        return Ok(Vec::new());
+    }
+    let b = h.block_elems();
+    let whole = elem_lo.div_ceil(b)..elem_hi / b;
+    let mut out = Vec::new();
+    let mut bi = elem_lo / b;
+    while bi * b < elem_hi {
+        if bi == whole.start && !whole.is_empty() {
+            let cells = load_whole(store, h, whole.clone())?;
+            if out.is_empty() {
+                out = cells;
+            } else {
+                out.extend_from_slice(&cells);
+            }
+            bi = whole.end;
+        } else {
+            let blk = store.try_load_block(h, bi)?;
+            let lo = elem_lo.max(bi * b) - bi * b;
+            let hi = elem_hi.min((bi + 1) * b) - bi * b;
+            out.extend_from_slice(&blk.slots()[lo..hi]);
+            store.recycle(blk);
+            bi += 1;
+        }
+    }
+    Ok(out)
+}
+
+/// Writes `cells` to the element span of `h` starting at `elem_lo`: the
+/// blocks it covers whole as one call of `store_whole` (given the first
+/// block and their cells), each boundary block as a read-modify-write
+/// through the single-block ops, in ascending block order. Stops at the
+/// first error; a span outside the array is refused before any I/O.
+pub(crate) fn store_span_with<S: BlockStore + ?Sized>(
+    store: &mut S,
+    h: &ArrayHandle,
+    elem_lo: usize,
+    cells: &[Cell],
+    mut store_whole: impl FnMut(&mut S, &ArrayHandle, usize, &[Cell]) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
+    let elem_hi = match elem_lo.checked_add(cells.len()) {
+        Some(hi) if hi <= h.len() => hi,
+        _ => return Err(SPAN_OUT_OF_RANGE),
+    };
+    if cells.is_empty() {
+        return Ok(());
+    }
+    let b = h.block_elems();
+    let whole = elem_lo.div_ceil(b)..elem_hi / b;
+    let mut bi = elem_lo / b;
+    while bi * b < elem_hi {
+        if bi == whole.start && !whole.is_empty() {
+            store_whole(
+                store,
+                h,
+                bi,
+                &cells[bi * b - elem_lo..whole.end * b - elem_lo],
+            )?;
+            bi = whole.end;
+        } else {
+            let lo = elem_lo.max(bi * b);
+            let hi = elem_hi.min((bi + 1) * b);
+            let mut blk = store.try_load_block(h, bi)?;
+            blk.slots_mut()[lo - bi * b..hi - bi * b]
+                .copy_from_slice(&cells[lo - elem_lo..hi - elem_lo]);
+            store.try_store_block(h, bi, blk)?;
+            bi += 1;
+        }
+    }
+    Ok(())
+}
 
 /// A server that stores arrays of blocks and charges one I/O per block read
 /// or write. The access *order* of the provided methods is fixed and
@@ -111,35 +209,28 @@ pub trait BlockStore {
     /// Reads the element span `[elem_lo, elem_hi)` into a flat cell vector,
     /// one read I/O per spanned block, blocks in ascending order; stops at
     /// the first failing read. A span outside the array is refused with
-    /// [`StoreError::InvalidArgument`] before any I/O.
+    /// [`StoreError::InvalidArgument`] before any I/O. A span of several
+    /// blocks is announced through [`BlockStore::hint_blocks`] first.
     fn try_load_span(
         &mut self,
         h: &ArrayHandle,
         elem_lo: usize,
         elem_hi: usize,
     ) -> Result<Vec<Cell>, StoreError> {
-        if elem_lo > elem_hi || elem_hi > h.len() {
-            return Err(SPAN_OUT_OF_RANGE);
-        }
-        if elem_lo == elem_hi {
-            return Ok(Vec::new());
-        }
-        let b = self.block_elems();
-        let blk_lo = elem_lo / b;
-        let blk_hi = (elem_hi - 1) / b;
-        if blk_hi > blk_lo {
-            let schedule: Vec<usize> = (blk_lo..=blk_hi).collect();
+        let b = h.block_elems();
+        if elem_lo < elem_hi && elem_hi <= h.len() && (elem_hi - 1) / b > elem_lo / b {
+            let schedule: Vec<usize> = (elem_lo / b..=(elem_hi - 1) / b).collect();
             self.hint_blocks(h, &schedule);
         }
-        let mut out = Vec::with_capacity(elem_hi - elem_lo);
-        for bi in blk_lo..=blk_hi {
-            let blk = self.try_load_block(h, bi)?;
-            let lo = elem_lo.max(bi * b) - bi * b;
-            let hi = elem_hi.min((bi + 1) * b) - bi * b;
-            out.extend_from_slice(&blk.slots()[lo..hi]);
-            self.recycle(blk);
-        }
-        Ok(out)
+        load_span_with(self, h, elem_lo, elem_hi, |s, h, blocks| {
+            let mut out = Vec::with_capacity(blocks.len() * b);
+            for bi in blocks {
+                let blk = s.try_load_block(h, bi)?;
+                out.extend_from_slice(blk.slots());
+                s.recycle(blk);
+            }
+            Ok(out)
+        })
     }
 
     /// Writes `cells` back to the element span starting at `elem_lo`, one
@@ -153,31 +244,12 @@ pub trait BlockStore {
         elem_lo: usize,
         cells: &[Cell],
     ) -> Result<(), StoreError> {
-        let elem_hi = match elem_lo.checked_add(cells.len()) {
-            Some(hi) if hi <= h.len() => hi,
-            _ => return Err(SPAN_OUT_OF_RANGE),
-        };
-        if cells.is_empty() {
-            return Ok(());
-        }
-        let b = self.block_elems();
-        let blk_lo = elem_lo / b;
-        let blk_hi = (elem_hi - 1) / b;
-        for bi in blk_lo..=blk_hi {
-            let lo = elem_lo.max(bi * b);
-            let hi = elem_hi.min((bi + 1) * b);
-            let full = lo == bi * b && hi == (bi + 1) * b;
-            let mut blk = if full {
-                Block::empty(b)
-            } else {
-                self.try_load_block(h, bi)?
-            };
-            for (slot, cell) in (lo - bi * b..hi - bi * b).zip(&cells[lo - elem_lo..hi - elem_lo]) {
-                blk.set(slot, *cell);
+        store_span_with(self, h, elem_lo, cells, |s, h, first, cells| {
+            for (k, chunk) in cells.chunks(h.block_elems()).enumerate() {
+                s.try_store_block(h, first + k, Block::from_cells(chunk))?;
             }
-            self.try_store_block(h, bi, blk)?;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// [`BlockStore::try_modify_pair`], panicking where it fails.
@@ -383,5 +455,37 @@ mod tests {
         let enc = crate::EncryptedStore::with_backing(file, 0x51);
         let auth = crate::AuthenticatedStore::new(enc, 0x4D);
         check(&mut crate::PrefetchingStore::new(auth));
+    }
+
+    #[test]
+    fn a_wrong_size_block_is_refused_by_every_layer() {
+        // A block that is not `B` cells wide is a typed error before any
+        // I/O, nonce change or tag change: the block still reads back
+        // (decrypts and verifies) as it was, in release builds too.
+        fn check<S: BlockStore>(store: &mut S) {
+            let h = store.alloc_array(8);
+            let cells: Vec<Cell> = (0..8).map(|k| Some(e(k))).collect();
+            store.try_store_span(&h, 0, &cells).unwrap();
+            let refused = StoreError::InvalidArgument {
+                reason: "block size mismatch",
+            };
+            let before = store.io_stats();
+            for len in [3, 5, 0] {
+                let blk = Block::from_cells(&vec![Some(e(99)); len]);
+                assert_eq!(store.try_store_block(&h, 1, blk).unwrap_err(), refused);
+            }
+            assert_eq!(store.io_stats(), before, "a refused op must not do I/O");
+            assert_eq!(store.try_load_span(&h, 0, 8).unwrap(), cells);
+        }
+        let file = || crate::FileStore::temp(4).unwrap();
+        let enc = || crate::EncryptedStore::with_backing(file(), 0x51);
+        let auth = || crate::AuthenticatedStore::new(enc(), 0x4D);
+        check(&mut ExtMem::new(4));
+        check(&mut file());
+        check(&mut enc());
+        check(&mut auth());
+        let mut ps = crate::PrefetchingStore::new(auth());
+        check(&mut ps);
+        ps.flush_writes().unwrap();
     }
 }

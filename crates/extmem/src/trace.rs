@@ -11,18 +11,12 @@
 //!   the same shape **once the random seed is fixed** (the trace is a function
 //!   of shape and coins only).
 //!
-//! [`assert_oblivious`] and [`traces_equal`] implement those checks, and
+//! [`assert_oblivious`] and [`first_divergence`] implement those checks, and
 //! [`TraceSummary`] offers aggregate statistics (length, read/write mix,
 //! distinct addresses, hottest-address frequency).
 
 use crate::mem::{AccessEvent, AccessOp, AccessTrace};
 use std::collections::BTreeMap;
-
-/// Returns `true` when the two traces are exactly equal (same length, same
-/// operations, same addresses, same order).
-pub fn traces_equal(a: &AccessTrace, b: &AccessTrace) -> bool {
-    a == b
-}
 
 /// Returns the index of the first position where the traces differ, or `None`
 /// if one is a prefix of the other of equal length (i.e. they are equal).
@@ -111,7 +105,6 @@ mod tests {
     #[test]
     fn equal_traces_have_no_divergence() {
         let t = vec![r(0), w(1), r(2)];
-        assert!(traces_equal(&t, &t.clone()));
         assert_eq!(first_divergence(&t, &t.clone()), None);
     }
 
@@ -127,7 +120,6 @@ mod tests {
         let a = vec![r(0), w(1)];
         let b = vec![r(0), w(1), r(2)];
         assert_eq!(first_divergence(&a, &b), Some(2));
-        assert!(!traces_equal(&a, &b));
     }
 
     #[test]

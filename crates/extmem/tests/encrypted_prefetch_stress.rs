@@ -1,6 +1,6 @@
 //! Seeded-interleaving stress battery for the *encrypted* span pipeline:
-//! span steals that decrypt ([`EncryptedReader`] under [`PrefetchingStore`])
-//! and verify ([`AuthenticatedReader`] in the full
+//! span steals that decrypt (`EncryptedStore`'s span read under
+//! [`PrefetchingStore`]) and verify (`AuthenticatedStore`'s, in the full
 //! `Prefetching(Auth(Encrypted(FileStore)))` stack), and run-straddling
 //! span rewrites through every layer.
 //!
@@ -10,7 +10,6 @@
 //! mirror immediately and the full state checked at the end.
 
 use extmem::element::Cell;
-use extmem::prefetch::Prefetchable;
 use extmem::util::hash64;
 use extmem::{
     AuthenticatedStore, Block, BlockStore, Element, EncryptedStore, FileStore, PrefetchConfig,
@@ -28,7 +27,7 @@ fn fresh_mirror(seed: u64) -> Vec<Cell> {
 
 /// One seeded session over `Prefetching(Encrypted(FileStore))`: a
 /// pseudo-random interleaving of hints, loads and stores. Steals decrypt
-/// through the reader's own scratch buffer; every load is checked against
+/// whole spans; every load is checked against
 /// the plaintext mirror immediately, so a stale nonce, a torn scratch
 /// buffer, or a slot served across an invalidation shows up as a failed
 /// assertion, not silent garbage.
@@ -219,7 +218,8 @@ fn run_straddling_rewrites_stay_identical_to_scalar_writes() {
 
     for (round, &(start, len)) in spans.iter().enumerate() {
         let blks: Vec<Block> = (0..len).map(|k| mk_block(round, start + k)).collect();
-        run.store_run(hr.global_block(start), blks.clone()).unwrap();
+        let cells: Vec<Cell> = blks.iter().flat_map(|blk| blk.slots().to_vec()).collect();
+        run.try_store_span(&hr, start * b, &cells).unwrap();
         for (k, blk) in blks.into_iter().enumerate() {
             one.try_store_block(&ho, start + k, blk).unwrap();
         }
@@ -274,7 +274,8 @@ fn run_straddling_rewrites_verify_through_the_auth_layer() {
         .enumerate()
     {
         let blks: Vec<Block> = (0..len).map(|k| mk_block(round, start + k)).collect();
-        run.store_run(hr.global_block(start), blks.clone()).unwrap();
+        let cells: Vec<Cell> = blks.iter().flat_map(|blk| blk.slots().to_vec()).collect();
+        run.try_store_span(&hr, start * b, &cells).unwrap();
         for (k, blk) in blks.into_iter().enumerate() {
             one.try_store_block(&ho, start + k, blk).unwrap();
         }

@@ -1,11 +1,9 @@
 //! Seeded-interleaving stress battery for the prefetch adapter and the
-//! shared block arena: many seeded sequences of hints, loads and stores
+//! block arena: many seeded sequences of hints, loads and stores
 //! against adapter geometries chosen to stress its bookkeeping (a one-slot
 //! ready set with a two-block write buffer, and a wider one), with
 //! correctness checked against an in-memory mirror after every load and at
 //! the end.
-
-use std::sync::Arc;
 
 use extmem::element::Cell;
 use extmem::util::hash64;
@@ -145,14 +143,15 @@ fn hint_storms_then_immediate_overwrites_stay_consistent() {
 
 #[test]
 fn arena_survives_contended_take_put_across_threads() {
-    let arena = BlockArena::new();
-    let mut handles = Vec::new();
+    // The arena is owned by one store, so it is never contended; it moves
+    // with its store from thread to thread. Mixed sizes, recycled and
+    // dropped buffers across eight hand-offs must keep every buffer clean.
+    let mut arena = BlockArena::new();
     for t in 0..8u64 {
-        let a = Arc::clone(&arena);
-        handles.push(std::thread::spawn(move || {
+        arena = std::thread::spawn(move || {
             for i in 0..2000u64 {
                 let size = [4usize, 8, 16][(hash64(i, t) % 3) as usize];
-                let mut buf = a.take(size);
+                let mut buf = arena.take(size);
                 assert_eq!(buf.len(), size);
                 assert!(
                     buf.iter().all(Cell::is_none),
@@ -161,36 +160,15 @@ fn arena_survives_contended_take_put_across_threads() {
                 // Dirty it so a recycled buffer that isn't cleared is caught.
                 buf[0] = Some(Element::keyed(i, t as usize));
                 if !hash64(i, t ^ 0xF00).is_multiple_of(4) {
-                    a.put(buf);
+                    arena.put(buf);
                 } // else: drop it, exercising the non-recycled path
             }
-        }));
-    }
-    for jh in handles {
-        jh.join().expect("arena stress thread panicked");
+            arena
+        })
+        .join()
+        .expect("arena stress thread panicked");
     }
     let stats = arena.stats();
     assert_eq!(stats.allocated + stats.reused, 8 * 2000);
-    assert!(stats.reused > 0, "contended reuse must actually occur");
-}
-
-#[test]
-fn arena_is_shared_between_store_and_prefetch_readers() {
-    // The store and its steal reader draw from one arena: after a
-    // prefetch-heavy workload the arena must show real reuse, bounding
-    // allocation churn.
-    let (mut ps, h, _) = mk_store();
-    for _ in 0..10 {
-        let all: Vec<usize> = (0..BLOCKS).collect();
-        ps.hint_blocks(&h, &all);
-        for beta in 0..BLOCKS {
-            let blk = ps.load_block(&h, beta);
-            ps.recycle(blk);
-        }
-    }
-    let stats = ps.inner().arena().stats();
-    assert!(
-        stats.reused > stats.allocated,
-        "sustained prefetch traffic must recycle buffers: {stats:?}"
-    );
+    assert!(stats.reused > 0, "reuse must actually occur");
 }

@@ -5,9 +5,6 @@
 //! classify a block that failed its check — including one a prefetch steal
 //! fetched.
 
-use std::sync::{Arc, Mutex};
-
-use extmem::prefetch::{PrefetchRead, Prefetchable};
 use extmem::util::hash64;
 use odo_core::prelude::*;
 use odo_core::{ArrayHandle, Block, IoStats};
@@ -95,29 +92,12 @@ fn authenticated_passes_cost_exactly_their_logical_ios() {
 }
 
 /// A store layer that passes everything through and logs the global
-/// address of every block its readers fetch, and every array allocated
-/// through it.
+/// address of every block a span read (the path prefetch steals take)
+/// fetches through it, and every array allocated through it.
 struct Recorder<S> {
     inner: S,
-    fetched: Arc<Mutex<Vec<usize>>>,
+    fetched: Vec<usize>,
     arrays: Vec<ArrayHandle>,
-}
-
-struct RecordingReader<R> {
-    inner: R,
-    fetched: Arc<Mutex<Vec<usize>>>,
-}
-
-impl<R: PrefetchRead> PrefetchRead for RecordingReader<R> {
-    fn fetch(&mut self, addr: usize) -> Result<Block, StoreError> {
-        self.fetched.lock().unwrap().push(addr);
-        self.inner.fetch(addr)
-    }
-
-    fn fetch_run(&mut self, start: usize, count: usize) -> Vec<Result<Block, StoreError>> {
-        self.fetched.lock().unwrap().extend(start..start + count);
-        self.inner.fetch_run(start, count)
-    }
 }
 
 impl<S: BlockStore> BlockStore for Recorder<S> {
@@ -138,32 +118,33 @@ impl<S: BlockStore> BlockStore for Recorder<S> {
     fn io_stats(&self) -> IoStats {
         self.inner.io_stats()
     }
-}
-
-impl<S: Prefetchable> Prefetchable for Recorder<S> {
-    type Reader = RecordingReader<S::Reader>;
-
-    fn reader(&self) -> Self::Reader {
-        RecordingReader {
-            inner: self.inner.reader(),
-            fetched: Arc::clone(&self.fetched),
-        }
+    fn try_load_span(
+        &mut self,
+        h: &ArrayHandle,
+        elem_lo: usize,
+        elem_hi: usize,
+    ) -> Result<Vec<Cell>, StoreError> {
+        let b = h.block_elems();
+        self.fetched
+            .extend((elem_lo / b..elem_hi.div_ceil(b)).map(|i| h.global_block(i)));
+        self.inner.try_load_span(h, elem_lo, elem_hi)
     }
-    fn supports_store_runs(&self) -> bool {
-        self.inner.supports_store_runs()
-    }
-    fn store_run(&mut self, start: usize, blks: Vec<Block>) -> Result<(), StoreError> {
-        self.inner.store_run(start, blks)
+    fn try_store_span(
+        &mut self,
+        h: &ArrayHandle,
+        elem_lo: usize,
+        cells: &[Cell],
+    ) -> Result<(), StoreError> {
+        self.inner.try_store_span(h, elem_lo, cells)
     }
 }
 
 #[test]
 fn prefetch_steals_fetch_no_mac_block() {
     let enc = EncryptedStore::with_backing(FileStore::temp(B).unwrap(), 0xA11CE);
-    let fetched = Arc::new(Mutex::new(Vec::new()));
     let recorder = Recorder {
         inner: enc,
-        fetched: Arc::clone(&fetched),
+        fetched: Vec::new(),
         arrays: Vec::new(),
     };
     let mut ps = PrefetchingStore::new(AuthenticatedStore::new(recorder, KEY));
@@ -181,9 +162,9 @@ fn prefetch_steals_fetch_no_mac_block() {
     // The auth layer allocates each data array, then its MAC array.
     let recorder = auth.inner();
     let mac_arrays: Vec<&ArrayHandle> = recorder.arrays.iter().skip(1).step_by(2).collect();
-    let fetched = fetched.lock().unwrap();
+    let fetched = &recorder.fetched;
     assert!(!fetched.is_empty());
-    for addr in fetched.iter() {
+    for addr in fetched {
         assert!(
             !mac_arrays
                 .iter()
@@ -196,7 +177,9 @@ fn prefetch_steals_fetch_no_mac_block() {
 
 /// A consistent rollback — data and checkpoint replaced by their state at
 /// an earlier flush — is `Stale` when a prefetch steal serves the block,
-/// exactly as on the foreground path.
+/// exactly as on the foreground path. The steal's span read fails at its
+/// first block, so the steal becomes a miss and each block is then read and
+/// classified alone.
 #[test]
 fn a_stolen_consistent_rollback_is_stale() {
     let cells = |salt: u64| -> Vec<Cell> {
@@ -229,10 +212,15 @@ fn a_stolen_consistent_rollback_is_stale() {
             "block {beta}"
         );
     }
-    assert_eq!(ps.prefetch_stats().steals, 1, "one steal served the run");
+    let stats = ps.prefetch_stats();
+    assert_eq!(
+        (stats.steals, stats.misses),
+        (0, 4),
+        "the failed steal is a miss, and the rest of its run reads alone"
+    );
     assert_eq!(
         ps.inner().mac_io().reads,
-        4,
-        "one classification read per block"
+        1 + 4,
+        "one classification read for the failed span, then one per block"
     );
 }
