@@ -223,13 +223,6 @@ impl<S: BlockStore> AuthenticatedStore<S> {
         &self.inner
     }
 
-    /// Unwraps the store, discarding the client state (call
-    /// [`AuthenticatedStore::flush_macs`] first if the server checkpoint
-    /// must be current).
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
     /// Snapshots the client-side root of trust — MAC key, `(version, tag)`
     /// table and the data-array → MAC-array map — as an opaque, durable
     /// value. This is the state a real client would checkpoint to its own

@@ -42,24 +42,6 @@ impl Element {
             payload: index as u64,
         }
     }
-
-    /// Packs the element into a single 128-bit word (key in the high half).
-    ///
-    /// Used by the invertible Bloom lookup table, whose cells accumulate sums
-    /// of values, and by the encryption layer.
-    #[inline]
-    pub fn pack(&self) -> u128 {
-        ((self.key as u128) << 64) | self.payload as u128
-    }
-
-    /// Inverse of [`Element::pack`].
-    #[inline]
-    pub fn unpack(word: u128) -> Self {
-        Element {
-            key: (word >> 64) as u64,
-            payload: word as u64,
-        }
-    }
 }
 
 impl PartialOrd for Element {
@@ -116,18 +98,6 @@ pub fn cell_cmp_none_last_desc(a: &Cell, b: &Cell) -> Ordering {
     }
 }
 
-/// Compares two cells treating `None` as −∞ (occasionally needed when packing
-/// occupied cells towards the end of an array).
-#[inline]
-pub fn cell_cmp_none_first(a: &Cell, b: &Cell) -> Ordering {
-    match (a, b) {
-        (Some(x), Some(y)) => x.cmp(y),
-        (Some(_), None) => Ordering::Greater,
-        (None, Some(_)) => Ordering::Less,
-        (None, None) => Ordering::Equal,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,12 +110,6 @@ mod tests {
         assert!(a < b);
         assert!(b < c);
         assert_eq!(a.cmp(&a), Ordering::Equal);
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        let e = Element::new(0xDEAD_BEEF_0123_4567, 0x89AB_CDEF_FEDC_BA98);
-        assert_eq!(Element::unpack(e.pack()), e);
     }
 
     #[test]
@@ -162,14 +126,6 @@ mod tests {
         assert_eq!(cell_cmp_none_last(&full, &empty), Ordering::Less);
         assert_eq!(cell_cmp_none_last(&empty, &full), Ordering::Greater);
         assert_eq!(cell_cmp_none_last(&empty, &empty), Ordering::Equal);
-    }
-
-    #[test]
-    fn cell_comparison_none_first_puts_empty_cells_at_the_front() {
-        let full: Cell = Some(Element::new(5, 0));
-        let empty: Cell = None;
-        assert_eq!(cell_cmp_none_first(&full, &empty), Ordering::Greater);
-        assert_eq!(cell_cmp_none_first(&empty, &full), Ordering::Less);
     }
 
     #[test]

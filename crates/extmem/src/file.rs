@@ -34,6 +34,12 @@
 //! [`StoreError::Corrupted`], and everything else surfaces as
 //! [`StoreError::Io`] with the offending [`std::io::ErrorKind`].
 //!
+//! [`BlockStore::alloc_array`] cannot fail, so a failed preallocation
+//! (`ftruncate`: disk full, a read-only or revoked descriptor) is recorded
+//! instead: every later block or span op that touches the first unbacked
+//! block or one past it returns [`StoreError::Io`] with that error's kind.
+//! A later preallocation that succeeds backs every block again.
+//!
 //! # Crash injection
 //!
 //! [`FileStore::crash_after_writes`] arms a panic hook that aborts the
@@ -168,6 +174,9 @@ pub struct FileStore {
     /// `Some(n)`: panic with [`InjectedCrash`] when the `n+1`-th further
     /// block write is attempted.
     crash_after: Option<u64>,
+    /// `Some((addr, kind))`: preallocation failed with `kind`, and global
+    /// blocks from `addr` on are not backed by the file.
+    unbacked: Option<(usize, io::ErrorKind)>,
 }
 
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -208,6 +217,7 @@ impl FileStore {
             scratch: Vec::new(),
             delete_on_drop,
             crash_after: None,
+            unbacked: None,
         })
     }
 
@@ -331,7 +341,20 @@ impl FileStore {
         }
     }
 
+    /// Fails with the recorded preallocation error if any of the `count`
+    /// blocks from global block `addr` is past the backed part of the file.
+    fn check_backed(&self, addr: usize, count: usize) -> Result<(), StoreError> {
+        match self.unbacked {
+            Some((first, kind)) if addr + count > first => Err(StoreError::Io {
+                addr: addr.max(first),
+                kind,
+            }),
+            _ => Ok(()),
+        }
+    }
+
     fn read_raw(&mut self, addr: usize) -> Result<Block, StoreError> {
+        self.check_backed(addr, 1)?;
         let bytes = self.block_bytes();
         self.scratch.resize(bytes, 0);
         self.file
@@ -341,6 +364,7 @@ impl FileStore {
     }
 
     fn write_raw(&mut self, addr: usize, blk: &Block) -> Result<(), StoreError> {
+        self.check_backed(addr, 1)?;
         if let Some(n) = self.crash_after.as_mut() {
             if *n == 0 {
                 std::panic::panic_any(InjectedCrash);
@@ -433,9 +457,15 @@ impl BlockStore for FileStore {
         self.n_blocks += nb;
         // Preallocate: extending with zeros makes every new block decode as
         // all-dummy, exactly like a fresh ExtMem block.
-        self.file
+        match self
+            .file
             .set_len(byte_offset(self.n_blocks, self.block_bytes()))
-            .expect("FileStore: preallocation (ftruncate) failed");
+        {
+            Ok(()) => self.unbacked = None,
+            Err(e) => {
+                self.unbacked.get_or_insert((start_block, e.kind()));
+            }
+        }
         ArrayHandle::new_raw(start_block, len_elements, self.block_elems)
     }
 
@@ -483,9 +513,9 @@ impl BlockStore for FileStore {
 
 impl FileStore {
     /// Reads whole blocks `blocks` of `h` with one positioned read. If that
-    /// read fails, reads them one by one instead, so the error names the
-    /// block that caused it and the blocks before it are charged, exactly as
-    /// on the per-block path.
+    /// read fails or would reach an unbacked block, reads them one by one
+    /// instead, so the error names the block that caused it and the blocks
+    /// before it are charged, exactly as on the per-block path.
     fn load_whole(
         &mut self,
         h: &ArrayHandle,
@@ -495,33 +525,37 @@ impl FileStore {
         let first = h.global_block(blocks.start);
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.resize(blocks.len() * self.block_bytes(), 0);
-        let read = self
-            .file
-            .read_exact_at(&mut scratch, byte_offset(first, self.block_bytes()));
+        let read = self.check_backed(first, blocks.len()).is_ok()
+            && self
+                .file
+                .read_exact_at(&mut scratch, byte_offset(first, self.block_bytes()))
+                .is_ok();
         let mut out = vec![None; blocks.len() * b];
-        let res = match read {
-            Ok(()) => (0..blocks.len()).try_for_each(|k| {
+        let res = if read {
+            (0..blocks.len()).try_for_each(|k| {
                 let bytes = &scratch[k * self.block_bytes()..(k + 1) * self.block_bytes()];
                 decode_cells(bytes, &mut out[k * b..(k + 1) * b], first + k)?;
                 self.record(AccessOp::Read, first + k);
                 Ok(())
-            }),
-            Err(_) => blocks.clone().try_for_each(|bi| {
+            })
+        } else {
+            blocks.clone().try_for_each(|bi| {
                 let blk = self.try_load_block(h, bi)?;
                 let k = bi - blocks.start;
                 out[k * b..(k + 1) * b].copy_from_slice(blk.slots());
                 self.arena.put(blk.into_buffer());
                 Ok(())
-            }),
+            })
         };
         self.scratch = scratch;
         res.map(|()| out)
     }
 
     /// Writes the whole blocks starting at local block `first` of `h` with
-    /// one positioned write. If that write fails — or a crash is armed,
-    /// since crash injection counts block writes — writes them one by one
-    /// instead, exactly as the per-block path does.
+    /// one positioned write. If that write fails or would reach an unbacked
+    /// block — or a crash is armed, since crash injection counts block
+    /// writes — writes them one by one instead, exactly as the per-block
+    /// path does.
     fn store_whole(
         &mut self,
         h: &ArrayHandle,
@@ -531,13 +565,14 @@ impl FileStore {
         let b = self.block_elems;
         let start = h.global_block(first);
         let mut scratch = std::mem::take(&mut self.scratch);
-        let written = self.crash_after.is_none() && {
-            scratch.clear();
-            encode_cells(cells, &mut scratch);
-            self.file
-                .write_all_at(&scratch, byte_offset(start, self.block_bytes()))
-                .is_ok()
-        };
+        let written =
+            self.crash_after.is_none() && self.check_backed(start, cells.len() / b).is_ok() && {
+                scratch.clear();
+                encode_cells(cells, &mut scratch);
+                self.file
+                    .write_all_at(&scratch, byte_offset(start, self.block_bytes()))
+                    .is_ok()
+            };
         self.scratch = scratch;
         for (k, chunk) in cells.chunks(b).enumerate() {
             if !written {
@@ -708,6 +743,45 @@ mod tests {
         assert!(crash.downcast_ref::<InjectedCrash>().is_some());
         // The torn write was never performed.
         assert_eq!(fs.stats().writes, 2);
+    }
+
+    #[test]
+    fn failed_preallocation_is_a_typed_io_error() {
+        // Two blocks written through a writable store, then the file
+        // reopened read-only: growing it fails, so the new array's blocks
+        // are unbacked while the old ones still read.
+        let mut fs = FileStore::temp(4).unwrap();
+        let path = fs.path().to_path_buf();
+        let old = fs.alloc_array_from_elements(&(0..8).map(e).collect::<Vec<_>>());
+        let read_only = File::open(&path).unwrap();
+        let mut ro = FileStore::from_handle(read_only, &path, 4).unwrap();
+        let h = ro.alloc_array(8);
+        assert_eq!(h.global_block(0), 2);
+        let unbacked = |err: StoreError, at: usize| {
+            assert!(
+                matches!(err, StoreError::Io { addr, .. } if addr == at),
+                "got {err:?}"
+            );
+            assert!(!err.is_tampering());
+        };
+        unbacked(ro.try_load_block(&h, 1).unwrap_err(), 3);
+        unbacked(ro.try_store_block(&h, 0, Block::empty(4)).unwrap_err(), 2);
+        unbacked(ro.try_load_span(&h, 0, 8).unwrap_err(), 2);
+        unbacked(ro.try_store_span(&h, 4, &[None; 4]).unwrap_err(), 3);
+        // The span that reaches the unbacked block still charges the backed
+        // ones before it, as the per-block path does.
+        let reads = ro.stats().reads;
+        let whole = ArrayHandle::new_raw(0, 16, 4);
+        unbacked(ro.try_load_span(&whole, 0, 16).unwrap_err(), 2);
+        assert_eq!(ro.stats().reads, reads + 2);
+        assert_eq!(
+            ro.try_load_span(&old, 0, 8).unwrap(),
+            (0..8).map(|k| Some(e(k))).collect::<Vec<_>>()
+        );
+        // Writing the backed blocks fails too, but only because the handle
+        // is read-only.
+        let err = ro.try_store_block(&old, 0, Block::empty(4)).unwrap_err();
+        assert!(matches!(err, StoreError::Io { addr: 0, .. }), "got {err:?}");
     }
 
     #[test]

@@ -204,6 +204,9 @@ pub struct PrefetchingStore<S: BlockStore> {
     wb: Vec<(ArrayHandle, usize, Block)>,
     /// Capacity of `wb`.
     wb_cap: usize,
+    /// The cells of the write-behind run being flushed, reused from span
+    /// write to span write.
+    flat: Vec<Cell>,
 }
 
 /// Blocks of `h` a span op can move: the ones wholly inside the array (all
@@ -231,6 +234,7 @@ impl<S: BlockStore> PrefetchingStore<S> {
             prefetch_stats: PrefetchStats::default(),
             wb: Vec::with_capacity(cfg.write_buffer),
             wb_cap: cfg.write_buffer,
+            flat: Vec::new(),
         }
     }
 
@@ -266,10 +270,12 @@ impl<S: BlockStore> PrefetchingStore<S> {
             self.set(h.global_block(*i), Slot::Empty);
         }
         let mut first_err = None;
-        let mut iter = wb.into_iter().peekable();
+        let mut cells = std::mem::take(&mut self.flat);
+        let mut iter = wb.drain(..).peekable();
         while let Some((h, first, blk)) = iter.next() {
             let res = if first < whole_blocks(&h) {
-                let mut cells: Vec<Cell> = blk.slots().to_vec();
+                cells.clear();
+                cells.extend_from_slice(blk.slots());
                 self.inner.recycle(blk);
                 let mut next = first + 1;
                 while let Some((_, _, blk)) =
@@ -289,6 +295,10 @@ impl<S: BlockStore> PrefetchingStore<S> {
                 first_err.get_or_insert(e);
             }
         }
+        drop(iter);
+        // Both buffers keep their capacity for the next flush.
+        self.wb = wb;
+        self.flat = cells;
         match first_err {
             Some(e) => Err(e),
             None => Ok(()),

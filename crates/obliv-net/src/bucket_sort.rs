@@ -25,16 +25,27 @@
 //!    group in cache, with the bucket padding dropped as its blocks load
 //!    (the §3 tight compaction degenerates to a stable pack in cache), checks
 //!    its routing levels for overflow, sorts the survivors with a plain
-//!    `sort_unstable_by`, and emits them as a sorted block-aligned run.
-//!    Work inside the private cache is invisible to the server, so no
-//!    sorting network is needed there.
+//!    `sort_unstable_by`, and writes them as a sorted block-aligned run over
+//!    the group's own bucket blocks, in the order it just read them: run
+//!    block `t` lands in block `t mod (Z/B)` of member bucket `⌊t/(Z/B)⌋`.
+//!    Nothing reads those buckets again, and the run (at most `2^γ·Z`
+//!    items) fits in them. Work inside the private cache is invisible to
+//!    the server, so no sorting network is needed there.
 //! 4. **`M/B`-way merge.** The runs are merged with a classic multi-way
 //!    merge of fan-in `≈ M/B`, picking each output from a binary heap of run
-//!    heads keyed by `(head, run index)`. Because step 2 delivered a
-//!    uniformly random permutation of the items, the merge's data-dependent
-//!    read order leaks nothing about the *input* — this is exactly the
-//!    random-shuffle argument of the bucket-sort paper (and of oblivious
-//!    shuffle-then-sort designs generally).
+//!    heads keyed by `(head, run index)`. The first pass reads each run
+//!    through its shape-only block map straight from the bucket array;
+//!    when more runs remain than the fan-in, the passes ping-pong between
+//!    one extra array of `⌈N/B⌉ + runs` blocks and the bucket array, each
+//!    pass's runs back to back. Because step 2 delivered a uniformly random
+//!    permutation of the items, the merge's data-dependent read order leaks
+//!    nothing about the *input* — this is exactly the random-shuffle
+//!    argument of the bucket-sort paper (and of oblivious shuffle-then-sort
+//!    designs generally).
+//!
+//! The server space is the input plus one bucket array of `2^L·Z ≥ 2N`
+//! cells, reused by every seed re-roll, plus the ping-pong array only for a
+//! multi-pass merge.
 //!
 //! # Fresh tags per superlevel
 //!
@@ -50,10 +61,11 @@
 //! # What is (and is not) hidden
 //!
 //! Steps 1–2 have a fixed, shape-determined trace. Step 3's run lengths and
-//! step 4's interleaving depend on the seed and the occupancy, which is safe
-//! by the shuffle argument above — but it means the bucket sort's trace is a
-//! deterministic function of `(shape, seed, data)`, not of shape alone like
-//! the Lemma 2 sort. The guarantees tested here are: byte-identical traces
+//! step 4's interleaving depend on the seed and the occupancy (the blocks a
+//! run may occupy are fixed by the shape), which is safe by the shuffle
+//! argument above — but it means the bucket sort's trace is a deterministic
+//! function of `(shape, seed, data)`, not of shape alone like the Lemma 2
+//! sort. The guarantees tested here are: byte-identical traces
 //! across backends (plaintext vs encrypted) and across reruns with the same
 //! seed. Callers who need a shape-only trace keep the Lemma 2 engine.
 //!
@@ -79,7 +91,8 @@
 //! (`hash(attempt, seed)` — still a deterministic function of the config, so
 //! traces stay reproducible) and restarts from the input array, which is
 //! never modified before the final merge's shape-determined budget has been
-//! secured. Only after four attempts fail does the typed error
+//! secured; the runs and merge passes only ever live in the bucket and
+//! ping-pong arrays. Only after four attempts fail does the typed error
 //! ([`BucketSortError::Overflow`] or a `BudgetExceeded` store error) reach
 //! the caller; [`BucketSortReport::attempts`] records the re-rolls.
 
@@ -402,6 +415,11 @@ where
     }
 
     let planned = Layout::plan(n, b, cache_elems, cfg)?;
+    // One bucket array serves every attempt: superlevel 0 rewrites all of
+    // it before anything reads it. The merge's second array is allocated
+    // by the first pass that needs one.
+    let buckets = store.alloc_array(planned.buckets * planned.z);
+    let mut pong = None;
     let mut last_tail_error = None;
     for attempt in 0..MAX_SEED_ATTEMPTS {
         let layout = Layout {
@@ -412,7 +430,7 @@ where
             },
             ..planned
         };
-        match run_external(store, h, cache_elems, &layout, &ecmp) {
+        match run_external(store, h, &buckets, &mut pong, cache_elems, &layout, &ecmp) {
             Ok((occupied, runs, merge_passes)) => {
                 return Ok(BucketSortReport {
                     io: store.io_stats() - start,
@@ -439,15 +457,25 @@ where
 /// One full external-path attempt under `layout.seed`: distribute, route,
 /// finish, multi-way merge. Returns `(occupied, runs, merge_passes)`.
 ///
+/// `scratch` is the bucket array. The last superlevel writes each group's
+/// sorted run over the group's own buckets, so the first merge pass reads
+/// the runs straight from `scratch`; when one pass cannot merge them all,
+/// the passes ping-pong between `*pong` (allocated on first use, kept
+/// across attempts) and `scratch`, whose buckets are dead by then.
+///
 /// Retry soundness: the input array `h` is only written by the final
 /// `merge_runs` call, whose shape-determined budget charge is acquired
 /// before its first write and cannot fail (fan-in is planned to fit `M`).
+/// Runs and merge passes live in `scratch` and `*pong` only, and
+/// superlevel 0 rewrites every bucket from `h` before anything reads one.
 /// Every data-dependent failure — routing overflow, freak-skew budget
 /// exhaustion — therefore happens while `h` is still intact, so the caller
-/// may re-roll the seed and run the attempt again.
+/// may re-roll the seed and run the attempt again over the same arrays.
 fn run_external<S, F>(
     store: &mut S,
     h: &ArrayHandle,
+    scratch: &ArrayHandle,
+    pong: &mut Option<ArrayHandle>,
     cache_elems: usize,
     layout: &Layout,
     ecmp: &F,
@@ -459,7 +487,6 @@ where
     let n = layout.n;
     let b = layout.b;
     let mut budget = CacheBudget::new(cache_elems);
-    let scratch = store.alloc_array(layout.buckets * layout.z);
     let mut group = Group::default();
 
     // Phase 1+2a: distribute into half-full buckets and route the first
@@ -467,67 +494,71 @@ where
     let mut occupied = 0usize;
     let grp0 = 1usize << layout.width(0);
     for gidx in 0..layout.buckets / grp0 {
-        occupied += distribute_group(store, h, &scratch, layout, gidx, &mut budget, &mut group)?;
+        occupied += distribute_group(store, h, scratch, layout, gidx, &mut budget, &mut group)?;
     }
 
     // Phase 2b: the middle superlevels, each a full pass over the buckets.
     for s in 1..layout.superlevels - 1 {
         let grp = 1usize << layout.width(s);
         for gidx in 0..layout.buckets / grp {
-            route_group(store, &scratch, layout, s, gidx, &mut budget, &mut group)?;
+            route_group(store, scratch, layout, s, gidx, &mut budget, &mut group)?;
         }
     }
 
     // Phase 2c+3: last superlevel fused with dummy removal and run
-    // formation. One block-aligned sorted run per group.
+    // formation. One block-aligned sorted run per group, over the group's
+    // own buckets.
     let s_last = layout.superlevels - 1;
     let run_count = layout.buckets >> layout.width(s_last);
-    let run_cap_blocks = n.div_ceil(b) + run_count;
-    let run_a = store.alloc_array(run_cap_blocks * b);
     let mut runs: Vec<RunMeta> = Vec::with_capacity(run_count);
-    let mut cursor_block = 0usize;
     for gidx in 0..run_count {
-        let meta = finish_group(
+        runs.push(finish_group(
             store,
-            &scratch,
-            &run_a,
+            scratch,
             layout,
             s_last,
             gidx,
-            cursor_block,
             &mut budget,
             &mut group,
             ecmp,
-        )?;
-        cursor_block = meta.first_block + meta.reals.div_ceil(b);
-        runs.push(meta);
+        )?);
+    }
+    // The runs hold the sort's items, never more than its output does;
+    // more means the server filled bucket padding between passes.
+    if runs.iter().map(|r| r.reals).sum::<usize>() > n {
+        return Err(StoreError::Corrupted {
+            addr: scratch.global_block(0),
+        }
+        .into());
     }
 
-    // Phase 4: merge the runs with fan-in ≈ M/B, ping-ponging between two
-    // scratch arrays until one pass suffices, then merge into `h`.
+    // Phase 4: merge the runs with fan-in ≈ M/B, ping-ponging between
+    // `pong` and the bucket array until one pass suffices, then merge into
+    // `h`. A pass's runs are contiguous: each is block-aligned and at most
+    // one block longer than its items, so a pass fits `⌈N/B⌉ + runs`
+    // blocks, which the bucket array (`2^L·Z ≥ 2N` cells) also holds.
     let fan = ((cache_elems - b) / (b + 2)).max(2);
     let mut merge_passes = 0usize;
-    let mut src = run_a;
+    let mut src = *scratch;
     let mut src_runs = runs;
-    let mut pong: Option<ArrayHandle> = None;
     loop {
         if src_runs.len() <= fan {
             merge_runs(store, &src, &src_runs, h, 0, Some(n), &mut budget, ecmp)?;
             merge_passes += 1;
             break;
         }
-        let dst = *pong.get_or_insert_with(|| store.alloc_array(run_cap_blocks * b));
+        let dst = if src == *scratch {
+            *pong.get_or_insert_with(|| store.alloc_array((n.div_ceil(b) + run_count) * b))
+        } else {
+            *scratch
+        };
         let mut next_runs = Vec::with_capacity(src_runs.len().div_ceil(fan));
         let mut out_block = 0usize;
         for group in src_runs.chunks(fan) {
             let reals = merge_runs(store, &src, group, &dst, out_block, None, &mut budget, ecmp)?;
-            next_runs.push(RunMeta {
-                first_block: out_block,
-                reals,
-            });
+            next_runs.push(RunMeta::contiguous(out_block, reals));
             out_block += reals.div_ceil(b);
         }
-        pong = Some(src);
         src = dst;
         src_runs = next_runs;
         merge_passes += 1;
@@ -667,11 +698,46 @@ fn superlevels_for(n: usize, z: usize, cache_elems: usize) -> usize {
     levels.div_ceil(gamma_for(levels, z, cache_elems))
 }
 
-/// A sorted block-aligned run in a run scratch array.
+/// A sorted block-aligned run: `reals` occupied cells in `⌈reals/B⌉`
+/// blocks of one array. Run block `t` is local block
+/// `first_block + ⌊t/piece⌋·piece_stride + t mod piece` — a map fixed by the
+/// shape alone.
 #[derive(Clone, Copy, Debug)]
 struct RunMeta {
     first_block: usize,
+    piece: usize,
+    piece_stride: usize,
     reals: usize,
+}
+
+impl RunMeta {
+    /// A run in consecutive blocks from `first_block`.
+    fn contiguous(first_block: usize, reals: usize) -> Self {
+        RunMeta {
+            first_block,
+            piece: 1,
+            piece_stride: 1,
+            reals,
+        }
+    }
+
+    /// The blocks of the superlevel-`s` group based at bucket `base`, in
+    /// the order [`load_group`] reads them: run block `t` is block
+    /// `t mod (Z/B)` of member bucket `⌊t/(Z/B)⌋`.
+    fn over_group(layout: &Layout, s: usize, base: usize, reals: usize) -> Self {
+        let per_bucket = layout.z / layout.b;
+        RunMeta {
+            first_block: base * per_bucket,
+            piece: per_bucket,
+            piece_stride: layout.stride(s) * per_bucket,
+            reals,
+        }
+    }
+
+    /// The local block holding run block `t`.
+    fn block(&self, t: usize) -> usize {
+        self.first_block + t / self.piece * self.piece_stride + t % self.piece
+    }
 }
 
 /// Budget bookkeeping for one resident group of tagged buckets: one slot per
@@ -884,18 +950,18 @@ fn route_group<S: BlockStore>(
 
 /// The last superlevel's group, fused with dummy removal and run emission:
 /// check the routing levels for overflow, sort the group's occupants, and
-/// append them to `run_scratch` as one block-aligned run starting at
-/// `first_block`. Sorting makes the routed order moot, so the scatter is
-/// skipped; the load already dropped the bucket padding.
+/// write them as one block-aligned run over the group's buckets, in the
+/// order [`load_group`] just read them. Nothing reads those buckets again,
+/// and the run fits: the load kept at most the group's `2^width·Z` slots.
+/// Sorting makes the routed order moot, so the scatter is skipped; the load
+/// already dropped the bucket padding.
 #[allow(clippy::too_many_arguments)]
 fn finish_group<S, F>(
     store: &mut S,
     scratch: &ArrayHandle,
-    run_scratch: &ArrayHandle,
     layout: &Layout,
     s: usize,
     gidx: usize,
-    first_block: usize,
     budget: &mut CacheBudget,
     group: &mut Group,
     ecmp: &F,
@@ -911,13 +977,7 @@ where
     group.check_levels(layout, s, base)?;
     let reals = &mut group.items;
     reals.sort_unstable_by(ecmp);
-    // Only buckets the server changed between passes overfill the runs.
-    if first_block + reals.len().div_ceil(b) > run_scratch.n_blocks() {
-        return Err(StoreError::Corrupted {
-            addr: run_scratch.global_block(0),
-        }
-        .into());
-    }
+    let run = RunMeta::over_group(layout, s, base, reals.len());
 
     budget.try_acquire(b).map_err(BucketSortError::Store)?;
     for (t, chunk) in reals.chunks(b).enumerate() {
@@ -925,17 +985,13 @@ where
         for (slot, &item) in chunk.iter().enumerate() {
             blk.set(slot, Some(item));
         }
-        store.try_store_block(run_scratch, first_block + t, blk)?;
+        store.try_store_block(scratch, run.block(t), blk)?;
     }
     budget.release(b);
 
-    let meta = RunMeta {
-        first_block,
-        reals: reals.len(),
-    };
-    charge.drop_items(budget, meta.reals);
+    charge.drop_items(budget, run.reals);
     charge.finish(budget);
-    Ok(meta)
+    Ok(run)
 }
 
 /// Loads a group's member buckets from `scratch` into `group`, tagging each
@@ -953,40 +1009,32 @@ fn load_group<S: BlockStore>(
     group: &mut Group,
 ) -> Result<(), AttemptError> {
     let b = layout.b;
-    let z = layout.z;
+    let per_bucket = layout.z / b;
     let grp = 1usize << layout.width(s);
-    let stride = layout.stride(s);
     let salt = layout.salt(s);
     let mask = (grp - 1) as u64;
+    // Member `m`'s blocks are group blocks `m·Z/B ..< (m+1)·Z/B`.
+    let blocks = RunMeta::over_group(layout, s, base, 0);
 
     // The member buckets of a group are fixed by `(s, base)` alone, so the
     // gather order below is shape-determined; hint the full block list.
-    let mut schedule = Vec::with_capacity(grp * (z / b));
-    for m in 0..grp {
-        let first_block = (base + m * stride) * z / b;
-        schedule.extend(first_block..first_block + z / b);
-    }
+    let schedule: Vec<usize> = (0..grp * per_bucket).map(|t| blocks.block(t)).collect();
     store.hint_blocks(scratch, &schedule);
 
     group.reset(layout.width(s));
-    for m in 0..grp {
-        let bucket_id = base + m * stride;
-        let first_block = bucket_id * z / b;
-        for t in 0..z / b {
-            budget.try_acquire(b).map_err(BucketSortError::Store)?;
-            let blk = store.try_load_block(scratch, first_block + t)?;
-            let mut pushed = 0usize;
-            for (slot, cell) in blk.slots().iter().enumerate() {
-                if let Some(item) = cell {
-                    let gslot = (bucket_id * z + t * b + slot) as u64;
-                    let tag = (hash64(gslot, salt) & mask) as u32;
-                    group.push(m, *item, tag);
-                    pushed += 1;
-                }
+    for (t, &bi) in schedule.iter().enumerate() {
+        budget.try_acquire(b).map_err(BucketSortError::Store)?;
+        let blk = store.try_load_block(scratch, bi)?;
+        let mut pushed = 0usize;
+        for (slot, cell) in blk.slots().iter().enumerate() {
+            if let Some(item) = cell {
+                let tag = (hash64((bi * b + slot) as u64, salt) & mask) as u32;
+                group.push(t / per_bucket, *item, tag);
+                pushed += 1;
             }
-            charge.add(budget, pushed)?;
-            budget.release(b);
         }
+        charge.add(budget, pushed)?;
+        budget.release(b);
     }
     Ok(())
 }
@@ -1058,10 +1106,11 @@ where
     }
 }
 
-/// Merges sorted runs from `src` into one run on `dst` starting at
-/// `dst_first_block`. With `pad_to = Some(n)` (the final pass into the
-/// caller's array) the output is dummy-padded to exactly `⌈n/B⌉` blocks;
-/// otherwise the tail block is dummy-padded to the block boundary. Ties
+/// Merges sorted runs from `src`, each read through its block map, into one
+/// contiguous run on `dst` starting at `dst_first_block`. With
+/// `pad_to = Some(n)` (the final pass into the caller's array) the output is
+/// dummy-padded to exactly `⌈n/B⌉` blocks; otherwise the tail block is
+/// dummy-padded to the block boundary. Ties
 /// break by run index, so the merge is deterministic. Returns the number of
 /// occupied cells written.
 #[allow(clippy::too_many_arguments)]
@@ -1080,16 +1129,9 @@ where
     F: Fn(&Element, &Element) -> Ordering,
 {
     let b = store.block_elems();
-    if let Some(n) = pad_to {
-        // The runs hold the sort's items, never more than its output does.
-        if runs.iter().map(|r| r.reals).sum::<usize>() > n {
-            return Err(StoreError::Corrupted {
-                addr: src.global_block(0),
-            }
-            .into());
-        }
-    }
     struct Cursor {
+        run: RunMeta,
+        /// Run block in `buf`.
         block: usize,
         slot: usize,
         remaining: usize,
@@ -1102,10 +1144,11 @@ where
 
     let mut cursors: Vec<Cursor> = runs
         .iter()
-        .map(|r| Cursor {
-            block: r.first_block,
+        .map(|&run| Cursor {
+            run,
+            block: 0,
             slot: 0,
-            remaining: r.reals,
+            remaining: run.reals,
             buf: Block::empty(b),
         })
         .collect();
@@ -1121,7 +1164,7 @@ where
         .flat_map(|c| {
             (0..MERGE_LOOKAHEAD)
                 .take_while(|j| c.remaining > j * b)
-                .map(|j| c.block + j)
+                .map(|j| c.run.block(j))
         })
         .collect();
     store.hint_blocks(src, &heads);
@@ -1129,13 +1172,13 @@ where
     // the server changed the run since it was written.
     let head = |c: &Cursor| {
         c.buf.get(c.slot).ok_or(StoreError::Corrupted {
-            addr: src.global_block(c.block),
+            addr: src.global_block(c.run.block(c.block)),
         })
     };
     let mut heap: Vec<(Element, usize)> = Vec::with_capacity(cursors.len());
     for (i, c) in cursors.iter_mut().enumerate() {
         if c.remaining > 0 {
-            c.buf = store.try_load_block(src, c.block)?;
+            c.buf = store.try_load_block(src, c.run.block(0))?;
             heap.push((head(c)?, i));
         }
     }
@@ -1163,13 +1206,13 @@ where
         c.remaining -= 1;
         if c.slot == b && c.remaining > 0 {
             c.block += 1;
-            c.buf = store.try_load_block(src, c.block)?;
+            c.buf = store.try_load_block(src, c.run.block(c.block))?;
             c.slot = 0;
             // Slide the window: the initial hints covered the first
             // MERGE_LOOKAHEAD blocks of the run, so each advance exposes
             // exactly the one new block at the window's far edge.
             if c.remaining > (MERGE_LOOKAHEAD - 1) * b {
-                store.hint_blocks(src, &[c.block + MERGE_LOOKAHEAD - 1]);
+                store.hint_blocks(src, &[c.run.block(c.block + MERGE_LOOKAHEAD - 1)]);
             }
         }
         if c.remaining > 0 {
@@ -1221,6 +1264,16 @@ mod tests {
         (0..n)
             .map(|i| Some(Element::new(hash64(i as u64, salt) % range, i as u64)))
             .collect()
+    }
+
+    /// `cells` with about a third of them, picked by `salt`, made dummies.
+    fn dummies(mut cells: Vec<Cell>, salt: u64) -> Vec<Cell> {
+        for (i, cell) in cells.iter_mut().enumerate() {
+            if hash64(i as u64, salt).is_multiple_of(3) {
+                *cell = None;
+            }
+        }
+        cells
     }
 
     fn run_sort(
@@ -1316,12 +1369,7 @@ mod tests {
         let n = 4096;
         let b = 8;
         let cache = 512; // external: n > M, γ = 2 at the default Z = 128
-        let mut cells = keyed_input(n, 13, 97);
-        for (i, cell) in cells.iter_mut().enumerate() {
-            if hash64(i as u64, 99).is_multiple_of(3) {
-                *cell = None;
-            }
-        }
+        let cells = dummies(keyed_input(n, 13, 97), 99);
         let mut keys: Vec<u64> = cells.iter().flatten().map(|e| e.key).collect();
         let (out, rep) = run_sort(&cells, b, cache, &BucketSortConfig::seeded(42));
         assert!(!rep.in_cache);
@@ -1492,27 +1540,28 @@ mod tests {
         );
     }
 
-    /// Folds a sort's server-visible trace and its output into one hash.
-    fn trace_and_output_hash(
+    /// Hashes a sort's output and, separately, its server-visible trace.
+    fn output_and_trace_hashes(
         cells: &[Cell],
         b: usize,
         cache: usize,
         order: CellCmp,
         cfg: &BucketSortConfig,
-    ) -> (u64, BucketSortReport) {
+    ) -> ((u64, u64), BucketSortReport) {
         let mut mem = ExtMem::with_trace(b);
         let h = mem.alloc_array_from_cells(cells);
         let rep = bucket_oblivious_sort_by(&mut mem, &h, cache, cfg, &order).expect("sort failed");
-        let mut acc = 0u64;
+        let mut trace = 0u64;
         for ev in mem.take_trace().expect("trace was enabled") {
             let op = matches!(ev.op, extmem::AccessOp::Write) as u64;
-            acc = hash64(acc ^ ((ev.addr as u64) << 1 | op), 0x7ace);
+            trace = hash64(trace ^ ((ev.addr as u64) << 1 | op), 0x7ace);
         }
+        let mut output = 0u64;
         for cell in mem.snapshot_cells(&h) {
             let word = cell.map_or(u64::MAX, |e| hash64(e.key, e.payload));
-            acc = hash64(acc ^ word, 0x0c7);
+            output = hash64(output ^ word, 0x0c7);
         }
-        (acc, rep)
+        ((output, trace), rep)
     }
 
     /// The router's specification: `width` levels of chained [`merge_split`]
@@ -1625,22 +1674,41 @@ mod tests {
     type ElemCmp<'a> = &'a dyn Fn(&Element, &Element) -> Ordering;
 
     /// Lays `data` out as block-aligned runs on a fresh traced store, with
-    /// an empty `dst_blocks`-block destination after them.
+    /// an empty `dst_blocks`-block destination after them. With
+    /// `piece = None` the runs sit back to back; with `Some(p)` they
+    /// interleave in pieces of `p` blocks, as the last superlevel's runs
+    /// interleave over their groups' buckets.
     fn stage_runs(
         data: &[Vec<Element>],
         b: usize,
         dst_blocks: usize,
+        piece: Option<usize>,
     ) -> (ExtMem, ArrayHandle, Vec<RunMeta>, ArrayHandle) {
         let mut mem = ExtMem::new(b);
-        let mut cells = Vec::new();
         let mut runs = Vec::new();
+        let mut first_block = 0;
         for run in data {
-            runs.push(RunMeta {
-                first_block: cells.len() / b,
-                reals: run.len(),
+            runs.push(match piece {
+                None => RunMeta::contiguous(first_block, run.len()),
+                Some(p) => RunMeta {
+                    first_block: runs.len() * p,
+                    piece: p,
+                    piece_stride: data.len() * p,
+                    reals: run.len(),
+                },
             });
-            cells.extend(run.iter().map(|&x| Some(x)));
-            cells.resize(cells.len().next_multiple_of(b), None);
+            first_block += run.len().div_ceil(b);
+        }
+        let src_blocks = runs
+            .iter()
+            .map(|r| r.block(r.reals.div_ceil(b).max(1) - 1) + 1)
+            .max()
+            .unwrap_or(1);
+        let mut cells = vec![None; src_blocks * b];
+        for (run, meta) in data.iter().zip(&runs) {
+            for (i, &x) in run.iter().enumerate() {
+                cells[meta.block(i / b) * b + i % b] = Some(x);
+            }
         }
         let src = mem.alloc_array_from_cells(&cells);
         let dst = mem.alloc_array(dst_blocks * b);
@@ -1661,13 +1729,13 @@ mod tests {
         ecmp: ElemCmp,
     ) -> usize {
         let b = mem.block_elems();
-        // (block, slot, remaining, buffer) per run.
+        // (run block, slot, remaining, buffer) per run.
         let mut cur: Vec<(usize, usize, usize, Block)> = runs
             .iter()
-            .map(|r| (r.first_block, 0, r.reals, Block::empty(b)))
+            .map(|r| (0, 0, r.reals, Block::empty(b)))
             .collect();
-        for c in cur.iter_mut().filter(|c| c.2 > 0) {
-            c.3 = mem.load_block(src, c.0);
+        for (c, r) in cur.iter_mut().zip(runs).filter(|(c, _)| c.2 > 0) {
+            c.3 = mem.load_block(src, r.block(0));
         }
         let (mut out, mut out_slot, mut out_block) = (Block::empty(b), 0, dst_first_block);
         let mut written = 0;
@@ -1692,7 +1760,7 @@ mod tests {
             c.2 -= 1;
             if c.1 == b && c.2 > 0 {
                 c.0 += 1;
-                c.3 = mem.load_block(src, c.0);
+                c.3 = mem.load_block(src, runs[i].block(c.0));
                 c.1 = 0;
             }
         }
@@ -1753,9 +1821,15 @@ mod tests {
         ];
         for (label, data, ecmp) in cases {
             let n: usize = data.iter().map(Vec::len).sum();
-            for (dst_first_block, pad_to) in [(0, None), (2, None), (0, Some(n + 5))] {
+            for (dst_first_block, pad_to, piece) in [
+                (0, None, None),
+                (2, None, None),
+                (0, Some(n + 5), None),
+                (0, None, Some(2)),
+                (1, Some(n), Some(3)),
+            ] {
                 let dst_blocks = dst_first_block + n.div_ceil(b) + 2;
-                let (mut mem, src, runs, dst) = stage_runs(&data, b, dst_blocks);
+                let (mut mem, src, runs, dst) = stage_runs(&data, b, dst_blocks, piece);
                 let mut budget = CacheBudget::new(cache);
                 let written = merge_runs(
                     &mut mem,
@@ -1771,13 +1845,13 @@ mod tests {
                 assert_eq!(budget.in_use(), 0, "{label}: charge released");
                 let got = (written, mem.snapshot_cells(&dst), mem.take_trace());
 
-                let (mut mem, src, runs, dst) = stage_runs(&data, b, dst_blocks);
+                let (mut mem, src, runs, dst) = stage_runs(&data, b, dst_blocks, piece);
                 let written =
                     scan_merge(&mut mem, &src, &runs, &dst, dst_first_block, pad_to, ecmp);
                 let want = (written, mem.snapshot_cells(&dst), mem.take_trace());
                 assert_eq!(
                     got, want,
-                    "{label}: dst block {dst_first_block}, pad {pad_to:?}"
+                    "{label}: dst block {dst_first_block}, pad {pad_to:?}, piece {piece:?}"
                 );
             }
         }
@@ -1785,17 +1859,10 @@ mod tests {
 
     #[test]
     fn golden_traces_and_outputs_are_pinned() {
-        // Hashes recorded on the merge-split router, Batcher run formation
-        // and linear-scan merge. The in-cache steps may change how they
-        // compute, never which blocks they touch or what they emit.
-        let dummies = |mut cells: Vec<Cell>, salt: u64| {
-            for (i, cell) in cells.iter_mut().enumerate() {
-                if hash64(i as u64, salt).is_multiple_of(3) {
-                    *cell = None;
-                }
-            }
-            cells
-        };
+        // Output hashes recorded on the merge-split router, Batcher run
+        // formation and linear-scan merge: the in-cache steps and the run
+        // layout may change how they compute, never what the sort emits.
+        // Trace hashes pin which blocks it touches, in order.
         let identical: Vec<Cell> = (0..2048).map(|i| Some(e(i % 4))).collect();
         let freak: Vec<Cell> = (0..1024)
             .map(|i| Some(Element::keyed(hash64(i as u64, 3), i)))
@@ -1842,16 +1909,66 @@ mod tests {
                 BucketSortConfig::default(),
             ),
         ];
-        let golden: [u64; 5] = [
-            0x404a90ae2a5870ae,
-            0x48426efb5f405d3f,
-            0xd68d5cb70d4f44d4,
-            0x8308ddf3cf7968ad,
-            0x9e5a856fcac25eb2,
+        // (output hash, trace hash) per case.
+        let golden: [(u64, u64); 5] = [
+            (0x23a89d869b43d2c2, 0x78aa46714c697cd7),
+            (0x9042c5f5aa3d8ced, 0xc503c52e416e871c),
+            (0xbdefbd3d5529527f, 0xea476ae8866fd176),
+            (0xfd4bd46a9674a4e2, 0xd48aac3bd899b87a),
+            (0x2d2dbd1f90afc10e, 0x5c50dae272ed0400),
         ];
-        for ((label, cells, b, cache, order, cfg), want) in cases.iter().zip(golden) {
-            let (got, rep) = trace_and_output_hash(cells, *b, *cache, *order, cfg);
-            assert_eq!(got, want, "{label}: trace/output hash moved ({rep:?})");
+        for ((label, cells, b, cache, order, cfg), (want_output, want_trace)) in
+            cases.iter().zip(golden)
+        {
+            let ((output, trace), rep) = output_and_trace_hashes(cells, *b, *cache, *order, cfg);
+            assert_eq!(output, want_output, "{label}: output hash moved ({rep:?})");
+            assert_eq!(trace, want_trace, "{label}: trace hash moved ({rep:?})");
+        }
+    }
+
+    #[test]
+    fn server_space_is_the_buckets_plus_one_pong_array() {
+        // The runs live in the bucket array, which every attempt reuses;
+        // only a multi-pass merge adds one `⌈N/B⌉ + runs`-block array. The
+        // cases are the golden ones: one merge pass; two passes; two
+        // passes after three re-rolls.
+        let identical: Vec<Cell> = (0..2048).map(|i| Some(e(i % 4))).collect();
+        let cases = [
+            (
+                dummies(keyed_input(4096, 13, 97), 99),
+                8,
+                512,
+                BucketSortConfig::seeded(42),
+                1024,
+            ),
+            (
+                keyed_input(3000, 3000, 10),
+                8,
+                320,
+                BucketSortConfig::seeded(5),
+                1431,
+            ),
+            (
+                identical,
+                8,
+                128,
+                BucketSortConfig::with_bucket_capacity(6, 16),
+                832,
+            ),
+        ];
+        for (cells, b, cache, cfg, want) in cases {
+            let mut mem = ExtMem::new(b);
+            let h = mem.alloc_array_from_cells(&cells);
+            let before = mem.allocated_blocks();
+            let rep = bucket_oblivious_sort_by(&mut mem, &h, cache, &cfg, &cell_cmp_none_last)
+                .expect("sort failed");
+            let mut pong = 0;
+            if rep.merge_passes > 1 {
+                pong = cells.len().div_ceil(b) + rep.runs;
+            }
+            let grown = mem.allocated_blocks() - before;
+            assert_eq!(grown, rep.buckets * rep.z / b + pong, "{rep:?}");
+            assert_eq!(grown, want, "{rep:?}");
         }
     }
 
