@@ -32,8 +32,9 @@
 //!   `C_c =` [`COMPACT_BOUND_CONSTANT`]: the external levels run fused,
 //!   `log₂(W/B)` per column sweep, so the base grows with the cache.
 //! * **select** — [`select_io_bound`]: one filtering round is gated at
-//!   `C_f · ⌈N/B⌉` (`C_f =` [`FILTER_BOUND_CONSTANT`]) plus the Lemma 2
-//!   bound on its samples, prune rounds at the single-log bound with
+//!   `C_f · ⌈N/B⌉` (`C_f =` [`FILTER_BOUND_CONSTANT`]) plus `2⌈C·s/B⌉`
+//!   for a sample array that fits the cache, else the Lemma 2 bound on its
+//!   samples, prune rounds at the single-log bound with
 //!   `C_s =` [`SELECT_BOUND_CONSTANT`] (prune-and-compact inherits
 //!   compaction's advantage over sorting), against naive sort-then-index;
 //!   the headline must beat it 50×.
@@ -226,13 +227,20 @@ pub fn compact_io_bound(n: usize, b: usize, m: usize) -> u64 {
 
 /// The selection bound for the schedule `report` ran, itself a function of
 /// the shape alone. One filtering round (`rounds == 1`) costs
-/// `C_f · ⌈N/B⌉` plus the Lemma 2 bound on its `⌈N/g⌉·s` samples; prune
-/// rounds keep the single-log form `C_s · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉)`
-/// selection inherits from prune-and-compact.
+/// `C_f · ⌈N/B⌉` plus its `⌈N/g⌉·s` samples: `2⌈C·s/B⌉` to write and read
+/// them back when they fit the cache `M`, where they are sorted in cache,
+/// else the Lemma 2 bound on them; prune rounds keep the single-log form
+/// `C_s · ⌈N/B⌉ · (1 + ⌈log2(⌈N/M⌉)⌉)` selection inherits from
+/// prune-and-compact.
 pub fn select_io_bound(n: usize, b: usize, m: usize, report: &SelectReport) -> u64 {
     if report.rounds == 1 {
         let samples = n.div_ceil(report.chunk_elems) * report.samples_per_chunk;
-        FILTER_BOUND_CONSTANT * n.div_ceil(b) as u64 + sort_io_bound(samples, b, m)
+        let sample_ios = if samples <= m {
+            2 * samples.div_ceil(b) as u64
+        } else {
+            sort_io_bound(samples, b, m)
+        };
+        FILTER_BOUND_CONSTANT * n.div_ceil(b) as u64 + sample_ios
     } else {
         SELECT_BOUND_CONSTANT * n.div_ceil(b) as u64 * (1 + ceil_log2_ratio(n, m))
     }

@@ -384,10 +384,12 @@ impl FileStore {
     }
 
     /// Allocates an array and fills it from a slice of cells, free of
-    /// charge (mirrors [`ExtMem::alloc_array_from_cells`]).
+    /// charge (mirrors [`ExtMem::alloc_array_from_cells`]). A block write
+    /// that fails — on a full disk, or past a failed preallocation — returns
+    /// its [`StoreError`]; the array stays allocated.
     ///
     /// [`ExtMem::alloc_array_from_cells`]: crate::mem::ExtMem::alloc_array_from_cells
-    pub fn alloc_array_from_cells(&mut self, cells: &[Cell]) -> ArrayHandle {
+    pub fn alloc_array_from_cells(&mut self, cells: &[Cell]) -> Result<ArrayHandle, StoreError> {
         let h = BlockStore::alloc_array(self, cells.len().max(1));
         let b = self.block_elems;
         for (i, chunk) in cells.chunks(b).enumerate() {
@@ -395,16 +397,20 @@ impl FileStore {
             for (j, c) in chunk.iter().enumerate() {
                 blk.set(j, *c);
             }
-            self.write_raw(h.global_block(i), &blk)
-                .unwrap_or_else(|e| panic!("FileStore: initial population failed: {e}"));
+            let res = self.write_raw(h.global_block(i), &blk);
             self.arena.put(blk.into_buffer());
+            res?;
         }
-        h
+        Ok(h)
     }
 
     /// Allocates an array and fills it from a slice of elements (all
-    /// occupied), free of charge.
-    pub fn alloc_array_from_elements(&mut self, items: &[Element]) -> ArrayHandle {
+    /// occupied), free of charge; fails as
+    /// [`alloc_array_from_cells`](FileStore::alloc_array_from_cells) does.
+    pub fn alloc_array_from_elements(
+        &mut self,
+        items: &[Element],
+    ) -> Result<ArrayHandle, StoreError> {
         let cells: Vec<Cell> = items.iter().map(|e| Some(*e)).collect();
         self.alloc_array_from_cells(&cells)
     }
@@ -697,7 +703,9 @@ mod tests {
         let mut fs = FileStore::temp(4).unwrap();
         let path = fs.path().to_path_buf();
         fs.delete_on_drop = false;
-        let h = fs.alloc_array_from_elements(&(0..10).map(e).collect::<Vec<_>>());
+        let h = fs
+            .alloc_array_from_elements(&(0..10).map(e).collect::<Vec<_>>())
+            .unwrap();
         drop(fs);
         let reopened = FileStore::open(&path, 4).unwrap();
         assert_eq!(reopened.allocated_blocks(), 3);
@@ -752,7 +760,9 @@ mod tests {
         // are unbacked while the old ones still read.
         let mut fs = FileStore::temp(4).unwrap();
         let path = fs.path().to_path_buf();
-        let old = fs.alloc_array_from_elements(&(0..8).map(e).collect::<Vec<_>>());
+        let old = fs
+            .alloc_array_from_elements(&(0..8).map(e).collect::<Vec<_>>())
+            .unwrap();
         let read_only = File::open(&path).unwrap();
         let mut ro = FileStore::from_handle(read_only, &path, 4).unwrap();
         let h = ro.alloc_array(8);
@@ -782,6 +792,10 @@ mod tests {
         // is read-only.
         let err = ro.try_store_block(&old, 0, Block::empty(4)).unwrap_err();
         assert!(matches!(err, StoreError::Io { addr: 0, .. }), "got {err:?}");
+        // Populating a new array reports its first unbacked block.
+        unbacked(ro.alloc_array_from_cells(&[Some(e(1)); 8]).unwrap_err(), 4);
+        let items: Vec<Element> = (0..4).map(e).collect();
+        unbacked(ro.alloc_array_from_elements(&items).unwrap_err(), 6);
     }
 
     #[test]

@@ -56,10 +56,13 @@
 //! * Span reads and writes move whole blocks only: an array's partial last
 //!   block goes through the single-block ops, so every layer below sees
 //!   the same block counts whichever way a block travels.
-//! * Steals respect `max_ready`: parked blocks never exceed it, bounding the
-//!   adapter's memory at `(max_ready + write_buffer) · B` cells. This budget
-//!   is accounted against the client's private memory `M` by the callers
-//!   that size it.
+//! * Steals respect `max_ready`: parked blocks never exceed it. A steal cuts
+//!   its span into spare block buffers — the ones write-behind flushes and
+//!   [`BlockStore::recycle`] hands the adapter — from a free list that,
+//!   together with the parked blocks, holds at most `max_ready` buffers.
+//!   That bounds the adapter's memory at `(max_ready + write_buffer) · B`
+//!   cells. This budget is accounted against the client's private memory
+//!   `M` by the callers that size it.
 
 use crate::block::Block;
 use crate::element::Cell;
@@ -207,6 +210,9 @@ pub struct PrefetchingStore<S: BlockStore> {
     /// The cells of the write-behind run being flushed, reused from span
     /// write to span write.
     flat: Vec<Cell>,
+    /// Spare block buffers a steal cuts its span into; with the parked
+    /// blocks, at most `max_ready`.
+    free: Vec<Block>,
 }
 
 /// Blocks of `h` a span op can move: the ones wholly inside the array (all
@@ -235,6 +241,7 @@ impl<S: BlockStore> PrefetchingStore<S> {
             wb: Vec::with_capacity(cfg.write_buffer),
             wb_cap: cfg.write_buffer,
             flat: Vec::new(),
+            free: Vec::new(),
         }
     }
 
@@ -276,13 +283,13 @@ impl<S: BlockStore> PrefetchingStore<S> {
             let res = if first < whole_blocks(&h) {
                 cells.clear();
                 cells.extend_from_slice(blk.slots());
-                self.inner.recycle(blk);
+                self.keep(blk);
                 let mut next = first + 1;
                 while let Some((_, _, blk)) =
                     iter.next_if(|(h2, i, _)| *h2 == h && *i == next && next < whole_blocks(&h))
                 {
                     cells.extend_from_slice(blk.slots());
-                    self.inner.recycle(blk);
+                    self.keep(blk);
                     next += 1;
                 }
                 self.prefetch_stats.write_spans += 1;
@@ -317,7 +324,7 @@ impl<S: BlockStore> PrefetchingStore<S> {
                 .find(|(h2, i2, _)| h2.global_block(*i2) == addr)
                 .expect("Buffered slot implies a buffer entry");
             let old = std::mem::replace(&mut entry.2, blk);
-            self.inner.recycle(old);
+            self.keep(old);
             return Ok(());
         }
         self.invalidate(addr);
@@ -438,13 +445,36 @@ impl<S: BlockStore> PrefetchingStore<S> {
             }
         };
         self.prefetch_stats.steals += 1;
-        let mut blocks = cells.chunks(b).map(Block::from_cells);
-        let first = blocks.next().expect("a steal reads at least one block");
-        for (a, blk) in (addr + 1..).zip(blocks) {
+        let mut chunks = cells.chunks(b);
+        let first = self.block_of(chunks.next().expect("a steal reads at least one block"));
+        for (a, chunk) in (addr + 1..).zip(chunks) {
+            let blk = self.block_of(chunk);
             self.ready += 1;
             self.set(a, Slot::Ready(blk));
         }
         Ok(first)
+    }
+
+    /// A block holding `cells`, in a spare buffer when the free list has one.
+    fn block_of(&mut self, cells: &[Cell]) -> Block {
+        match self.free.pop() {
+            Some(mut blk) => {
+                blk.slots_mut().copy_from_slice(cells);
+                blk
+            }
+            None => Block::from_cells(cells),
+        }
+    }
+
+    /// Keeps a spent block buffer for the next steal while spare and parked
+    /// buffers together stay under `max_ready` (and the buffer is
+    /// block-sized), else hands it to the inner store.
+    fn keep(&mut self, blk: Block) {
+        if self.free.len() + self.ready < self.max_ready && blk.len() == self.inner.block_elems() {
+            self.free.push(blk);
+        } else {
+            self.inner.recycle(blk);
+        }
     }
 
     /// Drops any prefetch state for `addr` ahead of a write.
@@ -492,7 +522,7 @@ impl<S: BlockStore> BlockStore for PrefetchingStore<S> {
     }
 
     fn recycle(&mut self, blk: Block) {
-        self.inner.recycle(blk);
+        self.keep(blk);
     }
 
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
@@ -529,7 +559,8 @@ mod tests {
         let mut store = temp_prefetching(4);
         let h = store
             .inner_mut()
-            .alloc_array_from_elements(&(0..16).map(e).collect::<Vec<_>>());
+            .alloc_array_from_elements(&(0..16).map(e).collect::<Vec<_>>())
+            .unwrap();
         for i in 0..4 {
             assert_eq!(store.load_block(&h, i).occupied()[0], e(i as u64 * 4));
         }
@@ -542,7 +573,7 @@ mod tests {
     fn hinted_blocks_are_served_and_correct() {
         let mut store = temp_prefetching(4);
         let cells: Vec<Cell> = (0..64).map(|k| Some(e(k))).collect();
-        let h = store.inner_mut().alloc_array_from_cells(&cells);
+        let h = store.inner_mut().alloc_array_from_cells(&cells).unwrap();
         let schedule: Vec<usize> = (0..h.n_blocks()).collect();
         store.hint_blocks(&h, &schedule);
         let mut out = Vec::new();
@@ -560,11 +591,48 @@ mod tests {
     }
 
     #[test]
+    fn steals_cut_spans_into_a_bounded_free_list_of_spent_buffers() {
+        let cfg = PrefetchConfig {
+            max_ready: 4,
+            write_buffer: 8,
+        };
+        let mut store = PrefetchingStore::with_config(FileStore::temp(4).unwrap(), cfg);
+        let h = store.alloc_array(64);
+        // Eight buffered writes flush as one span; the free list keeps four
+        // of their buffers (max_ready, nothing parked yet) and hands the rest
+        // to the inner store.
+        for i in 0..8 {
+            let mut blk = Block::empty(4);
+            blk.set(0, Some(e(i as u64)));
+            store.store_block(&h, i, blk);
+        }
+        assert_eq!(store.free.len(), 4);
+        store.recycle(Block::empty(4));
+        store.recycle(Block::empty(2));
+        assert_eq!(store.free.len(), 4, "never more than max_ready buffers");
+        // A steal of five blocks fills four spare buffers, then allocates;
+        // parked and spare buffers stay within max_ready as hits drain them.
+        store.hint_blocks(&h, &(0..8).collect::<Vec<_>>());
+        assert_eq!(store.load_block(&h, 0).get(0), Some(e(0)));
+        assert_eq!(store.prefetch_stats().steals, 1);
+        assert!(store.free.is_empty());
+        for i in 1..5 {
+            let blk = store.load_block(&h, i);
+            assert_eq!(blk.slots()[..2], [Some(e(i as u64)), None]);
+            store.recycle(blk);
+            assert!(store.free.len() + store.ready <= 4);
+        }
+        assert_eq!(store.prefetch_stats().hits, 4);
+        assert_eq!(store.free.len(), 4);
+    }
+
+    #[test]
     fn writes_invalidate_parked_prefetches() {
         let mut store = temp_prefetching(2);
         let h = store
             .inner_mut()
-            .alloc_array_from_elements(&(0..8).map(e).collect::<Vec<_>>());
+            .alloc_array_from_elements(&(0..8).map(e).collect::<Vec<_>>())
+            .unwrap();
         store.hint_blocks(&h, &[0, 1, 2, 3]);
         // Loading block 0 steals the whole hinted run and parks blocks 1..4.
         assert_eq!(store.load_block(&h, 0).get(0), Some(e(0)));
@@ -581,7 +649,8 @@ mod tests {
         let mut store = temp_prefetching(4);
         let h = store
             .inner_mut()
-            .alloc_array_from_elements(&(0..32).map(e).collect::<Vec<_>>());
+            .alloc_array_from_elements(&(0..32).map(e).collect::<Vec<_>>())
+            .unwrap();
         store.hint_blocks(&h, &(0..8).collect::<Vec<_>>());
         for i in 0..8 {
             let blk = store.load_block(&h, i);
@@ -597,7 +666,8 @@ mod tests {
             store.enable_trace();
             let h = store
                 .inner_mut()
-                .alloc_array_from_elements(&(0..32).map(e).collect::<Vec<_>>());
+                .alloc_array_from_elements(&(0..32).map(e).collect::<Vec<_>>())
+                .unwrap();
             if hint {
                 store.hint_blocks(&h, &(0..8).collect::<Vec<_>>());
             }

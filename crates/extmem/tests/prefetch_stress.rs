@@ -17,7 +17,7 @@ fn mk_store() -> (PrefetchingStore<FileStore>, extmem::ArrayHandle, Vec<Cell>) {
     let cells: Vec<Cell> = (0..BLOCKS * B)
         .map(|i| Some(Element::keyed(i as u64, i)))
         .collect();
-    let h = fs.alloc_array_from_cells(&cells);
+    let h = fs.alloc_array_from_cells(&cells).unwrap();
     (PrefetchingStore::new(fs), h, cells)
 }
 
@@ -28,7 +28,7 @@ fn stress_session(seed: u64, cfg: PrefetchConfig, ops: usize) {
     let mut mirror: Vec<Cell> = (0..BLOCKS * B)
         .map(|i| Some(Element::keyed(hash64(i as u64, seed), i)))
         .collect();
-    let h = fs.alloc_array_from_cells(&mirror);
+    let h = fs.alloc_array_from_cells(&mirror).unwrap();
     let mut ps = PrefetchingStore::with_config(fs, cfg);
 
     for op in 0..ops {

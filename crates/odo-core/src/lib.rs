@@ -19,7 +19,7 @@
 //! * [`select`] — the paper's §4 data-oblivious selection and quantiles:
 //!   [`select::try_select_kth`] brackets the target between weighted splitters
 //!   and keeps the candidates between them in the private cache — two
-//!   streaming passes and one small sample sort while `N` is below about
+//!   streaming passes around one small sample array while `N` is below about
 //!   `M²/32`, §3 compaction rounds to shrink the window first beyond that —
 //!   in `O((N/B)(1 + log_{M/B}(N/M)))` I/Os whose trace hides the data
 //!   *and* the rank.

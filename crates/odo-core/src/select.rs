@@ -1,7 +1,7 @@
 //! I/O-efficient external-memory **data-oblivious selection** — the paper's
 //! Section 4 k-th order statistic, executed over an outsourced block store in
 //! `O((N/B)(1 + log(N/M)))` I/Os, and in two streaming passes plus one small
-//! sample sort whenever the survivors of one filtering round fit in cache.
+//! sample array whenever the survivors of one filtering round fit in cache.
 //!
 //! # Problem
 //!
@@ -23,17 +23,21 @@
 //! written. A *filtering round* over a window of `r` candidates runs:
 //!
 //! 1. **Weighted splitter extraction.** One streaming pass cuts the window
-//!    into `C = ⌈r/g⌉` chunks of `g = M/2` slots (rounded down to a power of
-//!    two). Each chunk is pulled into the cache, sorted CPU-side (free), and
-//!    its `s` evenly spaced order statistics — local ranks `(i+1)·g/s − 1` —
-//!    are appended to a sample array of `C·s` cells. Each sample carries
-//!    implicit weight `g/s`. On the first round this pass also counts the
-//!    occupied cells.
-//! 2. **Oblivious approximate-quantile reduction.** The sample array is
-//!    sorted with the Lemma 2 sort, and one streaming pass
-//!    captures — in private registers, never by rank-addressed reads — the
-//!    two splitters `lo = σ(q_lo)` and `hi = σ(q_hi)` with
-//!    `q_lo = ⌊k′·s/g⌋ − C` and `q_hi = ⌈(k′+1)·s/g⌉` (clamped to ±∞). The
+//!    into `C = ⌈r/g⌉` chunks of `g` slots: `g` is the largest power of two
+//!    `≤ M` when the round filters with `C·s ≤ M` samples, half that
+//!    otherwise. Each chunk is pulled into the cache, sorted CPU-side
+//!    (free), and its `s` evenly spaced order statistics — local ranks
+//!    `(i+1)·g/s − 1` — move to the front of the chunk's buffer and are
+//!    appended to a sample array of `C·s` cells, so the pass holds `g`
+//!    cells. Each sample carries implicit weight `g/s`. On the first round
+//!    this pass also counts the occupied cells.
+//! 2. **Oblivious approximate-quantile reduction.** A sample array of at
+//!    most `M` cells is read back with one span and sorted in cache. A
+//!    larger one is sorted with the Lemma 2 sort and streamed once, the
+//!    splitters latched in private registers, never by rank-addressed
+//!    reads. Either way the round takes the two splitters `lo = σ(q_lo)`
+//!    and `hi = σ(q_hi)` with `q_lo = ⌊k′·s/g⌋ − C` and
+//!    `q_hi = ⌈(k′+1)·s/g⌉` (clamped to ±∞). The
 //!    weighted-sample rank bounds `q·(g/s) ≤ rank(σ(q)) ≤ (q + C)·(g/s)`
 //!    guarantee `lo ≤ target < hi` and cap the candidates in `[lo, hi)` by
 //!    the shape-only count `r′ = (2C + 4)·(g/s)`.
@@ -62,12 +66,19 @@
 //!
 //! # I/O count
 //!
-//! One filtering round over the input costs `2⌈N/B⌉` reads, `2⌈C·s/B⌉`
-//! sample writes and reads, and one sort of at most about `N/4` samples —
-//! at the headline `N = 2^18, B = 64, M = 2^13` that is `s = 256` and 10,240
-//! I/Os, under a third of the bucket sort. Every prune round costs a sampling
-//! pass, a sample sort, a pass that writes the next window, and one
-//! compaction over `r_t` slots —
+//! One filtering round over the input costs `2⌈N/B⌉` reads and `2⌈C·s/B⌉`
+//! sample writes and reads, plus a Lemma 2 sort of at most about `N/4`
+//! samples when they do not fit the cache. At the headline
+//! `N = 2^18, B = 64, M = 2^13` the 32 chunks of `g = M` take `s = 256`
+//! samples each, exactly `M` cells, sorted in cache: 4,096 + 4,096 input
+//! reads and 128 + 128 sample I/Os make 8,448, about a quarter of the bucket
+//! sort. The plan reads only the shape and is never dearer than chunks of
+//! `M/2` throughout: for the same window chunks of `M` need at most twice
+//! the samples per chunk over half as many chunks, and the in-cache step's
+//! `2⌈C·s/B⌉` I/Os undercut a write, a sort and a scan. Every prune round
+//! costs a sampling pass, a sample sort (in cache when its `C·8` samples
+//! fit), a pass that writes the next window, and one compaction over `r_t`
+//! slots —
 //! `O((r_t/B)(1 + log_{M/B}(r_t/M)))` I/Os, since compaction fuses its
 //! external butterfly levels into cache-sized column sweeps — and `Σ r_t`
 //! is geometric from `N`, so the total stays
@@ -115,8 +126,8 @@ pub struct SelectReport {
     /// array fit in cache. A fixed function of the shape `(N, B, M)`, never
     /// of the data or of `k`.
     pub rounds: usize,
-    /// The chunk size `g` in elements (a power of two `≤ M/2`), or the array
-    /// length when the whole array fit in cache.
+    /// The final round's chunk size `g` in elements (a power of two `≤ M`),
+    /// or the array length when the whole array fit in cache.
     pub chunk_elems: usize,
     /// Weighted samples per chunk (`s`) taken by the final filtering round:
     /// 0 when its window fit the survivor buffer whole, and on the in-cache
@@ -273,9 +284,6 @@ fn run<S: BlockStore>(
     if !b.is_power_of_two() {
         return invalid("external selection requires a power-of-two block size");
     }
-    // Chunk size: the largest power of two with 2g ≤ M, so a chunk (plus its
-    // samples) always fits in cache. g ≥ 2·PRUNE_SAMPLES by the floors above.
-    let g = largest_pow2_at_most(cache_elems / 2);
 
     // `kp` is the residual rank of the target inside the current window;
     // it shrinks as candidates are pruned below the window. Private state.
@@ -288,7 +296,7 @@ fn run<S: BlockStore>(
     let mut rounds = 0usize;
     loop {
         rounds += 1;
-        let plan = filter_samples(&win, g, cache_elems);
+        let (g, plan) = plan_round(&win, cache_elems);
         let s = plan.unwrap_or(PRUNE_SAMPLES);
         let c = win.len.div_ceil(g);
         let (lo, hi) = if s == 0 {
@@ -298,16 +306,20 @@ fn run<S: BlockStore>(
             if win.input && k >= live {
                 return Err(RANK_OUT_OF_RANGE);
             }
-            obliv_net::try_external_oblivious_sort_by(
-                store,
-                &samples,
-                cache_elems,
-                &cell_cmp_none_last,
-            )?;
             let s_len = c * s;
             let q_lo = (kp * s / g).checked_sub(c).filter(|&q| q < s_len);
             let q_hi = Some((kp + 1).div_ceil(g / s)).filter(|&q| q < s_len);
-            let (lo, hi) = scan_splitters(store, &samples, &mut budget, q_lo, q_hi)?;
+            let (lo, hi) = if s_len <= cache_elems {
+                splitters_in_cache(store, &samples, &mut budget, q_lo, q_hi)?
+            } else {
+                obliv_net::try_external_oblivious_sort_by(
+                    store,
+                    &samples,
+                    cache_elems,
+                    &cell_cmp_none_last,
+                )?;
+                scan_splitters(store, &samples, &mut budget, q_lo, q_hi)?
+            };
             // lo = None means −∞ (no lower pruning); hi = None means +∞ (a
             // clamped or dummy splitter — every candidate is below it).
             if let (Some(q), None) = (q_lo, lo) {
@@ -396,6 +408,23 @@ fn run<S: BlockStore>(
     }
 }
 
+/// The chunk size and the samples per chunk of one round over `win` (see
+/// [`filter_samples`]), a function of the shape alone. A filter that takes
+/// samples cuts chunks of the whole cache (`g`, the largest power of two
+/// `≤ M`) when its `C·s` samples fit the cache, so its splitters are picked
+/// in cache. Every other round cuts chunks of `g/2`: a filter whose samples
+/// the Lemma 2 sort orders externally, or a prune round. `M ≥ 32` keeps
+/// `g/2 ≥ 2·PRUNE_SAMPLES`.
+fn plan_round(win: &Window, cache_elems: usize) -> (usize, Option<usize>) {
+    let g = largest_pow2_at_most(cache_elems);
+    let wide = filter_samples(win, g, cache_elems)
+        .filter(|&s| s > 0 && win.len.div_ceil(g) * s <= cache_elems);
+    match wide {
+        Some(s) => (g, Some(s)),
+        None => (g / 2, filter_samples(win, g / 2, cache_elems)),
+    }
+}
+
 /// Samples per chunk with which one filtering round over `win` keeps its
 /// survivors in cache: `Some(0)` when the whole window fits the survivor
 /// buffer, else the smallest power of two `s ≤ g/4` whose survivor bound
@@ -424,8 +453,9 @@ fn survivor_bound(len: usize, g: usize, s: usize) -> usize {
 /// Step 1 of a filtering round: cuts `win` into chunks of `g` slots, sorts
 /// each chunk's working items in cache and writes its `s` evenly spaced
 /// order statistics (dummies where a chunk runs short) to a fresh sample
-/// array of `C·s` cells. Returns the sample array and the number of occupied
-/// slots read.
+/// array of `C·s` cells. The picks move to the front of the chunk's own
+/// buffer, so the pass holds `g` cells. Returns the sample array and the
+/// number of occupied slots read.
 fn sample_chunks<S: BlockStore>(
     store: &mut S,
     win: &Window,
@@ -439,22 +469,42 @@ fn sample_chunks<S: BlockStore>(
     for ci in 0..c {
         let lo_e = ci * g;
         let hi_e = ((ci + 1) * g).min(win.len);
-        budget.with(hi_e - lo_e + s, |_| {
-            let cells = store.try_load_span(&win.h, lo_e, hi_e)?;
-            let mut items: Vec<Element> = cells
-                .iter()
-                .enumerate()
-                .filter_map(|(t, cell)| cell.map(|e| win.item(lo_e + t, e)))
-                .collect();
-            live += items.len();
-            items.sort_unstable();
-            let picks: Vec<Cell> = (0..s)
-                .map(|i| items.get((i + 1) * (g / s) - 1).copied())
-                .collect();
-            store.try_store_span(&samples, ci * s, &picks)
+        budget.with(g, |_| {
+            let mut cells = store.try_load_span(&win.h, lo_e, hi_e)?;
+            for (t, cell) in cells.iter_mut().enumerate() {
+                *cell = cell.map(|e| win.item(lo_e + t, e));
+            }
+            live += cells.iter().flatten().count();
+            cells.sort_unstable_by(cell_cmp_none_last);
+            // Pick i sits at or after slot i, so picking in ascending order
+            // never overwrites a later pick; a short chunk pads with dummies.
+            cells.resize(cells.len().max(s), None);
+            for i in 0..s {
+                cells[i] = cells.get((i + 1) * (g / s) - 1).copied().flatten();
+            }
+            cells.truncate(s);
+            store.try_store_span(&samples, ci * s, &cells)
         })?;
     }
     Ok((samples, live))
+}
+
+/// Step 2 for a sample array that fits the cache: reads it with one span,
+/// sorts it in cache and returns the cells at ranks `q_lo` / `q_hi` (when
+/// requested). Every sample block is read whatever the ranks are.
+fn splitters_in_cache<S: BlockStore>(
+    store: &mut S,
+    samples: &ArrayHandle,
+    budget: &mut CacheBudget,
+    q_lo: Option<usize>,
+    q_hi: Option<usize>,
+) -> Result<(Cell, Cell), StoreError> {
+    budget.with(samples.len(), |_| {
+        let mut cells = store.try_load_span(samples, 0, samples.len())?;
+        cells.sort_unstable_by(cell_cmp_none_last);
+        let at = |q: Option<usize>| q.and_then(|q| cells[q]);
+        Ok((at(q_lo), at(q_hi)))
+    })
 }
 
 /// Step 3 of the final round: streams `win` once, counting the working items
@@ -963,32 +1013,116 @@ mod tests {
                 len: n,
                 input,
             };
-            filter_samples(&win, largest_pow2_at_most(m / 2), m)
+            plan_round(&win, m)
         };
-        // The headline filters in one round over the input.
-        assert_eq!(plan(1 << 18, 64, 1 << 13, true), Some(256));
-        // No s ≤ g/4 fits: prune first.
-        assert_eq!(plan(1 << 18, 64, 1 << 10, true), None);
-        assert_eq!(plan(1 << 14, 8, 128, true), None);
+        // The headline filters in one round over the input, in chunks of M
+        // whose 32·256 samples fill the cache exactly.
+        assert_eq!(plan(1 << 18, 64, 1 << 13, true), (1 << 13, Some(256)));
+        // No s ≤ g/4 fits: prune first, in chunks of M/2.
+        assert_eq!(plan(1 << 18, 64, 1 << 10, true), (512, None));
+        assert_eq!(plan(1 << 14, 8, 128, true), (64, None));
         // A scratch window that fits the buffer whole needs no samples; the
         // same length as input, whose survivors take two words, does.
-        assert_eq!(plan(100, 8, 128, false), Some(0));
-        assert_eq!(plan(100, 8, 128, true), Some(16));
-        // Either side of the cutover at B = 16, M = 1024 (g = 512): 61
-        // chunks fit with s = 128 = g/4, 62 would need s = 256.
-        assert_eq!(plan(61 * 512, 16, 1024, true), Some(128));
-        assert_eq!(plan(61 * 512 + 1, 16, 1024, true), None);
-        // Whatever s is chosen, 2·r′ + B fits the cache.
+        assert_eq!(plan(100, 8, 128, false), (64, Some(0)));
+        assert_eq!(plan(100, 8, 128, true), (128, Some(16)));
+        // At B = 16, M = 1024: 13 chunks of 1024 take 64 samples each, 832
+        // cells that fit the cache; 13,313 slots need 14 chunks of 128, so
+        // they keep chunks of 512 and sort their samples externally.
+        assert_eq!(plan(13 * 1024, 16, 1024, true), (1024, Some(64)));
+        assert_eq!(plan(13 * 1024 + 1, 16, 1024, true), (512, Some(64)));
+        // Either side of the filter's cutover at chunks of 512: 61 chunks
+        // fit with s = 128 = g/4, 62 would need s = 256.
+        assert_eq!(plan(61 * 512, 16, 1024, true), (512, Some(128)));
+        assert_eq!(plan(61 * 512 + 1, 16, 1024, true), (512, None));
+        // Whatever s is chosen, 2·r′ + B fits the cache, and chunks of the
+        // whole cache come with a sample array that fits it too.
         for (n, b, m) in [
             (4096usize, 16usize, 1024usize),
             (1 << 16, 64, 8192),
             (5000, 8, 512),
+            (13 * 1024, 16, 1024),
+            (40_000, 16, 1024),
         ] {
-            let g = largest_pow2_at_most(m / 2);
-            if let Some(s) = plan(n, b, m, true) {
+            let (g, s) = plan(n, b, m, true);
+            assert!(g == largest_pow2_at_most(m) || g == largest_pow2_at_most(m) / 2);
+            if let Some(s) = s {
                 assert!(s <= g / 4);
                 assert!(2 * (2 * n.div_ceil(g) + 4) * (g / s) + b <= m);
+                if g > m / 2 {
+                    assert!(s > 0 && n.div_ceil(g) * s <= m);
+                }
             }
+        }
+    }
+
+    #[test]
+    fn the_headline_is_two_input_passes_and_an_in_cache_splitter_step() {
+        let n = 1 << 18;
+        let cells: Vec<Cell> = keyed_input(n, 11, u64::MAX).into_iter().map(Some).collect();
+        let (got, report) = run_select(&cells, 64, 1 << 13, n / 2);
+        assert_eq!(got, oracle(&cells, n / 2));
+        assert_eq!(report.chunk_elems, 8192);
+        assert_eq!(report.samples_per_chunk, 256);
+        assert_eq!(report.rounds, 1);
+        // 4,096 + 4,096 input reads, 128 sample writes, 128 sample reads.
+        assert_eq!(report.io.total(), 8448);
+    }
+
+    #[test]
+    fn either_side_of_the_in_cache_splitter_cutover_is_correct_and_oblivious() {
+        // (N, chunk size, samples per chunk, I/Os) at B = 16, M = 1024.
+        for (n, g, s, ios) in [
+            (13 * 1024usize, 1024usize, 64usize, 1768u64),
+            (13 * 1024 + 1, 512, 64, 3082),
+        ] {
+            let mut reference = None;
+            for salt in 0..6u64 {
+                let key_range = [3u64, 50, 1000, u64::MAX][salt as usize % 4];
+                let cells: Vec<Cell> = keyed_input(n, salt, key_range)
+                    .into_iter()
+                    .map(Some)
+                    .collect();
+                let k = n / 2 + salt as usize;
+                let (r, trace) = try_select(&cells, 16, 1024, k);
+                let (got, report, _) = r.unwrap();
+                assert_eq!(got, oracle(&cells, k), "N={n} salt={salt}");
+                assert_eq!(
+                    (report.chunk_elems, report.samples_per_chunk, report.rounds),
+                    (g, s, 1)
+                );
+                assert_eq!(report.io.total(), ios, "N={n}");
+                let reference = reference.get_or_insert(trace.clone());
+                extmem::trace::assert_oblivious(reference, &trace, "cutover datasets");
+            }
+        }
+    }
+
+    #[test]
+    fn no_shape_costs_more_than_with_chunks_of_half_the_cache() {
+        // I/O totals of the plan that always cut chunks of M/2 and sorted
+        // every sample array with the Lemma 2 sort, at median rank.
+        for (n, b, m, before) in [
+            (512usize, 8usize, 64usize, 870u64),
+            (512, 16, 128, 388),
+            (1000, 16, 128, 755),
+            (3001, 4, 64, 21712),
+            (5000, 4, 256, 14812),
+            (10_000, 8, 2048, 2868),
+            (13_312, 16, 1024, 3056),
+            (13_313, 16, 1024, 3082),
+            (20_000, 32, 512, 8592),
+            (31_233, 2, 2048, 55426),
+            (50_000, 64, 1024, 10224),
+            (65_536, 64, 8192, 2112),
+        ] {
+            let cells: Vec<Cell> = keyed_input(n, 5, 1 << 20).into_iter().map(Some).collect();
+            let (got, report) = run_select(&cells, b, m, n / 2);
+            assert_eq!(got, oracle(&cells, n / 2), "N={n} B={b} M={m}");
+            assert!(
+                report.io.total() <= before,
+                "N={n} B={b} M={m}: {} I/Os > {before}",
+                report.io.total()
+            );
         }
     }
 

@@ -8,9 +8,11 @@
 //!
 //! * `(512, 8, 64)` and `(1000, 16, 128)` take the multi-round path: one
 //!   prune round (sample, mark, §3 compaction), then the filter over the
-//!   compacted window (`s = 8`) and the recovery pass;
+//!   compacted window (chunks of `M`, `s = 16`, splitters picked in cache)
+//!   and the recovery pass;
 //! * `(4096, 16, 1024)` takes the one-round filter path with `s = 32 < g`:
-//!   two streaming passes over the input around one sample sort;
+//!   two streaming passes over the input around a sample array sorted in
+//!   cache;
 //! * `(2^14, 8, 128)` admits no filter over the input, so it prunes three
 //!   times before the filter.
 
@@ -45,11 +47,11 @@ fn select_trace_is_identical_across_20_datasets() {
     // The acceptance criterion: ≥ 20 datasets at a fixed (N, B, M, k)
     // produce byte-identical traces. Both shapes take the multi-round path
     // (sampling + sample sort + mark + compact, then the filter over the
-    // window and the recovery pass).
+    // window, its splitters picked in cache, and the recovery pass).
     for (n, b, m) in [(512usize, 8usize, 64usize), (1000, 16, 128)] {
         let k = n / 2;
         let report = select_report(&dataset(n, 0, 1000), b, m, k);
-        assert_eq!((report.rounds, report.samples_per_chunk), (2, 8));
+        assert_eq!((report.rounds, report.samples_per_chunk), (2, 16));
         let reference = select_trace(&dataset(n, 0, 1000), b, m, k);
         assert!(!reference.is_empty());
         for salt in 1..=20u64 {

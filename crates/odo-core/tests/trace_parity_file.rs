@@ -135,7 +135,7 @@ fn run_extmem(case: &Case) -> (AccessTrace, Vec<Cell>) {
 
 fn run_file(case: &Case) -> (AccessTrace, Vec<Cell>) {
     let mut fs = FileStore::temp(case.b).expect("temp file store");
-    let h = fs.alloc_array_from_cells(&case.cells);
+    let h = fs.alloc_array_from_cells(&case.cells).unwrap();
     fs.enable_trace();
     run_prim(&mut fs, &h, case);
     (fs.take_trace().expect("trace"), fs.snapshot_cells(&h))
@@ -143,7 +143,7 @@ fn run_file(case: &Case) -> (AccessTrace, Vec<Cell>) {
 
 fn run_prefetch(case: &Case, cfg: PrefetchConfig) -> (AccessTrace, Vec<Cell>) {
     let mut fs = FileStore::temp(case.b).expect("temp file store");
-    let h = fs.alloc_array_from_cells(&case.cells);
+    let h = fs.alloc_array_from_cells(&case.cells).unwrap();
     let mut ps = PrefetchingStore::with_config(fs, cfg);
     ps.enable_trace();
     run_prim(&mut ps, &h, case);

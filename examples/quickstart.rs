@@ -103,8 +103,9 @@ fn main() {
     // try_select_kth brackets the median between weighted splitters drawn from
     // cache-sized chunks and keeps the candidates between them in the
     // private cache: at this shape one filtering round — two streaming
-    // passes around one small sample sort, cheaper than sorting — and the
-    // trace hides the data AND the requested rank k. Runs over the same
+    // passes around a sample array small enough to sort in cache, far
+    // cheaper than sorting — and the trace hides the data AND the requested
+    // rank k. Runs over the same
     // encrypted store; the input array is left untouched.
     let survivors_arr: Vec<Cell> = cells.iter().flatten().map(|e| Some(*e)).collect();
     let sel_handle = store.alloc_array_from_cells(&survivors_arr);
