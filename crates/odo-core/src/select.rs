@@ -1026,8 +1026,9 @@ mod tests {
         assert_eq!(plan(100, 8, 128, false), (64, Some(0)));
         assert_eq!(plan(100, 8, 128, true), (128, Some(16)));
         // At B = 16, M = 1024: 13 chunks of 1024 take 64 samples each, 832
-        // cells that fit the cache; 13,313 slots need 14 chunks of 128, so
-        // they keep chunks of 512 and sort their samples externally.
+        // cells that fit the cache; 13,313 slots need 14 chunks of 128
+        // samples, 1,792 cells, so they keep chunks of 512 and sort their
+        // samples externally.
         assert_eq!(plan(13 * 1024, 16, 1024, true), (1024, Some(64)));
         assert_eq!(plan(13 * 1024 + 1, 16, 1024, true), (512, Some(64)));
         // Either side of the filter's cutover at chunks of 512: 61 chunks
