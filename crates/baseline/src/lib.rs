@@ -35,7 +35,7 @@
 use extmem::element::Cell;
 use extmem::{ArrayHandle, Block, BlockCache, BlockStore, Element, ExtMem, IoStats, StoreError};
 use obliv_net::butterfly;
-use obliv_net::compare::exchange_dir_by;
+use obliv_net::exchange_dir_by;
 use obliv_net::external_sort::SortOrder;
 use std::cmp::Ordering;
 

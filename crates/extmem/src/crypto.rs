@@ -270,10 +270,9 @@ impl<S: BackingStore> EncryptedStore<S> {
     /// population is not charged as I/Os, mirroring
     /// [`ExtMem::alloc_array_from_cells`].
     ///
-    /// # Panics
-    /// Panics where a block write fails: on a payload wider than 63 bits or
-    /// a backing-store error.
-    pub fn alloc_array_from_cells(&mut self, cells: &[Cell]) -> ArrayHandle {
+    /// Returns the first failed block write: a payload wider than 63 bits
+    /// as [`StoreError::PayloadTooWide`], or a backing-store error.
+    pub fn alloc_array_from_cells(&mut self, cells: &[Cell]) -> Result<ArrayHandle, StoreError> {
         let h = self.alloc_array(cells.len().max(1));
         let b = self.block_elems();
         for (i, chunk) in cells.chunks(b).enumerate() {
@@ -281,11 +280,10 @@ impl<S: BackingStore> EncryptedStore<S> {
             for (j, c) in chunk.iter().enumerate() {
                 blk.set(j, *c);
             }
-            self.try_store_block(&h, i, blk)
-                .unwrap_or_else(|e| panic!("EncryptedStore: {e}"));
+            self.try_store_block(&h, i, blk)?;
         }
         BackingStore::reset_stats(&mut self.mem);
-        h
+        Ok(h)
     }
 
     /// The raw ciphertext currently stored for local block `i` (free of
@@ -541,7 +539,7 @@ mod tests {
     fn populated_construction_is_free_and_roundtrips() {
         let mut store = EncryptedStore::new(4, 3);
         let cells: Vec<Cell> = (0..10).map(|i| Some(e(i))).collect();
-        let h = store.alloc_array_from_cells(&cells);
+        let h = store.alloc_array_from_cells(&cells).unwrap();
         assert_eq!(store.stats().total(), 0);
         let mut out = Vec::new();
         for i in 0..h.n_blocks() {
@@ -594,6 +592,18 @@ mod tests {
         ok.set(0, Some(Element::new(1, (1 << 63) - 1)));
         store.try_store_block(&h, 1, ok.clone()).unwrap();
         assert_eq!(store.try_load_block(&h, 1).unwrap(), ok);
+    }
+
+    #[test]
+    fn populating_with_an_oversized_payload_is_a_typed_error() {
+        let mut store = EncryptedStore::new(4, 1);
+        let mut cells: Vec<Cell> = (0..8).map(|i| Some(e(i))).collect();
+        cells[5] = Some(Element::new(1, 1 << 63));
+        let err = store.alloc_array_from_cells(&cells).unwrap_err();
+        assert!(
+            matches!(err, StoreError::PayloadTooWide { payload, .. } if payload == 1 << 63),
+            "{err:?}"
+        );
     }
 
     // --- the batched kernel and the span path ---
@@ -710,7 +720,7 @@ mod tests {
         // what block writes wrote, one read I/O per block.
         let mut store = EncryptedStore::with_backing(FileStore::temp(4).unwrap(), 0xD0_0D);
         let cells: Vec<Cell> = (0..32).map(|i| Some(e(i))).collect();
-        let h = store.alloc_array_from_cells(&cells);
+        let h = store.alloc_array_from_cells(&cells).unwrap();
         let mut by_block = Vec::new();
         for i in 0..h.n_blocks() {
             by_block.extend_from_slice(store.try_load_block(&h, i).unwrap().slots());

@@ -34,7 +34,7 @@ fn fresh_mirror(seed: u64) -> Vec<Cell> {
 fn encrypted_session(seed: u64, cfg: PrefetchConfig, ops: usize) {
     let mut enc = EncryptedStore::with_backing(FileStore::temp(B).expect("temp store"), seed | 1);
     let mut mirror = fresh_mirror(seed);
-    let h = enc.alloc_array_from_cells(&mirror);
+    let h = enc.alloc_array_from_cells(&mirror).unwrap();
     let mut ps = PrefetchingStore::with_config(enc, cfg);
 
     for op in 0..ops {

@@ -39,9 +39,16 @@
 //!    one extra array of `⌈N/B⌉ + runs` blocks and the bucket array, each
 //!    pass's runs back to back. Because step 2 delivered a uniformly random
 //!    permutation of the items, the merge's data-dependent read order leaks
-//!    nothing about the *input* — this is exactly the random-shuffle
-//!    argument of the bucket-sort paper (and of oblivious shuffle-then-sort
-//!    designs generally).
+//!    nothing about the *input* when its elements are distinct under `cmp`
+//!    — this is exactly the random-shuffle argument of the bucket-sort
+//!    paper (and of oblivious shuffle-then-sort designs generally). Ties
+//!    break that argument: tied heads drain in run-index order, so with
+//!    repeated elements, or under a key-only comparator such as the ORAM's
+//!    pass-5 re-sort, the read order shows roughly how many distinct keys
+//!    the input has. Counting the non-consecutive block reads in the last
+//!    third of the read trace at `N = 2^13, B = 8, M = 2^9` gives
+//!    1,553–1,571 for distinct keys, about 670 for 8 keys under a key-only
+//!    comparator and 221–227 for one element repeated `N` times.
 //!
 //! The server space is the input plus one bucket array of `2^L·Z ≥ 2N`
 //! cells, reused by every seed re-roll, plus the ping-pong array only for a
@@ -63,11 +70,13 @@
 //! Steps 1–2 have a fixed, shape-determined trace. Step 3's run lengths and
 //! step 4's interleaving depend on the seed and the occupancy (the blocks a
 //! run may occupy are fixed by the shape), which is safe by the shuffle
-//! argument above — but it means the bucket sort's trace is a deterministic
-//! function of `(shape, seed, data)`, not of shape alone like the Lemma 2
-//! sort. The guarantees tested here are: byte-identical traces
-//! across backends (plaintext vs encrypted) and across reruns with the same
-//! seed. Callers who need a shape-only trace keep the Lemma 2 engine.
+//! argument above for distinct elements, and reveals roughly how many
+//! distinct keys there are otherwise (step 4). So the bucket sort's trace
+//! is a deterministic function of `(shape, seed, data)`, not of shape alone
+//! like the Lemma 2 sort's. The guarantees tested here are: byte-identical
+//! traces across backends (plaintext vs encrypted) and across reruns with
+//! the same seed. Callers who need a shape-only trace, or whose inputs
+//! repeat keys under their comparator, keep the Lemma 2 engine.
 //!
 //! # Overflow and seed re-rolls
 //!

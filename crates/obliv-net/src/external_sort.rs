@@ -19,12 +19,15 @@
 //!    size guaranteed to fit in the `M`-word private cache. Every level with
 //!    stride `s ≤ F/2` operates entirely inside aligned `F`-element regions,
 //!    so the tail of every merge (all levels with stride `< F`) is executed
-//!    by loading each region once, finishing the remaining compare-exchange
-//!    levels CPU-side ([`bitonic_merge_pow2_by`]), and writing the region
-//!    back: one read pass plus one write pass per stage instead of
-//!    `log F` block passes. The same trick presorts each `F`-region up
-//!    front ([`bitonic_sort_pow2_by`] in cache), replacing the first
-//!    `log F` stages — `O(log² F)` levels — with a single pass.
+//!    by loading each region once, sorting it CPU-side in the stage's
+//!    direction, and writing the region back: one read pass plus one write
+//!    pass per stage instead of `log F` block passes. The same trick
+//!    presorts each `F`-region up front, replacing the first `log F`
+//!    stages — `O(log² F)` levels — with a single pass. Both in-cache steps
+//!    are a plain `sort_unstable_by`: the server sees only which blocks a
+//!    region loads and stores, never the work in between, so no network is
+//!    needed there. What the server does see, the external levels below,
+//!    stays a fixed bitonic stride schedule.
 //! 2. **Stride batching.** An external level with block-aligned stride
 //!    (`B | s`) touches each block in exactly one block pair `(β, β + s/B)`.
 //!    All `B` element compare-exchanges that touch that pair are fused into
@@ -47,7 +50,7 @@
 //! ```
 //!
 //! matching Lemma 2. Every access is a fixed function of `(N, B, M)` — block
-//! reads in static loops, compare-exchanges hidden inside the private cache —
+//! reads in static loops, comparisons hidden inside the private cache —
 //! so the server-visible trace is identical for any two same-shape inputs;
 //! the obliviousness test-suite asserts this byte-for-byte.
 //!
@@ -58,8 +61,6 @@
 //! versus **1,400,832** for the naive full-depth baseline — an **8.1×**
 //! reduction, against a bound of `4·(N/B)(1 + ⌈log2(N/M)⌉²) = 425,984`.
 
-use crate::bitonic::{bitonic_merge_pow2_by, bitonic_sort_pow2_by};
-use crate::compare::exchange_dir_by;
 use extmem::element::Cell;
 use extmem::{ArrayHandle, BlockCache, BlockStore, CacheBudget, IoStats, StoreError};
 use std::cmp::Ordering;
@@ -195,14 +196,12 @@ where
     // sequences (region g ascending iff g is even; with a single region this
     // is the final ascending sort).
     for g in 0..p / f0 {
-        in_cache_pass(store, a, &mut budget, g * f0, f0, |cells| {
-            bitonic_sort_pow2_by(cells, g % 2 == 0, cmp);
-        })?;
+        in_cache_sort(store, a, &mut budget, g * f0, f0, g % 2 == 0, cmp)?;
     }
 
     // Phase 2 — merge stages k = 2·f0 … p. External strided levels first,
-    // then one in-cache finishing pass executes every remaining level
-    // (strides f0/2 … 1) of the stage.
+    // then one in-cache finishing pass sorts each f0-region, which is what
+    // every remaining level (strides f0/2 … 1) of the stage would produce.
     let mut k = 2 * f0;
     while k <= p {
         let mut s = k / 2;
@@ -213,15 +212,34 @@ where
         }
         for g in 0..p / f0 {
             let lo = g * f0;
-            let asc = lo & k == 0;
-            in_cache_pass(store, a, &mut budget, lo, f0, |cells| {
-                bitonic_merge_pow2_by(cells, asc, cmp);
-            })?;
+            in_cache_sort(store, a, &mut budget, lo, f0, lo & k == 0, cmp)?;
         }
         report.finish_passes += 1;
         k *= 2;
     }
     Ok(report)
+}
+
+/// Orders an owned pair for a directional comparator: returns the values in
+/// the order they belong at `(lower index, higher index)` — minimum first
+/// when `ascending`, maximum first otherwise.
+///
+/// This is the by-value form of the compare-exchange used by the external
+/// sorters, which read cells out of blocks or caches and write both back
+/// unconditionally (so the server-visible access pattern never depends on
+/// whether the pair swapped).
+#[inline]
+pub fn exchange_dir_by<T, F>(u: T, v: T, ascending: bool, cmp: &F) -> (T, T)
+where
+    F: Fn(&T, &T) -> Ordering,
+{
+    let swap = cmp(&u, &v) == Ordering::Greater;
+    let (small, large) = if swap { (v, u) } else { (u, v) };
+    if ascending {
+        (small, large)
+    } else {
+        (large, small)
+    }
 }
 
 /// One external compare-exchange level: stride `s`, stage `k`.
@@ -302,20 +320,30 @@ where
     }
 }
 
-/// Loads the aligned region `[lo, lo + f)` into the private cache, applies
-/// `work` CPU-side (free in the I/O model), and stores the region back.
-fn in_cache_pass<S: BlockStore>(
+/// Loads the aligned region `[lo, lo + f)` into the private cache, sorts it
+/// CPU-side (free in the I/O model) ascending under `cmp` when `asc` and
+/// descending otherwise, and stores the region back.
+fn in_cache_sort<S, F>(
     store: &mut S,
     a: &ArrayHandle,
     budget: &mut CacheBudget,
     lo: usize,
     f: usize,
-    work: impl FnOnce(&mut [Cell]),
-) -> Result<(), StoreError> {
+    asc: bool,
+    cmp: &F,
+) -> Result<(), StoreError>
+where
+    S: BlockStore,
+    F: Fn(&Cell, &Cell) -> Ordering,
+{
     let b = a.block_elems();
     budget.with(span_blocks(f, b) * b, |_| {
         let mut cells = store.try_load_span(a, lo, lo + f)?;
-        work(&mut cells);
+        if asc {
+            cells.sort_unstable_by(cmp);
+        } else {
+            cells.sort_unstable_by(|x, y| cmp(y, x));
+        }
         store.try_store_span(a, lo, &cells)
     })
 }
@@ -482,6 +510,66 @@ mod tests {
         assert!(matches!(err, StoreError::InvalidArgument { .. }));
         assert!(err.to_string().contains("at least two blocks"));
         assert_eq!(mem.stats().total(), 0, "refused before any I/O");
+    }
+
+    /// Orders cells by key alone in direction `order`, dummies last: ties
+    /// among equal keys are left to the sort.
+    fn key_only(order: SortOrder) -> impl Fn(&Cell, &Cell) -> Ordering {
+        move |x, y| match (x, y) {
+            (Some(a), Some(b)) if order == SortOrder::Ascending => a.key.cmp(&b.key),
+            (Some(a), Some(b)) => b.key.cmp(&a.key),
+            (x, y) => x.is_none().cmp(&y.is_none()),
+        }
+    }
+
+    #[test]
+    fn zero_one_keys_sort_exhaustively_in_both_orders() {
+        // Zero-one principle: the sort is a fixed schedule of monotone
+        // steps (block-pair compare-exchanges and in-cache region sorts), so
+        // it sorts every input iff it sorts every 0/1 input. At B = 2, M = 4
+        // the region is F = 4: length 16 runs three external levels
+        // (strides 4, 8, 4) between the in-cache presort and finishing, and
+        // length 12 also takes the padded scratch path. Keys are 0/1 under a
+        // key-only comparator; payloads are distinct, so the output must be
+        // a permutation of the input.
+        for n in [16usize, 12] {
+            for order in [SortOrder::Ascending, SortOrder::Descending] {
+                let cmp = key_only(order);
+                for mask in 0u32..1 << n {
+                    let mut mem = ExtMem::new(2);
+                    let cells: Vec<Cell> = (0..n)
+                        .map(|i| Some(Element::keyed(u64::from((mask >> i) & 1), i)))
+                        .collect();
+                    let h = mem.alloc_array_from_cells(&cells);
+                    let report = try_external_oblivious_sort_by(&mut mem, &h, 4, &cmp).unwrap();
+                    let got = mem.snapshot_cells(&h);
+                    assert!(
+                        got.is_sorted_by(|x, y| cmp(x, y) != Ordering::Greater),
+                        "N={n} {order:?} mask {mask:b}"
+                    );
+                    let (mut got, mut want) = (got, cells);
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "N={n} {order:?} mask {mask:b}");
+                    assert_eq!(
+                        (report.region_elems, report.external_levels, report.padded),
+                        (4, 3, n != 16)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exchange_dir_by_orders_a_pair_in_either_direction() {
+        let cmp = |a: &i32, b: &i32| a.cmp(b);
+        assert_eq!(exchange_dir_by(5, 1, true, &cmp), (1, 5));
+        assert_eq!(exchange_dir_by(1, 5, true, &cmp), (1, 5));
+        assert_eq!(exchange_dir_by(1, 5, false, &cmp), (5, 1));
+        assert_eq!(exchange_dir_by(5, 1, false, &cmp), (5, 1));
+        // A custom order: by absolute value.
+        let by_abs = |a: &i32, b: &i32| a.abs().cmp(&b.abs());
+        assert_eq!(exchange_dir_by(-9, 2, true, &by_abs), (2, -9));
     }
 
     #[test]

@@ -3,45 +3,39 @@
 //! Deterministic data-oblivious building blocks used throughout the
 //! workspace:
 //!
-//! * [`compare`] — compare-exchange primitives, the only data-dependent
-//!   operation a sorting network performs (and it performs it with a fixed
-//!   access pattern).
-//! * [`bitonic`] — Batcher's bitonic sorter for power-of-two slices; its
-//!   stride structure is what the external-memory sort exploits, and it
-//!   finishes the Lemma 2 sort's in-cache sub-problems.
 //! * [`butterfly`] — the butterfly-like routing network of the paper's
 //!   Section 3 (Figure 1), in its in-memory circuit form, plus an ASCII
 //!   renderer that regenerates Figure 1.
 //! * [`external_sort`] — the paper's **Lemma 2** substitute: a deterministic
 //!   data-oblivious external-memory sort costing
-//!   `O((N/B)(1 + log²(N/M)))` I/Os, implemented as an external bitonic sort
-//!   whose small sub-problems are finished inside the private cache.
+//!   `O((N/B)(1 + log²(N/M)))` I/Os: its external levels are a fixed bitonic
+//!   stride schedule of block-pair compare-exchanges
+//!   ([`exchange_dir_by`]), and every sub-problem that fits the private
+//!   cache is finished there with a plain sort, which the server never
+//!   sees.
 //! * [`bucket_sort`] — the randomized *Bucket Oblivious Sort* route: butterfly
 //!   routing of `Z`-capacity buckets via the 2-way [`merge_split`] primitive
 //!   plus an `M/B`-way run merge, costing `O((N/B)·log_{M/B}(N/B))` I/Os —
 //!   beating the Lemma 2 squared log whenever `N ≫ M`.
 //!
 //! Everything except [`bucket_sort`] is deterministic: on any two inputs of
-//! the same size the sequence of element positions touched — and for the
-//! external sort, the sequence of block addresses — is identical. The bucket
+//! the same size the butterfly circuit touches the same element positions
+//! and the external sort the same sequence of block addresses. The bucket
 //! sort's trace is a deterministic function of `(shape, seed, data)`; see its
 //! module docs for the random-shuffle obliviousness argument.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitonic;
 pub mod bucket_sort;
 pub mod butterfly;
-pub mod compare;
 pub mod external_sort;
 
-pub use bitonic::{bitonic_merge_pow2_by, bitonic_sort_pow2};
 pub use bucket_sort::{
     bucket_oblivious_sort_by, merge_split, BucketSortConfig, BucketSortError, BucketSortReport,
     MergeSplitOverflow,
 };
-pub use external_sort::{try_external_oblivious_sort_by, SortOrder, SortReport};
+pub use external_sort::{exchange_dir_by, try_external_oblivious_sort_by, SortOrder, SortReport};
 
 /// Announces the strictly sequential block-read schedule `[lo, hi)` of
 /// array `h` in one [`hint_blocks`](extmem::BlockStore::hint_blocks) call,

@@ -173,7 +173,7 @@ fn plaintext_and_encrypted_traces_are_byte_identical() {
         let (plain_out, plain_trace) = bucket_run(&cells, b, m, SortOrder::Ascending, seed);
 
         let mut enc = EncryptedStore::new(b, 0xC1F4);
-        let h = enc.alloc_array_from_cells(&cells);
+        let h = enc.alloc_array_from_cells(&cells).unwrap();
         enc.enable_trace();
         let report = bucket_oblivious_sort_by(
             &mut enc,

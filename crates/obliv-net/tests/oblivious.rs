@@ -109,7 +109,7 @@ fn encrypted_store_shares_the_exact_sort_trace() {
         let plain = trace_of(&cells, b, m, SortOrder::Ascending);
 
         let mut enc = EncryptedStore::new(b, 0x50F7);
-        let h = enc.alloc_array_from_cells(&cells);
+        let h = enc.alloc_array_from_cells(&cells).unwrap();
         enc.enable_trace();
         let report = lemma2_sort(&mut enc, &h, m, SortOrder::Ascending);
         let etrace = enc.take_trace().expect("trace was enabled");

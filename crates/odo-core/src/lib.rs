@@ -64,9 +64,7 @@ pub use extmem::{
     InjectedCrash, IoStats, PrefetchConfig, PrefetchStats, PrefetchingStore, RetryPolicy,
     RetryStats, StoreError,
 };
-pub use obliv_net::{
-    bitonic_sort_pow2, BucketSortConfig, BucketSortError, BucketSortReport, SortOrder, SortReport,
-};
+pub use obliv_net::{BucketSortConfig, BucketSortError, BucketSortReport, SortOrder, SortReport};
 pub use select::{try_quantiles, try_select_kth, SelectReport};
 pub use sorter::{OblivSorter, SorterReport};
 

@@ -224,7 +224,7 @@ fn encrypted_store_shares_the_exact_trace() {
     let plain = compact_trace(&cells, b, m);
 
     let mut enc = EncryptedStore::new(b, 0xB0B);
-    let h = enc.alloc_array_from_cells(&cells);
+    let h = enc.alloc_array_from_cells(&cells).unwrap();
     enc.enable_trace();
     try_compact(&mut enc, &h, m, RetryPolicy::default()).unwrap();
     let etrace = enc.take_trace().expect("trace was enabled");

@@ -163,7 +163,7 @@ fn encrypted_store_computes_the_same_compaction_with_equal_io() {
         .0;
 
     let mut enc = EncryptedStore::new(16, 0x5EC_2E7);
-    let eh = enc.alloc_array_from_cells(&cells);
+    let eh = enc.alloc_array_from_cells(&cells).unwrap();
     let encrypted = try_compact(&mut enc, &eh, 128, RetryPolicy::default())
         .unwrap()
         .0;

@@ -116,7 +116,7 @@ fn encrypted_store_shares_the_exact_trace() {
     let plain = select_trace(&cells, b, m, k);
 
     let mut enc = EncryptedStore::new(b, 0x5EC);
-    let h = enc.alloc_array_from_cells(&cells);
+    let h = enc.alloc_array_from_cells(&cells).unwrap();
     enc.enable_trace();
     let (_, report, _) = try_select_kth(&mut enc, &h, m, k, RetryPolicy::default()).unwrap();
     let etrace = enc.take_trace().expect("trace was enabled");
@@ -234,7 +234,7 @@ fn filter_path_encrypted_store_shares_the_exact_trace() {
     let k = 1234;
     let plain = select_trace(&cells, b, m, k);
     let mut enc = EncryptedStore::new(b, 0x5EC);
-    let h = enc.alloc_array_from_cells(&cells);
+    let h = enc.alloc_array_from_cells(&cells).unwrap();
     enc.enable_trace();
     let (_, report, _) = try_select_kth(&mut enc, &h, m, k, RetryPolicy::default()).unwrap();
     let etrace = enc.take_trace().expect("trace was enabled");

@@ -166,7 +166,7 @@ fn selection_agrees_between_plain_and_encrypted_stores() {
             try_select_kth(&mut mem, &h, 64, k, RetryPolicy::default()).unwrap();
 
         let mut enc = EncryptedStore::new(8, 0xE);
-        let eh = enc.alloc_array_from_cells(&cells);
+        let eh = enc.alloc_array_from_cells(&cells).unwrap();
         let (encd, ereport, _) =
             try_select_kth(&mut enc, &eh, 64, k, RetryPolicy::default()).unwrap();
 

@@ -222,7 +222,7 @@ fn encrypted_file_store_shares_the_exact_trace() {
 
     let fs = FileStore::temp(case.b).expect("temp file store");
     let mut enc = EncryptedStore::with_backing(fs, 0xB0B);
-    let h = enc.alloc_array_from_cells(&case.cells);
+    let h = enc.alloc_array_from_cells(&case.cells).unwrap();
     enc.enable_trace();
     run_prim(&mut enc, &h, &case);
     let etrace = enc.take_trace().expect("trace");

@@ -74,7 +74,9 @@ fn main() {
     let survivors = cells.iter().filter(|c| c.is_some()).count();
 
     let mut store = EncryptedStore::new(b, 0xA11CE);
-    let handle = store.alloc_array_from_cells(&cells);
+    let handle = store
+        .alloc_array_from_cells(&cells)
+        .expect("honest populate");
     let (report, _) = try_compact(&mut store, &handle, m, policy).expect("honest store");
 
     assert_eq!(report.occupied, survivors);
@@ -108,7 +110,9 @@ fn main() {
     // rank k. Runs over the same
     // encrypted store; the input array is left untouched.
     let survivors_arr: Vec<Cell> = cells.iter().flatten().map(|e| Some(*e)).collect();
-    let sel_handle = store.alloc_array_from_cells(&survivors_arr);
+    let sel_handle = store
+        .alloc_array_from_cells(&survivors_arr)
+        .expect("honest populate");
     let k = survivors / 2;
     let (median, report, _) =
         try_select_kth(&mut store, &sel_handle, m, k, policy).expect("honest store");
@@ -210,7 +214,9 @@ fn main() {
     let ecells: Vec<Cell> = items.iter().map(|e| Some(*e)).collect();
     let mut efile =
         EncryptedStore::with_backing(FileStore::temp(b).expect("temp-backed block file"), 0x50F8);
-    let fh = efile.alloc_array_from_cells(&ecells);
+    let fh = efile
+        .alloc_array_from_cells(&ecells)
+        .expect("honest populate");
     let t = std::time::Instant::now();
     let (freport, _) = OblivSorter::bucket(0xB0C_C1A0)
         .try_sort(&mut efile, &fh, m, SortOrder::Ascending, policy)
@@ -223,7 +229,10 @@ fn main() {
         FileStore::temp(b).expect("temp-backed block file"),
         0x50F8,
     ));
-    let ph = pf.inner_mut().alloc_array_from_cells(&ecells);
+    let ph = pf
+        .inner_mut()
+        .alloc_array_from_cells(&ecells)
+        .expect("honest populate");
     let t = std::time::Instant::now();
     let (preport, _) = OblivSorter::bucket(0xB0C_C1A0)
         .try_sort(&mut pf, &ph, m, SortOrder::Ascending, policy)
