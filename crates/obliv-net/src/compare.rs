@@ -1,54 +1,16 @@
-//! Compare-exchange primitives.
+//! The compare-exchange primitive of the external sorters.
 //!
-//! A *compare-exchange* on positions `(i, j)` reads both cells, writes the
+//! A *compare-exchange* on positions `(i, j)` reads both cells and writes the
 //! smaller to `i` and the larger to `j` (for an ascending comparator). The
 //! positions touched never depend on the data — only the (hidden) contents of
-//! the two cells do — which is why circuits built from compare-exchange
-//! operations are data-oblivious by construction.
+//! the two cells do — which is why a fixed schedule of compare-exchanges is
+//! data-oblivious by construction. The Lemma 2 sort's external levels and
+//! the naive baseline in the `baseline` crate both run one.
 //!
-//! The helpers here are generic over the comparison so callers can sort by
-//! key, by original index (for order-preserving compaction) or with dummies
-//! forced to one end.
+//! The comparison is generic so callers can sort by key, by original index
+//! or with dummies forced to one end.
 
 use std::cmp::Ordering;
-
-/// Compare-exchange `v[i]` and `v[j]` so that afterwards
-/// `cmp(&v[i], &v[j]) != Greater` (ascending comparator).
-#[inline]
-pub fn compare_exchange_by<T, F>(v: &mut [T], i: usize, j: usize, cmp: &F)
-where
-    F: Fn(&T, &T) -> Ordering,
-{
-    debug_assert!(i < j, "comparators must be oriented low-to-high");
-    if cmp(&v[i], &v[j]) == Ordering::Greater {
-        v.swap(i, j);
-    }
-}
-
-/// Descending compare-exchange (larger element ends up at the lower index).
-#[inline]
-pub fn compare_exchange_desc_by<T, F>(v: &mut [T], i: usize, j: usize, cmp: &F)
-where
-    F: Fn(&T, &T) -> Ordering,
-{
-    debug_assert!(i < j);
-    if cmp(&v[i], &v[j]) == Ordering::Less {
-        v.swap(i, j);
-    }
-}
-
-/// Directional compare-exchange used by bitonic networks.
-#[inline]
-pub fn compare_exchange_dir_by<T, F>(v: &mut [T], i: usize, j: usize, ascending: bool, cmp: &F)
-where
-    F: Fn(&T, &T) -> Ordering,
-{
-    if ascending {
-        compare_exchange_by(v, i, j, cmp);
-    } else {
-        compare_exchange_desc_by(v, i, j, cmp);
-    }
-}
 
 /// Orders an owned pair for a directional comparator: returns the values in
 /// the order they belong at `(lower index, higher index)` — minimum first
@@ -79,34 +41,34 @@ mod tests {
     #[test]
     fn ascending_comparator_orders_pair() {
         let cmp = |a: &i32, b: &i32| a.cmp(b);
-        let mut v = vec![5, 1];
-        compare_exchange_by(&mut v, 0, 1, &cmp);
-        assert_eq!(v, vec![1, 5]);
-        compare_exchange_by(&mut v, 0, 1, &cmp);
-        assert_eq!(v, vec![1, 5], "already ordered pair is untouched");
+        assert_eq!(exchange_dir_by(5, 1, true, &cmp), (1, 5));
+        assert_eq!(
+            exchange_dir_by(1, 5, true, &cmp),
+            (1, 5),
+            "already ordered pair is untouched"
+        );
     }
 
     #[test]
     fn descending_comparator_orders_pair() {
-        let mut v = vec![1, 5];
-        compare_exchange_desc_by(&mut v, 0, 1, &|a: &i32, b: &i32| a.cmp(b));
-        assert_eq!(v, vec![5, 1]);
+        let cmp = |a: &i32, b: &i32| a.cmp(b);
+        assert_eq!(exchange_dir_by(1, 5, false, &cmp), (5, 1));
+        assert_eq!(exchange_dir_by(5, 1, false, &cmp), (5, 1));
     }
 
     #[test]
     fn directional_comparator_respects_flag() {
-        let mut v = vec![3, 7];
-        compare_exchange_dir_by(&mut v, 0, 1, false, &|a: &i32, b: &i32| a.cmp(b));
-        assert_eq!(v, vec![7, 3]);
-        compare_exchange_dir_by(&mut v, 0, 1, true, &|a: &i32, b: &i32| a.cmp(b));
-        assert_eq!(v, vec![3, 7]);
+        let cmp = |a: &i32, b: &i32| a.cmp(b);
+        let (u, v) = exchange_dir_by(3, 7, false, &cmp);
+        assert_eq!((u, v), (7, 3));
+        assert_eq!(exchange_dir_by(u, v, true, &cmp), (3, 7));
     }
 
     #[test]
     fn custom_comparison_is_honoured() {
         // Sort by absolute value.
-        let mut v = vec![-9, 2];
-        compare_exchange_by(&mut v, 0, 1, &|a: &i32, b: &i32| a.abs().cmp(&b.abs()));
-        assert_eq!(v, vec![2, -9]);
+        let by_abs = |a: &i32, b: &i32| a.abs().cmp(&b.abs());
+        assert_eq!(exchange_dir_by(-9, 2, true, &by_abs), (2, -9));
+        assert_eq!(exchange_dir_by(2, -9, false, &by_abs), (-9, 2));
     }
 }

@@ -61,6 +61,7 @@
 //! versus **1,400,832** for the naive full-depth baseline — an **8.1×**
 //! reduction, against a bound of `4·(N/B)(1 + ⌈log2(N/M)⌉²) = 425,984`.
 
+use crate::compare::exchange_dir_by;
 use extmem::element::Cell;
 use extmem::{ArrayHandle, BlockCache, BlockStore, CacheBudget, IoStats, StoreError};
 use std::cmp::Ordering;
@@ -218,28 +219,6 @@ where
         k *= 2;
     }
     Ok(report)
-}
-
-/// Orders an owned pair for a directional comparator: returns the values in
-/// the order they belong at `(lower index, higher index)` — minimum first
-/// when `ascending`, maximum first otherwise.
-///
-/// This is the by-value form of the compare-exchange used by the external
-/// sorters, which read cells out of blocks or caches and write both back
-/// unconditionally (so the server-visible access pattern never depends on
-/// whether the pair swapped).
-#[inline]
-pub fn exchange_dir_by<T, F>(u: T, v: T, ascending: bool, cmp: &F) -> (T, T)
-where
-    F: Fn(&T, &T) -> Ordering,
-{
-    let swap = cmp(&u, &v) == Ordering::Greater;
-    let (small, large) = if swap { (v, u) } else { (u, v) };
-    if ascending {
-        (small, large)
-    } else {
-        (large, small)
-    }
 }
 
 /// One external compare-exchange level: stride `s`, stage `k`.
@@ -510,66 +489,6 @@ mod tests {
         assert!(matches!(err, StoreError::InvalidArgument { .. }));
         assert!(err.to_string().contains("at least two blocks"));
         assert_eq!(mem.stats().total(), 0, "refused before any I/O");
-    }
-
-    /// Orders cells by key alone in direction `order`, dummies last: ties
-    /// among equal keys are left to the sort.
-    fn key_only(order: SortOrder) -> impl Fn(&Cell, &Cell) -> Ordering {
-        move |x, y| match (x, y) {
-            (Some(a), Some(b)) if order == SortOrder::Ascending => a.key.cmp(&b.key),
-            (Some(a), Some(b)) => b.key.cmp(&a.key),
-            (x, y) => x.is_none().cmp(&y.is_none()),
-        }
-    }
-
-    #[test]
-    fn zero_one_keys_sort_exhaustively_in_both_orders() {
-        // Zero-one principle: the sort is a fixed schedule of monotone
-        // steps (block-pair compare-exchanges and in-cache region sorts), so
-        // it sorts every input iff it sorts every 0/1 input. At B = 2, M = 4
-        // the region is F = 4: length 16 runs three external levels
-        // (strides 4, 8, 4) between the in-cache presort and finishing, and
-        // length 12 also takes the padded scratch path. Keys are 0/1 under a
-        // key-only comparator; payloads are distinct, so the output must be
-        // a permutation of the input.
-        for n in [16usize, 12] {
-            for order in [SortOrder::Ascending, SortOrder::Descending] {
-                let cmp = key_only(order);
-                for mask in 0u32..1 << n {
-                    let mut mem = ExtMem::new(2);
-                    let cells: Vec<Cell> = (0..n)
-                        .map(|i| Some(Element::keyed(u64::from((mask >> i) & 1), i)))
-                        .collect();
-                    let h = mem.alloc_array_from_cells(&cells);
-                    let report = try_external_oblivious_sort_by(&mut mem, &h, 4, &cmp).unwrap();
-                    let got = mem.snapshot_cells(&h);
-                    assert!(
-                        got.is_sorted_by(|x, y| cmp(x, y) != Ordering::Greater),
-                        "N={n} {order:?} mask {mask:b}"
-                    );
-                    let (mut got, mut want) = (got, cells);
-                    got.sort_unstable();
-                    want.sort_unstable();
-                    assert_eq!(got, want, "N={n} {order:?} mask {mask:b}");
-                    assert_eq!(
-                        (report.region_elems, report.external_levels, report.padded),
-                        (4, 3, n != 16)
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn exchange_dir_by_orders_a_pair_in_either_direction() {
-        let cmp = |a: &i32, b: &i32| a.cmp(b);
-        assert_eq!(exchange_dir_by(5, 1, true, &cmp), (1, 5));
-        assert_eq!(exchange_dir_by(1, 5, true, &cmp), (1, 5));
-        assert_eq!(exchange_dir_by(1, 5, false, &cmp), (5, 1));
-        assert_eq!(exchange_dir_by(5, 1, false, &cmp), (5, 1));
-        // A custom order: by absolute value.
-        let by_abs = |a: &i32, b: &i32| a.abs().cmp(&b.abs());
-        assert_eq!(exchange_dir_by(-9, 2, true, &by_abs), (2, -9));
     }
 
     #[test]
