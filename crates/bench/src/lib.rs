@@ -4,13 +4,15 @@
 //! parameters, reads back the exact block I/O counts, and checks them against
 //! the paper's stated bounds. Five families — `sort`, `compact`, `select`,
 //! `faults` and `oram` — each write a `BENCH_<family>.json` document, so every
-//! change's I/O and wall-clock trajectory is on record.
+//! change's I/O counts are on record. Every field is deterministic, so a
+//! rerun reproduces each document byte for byte; wall-clock time is measured
+//! by `perfbench`, the end-to-end pipeline benchmark, not here.
 //!
 //! Every family goes through the one runner in [`runner`]:
 //!
 //! * a [`Workload`] (the Lemma 2 sort, the bucket sort, compaction, selection
 //!   or an ORAM request replay) runs through [`checked_run`] over `ExtMem`,
-//!   `FileStore`, `Encrypted(…)` and `Prefetching(…)` stacks — timed, its
+//!   `FileStore`, `Encrypted(…)` and `Prefetching(…)` stacks — traced, its
 //!   output asserted, and its I/O count and access trace asserted
 //!   byte-identical to the `ExtMem` reference run;
 //! * a [`Family`] lists only its grid, its JSON fields, its table columns and
@@ -24,9 +26,7 @@
 //!   bitonic sort. The randomized bucket oblivious sort runs head-to-head,
 //!   gated by `C_k · ⌈N/B⌉ · max(1, ⌈log_{M/B}(N/B)⌉)` with
 //!   `C_k =` [`BUCKET_BOUND_CONSTANT`], and must beat Lemma 2's I/Os wherever
-//!   `N/M ≥ 4`. At the headline point the bucket sort over `ExtMem` must also
-//!   beat Lemma 2 on the wall clock, and the prefetching stacks the plain
-//!   ones (interleaved min-of-5).
+//!   `N/M ≥ 4`.
 //! * **compact** — the §3 butterfly compaction's single-log bound
 //!   `C_c · ⌈N/B⌉ · (1 + ⌈log_β(⌈N/M⌉)⌉)`, `β = max(2, M/(8B))`,
 //!   `C_c =` [`COMPACT_BOUND_CONSTANT`]: the external levels run fused,
@@ -55,7 +55,7 @@ pub use runner::{
     checked_run, family_json, render_table, run_family, write_json, Check, Column, Family,
     FamilyFn, Field, Json, Outcome, Run, Stack, Verdict, Workload,
 };
-use runner::{dash, encrypted_file, encrypted_run, fmt_ms, temp_file, timed, yes_no};
+use runner::{dash, encrypted_file, encrypted_run, temp_file, yes_no};
 
 use baseline::{naive_external_bitonic_sort, naive_external_butterfly_compact, naive_select_kth};
 use extmem::element::{cell_cmp_none_last, Cell};
@@ -130,33 +130,6 @@ pub const HEADLINE: GridPoint = GridPoint {
     b: 64,
     m: 1 << 13,
 };
-
-/// Wall-clock nanoseconds of one primitive run over each storage backend.
-///
-/// The I/O *counts* are identical across backends by construction (the
-/// harness asserts byte-identical access traces), so this is the one place
-/// real time enters the benchmark: the same block schedule paid for in
-/// memory moves (`ExtMem`), file system calls (`FileStore`), and decrypt +
-/// re-encrypt work over the file (`EncryptedStore<FileStore>`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BackendNanos {
-    /// The in-memory `ExtMem` simulator.
-    pub extmem_ns: u64,
-    /// The tempdir-backed `FileStore` doing real reads and writes.
-    pub file_ns: u64,
-    /// `EncryptedStore<FileStore>` — same file, plus the cipher work.
-    pub encrypted_file_ns: u64,
-}
-
-impl BackendNanos {
-    fn json(&self) -> Json {
-        Json::Obj(vec![
-            ("extmem", self.extmem_ns.into()),
-            ("file", self.file_ns.into()),
-            ("encrypted_file", self.encrypted_file_ns.into()),
-        ])
-    }
-}
 
 /// `⌈log2(⌈N/M⌉)⌉`, the shared "external levels" factor of every bound
 /// checked by this harness (0 when the array fits in cache).
@@ -585,17 +558,11 @@ fn io_fields(optimized: IoStats, encrypted: IoStats) -> [Field; 4] {
     ]
 }
 
-/// `elapsed_ns` per backend, or `null` when the wall-clock sweep did not
-/// run. A timing is only recorded after the file-backed trace was asserted
-/// byte-identical to `ExtMem`, so `file_trace_identical` rides along.
-fn elapsed_fields(elapsed: Option<&BackendNanos>) -> Vec<Field> {
-    match elapsed {
-        Some(t) => vec![
-            ("elapsed_ns", t.json()),
-            ("file_trace_identical", true.into()),
-        ],
-        None => vec![("elapsed_ns", Json::Null)],
-    }
+/// `file_trace_identical: true` when the file-backed runs ran: a result
+/// exists only after each of their traces was asserted byte-identical to
+/// `ExtMem`'s.
+fn file_parity_field(file_parity: bool) -> Option<Field> {
+    file_parity.then(|| ("file_trace_identical", true.into()))
 }
 
 /// The naive baseline's total, levels and speedup, or `naive_total: null`.
@@ -623,28 +590,6 @@ fn fmt_speedup(speedup: Option<f64>) -> String {
 // ---------------------------------------------------------------------------
 // The external oblivious sort (`BENCH_sort.json`)
 // ---------------------------------------------------------------------------
-
-/// Wall-clock timings of one sort grid point (filled only when
-/// [`run_sort_point`] is asked to exercise the file-backed backends).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SortTimings {
-    /// The Lemma 2 engine over each backend.
-    pub lemma2: BackendNanos,
-    /// The bucket engine over each backend. Its `extmem_ns` and Lemma 2's
-    /// are interleaved min-of-5 untraced runs, the pair behind the
-    /// in-memory wall-clock headline gate.
-    pub bucket: BackendNanos,
-    /// The bucket engine over `PrefetchingStore<FileStore>` — the headline
-    /// wall-clock comparison: shape-derived read-ahead against the plain
-    /// file store's synchronous loads (`bucket.file_ns`).
-    pub bucket_prefetch_ns: u64,
-    /// The bucket engine over `Prefetching(Encrypted(FileStore))` — the
-    /// span-pipeline comparison: coalesced decrypting span reads and
-    /// batched-keystream span writes against the plain encrypted store's
-    /// synchronous decrypt-on-load (`bucket.encrypted_file_ns`), interleaved
-    /// min-of-N like the plaintext pair.
-    pub encrypted_prefetch_ns: u64,
-}
 
 /// Measured result of one grid point.
 #[derive(Clone, Debug)]
@@ -678,12 +623,10 @@ pub struct SortBenchResult {
     pub bound_total: u64,
     /// Whether the optimized sort's total I/Os satisfy the bound.
     pub within_bound: bool,
-    /// Wall-clock timings over `ExtMem`, `FileStore` and
-    /// `Encrypted(FileStore)` — `None` when the point was run I/O-count-only
-    /// (`backends = false`). Every file-backed run's access trace is
-    /// asserted byte-identical to the `ExtMem` reference before a timing is
-    /// recorded.
-    pub timings: Option<SortTimings>,
+    /// Whether the point also ran over the file-backed stacks
+    /// (`backends = true`), every trace asserted byte-identical to the
+    /// `ExtMem` reference.
+    pub file_parity: bool,
 }
 
 impl SortBenchResult {
@@ -711,13 +654,13 @@ impl SortBenchResult {
 /// references) and over the re-encrypting store, the naive baseline when
 /// `run_naive` is set (it costs `Θ((N/B) log² N)` simulated I/Os, which is
 /// cheap to simulate but noisy to read), and — when `backends` is set — the
-/// wall-clock backend sweep: both engines over `FileStore` and
+/// file-backed stacks: both engines over `FileStore` and
 /// `Encrypted(FileStore)` plus the bucket engine over
 /// `PrefetchingStore<FileStore>` and `Prefetching(Encrypted(FileStore))`
-/// (coalesced decrypting span reads and batched-keystream span writes), every
-/// trace asserted byte-identical to the `ExtMem` reference, and the full
-/// stack checked by [`assert_full_stack_is_data_independent`]. Panics if
-/// any run fails to sort.
+/// (coalesced decrypting span reads and batched-keystream span writes), each
+/// once, every trace asserted byte-identical to the `ExtMem` reference, and
+/// the full stack checked by [`assert_full_stack_is_data_independent`].
+/// Panics if any run fails to sort.
 pub fn run_sort_point(point: GridPoint, run_naive: bool, backends: bool) -> SortBenchResult {
     let GridPoint { n, b, m } = point;
     let input = bench_input(n, 0xB0B);
@@ -733,66 +676,22 @@ pub fn run_sort_point(point: GridPoint, run_naive: bool, backends: bool) -> Sort
     // The same sorts over the re-encrypting store: every block is decrypted
     // on read and re-encrypted (fresh nonce) on write, yet the I/O count and
     // the trace are identical. Both bucket runs use the same fixed seed, so
-    // the encryption layer may not perturb the access pattern in any way. In
-    // the backend sweep the ciphertext lives in a real file.
+    // the encryption layer may not perturb the access pattern in any way.
+    // With `backends` the ciphertext lives in a real file.
     let l2_enc = encrypted_run(&lemma2, b, 0x50F7, backends, &l2, &l2_at);
     let bk_enc = encrypted_run(&bucket, b, 0x50F8, backends, &bk, &bk_at);
-
-    let timings = backends.then(|| {
-        let l2_file = checked_run(&lemma2, temp_file(b), Check::Parity(&l2), &l2_at);
-        // Min-of-N on the wall-clock-gated runs, with the repetitions
-        // INTERLEAVED (plain, prefetch, plain, prefetch, ...) so both
-        // backends sample the same noise windows — VM clock drift across a
-        // bench run is larger than the margin under test, so back-to-back
-        // batches would compare different weather, not different backends.
-        // The logical work is identical across repetitions (same input,
-        // same seed, asserted), so the minimum is the cleanest estimate of
-        // each backend's intrinsic cost.
-        const WALL_CLOCK_REPS: usize = 5;
+    if backends {
+        checked_run(&lemma2, temp_file(b), Check::Parity(&l2), &l2_at);
         let parity = Check::Parity(&bk);
-        let mut min_ns = [u64::MAX; 6];
-        for _ in 0..WALL_CLOCK_REPS {
-            let reps = [
-                // The in-memory pair: both engines over untraced `ExtMem`,
-                // where no store layer hides the client's in-cache work.
-                checked_run(&lemma2, ExtMem::new(b), Check::Untraced, &l2_at).ns,
-                checked_run(&bucket, ExtMem::new(b), Check::Untraced, &bk_at).ns,
-                // The plain file store's synchronous loads against
-                // shape-derived read-ahead: hinted runs coalesced into span
-                // reads, recorded in request order so the logical trace
-                // still matches.
-                checked_run(&bucket, temp_file(b), parity, &bk_at).ns,
-                checked_run(&bucket, PrefetchingStore::new(temp_file(b)), parity, &bk_at).ns,
-                // The encrypted pair, interleaved the same way: synchronous
-                // decrypt-on-load against coalesced decrypting span reads,
-                // batched keystream and write-behind spans.
-                checked_run(&bucket, encrypted_file(b, 0x50F8), parity, &bk_at).ns,
-                {
-                    let store = PrefetchingStore::new(encrypted_file(b, 0x50F8));
-                    checked_run(&bucket, store, parity, &bk_at).ns
-                },
-            ];
-            for (min, ns) in min_ns.iter_mut().zip(reps) {
-                *min = ns.min(*min);
-            }
-        }
+        checked_run(&bucket, temp_file(b), parity, &bk_at);
+        // Shape-derived read-ahead, plain and encrypted: hinted runs
+        // coalesced into span reads, recorded in request order so the
+        // logical trace still matches.
+        checked_run(&bucket, PrefetchingStore::new(temp_file(b)), parity, &bk_at);
+        let store = PrefetchingStore::new(encrypted_file(b, 0x50F8));
+        checked_run(&bucket, store, parity, &bk_at);
         assert_full_stack_is_data_independent(point);
-        let [l2_mem, bk_mem, bk_file, bk_prefetch, bk_enc_file, bk_enc_prefetch] = min_ns;
-        SortTimings {
-            lemma2: BackendNanos {
-                extmem_ns: l2_mem,
-                file_ns: l2_file.ns,
-                encrypted_file_ns: l2_enc.ns,
-            },
-            bucket: BackendNanos {
-                extmem_ns: bk_mem,
-                file_ns: bk_file,
-                encrypted_file_ns: bk_enc_file,
-            },
-            bucket_prefetch_ns: bk_prefetch,
-            encrypted_prefetch_ns: bk_enc_prefetch,
-        }
-    });
+    }
 
     let (naive, naive_levels) = run_naive
         .then(|| {
@@ -821,7 +720,7 @@ pub fn run_sort_point(point: GridPoint, run_naive: bool, backends: bool) -> Sort
         naive_levels,
         bound_total,
         within_bound: l2.io.total() <= bound_total,
-        timings,
+        file_parity: backends,
     }
 }
 
@@ -850,15 +749,15 @@ pub fn assert_full_stack_is_data_independent(point: GridPoint) {
     );
 }
 
-/// The sort family: both engines, the naive baseline and the backend sweep
-/// at every grid point.
+/// The sort family: both engines, the naive baseline and the file-backed
+/// stacks at every grid point.
 pub struct SortBench;
 
 impl Family for SortBench {
     type Point = GridPoint;
     type Result = SortBenchResult;
     const NAME: &'static str = "sort";
-    const RUNS: &'static str = "(optimized + encrypted + naive + timed file backends)";
+    const RUNS: &'static str = "(optimized + encrypted + naive + file-backed trace parity)";
     const COLUMNS: &'static [Column<SortBenchResult>] = &[
         ("N", 8, |r| r.point.n.to_string()),
         ("B", 4, |r| r.point.b.to_string()),
@@ -871,12 +770,6 @@ impl Family for SortBench {
             format!("{:.2}x", r.bucket_speedup_vs_lemma2())
         }),
         ("speedup", 8, |r| fmt_speedup(r.speedup())),
-        ("file ms", 8, |r| {
-            fmt_ms(r.timings.map(|t| t.bucket.file_ns))
-        }),
-        ("pf ms", 8, |r| {
-            fmt_ms(r.timings.map(|t| t.bucket_prefetch_ns))
-        }),
         ("ok", 6, |r| {
             yes_no(
                 r.within_bound
@@ -915,24 +808,7 @@ impl Family for SortBench {
     fn row(r: &SortBenchResult) -> Vec<Field> {
         let mut f = point_fields(r.point);
         f.extend(io_fields(r.optimized, r.encrypted));
-        match &r.timings {
-            Some(t) => f.extend([
-                ("lemma2_elapsed_ns", t.lemma2.json()),
-                ("bucket_elapsed_ns", t.bucket.json()),
-                ("bucket_prefetch_ns", t.bucket_prefetch_ns.into()),
-                ("encrypted_prefetch_ns", t.encrypted_prefetch_ns.into()),
-                ("file_trace_identical", true.into()),
-            ]),
-            None => f.extend(
-                [
-                    "lemma2_elapsed_ns",
-                    "bucket_elapsed_ns",
-                    "bucket_prefetch_ns",
-                    "encrypted_prefetch_ns",
-                ]
-                .map(|k| (k, Json::Null)),
-            ),
-        }
+        f.extend(file_parity_field(r.file_parity));
         let (rep, bkt) = (&r.report, &r.bucket_report);
         f.extend([
             ("region_elems", rep.region_elems.into()),
@@ -961,9 +837,8 @@ impl Family for SortBench {
     }
 
     /// Every point within both bounds, the bucket sort below Lemma 2 where
-    /// `N/M ≥ 4`, and at the headline point: the naive speedup, the bucket
-    /// I/O win, and the three wall-clock pairs (in each, the first side must
-    /// beat the second).
+    /// `N/M ≥ 4`, and at the headline point: the naive speedup and the bucket
+    /// I/O win.
     fn gates(results: &[SortBenchResult]) -> Vec<Verdict> {
         let mut v = Vec::new();
         for r in results {
@@ -1005,53 +880,6 @@ impl Family for SortBench {
             bkt < opt,
             format!("BUCKET HEADLINE REGRESSION: bucket {bkt} >= Lemma 2 {opt}"),
         ));
-        // The wall-clock headlines, only gated on the full grid — timing
-        // on the N=2^12 smoke grid is all fixed costs.
-        let Some(t) = &r.timings else { return v };
-        let ms = |ns: u64| ns as f64 / 1e6;
-        for (what, fast, fast_ns, slow, slow_ns) in [
-            // In memory, the bucket engine's I/O advantage must survive its
-            // in-cache client work.
-            (
-                "ExtMem",
-                "bucket",
-                t.bucket.extmem_ns,
-                "Lemma 2",
-                t.lemma2.extmem_ns,
-            ),
-            // Shape-derived read-ahead must beat the plain file store's
-            // synchronous loads on the bucket sort.
-            (
-                "bucket",
-                "PrefetchingStore<FileStore>",
-                t.bucket_prefetch_ns,
-                "FileStore",
-                t.bucket.file_ns,
-            ),
-            // Coalesced decrypting span reads plus the batched keystream
-            // span path must beat synchronous decrypt-on-load over the same
-            // encrypted file.
-            (
-                "bucket",
-                "Prefetching(Encrypted(FileStore))",
-                t.encrypted_prefetch_ns,
-                "Encrypted(FileStore)",
-                t.bucket.encrypted_file_ns,
-            ),
-        ] {
-            let (fast_ms, slow_ms) = (ms(fast_ns), ms(slow_ns));
-            v.push(Verdict::Headline(format!(
-                "wall-clock headline (N=2^18, B=64, M=2^13, {what}): \
-                 {slow} {slow_ms:.1} ms vs {fast} {fast_ms:.1} ms — {:.2}x",
-                slow_ms / fast_ms.max(1e-9)
-            )));
-            if fast_ns >= slow_ns {
-                v.push(Verdict::WallClock(format!(
-                    "WALL-CLOCK HEADLINE REGRESSION ({what}): {fast} {fast_ms:.1} ms >= \
-                     {slow} {slow_ms:.1} ms"
-                )));
-            }
-        }
         v
     }
 }
@@ -1080,10 +908,10 @@ pub struct PointResult<R> {
     pub bound_total: u64,
     /// Whether the optimized run satisfies the bound.
     pub within_bound: bool,
-    /// Wall-clock timings over `ExtMem`, `FileStore` and
-    /// `Encrypted(FileStore)` — `None` when run I/O-count-only. The
-    /// file-backed trace is asserted byte-identical to `ExtMem` first.
-    pub elapsed: Option<BackendNanos>,
+    /// Whether the point also ran over `FileStore` and
+    /// `Encrypted(FileStore)` (`backends = true`), each trace asserted
+    /// byte-identical to `ExtMem`'s.
+    pub file_parity: bool,
 }
 
 /// Measured result of one compaction grid point.
@@ -1099,7 +927,7 @@ impl<R> PointResult<R> {
     }
 
     /// The compaction and selection table.
-    const COLUMNS: [Column<Self>; 10] = [
+    const COLUMNS: [Column<Self>; 8] = [
         ("N", 8, |r| r.point.n.to_string()),
         ("B", 4, |r| r.point.b.to_string()),
         ("M", 6, |r| r.point.m.to_string()),
@@ -1107,17 +935,13 @@ impl<R> PointResult<R> {
         ("naive I/Os", 12, |r| dash(r.naive.map(|x| x.total()))),
         ("bound", 12, |r| r.bound_total.to_string()),
         ("speedup", 8, |r| fmt_speedup(r.speedup())),
-        ("file ms", 8, |r| fmt_ms(r.elapsed.map(|t| t.file_ns))),
-        ("encf ms", 8, |r| {
-            fmt_ms(r.elapsed.map(|t| t.encrypted_file_ns))
-        }),
         ("ok", 6, |r| yes_no(r.within_bound)),
     ];
 }
 
 /// Measures one point of `job` (compaction or selection): the reference run
 /// over traced `ExtMem`, the identical run over the re-encrypting store
-/// (file-backed in the backend sweep), and — when `backends` is set — a
+/// (file-backed when `backends` is set), and — when `backends` is set — a
 /// plain `FileStore` run, every trace byte-identical to the reference.
 /// `report` extracts the structural report from the reference run's and
 /// `bound` the family's bound from that; the caller fills in the naive
@@ -1134,11 +958,9 @@ fn measure_point<W: Workload, R>(
     let (b, what) = (point.b, format!("{what} at {point}"));
     let mem = checked_run(job, ExtMem::new(b), Check::Reference, &what);
     let enc = encrypted_run(job, b, key, backends, &mem, &what);
-    let elapsed = backends.then(|| BackendNanos {
-        extmem_ns: mem.ns,
-        file_ns: checked_run(job, temp_file(b), Check::Parity(&mem), &what).ns,
-        encrypted_file_ns: enc.ns,
-    });
+    if backends {
+        checked_run(job, temp_file(b), Check::Parity(&mem), &what);
+    }
     let report = report(mem.report);
     let bound_total = bound(&report);
     PointResult {
@@ -1150,7 +972,7 @@ fn measure_point<W: Workload, R>(
         naive_levels: None,
         bound_total,
         within_bound: mem.io.total() <= bound_total,
-        elapsed,
+        file_parity: backends,
     }
 }
 
@@ -1261,7 +1083,7 @@ impl Family for CompactBench {
     type Point = GridPoint;
     type Result = CompactBenchResult;
     const NAME: &'static str = "compact";
-    const RUNS: &'static str = "(optimized + encrypted + naive + timed file backends)";
+    const RUNS: &'static str = "(optimized + encrypted + naive + file-backed trace parity)";
     const COLUMNS: &'static [Column<CompactBenchResult>] = &CompactBenchResult::COLUMNS;
 
     fn grid(smoke: bool) -> Vec<GridPoint> {
@@ -1287,7 +1109,7 @@ impl Family for CompactBench {
     fn row(r: &CompactBenchResult) -> Vec<Field> {
         let mut f = point_fields(r.point);
         f.extend(io_fields(r.optimized, r.encrypted));
-        f.extend(elapsed_fields(r.elapsed.as_ref()));
+        f.extend(file_parity_field(r.file_parity));
         f.extend([
             ("window_elems", r.report.window_elems.into()),
             ("in_cache_levels", r.report.in_cache_levels.into()),
@@ -1315,7 +1137,7 @@ impl Family for SelectBench {
     type Result = SelectBenchResult;
     const NAME: &'static str = "select";
     const RUNS: &'static str =
-        "k=N/2 (optimized + encrypted-trace parity + naive + timed file backends)";
+        "k=N/2 (optimized + encrypted-trace parity + naive + file-backed trace parity)";
     const COLUMNS: &'static [Column<SelectBenchResult>] = &SelectBenchResult::COLUMNS;
 
     /// The smoke grid's two points filter in one round; the extra point
@@ -1355,7 +1177,7 @@ impl Family for SelectBench {
         // The run asserts the byte-identical plaintext/encrypted trace
         // before a result is ever constructed.
         f.push(("encrypted_trace_identical", true.into()));
-        f.extend(elapsed_fields(r.elapsed.as_ref()));
+        f.extend(file_parity_field(r.file_parity));
         f.extend([
             ("rounds", r.report.rounds.into()),
             ("chunk_elems", r.report.chunk_elems.into()),
@@ -1490,8 +1312,6 @@ pub struct FaultBenchResult {
     pub scenario: FaultScenario,
     /// The bottom-level store backing this row (`"extmem"` or `"file"`).
     pub backend: &'static str,
-    /// Wall-clock nanoseconds of the sort window (including retries).
-    pub elapsed_ns: u64,
     /// Bottom-level (server-side) I/Os of the sort window, including the
     /// final MAC checkpoint flush when authenticated.
     pub sort_io: IoStats,
@@ -1602,8 +1422,7 @@ fn fault_window<S: BlockStore, B: BackingStore>(
     faulty(&mut store).set_spec(scenario.spec);
     let faults_before = faulty(&mut store).fault_stats();
     let policy = RetryPolicy::default();
-    let (run, elapsed_ns) =
-        timed(|| OblivSorter::default().try_sort(&mut store, &h, m, SortOrder::Ascending, policy));
+    let run = OblivSorter::default().try_sort(&mut store, &h, m, SortOrder::Ascending, policy);
     faulty(&mut store).set_spec(FaultSpec::none());
     let faults = faulty(&mut store).fault_stats();
     let _ = flush(&mut store);
@@ -1624,7 +1443,6 @@ fn fault_window<S: BlockStore, B: BackingStore>(
         point,
         scenario,
         backend: backend.name(),
-        elapsed_ns,
         sort_io: after - before,
         retries,
         faults: FaultStats {
@@ -1643,8 +1461,7 @@ fn fault_window<S: BlockStore, B: BackingStore>(
 /// Runs every [`fault_scenarios`] row at `point` over one backend and fills
 /// each result's overhead relative to the same backend's `plain_no_faults`
 /// baseline (the fault schedules are seeded per scenario, so the I/O counts
-/// — and hence the overheads — are identical across backends; only
-/// `elapsed_ns` differs).
+/// — and hence the overheads — are identical across backends).
 pub fn run_fault_scenarios(point: GridPoint, backend: FaultBackend) -> Vec<FaultBenchResult> {
     let mut results: Vec<FaultBenchResult> = fault_scenarios()
         .into_iter()
@@ -1663,7 +1480,7 @@ pub fn run_fault_scenarios(point: GridPoint, backend: FaultBackend) -> Vec<Fault
 
 /// Runs every [`fault_scenarios`] row at `point` over *both* backends —
 /// `Encrypted(ExtMem)` and `Encrypted(FileStore)` — so each JSON row carries
-/// a backend tag and a wall-clock column next to its I/O counts.
+/// a backend tag next to its I/O counts.
 pub fn run_fault_grid(point: GridPoint) -> Vec<FaultBenchResult> {
     let mut results = run_fault_scenarios(point, FaultBackend::ExtMem);
     results.extend(run_fault_scenarios(point, FaultBackend::File));
@@ -1776,7 +1593,6 @@ impl Family for FaultBench {
         }),
         ("retries", 8, |r| r.retries.to_string()),
         ("faults", 8, |r| r.faults.total().to_string()),
-        ("ms", 8, |r| fmt_ms(Some(r.elapsed_ns))),
         ("outcome", 12, |r| r.outcome().into()),
     ];
 
@@ -1835,7 +1651,6 @@ impl Family for FaultBench {
             ("sort_reads", r.sort_io.reads.into()),
             ("sort_writes", r.sort_io.writes.into()),
             ("sort_total", r.sort_io.total().into()),
-            ("elapsed_ns", r.elapsed_ns.into()),
             (
                 "overhead_vs_plain",
                 r.overhead_vs_plain
@@ -1984,16 +1799,11 @@ pub struct OramBenchResult {
     pub within_bound: bool,
     /// Client stash size after the window (bucket-overflow reals).
     pub stash_len: usize,
-    /// Wall clock of the identical sequence over `ExtMem`, `FileStore` and
-    /// `EncryptedStore<FileStore>` — `None` when run I/O-count-only. Every
-    /// file-backed run's trace is asserted byte-identical to `ExtMem`'s.
-    pub timings: Option<BackendNanos>,
-    /// Wall clock of the identical sequence over
-    /// `Prefetching(Encrypted(FileStore))` — coalesced span reads plus
-    /// write-behind span encryption, flushed inside the timed region. Its
-    /// logical trace is asserted byte-identical to `ExtMem`'s. `None` when
-    /// run I/O-count-only.
-    pub encrypted_prefetch_ns: Option<u64>,
+    /// Whether the identical sequence also replayed over `FileStore`,
+    /// `EncryptedStore<FileStore>` and `Prefetching(Encrypted(FileStore))`
+    /// (`backends = true`), each trace asserted byte-identical to
+    /// `ExtMem`'s.
+    pub file_parity: bool,
 }
 
 impl OramBenchResult {
@@ -2027,7 +1837,7 @@ impl fmt::Display for OramGridPoint {
 /// `backends` is set the identical sequence replays
 /// over `FileStore`, `EncryptedStore<FileStore>` and
 /// `Prefetching(Encrypted(FileStore))` (coalesced span reads, write-behind
-/// flushed on the clock), each timed, each trace asserted byte-identical to
+/// flushed inside the traced run), each trace asserted byte-identical to
 /// the simulator's — same seed, same salts, same schedule, on disk and
 /// under encryption.
 pub fn run_oram_point(point: OramGridPoint, backends: bool) -> OramBenchResult {
@@ -2051,22 +1861,14 @@ pub fn run_oram_point(point: OramGridPoint, backends: bool) -> OramBenchResult {
         accesses as u64,
         job.cfg.sorter,
     );
-    let (timings, encrypted_prefetch_ns) = if backends {
+    if backends {
         let parity = Check::Parity(&mem);
         let key = 0x04A7_0002;
-        let file = checked_run(&job, temp_file(b), parity, &what);
-        let enc = checked_run(&job, encrypted_file(b, key), parity, &what);
+        checked_run(&job, temp_file(b), parity, &what);
+        checked_run(&job, encrypted_file(b, key), parity, &what);
         let store = PrefetchingStore::new(encrypted_file(b, key));
-        let prefetch = checked_run(&job, store, parity, &what);
-        let timings = BackendNanos {
-            extmem_ns: mem.ns,
-            file_ns: file.ns,
-            encrypted_file_ns: enc.ns,
-        };
-        (Some(timings), Some(prefetch.ns))
-    } else {
-        (None, None)
-    };
+        checked_run(&job, store, parity, &what);
+    }
     OramBenchResult {
         point,
         levels: oram.level_count(),
@@ -2075,8 +1877,7 @@ pub fn run_oram_point(point: OramGridPoint, backends: bool) -> OramBenchResult {
         bound_total,
         within_bound: mem.io.total() <= bound_total,
         stash_len: oram.stash_len(),
-        timings,
-        encrypted_prefetch_ns,
+        file_parity: backends,
     }
 }
 
@@ -2139,7 +1940,8 @@ impl Family for OramBench {
     type Point = OramGridPoint;
     type Result = OramBenchResult;
     const NAME: &'static str = "oram";
-    const RUNS: &'static str = "(extmem + timed file + encrypted-file backends, trace parity)";
+    const RUNS: &'static str =
+        "(extmem + file + encrypted-file + prefetching backends, trace parity)";
     const COLUMNS: &'static [Column<OramBenchResult>] = &[
         ("n", 8, |r| r.point.n.to_string()),
         ("B", 4, |r| r.point.b.to_string()),
@@ -2150,10 +1952,6 @@ impl Family for OramBench {
         ("I/Os", 10, |r| r.io.total().to_string()),
         ("amort", 9, |r| format!("{:.1}", r.amortized_ios())),
         ("bound/ac", 9, |r| format!("{:.1}", r.bound_amortized())),
-        ("file ms", 8, |r| fmt_ms(r.timings.map(|t| t.file_ns))),
-        ("enc ms", 8, |r| {
-            fmt_ms(r.timings.map(|t| t.encrypted_file_ns))
-        }),
         ("ok", 6, |r| yes_no(r.within_bound)),
     ];
 
@@ -2206,8 +2004,7 @@ impl Family for OramBench {
             ),
             ("stash_len", r.stash_len.into()),
         ];
-        f.extend(elapsed_fields(r.timings.as_ref()));
-        f.push(("encrypted_prefetch_ns", r.encrypted_prefetch_ns.into()));
+        f.extend(file_parity_field(r.file_parity));
         f.push(("within_bound", r.within_bound.into()));
         f
     }
@@ -2248,6 +2045,20 @@ impl Family for OramBench {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The family's document over `run()`'s results, built twice: every
+    /// field is an I/O count, a structural report or a gate outcome, so the
+    /// two documents must match byte for byte.
+    fn reproducible_json<F: Family>(run: impl Fn() -> Vec<F::Result>) -> String {
+        let json = family_json::<F>(&run());
+        assert_eq!(
+            json,
+            family_json::<F>(&run()),
+            "BENCH_{}.json must be reproducible",
+            F::NAME
+        );
+        json
+    }
 
     #[test]
     fn bound_formula_matches_hand_computation() {
@@ -2292,22 +2103,23 @@ mod tests {
 
     #[test]
     fn json_has_all_points_and_fields() {
-        let results: Vec<SortBenchResult> = [
-            GridPoint {
-                n: 256,
-                b: 8,
-                m: 64,
-            },
-            GridPoint {
-                n: 512,
-                b: 8,
-                m: 64,
-            },
-        ]
-        .into_iter()
-        .map(|p| run_sort_point(p, true, true))
-        .collect();
-        let json = family_json::<SortBench>(&results);
+        let json = reproducible_json::<SortBench>(|| {
+            [
+                GridPoint {
+                    n: 256,
+                    b: 8,
+                    m: 64,
+                },
+                GridPoint {
+                    n: 512,
+                    b: 8,
+                    m: 64,
+                },
+            ]
+            .into_iter()
+            .map(|p| run_sort_point(p, true, true))
+            .collect()
+        });
         assert_eq!(json.matches("\"optimized_total\"").count(), 2);
         assert!(json.contains("\"bound_constant\": 4"));
         assert!(json.contains("\"encrypted_total\""));
@@ -2319,13 +2131,7 @@ mod tests {
         assert!(json.contains("\"bucket_z\""));
         assert!(json.contains("\"bucket_within_bound\": true"));
         assert!(json.contains("\"bucket_speedup_vs_lemma2\""));
-        assert_eq!(json.matches("\"lemma2_elapsed_ns\"").count(), 2);
-        assert_eq!(json.matches("\"bucket_elapsed_ns\"").count(), 2);
-        assert_eq!(json.matches("\"bucket_prefetch_ns\"").count(), 2);
-        assert_eq!(json.matches("\"encrypted_prefetch_ns\"").count(), 2);
-        assert!(json.contains("\"file_trace_identical\": true"));
-        assert!(!json.contains("\"encrypted_prefetch_ns\": null"));
-        assert!(!json.contains("\"lemma2_elapsed_ns\": null"));
+        assert_eq!(json.matches("\"file_trace_identical\": true").count(), 2);
     }
 
     #[test]
@@ -2373,31 +2179,30 @@ mod tests {
 
     #[test]
     fn compact_json_has_all_points_and_fields() {
-        let results: Vec<CompactBenchResult> = [
-            GridPoint {
-                n: 256,
-                b: 8,
-                m: 64,
-            },
-            GridPoint {
-                n: 512,
-                b: 8,
-                m: 64,
-            },
-        ]
-        .into_iter()
-        .map(|p| run_compact_point(p, true, true))
-        .collect();
-        let json = family_json::<CompactBench>(&results);
+        let json = reproducible_json::<CompactBench>(|| {
+            [
+                GridPoint {
+                    n: 256,
+                    b: 8,
+                    m: 64,
+                },
+                GridPoint {
+                    n: 512,
+                    b: 8,
+                    m: 64,
+                },
+            ]
+            .into_iter()
+            .map(|p| run_compact_point(p, true, true))
+            .collect()
+        });
         assert_eq!(json.matches("\"optimized_total\"").count(), 2);
         assert!(json.contains("\"bound_constant\": 4"));
         assert!(json.contains("\"encrypted_total\""));
         assert!(json.contains("\"external_passes\""));
         assert!(json.contains("\"speedup_vs_naive\""));
         assert!(json.contains("\"within_bound\": true"));
-        assert_eq!(json.matches("\"elapsed_ns\"").count(), 2);
-        assert!(json.contains("\"file_trace_identical\": true"));
-        assert!(!json.contains("\"elapsed_ns\": null"));
+        assert_eq!(json.matches("\"file_trace_identical\": true").count(), 2);
     }
 
     /// The I/O-bound regression gate: if a future refactor pushes the sort
@@ -2447,22 +2252,23 @@ mod tests {
 
     #[test]
     fn select_json_has_all_points_and_fields() {
-        let results: Vec<SelectBenchResult> = [
-            GridPoint {
-                n: 512,
-                b: 8,
-                m: 64,
-            },
-            GridPoint {
-                n: 1024,
-                b: 8,
-                m: 64,
-            },
-        ]
-        .into_iter()
-        .map(|p| run_select_point(p, true, true))
-        .collect();
-        let json = family_json::<SelectBench>(&results);
+        let json = reproducible_json::<SelectBench>(|| {
+            [
+                GridPoint {
+                    n: 512,
+                    b: 8,
+                    m: 64,
+                },
+                GridPoint {
+                    n: 1024,
+                    b: 8,
+                    m: 64,
+                },
+            ]
+            .into_iter()
+            .map(|p| run_select_point(p, true, true))
+            .collect()
+        });
         assert_eq!(json.matches("\"optimized_total\"").count(), 2);
         assert!(json.contains("\"bound_constant\": 32"));
         assert!(json.contains("\"filter_bound_constant\": 4"));
@@ -2470,9 +2276,7 @@ mod tests {
         assert!(json.contains("\"encrypted_trace_identical\": true"));
         assert!(json.contains("\"speedup_vs_naive\""));
         assert!(json.contains("\"within_bound\": true"));
-        assert_eq!(json.matches("\"elapsed_ns\"").count(), 2);
-        assert!(json.contains("\"file_trace_identical\": true"));
-        assert!(!json.contains("\"elapsed_ns\": null"));
+        assert_eq!(json.matches("\"file_trace_identical\": true").count(), 2);
     }
 
     #[test]
@@ -2510,7 +2314,7 @@ mod tests {
             "file-backed fault gates violated: {violations:#?}"
         );
         // Backend equivalence row by row: identical I/Os, retries, faults
-        // and outcomes — only the wall clock may differ.
+        // and outcomes.
         let mem = run_fault_scenarios(point, FaultBackend::ExtMem);
         for (f, m) in file.iter().zip(&mem) {
             assert_eq!(f.scenario.name, m.scenario.name);
@@ -2529,19 +2333,9 @@ mod tests {
         }
     }
 
-    /// Strips the wall-clock lines — the only legitimately nondeterministic
-    /// part of a fault row — so the rest can be compared byte for byte.
-    fn strip_timing(json: &str) -> String {
-        json.lines()
-            .filter(|l| !l.contains("\"elapsed_ns\""))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    /// The seeded-determinism satellite at the benchmark level: two
-    /// independent runs of the same grid produce byte-identical JSON — fault
-    /// schedules, retry counts and I/O totals included — once the wall-clock
-    /// column is stripped.
+    /// Seeded determinism at the benchmark level: two independent runs of
+    /// the same grid produce byte-identical JSON — fault schedules, retry
+    /// counts and I/O totals included.
     #[test]
     fn faults_json_is_deterministic_across_runs() {
         let point = GridPoint {
@@ -2549,13 +2343,7 @@ mod tests {
             b: 64,
             m: 1 << 9,
         };
-        let a = family_json::<FaultBench>(&run_fault_grid(point));
-        let b = family_json::<FaultBench>(&run_fault_grid(point));
-        assert_eq!(
-            strip_timing(&a),
-            strip_timing(&b),
-            "BENCH_faults.json must be reproducible modulo wall clock"
-        );
+        let a = reproducible_json::<FaultBench>(|| run_fault_grid(point));
         assert_eq!(
             a.matches("\"scenario\"").count(),
             2 * fault_scenarios().len(),
@@ -2566,7 +2354,6 @@ mod tests {
             fault_scenarios().len()
         );
         assert!(a.contains("\"backend\": \"extmem\""));
-        assert!(a.contains("\"elapsed_ns\""));
         assert!(a.contains("\"outcome\": \"detected\""));
         assert!(a.contains("\"outcome\": \"silent_wrong\""));
         assert!(a.contains("\"overhead_vs_plain\""));
@@ -2618,25 +2405,23 @@ mod tests {
 
     #[test]
     fn oram_json_has_all_points_and_fields() {
-        let results = vec![run_oram_point(
-            OramGridPoint {
-                n: 256,
-                b: 8,
-                m: 128,
-                period: 16,
-                accesses: 512,
-            },
-            true,
-        )];
-        let json = family_json::<OramBench>(&results);
+        let json = reproducible_json::<OramBench>(|| {
+            vec![run_oram_point(
+                OramGridPoint {
+                    n: 256,
+                    b: 8,
+                    m: 128,
+                    period: 16,
+                    accesses: 512,
+                },
+                true,
+            )]
+        });
         assert!(json.contains("\"benchmark\": \"hierarchical_oram\""));
         assert!(json.contains("\"amortized_ios_per_access\""));
         assert!(json.contains("\"bound_amortized_per_access\""));
         assert!(json.contains("\"within_bound\": true"));
         assert!(json.contains("\"file_trace_identical\": true"));
-        assert!(!json.contains("\"elapsed_ns\": null"));
-        assert!(json.contains("\"encrypted_prefetch_ns\""));
-        assert!(!json.contains("\"encrypted_prefetch_ns\": null"));
         assert!(json.contains("\"stash_len\""));
     }
 }

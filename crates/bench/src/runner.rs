@@ -1,7 +1,7 @@
 //! The one runner every benchmark family goes through.
 //!
 //! * [`checked_run`] runs a [`Workload`] on any [`Stack`] — `ExtMem`,
-//!   `FileStore`, `Encrypted(…)`, `Prefetching(…)` — timing the
+//!   `FileStore`, `Encrypted(…)`, `Prefetching(…)` — tracing the
 //!   algorithm and holding it to its expected output and, when asked, to a
 //!   reference run's I/O count and byte-identical access trace.
 //! * [`write_json`] renders every `BENCH_*.json` document and
@@ -16,7 +16,6 @@ use extmem::{
     PrefetchingStore,
 };
 use std::fmt::{self, Debug, Display, Write as _};
-use std::time::Instant;
 
 /// One JSON value of a benchmark document.
 #[derive(Clone, Debug, PartialEq)]
@@ -146,15 +145,6 @@ pub fn render_table<R>(columns: &[Column<R>], rows: &[R]) -> String {
     s
 }
 
-/// Runs `f` once and returns its result plus the elapsed wall-clock
-/// nanoseconds (saturated into `u64`, which holds ~584 years).
-pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let start = Instant::now();
-    let out = f();
-    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    (out, ns)
-}
-
 /// A store stack the runner can trace and drain: the in-memory and file
 /// backends and every wrapper the benchmarks put on them.
 pub trait Stack: BlockStore {
@@ -165,8 +155,8 @@ pub trait Stack: BlockStore {
     fn take_trace(&mut self) -> AccessTrace;
 
     /// Lands buffered writes: after setup, so the input is in place before
-    /// the clock starts, and inside the timed region after the run, since
-    /// durability is part of its cost. Most stores buffer nothing.
+    /// the trace starts, and after the run, so its writes are counted and
+    /// traced. Most stores buffer nothing.
     fn flush(&mut self) {}
 }
 
@@ -228,13 +218,13 @@ pub trait Workload {
     /// What a run is checked by.
     type Output: PartialEq + Debug;
 
-    /// Places the input on a fresh store (untimed, untraced).
+    /// Places the input on a fresh store (untraced).
     fn setup<S: BlockStore>(&self, store: &mut S) -> Self::Input;
 
-    /// The timed run.
+    /// The traced run.
     fn run<S: BlockStore>(&self, store: &mut S, input: &mut Self::Input) -> Self::Report;
 
-    /// Reads the result back after the run (untimed).
+    /// Reads the result back after the run (untraced).
     fn output<S: BlockStore>(
         &self,
         store: &mut S,
@@ -252,19 +242,15 @@ pub struct Run<W: Workload> {
     pub input: W::Input,
     /// The algorithm's report.
     pub report: W::Report,
-    /// Block I/Os of the run.
+    /// Block I/Os of the run, write-behind flush included.
     pub io: IoStats,
-    /// Wall-clock nanoseconds of the run, write-behind flush included.
-    pub ns: u64,
-    /// The server-visible access trace, unless the run was untraced.
-    pub trace: Option<AccessTrace>,
+    /// The server-visible access trace of the run.
+    pub trace: AccessTrace,
 }
 
 /// What a [`checked_run`] is held to besides its expected output.
 pub enum Check<'a, W: Workload> {
-    /// Nothing more. Tracing stays off, so no recorder is timed.
-    Untraced,
-    /// Record the trace: this run is the reference for others.
+    /// Nothing more: this run is the reference for others.
     Reference,
     /// The I/O count and the trace must equal the reference run's.
     Parity(&'a Run<W>),
@@ -278,7 +264,7 @@ impl<W: Workload> Clone for Check<'_, W> {
 
 impl<W: Workload> Copy for Check<'_, W> {}
 
-/// Sets `w` up on `store`, times its run (plus the store's write-behind
+/// Sets `w` up on `store`, traces its run (plus the store's write-behind
 /// flush), and asserts the output; under [`Check::Parity`] it also asserts
 /// the I/O count and a byte-identical trace. `what` names the job in panic
 /// messages (the store type is appended). Panics on any mismatch: a
@@ -292,18 +278,12 @@ pub fn checked_run<W: Workload, S: Stack>(
     let what = format!("{what} over {}", std::any::type_name::<S>());
     let mut input = w.setup(&mut store);
     store.flush();
-    let traced = !matches!(check, Check::Untraced);
-    if traced {
-        store.enable_trace();
-    }
+    store.enable_trace();
     let before = store.io_stats();
-    let (report, ns) = timed(|| {
-        let report = w.run(&mut store, &mut input);
-        store.flush();
-        report
-    });
+    let report = w.run(&mut store, &mut input);
+    store.flush();
     let io = store.io_stats() - before;
-    let trace = traced.then(|| store.take_trace());
+    let trace = store.take_trace();
     assert_eq!(
         &w.output(&mut store, &input, &report),
         w.expected(),
@@ -314,22 +294,16 @@ pub fn checked_run<W: Workload, S: Stack>(
             io, reference.io,
             "{what}: I/O count differs from the reference run"
         );
-        let got = trace.as_ref().expect("a parity run is traced");
-        let want = reference
-            .trace
-            .as_ref()
-            .expect("the reference run was traced");
         assert!(
-            got == want,
+            trace == reference.trace,
             "{what}: access trace differs from the reference run at event {:?}",
-            first_divergence(got, want)
+            first_divergence(&trace, &reference.trace)
         );
     }
     Run {
         input,
         report,
         io,
-        ns,
         trace,
     }
 }
@@ -369,9 +343,6 @@ pub enum Verdict {
     Headline(String),
     /// A failed gate (stderr; the run exits nonzero).
     Violation(String),
-    /// A failed wall-clock gate: a violation, unless wall-clock gating is
-    /// off (shared runners have noisy clocks).
-    WallClock(String),
 }
 
 impl Verdict {
@@ -445,12 +416,6 @@ pub fn run_family<F: Family>(smoke: bool) -> Outcome {
     }
 }
 
-/// Formats nanoseconds as milliseconds with one decimal, `"-"` for a timing
-/// that was not measured.
-pub(crate) fn fmt_ms(ns: Option<u64>) -> String {
-    ns.map_or_else(|| "-".into(), |ns| format!("{:.1}", ns as f64 / 1e6))
-}
-
 /// A table cell: the value, or `"-"` when absent.
 pub(crate) fn dash<T: Display>(v: Option<T>) -> String {
     v.map_or_else(|| "-".into(), |v| v.to_string())
@@ -478,8 +443,8 @@ mod tests {
             vec![
                 ("n", 256usize.into()),
                 (
-                    "elapsed_ns",
-                    Json::Obj(vec![("extmem", 1u64.into()), ("file", 2u64.into())]),
+                    "io",
+                    Json::Obj(vec![("reads", 1u64.into()), ("writes", 2u64.into())]),
                 ),
                 ("speedup_vs_naive", Json::Float(8.137, 2)),
                 ("overhead_vs_plain", Json::Float(-0.05, 4)),
@@ -494,7 +459,7 @@ mod tests {
   "rows": [
     {
       "n": 256,
-      "elapsed_ns": {"extmem": 1, "file": 2},
+      "io": {"reads": 1, "writes": 2},
       "speedup_vs_naive": 8.14,
       "overhead_vs_plain": -0.0500,
       "run_error": "block '7' failed",

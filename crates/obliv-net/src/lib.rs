@@ -46,9 +46,11 @@ pub use external_sort::{try_external_oblivious_sort_by, SortOrder, SortReport};
 /// array `h` in one [`hint_blocks`](extmem::BlockStore::hint_blocks) call,
 /// so a prefetching store coalesces the whole range into span reads. The
 /// sort passes build richer stride-shaped schedules by hand; the purely
-/// sequential consumers — the ORAM rebuild pipeline's collect, suppress,
-/// keep and copy passes above this crate, and any future streaming pass —
-/// share this helper instead of each re-rolling the same vector.
+/// sequential consumers above this crate — selection's streaming passes and
+/// the ORAM rebuild pipeline's collect, suppress, keep and copy passes —
+/// share this helper instead of each re-rolling the same vector. A forward
+/// sweep's schedule is fixed by the array's shape alone, so announcing it
+/// leaks nothing.
 pub fn hint_block_range<S: extmem::BlockStore>(
     store: &mut S,
     h: &extmem::ArrayHandle,

@@ -111,6 +111,7 @@ use extmem::{
     ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, RetryPolicy, RetryStats,
     RetryingStore, StoreError,
 };
+use obliv_net::hint_block_range;
 
 /// Weighted samples each chunk contributes to a prune round: the window
 /// shrinks to `r′ = (2C + 4)·(g/8) < ⅝·r` (about `r/4` while `r ≫ M`).
@@ -370,7 +371,7 @@ fn run<S: BlockStore>(
         assert!(bound < win.len, "the window shrinks every round");
         let wrk = store.alloc_array(win.len);
         let mut below = 0usize;
-        hint_prefix(store, &win.h, win.blocks());
+        hint_block_range(store, &win.h, 0, win.blocks());
         for beta in 0..win.blocks() {
             budget.with(2 * b, |_| {
                 let blk = store.try_load_block(&win.h, beta)?;
@@ -523,7 +524,7 @@ fn filter<S: BlockStore>(
     budget.with(bound * win.survivor_words() + b, |_| {
         let mut below = 0usize;
         let mut kept = Vec::with_capacity(bound);
-        hint_prefix(store, &win.h, win.blocks());
+        hint_block_range(store, &win.h, 0, win.blocks());
         for beta in 0..win.blocks() {
             let blk = store.try_load_block(&win.h, beta)?;
             for t in 0..b {
@@ -559,7 +560,7 @@ fn recover<S: BlockStore>(
 ) -> Result<Element, OdoError> {
     let b = h.block_elems();
     let mut found: Cell = None;
-    hint_prefix(store, h, h.n_blocks());
+    hint_block_range(store, h, 0, h.n_blocks());
     for beta in 0..h.n_blocks() {
         budget.with(b, |_| -> Result<(), StoreError> {
             let blk = store.try_load_block(h, beta)?;
@@ -635,7 +636,7 @@ fn run_quantiles<S: BlockStore>(
 
     // Stream the sorted copy, latching each requested rank in a register.
     let mut picks: Vec<Cell> = vec![None; ranks.len()];
-    hint_prefix(store, &wrk, wrk.n_blocks());
+    hint_block_range(store, &wrk, 0, wrk.n_blocks());
     for beta in 0..wrk.n_blocks() {
         budget.with(b + 2 * ranks.len(), |_| -> Result<(), StoreError> {
             let blk = store.try_load_block(&wrk, beta)?;
@@ -654,7 +655,7 @@ fn run_quantiles<S: BlockStore>(
     // Recovery pass over the untouched input: resurrect every winner's full
     // element by its original index, all in one stream.
     let mut out: Vec<Cell> = vec![None; ranks.len()];
-    hint_prefix(store, h, h.n_blocks());
+    hint_block_range(store, h, 0, h.n_blocks());
     for beta in 0..h.n_blocks() {
         budget.with(b + 2 * ranks.len(), |_| -> Result<(), StoreError> {
             let blk = store.try_load_block(h, beta)?;
@@ -682,20 +683,12 @@ fn run_quantiles<S: BlockStore>(
     Ok((elems, store.io_stats() - start))
 }
 
-/// Advertises a forward sweep over the first `blocks` blocks of `h` to the
-/// store. Every streaming pass in this module reads a prefix of an array in
-/// order, a schedule fixed by the shape alone, so hinting it leaks nothing.
-fn hint_prefix<S: BlockStore>(store: &mut S, h: &ArrayHandle, blocks: usize) {
-    let schedule: Vec<usize> = (0..blocks).collect();
-    store.hint_blocks(h, &schedule);
-}
-
-/// The shared working pass of [`try_select_kth`] and [`try_quantiles`]: streams the
-/// input once, replacing occupied cell `j` by the working item `(key, j)` in
-/// a freshly allocated parallel array — a strict total order even under
-/// duplicate keys, which is what lets the sampling bounds prune duplicates
-/// apart. Dummies stay dummies (they sort after every working item and are
-/// never sampled into a `lo` splitter). Returns the working array and the
+/// The first pass of `run_quantiles`, the body of [`try_quantiles`]: streams
+/// the input once, replacing occupied cell `j` by the working item `(key, j)`
+/// in a freshly allocated parallel array — a strict total order even under
+/// duplicate keys, so after the sort each occupied rank holds exactly one
+/// item, whose index the recovery pass looks up. Dummies stay dummies (they
+/// sort after every working item). Returns the working array and the
 /// occupied count.
 fn build_working_copy<S: BlockStore>(
     store: &mut S,
@@ -706,7 +699,7 @@ fn build_working_copy<S: BlockStore>(
     let n = h.len();
     let wrk = store.alloc_array(n);
     let mut live = 0usize;
-    hint_prefix(store, h, h.n_blocks());
+    hint_block_range(store, h, 0, h.n_blocks());
     for beta in 0..h.n_blocks() {
         budget.with(2 * b, |_| {
             let blk = store.try_load_block(h, beta)?;
@@ -751,7 +744,7 @@ fn scan_splitters<S: BlockStore>(
     let len = samples.len();
     let mut lo: Cell = None;
     let mut hi: Cell = None;
-    hint_prefix(store, samples, samples.n_blocks());
+    hint_block_range(store, samples, 0, samples.n_blocks());
     for beta in 0..samples.n_blocks() {
         budget.with(b, |_| -> Result<(), StoreError> {
             let blk = store.try_load_block(samples, beta)?;
