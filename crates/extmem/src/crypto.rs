@@ -32,25 +32,29 @@
 //! rejects wider ones with [`StoreError::PayloadTooWide`] before any I/O.
 //! Keys keep the full 64 bits.
 //!
-//! # The batched keystream kernel
+//! # The fused keystream kernel
 //!
-//! The scalar reference path derives each keystream word independently as
+//! The scalar reference derives each keystream word independently as
 //! `hash64(addr ⊕ rot(slot) ⊕ rot(lane), key ⊕ nonce·φ)` — two `splitmix64`
-//! applications per word, four per cell. `fill_keystream` produces the
-//! identical words for a whole block at once: the inner `splitmix64(salt)`
-//! depends only on `(key, nonce)`, so it is hoisted out of the loop, and the
-//! remaining per-word finalizer runs over 8-wide unrolled lanes so the
-//! compiler can keep eight independent mixing chains in flight. The kernel
-//! is **bit-identical to the scalar path by construction** (same ops per
-//! word, only hoisted and reordered across independent words); the property
-//! battery asserts equality word for word.
+//! applications per word, four per cell. The kernel computes the identical
+//! words with two per cell and one per block: the inner
+//! `splitmix64(key ⊕ nonce·φ)` depends only on `(key, nonce)`, so
+//! `Keystream::new` mixes it once per block, and each cell then derives
+//! its two words inline as `splitmix64(x)` and `splitmix64(x ⊕ LANE1)`,
+//! where `x` is the hoisted base XOR the rotated slot. There is no
+//! keystream buffer: each cell's words are XORed into it as they are made,
+//! so consecutive cells are independent mixing chains the compiler can
+//! overlap. The kernel is **bit-identical to the scalar path by
+//! construction** (the same ops per word, only hoisted); a test checks it
+//! word for word.
 //!
-//! **Scratch-buffer lifetime.** The kernel writes into a caller-owned
-//! `Vec<u64>` that is resized (never shrunk) to `2B` words. The store owns
-//! exactly one such scratch, reused across calls, so steady-state
-//! en/decryption performs no allocation. The scratch holds *keystream*, not
-//! plaintext, and is overwritten in full by the next call — nothing needs
-//! zeroizing between blocks.
+//! **Scratch lifetime.** The store owns one reusable `Vec<Cell>` scratch,
+//! used only by span writes: the caller's plaintext cells are encrypted
+//! straight into it and it is handed to the backend as the span's
+//! ciphertext. It only ever holds ciphertext — what the server receives
+//! anyway — so it needs no zeroizing; it keeps its capacity (the longest
+//! span written) for the next span. Block writes and every read en/decrypt
+//! the block's own buffer in place.
 //!
 //! # The span path
 //!
@@ -79,79 +83,77 @@ const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Lane-1 (payload word) tweak: `1u64.rotate_left(40)` of the scalar path.
 const LANE1: u64 = 1u64 << 40;
 
-/// Unroll width of the batched keystream kernel.
-const KS_LANES: usize = 8;
-
-/// Fills `out` with the `2·b` keystream words of block `addr` under `nonce`:
-/// `out[2i]` masks the key word of slot `i`, `out[2i+1]` the payload word.
-/// Bit-identical to the scalar per-word derivation (the module docs' formula,
-/// tested word for word); see the module docs for the
-/// hoisting/unrolling argument and the scratch-buffer lifetime rules.
-fn fill_keystream(key: u64, addr: usize, nonce: u64, b: usize, out: &mut Vec<u64>) {
-    out.resize(2 * b, 0);
-    // hash64(x, salt) = splitmix64(x ^ splitmix64(salt)): the inner
-    // application depends only on (key, nonce) — hoist it.
-    let salt_mix = splitmix64(key ^ nonce.wrapping_mul(GOLDEN));
-    let base = (addr as u64) ^ salt_mix;
-    let mut i = 0;
-    while i + KS_LANES <= b {
-        let mut x0 = [0u64; KS_LANES];
-        let mut x1 = [0u64; KS_LANES];
-        for l in 0..KS_LANES {
-            let x = base ^ ((i + l) as u64).rotate_left(20);
-            x0[l] = x;
-            x1[l] = x ^ LANE1;
-        }
-        for x in &mut x0 {
-            *x = splitmix64(*x);
-        }
-        for x in &mut x1 {
-            *x = splitmix64(*x);
-        }
-        for l in 0..KS_LANES {
-            out[2 * (i + l)] = x0[l];
-            out[2 * (i + l) + 1] = x1[l];
-        }
-        i += KS_LANES;
-    }
-    while i < b {
-        let x = base ^ (i as u64).rotate_left(20);
-        out[2 * i] = splitmix64(x);
-        out[2 * i + 1] = splitmix64(x ^ LANE1);
-        i += 1;
-    }
+/// The keystream of one block under one nonce: [`Keystream::words`] masks
+/// one slot's key word and payload word. Bit-identical to the scalar
+/// per-word derivation (the module docs' formula, tested word for word).
+#[derive(Clone, Copy)]
+struct Keystream {
+    /// `addr ⊕ splitmix64(key ⊕ nonce·φ)`: the part every word of the
+    /// block shares.
+    base: u64,
 }
 
-/// Encrypts one block's plaintext cells in place using the batched kernel
-/// (a trailing part of a block encrypts as the same slots of the whole
-/// block would). Every write path refuses payloads wider than 63 bits with
-/// a typed error before reaching this point.
-fn encrypt_cells(key: u64, addr: usize, nonce: u64, cells: &mut [Cell], ks: &mut Vec<u64>) {
-    fill_keystream(key, addr, nonce, cells.len(), ks);
-    for (i, cell) in cells.iter_mut().enumerate() {
-        let (w0, w1) = match *cell {
+impl Keystream {
+    #[inline]
+    fn new(key: u64, addr: usize, nonce: u64) -> Self {
+        // hash64(x, salt) = splitmix64(x ^ splitmix64(salt)): the inner
+        // application depends only on (key, nonce), so it runs once per block.
+        Keystream {
+            base: (addr as u64) ^ splitmix64(key ^ nonce.wrapping_mul(GOLDEN)),
+        }
+    }
+
+    /// The key-word and payload-word masks of slot `slot`.
+    #[inline]
+    fn words(self, slot: usize) -> (u64, u64) {
+        let x = self.base ^ (slot as u64).rotate_left(20);
+        (splitmix64(x), splitmix64(x ^ LANE1))
+    }
+
+    /// The ciphertext of plaintext `cell` in slot `slot`. Every write path
+    /// refuses payloads wider than 63 bits with a typed error before
+    /// reaching this point.
+    #[inline]
+    fn seal(self, slot: usize, cell: Cell) -> Cell {
+        let (k0, k1) = self.words(slot);
+        let (w0, w1) = match cell {
             Some(e) => (e.key, OCC_BIT | e.payload),
             None => (0, 0),
         };
-        *cell = Some(Element::new(w0 ^ ks[2 * i], w1 ^ ks[2 * i + 1]));
+        Some(Element::new(w0 ^ k0, w1 ^ k1))
+    }
+
+    /// The plaintext of ciphertext `cell` in slot `slot`. A missing
+    /// ciphertext slot decrypts as zero words; the occupancy bit then reads
+    /// as a dummy.
+    #[inline]
+    fn open(self, slot: usize, cell: Cell) -> Cell {
+        let (k0, k1) = self.words(slot);
+        let (c0, c1) = cell.map_or((0, 0), |ct| (ct.key, ct.payload));
+        let (w0, w1) = (c0 ^ k0, c1 ^ k1);
+        (w1 & OCC_BIT != 0).then(|| Element::new(w0, w1 & PAYLOAD_MASK))
     }
 }
 
-/// Decrypts one block's ciphertext cells in place using the batched kernel;
-/// `nonce == u64::MAX` (never written) decrypts to dummies. A missing
-/// ciphertext slot decrypts as zero words; the occupancy bit then reads as
-/// a dummy.
-fn decrypt_cells(key: u64, addr: usize, nonce: u64, cells: &mut [Cell], ks: &mut Vec<u64>) {
+/// Encrypts one block's plaintext cells in place (a trailing part of a
+/// block encrypts as the same slots of the whole block would).
+fn encrypt_cells(key: u64, addr: usize, nonce: u64, cells: &mut [Cell]) {
+    let ks = Keystream::new(key, addr, nonce);
+    for (i, cell) in cells.iter_mut().enumerate() {
+        *cell = ks.seal(i, *cell);
+    }
+}
+
+/// Decrypts one block's ciphertext cells in place; `nonce == u64::MAX`
+/// (never written) decrypts to dummies.
+fn decrypt_cells(key: u64, addr: usize, nonce: u64, cells: &mut [Cell]) {
     if nonce == u64::MAX {
         cells.fill(None);
         return;
     }
-    fill_keystream(key, addr, nonce, cells.len(), ks);
+    let ks = Keystream::new(key, addr, nonce);
     for (i, cell) in cells.iter_mut().enumerate() {
-        let (c0, c1) = cell.map_or((0, 0), |ct| (ct.key, ct.payload));
-        let w0 = c0 ^ ks[2 * i];
-        let w1 = c1 ^ ks[2 * i + 1];
-        *cell = (w1 & OCC_BIT != 0).then(|| Element::new(w0, w1 & PAYLOAD_MASK));
+        *cell = ks.open(i, *cell);
     }
 }
 
@@ -178,8 +180,8 @@ pub struct EncryptedStore<S: BackingStore = ExtMem> {
     /// Nonce of the latest write for each global block; `u64::MAX` means the
     /// block was never written and decrypts to the all-dummy block.
     nonces: Vec<u64>,
-    /// Reusable keystream scratch of the batched kernel (see module docs).
-    ks: Vec<u64>,
+    /// Reusable ciphertext scratch of span writes (see module docs).
+    ct: Vec<Cell>,
 }
 
 impl EncryptedStore {
@@ -217,7 +219,7 @@ impl<S: BackingStore> EncryptedStore<S> {
             key,
             write_counter: 0,
             nonces: Vec::new(),
-            ks: Vec::new(),
+            ct: Vec::new(),
         })
     }
 
@@ -300,11 +302,10 @@ impl<S: BackingStore> EncryptedStore<S> {
     /// I/Os or touching the trace. Never use this inside an algorithm under
     /// test.
     pub fn snapshot_cells(&self, h: &ArrayHandle) -> Vec<Cell> {
-        let mut ks = Vec::new();
         let mut cells = BackingStore::snapshot_cells(&self.mem, h);
         for (i, ct) in cells.chunks_mut(self.block_elems()).enumerate() {
             let addr = h.global_block(i);
-            decrypt_cells(self.key, addr, self.nonce_of(addr), ct, &mut ks);
+            decrypt_cells(self.key, addr, self.nonce_of(addr), ct);
         }
         cells
     }
@@ -337,13 +338,7 @@ impl<S: BackingStore> BlockStore for EncryptedStore<S> {
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
         let addr = h.checked_block(i)?;
         let mut blk = self.mem.try_load_block(h, i)?;
-        decrypt_cells(
-            self.key,
-            addr,
-            self.nonce_of(addr),
-            blk.slots_mut(),
-            &mut self.ks,
-        );
+        decrypt_cells(self.key, addr, self.nonce_of(addr), blk.slots_mut());
         Ok(blk)
     }
 
@@ -363,7 +358,7 @@ impl<S: BackingStore> BlockStore for EncryptedStore<S> {
         self.ensure_nonces();
         let nonce = self.write_counter + 1;
         let mut ct = blk;
-        encrypt_cells(self.key, addr, nonce, ct.slots_mut(), &mut self.ks);
+        encrypt_cells(self.key, addr, nonce, ct.slots_mut());
         self.mem.try_store_block(h, i, ct)?;
         self.write_counter = nonce;
         self.nonces[addr] = nonce;
@@ -403,13 +398,14 @@ impl<S: BackingStore> EncryptedStore<S> {
             .try_load_span(h, blocks.start * b, blocks.end * b)?;
         for (bi, ct) in blocks.zip(cells.chunks_mut(b)) {
             let addr = h.global_block(bi);
-            decrypt_cells(self.key, addr, self.nonce_of(addr), ct, &mut self.ks);
+            decrypt_cells(self.key, addr, self.nonce_of(addr), ct);
         }
         Ok(cells)
     }
 
     /// Encrypts the whole blocks starting at local block `first` of `h`
-    /// under consecutive nonces and writes them as one span of the backend.
+    /// under consecutive nonces, straight from `cells` into the ciphertext
+    /// scratch, and writes them as one span of the backend.
     /// As on the per-block path, a block with an over-wide payload is
     /// refused with [`StoreError::PayloadTooWide`] after the blocks before
     /// it are written, and a nonce is committed only for a block the
@@ -427,19 +423,14 @@ impl<S: BackingStore> EncryptedStore<S> {
         self.ensure_nonces();
         if n > 0 {
             let base = self.write_counter;
-            let mut ct = cells[..n * b].to_vec();
-            for (k, blk) in ct.chunks_mut(b).enumerate() {
-                let nonce = base + 1 + k as u64;
-                encrypt_cells(
-                    self.key,
-                    h.global_block(first + k),
-                    nonce,
-                    blk,
-                    &mut self.ks,
-                );
+            self.ct.clear();
+            for (k, blk) in cells[..n * b].chunks(b).enumerate() {
+                let ks = Keystream::new(self.key, h.global_block(first + k), base + 1 + k as u64);
+                self.ct
+                    .extend(blk.iter().enumerate().map(|(i, c)| ks.seal(i, *c)));
             }
             let before = self.mem.io_stats().writes;
-            let res = self.mem.try_store_span(h, first * b, &ct);
+            let res = self.mem.try_store_span(h, first * b, &self.ct);
             let landed = (self.mem.io_stats().writes - before) as usize;
             for k in 0..landed.min(n) {
                 self.nonces[h.global_block(first + k)] = base + 1 + k as u64;
@@ -606,12 +597,12 @@ mod tests {
         );
     }
 
-    // --- the batched kernel and the span path ---
+    // --- the fused kernel and the span path ---
 
     use crate::util::hash64;
 
     /// Scalar reference keystream word for `(addr, nonce, slot, lane)` — the
-    /// oracle the batched kernel is tested against, and the exact function the
+    /// oracle the fused kernel is tested against, and the exact function the
     /// original per-word path computed.
     #[inline]
     fn keystream_word(key: u64, addr: usize, nonce: u64, slot: usize, lane: u64) -> u64 {
@@ -623,22 +614,25 @@ mod tests {
 
     #[test]
     fn batched_keystream_is_bit_identical_to_the_scalar_oracle() {
-        // Every block size from 1 (all tail) through several unroll widths,
-        // across addresses and nonces including the extremes.
-        let mut ks = Vec::new();
+        // Encrypting an all-dummy block XORs zero words, so its ciphertext
+        // is the raw keystream: key word = lane 0, payload word = lane 1.
+        // Every block size from 1 through several multiples of 8, across
+        // addresses, nonces and keys including the extremes.
         for b in [1usize, 2, 3, 7, 8, 9, 16, 17, 64] {
             for &addr in &[0usize, 1, 5, 1 << 20, usize::MAX >> 1] {
                 for &nonce in &[0u64, 1, 2, 0xFFFF_FFFF, u64::MAX - 1] {
                     for &key in &[0u64, 0xA11CE, u64::MAX] {
-                        fill_keystream(key, addr, nonce, b, &mut ks);
-                        for slot in 0..b {
+                        let mut ct = vec![None; b];
+                        encrypt_cells(key, addr, nonce, &mut ct);
+                        for (slot, word) in ct.iter().enumerate() {
+                            let word = word.expect("ciphertext slots are never empty");
                             assert_eq!(
-                                ks[2 * slot],
+                                word.key,
                                 keystream_word(key, addr, nonce, slot, 0),
                                 "lane0 b={b} addr={addr} nonce={nonce} slot={slot}"
                             );
                             assert_eq!(
-                                ks[2 * slot + 1],
+                                word.payload,
                                 keystream_word(key, addr, nonce, slot, 1),
                                 "lane1 b={b} addr={addr} nonce={nonce} slot={slot}"
                             );

@@ -112,18 +112,27 @@ fn map_io_err(addr: usize, e: &io::Error) -> StoreError {
 }
 
 /// Decodes the image of the block at `addr` into `out` (one cell per 24
-/// bytes); a garbled cell fails as [`StoreError::Corrupted`].
+/// bytes) in one pass. The occupancy words are checked once for the whole
+/// block: a word other than `0` or `1` leaves a bit in `occ >> 1`, and any
+/// such word fails the block as [`StoreError::Corrupted`] (what `out` then
+/// holds is meaningless; callers drop it).
 fn decode_cells(bytes: &[u8], out: &mut [Cell], addr: usize) -> Result<(), StoreError> {
-    debug_assert_eq!(bytes.len(), out.len() * CELL_BYTES);
-    for (slot, chunk) in out.iter_mut().zip(bytes.chunks_exact(CELL_BYTES)) {
-        let word = |r: Range<usize>| u64::from_le_bytes(chunk[r].try_into().expect("8-byte word"));
-        *slot = match word(0..8) {
-            0 => None,
-            1 => Some(Element::new(word(8..16), word(16..24))),
-            _ => return Err(StoreError::Corrupted { addr }),
-        };
+    let (records, rest) = bytes.as_chunks::<CELL_BYTES>();
+    debug_assert!(rest.is_empty() && records.len() == out.len());
+    let word = |r: &[u8; CELL_BYTES], at: usize| {
+        u64::from_le_bytes(r[at..at + 8].try_into().expect("8-byte word"))
+    };
+    let mut garbled = 0;
+    for (slot, r) in out.iter_mut().zip(records) {
+        let occ = word(r, 0);
+        garbled |= occ >> 1;
+        *slot = (occ != 0).then(|| Element::new(word(r, 8), word(r, 16)));
     }
-    Ok(())
+    if garbled == 0 {
+        Ok(())
+    } else {
+        Err(StoreError::Corrupted { addr })
+    }
 }
 
 /// Decodes one block image; the buffer is drawn from `arena`.
@@ -143,19 +152,19 @@ fn decode_block(
     }
 }
 
-/// Encodes cells by *appending* their images to `out` (callers clear first
-/// when they want exactly these images).
+/// Encodes cells into `out`, replacing its contents: the image is sized
+/// once and every cell written as one fixed 24-byte record.
 fn encode_cells(cells: &[Cell], out: &mut Vec<u8>) {
-    out.reserve(cells.len() * CELL_BYTES);
-    for cell in cells {
-        match cell {
-            Some(e) => {
-                out.extend_from_slice(&1u64.to_le_bytes());
-                out.extend_from_slice(&e.key.to_le_bytes());
-                out.extend_from_slice(&e.payload.to_le_bytes());
-            }
-            None => out.extend_from_slice(&[0u8; CELL_BYTES]),
-        }
+    out.resize(cells.len() * CELL_BYTES, 0);
+    let (records, _) = out.as_chunks_mut::<CELL_BYTES>();
+    for (r, cell) in records.iter_mut().zip(cells) {
+        let (occ, key, payload) = match cell {
+            Some(e) => (1u64, e.key, e.payload),
+            None => (0, 0, 0),
+        };
+        r[..8].copy_from_slice(&occ.to_le_bytes());
+        r[8..16].copy_from_slice(&key.to_le_bytes());
+        r[16..].copy_from_slice(&payload.to_le_bytes());
     }
 }
 
@@ -373,7 +382,6 @@ impl FileStore {
         }
         let bytes = self.block_bytes();
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
         encode_cells(blk.slots(), &mut scratch);
         let res = self
             .file
@@ -573,7 +581,6 @@ impl FileStore {
         let mut scratch = std::mem::take(&mut self.scratch);
         let written =
             self.crash_after.is_none() && self.check_backed(start, cells.len() / b).is_ok() && {
-                scratch.clear();
                 encode_cells(cells, &mut scratch);
                 self.file
                     .write_all_at(&scratch, byte_offset(start, self.block_bytes()))
@@ -726,6 +733,39 @@ mod tests {
         fs.file.write_all_at(&77u64.to_le_bytes(), 0).unwrap();
         let err = fs.try_load_block(&h, 0).unwrap_err();
         assert_eq!(err, StoreError::Corrupted { addr: 0 });
+    }
+
+    #[test]
+    fn a_garbled_occupancy_word_anywhere_in_a_span_fails_its_block() {
+        // Four blocks of four cells; `0` and `1` occupancy words round-trip.
+        let mut fs = FileStore::temp(4).unwrap();
+        let h = fs.alloc_array(16);
+        let cells: Vec<Cell> = (0..16).map(|k| (k % 3 != 0).then(|| e(k))).collect();
+        fs.store_span(&h, 0, &cells);
+        assert_eq!(fs.try_load_span(&h, 0, 16).unwrap(), cells);
+        // The first, a middle and the last cell of the span, each garbled
+        // with words that are neither 0 nor 1: the span read fails with that
+        // cell's block, after charging the blocks before it.
+        for cell in [0usize, 6, 15] {
+            let at = (cell * CELL_BYTES) as u64;
+            let mut word = [0u8; 8];
+            fs.file.read_exact_at(&mut word, at).unwrap();
+            for garbled in [2u64, 3, 77, 1 << 63, u64::MAX] {
+                fs.file.write_all_at(&garbled.to_le_bytes(), at).unwrap();
+                let reads = fs.stats().reads;
+                let err = fs.try_load_span(&h, 0, 16).unwrap_err();
+                assert_eq!(
+                    err,
+                    StoreError::Corrupted { addr: cell / 4 },
+                    "{garbled:#x}"
+                );
+                assert_eq!(fs.stats().reads, reads + (cell / 4) as u64);
+                let err = fs.try_load_block(&h, cell / 4).unwrap_err();
+                assert_eq!(err, StoreError::Corrupted { addr: cell / 4 });
+            }
+            fs.file.write_all_at(&word, at).unwrap();
+            assert_eq!(fs.try_load_span(&h, 0, 16).unwrap(), cells);
+        }
     }
 
     #[test]

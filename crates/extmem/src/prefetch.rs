@@ -53,9 +53,27 @@
 //!   [`PrefetchingStore::flush_writes`] / [`PrefetchingStore::inner_mut`],
 //!   or on drop. Loads of a buffered address are served from the buffer
 //!   (read-your-writes), never from the stale server copy.
+//! * [`BlockStore::try_store_span`] writes through. The blocks it covers
+//!   whole go straight to the wrapped store's span path, in runs of at
+//!   most `write_buffer` blocks. A run first invalidates any parked or
+//!   queued slot of its addresses, and once it lands, the buffered blocks
+//!   it superseded leave the buffer unwritten. Only the blocks the wrapped
+//!   store counted as written are recorded, so a run that fails part-way
+//!   stops the logical counters where the per-block path would have
+//!   stopped, and a buffered block whose replacement never landed stays
+//!   buffered: it is still the newest write accepted for its address.
+//! * [`BlockStore::try_load_span`] serves the blocks it covers whole that
+//!   the adapter holds — parked (a hit) or buffered (a `wb_hit`) — from the
+//!   adapter, and reads every other run of them with one span read of the
+//!   wrapped store of at most `max_ready` blocks, straight into the result
+//!   (one steal, plus one hit per further block). A failed span read falls
+//!   back to single-block reads of its run, each a miss. Nothing is
+//!   parked, so a span load needs no ready budget.
 //! * Span reads and writes move whole blocks only: an array's partial last
-//!   block goes through the single-block ops, so every layer below sees
-//!   the same block counts whichever way a block travels.
+//!   block, and any block a span covers in part, goes through the
+//!   single-block ops, so every layer below sees the same block counts
+//!   whichever way a block travels. Both span ops record the same logical
+//!   trace and I/O counters as the per-block defaults.
 //! * Steals respect `max_ready`: parked blocks never exceed it. A steal cuts
 //!   its span into spare block buffers — the ones write-behind flushes and
 //!   [`BlockStore::recycle`] hands the adapter — from a free list that,
@@ -64,11 +82,13 @@
 //!   cells. This budget is accounted against the client's private memory
 //!   `M` by the callers that size it.
 
+use std::ops::Range;
+
 use crate::block::Block;
 use crate::element::Cell;
 use crate::error::StoreError;
 use crate::mem::{AccessEvent, AccessOp, AccessTrace, ArrayHandle, IoStats};
-use crate::store::BlockStore;
+use crate::store::{load_span_with, store_span_with, BlockStore};
 
 /// A block reader detached from its store.
 ///
@@ -124,10 +144,11 @@ pub struct PrefetchConfig {
     /// Maximum decoded blocks parked awaiting consumption.
     pub max_ready: usize,
     /// Write-behind buffer capacity in blocks (0 flushes every write at
-    /// once). Stores are accepted into the buffer and flushed as coalesced
-    /// span writes — one span write per maximal run of consecutive blocks of
-    /// one array — once it fills, on [`PrefetchingStore::flush_writes`], or
-    /// on drop.
+    /// once). Block stores are accepted into the buffer and flushed as
+    /// coalesced span writes — one span write per maximal run of
+    /// consecutive blocks of one array — once it fills, on
+    /// [`PrefetchingStore::flush_writes`], or on drop. A span store writes
+    /// through in runs of at most this many blocks (at least one).
     pub write_buffer: usize,
 }
 
@@ -161,8 +182,9 @@ pub struct PrefetchStats {
     /// Loads served by cloning a block still parked in the write-behind
     /// buffer (read-your-writes without touching the file).
     pub wb_hits: u64,
-    /// Physical span writes issued by write-behind flushes (each covers one
-    /// maximal contiguous run of buffered addresses).
+    /// Physical span writes: one per write-behind flush run (a maximal
+    /// contiguous run of buffered addresses) and one per run of a span
+    /// write written through.
     pub write_spans: u64,
 }
 
@@ -414,6 +436,139 @@ impl<S: BlockStore> PrefetchingStore<S> {
         }
     }
 
+    /// Whether the adapter itself holds the content for `addr`: a block
+    /// parked by a steal, or the newest write in the write-behind buffer.
+    fn holds(&self, addr: usize) -> bool {
+        matches!(self.slot(addr), Slot::Ready(_) | Slot::Buffered)
+    }
+
+    /// Reads the whole blocks `blocks` of `h` for a span load, recording
+    /// each as one logical read in ascending order. A block the adapter
+    /// holds is served from it: a parked block counts as a hit, a buffered
+    /// one as a `wb_hit`. Every other run of consecutive blocks is read
+    /// with one span read of the wrapped store of at most `max_ready`
+    /// blocks, straight into the result, and counts as one steal plus one
+    /// hit per further block, as a hinted run read by a steal would. Any
+    /// hint on those blocks is consumed. A failed span read falls back to
+    /// single-block reads of its run (each a miss), so the error surfaces
+    /// at the block that caused it, after the blocks before it were
+    /// recorded, as on the per-block path.
+    fn load_whole(
+        &mut self,
+        h: &ArrayHandle,
+        blocks: Range<usize>,
+    ) -> Result<Vec<Cell>, StoreError> {
+        let b = h.block_elems();
+        let mut out = Vec::new();
+        let mut bi = blocks.start;
+        while bi < blocks.end {
+            let addr = h.global_block(bi);
+            if self.holds(addr) {
+                let blk = self.load(h, bi, addr)?;
+                out.extend_from_slice(blk.slots());
+                self.keep(blk);
+                self.record(AccessOp::Read, addr);
+                bi += 1;
+                continue;
+            }
+            let mut end = bi + 1;
+            while end < blocks.end && end - bi < self.max_ready && !self.holds(addr + end - bi) {
+                end += 1;
+            }
+            for a in addr..addr + end - bi {
+                self.take_slot(a);
+            }
+            match self.inner.try_load_span(h, bi * b, end * b) {
+                Ok(cells) => {
+                    self.prefetch_stats.steals += 1;
+                    self.prefetch_stats.hits += (end - bi - 1) as u64;
+                    if out.is_empty() {
+                        out = cells;
+                    } else {
+                        out.extend_from_slice(&cells);
+                    }
+                    for a in addr..addr + end - bi {
+                        self.record(AccessOp::Read, a);
+                    }
+                }
+                Err(_) => {
+                    for i in bi..end {
+                        self.prefetch_stats.misses += 1;
+                        let blk = self.inner.try_load_block(h, i)?;
+                        out.extend_from_slice(blk.slots());
+                        self.keep(blk);
+                        self.record(AccessOp::Read, h.global_block(i));
+                    }
+                }
+            }
+            bi = end;
+        }
+        Ok(out)
+    }
+
+    /// Writes the whole blocks starting at local block `first` of `h`
+    /// straight through to the wrapped store's span path, in runs of at
+    /// most `write_buffer` blocks (one [`PrefetchStats::write_spans`] each).
+    /// Each run first invalidates the parked and queued slots of its
+    /// addresses, then drops the buffered blocks it superseded. A run that
+    /// fails records only the blocks the wrapped store counted as written
+    /// (its I/O counters tell how far it got), as the per-block path stops
+    /// at the first failure; a buffered block whose replacement never
+    /// landed stays buffered, as the newest write accepted for its address.
+    fn store_whole(
+        &mut self,
+        h: &ArrayHandle,
+        first: usize,
+        cells: &[Cell],
+    ) -> Result<(), StoreError> {
+        let b = h.block_elems();
+        let per_run = self.wb_cap.max(1);
+        for (k, run) in cells.chunks(per_run * b).enumerate() {
+            let lo = first + k * per_run;
+            let addrs = h.global_block(lo)..h.global_block(lo) + run.len() / b;
+            for a in addrs.clone() {
+                if !matches!(self.slot(a), Slot::Buffered) {
+                    self.invalidate(a);
+                }
+            }
+            let before = self.inner.io_stats().writes;
+            let res = self.inner.try_store_span(h, lo * b, run);
+            self.prefetch_stats.write_spans += 1;
+            let landed = match res {
+                Ok(()) => addrs.len(),
+                Err(_) => ((self.inner.io_stats().writes - before) as usize).min(addrs.len()),
+            };
+            self.unbuffer(addrs.start..addrs.start + landed);
+            for a in addrs.start..addrs.start + landed {
+                self.record(AccessOp::Write, a);
+            }
+            res?;
+        }
+        Ok(())
+    }
+
+    /// Drops the buffered blocks of `addrs` unwritten: a write through has
+    /// landed newer content for each.
+    fn unbuffer(&mut self, addrs: Range<usize>) {
+        let mut buffered = false;
+        for a in addrs.clone() {
+            if matches!(self.slot(a), Slot::Buffered) {
+                self.set(a, Slot::Empty);
+                buffered = true;
+            }
+        }
+        let mut k = 0;
+        while buffered && k < self.wb.len() {
+            let (h, i, _) = &self.wb[k];
+            if addrs.contains(&h.global_block(*i)) {
+                let (_, _, blk) = self.wb.swap_remove(k);
+                self.keep(blk);
+            } else {
+                k += 1;
+            }
+        }
+    }
+
     /// Reads the contiguous hinted run of whole blocks of `h` starting at
     /// local block `i` (whose slot the caller already took) with one span
     /// read, returns its first block and parks the tail within the ready
@@ -538,6 +693,24 @@ impl<S: BlockStore> BlockStore for PrefetchingStore<S> {
         self.record(AccessOp::Write, addr);
         Ok(())
     }
+
+    fn try_load_span(
+        &mut self,
+        h: &ArrayHandle,
+        elem_lo: usize,
+        elem_hi: usize,
+    ) -> Result<Vec<Cell>, StoreError> {
+        load_span_with(self, h, elem_lo, elem_hi, PrefetchingStore::load_whole)
+    }
+
+    fn try_store_span(
+        &mut self,
+        h: &ArrayHandle,
+        elem_lo: usize,
+        cells: &[Cell],
+    ) -> Result<(), StoreError> {
+        store_span_with(self, h, elem_lo, cells, PrefetchingStore::store_whole)
+    }
 }
 
 #[cfg(test)]
@@ -624,6 +797,88 @@ mod tests {
         }
         assert_eq!(store.prefetch_stats().hits, 4);
         assert_eq!(store.free.len(), 4);
+    }
+
+    #[test]
+    fn span_loads_serve_held_blocks_and_read_the_rest_in_runs() {
+        let cfg = PrefetchConfig {
+            max_ready: 3,
+            write_buffer: 8,
+        };
+        let mut store = PrefetchingStore::with_config(FileStore::temp(2).unwrap(), cfg);
+        let cells: Vec<Cell> = (0..24).map(|k| Some(e(k))).collect();
+        let h = store.inner_mut().alloc_array_from_cells(&cells).unwrap();
+        // Block 1 steals 1..3 and parks 2; block 6 is buffered.
+        store.hint_blocks(&h, &[1, 2]);
+        assert_eq!(store.load_block(&h, 1).get(0), cells[2]);
+        let mut blk = Block::empty(2);
+        blk.set(0, Some(e(600)));
+        store.store_block(&h, 6, blk);
+        let (ps, inner) = (store.prefetch_stats(), store.inner().stats());
+        let mut want = cells.clone();
+        want[12] = Some(e(600));
+        want[13] = None;
+        // Whole blocks 1..12 of a span from cell 1: block 2 is a hit, block
+        // 6 a wb_hit, and blocks 1, 3..6 and 7..12 are read in runs of at
+        // most max_ready = 3 blocks (1; 3..6; 7..10; 10..12), each one steal
+        // plus a hit per further block. Block 0 is a boundary block: a miss.
+        assert_eq!(store.try_load_span(&h, 1, 24).unwrap(), want[1..]);
+        let after = store.prefetch_stats();
+        assert_eq!(after.misses - ps.misses, 1);
+        assert_eq!(after.steals - ps.steals, 4);
+        assert_eq!(after.hits - ps.hits, 1 + 2 + 2 + 1);
+        assert_eq!(after.wb_hits - ps.wb_hits, 1);
+        assert_eq!(store.inner().stats().reads - inner.reads, 10);
+        assert_eq!(store.io_stats().reads, 1 + 12);
+        assert_eq!(store.ready, 0);
+    }
+
+    #[test]
+    fn a_failed_span_load_fails_at_the_block_that_caused_it() {
+        use std::os::unix::fs::FileExt;
+        let mut store = temp_prefetching(2);
+        let cells: Vec<Cell> = (0..16).map(|k| Some(e(k))).collect();
+        let h = store.inner_mut().alloc_array_from_cells(&cells).unwrap();
+        // Garble block 5's first occupancy word behind the store's back.
+        let file = std::fs::File::options()
+            .write(true)
+            .open(store.inner().path())
+            .unwrap();
+        file.write_all_at(
+            &9u64.to_le_bytes(),
+            (5 * 2 * crate::file::CELL_BYTES) as u64,
+        )
+        .unwrap();
+        let err = store.try_load_span(&h, 0, 16).unwrap_err();
+        assert_eq!(err, StoreError::Corrupted { addr: 5 });
+        // Blocks 0..5 were read and recorded, as on the per-block path.
+        assert_eq!(store.io_stats().reads, 5);
+    }
+
+    #[test]
+    fn span_writes_go_through_in_runs_of_the_write_buffer() {
+        let cfg = PrefetchConfig {
+            max_ready: 4,
+            write_buffer: 4,
+        };
+        let mut store = PrefetchingStore::with_config(FileStore::temp(2).unwrap(), cfg);
+        let h = store.alloc_array(20);
+        // An older write of block 3 sits in the buffer, block 8 is parked.
+        store.store_block(&h, 3, Block::empty(2));
+        store.hint_blocks(&h, &[7, 8]);
+        let _ = store.load_block(&h, 7);
+        let cells: Vec<Cell> = (0..20).map(|k| Some(e(k))).collect();
+        store.try_store_span(&h, 0, &cells).unwrap();
+        // Ten blocks in runs of 4, 4 and 2, written at once; nothing is
+        // left buffered or parked.
+        let ps = store.prefetch_stats();
+        assert_eq!(ps.write_spans, 3);
+        assert_eq!(ps.invalidated, 1);
+        assert_eq!(store.inner().stats().writes, 10);
+        assert!(store.wb.is_empty());
+        assert_eq!(store.ready, 0);
+        assert_eq!(store.io_stats().writes, 1 + 10);
+        assert_eq!(store.inner().snapshot_cells(&h), cells);
     }
 
     #[test]

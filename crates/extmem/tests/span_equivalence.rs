@@ -1,22 +1,27 @@
 //! Span equivalence: every store that overrides the span ops with a batch
-//! path (`FileStore`, `EncryptedStore`, `AuthenticatedStore`) behaves
-//! exactly like the provided per-block defaults, for any span.
+//! path (`FileStore`, `EncryptedStore`, `AuthenticatedStore`,
+//! `PrefetchingStore`) behaves exactly like the provided per-block
+//! defaults, for any span.
 //!
 //! A seeded generator draws spans with unaligned ends, partial last blocks,
 //! empty spans and spans outside the array, at several block sizes. Each
 //! span runs against the store itself and against the same store behind a
-//! wrapper that forwards only the block ops (so its span ops are the trait
-//! defaults). After every op the two must agree on the result or error, the
-//! I/O counters and the server-visible trace; at the end the two server
-//! files must hold the same bytes.
+//! wrapper that forwards only the block ops and hints (so its span ops are
+//! the trait defaults). After every op the two must agree on the result or
+//! error, the I/O counters and the trace; at the end the two server files
+//! must hold the same bytes. For `PrefetchingStore` the counters and trace
+//! are its logical ones, and block ops between the spans leave parked
+//! steals and buffered writes for the spans to overlap.
 
 use extmem::util::hash64;
 use extmem::{
-    AccessTrace, ArrayHandle, AuthenticatedStore, BackingStore, Block, BlockStore, Cell, Element,
-    EncryptedStore, FileStore, IoStats, StoreError,
+    AccessEvent, AccessOp, AccessTrace, ArrayHandle, AuthenticatedStore, BackingStore, Block,
+    BlockStore, Cell, Element, EncryptedStore, FileStore, IoStats, PrefetchConfig,
+    PrefetchingStore, StoreError,
 };
 
-/// Forwards only the block ops: its span ops are the per-block defaults.
+/// Forwards only the block ops and hints: its span ops are the per-block
+/// defaults.
 struct BlockOpsOnly<S>(S);
 
 impl<S: BlockStore> BlockStore for BlockOpsOnly<S> {
@@ -28,6 +33,9 @@ impl<S: BlockStore> BlockStore for BlockOpsOnly<S> {
     }
     fn io_stats(&self) -> IoStats {
         self.0.io_stats()
+    }
+    fn hint_blocks(&mut self, h: &ArrayHandle, blocks: &[usize]) {
+        self.0.hint_blocks(h, blocks)
     }
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
         self.0.try_load_block(h, i)
@@ -145,6 +153,19 @@ impl<S: UnderTest> UnderTest for AuthenticatedStore<S> {
     }
 }
 
+impl<S: UnderTest> UnderTest for PrefetchingStore<S> {
+    /// The logical trace: what the caller asked for, in order.
+    fn take_server_trace(&mut self) -> AccessTrace {
+        let t = self.take_trace().expect("trace enabled");
+        self.enable_trace();
+        t
+    }
+    fn server_bytes(&mut self) -> Vec<u8> {
+        self.flush_writes().expect("an honest store flushes");
+        self.inner_mut().server_bytes()
+    }
+}
+
 impl<S: UnderTest> UnderTest for BlockOpsOnly<S> {
     fn take_server_trace(&mut self) -> AccessTrace {
         self.0.take_server_trace()
@@ -212,7 +233,13 @@ fn draw(rng: &mut Rng, len: usize, b: usize, wide: bool) -> Op {
         return Op::Load(lo, hi);
     }
     let n = hi.saturating_sub(lo).min(4 * len);
-    let cells = (0..n)
+    Op::Store(lo, cells(rng, n, wide))
+}
+
+/// `n` cells mixing dummies and elements; with `wide`, some payloads
+/// exceed the encrypted encoding's 63 bits.
+fn cells(rng: &mut Rng, n: usize, wide: bool) -> Vec<Cell> {
+    (0..n)
         .map(|_| {
             let r = rng.next();
             let payload = if wide && r.is_multiple_of(97) {
@@ -222,13 +249,34 @@ fn draw(rng: &mut Rng, len: usize, b: usize, wide: bool) -> Op {
             };
             (!r.is_multiple_of(5)).then(|| Element::new(r >> 7, payload))
         })
-        .collect();
-    Op::Store(lo, cells)
+        .collect()
 }
+
+/// What a check draws besides spans, and what it compares at the end.
+#[derive(Clone, Copy)]
+struct Plan {
+    /// Some stored payloads exceed 63 bits.
+    wide: bool,
+    /// A block op before some spans: a hinted run whose first block is
+    /// loaded (a steal that parks the rest), or one block write (buffered
+    /// by a prefetching store).
+    block_ops: bool,
+    /// The two server files must hold the same bytes. Where the two paths
+    /// write blocks in a different order (write-behind against write
+    /// through under a nonce counter), a full read after the checkpoint is
+    /// compared instead.
+    same_bytes: bool,
+}
+
+const SPANS_ONLY: Plan = Plan {
+    wide: true,
+    block_ops: false,
+    same_bytes: true,
+};
 
 /// Runs the same seeded ops against `mk()` and `BlockOpsOnly(mk())` and
 /// asserts they agree after every op.
-fn check<S: UnderTest>(label: &str, mk: impl Fn(usize) -> S, wide: bool) {
+fn check<S: UnderTest>(label: &str, mk: impl Fn(usize) -> S, plan: Plan) {
     // (refused spans, failed spans, spans that moved cells)
     let mut tally = (0, 0, 0);
     for b in [1usize, 3, 8, 64] {
@@ -247,7 +295,27 @@ fn check<S: UnderTest>(label: &str, mk: impl Fn(usize) -> S, wide: bool) {
             default.alloc_array(b);
             for step in 0..48 {
                 let ctx = format!("{label}: B={b} seed={seed} len={len} step={step}");
-                let outcome = match draw(&mut rng, len, b, wide) {
+                if plan.block_ops && rng.below(3) == 0 {
+                    let i = rng.below(h.n_blocks());
+                    if rng.below(2) == 0 {
+                        let run: Vec<usize> = (i..i + 1 + rng.below(h.n_blocks() - i)).collect();
+                        over.hint_blocks(&h, &run);
+                        default.hint_blocks(&h, &run);
+                        assert_eq!(
+                            over.try_load_block(&h, i),
+                            default.try_load_block(&h, i),
+                            "{ctx}: steal of {run:?}"
+                        );
+                    } else {
+                        let blk = Block::from_cells(&cells(&mut rng, b, plan.wide));
+                        assert_eq!(
+                            over.try_store_block(&h, i, blk.clone()),
+                            default.try_store_block(&h, i, blk),
+                            "{ctx}: block write {i}"
+                        );
+                    }
+                }
+                let outcome = match draw(&mut rng, len, b, plan.wide) {
                     Op::Load(lo, hi) => {
                         let got = over.try_load_span(&h, lo, hi);
                         assert_eq!(
@@ -281,10 +349,19 @@ fn check<S: UnderTest>(label: &str, mk: impl Fn(usize) -> S, wide: bool) {
                     "{ctx}: server trace"
                 );
             }
-            assert!(
-                over.server_bytes() == default.server_bytes(),
-                "{label}: B={b} seed={seed}: the server files differ"
-            );
+            let (over_bytes, default_bytes) = (over.server_bytes(), default.server_bytes());
+            if plan.same_bytes {
+                assert!(
+                    over_bytes == default_bytes,
+                    "{label}: B={b} seed={seed}: the server files differ"
+                );
+            } else {
+                assert_eq!(
+                    over.try_load_span(&h, 0, len),
+                    default.try_load_span(&h, 0, len),
+                    "{label}: B={b} seed={seed}: the server contents differ"
+                );
+            }
         }
     }
     let (refused, failed, moved) = tally;
@@ -292,7 +369,7 @@ fn check<S: UnderTest>(label: &str, mk: impl Fn(usize) -> S, wide: bool) {
         refused > 0 && moved > 0,
         "{label}: the generator covers both: {tally:?}"
     );
-    if wide && label != "FileStore" {
+    if plan.wide && label != "FileStore" {
         assert!(failed > 0, "{label}: some spans fail part-way: {tally:?}");
     }
 }
@@ -309,12 +386,12 @@ fn encrypted(b: usize) -> EncryptedStore<FileStore> {
 
 #[test]
 fn file_store_spans_equal_the_per_block_defaults() {
-    check("FileStore", file, true);
+    check("FileStore", file, SPANS_ONLY);
 }
 
 #[test]
 fn encrypted_spans_equal_the_per_block_defaults() {
-    check("Encrypted(FileStore)", encrypted, true);
+    check("Encrypted(FileStore)", encrypted, SPANS_ONLY);
 }
 
 #[test]
@@ -322,7 +399,7 @@ fn authenticated_spans_equal_the_per_block_defaults() {
     check(
         "Auth(Encrypted(FileStore))",
         |b| AuthenticatedStore::new(encrypted(b), 0xA07),
-        true,
+        SPANS_ONLY,
     );
 }
 
@@ -340,6 +417,128 @@ fn spans_that_fail_part_way_leave_the_same_state() {
             };
             AuthenticatedStore::new(EncryptedStore::with_backing(failing, 0xE2C), 0xA07)
         },
-        false,
+        Plan {
+            wide: false,
+            ..SPANS_ONLY
+        },
     );
+}
+
+/// Block ops between the spans, no over-wide payloads: a prefetching store
+/// accepts a write into its buffer before the layers below check it, so an
+/// over-wide payload fails at the flush on the per-block path.
+const WITH_BLOCK_OPS: Plan = Plan {
+    wide: false,
+    block_ops: true,
+    same_bytes: true,
+};
+
+type Defended = PrefetchingStore<AuthenticatedStore<EncryptedStore<FileStore>>>;
+
+fn defended(b: usize, cfg: PrefetchConfig) -> Defended {
+    let mut ps = PrefetchingStore::with_config(AuthenticatedStore::new(encrypted(b), 0xA07), cfg);
+    ps.enable_trace();
+    ps
+}
+
+#[test]
+fn prefetched_spans_equal_the_per_block_defaults() {
+    check(
+        "Prefetching(FileStore)",
+        |b| {
+            let mut ps = PrefetchingStore::new(file(b));
+            ps.enable_trace();
+            ps
+        },
+        WITH_BLOCK_OPS,
+    );
+}
+
+#[test]
+fn prefetched_defended_spans_equal_the_per_block_defaults() {
+    // Write-behind and write-through hand the encryption layer the same
+    // blocks in a different order, so nonces, versions and hence the
+    // server bytes differ; what the server holds must still read the same.
+    check(
+        "Prefetching(Auth(Encrypted(FileStore)))",
+        |b| defended(b, PrefetchConfig::default()),
+        Plan {
+            same_bytes: false,
+            ..WITH_BLOCK_OPS
+        },
+    );
+    // With no write-behind both paths write in the same order, so the
+    // server files match byte for byte.
+    check(
+        "Prefetching(Auth(Encrypted(FileStore))) without write-behind",
+        |b| {
+            let cfg = PrefetchConfig {
+                write_buffer: 0,
+                ..PrefetchConfig::default()
+            };
+            defended(b, cfg)
+        },
+        WITH_BLOCK_OPS,
+    );
+}
+
+#[test]
+fn a_prefetched_span_write_that_fails_part_way_records_only_what_landed() {
+    // Every block holds an older write in the write-behind buffer when a
+    // span write over all of them fails part-way below the encryption
+    // layer. Exactly the blocks that landed are recorded, and they read back
+    // new, never the older buffered block; the rest were never written, so
+    // they still read the buffered block, the newest write accepted for them.
+    let mut torn = 0;
+    for b in [1usize, 3, 8] {
+        let failing = FailingWrites {
+            inner: file(b),
+            writes: 0,
+        };
+        let stack = AuthenticatedStore::new(EncryptedStore::with_backing(failing, 0xE2C), 0xA07);
+        let mut store = PrefetchingStore::new(stack);
+        let n = 24;
+        let h = store.alloc_array(n * b);
+        let mut rng = Rng {
+            seed: b as u64,
+            n: 0,
+        };
+        for round in 0..20 {
+            let old = cells(&mut rng, n * b, false);
+            for (i, blk) in old.chunks(b).enumerate() {
+                store
+                    .try_store_block(&h, i, Block::from_cells(blk))
+                    .expect("the write is buffered");
+            }
+            let new = cells(&mut rng, n * b, false);
+            store.enable_trace();
+            let before = store.io_stats().writes;
+            let res = store.try_store_span(&h, 0, &new);
+            let landed = (store.io_stats().writes - before) as usize;
+            let ctx = format!("B={b} round={round} landed={landed}");
+            let writes: AccessTrace = (0..landed)
+                .map(|i| AccessEvent {
+                    op: AccessOp::Write,
+                    addr: h.global_block(i),
+                })
+                .collect();
+            assert_eq!(store.take_trace(), Some(writes), "{ctx}");
+            match res {
+                Ok(()) => assert_eq!(landed, n, "{ctx}"),
+                Err(e) => {
+                    assert!(matches!(e, StoreError::Transient { .. }), "{ctx}: {e:?}");
+                    assert!(landed < n, "{ctx}");
+                    torn += 1;
+                }
+            }
+            let mut want = new[..landed * b].to_vec();
+            want.extend_from_slice(&old[landed * b..]);
+            assert_eq!(store.try_load_span(&h, 0, n * b).unwrap(), want, "{ctx}");
+            for i in 0..n {
+                let blk = store.try_load_block(&h, i).unwrap();
+                assert_eq!(blk.slots(), &want[i * b..(i + 1) * b], "{ctx}: block {i}");
+            }
+        }
+    }
+    assert!(torn > 0, "some span writes fail part-way");
 }
