@@ -1450,6 +1450,7 @@ fn fault_window<S: BlockStore, B: BackingStore>(
             corrupt_reads: faults.corrupt_reads - faults_before.corrupt_reads,
             stale_reads: faults.stale_reads - faults_before.stale_reads,
             dropped_writes: faults.dropped_writes - faults_before.dropped_writes,
+            transient_writes: faults.transient_writes - faults_before.transient_writes,
         },
         run_error,
         readback_error,

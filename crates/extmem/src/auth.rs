@@ -34,84 +34,61 @@
 //! The one classification read happens only after the server has already
 //! deviated.
 //!
-//! **The span path.** [`BlockStore::try_store_span`] MACs the blocks a span
-//! covers whole with the batched kernel (`mac_run`: interleaved absorb
-//! chains, bit-identical to the scalar path per block) before one span
-//! write of the data, and commits each entry only after its data landed;
+//! **The span path.** [`BlockStore::try_store_span`] writes the blocks a
+//! span covers whole as one span of the wrapped store, then MACs and
+//! commits the entry of each block that landed, block by block, with one
+//! lookup of the array's MAC checkpoint per span;
 //! [`BlockStore::try_load_span`] reads them as one span and verifies them
-//! with the same kernel against the table. A block that fails its check
-//! fails the span with the error its single-block read would return (the
-//! blocks after it have already been read).
+//! block by block against the table. Both use the one MAC function of the
+//! single-block path. A block that fails its check fails the span with the
+//! error its single-block read would return (the blocks after it have
+//! already been read).
 //!
-//! The MAC is a toy keyed `splitmix64` chain, deliberately matching the toy
-//! cipher in [`crypto`](crate::crypto) — see `DESIGN.md` for the
-//! substitution table mapping it to a real HMAC.
+//! The MAC is a toy keyed `splitmix64` construction, deliberately matching
+//! the toy cipher in [`crypto`](crate::crypto) — see `DESIGN.md` for the
+//! substitution table mapping it to a real HMAC. Slot `i` of a block feeds
+//! chain `i mod 4` of four independent chains, so each block's MAC is
+//! bound by mixing throughput rather than one chain's latency, whatever
+//! the span length.
 
 use std::collections::HashMap;
 use std::ops::Range;
 
 use crate::block::Block;
 use crate::budget::CacheBudget;
-use crate::element::{Cell, Element};
+use crate::element::{Cell, Element, ZERO};
 use crate::error::StoreError;
 use crate::mem::{ArrayHandle, IoStats};
 use crate::store::{load_span_with, store_span_with, BlockStore};
-use crate::util::hash64;
+use crate::util::splitmix64;
 
-/// Interleave width of the batched MAC kernel.
-const MAC_LANES: usize = 8;
+/// Independent absorption chains of the MAC: slot `i` feeds chain
+/// `i mod MAC_CHAINS`.
+const MAC_CHAINS: usize = 4;
+
+/// Tweak of the keyed word an occupied slot adds to what it absorbs.
+const OCC_TWEAK: u64 = 0x4F43_4355_5049_4544; // "OCCUPIED"
 
 /// Keyed MAC over a block image bound to its global address and version.
-/// A toy stand-in for HMAC: a `splitmix64` chain absorbing occupancy, key
-/// and payload of every slot (see `DESIGN.md`).
+/// A toy stand-in for HMAC (see `DESIGN.md`): [`MAC_CHAINS`] `splitmix64`
+/// chains start from a keyed hash of address and version, slot `i` feeds
+/// chain `i mod MAC_CHAINS` its key plus `i`, a keyed hash of its payload
+/// and, when occupied, a keyed occupancy word, and a final keyed mix joins
+/// the chains. Each cell is read branch-free, an empty one as the zero
+/// element. Consecutive slots feed independent chains, so the mixing
+/// overlaps at any span length.
 fn mac_block(key: u64, addr: usize, version: u64, blk: &[Cell]) -> u64 {
-    let mut acc = hash64((addr as u64) ^ version.rotate_left(32), key);
+    let salt = splitmix64(key);
+    let occ_word = splitmix64(key ^ OCC_TWEAK);
+    let head = splitmix64((addr as u64) ^ version.rotate_left(32) ^ salt);
+    let mut acc: [u64; MAC_CHAINS] = std::array::from_fn(|j| head ^ (j as u64).rotate_left(60));
     for (i, cell) in blk.iter().enumerate() {
-        let (occ, k, p) = match cell {
-            Some(e) => (1u64 << 63, e.key, e.payload),
-            None => (0, 0, 0),
-        };
-        acc = hash64(acc ^ k.wrapping_add(i as u64), key ^ p ^ occ);
+        let e = cell.as_ref().unwrap_or(&ZERO);
+        let occ = (cell.is_some() as u64).wrapping_neg() & occ_word;
+        let word = e.key.wrapping_add(i as u64) ^ splitmix64(key ^ e.payload) ^ occ;
+        acc[i % MAC_CHAINS] = splitmix64(acc[i % MAC_CHAINS] ^ word);
     }
-    acc
-}
-
-/// Batched [`mac_block`] over many `(addr, version, block)` triples. Each
-/// MAC chain is sequential by construction, but chains for different blocks
-/// are independent, so the kernel runs [`MAC_LANES`] of them interleaved
-/// (slot-major) to keep that many mixing chains in flight per core.
-/// Bit-identical to the scalar path: every chain performs exactly the
-/// operations [`mac_block`] performs for its block — the property battery
-/// asserts equality MAC for MAC.
-fn mac_run(key: u64, inputs: &[(usize, u64, &[Cell])]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(inputs.len());
-    let mut i = 0;
-    while i + MAC_LANES <= inputs.len() {
-        let chunk = &inputs[i..i + MAC_LANES];
-        let mut acc = [0u64; MAC_LANES];
-        for (l, (addr, ver, _)) in chunk.iter().enumerate() {
-            acc[l] = hash64((*addr as u64) ^ ver.rotate_left(32), key);
-        }
-        let max_len = chunk.iter().map(|(_, _, b)| b.len()).max().unwrap_or(0);
-        for s in 0..max_len {
-            for (l, (_, _, blk)) in chunk.iter().enumerate() {
-                if s >= blk.len() {
-                    continue;
-                }
-                let (occ, k, p) = match blk[s] {
-                    Some(e) => (1u64 << 63, e.key, e.payload),
-                    None => (0, 0, 0),
-                };
-                acc[l] = hash64(acc[l] ^ k.wrapping_add(s as u64), key ^ p ^ occ);
-            }
-        }
-        out.extend_from_slice(&acc);
-        i += MAC_LANES;
-    }
-    for (addr, ver, blk) in &inputs[i..] {
-        out.push(mac_block(key, *addr, *ver, blk));
-    }
-    out
+    acc.iter().fold(salt, |h, &a| splitmix64(h ^ a))
 }
 
 /// What the client holds per data block: the latest version written
@@ -310,12 +287,37 @@ impl<S: BlockStore> AuthenticatedStore<S> {
         }
     }
 
-    /// Records a landed write of local block `i` of `h`: its new entry, and
-    /// the MAC block holding that entry marked for the next flush.
-    fn commit(&mut self, h: &ArrayHandle, i: usize, entry: Entry) {
-        self.client.table[h.global_block(i)] = entry;
-        if let Some(mac) = self.client.mac_arrays.get_mut(&h.global_block(0)) {
-            mac.dirty[i / mac.handle.block_elems()] = true;
+    /// Records landed writes of the local blocks `blocks` of `h`: each
+    /// block's version advances by one and its tag becomes
+    /// `tag(block, version)`, and the MAC blocks holding those entries are
+    /// marked for the next flush. The MAC array is looked up once.
+    fn commit(&mut self, h: &ArrayHandle, blocks: Range<usize>, tag: impl Fn(usize, u64) -> u64) {
+        let AuthClientState {
+            table, mac_arrays, ..
+        } = &mut self.client;
+        let mut mac = mac_arrays.get_mut(&h.global_block(0));
+        for bi in blocks {
+            let addr = h.global_block(bi);
+            let version = table[addr].version + 1;
+            table[addr] = Entry {
+                version,
+                tag: tag(bi, version),
+            };
+            if let Some(mac) = &mut mac {
+                mac.dirty[bi / mac.handle.block_elems()] = true;
+            }
+        }
+    }
+
+    /// Checks local block `i` of `h`, served as `blk`, against the client
+    /// table; a block that fails is rejected.
+    fn check(&mut self, h: &ArrayHandle, i: usize, blk: &[Cell]) -> Result<(), StoreError> {
+        let addr = h.global_block(i);
+        let want = self.client.table[addr];
+        if want.matches(blk, || mac_block(self.key, addr, want.version, blk)) {
+            Ok(())
+        } else {
+            Err(self.reject(h, i, want, blk))
         }
     }
 
@@ -337,8 +339,8 @@ impl<S: BlockStore> AuthenticatedStore<S> {
     }
 
     /// Reads whole blocks `blocks` of `h` as one span of the wrapped store
-    /// and checks them in order with the batched kernel; the first block
-    /// that fails is rejected as on the single-block path.
+    /// and checks them block by block; the first block that fails is
+    /// rejected as on the single-block path.
     fn load_whole(
         &mut self,
         h: &ArrayHandle,
@@ -349,32 +351,17 @@ impl<S: BlockStore> AuthenticatedStore<S> {
         let cells = self
             .inner
             .try_load_span(h, blocks.start * b, blocks.end * b)?;
-        let wants: Vec<Entry> = blocks
-            .clone()
-            .map(|bi| self.client.table[h.global_block(bi)])
-            .collect();
-        let inputs: Vec<(usize, u64, &[Cell])> = blocks
-            .clone()
-            .zip(&wants)
-            .zip(cells.chunks(b))
-            .filter(|((_, want), _)| want.version > 0)
-            .map(|((bi, want), blk)| (h.global_block(bi), want.version, blk))
-            .collect();
-        let mut macs = mac_run(self.key, &inputs).into_iter();
-        for ((bi, want), blk) in blocks.zip(wants).zip(cells.chunks(b)) {
-            if !want.matches(blk, || macs.next().expect("one MAC per written block")) {
-                return Err(self.reject(h, bi, want, blk));
-            }
+        for (bi, blk) in blocks.zip(cells.chunks(b)) {
+            self.check(h, bi, blk)?;
         }
         Ok(cells)
     }
 
-    /// MACs the whole blocks starting at local block `first` of `h` with the
-    /// batched kernel, writes them as one span of the wrapped store, then
-    /// commits the entry of every block the wrapped store counted as
-    /// written (its I/O counters tell how far a failed span got) — the
-    /// discipline of the single-block path, where an entry changes only
-    /// after its data landed.
+    /// Writes the whole blocks starting at local block `first` of `h` as one
+    /// span of the wrapped store, then MACs and commits the entry of every
+    /// block the wrapped store counted as written (its I/O counters tell
+    /// how far a failed span got) — the discipline of the single-block
+    /// path, where an entry changes only after its data landed.
     fn store_whole(
         &mut self,
         h: &ArrayHandle,
@@ -383,25 +370,14 @@ impl<S: BlockStore> AuthenticatedStore<S> {
     ) -> Result<(), StoreError> {
         self.mac_array(h)?;
         let b = h.block_elems();
-        let inputs: Vec<(usize, u64, &[Cell])> = cells
-            .chunks(b)
-            .enumerate()
-            .map(|(k, blk)| {
-                let addr = h.global_block(first + k);
-                (addr, self.client.table[addr].version + 1, blk)
-            })
-            .collect();
-        let entries: Vec<Entry> = inputs
-            .iter()
-            .zip(mac_run(self.key, &inputs))
-            .map(|(&(_, version, _), tag)| Entry { version, tag })
-            .collect();
         let before = self.inner.io_stats().writes;
         let res = self.inner.try_store_span(h, first * b, cells);
-        let landed = (self.inner.io_stats().writes - before) as usize;
-        for (k, entry) in entries.into_iter().take(landed).enumerate() {
-            self.commit(h, first + k, entry);
-        }
+        let landed = ((self.inner.io_stats().writes - before) as usize).min(cells.len() / b);
+        let key = self.key;
+        self.commit(h, first..first + landed, |bi, version| {
+            let k = bi - first;
+            mac_block(key, h.global_block(bi), version, &cells[k * b..(k + 1) * b])
+        });
         res
     }
 }
@@ -441,16 +417,11 @@ impl<S: BlockStore> BlockStore for AuthenticatedStore<S> {
     }
 
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
-        let addr = h.checked_block(i)?;
+        h.checked_block(i)?;
         self.mac_array(h)?;
-        let want = self.client.table[addr];
         let blk = self.inner.try_load_block(h, i)?;
-        if want.matches(blk.slots(), || {
-            mac_block(self.key, addr, want.version, blk.slots())
-        }) {
-            return Ok(blk);
-        }
-        Err(self.reject(h, i, want, blk.slots()))
+        self.check(h, i, blk.slots())?;
+        Ok(blk)
     }
 
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
@@ -461,7 +432,7 @@ impl<S: BlockStore> BlockStore for AuthenticatedStore<S> {
         let version = self.client.table[addr].version + 1;
         let tag = mac_block(self.key, addr, version, blk.slots());
         self.inner.try_store_block(h, i, blk)?;
-        self.commit(h, i, Entry { version, tag });
+        self.commit(h, i..i + 1, |_, _| tag);
         Ok(())
     }
 
@@ -488,6 +459,7 @@ impl<S: BlockStore> BlockStore for AuthenticatedStore<S> {
 mod tests {
     use super::*;
     use crate::crypto::EncryptedStore;
+    use crate::element::kernel_blocks;
     use crate::fault::{FaultSpec, FaultyStore};
     use crate::file::FileStore;
     use crate::mem::ExtMem;
@@ -710,45 +682,73 @@ mod tests {
         assert!(auth.try_load_span(&own, 0, 8).is_ok());
     }
 
-    // --- the batched MAC kernel and the span path ---
+    // --- the MAC kernel and the span path ---
+
+    /// The MAC as its docs state it, written independently of the kernel:
+    /// one chain per `slot mod 4`, each cell matched on its occupancy.
+    fn reference_mac(key: u64, addr: usize, version: u64, blk: &[Cell]) -> u64 {
+        let salt = splitmix64(key);
+        let head = splitmix64(addr as u64 ^ version.rotate_left(32) ^ salt);
+        let mut chains = vec![head, head ^ 1 << 60, head ^ 2 << 60, head ^ 3 << 60];
+        for (slot, cell) in blk.iter().enumerate() {
+            let word = match cell {
+                Some(e) => {
+                    e.key.wrapping_add(slot as u64)
+                        ^ splitmix64(key ^ e.payload)
+                        ^ splitmix64(key ^ OCC_TWEAK)
+                }
+                None => slot as u64 ^ splitmix64(key),
+            };
+            chains[slot % 4] = splitmix64(chains[slot % 4] ^ word);
+        }
+        chains.into_iter().fold(salt, |h, c| splitmix64(h ^ c))
+    }
 
     #[test]
-    fn batched_mac_is_bit_identical_to_the_scalar_oracle() {
-        // Input counts spanning 0, a partial chunk, exactly MAC_LANES, and
-        // several chunks plus tail; block sizes exercising empty, tiny and
-        // mixed-occupancy images.
-        for b in [1usize, 3, 8] {
-            for count in [0usize, 1, 7, 8, 9, 16, 27] {
-                let blocks: Vec<Block> = (0..count)
-                    .map(|i| {
-                        let mut blk = Block::empty(b);
-                        for s in 0..b {
-                            // A deterministic mix of occupied and dummy slots.
-                            if (i + s) % 3 != 0 {
-                                blk.set(
-                                    s,
-                                    Some(Element::new(
-                                        hash64((i * b + s) as u64, 0xF00D),
-                                        (i * b + s) as u64,
-                                    )),
-                                );
-                            }
+    fn mac_equals_the_reference_and_binds_every_input() {
+        let key = 0x4D4143;
+        for b in [1usize, 3, 4, 5, 8, 64] {
+            for blk in kernel_blocks(b) {
+                for (addr, version) in [(0usize, 1u64), (7, 2), (1 << 40, u64::MAX)] {
+                    let tag = mac_block(key, addr, version, &blk);
+                    assert_eq!(tag, reference_mac(key, addr, version, &blk), "b={b}");
+                    assert_ne!(tag, mac_block(key, addr + 1, version, &blk), "address");
+                    assert_ne!(tag, mac_block(key, addr, version ^ 1, &blk), "version");
+                    assert_ne!(tag, mac_block(key ^ 1, addr, version, &blk), "key");
+                    for s in 0..b {
+                        // Every change to one cell: its key, its payload,
+                        // its occupancy (an empty cell and a zero element
+                        // differ), and moving it to another slot.
+                        let e = blk[s].unwrap_or_default();
+                        let mut edits = vec![
+                            Some(Element::new(e.key ^ 1, e.payload)),
+                            Some(Element::new(e.key, e.payload ^ 1 << 62)),
+                            if blk[s].is_some() {
+                                None
+                            } else {
+                                Some(Element::default())
+                            },
+                        ];
+                        if b > 1 && blk[s] != blk[(s + 1) % b] {
+                            edits.push(blk[(s + 1) % b]);
                         }
-                        blk
-                    })
-                    .collect();
-                let inputs: Vec<(usize, u64, &[Cell])> = blocks
-                    .iter()
-                    .enumerate()
-                    .map(|(i, blk)| (100 + i, (i as u64) * 7 + 1, blk.slots()))
-                    .collect();
-                let batched = mac_run(0x4D4143, &inputs);
-                for ((addr, ver, blk), got) in inputs.iter().zip(&batched) {
-                    assert_eq!(
-                        *got,
-                        mac_block(0x4D4143, *addr, *ver, blk),
-                        "b={b} count={count} addr={addr}"
-                    );
+                        for edit in edits {
+                            let mut changed = blk.clone();
+                            changed[s] = edit;
+                            assert_ne!(
+                                tag,
+                                mac_block(key, addr, version, &changed),
+                                "b={b} slot={s} {:?} -> {edit:?}",
+                                blk[s]
+                            );
+                        }
+                        // Two cells of one chain trading slots.
+                        if s + MAC_CHAINS < b && blk[s] != blk[s + MAC_CHAINS] {
+                            let mut swapped = blk.clone();
+                            swapped.swap(s, s + MAC_CHAINS);
+                            assert_ne!(tag, mac_block(key, addr, version, &swapped), "swap {s}");
+                        }
+                    }
                 }
             }
         }
@@ -763,8 +763,9 @@ mod tests {
 
     #[test]
     fn store_run_is_equivalent_to_block_at_a_time_writes() {
-        // One span write MACs the run as a batch; it must leave the same
-        // client table and verified contents as block-at-a-time writes.
+        // One span write MACs the blocks that landed after the write; it
+        // must leave the same client table and verified contents as
+        // block-at-a-time writes.
         let cells = elems(64);
         let b = 4;
 

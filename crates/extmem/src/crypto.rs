@@ -48,13 +48,28 @@
 //! construction** (the same ops per word, only hoisted); a test checks it
 //! word for word.
 //!
-//! **Scratch lifetime.** The store owns one reusable `Vec<Cell>` scratch,
-//! used only by span writes: the caller's plaintext cells are encrypted
-//! straight into it and it is handed to the backend as the span's
-//! ciphertext. It only ever holds ciphertext — what the server receives
-//! anyway — so it needs no zeroizing; it keeps its capacity (the longest
-//! span written) for the next span. Block writes and every read en/decrypt
-//! the block's own buffer in place.
+//! No per-cell loop branches on occupancy: a cell is read through a
+//! pointer select (`cell.as_ref().unwrap_or(&ZERO)`, an empty cell as the
+//! zero element) with `cell.is_some()` as its occupancy bit. That is the
+//! ciphertext side of both directions; a decrypted cell is still written
+//! as `Some`/`None` by a branch on its occupancy bit.
+//!
+//! **The fused width check.** Sealing a block also ORs its payloads, so the
+//! 63-bit check costs no second pass over the plaintext: a block whose OR
+//! has bit 63 set is refused with [`StoreError::PayloadTooWide`] (naming
+//! its first over-wide payload) and its ciphertext is dropped unwritten.
+//! A span write stops sealing at that block and writes the blocks before
+//! it, exactly as block-at-a-time writes would.
+//!
+//! **Scratch lifetime.** The store owns one reusable `Vec<Cell>` scratch
+//! that every write seals into, straight from the caller's plaintext
+//! cells. A span write hands it to the backend as the span's ciphertext; a
+//! block write copies it into the block's own buffer once the width check
+//! passed, so a refused block leaves its plaintext untouched for the
+//! error. The scratch only ever holds ciphertext — what the server
+//! receives anyway — so it needs no zeroizing; it keeps its capacity (the
+//! longest span written) for the next span. Every read decrypts the
+//! block's own buffer in place.
 //!
 //! # The span path
 //!
@@ -67,7 +82,7 @@
 use std::ops::Range;
 
 use crate::block::Block;
-use crate::element::{Cell, Element};
+use crate::element::{Cell, Element, ZERO};
 use crate::error::StoreError;
 use crate::mem::{ArrayHandle, ExtMem, IoStats};
 use crate::store::{load_span_with, store_span_with, BackingStore, BlockStore};
@@ -110,38 +125,41 @@ impl Keystream {
         (splitmix64(x), splitmix64(x ^ LANE1))
     }
 
-    /// The ciphertext of plaintext `cell` in slot `slot`. Every write path
-    /// refuses payloads wider than 63 bits with a typed error before
-    /// reaching this point.
+    /// The ciphertext of plaintext `cell` in slot `slot`. The cell is read
+    /// branch-free: an empty cell as the zero element with occupancy 0.
+    /// Only [`seal_into`] calls this, and it reports an over-wide payload
+    /// so that its ciphertext is never written.
     #[inline]
-    fn seal(self, slot: usize, cell: Cell) -> Cell {
+    fn seal(self, slot: usize, cell: &Cell) -> Cell {
         let (k0, k1) = self.words(slot);
-        let (w0, w1) = match cell {
-            Some(e) => (e.key, OCC_BIT | e.payload),
-            None => (0, 0),
-        };
-        Some(Element::new(w0 ^ k0, w1 ^ k1))
+        let e = cell.as_ref().unwrap_or(&ZERO);
+        let occ = (cell.is_some() as u64) << 63;
+        Some(Element::new(e.key ^ k0, (occ | e.payload) ^ k1))
     }
 
-    /// The plaintext of ciphertext `cell` in slot `slot`. A missing
-    /// ciphertext slot decrypts as zero words; the occupancy bit then reads
-    /// as a dummy.
+    /// The plaintext of ciphertext `cell` in slot `slot`. The ciphertext is
+    /// read branch-free: a missing slot decrypts as zero words, and the
+    /// occupancy bit then reads as a dummy.
     #[inline]
-    fn open(self, slot: usize, cell: Cell) -> Cell {
+    fn open(self, slot: usize, cell: &Cell) -> Cell {
         let (k0, k1) = self.words(slot);
-        let (c0, c1) = cell.map_or((0, 0), |ct| (ct.key, ct.payload));
-        let (w0, w1) = (c0 ^ k0, c1 ^ k1);
+        let ct = cell.as_ref().unwrap_or(&ZERO);
+        let (w0, w1) = (ct.key ^ k0, ct.payload ^ k1);
         (w1 & OCC_BIT != 0).then(|| Element::new(w0, w1 & PAYLOAD_MASK))
     }
 }
 
-/// Encrypts one block's plaintext cells in place (a trailing part of a
-/// block encrypts as the same slots of the whole block would).
-fn encrypt_cells(key: u64, addr: usize, nonce: u64, cells: &mut [Cell]) {
-    let ks = Keystream::new(key, addr, nonce);
-    for (i, cell) in cells.iter_mut().enumerate() {
-        *cell = ks.seal(i, *cell);
-    }
+/// Appends the ciphertext of one block's plaintext `cells` to `out` and
+/// returns whether any payload is wider than 63 bits. The width check rides
+/// the same pass: the payloads are ORed as the cells are sealed. When it
+/// returns `true`, the block's ciphertext must not be written.
+fn seal_into(ks: Keystream, cells: &[Cell], out: &mut Vec<Cell>) -> bool {
+    let mut payloads = 0;
+    out.extend(cells.iter().enumerate().map(|(i, cell)| {
+        payloads |= cell.as_ref().unwrap_or(&ZERO).payload;
+        ks.seal(i, cell)
+    }));
+    payloads > PAYLOAD_MASK
 }
 
 /// Decrypts one block's ciphertext cells in place; `nonce == u64::MAX`
@@ -153,16 +171,20 @@ fn decrypt_cells(key: u64, addr: usize, nonce: u64, cells: &mut [Cell]) {
     }
     let ks = Keystream::new(key, addr, nonce);
     for (i, cell) in cells.iter_mut().enumerate() {
-        *cell = ks.open(i, *cell);
+        *cell = ks.open(i, cell);
     }
 }
 
-/// The first cell of `cells` whose payload the encoding cannot represent.
-fn too_wide(cells: &[Cell]) -> Option<(usize, u64)> {
-    cells.iter().enumerate().find_map(|(i, c)| {
-        c.filter(|e| e.payload > PAYLOAD_MASK)
-            .map(|e| (i, e.payload))
-    })
+/// The refusal of block `addr`, whose plaintext `cells` [`seal_into`]
+/// found to hold an over-wide payload: it names the first one.
+fn too_wide(addr: usize, cells: &[Cell]) -> StoreError {
+    let payload = cells
+        .iter()
+        .flatten()
+        .map(|e| e.payload)
+        .find(|&p| p > PAYLOAD_MASK)
+        .expect("seal_into found an over-wide payload");
+    StoreError::PayloadTooWide { addr, payload }
 }
 
 /// An encrypted view over an [`ExtMem`] arena.
@@ -350,16 +372,25 @@ impl<S: BackingStore> BlockStore for EncryptedStore<S> {
     /// after the backing store acknowledges the write, so a failed (and
     /// later retried) write never leaves the nonce map pointing at a
     /// ciphertext that was never persisted.
-    fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
+    fn try_store_block(
+        &mut self,
+        h: &ArrayHandle,
+        i: usize,
+        mut blk: Block,
+    ) -> Result<(), StoreError> {
         let addr = h.checked_write(i, &blk)?;
-        if let Some((_, payload)) = too_wide(blk.slots()) {
-            return Err(StoreError::PayloadTooWide { addr, payload });
-        }
         self.ensure_nonces();
         let nonce = self.write_counter + 1;
-        let mut ct = blk;
-        encrypt_cells(self.key, addr, nonce, ct.slots_mut());
-        self.mem.try_store_block(h, i, ct)?;
+        self.ct.clear();
+        if seal_into(
+            Keystream::new(self.key, addr, nonce),
+            blk.slots(),
+            &mut self.ct,
+        ) {
+            return Err(too_wide(addr, blk.slots()));
+        }
+        blk.slots_mut().copy_from_slice(&self.ct);
+        self.mem.try_store_block(h, i, blk)?;
         self.write_counter = nonce;
         self.nonces[addr] = nonce;
         Ok(())
@@ -408,7 +439,8 @@ impl<S: BackingStore> EncryptedStore<S> {
     /// scratch, and writes them as one span of the backend.
     /// As on the per-block path, a block with an over-wide payload is
     /// refused with [`StoreError::PayloadTooWide`] after the blocks before
-    /// it are written, and a nonce is committed only for a block the
+    /// it are written: sealing stops at that block, found by the width check
+    /// fused into the seal. A nonce is committed only for a block the
     /// backend counted as written (its I/O counters tell how far a failed
     /// span got), so a torn span leaves every other nonce as it was.
     fn store_whole(
@@ -418,33 +450,30 @@ impl<S: BackingStore> EncryptedStore<S> {
         cells: &[Cell],
     ) -> Result<(), StoreError> {
         let b = h.block_elems();
-        let wide = too_wide(cells);
-        let n = wide.map_or(cells.len(), |(i, _)| i / b * b) / b;
         self.ensure_nonces();
-        if n > 0 {
-            let base = self.write_counter;
-            self.ct.clear();
-            for (k, blk) in cells[..n * b].chunks(b).enumerate() {
-                let ks = Keystream::new(self.key, h.global_block(first + k), base + 1 + k as u64);
-                self.ct
-                    .extend(blk.iter().enumerate().map(|(i, c)| ks.seal(i, *c)));
+        let base = self.write_counter;
+        self.ct.clear();
+        let mut wide = None;
+        for (k, blk) in cells.chunks(b).enumerate() {
+            let ks = Keystream::new(self.key, h.global_block(first + k), base + 1 + k as u64);
+            if seal_into(ks, blk, &mut self.ct) {
+                self.ct.truncate(k * b);
+                wide = Some(too_wide(h.global_block(first + k), blk));
+                break;
             }
+        }
+        let n = self.ct.len() / b;
+        if n > 0 {
             let before = self.mem.io_stats().writes;
             let res = self.mem.try_store_span(h, first * b, &self.ct);
-            let landed = (self.mem.io_stats().writes - before) as usize;
-            for k in 0..landed.min(n) {
+            let landed = ((self.mem.io_stats().writes - before) as usize).min(n);
+            for k in 0..landed {
                 self.nonces[h.global_block(first + k)] = base + 1 + k as u64;
             }
-            self.write_counter = base + landed.min(n) as u64;
+            self.write_counter = base + landed as u64;
             res?;
         }
-        match wide {
-            Some((i, payload)) => Err(StoreError::PayloadTooWide {
-                addr: h.global_block(first + i / b),
-                payload,
-            }),
-            None => Ok(()),
-        }
+        wide.map_or(Ok(()), Err)
     }
 }
 
@@ -599,6 +628,7 @@ mod tests {
 
     // --- the fused kernel and the span path ---
 
+    use crate::element::kernel_blocks;
     use crate::util::hash64;
 
     /// Scalar reference keystream word for `(addr, nonce, slot, lane)` — the
@@ -622,8 +652,9 @@ mod tests {
             for &addr in &[0usize, 1, 5, 1 << 20, usize::MAX >> 1] {
                 for &nonce in &[0u64, 1, 2, 0xFFFF_FFFF, u64::MAX - 1] {
                     for &key in &[0u64, 0xA11CE, u64::MAX] {
-                        let mut ct = vec![None; b];
-                        encrypt_cells(key, addr, nonce, &mut ct);
+                        let mut ct = Vec::new();
+                        let ks = Keystream::new(key, addr, nonce);
+                        assert!(!seal_into(ks, &vec![None; b], &mut ct));
                         for (slot, word) in ct.iter().enumerate() {
                             let word = word.expect("ciphertext slots are never empty");
                             assert_eq!(
@@ -639,6 +670,106 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn ciphertext_equals_the_keystream_oracle_on_both_write_paths() {
+        // Random, packed, all-dummy and all-occupied blocks, written once
+        // block by block and once as one span: block k gets nonce k + 1 on
+        // either path, and every ciphertext word is the plaintext word XOR
+        // the scalar keystream word.
+        let key = 0x5EA1;
+        for b in [1usize, 3, 8, 64] {
+            let blocks = kernel_blocks(b);
+            let cells = blocks.concat();
+            let mut one = EncryptedStore::new(b, key);
+            let h1 = one.alloc_array(cells.len());
+            for (k, blk) in blocks.iter().enumerate() {
+                one.try_store_block(&h1, k, Block::from_cells(blk)).unwrap();
+            }
+            let mut run = EncryptedStore::new(b, key);
+            let h2 = run.alloc_array(cells.len());
+            run.try_store_span(&h2, 0, &cells).unwrap();
+            for (store, h) in [(&one, h1), (&run, h2)] {
+                for (k, blk) in blocks.iter().enumerate() {
+                    let addr = h.global_block(k);
+                    let nonce = store.nonce_of(addr);
+                    assert_eq!(nonce, k as u64 + 1);
+                    let ct = store.raw_ciphertext(&h, k);
+                    for (slot, (ct, pt)) in ct.slots().iter().zip(blk).enumerate() {
+                        let ct = ct.expect("ciphertext slots are never empty");
+                        let (w0, w1) = pt.map_or((0, 0), |e| (e.key, OCC_BIT | e.payload));
+                        let at = format!("b={b} block={k} slot={slot}");
+                        assert_eq!(
+                            ct.key,
+                            w0 ^ keystream_word(key, addr, nonce, slot, 0),
+                            "{at}"
+                        );
+                        assert_eq!(
+                            ct.payload,
+                            w1 ^ keystream_word(key, addr, nonce, slot, 1),
+                            "{at}"
+                        );
+                    }
+                }
+                assert_eq!(store.snapshot_cells(&h), cells);
+            }
+        }
+    }
+
+    #[test]
+    fn an_over_wide_payload_fails_a_span_exactly_as_block_writes_fail() {
+        // An over-wide payload at the first, middle and last slot of the
+        // first, middle and last block of a five-block span, with another
+        // one after it: the span must return the block path's error, after
+        // writing the same blocks under the same nonces.
+        let (b, n) = (4usize, 5usize);
+        let valid: Vec<Cell> = (0..(n * b) as u64).map(|i| Some(e(i))).collect();
+        for at_block in [0, n / 2, n - 1] {
+            for at_slot in [0, b / 2, b - 1] {
+                let mut cells: Vec<Cell> =
+                    (100..100 + (n * b) as u64).map(|i| Some(e(i))).collect();
+                let wide = (1 << 63) | (at_block * b + at_slot) as u64;
+                cells[n * b - 1] = Some(Element::new(9, u64::MAX));
+                cells[at_block * b + at_slot] = Some(Element::new(9, wide));
+                let fresh = || {
+                    let mut store = EncryptedStore::with_backing(FileStore::temp(b).unwrap(), 7);
+                    let h = BlockStore::alloc_array(&mut store, n * b);
+                    store.try_store_span(&h, 0, &valid).unwrap();
+                    (store, h)
+                };
+                let (mut one, h1) = fresh();
+                let one_err = cells
+                    .chunks(b)
+                    .enumerate()
+                    .find_map(|(k, c)| one.try_store_block(&h1, k, Block::from_cells(c)).err());
+                let (mut run, h2) = fresh();
+                let run_err = run.try_store_span(&h2, 0, &cells).err();
+                let at = format!("block {at_block} slot {at_slot}");
+                assert_eq!(
+                    one_err,
+                    Some(StoreError::PayloadTooWide {
+                        addr: h1.global_block(at_block),
+                        payload: wide
+                    }),
+                    "{at}"
+                );
+                assert_eq!(run_err, one_err, "{at}");
+                assert_eq!(run.stats(), one.stats(), "{at}: the same blocks written");
+                assert_eq!(run.nonces, one.nonces, "{at}: the same nonces");
+                assert_eq!(run.write_counter, one.write_counter, "{at}");
+                for k in 0..n {
+                    assert_eq!(
+                        run.raw_ciphertext(&h2, k),
+                        one.raw_ciphertext(&h1, k),
+                        "{at}"
+                    );
+                }
+                let mut want = cells[..at_block * b].to_vec();
+                want.extend_from_slice(&valid[at_block * b..]);
+                assert_eq!(run.snapshot_cells(&h2), want, "{at}");
             }
         }
     }

@@ -72,6 +72,12 @@ impl fmt::Debug for Element {
 /// handled with the same access pattern as a real element.
 pub type Cell = Option<Element>;
 
+/// The all-zero element. The store kernels read an empty cell as this
+/// (`cell.as_ref().unwrap_or(&ZERO)`, with `cell.is_some()` as the
+/// occupancy bit), so their per-cell loops select a pointer instead of
+/// branching on occupancy.
+pub(crate) const ZERO: Element = Element { key: 0, payload: 0 };
+
 /// Compares two cells treating `None` as +∞, the convention used when sorting
 /// padded arrays ("considering empty cells as holding +∞", Section 4).
 #[inline]
@@ -96,6 +102,34 @@ pub fn cell_cmp_none_last_desc(a: &Cell, b: &Cell) -> Ordering {
         (None, Some(_)) => Ordering::Greater,
         (None, None) => Ordering::Equal,
     }
+}
+
+/// Blocks of `b` cells for the kernel tests: random occupancy, packed (an
+/// occupied prefix), all dummies and all occupied. Keys span the full 64
+/// bits, payloads the 63 bits the encrypted encoding holds, extremes
+/// included.
+#[cfg(test)]
+pub(crate) fn kernel_blocks(b: usize) -> Vec<Vec<Cell>> {
+    use crate::util::hash64;
+    let cell = |s: usize, salt: u64| {
+        let h = hash64(s as u64, salt);
+        let payload = match s % 5 {
+            0 => 0,
+            1 => u64::MAX >> 1,
+            _ => h >> 1,
+        };
+        Some(Element::new(h, payload))
+    };
+    vec![
+        (0..b)
+            .map(|s| cell(s, 1).filter(|_| hash64(s as u64, 0xACE) & 1 == 1))
+            .collect(),
+        (0..b)
+            .map(|s| cell(s, 2).filter(|_| s < b.div_ceil(2)))
+            .collect(),
+        vec![None; b],
+        (0..b).map(|s| cell(s, 3)).collect(),
+    ]
 }
 
 #[cfg(test)]

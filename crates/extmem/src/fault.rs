@@ -1,12 +1,17 @@
 //! Deterministic fault injection: the adversarial/unreliable server.
 //!
 //! [`FaultyStore`] wraps any [`BlockStore`] and misbehaves on a seeded,
-//! reproducible schedule. Four fault lanes, each with an independent per-op
+//! reproducible schedule. Five fault lanes, each with an independent per-op
 //! rate in parts per million:
 //!
 //! * **transient read** — the operation fails with
 //!   [`StoreError::Transient`]; the server's state is untouched and a retry
 //!   (a fresh op) draws fresh fault coins.
+//! * **transient write** — the write fails with [`StoreError::Transient`]
+//!   before it reaches the server (a request lost on the way): nothing is
+//!   written and no I/O is charged, so the layers above, which count a
+//!   write as landed by the I/O counters, see it as not written. A retry
+//!   draws fresh coins.
 //! * **corrupt read** — the served block is tampered with: a flipped key
 //!   bit, a toggled occupancy flag, or a fabricated element. The wrapper
 //!   sits *above* the encryption layer, so a plaintext-image flip here is
@@ -30,8 +35,8 @@
 //! retries they trigger) cannot make traces data-dependent. The fault battery
 //! asserts both properties.
 //!
-//! Every access — including a faulted one — first performs the underlying
-//! I/O, so accounting and the adversary-visible trace stay faithful to what
+//! Every other access — including a faulted one — first performs the
+//! underlying I/O, so accounting and the adversary-visible trace stay faithful to what
 //! a real client would observe.
 //!
 //! **The span path.** The span ops keep their per-block defaults, so a span
@@ -58,6 +63,7 @@ const LANE_TRANSIENT: u64 = 0x7452_414E_5349_454E; // "TRANSIEN"
 const LANE_CORRUPT: u64 = 0x434F_5252_5550_5421; // "CORRUPT!"
 const LANE_STALE: u64 = 0x5354_414C_4552_4550; // "STALEREP"
 const LANE_DROP: u64 = 0x4452_4F50_5752_4954; // "DROPWRIT"
+const LANE_TRANSIENT_WRITE: u64 = 0x5457_5249_5445_4641; // "TWRITEFA"
 const LANE_MUTATE: u64 = 0x4D55_5441_5445_2121; // slot/bit choice for corruption
 
 /// Per-lane fault rates in parts per million of operations.
@@ -71,6 +77,9 @@ pub struct FaultSpec {
     pub stale_read_ppm: u32,
     /// Rate at which writes are silently dropped.
     pub drop_write_ppm: u32,
+    /// Rate at which writes fail with [`StoreError::Transient`] before
+    /// reaching the server.
+    pub transient_write_ppm: u32,
 }
 
 impl FaultSpec {
@@ -97,6 +106,8 @@ pub enum FaultKind {
     StaleRead,
     /// A write was dropped.
     DropWrite,
+    /// A write failed transiently, unwritten.
+    TransientWrite,
 }
 
 /// Counts of injected faults by kind.
@@ -110,12 +121,18 @@ pub struct FaultStats {
     pub stale_reads: u64,
     /// Writes dropped.
     pub dropped_writes: u64,
+    /// Writes failed transiently.
+    pub transient_writes: u64,
 }
 
 impl FaultStats {
     /// Total injected faults of any kind.
     pub fn total(&self) -> u64 {
-        self.transient_reads + self.corrupt_reads + self.stale_reads + self.dropped_writes
+        self.transient_reads
+            + self.corrupt_reads
+            + self.stale_reads
+            + self.dropped_writes
+            + self.transient_writes
     }
 
     /// Faults that tamper with data (everything except transients); if this
@@ -226,6 +243,7 @@ impl<S: BlockStore> FaultyStore<S> {
             FaultKind::CorruptRead => self.stats.corrupt_reads += 1,
             FaultKind::StaleRead => self.stats.stale_reads += 1,
             FaultKind::DropWrite => self.stats.dropped_writes += 1,
+            FaultKind::TransientWrite => self.stats.transient_writes += 1,
         }
         self.log.push((op, kind));
     }
@@ -309,6 +327,10 @@ impl<S: BlockStore> BlockStore for FaultyStore<S> {
         let addr = h.checked_write(i, &blk)?;
         let op = self.op_counter;
         self.op_counter += 1;
+        if self.fires(op, LANE_TRANSIENT_WRITE, self.spec.transient_write_ppm) {
+            self.record(op, FaultKind::TransientWrite);
+            return Err(StoreError::Transient { addr });
+        }
         if self.fires(op, LANE_DROP, self.spec.drop_write_ppm) {
             let current = self
                 .current_content(addr)
@@ -345,6 +367,7 @@ mod tests {
             corrupt_read_ppm: 90_000,
             stale_read_ppm: 80_000,
             drop_write_ppm: 70_000,
+            transient_write_ppm: 60_000,
         }
     }
 
@@ -383,6 +406,26 @@ mod tests {
         let (log1, ..) = run_workload(0xFEED);
         let (log2, ..) = run_workload(0xBEEF);
         assert_ne!(log1, log2);
+    }
+
+    #[test]
+    fn a_transient_write_fails_unwritten_and_uncharged() {
+        let mut s = FaultyStore::new(ExtMem::new(4), 3, FaultSpec::none());
+        let h = BlockStore::alloc_array(&mut s, 8);
+        s.store_span(&h, 0, &cells(8));
+        s.set_spec(FaultSpec {
+            transient_write_ppm: 1_000_000,
+            ..FaultSpec::none()
+        });
+        let before = s.io_stats();
+        let err = s.try_store_block(&h, 1, Block::empty(4)).unwrap_err();
+        assert_eq!(err, StoreError::Transient { addr: 1 });
+        assert_eq!(s.io_stats(), before, "nothing reached the server");
+        assert_eq!(s.fault_log(), [(2, FaultKind::TransientWrite)]);
+        assert_eq!(s.fault_stats().transient_writes, 1);
+        assert_eq!(s.fault_stats().tampering(), 0);
+        s.set_spec(FaultSpec::none());
+        assert_eq!(s.load_span(&h, 0, 8), cells(8), "the old content stays");
     }
 
     #[test]

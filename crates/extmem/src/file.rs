@@ -59,7 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::arena::BlockArena;
 use crate::block::Block;
-use crate::element::{Cell, Element};
+use crate::element::{Cell, Element, ZERO};
 use crate::error::StoreError;
 use crate::mem::{AccessEvent, AccessOp, AccessTrace, ArrayHandle, IoStats};
 use crate::store::{load_span_with, store_span_with, BackingStore, BlockStore};
@@ -153,18 +153,16 @@ fn decode_block(
 }
 
 /// Encodes cells into `out`, replacing its contents: the image is sized
-/// once and every cell written as one fixed 24-byte record.
+/// once and every cell written as one fixed 24-byte record. Each cell is
+/// read branch-free, an empty one as the zero element with occupancy 0.
 fn encode_cells(cells: &[Cell], out: &mut Vec<u8>) {
     out.resize(cells.len() * CELL_BYTES, 0);
     let (records, _) = out.as_chunks_mut::<CELL_BYTES>();
     for (r, cell) in records.iter_mut().zip(cells) {
-        let (occ, key, payload) = match cell {
-            Some(e) => (1u64, e.key, e.payload),
-            None => (0, 0, 0),
-        };
-        r[..8].copy_from_slice(&occ.to_le_bytes());
-        r[8..16].copy_from_slice(&key.to_le_bytes());
-        r[16..].copy_from_slice(&payload.to_le_bytes());
+        let e = cell.as_ref().unwrap_or(&ZERO);
+        r[..8].copy_from_slice(&(cell.is_some() as u64).to_le_bytes());
+        r[8..16].copy_from_slice(&e.key.to_le_bytes());
+        r[16..].copy_from_slice(&e.payload.to_le_bytes());
     }
 }
 
@@ -622,6 +620,42 @@ impl BackingStore for FileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::kernel_blocks;
+
+    #[test]
+    fn file_bytes_are_the_24_byte_record_encoding_on_both_write_paths() {
+        // Random, packed, all-dummy and all-occupied blocks, written block
+        // by block and as one span: the file holds each cell as its
+        // occupancy word, key and payload, little-endian, a dummy as zeros.
+        for b in [1usize, 3, 8, 64] {
+            let blocks = kernel_blocks(b);
+            let cells = blocks.concat();
+            let want: Vec<u8> = cells
+                .iter()
+                .flat_map(|c| {
+                    let (occ, key, payload) = match c {
+                        Some(e) => (1u64, e.key, e.payload),
+                        None => (0, 0, 0),
+                    };
+                    [occ, key, payload].map(u64::to_le_bytes).concat()
+                })
+                .collect();
+            let mut by_block = FileStore::temp(b).unwrap();
+            let h = BlockStore::alloc_array(&mut by_block, cells.len());
+            for (k, blk) in blocks.iter().enumerate() {
+                by_block
+                    .try_store_block(&h, k, Block::from_cells(blk))
+                    .unwrap();
+            }
+            let mut by_span = FileStore::temp(b).unwrap();
+            let h = BlockStore::alloc_array(&mut by_span, cells.len());
+            by_span.try_store_span(&h, 0, &cells).unwrap();
+            for store in [&by_block, &by_span] {
+                assert_eq!(std::fs::read(store.path()).unwrap(), want, "b={b}");
+                assert_eq!(store.snapshot_cells(&h), cells, "b={b}");
+            }
+        }
+    }
 
     fn e(k: u64) -> Element {
         Element::new(k, k.wrapping_mul(7))

@@ -52,7 +52,12 @@
 //!   run of consecutive blocks of one array when the buffer fills, on
 //!   [`PrefetchingStore::flush_writes`] / [`PrefetchingStore::inner_mut`],
 //!   or on drop. Loads of a buffered address are served from the buffer
-//!   (read-your-writes), never from the stale server copy.
+//!   (read-your-writes), never from the stale server copy. A flush that
+//!   fails leaves every block the wrapped store did not count as written
+//!   buffered, so no accepted write is lost. A write that finds the buffer
+//!   full (after a failed flush) flushes first and is refused with that
+//!   flush's error if it fails again; the buffer never exceeds
+//!   `write_buffer` blocks, and only accepted writes are recorded.
 //! * [`BlockStore::try_store_span`] writes through. The blocks it covers
 //!   whole go straight to the wrapped store's span path, in runs of at
 //!   most `write_buffer` blocks. A run first invalidates any parked or
@@ -287,24 +292,29 @@ impl<S: BlockStore> PrefetchingStore<S> {
     /// Writes every buffered block back to the wrapped store: each maximal
     /// run of consecutive whole blocks of one array as one span write, an
     /// array's partial last block as a single-block write. A no-op when
-    /// nothing is buffered; returns the first error a write surfaces.
+    /// nothing is buffered; returns the first error a write surfaces. The
+    /// blocks the wrapped store counted as written leave the buffer; every
+    /// other block stays buffered (its slot `Buffered`) for the next flush,
+    /// so a failed flush loses no accepted write.
     pub fn flush_writes(&mut self) -> Result<(), StoreError> {
         if self.wb.is_empty() {
             return Ok(());
         }
         let mut wb = std::mem::take(&mut self.wb);
         wb.sort_by_key(|(h, i, _)| h.global_block(*i));
-        for (h, i, _) in &wb {
-            debug_assert!(matches!(self.slot(h.global_block(*i)), Slot::Buffered));
-            self.set(h.global_block(*i), Slot::Empty);
-        }
+        debug_assert!(wb
+            .iter()
+            .all(|(h, i, _)| matches!(self.slot(h.global_block(*i)), Slot::Buffered)));
         let mut first_err = None;
         let mut cells = std::mem::take(&mut self.flat);
+        let mut unwritten = Vec::new();
         let mut iter = wb.drain(..).peekable();
         while let Some((h, first, blk)) = iter.next() {
+            let b = h.block_elems();
+            cells.clear();
+            cells.extend_from_slice(blk.slots());
+            let before = self.inner.io_stats().writes;
             let res = if first < whole_blocks(&h) {
-                cells.clear();
-                cells.extend_from_slice(blk.slots());
                 self.keep(blk);
                 let mut next = first + 1;
                 while let Some((_, _, blk)) =
@@ -315,17 +325,35 @@ impl<S: BlockStore> PrefetchingStore<S> {
                     next += 1;
                 }
                 self.prefetch_stats.write_spans += 1;
-                self.inner
-                    .try_store_span(&h, first * h.block_elems(), &cells)
+                self.inner.try_store_span(&h, first * b, &cells)
             } else {
                 self.inner.try_store_block(&h, first, blk)
             };
-            if let Err(e) = res {
-                first_err.get_or_insert(e);
+            let blocks = cells.len().div_ceil(b);
+            let landed = match res {
+                Ok(()) => blocks,
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                    ((self.inner.io_stats().writes - before) as usize).min(blocks)
+                }
+            };
+            for k in 0..landed {
+                self.set(h.global_block(first + k), Slot::Empty);
+            }
+            // The blocks that did not land stay buffered, rebuilt from
+            // their copy in `cells`.
+            for (k, chunk) in cells.chunks(b).enumerate().skip(landed) {
+                let blk = if chunk.len() == b {
+                    self.block_of(chunk)
+                } else {
+                    Block::from_cells(chunk)
+                };
+                unwritten.push((h, first + k, blk));
             }
         }
         drop(iter);
         // Both buffers keep their capacity for the next flush.
+        wb.append(&mut unwritten);
         self.wb = wb;
         self.flat = cells;
         match first_err {
@@ -336,7 +364,13 @@ impl<S: BlockStore> PrefetchingStore<S> {
 
     /// Accepts a write into the write-behind buffer (the newest content for
     /// the block now lives here; any prefetch state for it is invalidated)
-    /// and flushes when the buffer fills.
+    /// and flushes when the buffer fills. If that flush fails, the write
+    /// stays accepted: what did not land stays buffered for the next flush
+    /// to retry. The buffer never holds more than
+    /// `write_buffer` blocks, so a write that finds it full (after a failed
+    /// flush) first flushes, and is refused with that flush's error if it
+    /// fails; with no buffer at all, a write whose own flush fails is
+    /// refused and leaves the buffer.
     fn buffer_write(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
         let addr = h.global_block(i);
         if matches!(self.slot(addr), Slot::Buffered) {
@@ -349,11 +383,22 @@ impl<S: BlockStore> PrefetchingStore<S> {
             self.keep(old);
             return Ok(());
         }
+        if self.wb.len() >= self.wb_cap {
+            self.flush_writes()?;
+        }
         self.invalidate(addr);
         self.set(addr, Slot::Buffered);
         self.wb.push((*h, i, blk));
         if self.wb.len() >= self.wb_cap {
-            self.flush_writes()?;
+            if let Err(e) = self.flush_writes() {
+                if self.wb.len() > self.wb_cap {
+                    let (_, _, blk) = self.wb.pop().expect("the write that did not land");
+                    debug_assert_eq!(self.wb.len(), 0);
+                    self.keep(blk);
+                    self.set(addr, Slot::Empty);
+                    return Err(e);
+                }
+            }
         }
         Ok(())
     }
@@ -716,8 +761,11 @@ impl<S: BlockStore> BlockStore for PrefetchingStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crypto::EncryptedStore;
     use crate::element::{Cell, Element};
+    use crate::fault::{FaultSpec, FaultyStore};
     use crate::file::FileStore;
+    use crate::retry::{RetryPolicy, RetryingStore};
 
     fn e(k: u64) -> Element {
         Element::new(k, k + 1000)
@@ -879,6 +927,101 @@ mod tests {
         assert_eq!(store.ready, 0);
         assert_eq!(store.io_stats().writes, 1 + 10);
         assert_eq!(store.inner().snapshot_cells(&h), cells);
+    }
+
+    #[test]
+    fn a_failed_flush_keeps_every_unwritten_block_buffered() {
+        // Block 1 holds a payload the encryption layer refuses; block 2,
+        // valid, is in the same run. Neither lands, and both stay buffered.
+        let mut store = PrefetchingStore::new(EncryptedStore::new(4, 0xE4C));
+        let h = store.alloc_array(16);
+        let mut bad = Block::empty(4);
+        bad.set(0, Some(Element::new(1, 1 << 63)));
+        store.try_store_block(&h, 1, bad).unwrap();
+        let mut good = Block::empty(4);
+        good.set(2, Some(e(2)));
+        good.set(3, Some(e(3)));
+        store.try_store_block(&h, 2, good.clone()).unwrap();
+        assert_eq!(
+            store.flush_writes(),
+            Err(StoreError::PayloadTooWide {
+                addr: 1,
+                payload: 1 << 63
+            })
+        );
+        assert_eq!(store.wb.len(), 2);
+        assert_eq!(store.try_load_block(&h, 2).unwrap(), good);
+        assert_eq!(store.prefetch_stats().wb_hits, 1, "served from the buffer");
+        // Once block 1 is rewritten with valid cells, the next flush lands
+        // both.
+        store.try_store_block(&h, 1, Block::empty(4)).unwrap();
+        store.flush_writes().unwrap();
+        assert!(store.wb.is_empty());
+        assert_eq!(store.inner().snapshot_cells(&h)[8..12], *good.slots());
+    }
+
+    #[test]
+    fn transient_flush_failures_lose_no_accepted_write() {
+        // Transient write faults below the write-behind buffer, retries
+        // above it: every write the retrying store accepts must read back,
+        // before and after the final flush, and the buffer never exceeds
+        // its capacity.
+        let (b, n, cap) = (4usize, 48usize, 8usize);
+        let faulty = FaultyStore::new(EncryptedStore::new(b, 0xE4C), 0x5EED, FaultSpec::none());
+        let cfg = PrefetchConfig {
+            max_ready: 8,
+            write_buffer: cap,
+        };
+        let mut store = PrefetchingStore::with_config(faulty, cfg);
+        let h = store.alloc_array(n * b);
+        store.inner_mut().set_spec(FaultSpec {
+            transient_write_ppm: 250_000,
+            ..FaultSpec::none()
+        });
+        let mut want: Vec<Cell> = vec![None; n * b];
+        let (mut accepted, mut refused) = (0, 0);
+        for round in 0..8u64 {
+            for k in 0..n {
+                // Even rounds write in address order (flushes of one
+                // run), odd rounds scattered (runs of single blocks).
+                let stride = if round % 2 == 0 { 1 } else { 7 };
+                let i = (k * stride + round as usize) % n;
+                let mut blk = Block::empty(b);
+                blk.set(i % b, Some(e(round * 1000 + i as u64)));
+                // Every other write gets no retry, so some are refused.
+                let policy = RetryPolicy {
+                    max_retries: (k % 2) as u32,
+                };
+                match RetryingStore::new(&mut store, policy).try_store_block(&h, i, blk.clone()) {
+                    Ok(()) => {
+                        want[i * b..(i + 1) * b].copy_from_slice(blk.slots());
+                        accepted += 1;
+                    }
+                    Err(err) => {
+                        assert!(err.is_transient(), "{err:?}");
+                        refused += 1;
+                    }
+                }
+                assert!(store.wb.len() <= cap);
+            }
+        }
+        assert!(store.inner().fault_stats().transient_writes > 0);
+        assert!(refused > 0, "some writes exhausted their retry");
+        assert_eq!(
+            store.io_stats().writes,
+            accepted,
+            "only accepted writes are recorded"
+        );
+        let read_back = |store: &mut PrefetchingStore<_>| -> Vec<Cell> {
+            (0..n)
+                .flat_map(|i| store.try_load_block(&h, i).unwrap().slots().to_vec())
+                .collect()
+        };
+        assert_eq!(read_back(&mut store), want);
+        while store.flush_writes().is_err() {}
+        assert!(store.wb.is_empty());
+        assert_eq!(store.inner().inner().snapshot_cells(&h), want);
+        assert_eq!(read_back(&mut store), want);
     }
 
     #[test]

@@ -82,8 +82,8 @@ fn encrypted_session(seed: u64, cfg: PrefetchConfig, ops: usize) {
     );
 }
 
-/// Same battery over the full stack: spans are encrypted behind, MACed as a
-/// batch, and decrypted *and verified* when stolen — any block a steal
+/// Same battery over the full stack: spans are encrypted behind, MACed block
+/// by block, and decrypted *and verified* when stolen — any block a steal
 /// verified against a stale `(version, tag)` entry would panic the load.
 fn authenticated_session(seed: u64, cfg: PrefetchConfig, ops: usize) {
     let enc = EncryptedStore::with_backing(FileStore::temp(B).expect("temp store"), seed | 1);

@@ -220,6 +220,7 @@ fn transient_faults_on_the_full_stack_retry_to_the_sorted_result() {
         corrupt_read_ppm: 0,
         stale_read_ppm: 0,
         drop_write_ppm: 0,
+        transient_write_ppm: 0,
     });
     let (report, retry) =
         retrying_bucket_sort(&mut auth, &h, 128, 5).expect("transients must be ridden out");
@@ -246,6 +247,7 @@ fn a_corrupting_server_surfaces_as_a_typed_error() {
         corrupt_read_ppm: 1_000_000,
         stale_read_ppm: 0,
         drop_write_ppm: 0,
+        transient_write_ppm: 0,
     });
     let err = retrying_bucket_sort(&mut auth, &h, 128, 5).unwrap_err();
     assert!(
@@ -275,6 +277,7 @@ fn dropped_writes_without_authentication_are_a_typed_error_not_a_panic() {
             corrupt_read_ppm: 0,
             stale_read_ppm: 0,
             drop_write_ppm: 6000,
+            transient_write_ppm: 0,
         });
         let res = retrying_bucket_sort(&mut faulty, &h, m, seed);
         assert!(

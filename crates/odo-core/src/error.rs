@@ -54,6 +54,17 @@ pub enum OdoError {
         /// What the client was in the middle of when it failed.
         reason: &'static str,
     },
+    /// An ORAM rebuild found more client items (cached entries plus stash)
+    /// than the slots it reserves for them. Like a bucket overflow, a tail
+    /// event of the randomized layout: every rebuild bucket that overflows
+    /// adds its surplus reals to the stash. The rebuild refuses before its
+    /// first write, and the client is poisoned.
+    StashOverflow {
+        /// Client items the rebuild had to place.
+        items: usize,
+        /// The client slots a rebuild reserves.
+        slots: usize,
+    },
     /// A randomized bucket-sort pass overflowed a bucket; retry with a
     /// fresh seed (probability `≈ exp(−Z/6)` per bucket-level).
     BucketOverflow {
@@ -88,6 +99,11 @@ impl fmt::Display for OdoError {
             OdoError::CorruptedRouting { reason, cell } => {
                 write!(f, "corrupted routing state at cell {cell}: {reason}")
             }
+            OdoError::StashOverflow { items, slots } => write!(
+                f,
+                "ORAM client state overflowed its slots: {items} items for {slots} slots; \
+                 increase the period or block size"
+            ),
             OdoError::BucketOverflow {
                 bucket,
                 size,

@@ -183,6 +183,7 @@ const TAMPER_LANES: [(&str, FaultSpec); 4] = [
             corrupt_read_ppm: 1500,
             stale_read_ppm: 0,
             drop_write_ppm: 0,
+            transient_write_ppm: 0,
         },
     ),
     (
@@ -195,6 +196,7 @@ const TAMPER_LANES: [(&str, FaultSpec); 4] = [
             corrupt_read_ppm: 0,
             stale_read_ppm: 6000,
             drop_write_ppm: 0,
+            transient_write_ppm: 0,
         },
     ),
     (
@@ -207,6 +209,7 @@ const TAMPER_LANES: [(&str, FaultSpec); 4] = [
             corrupt_read_ppm: 0,
             stale_read_ppm: 0,
             drop_write_ppm: 3000,
+            transient_write_ppm: 0,
         },
     ),
     (
@@ -216,6 +219,7 @@ const TAMPER_LANES: [(&str, FaultSpec); 4] = [
             corrupt_read_ppm: 700,
             stale_read_ppm: 700,
             drop_write_ppm: 700,
+            transient_write_ppm: 0,
         },
     ),
 ];
@@ -284,6 +288,7 @@ fn transient_only_faults_retry_to_the_correct_result() {
         corrupt_read_ppm: 0,
         stale_read_ppm: 0,
         drop_write_ppm: 0,
+        transient_write_ppm: 0,
     };
     let mut total_retries = 0u64;
     for seed in 1..=4u64 {
@@ -325,6 +330,7 @@ fn injected_fault_retries_leave_the_encrypted_trace_data_independent() {
         corrupt_read_ppm: 0,
         stale_read_ppm: 0,
         drop_write_ppm: 0,
+        transient_write_ppm: 0,
     };
     let run = |dataset_salt: u64| {
         let mut auth = stack(9); // same stack seed: same fault schedule
@@ -369,6 +375,7 @@ fn injected_fault_retries_leave_the_plaintext_trace_data_independent() {
         corrupt_read_ppm: 0,
         stale_read_ppm: 0,
         drop_write_ppm: 0,
+        transient_write_ppm: 0,
     };
     let run = |dataset_salt: u64| {
         let mem = ExtMem::with_trace(B);
@@ -408,6 +415,7 @@ fn same_seed_same_workload_is_byte_identical_across_runs() {
         corrupt_read_ppm: 400,
         stale_read_ppm: 400,
         drop_write_ppm: 400,
+        transient_write_ppm: 0,
     };
     let run = || {
         let mut auth = stack(23);
@@ -452,6 +460,7 @@ fn facade_error_shape_matches_the_documented_contract() {
         corrupt_read_ppm: 1_000_000,
         stale_read_ppm: 0,
         drop_write_ppm: 0,
+        transient_write_ppm: 0,
     });
     let err = OblivSorter::default()
         .try_sort(
@@ -489,6 +498,7 @@ fn unauthenticated_corruption_in_routing_is_a_typed_error_not_a_panic() {
             corrupt_read_ppm: 120_000,
             stale_read_ppm: 0,
             drop_write_ppm: 0,
+            transient_write_ppm: 0,
         });
         match try_compact(&mut faulty, &h, M, RetryPolicy::default()) {
             // Corruption can miss the label-critical reads entirely; only

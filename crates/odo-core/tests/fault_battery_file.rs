@@ -100,6 +100,7 @@ const TAMPER_LANES: [(&str, FaultSpec); 4] = [
             corrupt_read_ppm: 1500,
             stale_read_ppm: 0,
             drop_write_ppm: 0,
+            transient_write_ppm: 0,
         },
     ),
     (
@@ -109,6 +110,7 @@ const TAMPER_LANES: [(&str, FaultSpec); 4] = [
             corrupt_read_ppm: 0,
             stale_read_ppm: 6000,
             drop_write_ppm: 0,
+            transient_write_ppm: 0,
         },
     ),
     (
@@ -121,6 +123,7 @@ const TAMPER_LANES: [(&str, FaultSpec); 4] = [
             corrupt_read_ppm: 0,
             stale_read_ppm: 0,
             drop_write_ppm: 3000,
+            transient_write_ppm: 0,
         },
     ),
     (
@@ -130,6 +133,7 @@ const TAMPER_LANES: [(&str, FaultSpec); 4] = [
             corrupt_read_ppm: 700,
             stale_read_ppm: 700,
             drop_write_ppm: 700,
+            transient_write_ppm: 0,
         },
     ),
 ];
@@ -174,6 +178,7 @@ fn transient_faults_over_the_file_store_retry_to_the_correct_result() {
         corrupt_read_ppm: 0,
         stale_read_ppm: 0,
         drop_write_ppm: 0,
+        transient_write_ppm: 0,
     };
     for seed in 1..=3u64 {
         let (tampering, outcome) = run_sort_case(seed, spec);

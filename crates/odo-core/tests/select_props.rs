@@ -347,6 +347,7 @@ fn dropped_writes_without_authentication_never_panic_selection() {
             corrupt_read_ppm: 0,
             stale_read_ppm: 0,
             drop_write_ppm: 300_000,
+            transient_write_ppm: 0,
         });
         let res = try_select_kth(&mut faulty, &h, m, n / 2, RetryPolicy::default());
         assert!(faulty.fault_stats().dropped_writes > 0, "seed {seed}");

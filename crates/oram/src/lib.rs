@@ -278,8 +278,9 @@ impl Oram {
     }
 
     /// Fallible [`Self::read`] for untrusted/unreliable backends: transient
-    /// faults retry per `policy`; tampering, exhausted retries and a bucket
-    /// overflow in a rebuild's sort surface as a typed [`OdoError`] and
+    /// faults retry per `policy`; tampering, exhausted retries, a bucket
+    /// overflow in a rebuild's sort and a client state that outgrew its
+    /// slots ([`OdoError::StashOverflow`]) surface as a typed [`OdoError`] and
     /// poison the client (further calls return [`OdoError::InvalidState`] —
     /// rebuild the ORAM to recover).
     pub fn try_read<S: BlockStore>(
@@ -396,6 +397,13 @@ impl Oram {
     /// level's scratch region. Every pass reads and writes a fixed,
     /// data-independent block schedule.
     fn rebuild<S: BlockStore>(&mut self, store: &mut S) -> Result<(), OdoError> {
+        let items = self.cache.len() + self.stash.len();
+        if items > self.client_slots {
+            return Err(OdoError::StashOverflow {
+                items,
+                slots: self.client_slots,
+            });
+        }
         self.flushes += 1;
         let l = self.levels.len();
         let j = Self::target_level(self.flushes, l);
@@ -421,10 +429,6 @@ impl Oram {
         for &(a, v) in &self.stash {
             client.push(Some(Element::new(pack_key(a, 1), v)));
         }
-        assert!(
-            client.len() <= self.client_slots,
-            "ORAM client state overflowed its slots; increase the period or block size"
-        );
         client.resize(self.client_slots, Some(Element::new(PAD_KEY, 0)));
         self.cache.clear();
         self.stash.clear();
@@ -800,5 +804,38 @@ mod tests {
             .try_read(&mut store, 15, RetryPolicy::default())
             .unwrap();
         assert_eq!(v, 0);
+    }
+
+    #[test]
+    fn an_overfull_stash_is_a_typed_error_before_the_rebuild_writes() {
+        let mut store = ExtMem::new(8);
+        let cfg = small_cfg(4);
+        let mut oram = Oram::new(&mut store, 64, &cfg);
+        // More overflowed reals than the client slots hold, beside the
+        // entries the next `period` accesses cache.
+        let slots = oram.client_slots();
+        oram.stash.extend((0..slots as u64).map(|a| (a % 64, a)));
+        for addr in 0..cfg.period as u64 - 1 {
+            oram.try_read(&mut store, addr, RetryPolicy::default())
+                .unwrap();
+        }
+        let before = store.stats();
+        let err = oram
+            .try_read(&mut store, 63, RetryPolicy::default())
+            .expect_err("the flush cannot place the client state");
+        assert_eq!(
+            err,
+            OdoError::StashOverflow {
+                items: slots + cfg.period,
+                slots
+            }
+        );
+        assert_eq!(store.stats().writes, before.writes, "nothing was written");
+        assert_eq!(oram.stash_len(), slots, "the stash was not cleared");
+        assert_eq!(oram.flushes(), 0);
+        assert!(matches!(
+            oram.try_read(&mut store, 0, RetryPolicy::default()),
+            Err(OdoError::InvalidState { .. })
+        ));
     }
 }

@@ -113,6 +113,7 @@ const TAMPER_LANES: [(&str, FaultSpec); 4] = [
             corrupt_read_ppm: 1500,
             stale_read_ppm: 0,
             drop_write_ppm: 0,
+            transient_write_ppm: 0,
         },
     ),
     (
@@ -122,6 +123,7 @@ const TAMPER_LANES: [(&str, FaultSpec); 4] = [
             corrupt_read_ppm: 0,
             stale_read_ppm: 6000,
             drop_write_ppm: 0,
+            transient_write_ppm: 0,
         },
     ),
     (
@@ -131,6 +133,7 @@ const TAMPER_LANES: [(&str, FaultSpec); 4] = [
             corrupt_read_ppm: 0,
             stale_read_ppm: 0,
             drop_write_ppm: 1500,
+            transient_write_ppm: 0,
         },
     ),
     (
@@ -140,6 +143,7 @@ const TAMPER_LANES: [(&str, FaultSpec); 4] = [
             corrupt_read_ppm: 700,
             stale_read_ppm: 700,
             drop_write_ppm: 700,
+            transient_write_ppm: 0,
         },
     ),
 ];
@@ -182,6 +186,7 @@ fn transient_faults_retry_to_the_exact_mirror_results() {
         corrupt_read_ppm: 0,
         stale_read_ppm: 0,
         drop_write_ppm: 0,
+        transient_write_ppm: 0,
     };
     let mut total_retries = 0u64;
     for seed in 1..=3u64 {
