@@ -20,8 +20,10 @@
 //!
 //! # Lifetime rules
 //!
-//! * A buffer obtained from [`BlockArena::take`] is exclusively owned by the
-//!   caller; the arena keeps no reference to it.
+//! * A buffer obtained from [`BlockArena::take`] is empty, with capacity for
+//!   the cells asked for, and exclusively owned by the caller; the arena
+//!   keeps no reference to it. A recycled buffer is emptied before it is
+//!   handed out again, so no cell of an earlier block can be read from it.
 //! * Returning a buffer via [`BlockArena::put`] is always optional — dropping
 //!   a block normally is safe, it merely forfeits the reuse.
 //! * The pool holds at most `max_pooled` buffers; beyond that, returned
@@ -95,15 +97,15 @@ impl BlockArena {
         }
     }
 
-    /// Takes a cleared buffer of exactly `b` dummy cells, reusing a pooled
-    /// buffer when one with sufficient capacity is available.
-    pub fn take(&self, b: usize) -> Vec<Cell> {
+    /// Takes an empty buffer with capacity for at least `n` cells, reusing
+    /// a pooled buffer when one is large enough. The caller fills it, so
+    /// each cell is written once.
+    pub fn take(&self, n: usize) -> Vec<Cell> {
         let mut pool = self.pool.borrow_mut();
         while let Some(mut buf) = pool.buffers.pop() {
-            if buf.capacity() >= b {
+            if buf.capacity() >= n {
                 pool.stats.reused += 1;
                 buf.clear();
-                buf.resize(b, None);
                 return buf;
             }
             // Undersized stragglers (from a store with a smaller B) are
@@ -111,7 +113,7 @@ impl BlockArena {
             pool.stats.dropped += 1;
         }
         pool.stats.allocated += 1;
-        vec![None; b]
+        Vec::with_capacity(n)
     }
 
     /// Returns a buffer to the pool (dropping it if the pool is full).
@@ -147,16 +149,13 @@ mod tests {
     fn take_returns_cleared_buffers_of_the_requested_size() {
         let arena = BlockArena::with_capacity(4);
         let mut buf = arena.take(8);
-        assert_eq!(buf.len(), 8);
-        assert!(buf.iter().all(|c| c.is_none()));
+        assert!(buf.is_empty() && buf.capacity() >= 8);
+        buf.resize(8, None);
         buf[3] = Some(crate::element::Element::new(1, 2));
         arena.put(buf);
         let again = arena.take(8);
-        assert_eq!(again.len(), 8);
-        assert!(
-            again.iter().all(|c| c.is_none()),
-            "recycled buffers are cleared"
-        );
+        assert!(again.capacity() >= 8);
+        assert!(again.is_empty(), "recycled buffers are emptied");
     }
 
     #[test]
@@ -187,7 +186,7 @@ mod tests {
         let arena = BlockArena::with_capacity(4);
         arena.put(vec![None; 2]);
         let buf = arena.take(64);
-        assert_eq!(buf.len(), 64);
+        assert!(buf.is_empty() && buf.capacity() >= 64);
         assert_eq!(arena.stats().allocated, 1);
     }
 
@@ -200,7 +199,7 @@ mod tests {
             arena = std::thread::spawn(move || {
                 for _ in 0..200 {
                     let buf = arena.take(32);
-                    assert_eq!(buf.len(), 32);
+                    assert!(buf.is_empty() && buf.capacity() >= 32);
                     arena.put(buf);
                 }
                 arena

@@ -143,6 +143,7 @@ fn decode_block(
     addr: usize,
 ) -> Result<Block, StoreError> {
     let mut buf = arena.take(block_elems);
+    buf.resize(block_elems, None);
     match decode_cells(bytes, &mut buf, addr) {
         Ok(()) => Ok(Block::from_buffer(buf)),
         Err(e) => {
@@ -399,10 +400,10 @@ impl FileStore {
         let h = BlockStore::alloc_array(self, cells.len().max(1));
         let b = self.block_elems;
         for (i, chunk) in cells.chunks(b).enumerate() {
-            let mut blk = Block::from_buffer(self.arena.take(b));
-            for (j, c) in chunk.iter().enumerate() {
-                blk.set(j, *c);
-            }
+            let mut buf = self.arena.take(b);
+            buf.extend_from_slice(chunk);
+            buf.resize(b, None);
+            let blk = Block::from_buffer(buf);
             let res = self.write_raw(h.global_block(i), &blk);
             self.arena.put(blk.into_buffer());
             res?;

@@ -1,22 +1,41 @@
 //! The external block store: Bob's disk, with I/O accounting and the
 //! adversary's view.
 //!
-//! [`ExtMem`] is an arena of blocks out of which algorithms allocate named
+//! [`ExtMem`] is a list of cell slabs out of which algorithms allocate named
 //! arrays ([`ArrayHandle`]). Each block read or write costs exactly one I/O
 //! and (optionally) appends an [`AccessEvent`] to the [`AccessTrace`], which
 //! is precisely what the honest-but-curious server observes: the *operation*
 //! and the *global block address*, never the contents.
 //!
+//! # Layout
+//!
+//! Every array owns one slab: a `Vec<Cell>` reserved at `n_blocks · B` cells
+//! when the array is allocated, so it never reallocates, and found from the
+//! handle's start block. Global block addresses run on across slabs in
+//! allocation order, exactly as they do in a [`FileStore`]'s file. A slab
+//! holds the *written prefix* of its array (lazy tail): allocating writes no
+//! cell, every cell past the prefix reads as a dummy, and a write that starts
+//! past the prefix first fills the gap with dummies. A block moves as one
+//! slice copy between the slab and an arena buffer, and the whole blocks of
+//! a span as one slice copy of the slab, with one I/O and one trace event
+//! per block in ascending order, as the per-block path charges them. A
+//! handle whose start block, block count or block size matches no slab is
+//! refused before any I/O.
+//!
 //! Data-obliviousness of an algorithm is checked by running it on different
 //! inputs of the same shape (and, for randomized algorithms, the same
 //! random-number-generator seed) and asserting that the captured traces are
 //! identical — see the [`crate::trace`] module.
+//!
+//! [`FileStore`]: crate::file::FileStore
+
+use std::ops::Range;
 
 use crate::arena::BlockArena;
 use crate::block::Block;
 use crate::element::{Cell, Element};
 use crate::error::StoreError;
-use crate::store::{BackingStore, BlockStore};
+use crate::store::{load_span_with, store_span_with, BackingStore, BlockStore};
 
 /// The kind of a block access, as visible to the server.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -66,7 +85,7 @@ impl std::ops::Sub for IoStats {
     }
 }
 
-/// A handle to an array allocated inside an [`ExtMem`] arena.
+/// A handle to an array allocated inside an [`ExtMem`] (or another store).
 ///
 /// The handle records where the array starts (global block index), how many
 /// element slots it spans and the block size, so algorithms can address its
@@ -91,7 +110,7 @@ impl ArrayHandle {
         self.len_elements == 0
     }
 
-    /// Block size `B` of the arena this handle belongs to.
+    /// Block size `B` of the store this handle belongs to.
     #[inline]
     pub fn block_elems(&self) -> usize {
         self.block_elems
@@ -156,25 +175,66 @@ impl ArrayHandle {
     }
 }
 
+/// The typed refusal of a handle whose start block, block count or block
+/// size matches no slab of the store it is used on.
+const FOREIGN_HANDLE: StoreError = StoreError::InvalidArgument {
+    reason: "handle not allocated by this store",
+};
+
+/// One array's cells. See the module docs.
+#[derive(Debug)]
+struct Slab {
+    /// Global address of the array's first block.
+    start: usize,
+    /// Number of blocks the array spans.
+    n_blocks: usize,
+    /// The written prefix of the array's `n_blocks · B` cells, reserved in
+    /// full at allocation; every cell past it reads as a dummy.
+    cells: Vec<Cell>,
+}
+
+impl Slab {
+    /// Appends cells `lo..lo + n` to `out`: the written ones as one slice
+    /// copy, then a dummy for each one past the written prefix.
+    fn read(&self, lo: usize, n: usize, out: &mut Vec<Cell>) {
+        let end = self.cells.len();
+        let written = &self.cells[lo.min(end)..(lo + n).min(end)];
+        out.extend_from_slice(written);
+        out.resize(out.len() + n - written.len(), None);
+    }
+
+    /// Writes `src` to the cells from `lo` on, first filling any gap between
+    /// the written prefix and `lo` with dummies.
+    fn write(&mut self, lo: usize, src: &[Cell]) {
+        if self.cells.len() < lo {
+            self.cells.resize(lo, None);
+        }
+        let overlap = (self.cells.len() - lo).min(src.len());
+        self.cells[lo..lo + overlap].copy_from_slice(&src[..overlap]);
+        self.cells.extend_from_slice(&src[overlap..]);
+    }
+}
+
 /// Bob's block store, with per-operation I/O accounting and trace capture.
 #[derive(Debug)]
 pub struct ExtMem {
     block_elems: usize,
-    blocks: Vec<Block>,
+    /// One slab per array, in allocation (and so global address) order.
+    slabs: Vec<Slab>,
     stats: IoStats,
     trace: Option<AccessTrace>,
-    /// Recycles the `Vec<Cell>` of every block this store clones out or
-    /// replaces, so the block path stops churning the allocator.
+    /// Recycles the `Vec<Cell>` of every block this store hands out or is
+    /// handed, so the block path stops churning the allocator.
     arena: BlockArena,
 }
 
 impl ExtMem {
-    /// Creates an empty arena with block size `block_elems`.
+    /// Creates an empty store with block size `block_elems`.
     pub fn new(block_elems: usize) -> Self {
         assert!(block_elems >= 1, "block size must be at least 1");
         ExtMem {
             block_elems,
-            blocks: Vec::new(),
+            slabs: Vec::new(),
             stats: IoStats::default(),
             trace: None,
             arena: BlockArena::new(),
@@ -186,7 +246,7 @@ impl ExtMem {
         &self.arena
     }
 
-    /// Creates an arena and enables trace capture from the start.
+    /// Creates a store and enables trace capture from the start.
     pub fn with_trace(block_elems: usize) -> Self {
         let mut m = Self::new(block_elems);
         m.enable_trace();
@@ -199,10 +259,10 @@ impl ExtMem {
         self.block_elems
     }
 
-    /// Total number of blocks currently allocated in the arena.
+    /// Total number of blocks currently allocated in the store.
     #[inline]
     pub fn allocated_blocks(&self) -> usize {
-        self.blocks.len()
+        self.slabs.last().map_or(0, |s| s.start + s.n_blocks)
     }
 
     /// Cumulative I/O statistics.
@@ -232,11 +292,15 @@ impl ExtMem {
     }
 
     /// Allocates a new array of `len_elements` slots, all initially dummies.
+    /// Reserves its slab and writes no cell.
     pub fn alloc_array(&mut self, len_elements: usize) -> ArrayHandle {
-        let start_block = self.blocks.len();
-        let nb = len_elements.div_ceil(self.block_elems).max(1);
-        self.blocks
-            .extend((0..nb).map(|_| Block::empty(self.block_elems)));
+        let start_block = self.allocated_blocks();
+        let n_blocks = len_elements.div_ceil(self.block_elems).max(1);
+        self.slabs.push(Slab {
+            start: start_block,
+            n_blocks,
+            cells: Vec::with_capacity(n_blocks * self.block_elems),
+        });
         ArrayHandle {
             start_block,
             len_elements,
@@ -251,13 +315,11 @@ impl ExtMem {
     /// how the paper counts only the algorithm's own accesses.
     pub fn alloc_array_from_cells(&mut self, cells: &[Cell]) -> ArrayHandle {
         let h = self.alloc_array(cells.len().max(1));
-        for (i, chunk) in cells.chunks(self.block_elems).enumerate() {
-            let mut blk = Block::empty(self.block_elems);
-            for (j, c) in chunk.iter().enumerate() {
-                blk.set(j, *c);
-            }
-            self.blocks[h.start_block + i] = blk;
-        }
+        self.slabs
+            .last_mut()
+            .expect("an array was just allocated")
+            .cells
+            .extend_from_slice(cells);
         h
     }
 
@@ -267,29 +329,51 @@ impl ExtMem {
         self.alloc_array_from_cells(&cells)
     }
 
-    fn record(&mut self, op: AccessOp, addr: usize) {
+    /// Index of the slab `h` addresses, or [`FOREIGN_HANDLE`].
+    fn slab_of(&self, h: &ArrayHandle) -> Result<usize, StoreError> {
+        let k = self
+            .slabs
+            .binary_search_by_key(&h.start_block, |s| s.start)
+            .map_err(|_| FOREIGN_HANDLE)?;
+        if self.slabs[k].n_blocks == h.n_blocks() && h.block_elems == self.block_elems {
+            Ok(k)
+        } else {
+            Err(FOREIGN_HANDLE)
+        }
+    }
+
+    /// Charges one `op` I/O per local block of `blocks` of `h`, traced in
+    /// ascending order, and returns the index of `h`'s slab; a handle of
+    /// another store is refused first.
+    fn charge(
+        &mut self,
+        h: &ArrayHandle,
+        op: AccessOp,
+        blocks: Range<usize>,
+    ) -> Result<usize, StoreError> {
+        let k = self.slab_of(h)?;
+        let n = blocks.len() as u64;
         match op {
-            AccessOp::Read => self.stats.reads += 1,
-            AccessOp::Write => self.stats.writes += 1,
+            AccessOp::Read => self.stats.reads += n,
+            AccessOp::Write => self.stats.writes += n,
         }
         if let Some(t) = &mut self.trace {
-            t.push(AccessEvent { op, addr });
+            t.extend(blocks.map(|i| AccessEvent {
+                op,
+                addr: h.start_block + i,
+            }));
         }
+        Ok(k)
     }
 
     /// Non-oblivious convenience used by tests and oracles: loads the whole
     /// array as a flat vector of cells **without** charging I/Os or touching
-    /// the trace. Never use this inside an algorithm under test.
+    /// the trace. Never use this inside an algorithm under test. Panics on a
+    /// handle this store did not allocate.
     pub fn snapshot_cells(&self, h: &ArrayHandle) -> Vec<Cell> {
+        let k = self.slab_of(h).unwrap_or_else(|e| panic!("{e}"));
         let mut out = Vec::with_capacity(h.len());
-        for i in 0..h.n_blocks() {
-            let blk = &self.blocks[h.global_block(i)];
-            for j in 0..self.block_elems {
-                if out.len() < h.len() {
-                    out.push(blk.get(j));
-                }
-            }
-        }
+        self.slabs[k].read(0, h.len(), &mut out);
         out
     }
 
@@ -318,23 +402,57 @@ impl BlockStore for ExtMem {
     }
 
     /// Copies local block `i` of array `h` out (one I/O) into a buffer from
-    /// the store's [`BlockArena`], not a fresh allocation.
+    /// the store's [`BlockArena`], in one pass.
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
-        let addr = h.checked_block(i)?;
-        self.record(AccessOp::Read, addr);
-        let mut buf = self.arena.take(self.block_elems);
-        buf.copy_from_slice(self.blocks[addr].slots());
+        h.checked_block(i)?;
+        let k = self.charge(h, AccessOp::Read, i..i + 1)?;
+        let b = self.block_elems;
+        let mut buf = self.arena.take(b);
+        self.slabs[k].read(i * b, b, &mut buf);
         Ok(Block::from_buffer(buf))
     }
 
-    /// Replaces local block `i` of array `h` (one I/O), recycling the old
-    /// block's buffer through the [`BlockArena`].
+    /// Copies `blk` into local block `i` of array `h` (one I/O), recycling
+    /// its buffer through the [`BlockArena`].
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
-        let addr = h.checked_write(i, &blk)?;
-        self.record(AccessOp::Write, addr);
-        let old = std::mem::replace(&mut self.blocks[addr], blk);
-        self.arena.put(old.into_buffer());
+        h.checked_write(i, &blk)?;
+        let k = self.charge(h, AccessOp::Write, i..i + 1)?;
+        self.slabs[k].write(i * self.block_elems, blk.slots());
+        self.arena.put(blk.into_buffer());
         Ok(())
+    }
+
+    /// The whole blocks of the span as one slice copy out of the slab, one
+    /// read I/O each (see the module docs).
+    fn try_load_span(
+        &mut self,
+        h: &ArrayHandle,
+        elem_lo: usize,
+        elem_hi: usize,
+    ) -> Result<Vec<Cell>, StoreError> {
+        load_span_with(self, h, elem_lo, elem_hi, |s, h, blocks| {
+            let b = s.block_elems;
+            let k = s.charge(h, AccessOp::Read, blocks.clone())?;
+            let mut out = Vec::with_capacity(blocks.len() * b);
+            s.slabs[k].read(blocks.start * b, blocks.len() * b, &mut out);
+            Ok(out)
+        })
+    }
+
+    /// The whole blocks of the span as one slice copy into the slab, one
+    /// write I/O each (see the module docs).
+    fn try_store_span(
+        &mut self,
+        h: &ArrayHandle,
+        elem_lo: usize,
+        cells: &[Cell],
+    ) -> Result<(), StoreError> {
+        store_span_with(self, h, elem_lo, cells, |s, h, first, cells| {
+            let b = s.block_elems;
+            let k = s.charge(h, AccessOp::Write, first..first + cells.len() / b)?;
+            s.slabs[k].write(first * b, cells);
+            Ok(())
+        })
     }
 }
 
@@ -584,6 +702,114 @@ mod tests {
         let got = mem.snapshot_elements(&h);
         let expected: Vec<Element> = (0..12).rev().map(e).collect();
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn lazy_tails_read_as_dummies() {
+        let mut mem = ExtMem::new(4);
+        let h = mem.alloc_array(12);
+        let allocated = mem.allocated_blocks();
+        assert_eq!(mem.snapshot_cells(&h), vec![None; 12]);
+        assert!(mem.try_load_block(&h, 2).unwrap().is_all_dummy());
+        assert_eq!(mem.try_load_span(&h, 1, 11).unwrap(), vec![None; 10]);
+        // A write past the written prefix leaves dummies on both sides.
+        let mid: Vec<Cell> = (0..4).map(|k| Some(e(k))).collect();
+        mem.try_store_block(&h, 1, Block::from_cells(&mid)).unwrap();
+        let mut want = vec![None; 12];
+        want[4..8].copy_from_slice(&mid);
+        assert_eq!(mem.snapshot_cells(&h), want);
+        assert!(mem.try_load_block(&h, 0).unwrap().is_all_dummy());
+        assert!(mem.try_load_block(&h, 2).unwrap().is_all_dummy());
+        assert_eq!(mem.allocated_blocks(), allocated);
+        // A block before the prefix's end overwrites it in place.
+        mem.try_store_block(&h, 0, Block::from_cells(&mid)).unwrap();
+        want[..4].copy_from_slice(&mid);
+        assert_eq!(mem.snapshot_cells(&h), want);
+    }
+
+    #[test]
+    fn a_partial_last_block_fills_its_tail_with_dummies() {
+        // Ten cells at B = 4: the last block holds two cells and two dummies,
+        // and a write of it crosses the end of the written prefix.
+        let mut mem = ExtMem::new(4);
+        let cells: Vec<Cell> = (0..10).map(|k| Some(e(k))).collect();
+        let h = mem.alloc_array_from_cells(&cells);
+        assert_eq!(mem.allocated_blocks(), 3);
+        assert_eq!(mem.snapshot_cells(&h), cells);
+        let last = mem.try_load_block(&h, 2).unwrap();
+        assert_eq!(last.slots(), &[Some(e(8)), Some(e(9)), None, None]);
+        let new: Vec<Cell> = (20..24).map(|k| Some(e(k))).collect();
+        mem.try_store_block(&h, 2, Block::from_cells(&new)).unwrap();
+        assert_eq!(mem.try_load_block(&h, 2).unwrap().slots(), &new[..]);
+        assert_eq!(mem.snapshot_cells(&h)[..8], cells[..8]);
+    }
+
+    #[test]
+    fn a_handle_this_store_did_not_allocate_is_refused() {
+        // A larger store's handle, a handle past every slab and a handle
+        // of another block size with a matching block count: refused on the
+        // block, pair and span paths before any I/O, with no cell moved.
+        let mut mem = ExtMem::with_trace(4);
+        let own = mem.alloc_array_from_cells(&(0..8).map(|k| Some(e(k))).collect::<Vec<_>>());
+        let mut larger = ExtMem::new(4);
+        let wide = larger.alloc_array(64);
+        let past = larger.alloc_array(8);
+        let other_b = ExtMem::new(8).alloc_array(16);
+        assert_eq!(other_b.n_blocks(), own.n_blocks());
+        let refused = StoreError::InvalidArgument {
+            reason: "handle not allocated by this store",
+        };
+        let cells = vec![Some(e(99)); 8];
+        for h in [wide, past, other_b] {
+            assert_eq!(mem.try_load_block(&h, 0).unwrap_err(), refused);
+            let blk = Block::from_cells(&cells[..h.block_elems()]);
+            assert_eq!(mem.try_store_block(&h, 0, blk).unwrap_err(), refused);
+            assert_eq!(
+                mem.try_modify_pair(&h, 0, 1, |_, _| {}).unwrap_err(),
+                refused
+            );
+            assert_eq!(mem.try_load_span(&h, 0, 8).unwrap_err(), refused);
+            assert_eq!(mem.try_load_span(&h, 1, 3).unwrap_err(), refused);
+            assert_eq!(mem.try_store_span(&h, 0, &cells).unwrap_err(), refused);
+            assert_eq!(mem.try_store_span(&h, 1, &cells[..2]).unwrap_err(), refused);
+        }
+        assert_eq!(mem.stats().total(), 0);
+        assert_eq!(mem.take_trace(), Some(Vec::new()));
+        assert_eq!(
+            mem.snapshot_elements(&own),
+            (0..8).map(e).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_span_upload_charges_per_block_and_allocates_nothing_per_block() {
+        // 2^18 cells at B = 64 in one span: 4,096 writes, traced in
+        // ascending order, and no arena buffer drawn or returned.
+        const B: usize = 64;
+        let n = 1 << 18;
+        let mut mem = ExtMem::with_trace(B);
+        let h = mem.alloc_array(n);
+        let cells: Vec<Cell> = (0..n as u64)
+            .map(|k| k.is_multiple_of(2).then(|| e(k)))
+            .collect();
+        let arena = mem.arena().stats();
+        mem.try_store_span(&h, 0, &cells).unwrap();
+        assert_eq!(
+            mem.stats(),
+            IoStats {
+                reads: 0,
+                writes: 4096
+            }
+        );
+        let writes: AccessTrace = (0..4096)
+            .map(|addr| AccessEvent {
+                op: AccessOp::Write,
+                addr,
+            })
+            .collect();
+        assert_eq!(mem.take_trace(), Some(writes));
+        assert_eq!(mem.arena().stats(), arena);
+        assert_eq!(mem.snapshot_cells(&h), cells);
     }
 
     #[test]

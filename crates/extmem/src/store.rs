@@ -23,8 +23,8 @@
 //! wrappers that panic with the error's message.
 //!
 //! The span ops are the one way a run of blocks moves in one request. A
-//! store with a cheaper batch path (one positioned read or write, a batched
-//! keystream or MAC kernel) overrides them through `load_span_with` and
+//! store with a cheaper batch path (one slice copy, one positioned read or
+//! write, a batched keystream or MAC kernel) overrides them through `load_span_with` and
 //! `store_span_with`: the blocks a span covers whole go through the
 //! store's batch, and a partly covered boundary block — including an
 //! array's partial last block — goes through its single-block op, in the

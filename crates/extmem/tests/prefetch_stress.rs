@@ -152,13 +152,10 @@ fn arena_survives_contended_take_put_across_threads() {
             for i in 0..2000u64 {
                 let size = [4usize, 8, 16][(hash64(i, t) % 3) as usize];
                 let mut buf = arena.take(size);
-                assert_eq!(buf.len(), size);
-                assert!(
-                    buf.iter().all(Cell::is_none),
-                    "arena must hand out clean buffers"
-                );
-                // Dirty it so a recycled buffer that isn't cleared is caught.
-                buf[0] = Some(Element::keyed(i, t as usize));
+                assert!(buf.capacity() >= size);
+                assert!(buf.is_empty(), "arena must hand out emptied buffers");
+                // Dirty it so a recycled buffer that isn't emptied is caught.
+                buf.push(Some(Element::keyed(i, t as usize)));
                 if !hash64(i, t ^ 0xF00).is_multiple_of(4) {
                     arena.put(buf);
                 } // else: drop it, exercising the non-recycled path

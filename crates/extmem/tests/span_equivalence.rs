@@ -1,5 +1,5 @@
 //! Span equivalence: every store that overrides the span ops with a batch
-//! path (`FileStore`, `EncryptedStore`, `AuthenticatedStore`,
+//! path (`ExtMem`, `FileStore`, `EncryptedStore`, `AuthenticatedStore`,
 //! `PrefetchingStore`) behaves exactly like the provided per-block
 //! defaults, for any span.
 //!
@@ -8,15 +8,16 @@
 //! span runs against the store itself and against the same store behind a
 //! wrapper that forwards only the block ops and hints (so its span ops are
 //! the trait defaults). After every op the two must agree on the result or
-//! error, the I/O counters and the trace; at the end the two server files
-//! must hold the same bytes. For `PrefetchingStore` the counters and trace
-//! are its logical ones, and block ops between the spans leave parked
+//! error, the I/O counters and the trace; at the end the two servers must
+//! hold the same state: the same file bytes, or for `ExtMem` the same cells
+//! in the array and its neighbour. For `PrefetchingStore` the counters and
+//! trace are its logical ones, and block ops between the spans leave parked
 //! steals and buffered writes for the spans to overlap.
 
 use extmem::util::hash64;
 use extmem::{
     AccessEvent, AccessOp, AccessTrace, ArrayHandle, AuthenticatedStore, BackingStore, Block,
-    BlockStore, Cell, Element, EncryptedStore, FileStore, IoStats, PrefetchConfig,
+    BlockStore, Cell, Element, EncryptedStore, ExtMem, FileStore, IoStats, PrefetchConfig,
     PrefetchingStore, StoreError,
 };
 
@@ -96,49 +97,66 @@ impl<S: BackingStore> BackingStore for FailingWrites<S> {
     }
 }
 
-/// A backend whose server state is one file.
-trait OnFile {
-    fn file_bytes(&self) -> Vec<u8>;
+/// What a server holds.
+#[derive(Debug, PartialEq)]
+enum ServerState {
+    /// The bytes of its one file.
+    File(Vec<u8>),
+    /// The cells of the arrays asked about, read free of charge.
+    Cells(Vec<Vec<Cell>>),
 }
 
-impl OnFile for FileStore {
-    fn file_bytes(&self) -> Vec<u8> {
-        std::fs::read(self.path()).expect("server file")
+/// A backend whose server state can be read back.
+trait Server {
+    /// The state of the server; `arrays` names every array allocated on it.
+    fn server_state(&self, arrays: &[ArrayHandle]) -> ServerState;
+}
+
+impl Server for FileStore {
+    fn server_state(&self, _: &[ArrayHandle]) -> ServerState {
+        ServerState::File(std::fs::read(self.path()).expect("server file"))
     }
 }
 
-impl<S: OnFile> OnFile for FailingWrites<S> {
-    fn file_bytes(&self) -> Vec<u8> {
-        self.inner.file_bytes()
+impl Server for ExtMem {
+    fn server_state(&self, arrays: &[ArrayHandle]) -> ServerState {
+        ServerState::Cells(arrays.iter().map(|h| self.snapshot_cells(h)).collect())
     }
 }
 
-/// A store under test: its server trace, and the bytes its server file
-/// holds once client state is checkpointed.
+impl<S: Server> Server for FailingWrites<S> {
+    fn server_state(&self, arrays: &[ArrayHandle]) -> ServerState {
+        self.inner.server_state(arrays)
+    }
+}
+
+/// A store under test: its server trace, and what its server holds once
+/// client state is checkpointed.
 trait UnderTest: BlockStore {
     fn take_server_trace(&mut self) -> AccessTrace;
-    fn server_bytes(&mut self) -> Vec<u8>;
+    fn server_state(&mut self, arrays: &[ArrayHandle]) -> ServerState;
 }
 
-impl UnderTest for FileStore {
+/// The bottom stores, `FileStore` and `ExtMem`.
+impl<S: BackingStore + Server> UnderTest for S {
     fn take_server_trace(&mut self) -> AccessTrace {
         let t = self.take_trace().expect("trace enabled");
         self.enable_trace();
         t
     }
-    fn server_bytes(&mut self) -> Vec<u8> {
-        self.file_bytes()
+    fn server_state(&mut self, arrays: &[ArrayHandle]) -> ServerState {
+        Server::server_state(self, arrays)
     }
 }
 
-impl<S: BackingStore + OnFile> UnderTest for EncryptedStore<S> {
+impl<S: BackingStore + Server> UnderTest for EncryptedStore<S> {
     fn take_server_trace(&mut self) -> AccessTrace {
         let t = self.take_trace().expect("trace enabled");
         self.enable_trace();
         t
     }
-    fn server_bytes(&mut self) -> Vec<u8> {
-        self.backing().file_bytes()
+    fn server_state(&mut self, arrays: &[ArrayHandle]) -> ServerState {
+        self.backing().server_state(arrays)
     }
 }
 
@@ -146,10 +164,10 @@ impl<S: UnderTest> UnderTest for AuthenticatedStore<S> {
     fn take_server_trace(&mut self) -> AccessTrace {
         self.inner_mut().take_server_trace()
     }
-    fn server_bytes(&mut self) -> Vec<u8> {
+    fn server_state(&mut self, arrays: &[ArrayHandle]) -> ServerState {
         // A failed flush leaves its blocks dirty; retrying finishes it.
         while self.flush_macs().is_err() {}
-        self.inner_mut().server_bytes()
+        self.inner_mut().server_state(arrays)
     }
 }
 
@@ -160,9 +178,9 @@ impl<S: UnderTest> UnderTest for PrefetchingStore<S> {
         self.enable_trace();
         t
     }
-    fn server_bytes(&mut self) -> Vec<u8> {
+    fn server_state(&mut self, arrays: &[ArrayHandle]) -> ServerState {
         self.flush_writes().expect("an honest store flushes");
-        self.inner_mut().server_bytes()
+        self.inner_mut().server_state(arrays)
     }
 }
 
@@ -170,8 +188,8 @@ impl<S: UnderTest> UnderTest for BlockOpsOnly<S> {
     fn take_server_trace(&mut self) -> AccessTrace {
         self.0.take_server_trace()
     }
-    fn server_bytes(&mut self) -> Vec<u8> {
-        self.0.server_bytes()
+    fn server_state(&mut self, arrays: &[ArrayHandle]) -> ServerState {
+        self.0.server_state(arrays)
     }
 }
 
@@ -261,7 +279,7 @@ struct Plan {
     /// loaded (a steal that parks the rest), or one block write (buffered
     /// by a prefetching store).
     block_ops: bool,
-    /// The two server files must hold the same bytes. Where the two paths
+    /// The two servers must hold the same state. Where the two paths
     /// write blocks in a different order (write-behind against write
     /// through under a nonce counter), a full read after the checkpoint is
     /// compared instead.
@@ -291,8 +309,8 @@ fn check<S: UnderTest>(label: &str, mk: impl Fn(usize) -> S, plan: Plan) {
             let h = over.alloc_array(len);
             assert_eq!(default.alloc_array(len), h);
             // A neighbour, so an op that strays past `h` would show.
-            over.alloc_array(b);
-            default.alloc_array(b);
+            let next = over.alloc_array(b);
+            assert_eq!(default.alloc_array(b), next);
             for step in 0..48 {
                 let ctx = format!("{label}: B={b} seed={seed} len={len} step={step}");
                 if plan.block_ops && rng.below(3) == 0 {
@@ -349,11 +367,13 @@ fn check<S: UnderTest>(label: &str, mk: impl Fn(usize) -> S, plan: Plan) {
                     "{ctx}: server trace"
                 );
             }
-            let (over_bytes, default_bytes) = (over.server_bytes(), default.server_bytes());
+            let arrays = [h, next];
+            let (over_state, default_state) =
+                (over.server_state(&arrays), default.server_state(&arrays));
             if plan.same_bytes {
                 assert!(
-                    over_bytes == default_bytes,
-                    "{label}: B={b} seed={seed}: the server files differ"
+                    over_state == default_state,
+                    "{label}: B={b} seed={seed}: the server states differ"
                 );
             } else {
                 assert_eq!(
@@ -369,9 +389,14 @@ fn check<S: UnderTest>(label: &str, mk: impl Fn(usize) -> S, plan: Plan) {
         refused > 0 && moved > 0,
         "{label}: the generator covers both: {tally:?}"
     );
-    if plan.wide && label != "FileStore" {
+    // Only an encrypting layer refuses a wide payload.
+    if plan.wide && !matches!(label, "ExtMem" | "FileStore") {
         assert!(failed > 0, "{label}: some spans fail part-way: {tally:?}");
     }
+}
+
+fn mem(b: usize) -> ExtMem {
+    ExtMem::with_trace(b)
 }
 
 fn file(b: usize) -> FileStore {
@@ -382,6 +407,27 @@ fn file(b: usize) -> FileStore {
 
 fn encrypted(b: usize) -> EncryptedStore<FileStore> {
     EncryptedStore::with_backing(file(b), 0xE2C)
+}
+
+/// Block writes between the spans land past, inside and across an
+/// `ExtMem` slab's written prefix.
+const SPANS_AND_BLOCK_WRITES: Plan = Plan {
+    block_ops: true,
+    ..SPANS_ONLY
+};
+
+#[test]
+fn ext_mem_spans_equal_the_per_block_defaults() {
+    check("ExtMem", mem, SPANS_AND_BLOCK_WRITES);
+}
+
+#[test]
+fn encrypted_ext_mem_spans_equal_the_per_block_defaults() {
+    check(
+        "Encrypted(ExtMem)",
+        |b| EncryptedStore::with_backing(mem(b), 0xE2C),
+        SPANS_AND_BLOCK_WRITES,
+    );
 }
 
 #[test]
