@@ -416,6 +416,10 @@ impl<S: BlockStore> BlockStore for AuthenticatedStore<S> {
         self.inner.recycle(blk);
     }
 
+    fn check_write(&self, h: &ArrayHandle, i: usize, cells: &[Cell]) -> Result<(), StoreError> {
+        self.inner.check_write(h, i, cells)
+    }
+
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
         h.checked_block(i)?;
         self.mac_array(h)?;

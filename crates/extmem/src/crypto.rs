@@ -354,6 +354,17 @@ impl<S: BackingStore> BlockStore for EncryptedStore<S> {
         self.mem.recycle(blk);
     }
 
+    /// Refuses a payload wider than 63 bits, naming the first one, as a
+    /// write of `cells` would.
+    fn check_write(&self, h: &ArrayHandle, i: usize, cells: &[Cell]) -> Result<(), StoreError> {
+        let addr = h.checked_block(i)?;
+        if cells.iter().flatten().any(|e| e.payload > PAYLOAD_MASK) {
+            Err(too_wide(addr, cells))
+        } else {
+            Ok(())
+        }
+    }
+
     /// Reads and decrypts local block `i` of array `h` (one I/O).
     /// Backing-store failures (disk errors, injected faults) propagate as
     /// typed [`StoreError`]s.

@@ -47,7 +47,7 @@
 use std::collections::HashMap;
 
 use crate::block::Block;
-use crate::element::Element;
+use crate::element::{Cell, Element};
 use crate::error::StoreError;
 use crate::mem::{ArrayHandle, IoStats};
 use crate::store::BlockStore;
@@ -286,6 +286,10 @@ impl<S: BlockStore> BlockStore for FaultyStore<S> {
 
     fn recycle(&mut self, blk: Block) {
         self.inner.recycle(blk);
+    }
+
+    fn check_write(&self, h: &ArrayHandle, i: usize, cells: &[Cell]) -> Result<(), StoreError> {
+        self.inner.check_write(h, i, cells)
     }
 
     fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {

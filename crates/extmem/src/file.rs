@@ -111,23 +111,24 @@ fn map_io_err(addr: usize, e: &io::Error) -> StoreError {
     }
 }
 
-/// Decodes the image of the block at `addr` into `out` (one cell per 24
-/// bytes) in one pass. The occupancy words are checked once for the whole
-/// block: a word other than `0` or `1` leaves a bit in `occ >> 1`, and any
-/// such word fails the block as [`StoreError::Corrupted`] (what `out` then
-/// holds is meaningless; callers drop it).
-fn decode_cells(bytes: &[u8], out: &mut [Cell], addr: usize) -> Result<(), StoreError> {
+/// Decodes the image of the block at `addr` onto the end of `out` (one
+/// cell per 24 bytes), writing each cell once. The occupancy words are
+/// checked once for the whole block: a word other than `0` or `1` leaves a
+/// bit in `occ >> 1`, and any such word fails the block as
+/// [`StoreError::Corrupted`] (what `out` then holds is meaningless; callers
+/// drop it).
+fn decode_cells(bytes: &[u8], out: &mut Vec<Cell>, addr: usize) -> Result<(), StoreError> {
     let (records, rest) = bytes.as_chunks::<CELL_BYTES>();
-    debug_assert!(rest.is_empty() && records.len() == out.len());
+    debug_assert!(rest.is_empty());
     let word = |r: &[u8; CELL_BYTES], at: usize| {
         u64::from_le_bytes(r[at..at + 8].try_into().expect("8-byte word"))
     };
     let mut garbled = 0;
-    for (slot, r) in out.iter_mut().zip(records) {
+    out.extend(records.iter().map(|r| {
         let occ = word(r, 0);
         garbled |= occ >> 1;
-        *slot = (occ != 0).then(|| Element::new(word(r, 8), word(r, 16)));
-    }
+        (occ != 0).then(|| Element::new(word(r, 8), word(r, 16)))
+    }));
     if garbled == 0 {
         Ok(())
     } else {
@@ -135,7 +136,7 @@ fn decode_cells(bytes: &[u8], out: &mut [Cell], addr: usize) -> Result<(), Store
     }
 }
 
-/// Decodes one block image; the buffer is drawn from `arena`.
+/// Decodes one block image into an empty buffer drawn from `arena`.
 fn decode_block(
     bytes: &[u8],
     block_elems: usize,
@@ -143,7 +144,6 @@ fn decode_block(
     addr: usize,
 ) -> Result<Block, StoreError> {
     let mut buf = arena.take(block_elems);
-    buf.resize(block_elems, None);
     match decode_cells(bytes, &mut buf, addr) {
         Ok(()) => Ok(Block::from_buffer(buf)),
         Err(e) => {
@@ -543,19 +543,18 @@ impl FileStore {
                 .file
                 .read_exact_at(&mut scratch, byte_offset(first, self.block_bytes()))
                 .is_ok();
-        let mut out = vec![None; blocks.len() * b];
+        let mut out = Vec::with_capacity(blocks.len() * b);
         let res = if read {
             (0..blocks.len()).try_for_each(|k| {
                 let bytes = &scratch[k * self.block_bytes()..(k + 1) * self.block_bytes()];
-                decode_cells(bytes, &mut out[k * b..(k + 1) * b], first + k)?;
+                decode_cells(bytes, &mut out, first + k)?;
                 self.record(AccessOp::Read, first + k);
                 Ok(())
             })
         } else {
             blocks.clone().try_for_each(|bi| {
                 let blk = self.try_load_block(h, bi)?;
-                let k = bi - blocks.start;
-                out[k * b..(k + 1) * b].copy_from_slice(blk.slots());
+                out.extend_from_slice(blk.slots());
                 self.arena.put(blk.into_buffer());
                 Ok(())
             })

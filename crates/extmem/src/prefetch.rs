@@ -58,7 +58,15 @@
 //!   full (after a failed flush) flushes first and is refused with that
 //!   flush's error if it fails again; the buffer never exceeds
 //!   `write_buffer` blocks, and only accepted writes are recorded.
-//! * [`BlockStore::try_store_span`] writes through. The blocks it covers
+//! * Every write is checked with the wrapped store's
+//!   [`BlockStore::check_write`] when it is accepted, so a block a lower
+//!   layer would refuse (an over-wide payload under
+//!   [`EncryptedStore`](crate::crypto::EncryptedStore)) is refused at once,
+//!   never at a later flush.
+//! * [`BlockStore::try_store_span`] buffers a span that covers fewer than
+//!   `write_buffer` whole blocks block by block, exactly as that many
+//!   block stores would be, so short spans coalesce with their neighbours
+//!   at the next flush. A longer span writes through: the blocks it covers
 //!   whole go straight to the wrapped store's span path, in runs of at
 //!   most `write_buffer` blocks. A run first invalidates any parked or
 //!   queued slot of its addresses, and once it lands, the buffered blocks
@@ -69,11 +77,12 @@
 //!   buffered: it is still the newest write accepted for its address.
 //! * [`BlockStore::try_load_span`] serves the blocks it covers whole that
 //!   the adapter holds — parked (a hit) or buffered (a `wb_hit`) — from the
-//!   adapter, and reads every other run of them with one span read of the
-//!   wrapped store of at most `max_ready` blocks, straight into the result
-//!   (one steal, plus one hit per further block). A failed span read falls
-//!   back to single-block reads of its run, each a miss. Nothing is
-//!   parked, so a span load needs no ready budget.
+//!   adapter, steals from a hinted block as a block load would, and reads
+//!   every other run of them with one span read of the wrapped store of at
+//!   most `max_ready` blocks, straight into the result (one steal, plus one
+//!   hit per further block). A failed span read falls back to single-block
+//!   reads of its run, each a miss. Only a steal parks blocks, so a span
+//!   load over unhinted blocks needs no ready budget.
 //! * Span reads and writes move whole blocks only: an array's partial last
 //!   block, and any block a span covers in part, goes through the
 //!   single-block ops, so every layer below sees the same block counts
@@ -152,8 +161,9 @@ pub struct PrefetchConfig {
     /// once). Block stores are accepted into the buffer and flushed as
     /// coalesced span writes — one span write per maximal run of
     /// consecutive blocks of one array — once it fills, on
-    /// [`PrefetchingStore::flush_writes`], or on drop. A span store writes
-    /// through in runs of at most this many blocks (at least one).
+    /// [`PrefetchingStore::flush_writes`], or on drop. A span store of fewer
+    /// whole blocks is buffered block by block; a longer one writes through
+    /// in runs of at most this many blocks (at least one).
     pub write_buffer: usize,
 }
 
@@ -490,7 +500,10 @@ impl<S: BlockStore> PrefetchingStore<S> {
     /// Reads the whole blocks `blocks` of `h` for a span load, recording
     /// each as one logical read in ascending order. A block the adapter
     /// holds is served from it: a parked block counts as a hit, a buffered
-    /// one as a `wb_hit`. Every other run of consecutive blocks is read
+    /// one as a `wb_hit`. A run that starts at a hinted block is stolen
+    /// from there, as a block load would steal it, so a span of one block
+    /// over a hinted sweep reads ahead as that sweep's block loads do.
+    /// Every other run of consecutive blocks is read
     /// with one span read of the wrapped store of at most `max_ready`
     /// blocks, straight into the result, and counts as one steal plus one
     /// hit per further block, as a hinted run read by a steal would. Any
@@ -508,7 +521,7 @@ impl<S: BlockStore> PrefetchingStore<S> {
         let mut bi = blocks.start;
         while bi < blocks.end {
             let addr = h.global_block(bi);
-            if self.holds(addr) {
+            if self.holds(addr) || matches!(self.slot(addr), Slot::Queued) {
                 let blk = self.load(h, bi, addr)?;
                 out.extend_from_slice(blk.slots());
                 self.keep(blk);
@@ -551,7 +564,9 @@ impl<S: BlockStore> PrefetchingStore<S> {
         Ok(out)
     }
 
-    /// Writes the whole blocks starting at local block `first` of `h`
+    /// Writes the whole blocks starting at local block `first` of `h`:
+    /// fewer than `write_buffer` of them into the write-behind buffer, one
+    /// block at a time as [`BlockStore::try_store_block`] would; more
     /// straight through to the wrapped store's span path, in runs of at
     /// most `write_buffer` blocks (one [`PrefetchStats::write_spans`] each).
     /// Each run first invalidates the parked and queued slots of its
@@ -567,6 +582,15 @@ impl<S: BlockStore> PrefetchingStore<S> {
         cells: &[Cell],
     ) -> Result<(), StoreError> {
         let b = h.block_elems();
+        if cells.len() / b < self.wb_cap {
+            for (k, chunk) in cells.chunks(b).enumerate() {
+                self.inner.check_write(h, first + k, chunk)?;
+                let blk = self.block_of(chunk);
+                self.buffer_write(h, first + k, blk)?;
+                self.record(AccessOp::Write, h.global_block(first + k));
+            }
+            return Ok(());
+        }
         let per_run = self.wb_cap.max(1);
         for (k, run) in cells.chunks(per_run * b).enumerate() {
             let lo = first + k * per_run;
@@ -734,9 +758,14 @@ impl<S: BlockStore> BlockStore for PrefetchingStore<S> {
 
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
         let addr = h.checked_write(i, &blk)?;
+        self.inner.check_write(h, i, blk.slots())?;
         self.buffer_write(h, i, blk)?;
         self.record(AccessOp::Write, addr);
         Ok(())
+    }
+
+    fn check_write(&self, h: &ArrayHandle, i: usize, cells: &[Cell]) -> Result<(), StoreError> {
+        self.inner.check_write(h, i, cells)
     }
 
     fn try_load_span(
@@ -904,6 +933,34 @@ mod tests {
     }
 
     #[test]
+    fn short_span_writes_are_buffered_and_coalesce_at_the_flush() {
+        // Two spans of three blocks each, shorter than the buffer, land in
+        // it block by block and leave the file untouched; the flush then
+        // writes the six adjacent blocks with one span write.
+        let cfg = PrefetchConfig {
+            max_ready: 4,
+            write_buffer: 8,
+        };
+        let mut store = PrefetchingStore::with_config(FileStore::temp(2).unwrap(), cfg);
+        let h = store.alloc_array(20);
+        let cells: Vec<Cell> = (0..12).map(|k| Some(e(k))).collect();
+        store.try_store_span(&h, 6, &cells[6..]).unwrap();
+        store.try_store_span(&h, 0, &cells[..6]).unwrap();
+        assert_eq!(store.wb.len(), 6);
+        assert_eq!(store.inner().stats().writes, 0);
+        assert_eq!(store.io_stats().writes, 6);
+        assert_eq!(store.try_load_span(&h, 0, 12).unwrap(), cells);
+        assert_eq!(
+            store.prefetch_stats().wb_hits,
+            6,
+            "read back from the buffer"
+        );
+        store.flush_writes().unwrap();
+        assert_eq!(store.prefetch_stats().write_spans, 1);
+        assert_eq!(store.inner().snapshot_cells(&h)[..12], cells[..]);
+    }
+
+    #[test]
     fn span_writes_go_through_in_runs_of_the_write_buffer() {
         let cfg = PrefetchConfig {
             max_ready: 4,
@@ -931,33 +988,60 @@ mod tests {
 
     #[test]
     fn a_failed_flush_keeps_every_unwritten_block_buffered() {
-        // Block 1 holds a payload the encryption layer refuses; block 2,
-        // valid, is in the same run. Neither lands, and both stay buffered.
-        let mut store = PrefetchingStore::new(EncryptedStore::new(4, 0xE4C));
+        // Blocks 1 and 2 are one run; the server fails every write while
+        // they are flushed. Neither lands, and both stay buffered.
+        let faulty = FaultyStore::new(EncryptedStore::new(4, 0xE4C), 0xF1, FaultSpec::none());
+        let mut store = PrefetchingStore::new(faulty);
         let h = store.alloc_array(16);
-        let mut bad = Block::empty(4);
-        bad.set(0, Some(Element::new(1, 1 << 63)));
-        store.try_store_block(&h, 1, bad).unwrap();
+        let mut first = Block::empty(4);
+        first.set(0, Some(e(1)));
+        store.try_store_block(&h, 1, first.clone()).unwrap();
         let mut good = Block::empty(4);
         good.set(2, Some(e(2)));
         good.set(3, Some(e(3)));
         store.try_store_block(&h, 2, good.clone()).unwrap();
-        assert_eq!(
-            store.flush_writes(),
-            Err(StoreError::PayloadTooWide {
-                addr: 1,
-                payload: 1 << 63
-            })
-        );
+        store.inner.set_spec(FaultSpec {
+            transient_write_ppm: 1_000_000,
+            ..FaultSpec::none()
+        });
+        assert_eq!(store.flush_writes(), Err(StoreError::Transient { addr: 1 }));
         assert_eq!(store.wb.len(), 2);
         assert_eq!(store.try_load_block(&h, 2).unwrap(), good);
         assert_eq!(store.prefetch_stats().wb_hits, 1, "served from the buffer");
-        // Once block 1 is rewritten with valid cells, the next flush lands
-        // both.
-        store.try_store_block(&h, 1, Block::empty(4)).unwrap();
+        // Once the server recovers, the next flush lands both.
+        store.inner.set_spec(FaultSpec::none());
         store.flush_writes().unwrap();
         assert!(store.wb.is_empty());
-        assert_eq!(store.inner().snapshot_cells(&h)[8..12], *good.slots());
+        let landed = store.inner().inner().snapshot_cells(&h);
+        assert_eq!(landed[4..8], *first.slots());
+        assert_eq!(landed[8..12], *good.slots());
+    }
+
+    #[test]
+    fn an_over_wide_write_is_refused_when_it_is_accepted() {
+        // The encryption layer refuses a payload of 2^63 or more. The
+        // write-behind buffer asks it before accepting a block store or a
+        // short span, so the refusal comes at once, nothing is buffered or
+        // recorded for the refused block, and a later flush writes the
+        // accepted blocks only.
+        let mut store = PrefetchingStore::new(EncryptedStore::new(4, 0xE4C));
+        let h = store.alloc_array(16);
+        let wide = StoreError::PayloadTooWide {
+            addr: 1,
+            payload: 1 << 63,
+        };
+        let mut bad = Block::empty(4);
+        bad.set(0, Some(Element::new(1, 1 << 63)));
+        assert_eq!(store.try_store_block(&h, 1, bad.clone()), Err(wide));
+        let mut cells: Vec<Cell> = (0..8).map(|k| Some(e(k))).collect();
+        cells[4] = bad.get(0);
+        assert_eq!(store.try_store_span(&h, 0, &cells), Err(wide));
+        assert_eq!(store.wb.len(), 1, "only block 0 was accepted");
+        assert_eq!(store.io_stats().writes, 1);
+        store.flush_writes().unwrap();
+        let landed = store.inner().snapshot_cells(&h);
+        assert_eq!(landed[..4], cells[..4]);
+        assert_eq!(landed[4..], vec![None; 12][..]);
     }
 
     #[test]

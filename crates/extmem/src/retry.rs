@@ -15,6 +15,23 @@
 //!   could otherwise flow into the algorithm's internal invariants and
 //!   either trip an assertion or — worse — produce a silently wrong answer.
 //!
+//! Spans pass through as spans, so a pass's runs reach the span paths of
+//! the layers below (the write-behind buffer, one positioned file read or
+//! write, the batched keystream and MAC kernels):
+//!
+//! * A **span write** is forwarded from the caller's borrowed cells. When
+//!   it fails transiently, the inner store's write counter tells how many
+//!   of its blocks landed; the retry resumes at the failing block, so no
+//!   landed block is sent again, and each block gets the policy's retries
+//!   as on the per-block path. The re-issued block ops are the ones the
+//!   per-block path would issue, in the same order.
+//! * A **span load** is forwarded once. Its error carries no cells, so
+//!   there is no landed prefix to keep: after a transient failure (one
+//!   retry) the span is read again block by block from its first block,
+//!   each block through the per-block retry loop. The blocks before the
+//!   failing one are therefore read twice, and the trace shows those
+//!   re-reads.
+//!
 //! Each `try_*` façade builds one `RetryingStore` over the caller's store,
 //! runs its pass, and returns the pass's report with the retry counters.
 //! After a failed pass the *contents* of the arrays touched by the
@@ -23,9 +40,10 @@
 //! actually issued.
 
 use crate::block::Block;
+use crate::element::Cell;
 use crate::error::StoreError;
 use crate::mem::{ArrayHandle, IoStats};
-use crate::store::BlockStore;
+use crate::store::{load_each, load_span_with, BlockStore};
 
 /// How many times to retry a transient fault. Whether an operation is
 /// retried depends on the server's answer only — never on the data being
@@ -150,6 +168,59 @@ impl<S: BlockStore> BlockStore for RetryingStore<'_, S> {
         self.spare = Some(blk);
         result
     }
+
+    fn check_write(&self, h: &ArrayHandle, i: usize, cells: &[Cell]) -> Result<(), StoreError> {
+        self.inner.check_write(h, i, cells)
+    }
+
+    /// Forwards the span; after a transient failure, re-reads it block by
+    /// block from its first block (see the module docs).
+    fn try_load_span(
+        &mut self,
+        h: &ArrayHandle,
+        elem_lo: usize,
+        elem_hi: usize,
+    ) -> Result<Vec<Cell>, StoreError> {
+        match self.inner.try_load_span(h, elem_lo, elem_hi) {
+            Err(e) if e.is_transient() && self.policy.max_retries > 0 => {
+                self.stats.retries += 1;
+                load_span_with(self, h, elem_lo, elem_hi, load_each)
+            }
+            other => other,
+        }
+    }
+
+    /// Forwards the span from the caller's cells; after a transient
+    /// failure, resumes at the failing block (see the module docs).
+    fn try_store_span(
+        &mut self,
+        h: &ArrayHandle,
+        elem_lo: usize,
+        cells: &[Cell],
+    ) -> Result<(), StoreError> {
+        let b = h.block_elems();
+        let elem_hi = elem_lo.saturating_add(cells.len());
+        let mut lo = elem_lo;
+        let mut attempt = 0u32;
+        loop {
+            let before = self.inner.io_stats().writes;
+            match self.inner.try_store_span(h, lo, &cells[lo - elem_lo..]) {
+                Err(e) if e.is_transient() => {
+                    let landed = (self.inner.io_stats().writes - before) as usize;
+                    if landed > 0 {
+                        lo = ((lo / b + landed) * b).min(elem_hi);
+                        attempt = 0;
+                    }
+                    if attempt == self.policy.max_retries {
+                        return Err(e);
+                    }
+                    attempt += 1;
+                    self.stats.retries += 1;
+                }
+                other => return other,
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -160,11 +231,13 @@ mod tests {
     use std::collections::VecDeque;
 
     /// A scripted flaky store: pops one error per fallible op from a queue;
-    /// an empty queue means success.
+    /// an empty queue means success. Its span ops are the per-block
+    /// defaults, and it logs every block op attempted: `('r' | 'w', i)`.
     struct Scripted {
         mem: ExtMem,
         read_errs: VecDeque<Option<StoreError>>,
         write_errs: VecDeque<Option<StoreError>>,
+        log: Vec<(char, usize)>,
     }
 
     impl Scripted {
@@ -173,6 +246,7 @@ mod tests {
                 mem: ExtMem::new(b),
                 read_errs: VecDeque::new(),
                 write_errs: VecDeque::new(),
+                log: Vec::new(),
             }
         }
     }
@@ -188,6 +262,7 @@ mod tests {
             self.mem.stats()
         }
         fn try_load_block(&mut self, h: &ArrayHandle, i: usize) -> Result<Block, StoreError> {
+            self.log.push(('r', i));
             let blk = self.mem.try_load_block(h, i)?;
             match self.read_errs.pop_front().flatten() {
                 Some(e) => Err(e),
@@ -200,6 +275,7 @@ mod tests {
             i: usize,
             blk: Block,
         ) -> Result<(), StoreError> {
+            self.log.push(('w', i));
             match self.write_errs.pop_front().flatten() {
                 Some(e) => Err(e),
                 None => self.mem.try_store_block(h, i, blk),
@@ -269,6 +345,72 @@ mod tests {
         rs.try_store_span(&h, 0, &cells(4)).unwrap();
         assert_eq!(rs.stats().retries, 1);
         assert_eq!(s.load_span(&h, 0, 4), cells(4));
+    }
+
+    #[test]
+    fn a_span_write_resumes_at_the_failing_block() {
+        // Block 2 of a four-block span fails twice: the retries resume at
+        // block 2, and blocks 0 and 1 are never sent again.
+        let mut s = Scripted::new(4);
+        let h = BlockStore::alloc_array(&mut s, 16);
+        let transient = Some(StoreError::Transient { addr: 2 });
+        s.write_errs.extend([None, None, transient, transient]);
+        let mut rs = RetryingStore::new(&mut s, RetryPolicy::default());
+        rs.try_store_span(&h, 0, &cells(16)).unwrap();
+        assert_eq!(rs.stats().retries, 2);
+        let w = |i| ('w', i);
+        assert_eq!(s.log, [w(0), w(1), w(2), w(2), w(2), w(3)]);
+        assert_eq!(s.io_stats().writes, 4);
+        assert_eq!(s.load_span(&h, 0, 16), cells(16));
+    }
+
+    #[test]
+    fn a_failing_block_of_a_span_write_gets_the_policys_retries() {
+        // As on the per-block path, each block has its own retries: block 1
+        // fails three times under a policy of two retries, so the span stops
+        // there with the transient error after block 0 landed.
+        let mut s = Scripted::new(4);
+        let h = BlockStore::alloc_array(&mut s, 12);
+        let transient = Some(StoreError::Transient { addr: 1 });
+        s.write_errs.extend([None, transient, transient, transient]);
+        let policy = RetryPolicy { max_retries: 2 };
+        let mut rs = RetryingStore::new(&mut s, policy);
+        let err = rs.try_store_span(&h, 0, &cells(12)).unwrap_err();
+        assert_eq!(err, StoreError::Transient { addr: 1 });
+        assert_eq!(rs.stats().retries, 2);
+        assert_eq!(s.log, [('w', 0), ('w', 1), ('w', 1), ('w', 1)]);
+        assert_eq!(s.load_span(&h, 0, 12)[..4], cells(4)[..]);
+    }
+
+    #[test]
+    fn a_span_load_rereads_from_its_first_block_after_a_transient() {
+        // A span load keeps no landed prefix: after block 2 fails, the span
+        // is read again block by block from block 0, so blocks 0 and 1 are
+        // read twice, and the cells returned are the fault-free ones.
+        let mut s = Scripted::new(4);
+        let h = BlockStore::alloc_array(&mut s, 16);
+        s.store_span(&h, 0, &cells(16));
+        s.log.clear();
+        s.read_errs
+            .extend([None, None, Some(StoreError::Transient { addr: 2 })]);
+        let mut rs = RetryingStore::new(&mut s, RetryPolicy::default());
+        assert_eq!(rs.try_load_span(&h, 1, 15).unwrap(), cells(16)[1..15]);
+        assert_eq!(rs.stats().retries, 1);
+        let r = |i| ('r', i);
+        assert_eq!(s.log, [r(0), r(1), r(2), r(0), r(1), r(2), r(3)]);
+    }
+
+    #[test]
+    fn a_fatal_error_stops_a_span_load_at_its_block() {
+        let mut s = Scripted::new(4);
+        let h = BlockStore::alloc_array(&mut s, 16);
+        s.read_errs
+            .extend([None, Some(StoreError::Corrupted { addr: 1 })]);
+        let mut rs = RetryingStore::new(&mut s, RetryPolicy::default());
+        let err = rs.try_load_span(&h, 0, 16).unwrap_err();
+        assert_eq!(err, StoreError::Corrupted { addr: 1 });
+        assert_eq!(rs.stats().retries, 0);
+        assert_eq!(s.log, [('r', 0), ('r', 1)]);
     }
 
     #[test]

@@ -87,6 +87,22 @@ pub(crate) fn load_span_with<S: BlockStore + ?Sized>(
     Ok(out)
 }
 
+/// Reads the whole blocks `blocks` of `h` one [`BlockStore::try_load_block`]
+/// at a time, in ascending order: the per-block form of a span's batch.
+pub(crate) fn load_each<S: BlockStore + ?Sized>(
+    store: &mut S,
+    h: &ArrayHandle,
+    blocks: Range<usize>,
+) -> Result<Vec<Cell>, StoreError> {
+    let mut out = Vec::with_capacity(blocks.len() * h.block_elems());
+    for bi in blocks {
+        let blk = store.try_load_block(h, bi)?;
+        out.extend_from_slice(blk.slots());
+        store.recycle(blk);
+    }
+    Ok(out)
+}
+
 /// Writes `cells` to the element span of `h` starting at `elem_lo`: the
 /// blocks it covers whole as one call of `store_whole` (given the first
 /// block and their cells), each boundary block as a read-modify-write
@@ -171,6 +187,19 @@ pub trait BlockStore {
     /// array is refused with [`StoreError::InvalidArgument`] before any I/O.
     fn try_store_block(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError>;
 
+    /// Refuses, without any I/O, the cells `cells` of local block `i` of
+    /// `h` if this store would refuse to write them: under
+    /// [`EncryptedStore`](crate::crypto::EncryptedStore), a payload wider
+    /// than 63 bits ([`StoreError::PayloadTooWide`]). A layer that accepts
+    /// a write before the layers below see it — the write-behind buffer of
+    /// [`PrefetchingStore`](crate::prefetch::PrefetchingStore) — asks here
+    /// first, so the refusal comes when the write is accepted. The default
+    /// accepts every write; the library's wrappers forward to the store
+    /// they wrap.
+    fn check_write(&self, _h: &ArrayHandle, _i: usize, _cells: &[Cell]) -> Result<(), StoreError> {
+        Ok(())
+    }
+
     /// [`BlockStore::try_load_block`], panicking where it fails.
     fn load_block(&mut self, h: &ArrayHandle, i: usize) -> Block {
         self.try_load_block(h, i).unwrap_or_else(|e| panic!("{e}"))
@@ -222,15 +251,7 @@ pub trait BlockStore {
             let schedule: Vec<usize> = (elem_lo / b..=(elem_hi - 1) / b).collect();
             self.hint_blocks(h, &schedule);
         }
-        load_span_with(self, h, elem_lo, elem_hi, |s, h, blocks| {
-            let mut out = Vec::with_capacity(blocks.len() * b);
-            for bi in blocks {
-                let blk = s.try_load_block(h, bi)?;
-                out.extend_from_slice(blk.slots());
-                s.recycle(blk);
-            }
-            Ok(out)
-        })
+        load_span_with(self, h, elem_lo, elem_hi, load_each)
     }
 
     /// Writes `cells` back to the element span starting at `elem_lo`, one

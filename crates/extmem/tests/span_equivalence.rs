@@ -390,7 +390,7 @@ fn check<S: UnderTest>(label: &str, mk: impl Fn(usize) -> S, plan: Plan) {
         "{label}: the generator covers both: {tally:?}"
     );
     // Only an encrypting layer refuses a wide payload.
-    if plan.wide && !matches!(label, "ExtMem" | "FileStore") {
+    if plan.wide && !matches!(label, "ExtMem" | "FileStore" | "Prefetching(FileStore)") {
         assert!(failed > 0, "{label}: some spans fail part-way: {tally:?}");
     }
 }
@@ -470,11 +470,11 @@ fn spans_that_fail_part_way_leave_the_same_state() {
     );
 }
 
-/// Block ops between the spans, no over-wide payloads: a prefetching store
-/// accepts a write into its buffer before the layers below check it, so an
-/// over-wide payload fails at the flush on the per-block path.
+/// Block ops between the spans, over-wide payloads included: a prefetching
+/// store asks the layers below before it accepts a write into its buffer,
+/// so an over-wide payload is refused at once on both paths.
 const WITH_BLOCK_OPS: Plan = Plan {
-    wide: false,
+    wide: true,
     block_ops: true,
     same_bytes: true,
 };
@@ -530,32 +530,40 @@ fn prefetched_defended_spans_equal_the_per_block_defaults() {
 
 #[test]
 fn a_prefetched_span_write_that_fails_part_way_records_only_what_landed() {
-    // Every block holds an older write in the write-behind buffer when a
-    // span write over all of them fails part-way below the encryption
-    // layer. Exactly the blocks that landed are recorded, and they read back
-    // new, never the older buffered block; the rest were never written, so
-    // they still read the buffered block, the newest write accepted for them.
+    // Most blocks hold an older write in the write-behind buffer when a
+    // span write over all of them, too long to be buffered, fails part-way
+    // below the encryption layer. Exactly the blocks that landed are
+    // recorded, and they read back new, never the older buffered block; the
+    // rest were never written, so they still read what they read before:
+    // for a buffered block, the newest write accepted for it.
     let mut torn = 0;
+    let (n, cap) = (24, 16);
     for b in [1usize, 3, 8] {
         let failing = FailingWrites {
             inner: file(b),
             writes: 0,
         };
         let stack = AuthenticatedStore::new(EncryptedStore::with_backing(failing, 0xE2C), 0xA07);
-        let mut store = PrefetchingStore::new(stack);
-        let n = 24;
+        let cfg = PrefetchConfig {
+            write_buffer: cap,
+            ..PrefetchConfig::default()
+        };
+        let mut store = PrefetchingStore::with_config(stack, cfg);
         let h = store.alloc_array(n * b);
         let mut rng = Rng {
             seed: b as u64,
             n: 0,
         };
+        let mut want: Vec<Cell> = vec![None; n * b];
         for round in 0..20 {
-            let old = cells(&mut rng, n * b, false);
+            // Fewer blocks than the buffer holds, so none is flushed.
+            let old = cells(&mut rng, (cap - 1) * b, false);
             for (i, blk) in old.chunks(b).enumerate() {
                 store
                     .try_store_block(&h, i, Block::from_cells(blk))
                     .expect("the write is buffered");
             }
+            want[..old.len()].copy_from_slice(&old);
             let new = cells(&mut rng, n * b, false);
             store.enable_trace();
             let before = store.io_stats().writes;
@@ -577,8 +585,7 @@ fn a_prefetched_span_write_that_fails_part_way_records_only_what_landed() {
                     torn += 1;
                 }
             }
-            let mut want = new[..landed * b].to_vec();
-            want.extend_from_slice(&old[landed * b..]);
+            want[..landed * b].copy_from_slice(&new[..landed * b]);
             assert_eq!(store.try_load_span(&h, 0, n * b).unwrap(), want, "{ctx}");
             for i in 0..n {
                 let blk = store.try_load_block(&h, i).unwrap();

@@ -54,6 +54,32 @@
 //! cells, reused by every seed re-roll, plus the ping-pong array only for a
 //! multi-pass merge.
 //!
+//! # Spans
+//!
+//! Each contiguous run moves as one span ([`BlockStore::try_load_span`] /
+//! [`BlockStore::try_store_span`]), whose length is a function of the shape
+//! alone and whose cells are charged to the sort's [`CacheBudget`] while
+//! they are resident:
+//!
+//! * distribution reads the group's input chunk in spans of as many blocks
+//!   as the cache leaves beside the chunk's items and their tags (a group
+//!   takes at most `2^γ·Z/2` input cells);
+//! * a superlevel loads and writes each member bucket as one span of `Z`
+//!   cells when the cache leaves room for one beside the group's worst case
+//!   (`2^γ·Z` items with their tags, `2^γ·Z/2` at distribution), and block
+//!   by block otherwise — at `Z = M/2, γ = 1`, and in the last superlevel of
+//!   the headline shape, whose groups fill the cache;
+//! * run formation writes each run piece (a run's blocks in one member
+//!   bucket) as one span. Its items leave the charge as they move into the
+//!   span, whose only other cells pad the run's last block, so the charge
+//!   never exceeds what block-at-a-time writing holds.
+//!
+//! So no shape gains a budget failure or a re-roll, and a span reads or
+//! writes its blocks in the order the per-block sweep did: the trace is
+//! unchanged. A sweep read block by block is hinted, so a prefetching store
+//! can read ahead; a span needs no hint. The merge keeps its data-dependent
+//! block reads.
+//!
 //! # Fresh tags per superlevel
 //!
 //! `extmem::Element` has no spare bits to carry an `L`-bit label through the
@@ -596,6 +622,8 @@ struct Layout {
     chunk: usize,
     /// Input length `N`.
     n: usize,
+    /// Private cache `M` in element slots.
+    m: usize,
     /// Assignment seed.
     seed: u64,
 }
@@ -659,8 +687,33 @@ impl Layout {
             superlevels: levels.div_ceil(gamma),
             chunk: n.div_ceil(buckets),
             n,
+            m: cache_elems,
             seed: cfg.seed,
         })
+    }
+
+    /// Blocks one span may move while a group holding at most `resident`
+    /// items is charged: what the cache leaves beside those items and
+    /// their tags, at least one block. A function of the shape alone, so
+    /// a span's charge can never fail where block-at-a-time I/O would not.
+    fn span_blocks(&self, resident: usize) -> usize {
+        let worst = resident + resident.div_ceil(4);
+        (self.m.saturating_sub(worst) / self.b).max(1)
+    }
+
+    /// Blocks one span of a superlevel-`s` group's bucket I/O moves: a
+    /// whole member bucket when the cache leaves room for one beside the
+    /// group's worst case, else one block. Superlevel 0 holds at most its
+    /// input chunk (`2^width·chunk` items, each bucket at most half full);
+    /// a later one up to `Z` items per member.
+    fn bucket_span(&self, s: usize) -> usize {
+        let per_group = if s == 0 { self.chunk } else { self.z };
+        let per_bucket = self.z / self.b;
+        if self.span_blocks(per_group << self.width(s)) >= per_bucket {
+            per_bucket
+        } else {
+            1
+        }
     }
 
     /// MergeSplit levels routed by superlevel `s` (γ, except a shorter tail).
@@ -910,23 +963,32 @@ fn distribute_group<S: BlockStore>(
     let pos_lo = base * layout.chunk;
     let pos_hi = ((base + grp) * layout.chunk).min(layout.n);
     if pos_lo < pos_hi {
-        // The group's input chunk occupies a shape-determined block range;
-        // advertise the whole sweep so a prefetching store can read ahead.
-        let schedule: Vec<usize> = (pos_lo / b..=(pos_hi - 1) / b).collect();
-        store.hint_blocks(input, &schedule);
-        for bi in pos_lo / b..=(pos_hi - 1) / b {
-            budget.try_acquire(b).map_err(BucketSortError::Store)?;
-            let blk = store.try_load_block(input, bi)?;
-            let mut pushed = 0usize;
-            for pos in pos_lo.max(bi * b)..pos_hi.min((bi + 1) * b) {
-                if let Some(item) = blk.get(pos - bi * b) {
+        // The group's input chunk occupies a shape-determined block range,
+        // read in spans of what the cache leaves beside the chunk's items.
+        // Read block by block, the sweep is hinted so a prefetching store
+        // can read ahead.
+        let span = layout.span_blocks(grp * layout.chunk);
+        let (first, last) = (pos_lo / b, (pos_hi - 1) / b);
+        if span == 1 {
+            let schedule: Vec<usize> = (first..=last).collect();
+            store.hint_blocks(input, &schedule);
+        }
+        for bi in (first..=last).step_by(span) {
+            let end = (bi + span).min(last + 1);
+            let (lo_e, hi_e) = (bi * b, (end * b).min(layout.n));
+            budget
+                .try_acquire((end - bi) * b)
+                .map_err(BucketSortError::Store)?;
+            let cells = store.try_load_span(input, lo_e, hi_e)?;
+            let before = group.items.len();
+            for pos in pos_lo.max(lo_e)..pos_hi.min(hi_e) {
+                if let Some(item) = cells[pos - lo_e] {
                     let tag = (hash64(pos as u64, salt) & mask) as u32;
                     group.push(pos / layout.chunk - base, item, tag);
-                    pushed += 1;
                 }
             }
-            charge.add(budget, pushed)?;
-            budget.release(b);
+            charge.add(budget, group.items.len() - before)?;
+            budget.release((end - bi) * b);
         }
     }
     let occupied = group.items.len();
@@ -988,17 +1050,22 @@ where
     reals.sort_unstable_by(ecmp);
     let run = RunMeta::over_group(layout, s, base, reals.len());
 
-    budget.try_acquire(b).map_err(BucketSortError::Store)?;
-    for (t, chunk) in reals.chunks(b).enumerate() {
-        let mut blk = Block::empty(b);
-        for (slot, &item) in chunk.iter().enumerate() {
-            blk.set(slot, Some(item));
-        }
-        store.try_store_block(scratch, run.block(t), blk)?;
+    // Each run piece (the run's blocks in one member bucket) is one span.
+    // Its items leave the cache charge as they move into the span, whose
+    // only other cells pad the run's last block, so the charge never
+    // exceeds the one block-at-a-time writing would hold.
+    let piece = run.piece * b;
+    let mut cells = Vec::with_capacity(piece);
+    for (p, items) in reals.chunks(piece).enumerate() {
+        let span = items.len().next_multiple_of(b);
+        charge.drop_items(budget, items.len());
+        budget.try_acquire(span).map_err(BucketSortError::Store)?;
+        cells.clear();
+        cells.extend(items.iter().map(|&item| Some(item)));
+        cells.resize(span, None);
+        store.try_store_span(scratch, run.block(p * run.piece) * b, &cells)?;
+        budget.release(span);
     }
-    budget.release(b);
-
-    charge.drop_items(budget, run.reals);
     charge.finish(budget);
     Ok(run)
 }
@@ -1024,26 +1091,32 @@ fn load_group<S: BlockStore>(
     let mask = (grp - 1) as u64;
     // Member `m`'s blocks are group blocks `m·Z/B ..< (m+1)·Z/B`.
     let blocks = RunMeta::over_group(layout, s, base, 0);
+    let span = layout.bucket_span(s);
 
     // The member buckets of a group are fixed by `(s, base)` alone, so the
-    // gather order below is shape-determined; hint the full block list.
-    let schedule: Vec<usize> = (0..grp * per_bucket).map(|t| blocks.block(t)).collect();
-    store.hint_blocks(scratch, &schedule);
+    // gather order below is shape-determined. Read block by block, the full
+    // block list is hinted; whole-bucket spans need no hint.
+    if span == 1 {
+        let schedule: Vec<usize> = (0..grp * per_bucket).map(|t| blocks.block(t)).collect();
+        store.hint_blocks(scratch, &schedule);
+    }
 
     group.reset(layout.width(s));
-    for (t, &bi) in schedule.iter().enumerate() {
-        budget.try_acquire(b).map_err(BucketSortError::Store)?;
-        let blk = store.try_load_block(scratch, bi)?;
-        let mut pushed = 0usize;
-        for (slot, cell) in blk.slots().iter().enumerate() {
+    for t in (0..grp * per_bucket).step_by(span) {
+        let lo_e = blocks.block(t) * b;
+        budget
+            .try_acquire(span * b)
+            .map_err(BucketSortError::Store)?;
+        let cells = store.try_load_span(scratch, lo_e, lo_e + span * b)?;
+        let before = group.items.len();
+        for (slot, cell) in cells.iter().enumerate() {
             if let Some(item) = cell {
-                let tag = (hash64((bi * b + slot) as u64, salt) & mask) as u32;
+                let tag = (hash64((lo_e + slot) as u64, salt) & mask) as u32;
                 group.push(t / per_bucket, *item, tag);
-                pushed += 1;
             }
         }
-        charge.add(budget, pushed)?;
-        budget.release(b);
+        charge.add(budget, group.items.len() - before)?;
+        budget.release(span * b);
     }
     Ok(())
 }
@@ -1064,24 +1137,22 @@ fn write_group<S: BlockStore>(
     let b = layout.b;
     let z = layout.z;
     let stride = layout.stride(s);
+    let span = layout.bucket_span(s) * b;
+    let mut cells = Vec::with_capacity(span);
     let mut start = 0;
     for (m, &len) in group.sizes.iter().enumerate() {
         let bucket = &group.routed[start..start + len];
         start += len;
-        let first_block = (base + m * stride) * z / b;
-        budget.try_acquire(b).map_err(BucketSortError::Store)?;
-        let mut it = bucket.iter().copied();
-        for t in 0..z / b {
-            let mut blk = Block::empty(b);
-            for slot in 0..b {
-                match it.next() {
-                    Some(item) => blk.set(slot, Some(item)),
-                    None => break,
-                }
-            }
-            store.try_store_block(scratch, first_block + t, blk)?;
+        let first = (base + m * stride) * z;
+        budget.try_acquire(span).map_err(BucketSortError::Store)?;
+        for lo in (0..z).step_by(span) {
+            cells.clear();
+            let items = &bucket[lo.min(len)..(lo + span).min(len)];
+            cells.extend(items.iter().map(|&item| Some(item)));
+            cells.resize(span, None);
+            store.try_store_span(scratch, first + lo, &cells)?;
         }
-        budget.release(b);
+        budget.release(span);
         charge.drop_items(budget, len);
     }
     Ok(())
@@ -1628,6 +1699,7 @@ mod tests {
                     superlevels: 2,
                     chunk: 0,
                     n: 0,
+                    m: 0,
                     seed: 0,
                 };
                 let grp = 1usize << g;

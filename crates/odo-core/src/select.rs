@@ -44,7 +44,9 @@
 //! 3. **Filter.** One more streaming pass counts the candidates below `lo` in
 //!    a register (they shift the residual rank `k′`) and keeps those in
 //!    `[lo, hi)` in a private buffer of `r′` survivors, charged to the cache
-//!    budget beside one block. The `k′`-th survivor is selected in cache.
+//!    budget; the pass reads in spans of the whole blocks the buffer leaves
+//!    of the cache (at least one). The `k′`-th survivor is selected in
+//!    cache.
 //!
 //! The round count is a function of the shape. `s` is the smallest power of
 //! two, at most `g/4`, whose survivor buffer fits the cache: `2·r′ + B ≤ M`
@@ -520,33 +522,61 @@ fn filter<S: BlockStore>(
     bound: usize,
     budget: &mut CacheBudget,
 ) -> Result<(usize, Vec<(Element, Element)>), OdoError> {
-    let b = win.h.block_elems();
-    budget.with(bound * win.survivor_words() + b, |_| {
+    budget.with(bound * win.survivor_words(), |budget| {
         let mut below = 0usize;
         let mut kept = Vec::with_capacity(bound);
-        hint_block_range(store, &win.h, 0, win.blocks());
-        for beta in 0..win.blocks() {
-            let blk = store.try_load_block(&win.h, beta)?;
-            for t in 0..b {
-                let j = beta * b + t;
-                if j >= win.len {
-                    break;
-                }
-                if let Some(e) = blk.get(t) {
-                    let w = win.item(j, e);
-                    if lo.is_some_and(|l| w < l) {
-                        below += 1;
-                    } else if hi.is_none_or(|hh| w < hh) {
-                        if kept.len() == bound {
-                            return Err(corrupted(SURVIVORS_CAPPED, j));
-                        }
-                        kept.push((w, e));
+        sweep(store, &win.h, win.len, budget, |j, cell| {
+            if let Some(e) = *cell {
+                let w = win.item(j, e);
+                if lo.is_some_and(|l| w < l) {
+                    below += 1;
+                } else if hi.is_none_or(|hh| w < hh) {
+                    if kept.len() == bound {
+                        return Err(corrupted(SURVIVORS_CAPPED, j));
                     }
+                    kept.push((w, e));
                 }
             }
-        }
+            Ok(())
+        })?;
         Ok((below, kept))
     })
+}
+
+/// Streams the first `len` slots of `h` front to back in spans of as many
+/// whole blocks as the cache has left (at least one), each span charged to
+/// `budget` while it is resident, and hands `f` every slot's index and
+/// cell in order. The span length is a function of the shape alone (every
+/// charge held around a sweep is), and a span reads its blocks in the
+/// order a block-at-a-time sweep would, so the trace is that sweep's. A
+/// sweep of one-block spans is hinted, so a prefetching store reads ahead.
+fn sweep<S, E>(
+    store: &mut S,
+    h: &ArrayHandle,
+    len: usize,
+    budget: &mut CacheBudget,
+    mut f: impl FnMut(usize, &Cell) -> Result<(), E>,
+) -> Result<(), E>
+where
+    S: BlockStore,
+    E: From<StoreError>,
+{
+    let b = h.block_elems();
+    let span = ((budget.capacity() - budget.in_use()) / b).max(1) * b;
+    if span == b {
+        hint_block_range(store, h, 0, len.div_ceil(b));
+    }
+    for lo in (0..len).step_by(span) {
+        let hi = (lo + span).min(len.next_multiple_of(b)).min(h.len());
+        budget.with(hi.next_multiple_of(b) - lo, |_| -> Result<(), E> {
+            let cells = store.try_load_span(h, lo, hi)?;
+            for (t, cell) in cells.iter().enumerate().take(len - lo) {
+                f(lo + t, cell)?;
+            }
+            Ok(())
+        })?;
+    }
+    Ok(())
 }
 
 /// Recovery: one streaming pass over the untouched input resurrects the
@@ -558,20 +588,19 @@ fn recover<S: BlockStore>(
     idx: usize,
     budget: &mut CacheBudget,
 ) -> Result<Element, OdoError> {
-    let b = h.block_elems();
     let mut found: Cell = None;
-    hint_block_range(store, h, 0, h.n_blocks());
-    for beta in 0..h.n_blocks() {
-        budget.with(b, |_| -> Result<(), StoreError> {
-            let blk = store.try_load_block(h, beta)?;
-            for t in 0..b {
-                if beta * b + t == idx {
-                    found = blk.get(t);
-                }
+    sweep(
+        store,
+        h,
+        h.len(),
+        budget,
+        |j, cell| -> Result<(), StoreError> {
+            if j == idx {
+                found = *cell;
             }
             Ok(())
-        })?;
-    }
+        },
+    )?;
     found.ok_or(corrupted("the selected index holds an occupied cell", idx))
 }
 
@@ -636,40 +665,27 @@ fn run_quantiles<S: BlockStore>(
 
     // Stream the sorted copy, latching each requested rank in a register.
     let mut picks: Vec<Cell> = vec![None; ranks.len()];
-    hint_block_range(store, &wrk, 0, wrk.n_blocks());
-    for beta in 0..wrk.n_blocks() {
-        budget.with(b + 2 * ranks.len(), |_| -> Result<(), StoreError> {
-            let blk = store.try_load_block(&wrk, beta)?;
-            for t in 0..b {
-                let p = beta * b + t;
-                for (slot, &rk) in ranks.iter().enumerate() {
-                    if p == rk {
-                        picks[slot] = blk.get(t);
-                    }
-                }
-            }
-            Ok(())
-        })?;
-    }
-
-    // Recovery pass over the untouched input: resurrect every winner's full
-    // element by its original index, all in one stream.
     let mut out: Vec<Cell> = vec![None; ranks.len()];
-    hint_block_range(store, h, 0, h.n_blocks());
-    for beta in 0..h.n_blocks() {
-        budget.with(b + 2 * ranks.len(), |_| -> Result<(), StoreError> {
-            let blk = store.try_load_block(h, beta)?;
-            for t in 0..b {
-                let j = beta * b + t;
-                for (slot, pick) in picks.iter().enumerate() {
-                    if pick.is_some_and(|w| w.payload as usize == j) {
-                        out[slot] = blk.get(t);
-                    }
+    budget.with(2 * ranks.len(), |budget| -> Result<(), StoreError> {
+        sweep(store, &wrk, wrk.len(), budget, |p, cell| {
+            for (slot, &rk) in ranks.iter().enumerate() {
+                if p == rk {
+                    picks[slot] = *cell;
+                }
+            }
+            Ok::<(), StoreError>(())
+        })?;
+        // Recovery pass over the untouched input: resurrect every winner's
+        // full element by its original index, all in one stream.
+        sweep(store, h, h.len(), budget, |j, cell| {
+            for (slot, pick) in picks.iter().enumerate() {
+                if pick.is_some_and(|w| w.payload as usize == j) {
+                    out[slot] = *cell;
                 }
             }
             Ok(())
-        })?;
-    }
+        })
+    })?;
     let elems = out
         .into_iter()
         .zip(ranks)
@@ -740,29 +756,17 @@ fn scan_splitters<S: BlockStore>(
     q_lo: Option<usize>,
     q_hi: Option<usize>,
 ) -> Result<(Cell, Cell), StoreError> {
-    let b = samples.block_elems();
-    let len = samples.len();
     let mut lo: Cell = None;
     let mut hi: Cell = None;
-    hint_block_range(store, samples, 0, samples.n_blocks());
-    for beta in 0..samples.n_blocks() {
-        budget.with(b, |_| -> Result<(), StoreError> {
-            let blk = store.try_load_block(samples, beta)?;
-            for t in 0..b {
-                let q = beta * b + t;
-                if q >= len {
-                    break;
-                }
-                if q_lo == Some(q) {
-                    lo = blk.get(t);
-                }
-                if q_hi == Some(q) {
-                    hi = blk.get(t);
-                }
-            }
-            Ok(())
-        })?;
-    }
+    sweep(store, samples, samples.len(), budget, |q, cell| {
+        if q_lo == Some(q) {
+            lo = *cell;
+        }
+        if q_hi == Some(q) {
+            hi = *cell;
+        }
+        Ok::<(), StoreError>(())
+    })?;
     Ok((lo, hi))
 }
 
