@@ -134,12 +134,7 @@ pub const HEADLINE: GridPoint = GridPoint {
 /// `⌈log2(⌈N/M⌉)⌉`, the shared "external levels" factor of every bound
 /// checked by this harness (0 when the array fits in cache).
 fn ceil_log2_ratio(n: usize, m: usize) -> u64 {
-    let ratio = n.div_ceil(m);
-    if ratio <= 1 {
-        0
-    } else {
-        u64::from(usize::BITS - (ratio - 1).leading_zeros())
-    }
+    obliv_net::butterfly::levels(n.div_ceil(m)) as u64
 }
 
 /// The Lemma 2 bound with the explicit constant [`BOUND_CONSTANT`]:

@@ -5,8 +5,10 @@
 //! of trust, which the server never touches: a **table** with one
 //! `(version, tag)` entry per data block, the latest version written and the
 //! keyed MAC of that write over block image ‖ block address ‖ version. It is
-//! charged against a [`CacheBudget`] at two words per block. Every read is
-//! checked against the table:
+//! charged against a [`CacheBudget`] at two words per block; an array whose
+//! table the budget refuses is recorded as refused, and every op on it
+//! returns that [`StoreError::BudgetExceeded`]. Every read is checked
+//! against the table:
 //!
 //! * the served block carries the tag of the latest write → it is returned;
 //! * it is an *older* write of the client's (a rollback, a replay, a dropped
@@ -91,6 +93,11 @@ fn mac_block(key: u64, addr: usize, version: u64, blk: &[Cell]) -> u64 {
     acc.iter().fold(salt, |h, &a| splitmix64(h ^ a))
 }
 
+/// The typed refusal of a handle this store did not allocate.
+const FOREIGN_ARRAY: StoreError = StoreError::InvalidArgument {
+    reason: "array was not allocated through this AuthenticatedStore",
+};
+
 /// What the client holds per data block: the latest version written
 /// (0: never written) and the MAC tag of that write.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -167,11 +174,12 @@ pub struct AuthClientState {
 #[derive(Debug)]
 pub struct AuthenticatedStore<S: BlockStore> {
     inner: S,
-    key: u64,
     client: AuthClientState,
     /// I/Os spent on the MAC arrays.
     mac_io: IoStats,
     budget: CacheBudget,
+    /// Data-array start address → the budget's refusal of its table.
+    refused: HashMap<usize, StoreError>,
 }
 
 impl<S: BlockStore> AuthenticatedStore<S> {
@@ -184,7 +192,6 @@ impl<S: BlockStore> AuthenticatedStore<S> {
     pub fn with_budget(inner: S, key: u64, budget_words: usize) -> Self {
         AuthenticatedStore {
             inner,
-            key,
             client: AuthClientState {
                 key,
                 table: Vec::new(),
@@ -192,6 +199,7 @@ impl<S: BlockStore> AuthenticatedStore<S> {
             },
             mac_io: IoStats::default(),
             budget: CacheBudget::new(budget_words),
+            refused: HashMap::new(),
         }
     }
 
@@ -221,7 +229,9 @@ impl<S: BlockStore> AuthenticatedStore<S> {
         // Re-charge the table against the fresh budget, exactly as the
         // original alloc_array calls did.
         let blocks: usize = state.mac_arrays.values().map(|m| m.handle.len()).sum();
-        auth.budget.acquire(2 * blocks);
+        auth.budget
+            .try_acquire(2 * blocks)
+            .expect("the unbounded budget of `new` holds any table");
         auth.client = state;
         auth
     }
@@ -276,14 +286,13 @@ impl<S: BlockStore> AuthenticatedStore<S> {
         Ok(())
     }
 
-    /// The MAC array of data array `h`, or the typed refusal of a handle
-    /// this store did not allocate.
+    /// The MAC array of data array `h`, or the typed refusal of an array
+    /// whose table the budget refused or that this store did not allocate.
     fn mac_array(&self, h: &ArrayHandle) -> Result<&MacArray, StoreError> {
-        match self.client.mac_arrays.get(&h.global_block(0)) {
+        let start = h.global_block(0);
+        match self.client.mac_arrays.get(&start) {
             Some(mac) if mac.handle.len() == h.n_blocks() => Ok(mac),
-            _ => Err(StoreError::InvalidArgument {
-                reason: "array was not allocated through this AuthenticatedStore",
-            }),
+            _ => Err(self.refused.get(&start).copied().unwrap_or(FOREIGN_ARRAY)),
         }
     }
 
@@ -314,7 +323,7 @@ impl<S: BlockStore> AuthenticatedStore<S> {
     fn check(&mut self, h: &ArrayHandle, i: usize, blk: &[Cell]) -> Result<(), StoreError> {
         let addr = h.global_block(i);
         let want = self.client.table[addr];
-        if want.matches(blk, || mac_block(self.key, addr, want.version, blk)) {
+        if want.matches(blk, || mac_block(self.client.key, addr, want.version, blk)) {
             Ok(())
         } else {
             Err(self.reject(h, i, want, blk))
@@ -335,7 +344,7 @@ impl<S: BlockStore> AuthenticatedStore<S> {
             Err(e) => return e,
         };
         self.mac_io.reads += 1;
-        classify(self.key, h.global_block(i), want, checkpoint, blk)
+        classify(self.client.key, h.global_block(i), want, checkpoint, blk)
     }
 
     /// Reads whole blocks `blocks` of `h` as one span of the wrapped store
@@ -373,7 +382,7 @@ impl<S: BlockStore> AuthenticatedStore<S> {
         let before = self.inner.io_stats().writes;
         let res = self.inner.try_store_span(h, first * b, cells);
         let landed = ((self.inner.io_stats().writes - before) as usize).min(cells.len() / b);
-        let key = self.key;
+        let key = self.client.key;
         self.commit(h, first..first + landed, |bi, version| {
             let k = bi - first;
             mac_block(key, h.global_block(bi), version, &cells[k * b..(k + 1) * b])
@@ -389,14 +398,17 @@ impl<S: BlockStore> BlockStore for AuthenticatedStore<S> {
 
     fn alloc_array(&mut self, len_elements: usize) -> ArrayHandle {
         let h = self.inner.alloc_array(len_elements);
+        // One (version, tag) entry per data block, client-side forever.
+        if let Err(e) = self.budget.try_acquire(2 * h.n_blocks()) {
+            self.refused.insert(h.global_block(0), e);
+            return h;
+        }
         let handle = self.inner.alloc_array(h.n_blocks());
         let client = &mut self.client;
         let top = h.global_block(h.n_blocks() - 1) + 1;
         if top > client.table.len() {
             client.table.resize(top, Entry::default());
         }
-        // One (version, tag) entry per data block, client-side forever.
-        self.budget.acquire(2 * h.n_blocks());
         let dirty = vec![false; handle.n_blocks()];
         client
             .mac_arrays
@@ -434,7 +446,7 @@ impl<S: BlockStore> BlockStore for AuthenticatedStore<S> {
         // The entry is committed only after the data write succeeds, so a
         // transiently failed attempt can be retried verbatim.
         let version = self.client.table[addr].version + 1;
-        let tag = mac_block(self.key, addr, version, blk.slots());
+        let tag = mac_block(self.client.key, addr, version, blk.slots());
         self.inner.try_store_block(h, i, blk)?;
         self.commit(h, i..i + 1, |_, _| tag);
         Ok(())
@@ -623,12 +635,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "private cache budget exceeded")]
     fn a_table_past_the_budget_is_refused_at_allocation() {
         let enc = EncryptedStore::new(4, 1);
         // 8 data blocks need 16 words of table.
         let mut auth = AuthenticatedStore::with_budget(enc, 2, 15);
-        let _ = BlockStore::alloc_array(&mut auth, 32);
+        let h = BlockStore::alloc_array(&mut auth, 32);
+        let refused = StoreError::BudgetExceeded {
+            requested: 16,
+            in_use: 0,
+            capacity: 15,
+        };
+        assert_eq!(auth.budget().in_use(), 0, "a refused table holds nothing");
+        // Every op on the array returns the refusal, before any I/O.
+        assert_eq!(auth.try_load_block(&h, 0).unwrap_err(), refused);
+        assert_eq!(
+            auth.try_store_block(&h, 1, Block::empty(4)).unwrap_err(),
+            refused
+        );
+        assert_eq!(auth.try_load_span(&h, 0, 32).unwrap_err(), refused);
+        assert_eq!(auth.try_store_span(&h, 0, &elems(32)).unwrap_err(), refused);
+        assert_eq!(auth.io_stats().total(), 0);
+        // A table that fits is still granted.
+        let small = BlockStore::alloc_array(&mut auth, 28);
+        assert_eq!(auth.budget().in_use(), 14);
+        auth.try_store_span(&small, 0, &elems(28)).unwrap();
+        assert_eq!(auth.try_load_span(&small, 0, 28).unwrap(), elems(28));
     }
 
     #[test]

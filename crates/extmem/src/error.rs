@@ -21,8 +21,11 @@
 //! * [`StoreError::Stale`] — the returned block is an *authentic but old*
 //!   version: the MAC verifies for a version older than the client's version
 //!   table expects (a rollback/replay attack).
-//! * [`StoreError::BudgetExceeded`] — a pass's data-dependent client state
-//!   would exceed the private-memory budget ([`CacheBudget::try_acquire`]).
+//! * [`StoreError::BudgetExceeded`] — a claim on the private-memory budget
+//!   was refused ([`CacheBudget::try_acquire`]): a pass's client state, or
+//!   the client table of an array an
+//!   [`AuthenticatedStore`](crate::auth::AuthenticatedStore) allocated past
+//!   its budget.
 //! * [`StoreError::PayloadTooWide`] — the payload does not fit the encrypted
 //!   encoding's 63-bit payload field (see
 //!   [`EncryptedStore`](crate::crypto::EncryptedStore)).

@@ -34,7 +34,8 @@
 //! ## Consistency protocol
 //!
 //! Per global address the adapter tracks one slot: a hint marks it
-//! `Queued`, and the span read that serves it leaves `Ready`.
+//! `Queued`, the span read that serves it leaves it `Ready` with the block,
+//! and an accepted write leaves it `Buffered` with the newest block.
 //!
 //! * [`BlockStore::try_load_block`] takes `Ready` blocks for free ("hit").
 //!   A `Queued` load is a *steal*: it reads the contiguous hinted run
@@ -47,17 +48,19 @@
 //!   so a stale prefetch can never be served after a write. (The pass
 //!   structure already guarantees every hinted block is consumed before the
 //!   pass writes it back; this is the safety net.) The write then parks in
-//!   a bounded *write-behind buffer* — its slot marked `Buffered`, which
-//!   hints and steals skip — and is flushed as one span write per maximal
-//!   run of consecutive blocks of one array when the buffer fills, on
-//!   [`PrefetchingStore::flush_writes`] / [`PrefetchingStore::inner_mut`],
-//!   or on drop. Loads of a buffered address are served from the buffer
-//!   (read-your-writes), never from the stale server copy. A flush that
-//!   fails leaves every block the wrapped store did not count as written
-//!   buffered, so no accepted write is lost. A write that finds the buffer
-//!   full (after a failed flush) flushes first and is refused with that
-//!   flush's error if it fails again; the buffer never exceeds
-//!   `write_buffer` blocks, and only accepted writes are recorded.
+//!   its slot, marked `Buffered`, which hints and steals skip, and its
+//!   address joins a bounded *write-behind buffer*; a later write of the
+//!   same address replaces the block in the slot. The buffer is flushed as
+//!   one span write per maximal run of consecutive blocks of one array when
+//!   it fills, on [`PrefetchingStore::flush_writes`] /
+//!   [`PrefetchingStore::inner_mut`], or on drop. Loads of a buffered
+//!   address are served from its slot (read-your-writes), never from the
+//!   stale server copy. A flush that fails leaves every block the wrapped
+//!   store did not count as written buffered, so no accepted write is
+//!   lost. A write that finds the buffer full (after a failed flush)
+//!   flushes first and is refused with that flush's error if it fails
+//!   again; the buffer never exceeds `write_buffer` blocks, and only
+//!   accepted writes are recorded.
 //! * Every write is checked with the wrapped store's
 //!   [`BlockStore::check_write`] when it is accepted, so a block a lower
 //!   layer would refuse (an over-wide payload under
@@ -210,10 +213,10 @@ enum Slot {
     /// Hinted and not read yet.
     Queued,
     Ready(Block),
-    /// The newest content for this address sits in the adapter's
-    /// write-behind buffer; the file copy is stale until the next flush.
-    /// Hints and steals skip this state.
-    Buffered,
+    /// The newest write of this address, accepted into the write-behind
+    /// buffer; the server copy is stale until the next flush. Hints and
+    /// steals skip this state.
+    Buffered(Block),
 }
 
 /// Most blocks one steal reads. Bounds the span read a single load can
@@ -238,10 +241,9 @@ pub struct PrefetchingStore<S: BlockStore> {
     stats: IoStats,
     trace: Option<AccessTrace>,
     prefetch_stats: PrefetchStats,
-    /// Write-behind buffer: `(array, local block, newest block)` triples,
-    /// flushed as coalesced span writes. Every entry has its slot set to
-    /// [`Slot::Buffered`], which is what keeps hints and steals away.
-    wb: Vec<(ArrayHandle, usize, Block)>,
+    /// Write-behind buffer: the `(array, local block)` address of every
+    /// [`Slot::Buffered`] slot, flushed as coalesced span writes.
+    wb: Vec<(ArrayHandle, usize)>,
     /// Capacity of `wb`.
     wb_cap: usize,
     /// The cells of the write-behind run being flushed, reused from span
@@ -304,92 +306,79 @@ impl<S: BlockStore> PrefetchingStore<S> {
     /// array's partial last block as a single-block write. A no-op when
     /// nothing is buffered; returns the first error a write surfaces. The
     /// blocks the wrapped store counted as written leave the buffer; every
-    /// other block stays buffered (its slot `Buffered`) for the next flush,
-    /// so a failed flush loses no accepted write.
+    /// other block stays buffered in its slot for the next flush, so a
+    /// failed flush loses no accepted write.
     pub fn flush_writes(&mut self) -> Result<(), StoreError> {
         if self.wb.is_empty() {
             return Ok(());
         }
         let mut wb = std::mem::take(&mut self.wb);
-        wb.sort_by_key(|(h, i, _)| h.global_block(*i));
-        debug_assert!(wb
-            .iter()
-            .all(|(h, i, _)| matches!(self.slot(h.global_block(*i)), Slot::Buffered)));
+        wb.sort_by_key(|(h, i)| h.global_block(*i));
         let mut first_err = None;
         let mut cells = std::mem::take(&mut self.flat);
-        let mut unwritten = Vec::new();
-        let mut iter = wb.drain(..).peekable();
-        while let Some((h, first, blk)) = iter.next() {
-            let b = h.block_elems();
+        let runs = wb.chunk_by(|(h, i), (h2, i2)| h == h2 && *i2 == i + 1 && *i2 < whole_blocks(h));
+        for run in runs {
+            let (h, first) = run[0];
             cells.clear();
-            cells.extend_from_slice(blk.slots());
+            for (h, i) in run {
+                let Slot::Buffered(blk) = self.slot(h.global_block(*i)) else {
+                    unreachable!("a write-behind address holds its block");
+                };
+                cells.extend_from_slice(blk.slots());
+            }
             let before = self.inner.io_stats().writes;
             let res = if first < whole_blocks(&h) {
-                self.keep(blk);
-                let mut next = first + 1;
-                while let Some((_, _, blk)) =
-                    iter.next_if(|(h2, i, _)| *h2 == h && *i == next && next < whole_blocks(&h))
-                {
-                    cells.extend_from_slice(blk.slots());
-                    self.keep(blk);
-                    next += 1;
-                }
                 self.prefetch_stats.write_spans += 1;
-                self.inner.try_store_span(&h, first * b, &cells)
+                self.inner
+                    .try_store_span(&h, first * h.block_elems(), &cells)
             } else {
+                let blk = self.block_of(&cells);
                 self.inner.try_store_block(&h, first, blk)
             };
-            let blocks = cells.len().div_ceil(b);
             let landed = match res {
-                Ok(()) => blocks,
+                Ok(()) => run.len(),
                 Err(e) => {
                     first_err.get_or_insert(e);
-                    ((self.inner.io_stats().writes - before) as usize).min(blocks)
+                    ((self.inner.io_stats().writes - before) as usize).min(run.len())
                 }
             };
-            for k in 0..landed {
-                self.set(h.global_block(first + k), Slot::Empty);
-            }
-            // The blocks that did not land stay buffered, rebuilt from
-            // their copy in `cells`.
-            for (k, chunk) in cells.chunks(b).enumerate().skip(landed) {
-                let blk = if chunk.len() == b {
-                    self.block_of(chunk)
-                } else {
-                    Block::from_cells(chunk)
-                };
-                unwritten.push((h, first + k, blk));
+            for (h, i) in &run[..landed] {
+                if let Slot::Buffered(blk) = self.take_slot(h.global_block(*i)) {
+                    self.keep(blk);
+                }
             }
         }
-        drop(iter);
         // Both buffers keep their capacity for the next flush.
-        wb.append(&mut unwritten);
         self.wb = wb;
         self.flat = cells;
+        self.retain_buffered();
         match first_err {
             Some(e) => Err(e),
             None => Ok(()),
         }
     }
 
+    /// Drops from the write-behind buffer every address whose block has left
+    /// its slot (written, or superseded by a write through).
+    fn retain_buffered(&mut self) {
+        let slots = &self.slots;
+        self.wb
+            .retain(|(h, i)| matches!(slots.get(h.global_block(*i)), Some(Slot::Buffered(_))));
+    }
+
     /// Accepts a write into the write-behind buffer (the newest content for
-    /// the block now lives here; any prefetch state for it is invalidated)
-    /// and flushes when the buffer fills. If that flush fails, the write
-    /// stays accepted: what did not land stays buffered for the next flush
-    /// to retry. The buffer never holds more than
+    /// the block now lives in its slot; any prefetch state for it is
+    /// invalidated) and flushes when the buffer fills. If that flush fails,
+    /// the write stays accepted: what did not land stays buffered for the
+    /// next flush to retry. The buffer never holds more than
     /// `write_buffer` blocks, so a write that finds it full (after a failed
     /// flush) first flushes, and is refused with that flush's error if it
     /// fails; with no buffer at all, a write whose own flush fails is
     /// refused and leaves the buffer.
     fn buffer_write(&mut self, h: &ArrayHandle, i: usize, blk: Block) -> Result<(), StoreError> {
         let addr = h.global_block(i);
-        if matches!(self.slot(addr), Slot::Buffered) {
-            let entry = self
-                .wb
-                .iter_mut()
-                .find(|(h2, i2, _)| h2.global_block(*i2) == addr)
-                .expect("Buffered slot implies a buffer entry");
-            let old = std::mem::replace(&mut entry.2, blk);
+        if let Some(Slot::Buffered(old)) = self.slots.get_mut(addr) {
+            let old = std::mem::replace(old, blk);
             self.keep(old);
             return Ok(());
         }
@@ -397,15 +386,16 @@ impl<S: BlockStore> PrefetchingStore<S> {
             self.flush_writes()?;
         }
         self.invalidate(addr);
-        self.set(addr, Slot::Buffered);
-        self.wb.push((*h, i, blk));
+        self.set(addr, Slot::Buffered(blk));
+        self.wb.push((*h, i));
         if self.wb.len() >= self.wb_cap {
             if let Err(e) = self.flush_writes() {
                 if self.wb.len() > self.wb_cap {
-                    let (_, _, blk) = self.wb.pop().expect("the write that did not land");
-                    debug_assert_eq!(self.wb.len(), 0);
-                    self.keep(blk);
-                    self.set(addr, Slot::Empty);
+                    self.wb.pop();
+                    debug_assert!(self.wb.is_empty());
+                    if let Slot::Buffered(blk) = self.take_slot(addr) {
+                        self.keep(blk);
+                    }
                     return Err(e);
                 }
             }
@@ -474,19 +464,14 @@ impl<S: BlockStore> PrefetchingStore<S> {
                 self.prefetch_stats.hits += 1;
                 Ok(blk)
             }
-            Slot::Buffered => {
-                // Read-your-writes: the newest content is still in the
-                // write-behind buffer — serve a copy without touching the
-                // server (the entry remains the durable source until
-                // flushed).
-                self.set(addr, Slot::Buffered);
+            Slot::Buffered(blk) => {
+                // Read-your-writes: serve a copy of the newest write without
+                // touching the server; the slot keeps the block until it is
+                // flushed.
                 self.prefetch_stats.wb_hits += 1;
-                let (_, _, blk) = self
-                    .wb
-                    .iter()
-                    .find(|(h2, i2, _)| h2.global_block(*i2) == addr)
-                    .expect("Buffered slot implies a buffer entry");
-                Ok(blk.clone())
+                let copy = blk.clone();
+                self.set(addr, Slot::Buffered(blk));
+                Ok(copy)
             }
         }
     }
@@ -494,7 +479,7 @@ impl<S: BlockStore> PrefetchingStore<S> {
     /// Whether the adapter itself holds the content for `addr`: a block
     /// parked by a steal, or the newest write in the write-behind buffer.
     fn holds(&self, addr: usize) -> bool {
-        matches!(self.slot(addr), Slot::Ready(_) | Slot::Buffered)
+        matches!(self.slot(addr), Slot::Ready(_) | Slot::Buffered(_))
     }
 
     /// Reads the whole blocks `blocks` of `h` for a span load, recording
@@ -596,7 +581,7 @@ impl<S: BlockStore> PrefetchingStore<S> {
             let lo = first + k * per_run;
             let addrs = h.global_block(lo)..h.global_block(lo) + run.len() / b;
             for a in addrs.clone() {
-                if !matches!(self.slot(a), Slot::Buffered) {
+                if !matches!(self.slot(a), Slot::Buffered(_)) {
                     self.invalidate(a);
                 }
             }
@@ -617,24 +602,18 @@ impl<S: BlockStore> PrefetchingStore<S> {
     }
 
     /// Drops the buffered blocks of `addrs` unwritten: a write through has
-    /// landed newer content for each.
+    /// landed newer content for each. Every other slot of `addrs` was
+    /// invalidated before the write.
     fn unbuffer(&mut self, addrs: Range<usize>) {
         let mut buffered = false;
-        for a in addrs.clone() {
-            if matches!(self.slot(a), Slot::Buffered) {
-                self.set(a, Slot::Empty);
+        for a in addrs {
+            if let Slot::Buffered(blk) = self.take_slot(a) {
+                self.keep(blk);
                 buffered = true;
             }
         }
-        let mut k = 0;
-        while buffered && k < self.wb.len() {
-            let (h, i, _) = &self.wb[k];
-            if addrs.contains(&h.global_block(*i)) {
-                let (_, _, blk) = self.wb.swap_remove(k);
-                self.keep(blk);
-            } else {
-                k += 1;
-            }
+        if buffered {
+            self.retain_buffered();
         }
     }
 
@@ -707,7 +686,7 @@ impl<S: BlockStore> PrefetchingStore<S> {
             Slot::Empty => return,
             Slot::Ready(_) => self.ready -= 1,
             Slot::Queued => {}
-            Slot::Buffered => unreachable!("buffer_write handles buffered addresses first"),
+            Slot::Buffered(_) => unreachable!("buffer_write handles buffered addresses first"),
         }
         self.prefetch_stats.invalidated += 1;
     }

@@ -30,7 +30,17 @@
 //! array's partial last block — goes through its single-block op, in the
 //! ascending block order of the per-block defaults. An override therefore
 //! returns the same cells, charges the same I/Os and leaves the same trace
-//! as the default for every span.
+//! as the default for every span that succeeds. A span that fails can
+//! differ in two places:
+//!
+//! * [`AuthenticatedStore`](crate::auth::AuthenticatedStore) reads every
+//!   whole block of a span from the store below before it checks any of
+//!   them, so a block that fails its check has cost the reads of the blocks
+//!   after it, where the default stops at that block (and a fault the read
+//!   meets after it surfaces instead of the check's error);
+//! * [`RetryingStore`](crate::retry::RetryingStore) reads a span load that
+//!   failed transiently again block by block from its first block, so the
+//!   blocks before the failing one are read twice.
 
 use std::ops::Range;
 

@@ -1,12 +1,10 @@
 //! Small numeric and hashing utilities shared across the workspace.
 //!
-//! The paper's randomized constructions need hash functions modelled as
-//! random oracles (for the invertible Bloom lookup table) and seeded
-//! randomness for sampling and shuffling. We implement a standard 64-bit
-//! finalizer-style mixer (`splitmix64`) in-crate rather than pulling in an
-//! extra hashing dependency; its avalanche behaviour is more than adequate
-//! for the simulator-scale experiments here and keeps the dependency list to
-//! the crates allowed by the project brief.
+//! The randomized constructions (the bucket sort's bin assignment, the
+//! ORAM's hash tables, fault injection) and the test inputs need seeded
+//! randomness. A standard 64-bit finalizer-style mixer (`splitmix64`) is
+//! implemented in-crate rather than pulled in as a dependency; its avalanche
+//! behaviour is more than adequate for the simulator-scale experiments here.
 
 /// The `splitmix64` mixing function: a bijective 64-bit finalizer with good
 /// avalanche properties, used as the basis of all in-crate hashing.
@@ -32,16 +30,6 @@ pub fn bucket_of(hash: u64, n: usize) -> usize {
     (((hash as u128) * (n as u128)) >> 64) as usize
 }
 
-/// Integer `⌈log2⌉`, with `ilog2_ceil(x) = 0` for `x ≤ 1`.
-#[inline]
-pub fn ilog2_ceil(x: usize) -> u32 {
-    if x <= 1 {
-        0
-    } else {
-        usize::BITS - (x - 1).leading_zeros()
-    }
-}
-
 /// Integer `⌊log2⌋`, with `ilog2_floor(0) = 0`.
 #[inline]
 pub fn ilog2_floor(x: usize) -> u32 {
@@ -56,40 +44,6 @@ pub fn ilog2_floor(x: usize) -> u32 {
 #[inline]
 pub fn next_pow2(x: usize) -> usize {
     x.max(1).next_power_of_two()
-}
-
-/// Iterated logarithm `log*₂(x)`: the number of times `log2` must be applied
-/// before the value drops to at most 1. Used to report the complexity of the
-/// Appendix-B loose-compaction algorithm.
-pub fn log_star(mut x: f64) -> u32 {
-    let mut c = 0;
-    while x > 1.0 {
-        x = x.log2();
-        c += 1;
-    }
-    c
-}
-
-/// Integer square root (floor).
-pub fn isqrt(x: usize) -> usize {
-    if x < 2 {
-        return x;
-    }
-    let mut r = (x as f64).sqrt() as usize;
-    while (r + 1) * (r + 1) <= x {
-        r += 1;
-    }
-    while r * r > x {
-        r -= 1;
-    }
-    r
-}
-
-/// `⌈x^p⌉` for a fractional power `p`, used for the paper's `n^{1/2}`,
-/// `n^{3/8}`, `N^{3/4}` … sample-size formulas.
-#[inline]
-pub fn ceil_pow(x: usize, p: f64) -> usize {
-    (x as f64).powf(p).ceil() as usize
 }
 
 #[cfg(test)]
@@ -124,10 +78,6 @@ mod tests {
 
     #[test]
     fn ilog2_variants() {
-        assert_eq!(ilog2_ceil(1), 0);
-        assert_eq!(ilog2_ceil(2), 1);
-        assert_eq!(ilog2_ceil(3), 2);
-        assert_eq!(ilog2_ceil(1024), 10);
         assert_eq!(ilog2_floor(1), 0);
         assert_eq!(ilog2_floor(3), 1);
         assert_eq!(ilog2_floor(1024), 10);
@@ -139,31 +89,5 @@ mod tests {
         assert_eq!(next_pow2(1), 1);
         assert_eq!(next_pow2(3), 4);
         assert_eq!(next_pow2(1025), 2048);
-    }
-
-    #[test]
-    fn log_star_of_tower_values() {
-        assert_eq!(log_star(1.0), 0);
-        assert_eq!(log_star(2.0), 1);
-        assert_eq!(log_star(4.0), 2);
-        assert_eq!(log_star(16.0), 3);
-        assert_eq!(log_star(65536.0), 4);
-    }
-
-    #[test]
-    fn isqrt_exact_and_floor() {
-        assert_eq!(isqrt(0), 0);
-        assert_eq!(isqrt(1), 1);
-        assert_eq!(isqrt(15), 3);
-        assert_eq!(isqrt(16), 4);
-        assert_eq!(isqrt(1_000_000), 1000);
-        assert_eq!(isqrt(999_999), 999);
-    }
-
-    #[test]
-    fn ceil_pow_matches_paper_sample_sizes() {
-        assert_eq!(ceil_pow(65536, 0.5), 256);
-        assert_eq!(ceil_pow(65536, 0.75), 4096);
-        assert_eq!(ceil_pow(100, 0.375), 6); // 100^(3/8) ≈ 5.62
     }
 }

@@ -15,10 +15,10 @@
 //! `L_1`; the exhaustive Lemma 5 test exercises both sides.)
 //!
 //! This module provides the in-memory circuit form: routing with explicit
-//! labels, stable-compaction label computation, the reverse (expansion)
-//! direction, and an ASCII renderer that regenerates Figure 1. The
+//! labels, stable-compaction label computation and the reverse (expansion)
+//! direction. Figure 1's instance is one of its Lemma 5 test cases. The
 //! external-memory, I/O-efficient execution of the same circuit lives in
-//! `odo-core::compact::butterfly`.
+//! `odo-core`'s `compact` module.
 
 /// Error returned when two occupied cells try to enter the same cell of an
 /// internal level, i.e. the distance labels were not valid.
@@ -205,89 +205,6 @@ pub fn expand<T: Clone>(cells: &[Option<T>], targets: &[usize]) -> Vec<Option<T>
         .collect()
 }
 
-/// Renders the level-by-level remaining-distance labels of a routing run in
-/// the style of the paper's Figure 1: one row per level, occupied cells show
-/// their remaining distance, empty cells show `·`.
-///
-/// # Panics
-/// Panics on a label table that [`route_with_labels`] would not route:
-/// labels and occupancy that disagree, a label running past cell 0, or a
-/// collision.
-pub fn render_labels<T: Clone>(cells: &[Option<T>], labels: &[Option<usize>]) -> String {
-    assert_eq!(cells.len(), labels.len(), "one label per cell");
-    let malformed =
-        |j: usize, reason: &str| -> ! { panic!("malformed label table at cell {j}: {reason}") };
-    let n = cells.len();
-    let lv = levels(n);
-    let mut cur: Vec<Option<usize>> = labels.to_vec();
-    let mut occupied: Vec<bool> = cells.iter().map(|c| c.is_some()).collect();
-    for (j, (occ, lab)) in occupied.iter().zip(cur.iter()).enumerate() {
-        if *occ != lab.is_some() {
-            malformed(j, "labels and occupancy must agree");
-        }
-    }
-    let mut out = String::new();
-    for i in 0..=lv {
-        out.push_str(&format!("L{i:<2} "));
-        for j in 0..n {
-            if occupied[j] {
-                out.push_str(&format!("{:>3}", cur[j].unwrap_or(0)));
-            } else {
-                out.push_str("  ·");
-            }
-        }
-        out.push('\n');
-        if i == lv {
-            break;
-        }
-        let step = 1usize << i;
-        let modulus = step << 1;
-        let mut next_occ = vec![false; n];
-        let mut next_lab: Vec<Option<usize>> = vec![None; n];
-        for j in 0..n {
-            if let (true, Some(d)) = (occupied[j], cur[j]) {
-                let hop = d % modulus;
-                if hop > j {
-                    malformed(j, "distance label may not move an item past cell 0");
-                }
-                let dest = j - hop;
-                if next_occ[dest] {
-                    panic!(
-                        "{}",
-                        RoutingCollision {
-                            level: i + 1,
-                            cell: dest,
-                        }
-                    );
-                }
-                next_occ[dest] = true;
-                next_lab[dest] = Some(d - hop);
-            }
-        }
-        occupied = next_occ;
-        cur = next_lab;
-    }
-    out
-}
-
-/// Reproduces the instance drawn in the paper's Figure 1: a 16-cell level
-/// with seven occupied cells whose remaining distances on `L_0` are
-/// 2, 3, 3, 6, 8, 8, 9 (reading occupied cells left to right).
-pub fn figure1_example() -> (Vec<Option<u32>>, Vec<Option<usize>>) {
-    // Place 7 occupied cells so that their stable-compaction distances are
-    // exactly the figure's labels. distance d_j = j - rank.
-    // rank: 0..6, so occupied positions are rank + label:
-    // 0+2=2, 1+3=4, 2+3=5, 3+6=9, 4+8=12, 5+8=13, 6+9=15.
-    let positions = [2usize, 4, 5, 9, 12, 13, 15];
-    let n = 16;
-    let mut cells: Vec<Option<u32>> = vec![None; n];
-    for (rank, &p) in positions.iter().enumerate() {
-        cells[p] = Some(rank as u32);
-    }
-    let labels = compaction_labels(&cells);
-    (cells, labels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,8 +300,10 @@ mod tests {
         // Two items both routed to cell 0.
         let cells = vec![Some(1u32), Some(2), None, None];
         let labels = vec![Some(0usize), Some(1), None, None];
-        let err = route_with_labels(&cells, &labels).unwrap_err();
-        assert_eq!(err.cell, 0);
+        assert_eq!(
+            route_with_labels(&cells, &labels),
+            Err(RoutingCollision { level: 1, cell: 0 })
+        );
     }
 
     #[test]
@@ -410,7 +329,13 @@ mod tests {
 
     #[test]
     fn figure1_example_routes_without_collision_and_compacts() {
-        let (cells, labels) = figure1_example();
+        // The instance drawn in the paper's Figure 1: seven occupied cells
+        // of sixteen, at rank + label for the figure's L0 labels.
+        let mut cells: Vec<Option<u32>> = vec![None; 16];
+        for (rank, p) in [2usize, 4, 5, 9, 12, 13, 15].into_iter().enumerate() {
+            cells[p] = Some(rank as u32);
+        }
+        let labels = compaction_labels(&cells);
         let routed = route_with_labels(&cells, &labels).unwrap();
         let occupied: Vec<u32> = routed.iter().take(7).map(|c| c.unwrap()).collect();
         assert_eq!(occupied, vec![0, 1, 2, 3, 4, 5, 6]);
@@ -418,15 +343,6 @@ mod tests {
         // The figure's L0 labels, reading occupied cells left to right.
         let l0: Vec<usize> = labels.iter().filter_map(|l| *l).collect();
         assert_eq!(l0, vec![2, 3, 3, 6, 8, 8, 9]);
-    }
-
-    #[test]
-    fn render_produces_one_row_per_level() {
-        let (cells, labels) = figure1_example();
-        let s = render_labels(&cells, &labels);
-        let rows: Vec<&str> = s.lines().collect();
-        assert_eq!(rows.len(), levels(cells.len()) + 1);
-        assert!(rows[0].starts_with("L0"));
     }
 
     #[test]
@@ -451,25 +367,5 @@ mod tests {
         let cells: Vec<Option<u32>> = vec![None, Some(1), None, None];
         let labels = vec![None, Some(3usize), None, None];
         let _ = route_with_labels(&cells, &labels);
-    }
-
-    #[test]
-    #[should_panic(expected = "malformed label table at cell 2: labels and occupancy must agree")]
-    fn render_rejects_labels_that_disagree_with_occupancy() {
-        let cells: Vec<Option<u32>> = vec![None, Some(1), Some(2), None];
-        let labels = vec![None, Some(1usize), None, None]; // cell 2 lies
-        render_labels(&cells, &labels);
-    }
-
-    #[test]
-    #[should_panic(expected = "butterfly routing collision at level 1 cell 0")]
-    fn render_reports_a_collision_like_route() {
-        let cells: Vec<Option<u32>> = vec![Some(1), Some(2), None, None];
-        let labels = vec![Some(0usize), Some(1), None, None];
-        assert_eq!(
-            route_with_labels(&cells, &labels),
-            Err(RoutingCollision { level: 1, cell: 0 })
-        );
-        render_labels(&cells, &labels);
     }
 }

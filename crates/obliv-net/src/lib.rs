@@ -8,8 +8,7 @@
 //!   runs with a fixed access pattern); the Lemma 2 sort's external levels
 //!   and the naive baseline share it.
 //! * [`butterfly`] — the butterfly-like routing network of the paper's
-//!   Section 3 (Figure 1), in its in-memory circuit form, plus an ASCII
-//!   renderer that regenerates Figure 1.
+//!   Section 3 (Figure 1), in its in-memory circuit form.
 //! * [`external_sort`] — the paper's **Lemma 2** substitute: a deterministic
 //!   data-oblivious external-memory sort costing
 //!   `O((N/B)(1 + log²(N/M)))` I/Os: its external levels are a fixed bitonic

@@ -292,10 +292,12 @@ pub(crate) fn run<S: BlockStore>(
             // table the sweep before it filled.
             None => (
                 table.take().map_or(Ranks::Running, Ranks::Rows),
-                (!last).then(|| {
-                    let stride = (1 << groups[s + 1].0) / b;
-                    RowTable::new(store, &mut budget, stride, nb, room)
-                }),
+                (!last)
+                    .then(|| {
+                        let stride = (1 << groups[s + 1].0) / b;
+                        RowTable::new(store, &mut budget, stride, nb, room)
+                    })
+                    .transpose()?,
             ),
             Some(_) => (Ranks::Targets { first: s == 0 }, None),
         };
@@ -423,14 +425,14 @@ enum Home {
 
 impl RowTable {
     /// An all-zero table for `⌈nb/stride⌉` rows, in the cache if it has at
-    /// most `room` entries.
+    /// most `room` entries, or the budget's refusal of its words.
     fn new<S: BlockStore>(
         store: &mut S,
         budget: &mut CacheBudget,
         stride: usize,
         nb: usize,
         room: usize,
-    ) -> Self {
+    ) -> Result<Self, StoreError> {
         let rows = nb.div_ceil(stride);
         let home = if rows <= room {
             Home::Cache(vec![0; rows])
@@ -443,8 +445,8 @@ impl RowTable {
             }
         };
         let table = RowTable { stride, home };
-        budget.acquire(table.words());
-        table
+        budget.try_acquire(table.words())?;
+        Ok(table)
     }
 
     /// The private-cache words the table holds.
@@ -586,7 +588,7 @@ fn sweep<S: BlockStore>(
     };
 
     let slots = w / b + 1;
-    budget.acquire(slots * b);
+    budget.try_acquire(slots * b)?;
     let mut ring: Vec<Option<Block>> = vec![None; slots];
     let mut seen = 0usize;
     for c in 0..k {
@@ -1081,7 +1083,7 @@ mod tests {
     /// The head window of that compaction, filling the stride-4 table.
     fn head_sweep(mem: &mut ExtMem, h: &ArrayHandle) -> (usize, RowTable) {
         let mut budget = CacheBudget::new(32);
-        let next = Some(RowTable::new(mem, &mut budget, 4, 16, 8));
+        let next = Some(RowTable::new(mem, &mut budget, 4, 16, 8).unwrap());
         let pass = Sweep {
             levels: (0, 4),
             targets: None,
@@ -1101,7 +1103,7 @@ mod tests {
         table: RowTable,
     ) -> Result<usize, OdoError> {
         let mut budget = CacheBudget::new(32);
-        budget.acquire(table.words());
+        budget.try_acquire(table.words()).unwrap();
         let pass = Sweep {
             levels: (4, 2),
             targets: None,

@@ -109,6 +109,7 @@
 
 use crate::error::OdoError;
 use extmem::element::{cell_cmp_none_last, Cell};
+use extmem::util::ilog2_floor;
 use extmem::{
     ArrayHandle, Block, BlockStore, CacheBudget, Element, IoStats, RetryPolicy, RetryStats,
     RetryingStore, StoreError,
@@ -419,7 +420,7 @@ fn run<S: BlockStore>(
 /// the Lemma 2 sort orders externally, or a prune round. `M ≥ 32` keeps
 /// `g/2 ≥ 2·PRUNE_SAMPLES`.
 fn plan_round(win: &Window, cache_elems: usize) -> (usize, Option<usize>) {
-    let g = largest_pow2_at_most(cache_elems);
+    let g = 1 << ilog2_floor(cache_elems);
     let wide = filter_samples(win, g, cache_elems)
         .filter(|&s| s > 0 && win.len.div_ceil(g) * s <= cache_elems);
     match wide {
@@ -736,16 +737,6 @@ fn build_working_copy<S: BlockStore>(
     Ok((wrk, live))
 }
 
-/// Largest power of two `≤ x` (`x ≥ 1`).
-fn largest_pow2_at_most(x: usize) -> usize {
-    debug_assert!(x >= 1);
-    let mut p = 1;
-    while p * 2 <= x {
-        p *= 2;
-    }
-    p
-}
-
 /// Streams the sorted sample array once, returning the cells at ranks
 /// `q_lo` / `q_hi` (when requested) without ever issuing a rank-dependent
 /// read: every block is read, the two positions are latched in registers.
@@ -1042,7 +1033,7 @@ mod tests {
             (40_000, 16, 1024),
         ] {
             let (g, s) = plan(n, b, m, true);
-            assert!(g == largest_pow2_at_most(m) || g == largest_pow2_at_most(m) / 2);
+            assert!(g == 1 << ilog2_floor(m) || g == 1 << (ilog2_floor(m) - 1));
             if let Some(s) = s {
                 assert!(s <= g / 4);
                 assert!(2 * (2 * n.div_ceil(g) + 4) * (g / s) + b <= m);

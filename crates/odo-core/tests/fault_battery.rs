@@ -477,6 +477,32 @@ fn facade_error_shape_matches_the_documented_contract() {
     );
 }
 
+/// A selection whose scratch array's MAC table does not fit the auth
+/// layer's client budget returns the budget's typed refusal instead of
+/// panicking. The input's table fills the 1,024-word budget exactly, so the
+/// first scratch array (32 blocks, 64 words) is refused, and every op on it
+/// returns that refusal.
+#[test]
+fn an_auth_table_past_the_budget_is_a_typed_error_not_a_panic() {
+    let (n, b, m) = (4096, 8, 256);
+    let enc = EncryptedStore::new(b, 0xA11CE);
+    let mut auth = AuthenticatedStore::with_budget(enc, 0x4D41_4353, 1024);
+    let input: Vec<Cell> = (0..n as u64)
+        .map(|i| Some(Element::new(hash64(i, 0x5E) % 97, i)))
+        .collect();
+    let h = BlockStore::alloc_array(&mut auth, n);
+    auth.try_store_span(&h, 0, &input).unwrap();
+    let err = try_select_kth(&mut auth, &h, m, n / 2, RetryPolicy::default()).unwrap_err();
+    assert_eq!(
+        err,
+        OdoError::Store(StoreError::BudgetExceeded {
+            requested: 64,
+            in_use: 1024,
+            capacity: 1024,
+        })
+    );
+}
+
 /// Satellite pin for the butterfly-routing bugfix: when a *corrupting* but
 /// unauthenticated server feeds garbage into an external routing pass, the
 /// fallible façade must surface a typed, tampering-classified
